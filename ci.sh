@@ -10,19 +10,8 @@ cargo fmt --all -- --check
 echo "==> cargo build --release"
 cargo build --release --workspace --all-targets
 
-echo "==> cargo test (SIMD backends, runtime-detected)"
+echo "==> cargo test"
 cargo test -q --workspace
-
-echo "==> cargo test (scalar backend forced)"
-# The packed layer-1 engine ships a guaranteed-available scalar kernel
-# behind the same trait as the SIMD ones; forcing it keeps the fallback
-# from rotting on machines where the vector path always wins detection.
-HIERBUS_PACKED_BACKEND=scalar cargo test -q --workspace
-
-echo "==> cargo test (simd feature disabled at compile time)"
-# Belt and braces for the portability story: hierbus-power must build
-# and pass its own suite with no intrinsics compiled at all.
-cargo test -q -p hierbus-power --no-default-features
 
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
@@ -33,10 +22,8 @@ cargo run --release -p hierbus-bench --bin explore_jcvm -- --smoke --workers 2
 echo "==> arbitration smoke (both policies, DMA on/off, three layers)"
 # Cross-layer equivalence gate for the multi-master path: per-master
 # outcomes, committed memory, cycle- and grant-exact layer 1, the 1e-9
-# energy pin and the per-master ledger partition — once on the detected
-# SIMD backend and once on the forced scalar kernel.
+# energy pin and the per-master ledger partition.
 cargo run --release -p hierbus-bench --bin arbitration_smoke
-HIERBUS_PACKED_BACKEND=scalar cargo run --release -p hierbus-bench --bin arbitration_smoke
 
 echo "==> bench smoke (hot-path differential + scaling regression, release)"
 # The perf layer's correctness story: the packed diff must stay
@@ -90,7 +77,8 @@ cargo run --release -p hierbus-bench --bin check_telemetry
 
 echo "==> throughput JSON schema gate"
 # BENCH_throughput.json must parse and carry the speedup/scaling fields
-# the regression tracking depends on.
+# the regression tracking depends on, with the production layer-1 path
+# at least as fast as the bit-loop reference in the same run.
 cargo run --release -p hierbus-bench --bin check_throughput
 
 echo "==> results staleness gate (deterministic tables)"

@@ -13,7 +13,7 @@ use hierbus_bench::{grouped, throughput, time_best, TextTable, THROUGHPUT_JSON};
 use hierbus_campaign::{CampaignPayload, ClaimStrategy, Json, Matrix};
 use hierbus_ec::sequences::{random_mix, MixParams};
 use hierbus_ec::SignalFrame;
-use hierbus_power::{Backend, BatchedLayer1, CharacterizationDb, Layer1EnergyModel};
+use hierbus_power::{CharacterizationDb, Layer1EnergyModel};
 
 const TXNS: usize = 4_000;
 const REPS: usize = 5;
@@ -100,22 +100,9 @@ fn main() {
         }
         model.total_energy() as usize
     });
-    // The packed-vs-scalar pair on the pure model path (no bus): the
-    // same frame stream through the lane-parallel block engine and
-    // through the pre-optimization bit-loop reference — the regression
-    // anchors behind `packed_speedup` without simulation cost diluting
-    // the ratio.
-    let packed_label = format!("energy_model/layer1_packed ({})", Backend::active().name());
-    bench(&packed_label, frames, &mut || {
-        let mut batched = BatchedLayer1::new(Layer1EnergyModel::new(CharacterizationDb::uniform()));
-        let mut frame = SignalFrame::default();
-        for i in 0..frames {
-            frame.a_addr = i.wrapping_mul(0x9E37_79B9);
-            frame.r_data = (i as u32).rotate_left(7);
-            batched.on_frame(&frame);
-        }
-        batched.model().total_energy() as usize
-    });
+    // The same frame stream through the pre-optimization bit-loop
+    // reference: the scalar-vs-bit-loop pair on the pure model path (no
+    // bus), without simulation cost diluting the ratio.
     bench("energy_model/layer1_bitloop_reference", frames, &mut || {
         let mut model = Layer1EnergyModel::new(CharacterizationDb::uniform());
         let mut frame = SignalFrame::default();
@@ -176,7 +163,7 @@ fn main() {
         },
     );
     // New engine arm: chunked claiming and one reset-reused lean session
-    // per worker over the packed hot path — no per-transaction records
+    // per worker over the word-packed diff — no per-transaction records
     // and no per-cycle trace, because the payload keeps neither. Cycles
     // and energy stay bit-identical to the old arm's
     // (`proptest_invariants::lean_session_matches_full_runner_bit_exact`).

@@ -118,12 +118,8 @@ fn run_one(policy: ArbitrationPolicy, dma_active: bool) -> Result<(), String> {
         return Err(format!("{tag}: idle DMA master won a grant"));
     }
     println!(
-        "arbitration_smoke: {tag}: cycles={} grants={:?} contended={} energy_pj={:.3} backend={}",
-        rtl.cycles,
-        rtl.stats.grants,
-        rtl.stats.contended_cycles,
-        l1.energy_pj,
-        hierbus::power::Backend::active().name(),
+        "arbitration_smoke: {tag}: cycles={} grants={:?} contended={} energy_pj={:.3}",
+        rtl.cycles, rtl.stats.grants, rtl.stats.contended_cycles, l1.energy_pj,
     );
     Ok(())
 }

@@ -16,10 +16,10 @@
 //! section (written by `serve_bench`) must list per-worker cold/warm
 //! request latencies with the warm one strictly below the cold one —
 //! the daemon's result cache earning its keep. The `layers` section is
-//! additionally gated on `packed_speedup` — the lane-parallel layer-1
-//! arm must hold its floor over the bit-loop reference unless the file
-//! was produced by a scalar-forced run. Exits non-zero with a
-//! description of the first violation.
+//! additionally gated on `tlm1_hotpath_speedup` — the production layer-1
+//! path must be at least as fast as the bit-loop reference it replaced,
+//! measured in the same run. Exits non-zero with a description of the
+//! first violation.
 //!
 //! Run with `cargo run --release -p hierbus-bench --bin check_throughput`.
 
@@ -28,8 +28,6 @@ use std::process::ExitCode;
 
 const LAYER_FIELDS: &[&str] = &[
     "tlm1_with_kts",
-    "tlm1_packed_kts",
-    "packed_speedup",
     "tlm1_with_reference_kts",
     "tlm1_hotpath_speedup",
     "tlm1_without_kts",
@@ -39,12 +37,10 @@ const LAYER_FIELDS: &[&str] = &[
     "tlm3_kts",
 ];
 
-/// The lane-parallel engine must beat the bit-loop reference by at
-/// least this factor in the same `table3_simperf` run. Only enforced
-/// when the recorded `packed_backend` is a SIMD kernel — a scalar-forced
-/// run (e.g. `HIERBUS_PACKED_BACKEND=scalar` in CI's portability leg)
-/// still validates the schema without pretending to have vector lanes.
-const MIN_PACKED_SPEEDUP: f64 = 2.0;
+/// The production layer-1 path (`tlm1_with_kts`) must be at least as
+/// fast as the bit-loop reference (`tlm1_with_reference_kts`) in the
+/// same `table3_simperf` run.
+const MIN_HOTPATH_SPEEDUP: f64 = 1.0;
 
 const WORKER_FIELDS: &[&str] = &[
     "workers",
@@ -88,15 +84,15 @@ fn check(root: &Json) -> Result<(), String> {
             .and_then(Json::as_f64)
             .ok_or(format!("layers: missing or non-numeric field {field}"))?;
     }
-    let backend = layers
-        .get("packed_backend")
-        .and_then(Json::as_str)
-        .ok_or("layers: missing packed_backend name")?;
-    let speedup = layers.get("packed_speedup").unwrap().as_f64().unwrap();
-    if backend != "scalar" && speedup < MIN_PACKED_SPEEDUP {
+    let speedup = layers
+        .get("tlm1_hotpath_speedup")
+        .unwrap()
+        .as_f64()
+        .unwrap();
+    if speedup < MIN_HOTPATH_SPEEDUP {
         return Err(format!(
-            "layers: packed_speedup {speedup:.2} below the {MIN_PACKED_SPEEDUP:.1}x floor \
-             for the {backend} backend (tlm1_packed_kts vs tlm1_with_reference_kts, same run)"
+            "layers: tlm1_hotpath_speedup {speedup:.2} below the {MIN_HOTPATH_SPEEDUP:.1}x floor \
+             (tlm1_with_kts vs tlm1_with_reference_kts, same run)"
         ));
     }
     for section in ["campaign_bus", "campaign_explore"] {

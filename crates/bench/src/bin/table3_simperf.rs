@@ -73,9 +73,7 @@ fn main() {
     let db = harness::shared_db();
 
     let l1_with = measure(|| harness::perf::layer1(&scenario, &db));
-    let l1_packed = measure(|| harness::perf::layer1_packed(&scenario, &db));
     let l1_with_reference = measure(|| harness::perf::layer1_reference(&scenario, &db));
-    let packed_backend = hierbus::power::Backend::active();
     let l1_without = measure(|| harness::perf::layer1_timing(&scenario));
     let l2_with = measure(|| harness::perf::layer2(&scenario, &db));
     let l2_without = measure(|| harness::perf::layer2_timing(&scenario));
@@ -113,12 +111,9 @@ fn main() {
     println!("Table 3 — simulation performance (paper factors: 1 / 1.1 / 1.52 / 1.7):\n");
     println!("{}", table3.render());
     println!(
-        "Layer-1 hot path: {l1_packed:.1} kT/s packed ({} backend, {} lanes) vs \
-         {l1_with:.1} kT/s scalar vs {l1_with_reference:.1} kT/s bit-loop reference \
+        "Layer-1 hot path: {l1_with:.1} kT/s vs {l1_with_reference:.1} kT/s bit-loop reference \
          ({:.2}x over reference)\n",
-        packed_backend.name(),
-        packed_backend.lanes(),
-        l1_packed / l1_with_reference
+        l1_with / l1_with_reference
     );
 
     // Observability overhead: the span/counter probes are compiled into
@@ -241,15 +236,6 @@ fn main() {
     // Machine-readable perf trajectory for regression tracking.
     let layer_fields = vec![
         ("tlm1_with_kts".to_owned(), Json::Num(l1_with)),
-        ("tlm1_packed_kts".to_owned(), Json::Num(l1_packed)),
-        (
-            "packed_backend".to_owned(),
-            Json::Str(packed_backend.name().to_owned()),
-        ),
-        (
-            "packed_speedup".to_owned(),
-            Json::Num(l1_packed / l1_with_reference),
-        ),
         (
             "tlm1_with_reference_kts".to_owned(),
             Json::Num(l1_with_reference),

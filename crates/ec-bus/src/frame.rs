@@ -119,14 +119,6 @@ impl TogglesByClass {
     pub fn as_array(&self) -> &[u32; 6] {
         &self.0
     }
-
-    /// Builds a count set from raw per-class counts in
-    /// [`SignalClass::index`] order — the inverse of
-    /// [`as_array`](Self::as_array), used by batched engines that
-    /// compute counts outside [`PackedFrame::diff`].
-    pub fn from_array(counts: [u32; 6]) -> TogglesByClass {
-        TogglesByClass(counts)
-    }
 }
 
 /// A [`SignalFrame`] with every signal class packed into one word,
@@ -150,19 +142,6 @@ impl PackedFrame {
             *out = (self.0[i] ^ prev.0[i]).count_ones();
         }
         TogglesByClass(t)
-    }
-
-    /// The six class words in [`SignalClass::index`] order — the raw
-    /// lane view batched (structure-of-arrays) engines scatter into
-    /// per-class word columns.
-    pub fn words(&self) -> &[u64; 6] {
-        &self.0
-    }
-
-    /// Rebuilds a packed frame from raw class words (inverse of
-    /// [`words`](Self::words)).
-    pub fn from_words(words: [u64; 6]) -> PackedFrame {
-        PackedFrame(words)
     }
 }
 

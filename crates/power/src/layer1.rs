@@ -97,51 +97,27 @@ impl Layer1EnergyModel {
     }
 
     /// Feeds the settled frame of one bus cycle; called by the harness
-    /// after every bus-process activation.
+    /// after every bus-process activation. Per-class weights accumulate
+    /// into a fresh `0.0` in `SignalClass::ALL` order — the same f64
+    /// schedule as [`on_frame_reference`](Self::on_frame_reference),
+    /// which keeps the two `to_bits`-exact.
     #[inline]
     pub fn on_frame(&mut self, frame: &SignalFrame) {
         let packed = frame.packed();
         let diff = packed.diff(&self.prev_packed);
         self.prev = *frame;
         self.prev_packed = packed;
-        self.book_cycle(&diff);
-    }
-
-    /// Books one cycle's transition counts: per-class weights
-    /// accumulate into a fresh `0.0` in `SignalClass::ALL` order, then
-    /// fold into the running totals — the single f64 schedule shared
-    /// by the scalar path ([`on_frame`](Self::on_frame)) and the
-    /// batched engine ([`BatchedLayer1`](crate::BatchedLayer1)), which
-    /// is what keeps the two `to_bits`-exact. Does *not* advance the
-    /// previous-frame state; batched callers pair it with
-    /// [`set_prev`](Self::set_prev) at flush boundaries.
-    #[inline]
-    pub(crate) fn book_cycle(&mut self, diff: &TogglesByClass) {
         let mut energy = 0.0;
         for (i, &toggles) in diff.as_array().iter().enumerate() {
             energy += toggles as f64 * self.weights[i];
         }
-        self.toggles.accumulate(diff);
+        self.toggles.accumulate(&diff);
         self.last_cycle_pj = energy;
         self.since_last_pj += energy;
         self.total_pj += energy;
         if let Some(t) = &mut self.trace {
             t.push(energy);
         }
-    }
-
-    /// Overwrites the previous-frame signal state (both views). Used
-    /// by the batched engine after booking a block whose transition
-    /// counts were computed outside the model.
-    pub(crate) fn set_prev(&mut self, frame: &SignalFrame) {
-        self.prev = *frame;
-        self.prev_packed = frame.packed();
-    }
-
-    /// The previous cycle's settled frame (the batched engine seeds
-    /// its carry lane from this).
-    pub(crate) fn prev_frame(&self) -> &SignalFrame {
-        &self.prev
     }
 
     /// [`on_frame`](Self::on_frame) via the bit-loop reference diff and

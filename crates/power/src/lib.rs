@@ -46,12 +46,10 @@ pub mod characterize;
 pub mod components;
 pub mod layer1;
 pub mod layer2;
-pub mod packed;
 pub mod trace;
 
 pub use characterize::{CharacterizationDb, PhaseCounts};
 pub use components::{ComponentEnergyModel, ComponentEstimate};
 pub use layer1::Layer1EnergyModel;
 pub use layer2::Layer2EnergyModel;
-pub use packed::{Backend, BatchedLayer1, FrameBlock, PackedBits, ScalarBits, BLOCK};
 pub use trace::PowerTrace;

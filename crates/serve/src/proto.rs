@@ -142,6 +142,9 @@ impl ScenarioSpec {
                     }
                     Ok(v as u32)
                 };
+                let max_idle = u("max_idle", d.max_idle as u64)?;
+                let max_idle = u32::try_from(max_idle)
+                    .map_err(|_| format!("mix spec field max_idle = {max_idle} out of range"))?;
                 let data_profile = match json.get("data_profile").and_then(Json::as_str) {
                     None => d.data_profile,
                     Some("random") => DataProfile::Random,
@@ -153,10 +156,13 @@ impl ScenarioSpec {
                     Some(v) => {
                         let arr = v.as_arr().ok_or("mix spec field waits is not an array")?;
                         let n = |i: usize| -> Result<u32, String> {
-                            arr.get(i)
+                            let v = arr
+                                .get(i)
                                 .and_then(Json::as_u64)
-                                .map(|v| v as u32)
-                                .ok_or("waits must be three integers".to_owned())
+                                .ok_or("waits must be three integers".to_owned())?;
+                            u32::try_from(v).map_err(|_| {
+                                format!("mix spec field waits[{i}] = {v} out of range")
+                            })
                         };
                         if arr.len() != 3 {
                             return Err("waits must be three integers".to_owned());
@@ -172,7 +178,7 @@ impl ScenarioSpec {
                         window: u("window", d.window)?,
                         read_pct: pct("read_pct", d.read_pct)?,
                         burst_pct: pct("burst_pct", d.burst_pct)?,
-                        max_idle: u("max_idle", d.max_idle as u64)? as u32,
+                        max_idle,
                         fetch_pct: pct("fetch_pct", d.fetch_pct)?,
                         sequential_pct: pct("sequential_pct", d.sequential_pct)?,
                         data_profile,
@@ -206,6 +212,9 @@ impl ScenarioSpec {
                         ))
                     }
                 };
+                let max_gap = u("dma_gap", u64::from(d.max_gap))?;
+                let max_gap = u32::try_from(max_gap)
+                    .map_err(|_| format!("multi spec field dma_gap = {max_gap} out of range"))?;
                 let read_pct = u("dma_read_pct", u64::from(d.read_pct))?;
                 if read_pct > 100 {
                     return Err(format!(
@@ -220,7 +229,7 @@ impl ScenarioSpec {
                         descriptors: u("dma_descriptors", d.descriptors as u64)? as usize,
                         burst,
                         read_pct: read_pct as u32,
-                        max_gap: u("dma_gap", u64::from(d.max_gap))? as u32,
+                        max_gap,
                         ..d
                     },
                 })
@@ -726,6 +735,18 @@ mod tests {
             (r#"{"kind":"multi","policy":"lifo"}"#, "arbitration policy"),
             (r#"{"kind":"multi","dma_burst":3}"#, "burst length"),
             (r#"{"kind":"multi","dma_read_pct":101}"#, "0..=100"),
+            (
+                r#"{"kind":"multi","dma_gap":4294967297}"#,
+                "multi spec field dma_gap = 4294967297 out of range",
+            ),
+            (
+                r#"{"kind":"mix","max_idle":4294967297}"#,
+                "mix spec field max_idle = 4294967297 out of range",
+            ),
+            (
+                r#"{"kind":"mix","waits":[0,4294967296,1]}"#,
+                "mix spec field waits[1] = 4294967296 out of range",
+            ),
         ] {
             let err = ScenarioSpec::from_json(&Json::parse(line).unwrap()).unwrap_err();
             assert!(err.contains(needle), "{err}");

@@ -14,7 +14,7 @@ use hierbus_core::{MemSlave, MultiMasterSystem, Tlm1Bus, TlmSystem};
 use hierbus_ec::sequences::Scenario;
 use hierbus_ec::{AccessRights, Address, AddressRange, MultiScenario, SignalClass, SlaveConfig};
 use hierbus_obs::TraceCollector;
-use hierbus_power::{BatchedLayer1, CharacterizationDb, Layer1EnergyModel};
+use hierbus_power::{CharacterizationDb, Layer1EnergyModel};
 
 /// Cycle ceiling for served scenarios; hitting it is a deadlock bug.
 pub const MAX_CYCLES: u64 = 50_000_000;
@@ -61,7 +61,7 @@ impl CampaignPayload for LeanResult {
 /// same scenario.
 #[derive(Debug, Clone)]
 pub struct ServeSession {
-    engine: BatchedLayer1,
+    model: Layer1EnergyModel,
 }
 
 impl ServeSession {
@@ -69,20 +69,17 @@ impl ServeSession {
     pub fn new(db: &CharacterizationDb) -> Self {
         hierbus_obs::profiling::record_db_access();
         ServeSession {
-            engine: BatchedLayer1::new(Layer1EnergyModel::new(db.clone())),
+            model: Layer1EnergyModel::new(db.clone()),
         }
     }
 
-    /// Runs one scenario in throughput mode through the lane-parallel
-    /// batched engine (process-wide backend, `HIERBUS_PACKED_BACKEND`
-    /// overridable) — bit-identical to the scalar path, so cached
-    /// results stay portable across backends.
+    /// Runs one scenario in throughput mode.
     pub fn run(&mut self, scenario: &Scenario) -> LeanResult {
         self.run_single(scenario, false).0
     }
 
     fn run_single(&mut self, scenario: &Scenario, observe: bool) -> (LeanResult, TraceCollector) {
-        self.engine.reset();
+        self.model.reset();
         let mem = MemSlave::new(scenario_slave(scenario));
         let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
         bus.enable_frames();
@@ -91,21 +88,21 @@ impl ServeSession {
         }
         let mut sys = TlmSystem::new(bus, scenario.ops.clone());
         sys.disable_records();
-        let engine = &mut self.engine;
+        let model = &mut self.model;
         let report = sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
-            engine.on_frame(bus.last_frame());
+            model.on_frame(bus.last_frame());
         });
         (
             LeanResult {
                 cycles: report.cycles,
-                energy_pj: engine.model().total_energy(),
+                energy_pj: model.total_energy(),
             },
             sys.bus().obs().clone(),
         )
     }
 
     /// Runs one CPU+DMA workload in the same throughput mode: the
-    /// arbiter-merged frame stream through the batched engine, records
+    /// arbiter-merged frame stream through the layer-1 model, records
     /// off. Cycles and energy are bit-identical to the multi-master
     /// harness's layer-1 run of the same workload.
     pub fn run_multi(&mut self, ms: &MultiScenario) -> LeanResult {
@@ -117,7 +114,7 @@ impl ServeSession {
         ms: &MultiScenario,
         observe: bool,
     ) -> (LeanResult, TraceCollector) {
-        self.engine.reset();
+        self.model.reset();
         let mem = MemSlave::new(scenario_slave(&ms.cpu));
         let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
         bus.enable_frames();
@@ -126,14 +123,14 @@ impl ServeSession {
         }
         let mut sys = MultiMasterSystem::for_multi(bus, ms);
         sys.disable_records();
-        let engine = &mut self.engine;
+        let model = &mut self.model;
         let report = sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
-            engine.on_frame(bus.last_frame());
+            model.on_frame(bus.last_frame());
         });
         (
             LeanResult {
                 cycles: report.cycles,
-                energy_pj: engine.model().total_energy(),
+                energy_pj: model.total_energy(),
             },
             sys.bus().obs().clone(),
         )

@@ -8,8 +8,7 @@ use hierbus_ec::record::TxnRecord;
 use hierbus_ec::sequences::{self, MixParams, Scenario};
 use hierbus_ec::{AccessKind, AccessRights, Address, AddressRange, SignalClass, SlaveConfig};
 use hierbus_power::{
-    BatchedLayer1, CharacterizationDb, Layer1EnergyModel, Layer2EnergyModel, PhaseCounts,
-    PowerTrace,
+    CharacterizationDb, Layer1EnergyModel, Layer2EnergyModel, PhaseCounts, PowerTrace,
 };
 use hierbus_rtl::{GlitchConfig, PowerConfig, RtlSystem, SimpleMem};
 
@@ -93,10 +92,7 @@ pub fn run_reference(scenario: &Scenario, ideal_netlist: bool) -> ReferenceRun {
     }
 }
 
-/// Runs a scenario on the layer-1 bus with the layer-1 energy model,
-/// fed through the lane-parallel batched engine
-/// ([`BatchedLayer1`]) — bit-identical to the scalar per-frame path by
-/// the packed module's exactness contract.
+/// Runs a scenario on the layer-1 bus with the layer-1 energy model.
 pub fn run_layer1(scenario: &Scenario, db: &CharacterizationDb) -> TlmRun {
     let mem = MemSlave::new(scenario_slave(scenario));
     let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
@@ -104,11 +100,9 @@ pub fn run_layer1(scenario: &Scenario, db: &CharacterizationDb) -> TlmRun {
     let mut sys = TlmSystem::new(bus, scenario.ops.clone());
     let mut model = Layer1EnergyModel::new(db.clone());
     model.enable_trace();
-    let mut batched = BatchedLayer1::new(model);
     let report = sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
-        batched.on_frame(bus.last_frame());
+        model.on_frame(bus.last_frame());
     });
-    let model = batched.finish();
     TlmRun {
         cycles: report.cycles,
         energy_pj: model.total_energy(),
@@ -152,7 +146,7 @@ pub fn run_layer1_reference(scenario: &Scenario, db: &CharacterizationDb) -> Tlm
 /// [`reset`]: Layer1EnergyModel::reset
 #[derive(Debug, Clone)]
 pub struct Layer1Session {
-    engine: BatchedLayer1,
+    model: Layer1EnergyModel,
 }
 
 impl Layer1Session {
@@ -161,23 +155,20 @@ impl Layer1Session {
         hierbus_obs::profiling::record_db_access();
         let mut model = Layer1EnergyModel::new(db.clone());
         model.enable_trace();
-        Layer1Session {
-            engine: BatchedLayer1::new(model),
-        }
+        Layer1Session { model }
     }
 
     /// Runs a scenario; equivalent to [`run_layer1`].
     pub fn run(&mut self, scenario: &Scenario) -> TlmRun {
-        self.engine.reset();
+        self.model.reset();
         let mem = MemSlave::new(scenario_slave(scenario));
         let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
         bus.enable_frames();
         let mut sys = TlmSystem::new(bus, scenario.ops.clone());
-        let engine = &mut self.engine;
+        let model = &mut self.model;
         let report = sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
-            engine.on_frame(bus.last_frame());
+            model.on_frame(bus.last_frame());
         });
-        let model = engine.model();
         TlmRun {
             cycles: report.cycles,
             energy_pj: model.total_energy(),
@@ -206,7 +197,7 @@ pub struct LeanRun {
 /// tracing are pure observers of the simulation.
 #[derive(Debug, Clone)]
 pub struct Layer1LeanSession {
-    engine: BatchedLayer1,
+    model: Layer1EnergyModel,
 }
 
 impl Layer1LeanSession {
@@ -214,25 +205,25 @@ impl Layer1LeanSession {
     pub fn new(db: &CharacterizationDb) -> Self {
         hierbus_obs::profiling::record_db_access();
         Layer1LeanSession {
-            engine: BatchedLayer1::new(Layer1EnergyModel::new(db.clone())),
+            model: Layer1EnergyModel::new(db.clone()),
         }
     }
 
     /// Runs a scenario; cycles and energy equal [`run_layer1`]'s.
     pub fn run(&mut self, scenario: &Scenario) -> LeanRun {
-        self.engine.reset();
+        self.model.reset();
         let mem = MemSlave::new(scenario_slave(scenario));
         let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
         bus.enable_frames();
         let mut sys = TlmSystem::new(bus, scenario.ops.clone());
         sys.disable_records();
-        let engine = &mut self.engine;
+        let model = &mut self.model;
         let report = sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
-            engine.on_frame(bus.last_frame());
+            model.on_frame(bus.last_frame());
         });
         LeanRun {
             cycles: report.cycles,
-            energy_pj: engine.model().total_energy(),
+            energy_pj: model.total_energy(),
         }
     }
 }
@@ -313,23 +304,6 @@ pub mod perf {
         sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
             model.on_frame(bus.last_frame());
         });
-        sys.completed()
-    }
-
-    /// Layer 1 with the energy model fed through the lane-parallel
-    /// batched engine ([`BatchedLayer1`]) on the process-wide active
-    /// backend — the `tlm1_packed_kts` benchmark arm.
-    pub fn layer1_packed(scenario: &Scenario, db: &CharacterizationDb) -> u64 {
-        let mem = MemSlave::new(scenario_slave(scenario));
-        let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
-        bus.enable_frames();
-        let mut sys = TlmSystem::new(bus, scenario.ops.clone());
-        sys.disable_records();
-        let mut batched = BatchedLayer1::new(Layer1EnergyModel::new(db.clone()));
-        sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
-            batched.on_frame(bus.last_frame());
-        });
-        batched.flush();
         sys.completed()
     }
 
@@ -486,11 +460,10 @@ pub mod fault {
         let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
         bus.enable_frames();
         let mut sys = TlmSystem::new(bus, scenario.ops.clone()).with_faults(plan.clone(), policy);
-        let mut batched = BatchedLayer1::new(Layer1EnergyModel::new(db.clone()));
+        let mut model = Layer1EnergyModel::new(db.clone());
         let report = sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
-            batched.on_frame(bus.last_frame());
+            model.on_frame(bus.last_frame());
         });
-        let model = batched.finish();
         let memory = sys
             .bus()
             .slave_as::<MemSlave>(SlaveId(0))
@@ -584,11 +557,9 @@ pub mod fault {
         let mut sys = TlmSystem::new(bus, scenario.ops.clone()).with_faults(plan.clone(), policy);
         let mut model = Layer1EnergyModel::new(db.clone());
         model.enable_trace();
-        let mut batched = BatchedLayer1::new(model);
         let report = sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
-            batched.on_frame(bus.last_frame());
+            model.on_frame(bus.last_frame());
         });
-        let model = batched.finish();
         let memory = sys
             .bus()
             .slave_as::<MemSlave>(SlaveId(0))
@@ -709,11 +680,9 @@ pub mod multi {
         let report = sys.run(MAX_CYCLES);
         let mut model = Layer1EnergyModel::new(db.clone());
         model.enable_trace();
-        let mut batched = BatchedLayer1::new(model);
         for frame in sys.frames().expect("frame log enabled above") {
-            batched.on_frame(frame);
+            model.on_frame(frame);
         }
-        let model = batched.finish();
         let spans = sys.obs().spans().to_vec();
         let ledger = hierbus_obs::attribute_cycles_by_master(
             "rtl",
@@ -748,8 +717,8 @@ pub mod multi {
     }
 
     /// Layer 1 over a CPU+DMA scenario: per-cycle arbitration in front
-    /// of the cycle-accurate bus, energy through the lane-parallel
-    /// batched engine, spans attributed per master.
+    /// of the cycle-accurate bus, energy through the layer-1 model,
+    /// spans attributed per master.
     pub fn run_layer1(
         ms: &MultiScenario,
         db: &CharacterizationDb,
@@ -765,11 +734,9 @@ pub mod multi {
         }
         let mut model = Layer1EnergyModel::new(db.clone());
         model.enable_trace();
-        let mut batched = BatchedLayer1::new(model);
         let report = sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
-            batched.on_frame(bus.last_frame());
+            model.on_frame(bus.last_frame());
         });
-        let model = batched.finish();
         let spans = sys.bus().obs().spans().to_vec();
         let ledger = hierbus_obs::attribute_cycles_by_master(
             "tlm1",

@@ -491,25 +491,17 @@ fn glitchless_reference_transitions_equal_layer1_toggles() {
 }
 
 #[test]
-fn packed_engines_match_scalar_and_bitloop_under_random_traffic() {
-    // The lane-parallel contract as a property: for random stimulus,
-    // random wait profiles and *random flush cadence* (queries force a
-    // flush, so querying at random points exercises every partial batch
-    // width), each compiled backend's batched engine, the scalar
+fn scalar_engine_matches_bitloop_under_random_traffic() {
+    // For random stimulus and random wait profiles, the scalar
     // per-frame engine and the bit-loop reference engine agree on
     // energy, per-class transition counts and the per-cycle trace — to
     // the last bit. The seed is in every assert message.
-    use hierbus::power::{Backend, BatchedLayer1, CharacterizationDb, Layer1EnergyModel};
-    let backends: Vec<Backend> = Backend::COMPILED
-        .iter()
-        .copied()
-        .filter(|b| b.available())
-        .collect();
+    use hierbus::power::{CharacterizationDb, Layer1EnergyModel};
     for case in 0..CASES {
         let seed = 0x9ACD_0000 + case;
         let mut rng = SplitMix64::new(seed);
         let scenario = Scenario {
-            name: "packed-prop",
+            name: "scalar-prop",
             ops: arb_ops(&mut rng, 1, 40).into(),
             waits: arb_waits(&mut rng),
         };
@@ -517,31 +509,14 @@ fn packed_engines_match_scalar_and_bitloop_under_random_traffic() {
         scalar.enable_trace();
         let mut bitloop = Layer1EnergyModel::new(CharacterizationDb::uniform());
         bitloop.enable_trace();
-        let mut engines: Vec<BatchedLayer1> = backends
-            .iter()
-            .map(|&b| {
-                let mut m = Layer1EnergyModel::new(CharacterizationDb::uniform());
-                m.enable_trace();
-                BatchedLayer1::with_backend(m, b)
-            })
-            .collect();
         let mem = MemSlave::new(slave_config(scenario.waits));
         let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
         bus.enable_frames();
         let mut sys = TlmSystem::new(bus, scenario.ops);
-        let mut flush_rng = SplitMix64::new(seed ^ 0xF1A5);
         sys.run(1_000_000, |bus: &mut Tlm1Bus| {
             let frame = *bus.last_frame();
             scalar.on_frame(&frame);
             bitloop.on_frame_reference(&frame);
-            for (i, engine) in engines.iter_mut().enumerate() {
-                engine.on_frame(&frame);
-                // Distinct cadence per engine: flush with probability
-                // (i + 1) in 32 — ragged, backend-dependent batch widths.
-                if flush_rng.next_u64() % 32 < i as u64 + 1 {
-                    engine.model();
-                }
-            }
         });
         assert_eq!(
             scalar.total_energy().to_bits(),
@@ -550,33 +525,12 @@ fn packed_engines_match_scalar_and_bitloop_under_random_traffic() {
         );
         assert_eq!(scalar.toggles(), bitloop.toggles(), "seed {seed:#x}");
         assert_eq!(scalar.trace(), bitloop.trace(), "seed {seed:#x}");
-        for (engine, &backend) in engines.iter_mut().zip(&backends) {
-            let m = engine.model();
-            assert_eq!(
-                m.total_energy().to_bits(),
-                scalar.total_energy().to_bits(),
-                "seed {seed:#x}: backend {} energy",
-                backend.name()
-            );
-            assert_eq!(
-                m.toggles(),
-                scalar.toggles(),
-                "seed {seed:#x}: backend {} toggles",
-                backend.name()
-            );
-            assert_eq!(
-                m.trace(),
-                scalar.trace(),
-                "seed {seed:#x}: backend {} trace",
-                backend.name()
-            );
-        }
     }
 }
 
 #[test]
-fn packed_attribution_ledger_matches_bitloop_buckets() {
-    // Attribution rides on the per-cycle trace, so the packed engine
+fn attribution_ledger_matches_bitloop_buckets() {
+    // Attribution rides on the per-cycle trace, so the production path
     // must reproduce the bit-loop reference's EnergyLedger bucket by
     // bucket — spans, per-slave splits and residual included.
     use hierbus::power::Layer1EnergyModel;
@@ -589,7 +543,7 @@ fn packed_attribution_ledger_matches_bitloop_buckets() {
             ops: arb_ops(&mut rng, 4, 30).into(),
             waits: arb_waits(&mut rng),
         };
-        // Packed path (active backend) with spans + trace + ledger.
+        // Production path with spans + trace + ledger.
         let packed = hierbus::harness::fault::run_layer1_attributed(
             &scenario,
             &db,

@@ -180,87 +180,3 @@ fn within_request_duplicates_simulate_once() {
     assert_eq!(bytes[1], bytes[2]);
     assert_eq!(d.cache_len(), 1, "one simulation serves all duplicates");
 }
-
-// ---------------------------------------------------------------------
-// Cross-backend cache portability. The packed kernel backend is a
-// process-wide choice (HIERBUS_PACKED_BACKEND, resolved once), so these
-// tests re-exec the test binary: one child process fills a persisted
-// cache under one backend, a second replays it under another. The
-// result payloads must be byte-equal in every direction — the cache
-// key and the cached bytes both live below the backend choice, because
-// every backend is bit-exact.
-// ---------------------------------------------------------------------
-
-/// Child body, driven by `SERVE_CHILD_DIR` / `SERVE_CHILD_MODE`
-/// (`fill` or `replay`); a plain no-op pass when run as part of the
-/// normal suite.
-#[test]
-fn backend_forced_serve_child() {
-    let Ok(dir) = std::env::var("SERVE_CHILD_DIR") else {
-        return;
-    };
-    let mode = std::env::var("SERVE_CHILD_MODE").expect("child mode set");
-    let dir = std::path::PathBuf::from(dir);
-    let d = Daemon::new(
-        Arc::new(CharacterizationDb::uniform()),
-        DaemonOptions {
-            workers: 2,
-            cache_capacity: 64,
-            cache_index: Some(dir.join("cache.json")),
-            ..DaemonOptions::default()
-        },
-    );
-    let specs = specs(5);
-    let results = run_session(&d, &run_request("probe", &specs));
-    assert_eq!(results.len(), specs.len());
-    let mut rendering = String::new();
-    for ((req, index), (cached, bytes)) in &results {
-        match mode.as_str() {
-            "fill" => assert!(!cached, "{req} {index}: fill run must simulate"),
-            "replay" => assert!(
-                cached,
-                "{req} {index}: replay under a different backend missed the cache"
-            ),
-            other => panic!("unknown child mode {other:?}"),
-        }
-        rendering.push_str(&format!("{index} {bytes}\n"));
-    }
-    std::fs::write(dir.join(format!("{mode}.txt")), rendering).expect("child rendering written");
-}
-
-fn run_child(dir: &std::path::Path, mode: &str, backend: &str) {
-    let status = std::process::Command::new(std::env::current_exe().expect("test binary path"))
-        .args(["--exact", "backend_forced_serve_child", "--nocapture"])
-        .env("SERVE_CHILD_DIR", dir)
-        .env("SERVE_CHILD_MODE", mode)
-        .env("HIERBUS_PACKED_BACKEND", backend)
-        .status()
-        .expect("child test process spawns");
-    assert!(status.success(), "{mode} child ({backend}) failed");
-}
-
-#[test]
-fn cache_filled_by_one_backend_replays_byte_identical_on_another() {
-    let mut payloads: Vec<String> = Vec::new();
-    for (fill_backend, replay_backend) in [("scalar", "auto"), ("auto", "scalar")] {
-        let dir = std::env::temp_dir().join(format!(
-            "hierbus_serve_xbackend_{fill_backend}_{replay_backend}"
-        ));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).expect("temp dir");
-        run_child(&dir, "fill", fill_backend);
-        run_child(&dir, "replay", replay_backend);
-        let fill = std::fs::read_to_string(dir.join("fill.txt")).expect("fill rendering");
-        let replay = std::fs::read_to_string(dir.join("replay.txt")).expect("replay rendering");
-        assert_eq!(
-            fill, replay,
-            "cache payloads differ: filled under {fill_backend}, replayed under {replay_backend}"
-        );
-        payloads.push(fill);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-    // And both directions produced the same bytes as each other: the
-    // result payload is a pure function of the scenario, not of the
-    // kernel that computed it.
-    assert_eq!(payloads[0], payloads[1], "scalar-fill vs packed-fill bytes");
-}
