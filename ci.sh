@@ -16,6 +16,12 @@ cargo test -q --workspace
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> frozen benchmark build (offline)"
+# benchmark/ is a package of its own (frozen sources and lockfile) that
+# calls the public harness and serve APIs; building it here turns an API
+# break into a CI failure instead of a broken benchmark pipeline.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> campaign smoke (2 workers, tiny matrix)"
 cargo run --release -p hierbus-bench --bin explore_jcvm -- --smoke --workers 2
 

@@ -13,7 +13,9 @@ use hierbus_bench::{grouped, throughput, time_best, TextTable, THROUGHPUT_JSON};
 use hierbus_campaign::{CampaignPayload, ClaimStrategy, Json, Matrix};
 use hierbus_ec::sequences::{random_mix, MixParams};
 use hierbus_ec::SignalFrame;
-use hierbus_power::{CharacterizationDb, Layer1EnergyModel};
+use hierbus_power::{
+    Capture, CharacterizationDb, Layer, Layer1EnergyModel, Materialized, RunSpec, Session,
+};
 
 const TXNS: usize = 4_000;
 const REPS: usize = 5;
@@ -71,14 +73,20 @@ fn main() {
     bench("tlm1/with_estimation", TXNS as u64, &mut || {
         harness::run_layer1(&scenario, &db).records.len()
     });
+    let stimulus: Materialized = scenario.clone().into();
+    let mut session = Session::new(&db);
+    let mut timing_only = |layer| {
+        let spec = RunSpec::new(layer, Capture::Full).timing_only();
+        session.run(&spec, &stimulus).records.len()
+    };
     bench("tlm1/without_estimation", TXNS as u64, &mut || {
-        harness::run_layer1_timing_only(&scenario).records.len()
+        timing_only(Layer::L1)
     });
     bench("tlm2/with_estimation", TXNS as u64, &mut || {
         harness::run_layer2(&scenario, &db, false).records.len()
     });
     bench("tlm2/without_estimation", TXNS as u64, &mut || {
-        harness::run_layer2_timing_only(&scenario).records.len()
+        timing_only(Layer::L2 { correlation: false })
     });
 
     let rtl_scenario = mix(1_000);
@@ -155,26 +163,28 @@ fn main() {
         ClaimStrategy::PerScenario,
         || (),
         |(), point| {
-            let run = harness::run_layer1_reference(&scenarios[point.coords[0]], &db);
+            let run =
+                harness::reference::run_layer1(&scenarios[point.coords[0]], &db, Capture::Full);
             MixCell {
                 cycles: run.cycles,
                 energy_pj: run.energy_pj,
             }
         },
     );
-    // New engine arm: chunked claiming and one reset-reused lean session
-    // per worker over the word-packed diff — no per-transaction records
-    // and no per-cycle trace, because the payload keeps neither. Cycles
-    // and energy stay bit-identical to the old arm's
-    // (`proptest_invariants::lean_session_matches_full_runner_bit_exact`).
-    let scaling = hierbus_campaign::measure_scaling_with::<harness::Layer1LeanSession, MixCell, _, _>(
+    // New engine arm: chunked claiming and one reset-reused session per
+    // worker over the word-packed diff, capture lean — no
+    // per-transaction records and no per-cycle trace, because the
+    // payload keeps neither. Cycles and energy stay bit-identical to the
+    // old arm's (`proptest_invariants::lean_session_matches_full_runner_bit_exact`).
+    let lean = RunSpec::new(Layer::L1, Capture::Lean);
+    let scaling = hierbus_campaign::measure_scaling_with::<Session, MixCell, _, _>(
         &matrix,
         "bus_throughput_campaign",
         &worker_counts,
         ClaimStrategy::Chunked,
-        || harness::Layer1LeanSession::new(&db),
+        || Session::new(&db),
         |session, point| {
-            let run = session.run(&scenarios[point.coords[0]]);
+            let run = session.run(&lean, &scenarios[point.coords[0]].clone().into());
             MixCell {
                 cycles: run.cycles,
                 energy_pj: run.energy_pj,

@@ -22,10 +22,11 @@
 use hierbus::harness;
 use hierbus_bench::{pct, TextTable};
 use hierbus_campaign::{CampaignOptions, CampaignPayload, Json, Matrix};
-use hierbus_core::{MemSlave, Tlm1Bus, TlmMaster, TlmSystem};
+use hierbus_core::{Tlm1Bus, TlmMaster};
 use hierbus_ec::sequences::{random_mix, MixParams};
 use hierbus_ec::OutstandingLimits;
-use hierbus_power::{CharacterizationDb, Layer1EnergyModel};
+use hierbus_power::run::tlm1_bus;
+use hierbus_power::CharacterizationDb;
 
 /// The model axis of the ablation campaign.
 const MODELS: [&str; 6] = [
@@ -54,17 +55,6 @@ impl CampaignPayload for EnergyCell {
     }
 }
 
-/// Layer-1 run with the scale-free uniform database (1 pJ/toggle).
-fn run_layer1_uniform(s: &hierbus_ec::Scenario) -> f64 {
-    let mem = MemSlave::new(harness::scenario_slave(s));
-    let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
-    bus.enable_frames();
-    let mut sys = TlmSystem::new(bus, s.ops.clone());
-    let mut model = Layer1EnergyModel::new(CharacterizationDb::uniform());
-    sys.run(50_000_000, |b: &mut Tlm1Bus| model.on_frame(b.last_frame()));
-    model.total_energy()
-}
-
 fn main() {
     let db = harness::shared_db();
     let scenarios = harness::evaluation_scenarios();
@@ -84,7 +74,10 @@ fn main() {
                 "gate" => harness::run_reference(s, false).energy_pj,
                 "ideal_netlist" => harness::run_reference(s, true).energy_pj,
                 "layer1" => harness::run_layer1(s, &runner_db).energy_pj,
-                "layer1_uniform" => run_layer1_uniform(s),
+                // The scale-free uniform database (1 pJ/toggle).
+                "layer1_uniform" => {
+                    harness::run_layer1(s, &CharacterizationDb::uniform()).energy_pj
+                }
                 "layer2_plain" => harness::run_layer2(s, &runner_db, false).energy_pj,
                 "layer2_corrected" => harness::run_layer2(s, &runner_db, true).energy_pj,
                 other => unreachable!("unknown model {other}"),
@@ -203,8 +196,7 @@ fn main() {
             data_reads: limit,
             writes: limit,
         };
-        let mem = MemSlave::new(harness::scenario_slave(&mix));
-        let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
+        let mut bus = tlm1_bus(&mix);
         let mut master = TlmMaster::with_limits(mix.ops.clone(), limits);
         let mut cycle = 0u64;
         use hierbus_core::CycleBus;
@@ -316,8 +308,24 @@ impl CampaignPayload for FaultCell {
 ///
 /// [`FaultPlan`]: hierbus_ec::FaultPlan
 fn fault_ablation(db: &std::sync::Arc<CharacterizationDb>) {
-    use hierbus::harness::fault as fh;
     use hierbus_ec::{FaultParams, FaultPlan, RetryPolicy, TxnOutcome};
+    use hierbus_power::{Capture, Layer, MasterFaults, Outcome, RunSpec, Session};
+
+    /// `scenario` at `layer` under one fault plan, full capture.
+    fn faulted(
+        db: &CharacterizationDb,
+        layer: Layer,
+        scenario: &hierbus_ec::Scenario,
+        plan: &FaultPlan,
+        policy: RetryPolicy,
+    ) -> Outcome {
+        let faults = vec![MasterFaults::new(0, plan.clone(), policy)];
+        let spec = RunSpec::new(layer, Capture::Full).with_faults(faults);
+        Session::new(db).run(&spec, &scenario.clone().into())
+    }
+    // The gate level runs on the ideal netlist, so its energy is the
+    // deterministic settled-transition cost.
+    let gate = Layer::Rtl { glitches: false };
 
     const PRESETS: [&str; 5] = [
         "clean",
@@ -356,7 +364,7 @@ fn fault_ablation(db: &std::sync::Arc<CharacterizationDb>) {
             ..FaultParams::default()
         },
     );
-    let clean_cycles = fh::run_reference(&mix, &FaultPlan::new(), RetryPolicy::NONE).cycles;
+    let clean_cycles = faulted(db, gate, &mix, &FaultPlan::new(), RetryPolicy::NONE).cycles;
     let tear_plan = FaultPlan::new().with_tear(clean_cycles / 2);
     let setup = |preset: &str| -> (FaultPlan, RetryPolicy) {
         match preset {
@@ -381,12 +389,13 @@ fn fault_ablation(db: &std::sync::Arc<CharacterizationDb>) {
         &CampaignOptions::with_workers("fault-ablation", workers),
         move |point| {
             let (plan, policy) = setup(PRESETS[point.coords[0]]);
-            let run = match LAYERS[point.coords[1]] {
-                "gate" => fh::run_reference(&mix, &plan, policy),
-                "layer1" => fh::run_layer1(&mix, &runner_db, &plan, policy),
-                "layer2" => fh::run_layer2(&mix, &runner_db, &plan, policy),
+            let layer = match LAYERS[point.coords[1]] {
+                "gate" => gate,
+                "layer1" => Layer::L1,
+                "layer2" => Layer::L2 { correlation: false },
                 other => unreachable!("unknown layer {other}"),
             };
+            let run = faulted(&runner_db, layer, &mix, &plan, policy);
             let count = |f: &dyn Fn(&TxnOutcome) -> bool| {
                 run.outcomes.iter().filter(|o| f(o)).count() as f64
             };
@@ -468,7 +477,7 @@ fn fault_ablation(db: &std::sync::Arc<CharacterizationDb>) {
         "idle",
     ]);
     for (preset, (plan, policy)) in PRESETS.iter().zip(&attr_setups) {
-        let run = fh::run_layer1_attributed(&attr_mix, db, plan, *policy);
+        let run = faulted(db, Layer::L1, &attr_mix, plan, *policy);
         let total = run.ledger.total_pj();
         let mut row = vec![preset.to_string(), format!("{total:.0}")];
         for (_, pj) in run.ledger.phase_totals() {

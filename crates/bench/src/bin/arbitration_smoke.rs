@@ -21,8 +21,8 @@
 //!
 //! Run with `cargo run --release -p hierbus-bench --bin arbitration_smoke`.
 
-use hierbus::harness::multi::{run_layer1, run_layer2, run_reference, MultiRun};
 use hierbus::harness::shared_db;
+use hierbus::power::{Capture, Layer, Outcome, RunSpec, Session};
 use hierbus_ec::sequences::{self, MixParams};
 use hierbus_ec::{ArbitrationPolicy, DmaParams, DmaProgram, MultiScenario};
 use std::process::ExitCode;
@@ -56,7 +56,7 @@ fn assert_close(tag: &str, a: f64, b: f64) -> Result<(), String> {
     }
 }
 
-fn check(tag: &str, rtl: &MultiRun, l1: &MultiRun, l2: &MultiRun) -> Result<(), String> {
+fn check(tag: &str, rtl: &Outcome, l1: &Outcome, l2: &Outcome) -> Result<(), String> {
     if rtl.outcomes() != l1.outcomes() || l1.outcomes() != l2.outcomes() {
         return Err(format!("{tag}: per-master outcomes diverge across layers"));
     }
@@ -103,16 +103,19 @@ fn check(tag: &str, rtl: &MultiRun, l1: &MultiRun, l2: &MultiRun) -> Result<(), 
 }
 
 fn run_one(policy: ArbitrationPolicy, dma_active: bool) -> Result<(), String> {
-    let db = shared_db();
-    let ms = workload(policy, dma_active);
+    let mut session = Session::new(&shared_db());
+    let ms = workload(policy, dma_active).into();
     let tag = format!(
         "{}/dma-{}",
         policy.name(),
         if dma_active { "on" } else { "off" }
     );
-    let rtl = run_reference(&ms, &db, &[]);
-    let l1 = run_layer1(&ms, &db, &[]);
-    let l2 = run_layer2(&ms, &db, &[]);
+    let mut full = |layer| session.run(&RunSpec::new(layer, Capture::Full), &ms);
+    // The reference runs on the ideal netlist: its gate-level energy is
+    // the deterministic settled-transition cost.
+    let rtl = full(Layer::Rtl { glitches: false });
+    let l1 = full(Layer::L1);
+    let l2 = full(Layer::L2 { correlation: false });
     check(&tag, &rtl, &l1, &l2)?;
     if !dma_active && rtl.grants.iter().any(|&(_, m)| m != 0) {
         return Err(format!("{tag}: idle DMA master won a grant"));

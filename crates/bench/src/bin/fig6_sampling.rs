@@ -9,12 +9,11 @@
 //! contrast, can profile every single cycle. Run with
 //! `cargo run -p hierbus-bench --bin fig6_sampling`.
 
-use hierbus_core::{MemSlave, Tlm1Bus, Tlm2Bus, TlmSystem};
+use hierbus_core::{Tlm2Bus, TlmSystem};
 use hierbus_ec::sequences::MasterOp;
-use hierbus_ec::{
-    AccessRights, Address, AddressRange, BurstLen, Scenario, SlaveConfig, WaitProfile,
-};
-use hierbus_power::{CharacterizationDb, Layer1EnergyModel, Layer2EnergyModel};
+use hierbus_ec::{BurstLen, Scenario, WaitProfile};
+use hierbus_power::run::tlm2_bus;
+use hierbus_power::{Capture, CharacterizationDb, Layer, Layer2EnergyModel, RunSpec, Session};
 
 /// The three-request scenario of the figure: two waited transactions
 /// back to back, then a third — their address and data phases interleave.
@@ -31,20 +30,13 @@ fn fig6_scenario() -> Scenario {
     }
 }
 
-fn slave(waits: WaitProfile) -> MemSlave {
-    MemSlave::new(SlaveConfig::new(
-        AddressRange::new(Address::new(0), 0x1_0000),
-        waits,
-        AccessRights::RWX,
-    ))
-}
-
 fn main() {
     let db = CharacterizationDb::uniform();
     let scenario = fig6_scenario();
 
     // ---- layer 2: phase-granular sampling -------------------------------
-    let mut bus = Tlm2Bus::new(vec![Box::new(slave(scenario.waits))]);
+    // Stepped by hand: the figure is about *when* a sample is taken.
+    let mut bus = tlm2_bus(&scenario);
     bus.enable_events();
     let mut sys = TlmSystem::new(bus, scenario.ops.clone());
     let mut model = Layer2EnergyModel::new(db.clone());
@@ -94,15 +86,9 @@ fn main() {
     }
 
     // ---- layer 1: cycle-accurate profile for contrast --------------------
-    let mut bus = Tlm1Bus::new(vec![Box::new(slave(scenario.waits))]);
-    bus.enable_frames();
-    let mut sys = TlmSystem::new(bus, scenario.ops);
-    let mut l1 = Layer1EnergyModel::new(db);
-    l1.enable_trace();
-    sys.run(10_000, |bus: &mut Tlm1Bus| l1.on_frame(bus.last_frame()));
+    let l1 = Session::new(&db).run(&RunSpec::new(Layer::L1, Capture::Full), &scenario.into());
     println!("\nLayer-1 contrast — per-cycle energy profile (pJ):");
-    let trace = l1.trace().expect("trace enabled");
-    for (i, e) in trace.iter().enumerate() {
+    for (i, e) in l1.trace.iter().enumerate() {
         let bar = "#".repeat((e / 4.0).round() as usize);
         println!("  cycle {i:>2}: {e:6.1}  {bar}");
     }

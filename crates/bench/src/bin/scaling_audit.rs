@@ -19,6 +19,7 @@ use hierbus_bench::TextTable;
 use hierbus_campaign::{CampaignPayload, ClaimStrategy, Json, Matrix};
 use hierbus_ec::sequences::{random_mix, MixParams};
 use hierbus_obs::profiling::{scaling_audit, AuditInput, CountingAlloc};
+use hierbus_power::{Capture, Layer, Materialized, RunSpec, Session};
 use std::path::Path;
 use std::process::ExitCode;
 
@@ -27,8 +28,8 @@ static ALLOC: CountingAlloc = CountingAlloc;
 
 const WORKER_COUNTS: [usize; 3] = [1, 2, 4];
 
-/// One cell of the audited campaign: a seeded random mix through the
-/// lean layer-1 session.
+/// One cell of the audited campaign: a seeded random mix through a
+/// lean layer-1 session run.
 struct MixCell {
     cycles: u64,
     energy_pj: f64,
@@ -60,7 +61,7 @@ fn main() -> ExitCode {
 
     let seeds: Vec<u64> = (0..seed_count).map(|i| 0xBE9C + 0x101 * i).collect();
     let matrix = Matrix::new().axis("seed", seeds.iter().map(|s| format!("{s:#06x}")));
-    let scenarios: Vec<_> = seeds
+    let scenarios: Vec<Materialized> = seeds
         .iter()
         .map(|&s| {
             random_mix(
@@ -74,26 +75,27 @@ fn main() -> ExitCode {
                     ..MixParams::default()
                 },
             )
+            .into()
         })
         .collect();
     let db = harness::standard_db();
 
-    let points =
-        hierbus_campaign::measure_scaling_profiled::<harness::Layer1LeanSession, MixCell, _, _>(
-            &matrix,
-            "scaling_audit_bus",
-            &WORKER_COUNTS,
-            ClaimStrategy::Chunked,
-            true,
-            || harness::Layer1LeanSession::new(&db),
-            |session, point| {
-                let run = session.run(&scenarios[point.coords[0]]);
-                MixCell {
-                    cycles: run.cycles,
-                    energy_pj: run.energy_pj,
-                }
-            },
-        );
+    let lean = RunSpec::new(Layer::L1, Capture::Lean);
+    let points = hierbus_campaign::measure_scaling_profiled::<Session, MixCell, _, _>(
+        &matrix,
+        "scaling_audit_bus",
+        &WORKER_COUNTS,
+        ClaimStrategy::Chunked,
+        true,
+        || Session::new(&db),
+        |session, point| {
+            let run = session.run(&lean, &scenarios[point.coords[0]]);
+            MixCell {
+                cycles: run.cycles,
+                energy_pj: run.energy_pj,
+            }
+        },
+    );
 
     let inputs: Vec<AuditInput> = points
         .iter()

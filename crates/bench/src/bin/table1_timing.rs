@@ -6,15 +6,21 @@
 //! `cargo run -p hierbus-bench --bin table1_timing`.
 
 use hierbus::harness;
+use hierbus::power::{Capture, CharacterizationDb, Layer, RunSpec, Session};
 use hierbus_bench::{pct, TextTable};
 
 fn main() {
     let mut per_scenario = TextTable::new(["scenario", "ref cy", "L1 cy", "L2 cy", "L2 err"]);
     let mut total = (0u64, 0u64, 0u64);
+    // Timing only: no run here reads the characterization.
+    let mut session = Session::new(&CharacterizationDb::uniform());
+    let reference = RunSpec::new(Layer::Rtl { glitches: true }, Capture::Lean);
+    let timing = |layer| RunSpec::new(layer, Capture::Lean).timing_only();
     for scenario in harness::evaluation_scenarios() {
-        let r = harness::run_reference(&scenario, false);
-        let l1 = harness::run_layer1_timing_only(&scenario);
-        let l2 = harness::run_layer2_timing_only(&scenario);
+        let stimulus = scenario.clone().into();
+        let r = session.run(&reference, &stimulus);
+        let l1 = session.run(&timing(Layer::L1), &stimulus);
+        let l2 = session.run(&timing(Layer::L2 { correlation: false }), &stimulus);
         per_scenario.row([
             scenario.name.to_owned(),
             r.cycles.to_string(),
@@ -54,7 +60,7 @@ fn main() {
     // can be inspected span-by-span across layers in Perfetto. A uniform
     // characterization keeps this bin training-free; the energy counter
     // tracks are indicative only (see table2_energy for calibrated ones).
-    let db = hierbus::power::CharacterizationDb::uniform();
+    let db = CharacterizationDb::uniform();
     let scenario = hierbus::ec::sequences::burst_reads();
     let mut run = hierbus::observe::run_observed(&scenario, &db);
     run.name = "table1_timing".to_owned();

@@ -19,6 +19,7 @@ use hierbus_campaign::Json;
 use hierbus_ec::sequences::{random_mix, MixParams};
 use hierbus_jcvm::workloads::standard_workloads;
 use hierbus_jcvm::{explore_matrix, IfaceConfig};
+use hierbus_power::{Capture, Layer, Materialized, RunSpec, Session};
 use std::time::Instant;
 
 /// Transactions in the measured mix ("all combinations between single
@@ -41,7 +42,7 @@ fn mix() -> hierbus_ec::Scenario {
 }
 
 /// Runs `f` `REPS` times and returns the best kT/s.
-fn measure(f: impl Fn() -> u64) -> f64 {
+fn measure(mut f: impl FnMut() -> u64) -> f64 {
     let mut best = 0.0f64;
     for _ in 0..REPS {
         let start = Instant::now();
@@ -70,14 +71,28 @@ fn main() {
         grouped(TXNS as u64)
     );
     let scenario = mix();
+    let stimulus: Materialized = scenario.clone().into();
     let db = harness::shared_db();
+    let mut session = Session::new(&db);
+    // Throughput mode: no records, no trace; each run reports the
+    // transactions it completed.
+    let mut lean = |spec: RunSpec, stimulus: &Materialized| {
+        measure(|| session.run(&spec, stimulus).outcomes.len() as u64)
+    };
+    let with = |layer| RunSpec::new(layer, Capture::Lean);
+    let without = |layer| RunSpec::new(layer, Capture::Lean).timing_only();
+    let l2 = Layer::L2 { correlation: false };
 
-    let l1_with = measure(|| harness::perf::layer1(&scenario, &db));
-    let l1_with_reference = measure(|| harness::perf::layer1_reference(&scenario, &db));
-    let l1_without = measure(|| harness::perf::layer1_timing(&scenario));
-    let l2_with = measure(|| harness::perf::layer2(&scenario, &db));
-    let l2_without = measure(|| harness::perf::layer2_timing(&scenario));
-    let l3 = measure(|| harness::perf::layer3(&scenario));
+    let l1_with = lean(with(Layer::L1), &stimulus);
+    let l1_with_reference = measure(|| {
+        harness::reference::run_layer1(&scenario, &db, Capture::Lean)
+            .outcomes
+            .len() as u64
+    });
+    let l1_without = lean(without(Layer::L1), &stimulus);
+    let l2_with = lean(with(l2), &stimulus);
+    let l2_without = lean(without(l2), &stimulus);
+    let l3 = lean(without(Layer::L3), &stimulus);
 
     let base = l1_with;
     let mut table3 = TextTable::new([
@@ -121,8 +136,8 @@ fn main() {
     // instrumented path *is* the shipping path, so re-measuring it
     // against the baseline above quantifies the branch-off cost plus
     // measurement noise; the enabled run shows the full collection cost.
-    let l1_obs_off = measure(|| harness::perf::layer1(&scenario, &db));
-    let l1_obs_on = measure(|| harness::perf::layer1_observed(&scenario, &db));
+    let l1_obs_off = lean(with(Layer::L1), &stimulus);
+    let l1_obs_on = lean(RunSpec::new(Layer::L1, Capture::Spans), &stimulus);
     let off_regression = 100.0 * (l1_with - l1_obs_off) / l1_with;
     println!("Observability overhead (TL layer 1, with estimation):");
     println!("  obs off (baseline):  {l1_with:.1} kT/s");
@@ -311,14 +326,9 @@ fn main() {
             ..MixParams::default()
         },
     );
-    let rtl = measure(|| {
-        let r = harness::run_reference(&small, false);
-        r.records.len() as u64
-    });
-    let rtl_ideal = measure(|| {
-        let r = harness::run_reference(&small, true);
-        r.records.len() as u64
-    });
+    let small: Materialized = small.into();
+    let rtl = lean(with(Layer::Rtl { glitches: true }), &small);
+    let rtl_ideal = lean(with(Layer::Rtl { glitches: false }), &small);
     println!("Context (§4.2): signal-level reference with gate-level estimation:");
     println!(
         "  reference (glitches on):   {rtl:.1} kT/s  (TL1-with is {:.2}x faster)",

@@ -209,11 +209,6 @@ impl TlmMaster {
         self.next_id = TxnId(base);
     }
 
-    /// The attached fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// Disables per-transaction record keeping (throughput measurement
     /// mode): only the completion count and the final cycle survive.
     pub fn disable_records(&mut self) {

@@ -24,26 +24,12 @@
 //! system: master 0 is granted whenever it requests.
 
 use crate::master::{CycleBus, TlmMaster};
-use hierbus_ec::record::TxnRecord;
+pub use hierbus_ec::MasterReport;
 use hierbus_ec::{
     Arbiter, ArbiterStats, ArbitrationPolicy, FaultCounters, FaultPlan, MasterOp, MultiScenario,
-    RetryPolicy, TxnOutcome, DMA_ID_BASE,
+    RetryPolicy, DMA_ID_BASE,
 };
 use hierbus_sim::CycleSchedule;
-
-/// Per-master slice of a finished multi-master run.
-#[derive(Debug, Clone)]
-pub struct MasterReport {
-    /// This master's transaction records (one per attempt), in issue
-    /// order.
-    pub records: Vec<TxnRecord>,
-    /// Final per-stimulus-op outcomes.
-    pub outcomes: Vec<TxnOutcome>,
-    /// Fault counters for this master alone.
-    pub fault: FaultCounters,
-    /// Transactions this master completed.
-    pub completed: u64,
-}
 
 /// Summary of a completed multi-master run.
 #[derive(Debug, Clone)]
@@ -171,29 +157,9 @@ impl<B: CycleBus> MultiMasterSystem<B> {
         &mut self.bus
     }
 
-    /// Shared access to master `idx`.
-    pub fn master(&self, idx: usize) -> &TlmMaster {
-        &self.masters[idx]
-    }
-
-    /// Number of masters.
-    pub fn master_count(&self) -> usize {
-        self.masters.len()
-    }
-
     /// True once the card has been torn.
     pub fn torn(&self) -> bool {
         self.torn
-    }
-
-    /// The arbiter's grant log so far.
-    pub fn grant_log(&self) -> &[(u64, usize)] {
-        self.arbiter.log()
-    }
-
-    /// The arbitration statistics so far.
-    pub fn arbiter_stats(&self) -> &ArbiterStats {
-        self.arbiter.stats()
     }
 
     /// True once every master's stimulus has fully completed.
@@ -326,7 +292,7 @@ mod tests {
     use crate::tlm1::Tlm1Bus;
     use crate::TlmSystem;
     use hierbus_ec::slave::AccessRights;
-    use hierbus_ec::{sequences, Address, AddressRange, SlaveConfig, WaitProfile};
+    use hierbus_ec::{sequences, Address, AddressRange, SlaveConfig, TxnOutcome, WaitProfile};
 
     fn bus_with_mem() -> Tlm1Bus {
         let cfg = SlaveConfig::new(

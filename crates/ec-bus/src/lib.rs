@@ -65,7 +65,7 @@ pub use hash::{FastIdHasher, FastIdMap};
 pub use limits::{OutstandingLimits, OutstandingTracker, TxnCategory};
 pub use map::AddressMap;
 pub use merge::DataWidth;
-pub use record::TxnRecord;
+pub use record::{MasterReport, TxnRecord};
 pub use sequences::{DataProfile, MasterOp, MixParams, Scenario};
 pub use slave::{AccessRights, SlaveConfig, SlaveId, WaitProfile};
 pub use status::BusStatus;

@@ -6,6 +6,7 @@
 
 use crate::addr::Address;
 use crate::error::BusError;
+use crate::fault::{FaultCounters, TxnOutcome};
 use crate::merge::DataWidth;
 use crate::txn::{AccessKind, BurstLen, TxnId};
 
@@ -32,6 +33,21 @@ pub struct TxnRecord {
     pub error: Option<BusError>,
     /// Beat payloads: write data going out, or read data collected.
     pub data: Vec<u32>,
+}
+
+/// One master's slice of a finished multi-master run, in the same shape
+/// at every layer so slices compare across layers directly.
+#[derive(Debug, Clone, PartialEq)]
+pub struct MasterReport {
+    /// This master's transaction records (one per attempt), in issue
+    /// order.
+    pub records: Vec<TxnRecord>,
+    /// Final per-stimulus-op outcomes.
+    pub outcomes: Vec<TxnOutcome>,
+    /// Fault counters for this master alone.
+    pub fault: FaultCounters,
+    /// Transactions this master completed.
+    pub completed: u64,
 }
 
 impl TxnRecord {

@@ -187,7 +187,7 @@ impl SlaveMap {
 
 /// A deterministic energy-attribution ledger for one model layer (or a
 /// merge of several runs of the same layer).
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyLedger {
     layer: String,
     /// Optional software dimension (JCVM bytecode region, exploration

@@ -101,8 +101,9 @@ impl CounterTrack {
 }
 
 /// Per-layer span collector. Disabled collectors hold no buffers and
-/// every probe is a branch on the `enabled` flag.
-#[derive(Debug, Clone)]
+/// every probe is a branch on the `enabled` flag; the default one is
+/// disabled and belongs to no layer.
+#[derive(Debug, Clone, Default)]
 pub struct TraceCollector {
     enabled: bool,
     layer: &'static str,

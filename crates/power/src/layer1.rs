@@ -73,10 +73,9 @@ impl Layer1EnergyModel {
         self.trace = Some(Vec::new());
     }
 
-    /// Enables the trace with room for `cycles` samples, so a run of
-    /// known length never reallocates inside the per-cycle loop.
-    pub fn enable_trace_with_capacity(&mut self, cycles: usize) {
-        self.trace = Some(Vec::with_capacity(cycles));
+    /// Stops tracing and drops the trace.
+    pub fn disable_trace(&mut self) {
+        self.trace = None;
     }
 
     /// Returns the model to its post-construction state — idle previous

@@ -149,26 +149,14 @@ impl Layer2EnergyModel {
 
     /// [`on_event`](Self::on_event), plus attribution: the booked
     /// energy lands in the ledger bucket for the event's slave window,
-    /// protocol phase and access kind. Layer 2 prices whole phases, so
-    /// its ledgers have no idle bucket; the ledger total still matches
+    /// protocol phase and access kind, tagged with the name of the
+    /// master owning the event's transaction as `master_of` resolves its
+    /// trace id (multi-master runs pass
+    /// [`hierbus_ec::dma::master_of_trace`]; `None` books untagged).
+    /// Layer 2 prices whole phases, so its ledgers have no idle bucket;
+    /// the ledger total still matches
     /// [`total_energy`](Self::total_energy) up to f64 regrouping.
     pub fn on_event_ledger(
-        &mut self,
-        ev: &PhaseEvent,
-        ledger: &mut hierbus_obs::EnergyLedger,
-        slaves: &hierbus_obs::SlaveMap,
-    ) {
-        self.on_event_ledger_by_master(ev, ledger, slaves, |_| None);
-    }
-
-    /// [`on_event_ledger`](Self::on_event_ledger) with the per-master
-    /// dimension: the bucket is additionally tagged with the name of
-    /// the master owning the event's transaction, resolved from the
-    /// event's trace id by `master_of` (multi-master runs pass
-    /// [`hierbus_ec::dma::master_of_trace`]). A `None` resolution
-    /// books into the untagged bucket, so single-master ledgers are
-    /// unchanged.
-    pub fn on_event_ledger_by_master(
         &mut self,
         ev: &PhaseEvent,
         ledger: &mut hierbus_obs::EnergyLedger,
@@ -359,8 +347,14 @@ mod tests {
         let mut ledger = EnergyLedger::new("tlm2");
         let mut slaves = SlaveMap::new();
         slaves.add(0x0, 0x1000, "mem");
-        m.on_event_ledger(&addr_event(0x100), &mut ledger, &slaves);
-        m.on_event_ledger(&read_event(vec![0b000, 0b001]), &mut ledger, &slaves);
+        let untagged = |_| None;
+        m.on_event_ledger(&addr_event(0x100), &mut ledger, &slaves, untagged);
+        m.on_event_ledger(
+            &read_event(vec![0b000, 0b001]),
+            &mut ledger,
+            &slaves,
+            untagged,
+        );
         // Attribution only decomposes: bucket sum equals the model total.
         assert_eq!(ledger.total_pj(), m.total_energy());
         assert_eq!(
@@ -380,7 +374,7 @@ mod tests {
             data: Vec::new(),
             ..read_event(vec![0, 0, 0, 0])
         };
-        m.on_event_ledger(&torn, &mut ledger, &slaves);
+        m.on_event_ledger(&torn, &mut ledger, &slaves, untagged);
         assert_eq!(ledger.total_pj(), m.total_energy());
         assert_eq!(ledger.bucket_count(), 2);
     }

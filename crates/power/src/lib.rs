@@ -25,6 +25,10 @@
 //!    only the energy-since-last-call method (Fig. 6's sampling
 //!    semantics).
 //!
+//! [`run`] puts the pieces together: one run description
+//! ([`RunSpec`]) and one reusable [`Session`] replay any scenario on the
+//! reference or any TLM layer with the matching estimator attached.
+//!
 //! [`PowerTrace`] adds profile-over-time analysis (peak detection,
 //! windowing, Pearson correlation against secret-data weights) serving
 //! the paper's smart-card motivation: estimating power over time to
@@ -46,10 +50,12 @@ pub mod characterize;
 pub mod components;
 pub mod layer1;
 pub mod layer2;
+pub mod run;
 pub mod trace;
 
 pub use characterize::{CharacterizationDb, PhaseCounts};
 pub use components::{ComponentEnergyModel, ComponentEstimate};
 pub use layer1::Layer1EnergyModel;
 pub use layer2::Layer2EnergyModel;
+pub use run::{Capture, Layer, MasterFaults, Materialized, Outcome, RunSpec, Session};
 pub use trace::PowerTrace;

@@ -23,20 +23,6 @@ impl PowerTrace {
         PowerTrace::default()
     }
 
-    /// Creates an empty trace with room for `capacity` intervals, so a
-    /// simulation of known length never reallocates mid-run.
-    pub fn with_capacity(capacity: usize) -> Self {
-        PowerTrace {
-            samples: Vec::with_capacity(capacity),
-        }
-    }
-
-    /// Drops all samples but keeps the allocation, for reuse across
-    /// simulations.
-    pub fn clear(&mut self) {
-        self.samples.clear();
-    }
-
     /// Wraps an existing sample vector.
     pub fn from_samples(samples: Vec<f64>) -> Self {
         PowerTrace { samples }

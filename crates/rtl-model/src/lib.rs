@@ -65,5 +65,5 @@ pub use glitch::GlitchConfig;
 pub use master::{RtlMaster, TxnRecord};
 pub use power::{GateLevelPowerEstimator, PowerConfig, WireDb};
 pub use slave::{RtlSlaveModel, SimpleMem};
-pub use system::{MasterRunReport, RtlSystem, RunReport};
+pub use system::{RtlSystem, RunReport};
 pub use wires::InterfaceWires;

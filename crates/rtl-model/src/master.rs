@@ -101,11 +101,6 @@ impl RtlMaster {
         self.next_id = TxnId(base);
     }
 
-    /// The attached fault plan.
-    pub fn fault_plan(&self) -> &FaultPlan {
-        &self.plan
-    }
-
     /// The `fault.*` counters so far.
     pub fn fault_counters(&self) -> FaultCounters {
         self.counters
@@ -326,11 +321,6 @@ impl RtlMaster {
     /// The transaction records accumulated so far.
     pub fn records(&self) -> &[TxnRecord] {
         &self.records
-    }
-
-    /// Consumes the master and returns the records.
-    pub fn into_records(self) -> Vec<TxnRecord> {
-        self.records
     }
 
     /// The outstanding-transaction tracker (for occupancy diagnostics).

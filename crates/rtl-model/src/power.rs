@@ -258,25 +258,6 @@ impl GateLevelPowerEstimator {
         self.trace.as_deref()
     }
 
-    /// Decomposes the per-cycle trace into an energy-attribution ledger
-    /// along `slave → phase → access class`, using the span record of
-    /// the same run (the RTL obs collector shares the trace's cycle
-    /// numbering). Returns `None` unless tracing was enabled. The
-    /// ledger total matches [`total_energy`](Self::total_energy) up to
-    /// f64 regrouping: attribution partitions, it never re-prices.
-    pub fn ledger(
-        &self,
-        spans: &[hierbus_obs::SpanEvent],
-        slaves: &hierbus_obs::SlaveMap,
-    ) -> Option<hierbus_obs::EnergyLedger> {
-        Some(hierbus_obs::attribute_cycles(
-            "rtl",
-            spans,
-            self.trace()?,
-            slaves,
-        ))
-    }
-
     /// Clears all accumulated state (layout is kept).
     pub fn reset(&mut self) {
         self.accum = Default::default();

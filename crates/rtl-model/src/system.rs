@@ -8,8 +8,8 @@ use crate::slave::RtlSlaveModel;
 use crate::wires::InterfaceWires;
 use hierbus_ec::{
     AccessKind, AddressMap, Arbiter, ArbiterStats, ArbitrationPolicy, BusError, FaultCounters,
-    FaultKind, FaultPlan, MultiScenario, OutstandingLimits, RetryPolicy, Scenario, SignalClass,
-    SignalFrame, SlaveId, Transaction, TxnOutcome, DMA_ID_BASE,
+    FaultKind, FaultPlan, MasterReport, MultiScenario, OutstandingLimits, RetryPolicy, Scenario,
+    SignalClass, SignalFrame, SlaveId, Transaction, TxnOutcome, DMA_ID_BASE,
 };
 use hierbus_obs::{AccessClass, Phase, TraceCollector};
 use hierbus_sim::CycleSchedule;
@@ -39,22 +39,6 @@ struct ActiveTxn {
     data_started: bool,
 }
 
-/// Per-master slice of a finished run — mirrors the TLM multi-master
-/// report so the arbitration-equivalence suite can compare slices
-/// directly across layers.
-#[derive(Debug, Clone)]
-pub struct MasterRunReport {
-    /// This master's transaction records (one per attempt), in issue
-    /// order.
-    pub records: Vec<TxnRecord>,
-    /// Final per-stimulus-op outcomes.
-    pub outcomes: Vec<TxnOutcome>,
-    /// Fault counters for this master alone.
-    pub fault: FaultCounters,
-    /// Transactions this master completed.
-    pub completed: u64,
-}
-
 /// Summary of a completed run.
 #[derive(Debug, Clone)]
 pub struct RunReport {
@@ -74,7 +58,7 @@ pub struct RunReport {
     /// Fault-injection and robustness counters, summed over masters.
     pub fault: FaultCounters,
     /// One slice per master, in master order.
-    pub masters: Vec<MasterRunReport>,
+    pub masters: Vec<MasterReport>,
     /// The cycle-exact grant lines: `(cycle, master)` per grant.
     pub grants: Vec<(u64, usize)>,
     /// Arbitration statistics (per-master grants/waits, contention).
@@ -227,26 +211,6 @@ impl RtlSystem {
         sys.add_master(scenario.dma_ops.clone(), DMA_ID_BASE);
         sys.set_arbitration(scenario.policy);
         sys
-    }
-
-    /// The cycle-exact grant lines so far: `(cycle, master)` per grant.
-    pub fn grant_log(&self) -> &[(u64, usize)] {
-        self.arbiter.log()
-    }
-
-    /// Arbitration statistics so far.
-    pub fn arbiter_stats(&self) -> &ArbiterStats {
-        self.arbiter.stats()
-    }
-
-    /// Number of masters on the bus.
-    pub fn master_count(&self) -> usize {
-        self.masters.len()
-    }
-
-    /// The master at `idx` (post-run inspection).
-    pub fn master(&self, idx: usize) -> &RtlMaster {
-        &self.masters[idx]
     }
 
     /// True once the card has been torn.
@@ -707,10 +671,10 @@ impl RtlSystem {
             .iter()
             .map(|&c| self.estimator.class_glitch_transitions(c))
             .sum();
-        let masters: Vec<MasterRunReport> = self
+        let masters: Vec<MasterReport> = self
             .masters
             .iter()
-            .map(|m| MasterRunReport {
+            .map(|m| MasterReport {
                 records: m.records().to_vec(),
                 outcomes: m
                     .outcomes()

@@ -48,7 +48,8 @@
 //! `--trace-dir` and answers with the file list.
 
 use hierbus_campaign::{Fingerprint, Json};
-use hierbus_ec::sequences::{self, DataProfile, MixParams, Scenario};
+use hierbus_ec::addr::ADDR_MASK;
+use hierbus_ec::sequences::{self, DataProfile, MixParams};
 use hierbus_ec::{ArbitrationPolicy, BurstLen, DmaParams, DmaProgram, MultiScenario, WaitProfile};
 
 /// The protocol version this daemon speaks; response events carry it.
@@ -68,6 +69,37 @@ pub const MIN_PROTOCOL_VERSION: u64 = 1;
 /// warm persisted caches. Bump only when the result bytes themselves
 /// change meaning.
 pub const RESULT_FORMAT_VERSION: u64 = 1;
+
+/// The most ops one spec may ask for, in each of `count`, `cpu_count`
+/// and `dma_descriptors`: above every workload the tools run (the
+/// largest is the 600k-transaction Table 3 mix), far below a stimulus
+/// that would exhaust the daemon's memory.
+pub const MAX_SPEC_OPS: u64 = 1 << 20;
+
+/// The smallest mix `window` in bytes: [`sequences::random_mix`] keeps
+/// an 8-beat burst (32 bytes) inside the window and wraps sequential
+/// addresses 32 bytes before its end, so a smaller window would
+/// underflow its address arithmetic.
+pub const MIN_MIX_WINDOW: u64 = 32;
+
+/// `value` of an op-count field, if it is at most [`MAX_SPEC_OPS`].
+fn op_count(kind: &str, field: &str, value: u64) -> Result<usize, String> {
+    if value > MAX_SPEC_OPS {
+        return Err(format!(
+            "{kind} spec field {field} = {value} exceeds the limit of {MAX_SPEC_OPS}"
+        ));
+    }
+    Ok(value as usize)
+}
+
+/// `value` of a maximum-gap field: the generators draw from
+/// `0..=value`, so `value + 1` must fit a `u32`.
+fn gap_limit(kind: &str, field: &str, value: u64) -> Result<u32, String> {
+    u32::try_from(value)
+        .ok()
+        .filter(|&v| v < u32::MAX)
+        .ok_or(format!("{kind} spec field {field} = {value} out of range"))
+}
 
 /// One scenario specification of a `run` request.
 #[derive(Debug, Clone, PartialEq)]
@@ -104,15 +136,8 @@ pub enum ScenarioSpec {
     },
 }
 
-/// A materialized spec, ready to run: the daemon's single-master and
-/// multi-master execution paths take different system types.
-#[derive(Debug, Clone)]
-pub enum Materialized {
-    /// A single-master scenario.
-    Single(Scenario),
-    /// A CPU+DMA workload behind an arbiter.
-    Multi(MultiScenario),
-}
+/// A materialized spec, ready to run on a [`hierbus_power::Session`].
+pub use hierbus_power::Materialized;
 
 impl ScenarioSpec {
     /// Parses a spec object.
@@ -142,9 +167,19 @@ impl ScenarioSpec {
                     }
                     Ok(v as u32)
                 };
-                let max_idle = u("max_idle", d.max_idle as u64)?;
-                let max_idle = u32::try_from(max_idle)
-                    .map_err(|_| format!("mix spec field max_idle = {max_idle} out of range"))?;
+                let max_idle = gap_limit("mix", "max_idle", u("max_idle", d.max_idle as u64)?)?;
+                let (base, window) = (u("base", d.base)?, u("window", d.window)?);
+                if window < MIN_MIX_WINDOW {
+                    return Err(format!(
+                        "mix spec field window = {window} below the minimum of {MIN_MIX_WINDOW}"
+                    ));
+                }
+                if !matches!(base.checked_add(window), Some(end) if end <= ADDR_MASK + 1) {
+                    return Err(format!(
+                        "mix spec fields base = {base} + window = {window} end beyond the \
+                         36-bit address map"
+                    ));
+                }
                 let data_profile = match json.get("data_profile").and_then(Json::as_str) {
                     None => d.data_profile,
                     Some("random") => DataProfile::Random,
@@ -173,9 +208,9 @@ impl ScenarioSpec {
                 Ok(ScenarioSpec::Mix {
                     seed: u("seed", 0)?,
                     params: MixParams {
-                        count: u("count", d.count as u64)? as usize,
-                        base: u("base", d.base)?,
-                        window: u("window", d.window)?,
+                        count: op_count("mix", "count", u("count", d.count as u64)?)?,
+                        base,
+                        window,
                         read_pct: pct("read_pct", d.read_pct)?,
                         burst_pct: pct("burst_pct", d.burst_pct)?,
                         max_idle,
@@ -212,9 +247,8 @@ impl ScenarioSpec {
                         ))
                     }
                 };
-                let max_gap = u("dma_gap", u64::from(d.max_gap))?;
-                let max_gap = u32::try_from(max_gap)
-                    .map_err(|_| format!("multi spec field dma_gap = {max_gap} out of range"))?;
+                let max_gap = gap_limit("multi", "dma_gap", u("dma_gap", u64::from(d.max_gap))?)?;
+                let ops = |field, default| op_count("multi", field, u(field, default as u64)?);
                 let read_pct = u("dma_read_pct", u64::from(d.read_pct))?;
                 if read_pct > 100 {
                     return Err(format!(
@@ -224,9 +258,9 @@ impl ScenarioSpec {
                 Ok(ScenarioSpec::Multi {
                     seed: u("seed", 0)?,
                     policy,
-                    cpu_count: u("cpu_count", MixParams::default().count as u64)? as usize,
+                    cpu_count: ops("cpu_count", MixParams::default().count)?,
                     dma: DmaParams {
-                        descriptors: u("dma_descriptors", d.descriptors as u64)? as usize,
+                        descriptors: ops("dma_descriptors", d.descriptors)?,
                         burst,
                         read_pct: read_pct as u32,
                         max_gap,
@@ -786,5 +820,82 @@ mod tests {
             waits: None,
         };
         assert_ne!(spec.fingerprint(db), mix.fingerprint(db));
+    }
+
+    fn parse_spec(line: &str) -> Result<ScenarioSpec, String> {
+        ScenarioSpec::from_json(&Json::parse(line).unwrap())
+    }
+
+    #[test]
+    fn mix_windows_that_would_wrap_are_rejected() {
+        // A zero window underflowed random_mix's burst clamp and a base
+        // near u64::MAX overflowed base + window; both used to be
+        // answered and cached.
+        for (line, needle) in [
+            (r#"{"kind":"mix","window":0}"#, "window = 0 below"),
+            (r#"{"kind":"mix","window":31}"#, "window = 31 below"),
+            (r#"{"kind":"mix","base":18446744073709551615}"#, "36-bit"),
+            (r#"{"kind":"mix","max_idle":4294967295}"#, "max_idle"),
+            (r#"{"kind":"multi","dma_gap":4294967295}"#, "dma_gap"),
+        ] {
+            let err = parse_spec(line).unwrap_err();
+            assert!(err.contains(needle), "{line}: {err}");
+        }
+        // A window ending exactly at the top of the map fits.
+        let at = |base| format!(r#"{{"kind":"mix","base":{base},"window":32}}"#);
+        assert!(parse_spec(&at(ADDR_MASK + 1 - 32)).is_ok());
+        assert!(parse_spec(&at(ADDR_MASK + 1 - 31)).is_err());
+    }
+
+    #[test]
+    fn huge_op_counts_are_rejected() {
+        for line in [
+            r#"{"kind":"mix","count":1e11}"#,
+            r#"{"kind":"multi","cpu_count":1e11}"#,
+            r#"{"kind":"multi","dma_descriptors":1e11}"#,
+        ] {
+            let err = parse_spec(line).unwrap_err();
+            assert!(err.contains("= 100000000000 exceeds the limit"), "{err}");
+        }
+        // The request fails whole, so the daemon answers with an error
+        // event instead of allocating the stimulus.
+        let line = r#"{"v":2,"id":"big","op":"run","scenarios":[{"kind":"mix","count":1e11}]}"#;
+        let (id, err) = parse_request(line).unwrap_err();
+        assert_eq!(id, "big");
+        assert!(
+            err.starts_with("scenarios[0]: mix spec field count"),
+            "{err}"
+        );
+        // The limit admits the 600k-transaction Table 3 mix.
+        assert!(parse_spec(r#"{"kind":"mix","count":600000}"#).is_ok());
+    }
+
+    /// Every spec the parser accepts over the edges of its address,
+    /// window and gap fields materializes without arithmetic overflow
+    /// (which panics in debug builds).
+    #[test]
+    fn every_accepted_spec_materializes_without_overflow() {
+        let end = ADDR_MASK + 1;
+        let gaps = [0, 2, u64::from(u32::MAX) - 1, u64::from(u32::MAX)];
+        let mut lines = Vec::new();
+        for base in [0, 4, 0x1_0000, end - 0x1_0000, end - 32, end, u64::MAX] {
+            for window in [0, 4, 31, 32, 33, 0x1_0000, end, u64::MAX] {
+                for (idle, seq) in gaps.iter().flat_map(|&g| [(g, 0), (g, 100)]) {
+                    lines.push(format!(
+                        r#"{{"kind":"mix","count":6,"burst_pct":100,"base":{base},"window":{window},"max_idle":{idle},"sequential_pct":{seq}}}"#
+                    ));
+                }
+            }
+        }
+        for (gap, burst) in gaps.iter().flat_map(|&g| [(g, 1), (g, 8)]) {
+            lines.push(format!(
+                r#"{{"kind":"multi","cpu_count":6,"dma_descriptors":4,"dma_gap":{gap},"dma_burst":{burst}}}"#
+            ));
+        }
+        let accepted: Vec<ScenarioSpec> = lines.iter().filter_map(|l| parse_spec(l).ok()).collect();
+        assert!(accepted.len() > 50, "{} accepted", accepted.len());
+        for spec in accepted {
+            spec.materialize().expect("accepted specs materialize");
+        }
     }
 }

@@ -1,33 +1,17 @@
 //! The serve-side scenario runner: a reusable lean layer-1 session.
 //!
-//! The daemon serves `(cycles, energy)` scalars, so it runs the same
-//! throughput-mode configuration as the root harness's lean session:
-//! no per-transaction records, no per-cycle trace, one energy model
-//! reset-reused across scenarios. The root crate's
-//! `serve_matches_harness` test pins this runner bit-exact against
-//! `harness::run_layer1` — the daemon must never drift from the batch
-//! tools it replaces.
+//! The daemon serves `(cycles, energy)` scalars, so it runs layer 1 with
+//! energy on and capture lean — no per-transaction records, no
+//! per-cycle trace — on one reset-reused [`Session`] per worker. The
+//! root crate's `served_results_match_the_batch_harness_bit_exactly`
+//! test pins this runner bit-exact against `harness::run_layer1`: the
+//! daemon must never drift from the batch tools it replaces.
 
 use crate::proto::Materialized;
 use hierbus_campaign::{CampaignPayload, Fingerprint, Json};
-use hierbus_core::{MemSlave, MultiMasterSystem, Tlm1Bus, TlmSystem};
-use hierbus_ec::sequences::Scenario;
-use hierbus_ec::{AccessRights, Address, AddressRange, MultiScenario, SignalClass, SlaveConfig};
+use hierbus_ec::SignalClass;
 use hierbus_obs::TraceCollector;
-use hierbus_power::{CharacterizationDb, Layer1EnergyModel};
-
-/// Cycle ceiling for served scenarios; hitting it is a deadlock bug.
-pub const MAX_CYCLES: u64 = 50_000_000;
-
-/// The slave window every served scenario runs against (the harness's
-/// standard window).
-fn scenario_slave(scenario: &Scenario) -> SlaveConfig {
-    SlaveConfig::new(
-        AddressRange::new(Address::new(0), 0x2_0000),
-        scenario.waits,
-        AccessRights::RWX,
-    )
-}
+use hierbus_power::{Capture, CharacterizationDb, Layer, RunSpec, Session};
 
 /// The scalar outcome of one served scenario — the unit the protocol
 /// streams and the cache stores.
@@ -55,93 +39,26 @@ impl CampaignPayload for LeanResult {
     }
 }
 
-/// A reusable layer-1 runner for daemon workers: the energy model is
-/// built once per worker and reset between scenarios. Cycles and
-/// energy are bit-identical to a fresh `harness::run_layer1` on the
-/// same scenario.
+/// A reusable layer-1 runner for daemon workers, built once per worker.
+/// Cycles and energy are bit-identical to a fresh `harness::run_layer1`
+/// on the same scenario (and to the multi-master layer-1 run of a
+/// CPU+DMA workload).
 #[derive(Debug, Clone)]
 pub struct ServeSession {
-    model: Layer1EnergyModel,
+    session: Session,
 }
 
 impl ServeSession {
     /// Builds a session over a characterization database.
     pub fn new(db: &CharacterizationDb) -> Self {
-        hierbus_obs::profiling::record_db_access();
         ServeSession {
-            model: Layer1EnergyModel::new(db.clone()),
+            session: Session::new(db),
         }
     }
 
-    /// Runs one scenario in throughput mode.
-    pub fn run(&mut self, scenario: &Scenario) -> LeanResult {
-        self.run_single(scenario, false).0
-    }
-
-    fn run_single(&mut self, scenario: &Scenario, observe: bool) -> (LeanResult, TraceCollector) {
-        self.model.reset();
-        let mem = MemSlave::new(scenario_slave(scenario));
-        let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
-        bus.enable_frames();
-        if observe {
-            bus.enable_obs();
-        }
-        let mut sys = TlmSystem::new(bus, scenario.ops.clone());
-        sys.disable_records();
-        let model = &mut self.model;
-        let report = sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
-            model.on_frame(bus.last_frame());
-        });
-        (
-            LeanResult {
-                cycles: report.cycles,
-                energy_pj: model.total_energy(),
-            },
-            sys.bus().obs().clone(),
-        )
-    }
-
-    /// Runs one CPU+DMA workload in the same throughput mode: the
-    /// arbiter-merged frame stream through the layer-1 model, records
-    /// off. Cycles and energy are bit-identical to the multi-master
-    /// harness's layer-1 run of the same workload.
-    pub fn run_multi(&mut self, ms: &MultiScenario) -> LeanResult {
-        self.run_multi_inner(ms, false).0
-    }
-
-    fn run_multi_inner(
-        &mut self,
-        ms: &MultiScenario,
-        observe: bool,
-    ) -> (LeanResult, TraceCollector) {
-        self.model.reset();
-        let mem = MemSlave::new(scenario_slave(&ms.cpu));
-        let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
-        bus.enable_frames();
-        if observe {
-            bus.enable_obs();
-        }
-        let mut sys = MultiMasterSystem::for_multi(bus, ms);
-        sys.disable_records();
-        let model = &mut self.model;
-        let report = sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
-            model.on_frame(bus.last_frame());
-        });
-        (
-            LeanResult {
-                cycles: report.cycles,
-                energy_pj: model.total_energy(),
-            },
-            sys.bus().obs().clone(),
-        )
-    }
-
-    /// Runs either shape of materialized workload.
+    /// Runs either shape of materialized workload in throughput mode.
     pub fn run_materialized(&mut self, m: &Materialized) -> LeanResult {
-        match m {
-            Materialized::Single(s) => self.run(s),
-            Materialized::Multi(ms) => self.run_multi(ms),
-        }
+        self.run(m, Capture::Lean).0
     }
 
     /// Like [`run_materialized`](Self::run_materialized) but with the
@@ -151,10 +68,16 @@ impl ServeSession {
     /// daemon's tracing tests pin this), so traced results are safe to
     /// cache and replay interchangeably with untraced ones.
     pub fn run_observed(&mut self, m: &Materialized) -> (LeanResult, TraceCollector) {
-        match m {
-            Materialized::Single(s) => self.run_single(s, true),
-            Materialized::Multi(ms) => self.run_multi_inner(ms, true),
-        }
+        self.run(m, Capture::Spans)
+    }
+
+    fn run(&mut self, m: &Materialized, capture: Capture) -> (LeanResult, TraceCollector) {
+        let out = self.session.run(&RunSpec::new(Layer::L1, capture), m);
+        let result = LeanResult {
+            cycles: out.cycles,
+            energy_pj: out.energy_pj,
+        };
+        (result, out.obs)
     }
 }
 
@@ -186,15 +109,23 @@ mod tests {
     #[test]
     fn session_reuse_is_deterministic() {
         let db = CharacterizationDb::uniform();
-        let scenarios = sequences::all_scenarios();
+        let scenarios: Vec<Materialized> = sequences::all_scenarios()
+            .into_iter()
+            .map(Materialized::from)
+            .collect();
         let mut session = ServeSession::new(&db);
-        let first: Vec<LeanResult> = scenarios.iter().map(|s| session.run(s)).collect();
-        let second: Vec<LeanResult> = scenarios.iter().map(|s| session.run(s)).collect();
-        assert_eq!(first, second);
+        let mut run_all = || -> Vec<LeanResult> {
+            scenarios
+                .iter()
+                .map(|s| session.run_materialized(s))
+                .collect()
+        };
+        let first = run_all();
+        assert_eq!(first, run_all());
         // A fresh session agrees with a reused one.
         let fresh: Vec<LeanResult> = scenarios
             .iter()
-            .map(|s| ServeSession::new(&db).run(s))
+            .map(|s| ServeSession::new(&db).run_materialized(s))
             .collect();
         assert_eq!(first, fresh);
     }
@@ -203,10 +134,10 @@ mod tests {
     fn observed_runs_are_bit_identical_and_collect_spans() {
         let db = CharacterizationDb::uniform();
         let mut session = ServeSession::new(&db);
-        for scenario in sequences::all_scenarios().iter().take(3) {
-            let plain = session.run(scenario);
-            let (observed, collector) =
-                session.run_observed(&Materialized::Single(scenario.clone()));
+        for scenario in sequences::all_scenarios().into_iter().take(3) {
+            let m = Materialized::Single(scenario.clone());
+            let plain = session.run_materialized(&m);
+            let (observed, collector) = session.run_observed(&m);
             assert_eq!(
                 plain, observed,
                 "{}: observation changed the result",
@@ -221,7 +152,8 @@ mod tests {
             );
         }
         // The unobserved path keeps its collector disabled (no buffers).
-        let (_, collector) = session.run_single(&sequences::all_scenarios()[0], false);
+        let first = Materialized::Single(sequences::all_scenarios()[0].clone());
+        let (_, collector) = session.run(&first, Capture::Lean);
         assert_eq!(collector.span_count(), 0);
     }
 

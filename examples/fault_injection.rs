@@ -9,7 +9,8 @@
 
 use hierbus::ec::sequences::{MasterOp, Scenario};
 use hierbus::ec::{FaultKind, FaultPlan, OpFault, RetryPolicy, WaitProfile};
-use hierbus::harness::{self, fault};
+use hierbus::harness;
+use hierbus::power::{Capture, Layer, MasterFaults, Outcome, RunSpec, Session};
 
 fn main() {
     println!("characterizing...");
@@ -37,10 +38,22 @@ fn main() {
     // Master-side robustness: up to 3 retries, 2/4/8-cycle backoff.
     let policy = RetryPolicy::retries(3);
 
+    // One session replays the scenario at any layer under any plan. The
+    // gate level runs on the ideal netlist, so its energy is the
+    // deterministic settled-transition cost.
+    let mut session = Session::new(&db);
+    let stimulus = scenario.into();
+    let mut run = |layer, plan: &FaultPlan| -> Outcome {
+        let faults = vec![MasterFaults::new(0, plan.clone(), policy)];
+        let spec = RunSpec::new(layer, Capture::Full).with_faults(faults);
+        session.run(&spec, &stimulus)
+    };
+    let gate_level = Layer::Rtl { glitches: false };
+
     println!("plan: {plan}\n");
-    let gate = fault::run_reference(&scenario, &plan, policy);
-    let l1 = fault::run_layer1(&scenario, &db, &plan, policy);
-    let l2 = fault::run_layer2(&scenario, &db, &plan, policy);
+    let gate = run(gate_level, &plan);
+    let l1 = run(Layer::L1, &plan);
+    let l2 = run(Layer::L2 { correlation: false }, &plan);
 
     for (name, run) in [("gate", &gate), ("layer1", &l1), ("layer2", &l2)] {
         println!(
@@ -64,8 +77,8 @@ fn main() {
     // Card tear: stop the clock mid-run. Unfinished ops abort, and all
     // layers still agree on what reached memory.
     let torn = FaultPlan::new().with_tear(gate.cycles / 2);
-    let t_gate = fault::run_reference(&scenario, &torn, policy);
-    let t_l1 = fault::run_layer1(&scenario, &db, &torn, policy);
+    let t_gate = run(gate_level, &torn);
+    let t_l1 = run(Layer::L1, &torn);
     println!(
         "\ntear@{}: outcomes {:?}, {} words committed ({} in the full run)",
         gate.cycles / 2,

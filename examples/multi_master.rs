@@ -9,7 +9,8 @@
 
 use hierbus::ec::sequences::{self, MixParams};
 use hierbus::ec::{ArbitrationPolicy, DmaParams, DmaProgram, MultiScenario};
-use hierbus::harness::{self, multi};
+use hierbus::harness;
+use hierbus::power::{Capture, Layer, RunSpec, Session};
 
 fn main() {
     println!("characterizing...");
@@ -39,11 +40,14 @@ fn main() {
         dma.total_beats()
     );
 
+    let mut session = Session::new(&db);
     for policy in ArbitrationPolicy::ALL {
-        let ms = MultiScenario::new("multi-demo", cpu.clone(), &dma, policy);
-        let gate = multi::run_reference(&ms, &db, &[]);
-        let l1 = multi::run_layer1(&ms, &db, &[]);
-        let l2 = multi::run_layer2(&ms, &db, &[]);
+        let ms = MultiScenario::new("multi-demo", cpu.clone(), &dma, policy).into();
+        let mut full = |layer| session.run(&RunSpec::new(layer, Capture::Full), &ms);
+        // The gate level runs on the ideal netlist (settled transitions).
+        let gate = full(Layer::Rtl { glitches: false });
+        let l1 = full(Layer::L1);
+        let l2 = full(Layer::L2 { correlation: false });
 
         println!("policy {}:", policy.name());
         for (name, run) in [("gate", &gate), ("layer1", &l1), ("layer2", &l2)] {

@@ -44,7 +44,7 @@ fn main() {
 
     // 4. Layer 1 supports cycle-accurate profiling: print the profile.
     println!("\nlayer-1 per-cycle energy profile (pJ):");
-    for (i, e) in l1.trace.samples().iter().enumerate() {
+    for (i, e) in l1.trace.iter().enumerate() {
         println!(
             "  cycle {i:>2}: {e:7.2}  {}",
             "#".repeat((e / 3.0) as usize)

@@ -19,13 +19,10 @@
 //! | `L.energy_pj` | counter | estimated energy, rounded to whole pJ |
 //! | `L.txn_latency_cycles` | histogram | issue→done latency per transaction |
 
-use crate::harness::{scenario_slave, scenario_slave_map, MAX_CYCLES};
-use hierbus_core::{MemSlave, Tlm1Bus, Tlm2Bus, TlmSystem};
-use hierbus_ec::record::TxnRecord;
 use hierbus_ec::sequences::Scenario;
 use hierbus_obs::{DivergenceAuditor, EnergyLedger, MetricsRegistry, TraceCollector};
-use hierbus_power::{CharacterizationDb, Layer1EnergyModel, Layer2EnergyModel};
-use hierbus_rtl::{GlitchConfig, PowerConfig, RtlSystem, SimpleMem};
+use hierbus_power::run::scenario_slave_map;
+use hierbus_power::{Capture, CharacterizationDb, Layer, Outcome, RunSpec, Session};
 use std::path::{Path, PathBuf};
 
 /// Latency histogram bucket bounds (cycles, inclusive upper edges).
@@ -54,137 +51,78 @@ pub struct ObservedRun {
     pub energy_pj: [f64; 3],
 }
 
-fn record_layer_metrics(
-    reg: &mut MetricsRegistry,
-    layer: &str,
-    records: &[TxnRecord],
-    cycles: u64,
-    energy_pj: f64,
-) {
+fn record_layer_metrics(reg: &mut MetricsRegistry, layer: &str, run: &Outcome) {
     let txns = reg.counter(&format!("{layer}.txns"));
-    reg.add(txns, records.len() as u64);
+    reg.add(txns, run.records.len() as u64);
     let errors = reg.counter(&format!("{layer}.errors"));
     reg.add(
         errors,
-        records.iter().filter(|r| r.error.is_some()).count() as u64,
+        run.records.iter().filter(|r| r.error.is_some()).count() as u64,
     );
     let cyc = reg.counter(&format!("{layer}.cycles"));
-    reg.add(cyc, cycles);
+    reg.add(cyc, run.cycles);
     let energy = reg.counter(&format!("{layer}.energy_pj"));
-    reg.add(energy, energy_pj.round().max(0.0) as u64);
+    reg.add(energy, run.energy_pj.round().max(0.0) as u64);
     let lat = reg.histogram(&format!("{layer}.txn_latency_cycles"), &LATENCY_BOUNDS);
-    for r in records {
+    for r in &run.records {
         if let Some(done) = r.done_cycle {
             reg.observe(lat, done - r.issue_cycle + 1);
         }
     }
 }
 
-/// Folds a per-cycle energy trace into a cumulative counter track.
-fn cumulative_track(obs: &mut TraceCollector, per_cycle_pj: &[f64]) {
-    let mut total = 0.0;
-    for (cycle, e) in per_cycle_pj.iter().enumerate() {
-        total += e;
-        obs.counter_sample(ENERGY_TRACK, cycle as u64, total);
+/// `obs` with the layer's cumulative energy counter track appended.
+fn with_energy_track(
+    mut obs: TraceCollector,
+    totals: impl IntoIterator<Item = (u64, f64)>,
+) -> TraceCollector {
+    for (cycle, total) in totals {
+        obs.counter_sample(ENERGY_TRACK, cycle, total);
     }
+    obs
+}
+
+/// Running totals of a per-cycle energy trace, one per cycle.
+fn cumulative(per_cycle_pj: &[f64]) -> impl Iterator<Item = (u64, f64)> + '_ {
+    per_cycle_pj
+        .iter()
+        .enumerate()
+        .scan(0.0, |total, (cycle, e)| {
+            *total += e;
+            Some((cycle as u64, *total))
+        })
 }
 
 /// Runs `scenario` on the RTL reference and both TLM layers with
 /// observability on: spans from every layer, energy counter tracks, and
 /// the metrics table.
 pub fn run_observed(scenario: &Scenario, db: &CharacterizationDb) -> ObservedRun {
+    let mut session = Session::new(db);
+    let stimulus = scenario.clone().into();
+    let mut full = |layer| session.run(&RunSpec::new(layer, Capture::Full), &stimulus);
+    let rtl = full(Layer::Rtl { glitches: true });
+    let l1 = full(Layer::L1);
+    let l2 = full(Layer::L2 { correlation: false });
     let mut metrics = MetricsRegistry::new();
-    let slaves = scenario_slave_map();
-
-    // Cycle-true reference with the gate-level estimator.
-    let mem = SimpleMem::new(scenario_slave(scenario));
-    let mut rtl = RtlSystem::new(
-        scenario.ops.clone(),
-        vec![Box::new(mem)],
-        PowerConfig::default(),
-        GlitchConfig::default(),
-    );
-    rtl.enable_obs();
-    rtl.enable_power_trace();
-    let report = rtl.run(MAX_CYCLES);
-    let mut rtl_obs = rtl.obs().clone();
-    cumulative_track(&mut rtl_obs, rtl.estimator().trace().unwrap_or(&[]));
-    let rtl_ledger = rtl
-        .estimator()
-        .ledger(rtl_obs.spans(), &slaves)
-        .expect("power trace enabled above");
-    let rtl_trace = rtl.estimator().trace().unwrap_or(&[]).to_vec();
-    let rtl_energy = report.energy_pj;
-    record_layer_metrics(
-        &mut metrics,
-        "rtl",
-        &report.records,
-        report.cycles,
-        report.energy_pj,
-    );
-
-    // Layer 1 with the frame-diff energy model.
-    let mem = MemSlave::new(scenario_slave(scenario));
-    let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
-    bus.enable_obs();
-    bus.enable_frames();
-    let mut sys = TlmSystem::new(bus, scenario.ops.clone());
-    let mut model = Layer1EnergyModel::new(db.clone());
-    model.enable_trace();
-    let report = sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
-        model.on_frame(bus.last_frame());
-    });
-    let mut l1_obs = sys.bus().obs().clone();
-    cumulative_track(&mut l1_obs, model.trace().unwrap_or(&[]));
-    let l1_ledger = model
-        .ledger(l1_obs.spans(), &slaves)
-        .expect("trace enabled above");
-    let l1_trace = model.trace().unwrap_or(&[]).to_vec();
-    let l1_energy = model.total_energy();
-    record_layer_metrics(
-        &mut metrics,
-        "tlm1",
-        &report.records,
-        report.cycles,
-        model.total_energy(),
-    );
-
-    // Layer 2 with the phase-event energy model; energy is sampled at
-    // each phase completion (layer 2 has no per-cycle trace).
-    let mem = MemSlave::new(scenario_slave(scenario));
-    let mut bus = Tlm2Bus::new(vec![Box::new(mem)]);
-    bus.enable_obs();
-    bus.enable_events();
-    let mut sys = TlmSystem::new(bus, scenario.ops.clone());
-    let mut model = Layer2EnergyModel::new(db.clone());
-    let mut l2_ledger = EnergyLedger::new("tlm2");
-    let mut samples: Vec<(u64, f64)> = Vec::new();
-    let report = sys.run(MAX_CYCLES, |bus: &mut Tlm2Bus| {
-        for ev in bus.drain_events() {
-            model.on_event_ledger(&ev, &mut l2_ledger, &slaves);
-            samples.push((ev.at_cycle, model.total_energy()));
-        }
-    });
-    l2_ledger.set_cycles(report.cycles);
-    let mut l2_obs = sys.bus().obs().clone();
-    for (cycle, total) in samples {
-        l2_obs.counter_sample(ENERGY_TRACK, cycle, total);
+    for (layer, run) in [("rtl", &rtl), ("tlm1", &l1), ("tlm2", &l2)] {
+        record_layer_metrics(&mut metrics, layer, run);
     }
-    record_layer_metrics(
-        &mut metrics,
-        "tlm2",
-        &report.records,
-        report.cycles,
-        model.total_energy(),
-    );
-
+    // The reference is attributed along its own gate-level trace.
+    let rtl_ledger =
+        hierbus_obs::attribute_cycles("rtl", rtl.obs.spans(), &rtl.trace, &scenario_slave_map());
     ObservedRun {
         name: scenario.name.to_string(),
-        collectors: vec![rtl_obs, l1_obs, l2_obs],
+        // Layer 2 has no per-cycle trace: its energy is sampled at each
+        // phase completion.
+        collectors: vec![
+            with_energy_track(rtl.obs, cumulative(&rtl.trace)),
+            with_energy_track(l1.obs, cumulative(&l1.trace)),
+            with_energy_track(l2.obs, l2.bookings),
+        ],
         metrics,
-        ledgers: vec![rtl_ledger, l1_ledger, l2_ledger],
-        power_traces: [rtl_trace, l1_trace],
-        energy_pj: [rtl_energy, l1_energy, model.total_energy()],
+        ledgers: vec![rtl_ledger, l1.ledger, l2.ledger],
+        power_traces: [rtl.trace, l1.trace],
+        energy_pj: [rtl.energy_pj, l1.energy_pj, l2.energy_pj],
     }
 }
 

@@ -13,9 +13,33 @@ use hierbus::ec::{
     ArbitrationPolicy, BurstLen, DmaParams, DmaProgram, FaultKind, FaultPlan, MultiScenario,
     OpFault, RetryPolicy, WaitProfile,
 };
-use hierbus::harness::multi::{run_layer1, run_layer2, run_reference, MasterFaults, MultiRun};
 use hierbus::harness::shared_db;
-use hierbus::power::CharacterizationDb;
+use hierbus::power::{Capture, CharacterizationDb, Layer, MasterFaults, Outcome, RunSpec, Session};
+
+/// A CPU+DMA workload at `layer` with per-master faults, full capture.
+fn run_at(
+    layer: Layer,
+    ms: &MultiScenario,
+    db: &CharacterizationDb,
+    faults: &[MasterFaults],
+) -> Outcome {
+    let spec = RunSpec::new(layer, Capture::Full).with_faults(faults.to_vec());
+    Session::new(db).run(&spec, &ms.clone().into())
+}
+
+/// The reference runs on the ideal netlist, so its energy is the
+/// deterministic settled-transition cost.
+fn run_reference(ms: &MultiScenario, db: &CharacterizationDb, faults: &[MasterFaults]) -> Outcome {
+    run_at(Layer::Rtl { glitches: false }, ms, db, faults)
+}
+
+fn run_layer1(ms: &MultiScenario, db: &CharacterizationDb, faults: &[MasterFaults]) -> Outcome {
+    run_at(Layer::L1, ms, db, faults)
+}
+
+fn run_layer2(ms: &MultiScenario, db: &CharacterizationDb, faults: &[MasterFaults]) -> Outcome {
+    run_at(Layer::L2 { correlation: false }, ms, db, faults)
+}
 
 /// Relative agreement pin for energy totals.
 fn assert_close(tag: &str, a: f64, b: f64) {
@@ -59,7 +83,7 @@ fn all_layers(
     ms: &MultiScenario,
     db: &CharacterizationDb,
     faults: &[MasterFaults],
-) -> (MultiRun, MultiRun, MultiRun) {
+) -> (Outcome, Outcome, Outcome) {
     (
         run_reference(ms, db, faults),
         run_layer1(ms, db, faults),
@@ -68,7 +92,7 @@ fn all_layers(
 }
 
 /// The layer-invariant multi-master contract.
-fn assert_agreement(tag: &str, rtl: &MultiRun, l1: &MultiRun, l2: &MultiRun) {
+fn assert_agreement(tag: &str, rtl: &Outcome, l1: &Outcome, l2: &Outcome) {
     // Per-master outcomes and fault counters agree everywhere.
     assert_eq!(rtl.outcomes(), l1.outcomes(), "{tag}: rtl vs l1 outcomes");
     assert_eq!(l1.outcomes(), l2.outcomes(), "{tag}: l1 vs l2 outcomes");

@@ -12,8 +12,9 @@ use hierbus::ec::{
     BurstLen, FaultKind, FaultPlan, MasterOp, OpFault, RetryPolicy, Scenario, WaitProfile,
 };
 use hierbus::harness;
-use hierbus::obs::{DivergenceAuditor, LedgerPhase, Phase};
+use hierbus::obs::{DivergenceAuditor, EnergyLedger, LedgerPhase, Phase, SpanEvent};
 use hierbus::observe;
+use hierbus::power::{Capture, CharacterizationDb, Layer, MasterFaults, Outcome, RunSpec, Session};
 
 /// Relative decomposition tolerance: the ledger re-groups the same f64
 /// additions the model performs, so only summation-order error remains.
@@ -50,6 +51,34 @@ fn faulted_write_scenario() -> Scenario {
     }
 }
 
+/// A layer-1 run with the attribution pieces the auditor reads split
+/// out: the ledger, the per-cycle trace and the span record.
+struct Attributed {
+    run: Outcome,
+    ledger: EnergyLedger,
+    trace: Vec<f64>,
+    spans: Vec<SpanEvent>,
+}
+
+/// A full layer-1 run under `plan`; an empty plan gives the clean
+/// baseline.
+fn attributed(
+    scenario: &Scenario,
+    db: &CharacterizationDb,
+    plan: &FaultPlan,
+    policy: RetryPolicy,
+) -> Attributed {
+    let faults = vec![MasterFaults::new(0, plan.clone(), policy)];
+    let spec = RunSpec::new(Layer::L1, Capture::Full).with_faults(faults);
+    let mut run = Session::new(db).run(&spec, &scenario.clone().into());
+    Attributed {
+        ledger: std::mem::take(&mut run.ledger),
+        trace: std::mem::take(&mut run.trace),
+        spans: run.obs.spans().to_vec(),
+        run,
+    }
+}
+
 /// A once-errored, once-retried write re-runs its address + write-data
 /// phases: against the clean baseline the auditor must (a) call the
 /// write-data bucket the worst divergence and (b) localize the first
@@ -58,11 +87,9 @@ fn faulted_write_scenario() -> Scenario {
 fn auditor_localizes_a_seeded_fault_to_the_write_phase() {
     let db = harness::standard_db();
     let scenario = faulted_write_scenario();
-    let clean =
-        harness::fault::run_layer1_attributed(&scenario, &db, &FaultPlan::new(), RetryPolicy::NONE);
+    let clean = attributed(&scenario, &db, &FaultPlan::new(), RetryPolicy::NONE);
     let plan = FaultPlan::new().with_fault(1, OpFault::once(FaultKind::SlaveError));
-    let faulted =
-        harness::fault::run_layer1_attributed(&scenario, &db, &plan, RetryPolicy::retries(3));
+    let faulted = attributed(&scenario, &db, &plan, RetryPolicy::retries(3));
     assert!(
         faulted.run.energy_pj > clean.run.energy_pj,
         "the retry must cost energy"

@@ -5,9 +5,9 @@
 //! replaced, over seeded-random frame soups, the layer-1 doctest frames,
 //! the frames a faulted / torn bus actually drives and the
 //! arbiter-merged CPU+DMA stream — and, one level up, every layer-1
-//! consumer (full, faulted, attributed and multi-master harness runs,
-//! reused sessions, the serve runner and campaign merges) must match
-//! fresh bit-loop reference runs.
+//! consumer (full, faulted and multi-master session runs, reused
+//! sessions, the serve runner and campaign merges) must match fresh
+//! bit-loop reference runs.
 
 use hierbus::campaign::{CampaignOptions, CampaignPayload, ClaimStrategy, Json, Matrix};
 use hierbus::core::{HasSlaves, MultiMasterSystem};
@@ -16,8 +16,11 @@ use hierbus::ec::{
     AccessKind, ArbitrationPolicy, BurstLen, DataWidth, DmaParams, DmaProgram, FaultKind,
     FaultPlan, MultiScenario, OpFault, RetryPolicy, SignalFrame, SlaveId, WaitProfile,
 };
-use hierbus::harness::{self, fault::FaultRun};
-use hierbus::power::{CharacterizationDb, Layer1EnergyModel};
+use hierbus::harness;
+use hierbus::power::run::{scenario_slave, MAX_CYCLES};
+use hierbus::power::{
+    Capture, CharacterizationDb, Layer, Layer1EnergyModel, MasterFaults, Outcome, RunSpec, Session,
+};
 use hierbus::sim::SplitMix64;
 use hierbus_core::{MemSlave, Tlm1Bus, TlmSystem};
 
@@ -235,12 +238,12 @@ fn packed_diff_matches_reference_on_fault_and_tear_frames() {
         ),
     ];
     for (name, plan, policy) in plans {
-        let mem = MemSlave::new(harness::scenario_slave(&scenario));
+        let mem = MemSlave::new(scenario_slave(&scenario));
         let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
         bus.enable_frames();
         let mut sys = TlmSystem::new(bus, scenario.ops.clone()).with_faults(plan.clone(), policy);
         let mut frames = Vec::new();
-        sys.run(harness::MAX_CYCLES, |bus: &mut Tlm1Bus| {
+        sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
             frames.push(*bus.last_frame());
         });
         assert!(!frames.is_empty(), "{name}: no frames captured");
@@ -270,12 +273,12 @@ fn packed_diff_matches_reference_on_arbiter_merged_frames() {
     for policy in ArbitrationPolicy::ALL {
         for seed in [0x3A5Au64, 0xC0DE] {
             let ms = probe_multi(seed, policy);
-            let mem = MemSlave::new(harness::scenario_slave(&ms.cpu));
+            let mem = MemSlave::new(scenario_slave(&ms.cpu));
             let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
             bus.enable_frames();
             let mut sys = MultiMasterSystem::for_multi(bus, &ms);
             let mut frames = Vec::new();
-            sys.run(harness::MAX_CYCLES, |bus: &mut Tlm1Bus| {
+            sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
                 frames.push(*bus.last_frame());
             });
             assert!(frames.len() > 64, "merged stream too short");
@@ -298,7 +301,7 @@ fn probe_scenario(seed: u64, count: usize) -> Scenario {
     )
 }
 
-/// `run_layer1` (the production path) against `run_layer1_reference`
+/// `run_layer1` (the production path) against `reference::run_layer1`
 /// (a fresh model, the bit-loop diff and per-toggle lookups): cycles,
 /// records, energy bits and trace bits.
 #[test]
@@ -307,7 +310,7 @@ fn full_runs_match_reference_runs() {
     for seed in [0x11u64, 0x2222, 0xBE9C] {
         let scenario = probe_scenario(seed, 400);
         let fast = harness::run_layer1(&scenario, &db);
-        let reference = harness::run_layer1_reference(&scenario, &db);
+        let reference = harness::reference::run_layer1(&scenario, &db, Capture::Full);
         assert_eq!(fast.cycles, reference.cycles, "seed {seed:#x}");
         assert_eq!(fast.records, reference.records, "seed {seed:#x}");
         assert_eq!(
@@ -319,23 +322,34 @@ fn full_runs_match_reference_runs() {
     }
 }
 
+/// A session's layer-1 run under one fault plan, full capture.
+fn faulted_run(
+    scenario: &Scenario,
+    db: &CharacterizationDb,
+    plan: &FaultPlan,
+    policy: RetryPolicy,
+) -> Outcome {
+    let faults = vec![MasterFaults::new(0, plan.clone(), policy)];
+    let spec = RunSpec::new(Layer::L1, Capture::Full).with_faults(faults);
+    Session::new(db).run(&spec, &scenario.clone().into())
+}
+
 /// A faulted layer-1 replay through the bit-loop reference path — the
-/// same wiring as `harness::fault::run_layer1`, with
-/// `on_frame_reference` in place of `on_frame` — plus its per-cycle
-/// trace.
+/// same wiring as [`faulted_run`], with `on_frame_reference` in place of
+/// `on_frame` — plus its per-cycle trace.
 fn faulted_bitloop_run(
     scenario: &Scenario,
     db: &CharacterizationDb,
     plan: &FaultPlan,
     policy: RetryPolicy,
-) -> (FaultRun, Vec<f64>) {
-    let mem = MemSlave::new(harness::scenario_slave(scenario));
+) -> (Outcome, Vec<f64>) {
+    let mem = MemSlave::new(scenario_slave(scenario));
     let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
     bus.enable_frames();
     let mut sys = TlmSystem::new(bus, scenario.ops.clone()).with_faults(plan.clone(), policy);
     let mut model = Layer1EnergyModel::new(db.clone());
     model.enable_trace();
-    let report = sys.run(harness::MAX_CYCLES, |bus: &mut Tlm1Bus| {
+    let report = sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
         model.on_frame_reference(bus.last_frame());
     });
     let memory = sys
@@ -343,7 +357,7 @@ fn faulted_bitloop_run(
         .slave_as::<MemSlave>(SlaveId(0))
         .expect("scenario slave is a MemSlave")
         .snapshot();
-    let run = FaultRun {
+    let run = Outcome {
         cycles: report.cycles,
         energy_pj: model.total_energy(),
         records: report.records,
@@ -351,11 +365,12 @@ fn faulted_bitloop_run(
         counters: report.fault,
         memory,
         torn: sys.torn(),
+        ..Outcome::default()
     };
     (run, model.trace().unwrap_or(&[]).to_vec())
 }
 
-fn assert_fault_runs_agree(fast: &FaultRun, reference: &FaultRun, context: &str) {
+fn assert_fault_runs_agree(fast: &Outcome, reference: &Outcome, context: &str) {
     assert_eq!(
         fast.energy_pj.to_bits(),
         reference.energy_pj.to_bits(),
@@ -387,14 +402,14 @@ fn fault_probe_scenario() -> Scenario {
 }
 
 /// With an empty plan the faulted runner is the clean runner: same
-/// cycles, records and energy bits as `run_layer1_reference`.
+/// cycles, records and energy bits as `reference::run_layer1`.
 #[test]
 fn fault_free_fault_runs_match_reference_runs() {
     let db = harness::shared_db();
     for seed in [0x33u64, 0xF1F0] {
         let scenario = probe_scenario(seed, 200);
-        let fast = harness::fault::run_layer1(&scenario, &db, &FaultPlan::new(), RetryPolicy::NONE);
-        let reference = harness::run_layer1_reference(&scenario, &db);
+        let fast = faulted_run(&scenario, &db, &FaultPlan::new(), RetryPolicy::NONE);
+        let reference = harness::reference::run_layer1(&scenario, &db, Capture::Full);
         assert_eq!(fast.cycles, reference.cycles, "seed {seed:#x}");
         assert_eq!(fast.records, reference.records, "seed {seed:#x}");
         assert_eq!(
@@ -408,14 +423,14 @@ fn fault_free_fault_runs_match_reference_runs() {
 
 /// Fault and tear replays: a plan mixing transient slave errors, stalls
 /// and retries, then a card tear at every cycle of the clean run and
-/// past its end — `harness::fault::run_layer1` must charge *exactly*
+/// past its end — a session's faulted layer-1 run must charge *exactly*
 /// the bit-loop reference's energy, torn frames included, and commit
 /// the same memory.
 #[test]
 fn fault_and_tear_replays_bit_exact() {
     let db = harness::shared_db();
     let scenario = fault_probe_scenario();
-    let clean = harness::fault::run_layer1(&scenario, &db, &FaultPlan::new(), RetryPolicy::NONE);
+    let clean = faulted_run(&scenario, &db, &FaultPlan::new(), RetryPolicy::NONE);
     let mut plans = vec![FaultPlan::new()
         .with_fault(1, OpFault::once(FaultKind::SlaveError))
         .with_fault(3, OpFault::always(FaultKind::Stall(2)))];
@@ -424,10 +439,17 @@ fn fault_and_tear_replays_bit_exact() {
     }
     let policy = RetryPolicy::retries(2);
     for (pi, plan) in plans.iter().enumerate() {
-        let fast = harness::fault::run_layer1(&scenario, &db, plan, policy);
+        let fast = faulted_run(&scenario, &db, plan, policy);
         let (reference, _) = faulted_bitloop_run(&scenario, &db, plan, policy);
         assert_fault_runs_agree(&fast, &reference, &format!("plan {pi}"));
     }
+}
+
+/// A faulted run and the per-cycle trace its attribution ledger is
+/// built from.
+struct Attributed {
+    run: Outcome,
+    trace: Vec<f64>,
 }
 
 /// The attributed faulted runner: its run equals the bit-loop replay
@@ -444,7 +466,11 @@ fn attributed_fault_runs_match_bitloop_replays() {
     ];
     let policy = RetryPolicy::retries(2);
     for (pi, plan) in plans.iter().enumerate() {
-        let attributed = harness::fault::run_layer1_attributed(&scenario, &db, plan, policy);
+        let run = faulted_run(&scenario, &db, plan, policy);
+        let attributed = Attributed {
+            trace: run.trace.clone(),
+            run,
+        };
         let (reference, trace) = faulted_bitloop_run(&scenario, &db, plan, policy);
         assert_fault_runs_agree(&attributed.run, &reference, &format!("plan {pi}"));
         assert_eq!(attributed.trace, trace, "plan {pi}: trace");
@@ -452,29 +478,30 @@ fn attributed_fault_runs_match_bitloop_replays() {
 }
 
 /// A CPU+DMA layer-1 replay through the bit-loop reference path — the
-/// wiring of `harness::multi::run_layer1` with `on_frame_reference` —
-/// returning cycles and energy.
+/// wiring of a session's multi-master layer-1 run with
+/// `on_frame_reference` — returning cycles and energy.
 fn multi_bitloop_run(ms: &MultiScenario, db: &CharacterizationDb) -> (u64, f64) {
-    let mem = MemSlave::new(harness::scenario_slave(&ms.cpu));
+    let mem = MemSlave::new(scenario_slave(&ms.cpu));
     let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
     bus.enable_frames();
     let mut sys = MultiMasterSystem::for_multi(bus, ms);
     let mut model = Layer1EnergyModel::new(db.clone());
-    let report = sys.run(harness::MAX_CYCLES, |bus: &mut Tlm1Bus| {
+    let report = sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
         model.on_frame_reference(bus.last_frame());
     });
     (report.cycles, model.total_energy())
 }
 
-/// `harness::multi::run_layer1` against the bit-loop replay of the same
-/// arbiter-merged stream, under both policies.
+/// A session's multi-master layer-1 run against the bit-loop replay of
+/// the same arbiter-merged stream, under both policies.
 #[test]
 fn multi_master_layer1_runs_match_bitloop_replays() {
     let db = harness::shared_db();
     for policy in ArbitrationPolicy::ALL {
         for seed in [0x3A5Au64, 0xC0DE] {
             let ms = probe_multi(seed, policy);
-            let fast = harness::multi::run_layer1(&ms, &db, &[]);
+            let fast =
+                Session::new(&db).run(&RunSpec::new(Layer::L1, Capture::Full), &ms.clone().into());
             let (cycles, energy) = multi_bitloop_run(&ms, &db);
             let context = format!("{}/seed {seed:#x}", policy.name());
             assert_eq!(fast.cycles, cycles, "{context}: cycles");
@@ -487,7 +514,7 @@ fn multi_master_layer1_runs_match_bitloop_replays() {
     }
 }
 
-/// `harness::multi::run_reference` prices the settled RTL frame log
+/// A full multi-master reference run prices the settled RTL frame log
 /// through the layer-1 model; that number must equal a bit-loop replay
 /// of the same log.
 #[test]
@@ -496,13 +523,17 @@ fn multi_reference_frame_log_energy_matches_bitloop_replay() {
     let db = harness::shared_db();
     for policy in ArbitrationPolicy::ALL {
         let ms = probe_multi(0x5E77, policy);
-        let fast = harness::multi::run_reference(&ms, &db, &[])
+        let fast = Session::new(&db)
+            .run(
+                &RunSpec::new(Layer::Rtl { glitches: false }, Capture::Full),
+                &ms.clone().into(),
+            )
             .l1_frames_energy_pj
             .expect("reference runs price their frame log");
         let mut sys = RtlSystem::for_multi_scenario(&ms);
         sys.set_glitch(GlitchConfig::off());
         sys.enable_frame_log();
-        sys.run(harness::MAX_CYCLES);
+        sys.run(MAX_CYCLES);
         let mut model = Layer1EnergyModel::new((*db).clone());
         for frame in sys.frames().expect("frame log enabled above") {
             model.on_frame_reference(frame);
@@ -527,16 +558,17 @@ fn reuse_scenarios() -> Vec<Scenario> {
     scenarios
 }
 
-/// One reset-reused `Layer1Session` against a fresh
-/// `run_layer1_reference` per scenario: cycles, records, energy bits
+/// One reset-reused `Session` running full layer-1 runs against a fresh
+/// bit-loop reference run per scenario: cycles, records, energy bits
 /// and trace.
 #[test]
 fn layer1_session_reuse_matches_reference_runs() {
     let db = harness::shared_db();
-    let mut session = harness::Layer1Session::new(&db);
+    let mut session = Session::new(&db);
+    let full = RunSpec::new(Layer::L1, Capture::Full);
     for (i, scenario) in reuse_scenarios().iter().enumerate() {
-        let reused = session.run(scenario);
-        let reference = harness::run_layer1_reference(scenario, &db);
+        let reused = session.run(&full, &scenario.clone().into());
+        let reference = harness::reference::run_layer1(scenario, &db, Capture::Full);
         assert_eq!(reused.cycles, reference.cycles, "run {i}");
         assert_eq!(reused.records, reference.records, "run {i}");
         assert_eq!(
@@ -548,15 +580,16 @@ fn layer1_session_reuse_matches_reference_runs() {
     }
 }
 
-/// One reset-reused `Layer1LeanSession` against a fresh
-/// `run_layer1_reference` per scenario: cycles and energy bits.
+/// One reset-reused `Session` running lean layer-1 runs against a fresh
+/// bit-loop reference run per scenario: cycles and energy bits.
 #[test]
 fn lean_session_reuse_matches_reference_runs() {
     let db = harness::shared_db();
-    let mut session = harness::Layer1LeanSession::new(&db);
+    let mut session = Session::new(&db);
+    let lean_spec = RunSpec::new(Layer::L1, Capture::Lean);
     for (i, scenario) in reuse_scenarios().iter().enumerate() {
-        let lean = session.run(scenario);
-        let reference = harness::run_layer1_reference(scenario, &db);
+        let lean = session.run(&lean_spec, &scenario.clone().into());
+        let reference = harness::reference::run_layer1(scenario, &db, Capture::Full);
         assert_eq!(lean.cycles, reference.cycles, "run {i}");
         assert_eq!(
             lean.energy_pj.to_bits(),
@@ -573,8 +606,8 @@ fn serve_session_reuse_matches_reference_runs() {
     let db = harness::shared_db();
     let mut session = hierbus::serve::ServeSession::new(&db);
     for (i, scenario) in reuse_scenarios().iter().enumerate() {
-        let served = session.run(scenario);
-        let reference = harness::run_layer1_reference(scenario, &db);
+        let served = session.run_materialized(&scenario.clone().into());
+        let reference = harness::reference::run_layer1(scenario, &db, Capture::Full);
         assert_eq!(served.cycles, reference.cycles, "single {i}");
         assert_eq!(
             served.energy_pj.to_bits(),
@@ -583,7 +616,7 @@ fn serve_session_reuse_matches_reference_runs() {
         );
         let policy = ArbitrationPolicy::ALL[i % ArbitrationPolicy::ALL.len()];
         let ms = probe_multi(0x7E57 + i as u64, policy);
-        let served = session.run_multi(&ms);
+        let served = session.run_materialized(&ms.clone().into());
         let (cycles, energy) = multi_bitloop_run(&ms, &db);
         assert_eq!(served.cycles, cycles, "multi {i}");
         assert_eq!(
@@ -625,15 +658,16 @@ fn render(cells: &[Cell]) -> String {
         .collect()
 }
 
-/// Campaign merges through reset-reused lean sessions must be
-/// byte-identical at 1, 2 and 4 workers under both claim strategies,
-/// and every cell must equal a fresh `run_layer1` *and* a fresh
-/// `run_layer1_reference` on that scenario, bit for bit.
+/// Campaign merges through reset-reused sessions running lean layer-1
+/// runs must be byte-identical at 1, 2 and 4 workers under both claim
+/// strategies, and every cell must equal a fresh `run_layer1` *and* a
+/// fresh bit-loop reference run on that scenario, bit for bit.
 #[test]
 fn lean_campaign_merges_match_reference_at_every_worker_count() {
     let db = harness::shared_db();
     let seeds: Vec<u64> = (0..6).map(|i| 0x9C00 + i as u64).collect();
     let scenarios: Vec<Scenario> = seeds.iter().map(|&s| probe_scenario(s, 120)).collect();
+    let lean = RunSpec::new(Layer::L1, Capture::Lean);
     let matrix = Matrix::new().axis("seed", seeds.iter().map(|s| format!("{s:#x}")));
 
     let mut outputs = Vec::new();
@@ -646,9 +680,9 @@ fn lean_campaign_merges_match_reference_at_every_worker_count() {
             let report = hierbus::campaign::run_with(
                 &matrix,
                 &opts,
-                || harness::Layer1LeanSession::new(&db),
+                || Session::new(&db),
                 |session, point| {
-                    let run = session.run(&scenarios[point.coords[0]]);
+                    let run = session.run(&lean, &scenarios[point.coords[0]].clone().into());
                     Cell {
                         cycles: run.cycles,
                         energy_pj: run.energy_pj,
@@ -673,7 +707,7 @@ fn lean_campaign_merges_match_reference_at_every_worker_count() {
         .iter()
         .map(|s| {
             let full = harness::run_layer1(s, &db);
-            let reference = harness::run_layer1_reference(s, &db);
+            let reference = harness::reference::run_layer1(s, &db, Capture::Full);
             assert_eq!(full.energy_pj.to_bits(), reference.energy_pj.to_bits());
             assert_eq!(full.cycles, reference.cycles);
             Cell {

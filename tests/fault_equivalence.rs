@@ -8,9 +8,46 @@
 
 use hierbus::ec::sequences::{MasterOp, Scenario};
 use hierbus::ec::{BusError, FaultKind, FaultPlan, OpFault, RetryPolicy, TxnOutcome, WaitProfile};
-use hierbus::harness::fault::{run_layer1, run_layer2, run_reference, FaultRun};
 use hierbus::harness::shared_db;
-use hierbus::power::CharacterizationDb;
+use hierbus::power::{Capture, CharacterizationDb, Layer, MasterFaults, Outcome, RunSpec, Session};
+
+/// `scenario` at `layer` under one fault plan, full capture.
+fn faulted(
+    layer: Layer,
+    scenario: &Scenario,
+    db: &CharacterizationDb,
+    plan: &FaultPlan,
+    policy: RetryPolicy,
+) -> Outcome {
+    let faults = vec![MasterFaults::new(0, plan.clone(), policy)];
+    let spec = RunSpec::new(layer, Capture::Full).with_faults(faults);
+    Session::new(db).run(&spec, &scenario.clone().into())
+}
+
+/// The gate-level reference on the ideal netlist, so the energy number
+/// is the deterministic settled-transition cost.
+fn run_reference(scenario: &Scenario, plan: &FaultPlan, policy: RetryPolicy) -> Outcome {
+    let db = CharacterizationDb::uniform();
+    faulted(Layer::Rtl { glitches: false }, scenario, &db, plan, policy)
+}
+
+fn run_layer1(
+    scenario: &Scenario,
+    db: &CharacterizationDb,
+    plan: &FaultPlan,
+    policy: RetryPolicy,
+) -> Outcome {
+    faulted(Layer::L1, scenario, db, plan, policy)
+}
+
+fn run_layer2(
+    scenario: &Scenario,
+    db: &CharacterizationDb,
+    plan: &FaultPlan,
+    policy: RetryPolicy,
+) -> Outcome {
+    faulted(Layer::L2 { correlation: false }, scenario, db, plan, policy)
+}
 
 /// Three single-beat writes — single-beat so the block-atomic layer-2
 /// transfer commits at the same cycle as the beat-level models and the
@@ -33,7 +70,7 @@ fn all_layers(
     db: &CharacterizationDb,
     plan: &FaultPlan,
     policy: RetryPolicy,
-) -> (FaultRun, FaultRun, FaultRun) {
+) -> (Outcome, Outcome, Outcome) {
     (
         run_reference(scenario, plan, policy),
         run_layer1(scenario, db, plan, policy),
@@ -44,7 +81,7 @@ fn all_layers(
 /// Asserts the layer-invariant fault contract for one plan: identical
 /// final outcomes, identical fault counters, identical committed
 /// memory, layer 1 cycle-exact against the reference.
-fn assert_agreement(tag: &str, rtl: &FaultRun, l1: &FaultRun, l2: &FaultRun) {
+fn assert_agreement(tag: &str, rtl: &Outcome, l1: &Outcome, l2: &Outcome) {
     assert_eq!(rtl.outcomes, l1.outcomes, "{tag}: rtl vs l1 outcomes");
     assert_eq!(l1.outcomes, l2.outcomes, "{tag}: l1 vs l2 outcomes");
     assert_eq!(rtl.counters, l1.counters, "{tag}: rtl vs l1 counters");

@@ -13,8 +13,8 @@ use hierbus::ec::sequences::{self, SCENARIO_BASE};
 use hierbus::ec::{
     BurstLen, FaultKind, FaultPlan, MasterOp, OpFault, RetryPolicy, Scenario, WaitProfile,
 };
-use hierbus::harness::{scenario_slave, MAX_CYCLES};
 use hierbus::obs::{Phase, TraceCollector};
+use hierbus::power::run::{scenario_slave, MAX_CYCLES};
 use hierbus::rtl::{GlitchConfig, PowerConfig, RtlSystem, SimpleMem};
 
 fn rtl_spans(scenario: &Scenario) -> TraceCollector {

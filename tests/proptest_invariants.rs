@@ -13,6 +13,7 @@ use hierbus::ec::sequences::{MasterOp, Scenario};
 use hierbus::ec::{
     AccessKind, AccessRights, Address, AddressRange, BurstLen, DataWidth, SlaveConfig, WaitProfile,
 };
+use hierbus::power::{Capture, CharacterizationDb, Layer, MasterFaults, Outcome, RunSpec, Session};
 use hierbus::rtl::{GlitchConfig, PowerConfig, RtlSystem, SimpleMem};
 use hierbus::sim::SplitMix64;
 
@@ -97,6 +98,30 @@ fn run_rtl(scenario: &Scenario) -> hierbus::rtl::RunReport {
     );
     sys.run(1_000_000)
 }
+
+/// `scenario` at `layer` under one fault plan, full capture; the
+/// reference runs on the ideal netlist.
+fn faulted(
+    layer: Layer,
+    scenario: &Scenario,
+    db: &CharacterizationDb,
+    plan: &hierbus::ec::FaultPlan,
+    policy: hierbus::ec::RetryPolicy,
+) -> Outcome {
+    let faults = vec![MasterFaults::new(0, plan.clone(), policy)];
+    let spec = RunSpec::new(layer, Capture::Full).with_faults(faults);
+    Session::new(db).run(&spec, &scenario.clone().into())
+}
+
+/// A full run with the attribution pieces split out.
+struct Attributed {
+    run: Outcome,
+    ledger: hierbus::obs::EnergyLedger,
+    trace: Vec<f64>,
+}
+
+const GATE: Layer = Layer::Rtl { glitches: false };
+const L2: Layer = Layer::L2 { correlation: false };
 
 fn run_l1(scenario: &Scenario) -> hierbus::core::TlmReport {
     let mem = MemSlave::new(slave_config(scenario.waits));
@@ -300,10 +325,11 @@ fn reset_reused_model_replays_bit_exact() {
 
 #[test]
 fn reset_reused_session_replays_scenarios_bit_exact() {
-    // The same contract one level up: harness::Layer1Session reuse
-    // versus a fresh run_layer1 per scenario.
+    // The same contract one level up: a reused session's full layer-1
+    // runs versus a fresh run_layer1 per scenario.
     let db = hierbus::harness::shared_db();
-    let mut session = hierbus::harness::Layer1Session::new(&db);
+    let mut session = Session::new(&db);
+    let full = RunSpec::new(Layer::L1, Capture::Full);
     for case in 0..8 {
         let mut rng = SplitMix64::new(0xBE55_0000 + case);
         let scenario = Scenario {
@@ -311,7 +337,7 @@ fn reset_reused_session_replays_scenarios_bit_exact() {
             ops: arb_ops(&mut rng, 1, 30).into(),
             waits: arb_waits(&mut rng),
         };
-        let reused = session.run(&scenario);
+        let reused = session.run(&full, &scenario.clone().into());
         let fresh = hierbus::harness::run_layer1(&scenario, &db);
         assert_eq!(
             fresh.energy_pj.to_bits(),
@@ -330,7 +356,8 @@ fn lean_session_matches_full_runner_bit_exact() {
     // — pure observers — so its scalar outcome must still equal the
     // full-fidelity runner's bit for bit, across reset-reuse.
     let db = hierbus::harness::shared_db();
-    let mut session = hierbus::harness::Layer1LeanSession::new(&db);
+    let mut session = Session::new(&db);
+    let lean_spec = RunSpec::new(Layer::L1, Capture::Lean);
     for case in 0..8 {
         let mut rng = SplitMix64::new(0x1EA4_0000 + case);
         let scenario = Scenario {
@@ -338,7 +365,7 @@ fn lean_session_matches_full_runner_bit_exact() {
             ops: arb_ops(&mut rng, 1, 30).into(),
             waits: arb_waits(&mut rng),
         };
-        let lean = session.run(&scenario);
+        let lean = session.run(&lean_spec, &scenario.clone().into());
         let full = hierbus::harness::run_layer1(&scenario, &db);
         assert_eq!(
             full.energy_pj.to_bits(),
@@ -369,7 +396,6 @@ fn arb_single_ops(rng: &mut SplitMix64, lo: usize, hi: usize) -> Vec<MasterOp> {
 #[test]
 fn fault_outcomes_agree_across_all_layers_under_random_plans() {
     use hierbus::ec::{FaultParams, FaultPlan, RetryPolicy};
-    use hierbus::harness::fault::{run_layer1, run_layer2, run_reference};
     let db = hierbus::harness::shared_db();
     for case in 0..CASES {
         let seed = 0x7FA0_0000 + case;
@@ -381,9 +407,9 @@ fn fault_outcomes_agree_across_all_layers_under_random_plans() {
         };
         let plan = FaultPlan::random(seed, scenario.ops.len(), FaultParams::default());
         let policy = RetryPolicy::retries(2);
-        let rtl = run_reference(&scenario, &plan, policy);
-        let l1 = run_layer1(&scenario, &db, &plan, policy);
-        let l2 = run_layer2(&scenario, &db, &plan, policy);
+        let rtl = faulted(GATE, &scenario, &db, &plan, policy);
+        let l1 = faulted(Layer::L1, &scenario, &db, &plan, policy);
+        let l2 = faulted(L2, &scenario, &db, &plan, policy);
         // Same final verdict for every stimulus op, at every layer.
         assert_eq!(rtl.outcomes, l1.outcomes, "seed {seed:#x}: rtl vs l1");
         assert_eq!(l1.outcomes, l2.outcomes, "seed {seed:#x}: l1 vs l2");
@@ -412,7 +438,6 @@ fn fault_outcomes_agree_across_all_layers_under_random_plans() {
 #[test]
 fn random_tears_commit_identical_memory_on_single_beat_traffic() {
     use hierbus::ec::{FaultPlan, RetryPolicy};
-    use hierbus::harness::fault::{run_layer1, run_layer2, run_reference};
     let db = hierbus::harness::shared_db();
     for case in 0..CASES {
         let seed = 0x8EA2_0000 + case;
@@ -424,9 +449,9 @@ fn random_tears_commit_identical_memory_on_single_beat_traffic() {
         };
         let tear = rng.range_u64(0, 80);
         let plan = FaultPlan::new().with_tear(tear);
-        let rtl = run_reference(&scenario, &plan, RetryPolicy::NONE);
-        let l1 = run_layer1(&scenario, &db, &plan, RetryPolicy::NONE);
-        let l2 = run_layer2(&scenario, &db, &plan, RetryPolicy::NONE);
+        let rtl = faulted(GATE, &scenario, &db, &plan, RetryPolicy::NONE);
+        let l1 = faulted(Layer::L1, &scenario, &db, &plan, RetryPolicy::NONE);
+        let l2 = faulted(L2, &scenario, &db, &plan, RetryPolicy::NONE);
         assert_eq!(rtl.outcomes, l1.outcomes, "seed {seed:#x} tear@{tear}");
         assert_eq!(l1.outcomes, l2.outcomes, "seed {seed:#x} tear@{tear}");
         assert_eq!(rtl.memory, l1.memory, "seed {seed:#x} tear@{tear}");
@@ -437,7 +462,6 @@ fn random_tears_commit_identical_memory_on_single_beat_traffic() {
 #[test]
 fn faulted_runs_reproduce_from_their_seed() {
     use hierbus::ec::{FaultParams, FaultPlan, RetryPolicy};
-    use hierbus::harness::fault::run_layer1;
     let db = hierbus::harness::shared_db();
     let seed = 0x9D0C_0005u64;
     let mk = || {
@@ -452,8 +476,8 @@ fn faulted_runs_reproduce_from_their_seed() {
     let plan_a = FaultPlan::random(seed, a.ops.len(), FaultParams::default());
     let plan_b = FaultPlan::random(seed, b.ops.len(), FaultParams::default());
     assert_eq!(plan_a, plan_b, "plan generation must be seed-deterministic");
-    let ra = run_layer1(&a, &db, &plan_a, RetryPolicy::retries(2));
-    let rb = run_layer1(&b, &db, &plan_b, RetryPolicy::retries(2));
+    let ra = faulted(Layer::L1, &a, &db, &plan_a, RetryPolicy::retries(2));
+    let rb = faulted(Layer::L1, &b, &db, &plan_b, RetryPolicy::retries(2));
     assert_eq!(ra.outcomes, rb.outcomes);
     assert_eq!(ra.cycles, rb.cycles);
     assert_eq!(ra.memory, rb.memory);
@@ -544,12 +568,12 @@ fn attribution_ledger_matches_bitloop_buckets() {
             waits: arb_waits(&mut rng),
         };
         // Production path with spans + trace + ledger.
-        let packed = hierbus::harness::fault::run_layer1_attributed(
-            &scenario,
-            &db,
-            &hierbus::ec::FaultPlan::new(),
-            hierbus::ec::RetryPolicy::NONE,
-        );
+        let run = hierbus::harness::run_layer1(&scenario, &db);
+        let packed = Attributed {
+            ledger: run.ledger.clone(),
+            trace: run.trace.clone(),
+            run,
+        };
         // Bit-loop path through the same observed bus wiring.
         let mem = MemSlave::new(slave_config(scenario.waits));
         let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
@@ -563,7 +587,7 @@ fn attribution_ledger_matches_bitloop_buckets() {
         });
         let spans = sys.bus().obs().spans().to_vec();
         let ledger = model
-            .ledger(&spans, &hierbus::harness::scenario_slave_map())
+            .ledger(&spans, &hierbus::power::run::scenario_slave_map())
             .expect("trace enabled");
         assert_eq!(packed.ledger, ledger, "seed {seed:#x}: ledger buckets");
         assert_eq!(

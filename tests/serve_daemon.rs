@@ -462,7 +462,10 @@ fn served_multi_results_match_the_multi_harness_bit_exactly() {
         let Materialized::Multi(ms) = specs[index].materialize().unwrap() else {
             panic!("multi specs are multi-master")
         };
-        let expected = harness::multi::run_layer1(&ms, &db, &[]);
+        let expected = hierbus::power::Session::new(&db).run(
+            &hierbus::power::RunSpec::new(hierbus::power::Layer::L1, hierbus::power::Capture::Full),
+            &ms.into(),
+        );
         let payload = field(event, "result");
         assert_eq!(
             payload.get("cycles").unwrap().as_u64(),
