@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Local CI gate — the same steps the GitHub Actions workflow runs.
+# The CI pipeline: the GitHub Actions workflow runs exactly this script.
 # Everything is offline: the workspace has no external dependencies.
 set -euo pipefail
 cd "$(dirname "$0")"
@@ -19,8 +19,16 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "==> frozen benchmark build (offline)"
 # benchmark/ is a package of its own (frozen sources and lockfile) that
 # calls the public harness and serve APIs; building it here turns an API
-# break into a CI failure instead of a broken benchmark pipeline.
-cargo build --release --offline --manifest-path benchmark/Cargo.toml
+# break into a CI failure instead of a broken benchmark pipeline. Cargo
+# rewrites the frozen lockfile whenever a workspace crate's dependencies
+# change, so restore it afterwards: a CI run leaves benchmark/ untouched.
+bench_lock="$(mktemp)"
+cp benchmark/Cargo.lock "$bench_lock"
+bench_status=0
+cargo build --release --offline --manifest-path benchmark/Cargo.toml || bench_status=$?
+cp "$bench_lock" benchmark/Cargo.lock
+rm -f "$bench_lock"
+[ "$bench_status" -eq 0 ] || exit "$bench_status"
 
 echo "==> campaign smoke (2 workers, tiny matrix)"
 cargo run --release -p hierbus-bench --bin explore_jcvm -- --smoke --workers 2
@@ -82,7 +90,7 @@ echo "==> serve telemetry gate (traces, event log, exposition)"
 cargo run --release -p hierbus-bench --bin check_telemetry
 
 echo "==> throughput JSON schema gate"
-# BENCH_throughput.json must parse and carry the speedup/scaling fields
+# BENCH_throughput.json must parse and carry the campaign scaling fields
 # the regression tracking depends on, with the production layer-1 path
 # at least as fast as the bit-loop reference in the same run.
 cargo run --release -p hierbus-bench --bin check_throughput

@@ -4,22 +4,18 @@
 //! The throughput trajectory is only useful for regression tracking if
 //! every revision writes the same shape, so this binary verifies the
 //! committed file parses and carries the fields the scaling analysis
-//! depends on: each `campaign_*` section must list per-worker entries
-//! with `workers`, `scenarios_per_s`, `old_scenarios_per_s`, `speedup`
-//! (new-engine vs old-engine throughput at the same worker count) and
-//! `scaling` (new-engine throughput vs its own 1-worker point), and the
-//! `layers` section must carry the Table 3 kT/s numbers including the
-//! hot-path old-vs-new pair. Worker entries may additionally carry the
-//! profiler-derived `busy_frac` and `utilization` fractions; files
-//! written before the profiler existed omit them, so they are optional —
-//! but when present they must be numeric and in `[0, 1]`. The `serve`
-//! section (written by `serve_bench`) must list per-worker cold/warm
-//! request latencies with the warm one strictly below the cold one —
-//! the daemon's result cache earning its keep. The `layers` section is
-//! additionally gated on `tlm1_hotpath_speedup` — the production layer-1
-//! path must be at least as fast as the bit-loop reference it replaced,
-//! measured in the same run. Exits non-zero with a description of the
-//! first violation.
+//! depends on. The `campaign_explore` section (written by
+//! `table3_simperf`) must list per-worker entries with `workers`,
+//! `scenarios_per_s`, `scaling` (throughput vs the 1-worker point), the
+//! profiler-derived `busy_frac` and `utilization` fractions (numeric
+//! and in `[0, 1]`) and `idle_workers` (a whole worker count). The
+//! `layers` section must carry the Table 3 kT/s numbers and is gated on
+//! `tlm1_hotpath_speedup` — the production layer-1 path must be at
+//! least as fast as the bit-loop reference it replaced, measured in the
+//! same run. The `serve` section (written by `serve_bench`) must list
+//! per-worker cold/warm request latencies with the warm one strictly
+//! below the cold one — the daemon's result cache earning its keep.
+//! Exits non-zero with a description of the first violation.
 //!
 //! Run with `cargo run --release -p hierbus-bench --bin check_throughput`.
 
@@ -42,18 +38,10 @@ const LAYER_FIELDS: &[&str] = &[
 /// same `table3_simperf` run.
 const MIN_HOTPATH_SPEEDUP: f64 = 1.0;
 
-const WORKER_FIELDS: &[&str] = &[
-    "workers",
-    "scenarios_per_s",
-    "old_scenarios_per_s",
-    "speedup",
-    "scaling",
-];
+const WORKER_FIELDS: &[&str] = &["workers", "scenarios_per_s", "scaling"];
 
-/// Fields added by the pool profiler: optional for backwards
-/// compatibility with pre-profiler files, but unit-interval fractions
-/// whenever they appear.
-const OPTIONAL_FRACTION_FIELDS: &[&str] = &["busy_frac", "utilization"];
+/// Per-worker pool-profiler fields: unit-interval fractions.
+const FRACTION_FIELDS: &[&str] = &["busy_frac", "utilization"];
 
 /// Per-worker fields of the daemon's steady-state serving section.
 const SERVE_FIELDS: &[&str] = &[
@@ -95,48 +83,52 @@ fn check(root: &Json) -> Result<(), String> {
              (tlm1_with_kts vs tlm1_with_reference_kts, same run)"
         ));
     }
-    for section in ["campaign_bus", "campaign_explore"] {
-        let s = root
-            .get(section)
-            .ok_or(format!("missing section: {section}"))?;
-        s.get("scenarios")
-            .and_then(Json::as_u64)
-            .ok_or(format!("{section}: missing scenarios count"))?;
-        let workers = s
-            .get("workers")
-            .and_then(Json::as_arr)
-            .ok_or(format!("{section}: missing workers array"))?;
-        if workers.is_empty() {
-            return Err(format!("{section}: empty workers array"));
-        }
-        for (i, entry) in workers.iter().enumerate() {
-            for field in WORKER_FIELDS {
-                entry.get(field).and_then(Json::as_f64).ok_or(format!(
-                    "{section}: workers[{i}] missing or non-numeric field {field}"
-                ))?;
-            }
-            for field in OPTIONAL_FRACTION_FIELDS {
-                if let Some(value) = entry.get(field) {
-                    let v = value
-                        .as_f64()
-                        .ok_or(format!("{section}: workers[{i}] non-numeric field {field}"))?;
-                    if !(0.0..=1.0).contains(&v) {
-                        return Err(format!(
-                            "{section}: workers[{i}] field {field} = {v} outside [0, 1]"
-                        ));
-                    }
-                }
-            }
-            // Optional like the fractions (pre-daemon files omit it),
-            // but a whole worker count when present.
-            if let Some(value) = entry.get("idle_workers") {
-                value.as_u64().ok_or(format!(
-                    "{section}: workers[{i}] idle_workers must be a non-negative integer"
-                ))?;
-            }
-        }
-    }
+    check_campaign(root)?;
     check_serve(root)
+}
+
+/// The exploration campaign's scaling curve, written by
+/// `table3_simperf`: per-worker throughput plus the pool profiler's
+/// busy/utilization fractions and idle-worker count.
+fn check_campaign(root: &Json) -> Result<(), String> {
+    const SECTION: &str = "campaign_explore";
+    let s = root
+        .get(SECTION)
+        .ok_or(format!("missing section: {SECTION}"))?;
+    s.get("scenarios")
+        .and_then(Json::as_u64)
+        .ok_or(format!("{SECTION}: missing scenarios count"))?;
+    let workers = s
+        .get("workers")
+        .and_then(Json::as_arr)
+        .ok_or(format!("{SECTION}: missing workers array"))?;
+    if workers.is_empty() {
+        return Err(format!("{SECTION}: empty workers array"));
+    }
+    for (i, entry) in workers.iter().enumerate() {
+        for field in WORKER_FIELDS {
+            entry.get(field).and_then(Json::as_f64).ok_or(format!(
+                "{SECTION}: workers[{i}] missing or non-numeric field {field}"
+            ))?;
+        }
+        for field in FRACTION_FIELDS {
+            let v = entry.get(field).and_then(Json::as_f64).ok_or(format!(
+                "{SECTION}: workers[{i}] missing or non-numeric field {field}"
+            ))?;
+            if !(0.0..=1.0).contains(&v) {
+                return Err(format!(
+                    "{SECTION}: workers[{i}] field {field} = {v} outside [0, 1]"
+                ));
+            }
+        }
+        entry
+            .get("idle_workers")
+            .and_then(Json::as_u64)
+            .ok_or(format!(
+                "{SECTION}: workers[{i}] idle_workers must be a non-negative integer"
+            ))?;
+    }
+    Ok(())
 }
 
 /// The daemon's steady-state serving section: per-worker cold/warm

@@ -15,9 +15,8 @@
 
 use hierbus::harness;
 use hierbus::observe;
-use hierbus_bench::TextTable;
-use hierbus_campaign::{CampaignPayload, ClaimStrategy, Json, Matrix};
-use hierbus_ec::sequences::{random_mix, MixParams};
+use hierbus_bench::{table3_mix, TextTable};
+use hierbus_campaign::{CampaignOptions, CampaignPayload, Json, Matrix};
 use hierbus_obs::profiling::{scaling_audit, AuditInput, CountingAlloc};
 use hierbus_power::{Capture, Layer, Materialized, RunSpec, Session};
 use std::path::Path;
@@ -61,32 +60,17 @@ fn main() -> ExitCode {
 
     let seeds: Vec<u64> = (0..seed_count).map(|i| 0xBE9C + 0x101 * i).collect();
     let matrix = Matrix::new().axis("seed", seeds.iter().map(|s| format!("{s:#06x}")));
-    let scenarios: Vec<Materialized> = seeds
-        .iter()
-        .map(|&s| {
-            random_mix(
-                s,
-                MixParams {
-                    count: txns,
-                    read_pct: 50,
-                    burst_pct: 40,
-                    fetch_pct: 30,
-                    max_idle: 0,
-                    ..MixParams::default()
-                },
-            )
-            .into()
-        })
-        .collect();
+    let scenarios: Vec<Materialized> = seeds.iter().map(|&s| table3_mix(s, txns).into()).collect();
     let db = harness::standard_db();
 
     let lean = RunSpec::new(Layer::L1, Capture::Lean);
-    let points = hierbus_campaign::measure_scaling_profiled::<Session, MixCell, _, _>(
+    let points = hierbus_campaign::measure_scaling::<Session, MixCell, _, _>(
         &matrix,
-        "scaling_audit_bus",
+        &CampaignOptions {
+            profile: true,
+            ..CampaignOptions::sequential("scaling_audit_bus")
+        },
         &WORKER_COUNTS,
-        ClaimStrategy::Chunked,
-        true,
         || Session::new(&db),
         |session, point| {
             let run = session.run(&lean, &scenarios[point.coords[0]]);
@@ -106,7 +90,7 @@ fn main() -> ExitCode {
             profile: p
                 .profile
                 .clone()
-                .expect("measure_scaling_profiled(profile=true) always attaches a profile"),
+                .expect("a profiled measure_scaling always attaches a profile"),
         })
         .collect();
     let audit = scaling_audit("scaling_audit_bus", seeds.len(), &inputs);

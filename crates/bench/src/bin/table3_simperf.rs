@@ -14,43 +14,50 @@
 //! `cargo run --release -p hierbus-bench --bin table3_simperf`.
 
 use hierbus::harness;
-use hierbus_bench::{grouped, TextTable, THROUGHPUT_JSON};
-use hierbus_campaign::Json;
-use hierbus_ec::sequences::{random_mix, MixParams};
+use hierbus_bench::{grouped, table3_mix, TextTable, THROUGHPUT_JSON};
+use hierbus_campaign::{CampaignOptions, Json};
+use hierbus_ec::SignalFrame;
 use hierbus_jcvm::workloads::standard_workloads;
-use hierbus_jcvm::{explore_matrix, IfaceConfig};
-use hierbus_power::{Capture, Layer, Materialized, RunSpec, Session};
+use hierbus_jcvm::{explore_matrix, ExplorationRow, ExploreSession, IfaceConfig};
+use hierbus_power::{
+    Capture, CharacterizationDb, Layer, Layer1EnergyModel, Materialized, RunSpec, Session,
+};
 use std::time::Instant;
 
+/// Seed of the measured Table 3 mix.
+const SEED: u64 = 0xBE9C;
 /// Transactions in the measured mix ("all combinations between single
 /// read, single write, burst read, and burst write transactions").
 const TXNS: usize = 60_000;
+/// Frames in the synthetic stream of the model-only hot-path pair.
+const FRAMES: u64 = 1_000_000;
 const REPS: u32 = 3;
 
-fn mix() -> hierbus_ec::Scenario {
-    random_mix(
-        0xBE9C,
-        MixParams {
-            count: TXNS,
-            read_pct: 50,
-            burst_pct: 40,
-            fetch_pct: 30,
-            max_idle: 0,
-            ..MixParams::default()
-        },
-    )
-}
-
-/// Runs `f` `REPS` times and returns the best kT/s.
+/// Runs `f` `REPS` times and returns the best throughput in thousands
+/// of the items (transactions or frames) `f` reports per second.
 fn measure(mut f: impl FnMut() -> u64) -> f64 {
     let mut best = 0.0f64;
     for _ in 0..REPS {
         let start = Instant::now();
-        let txns = f();
+        let items = f();
         let secs = start.elapsed().as_secs_f64();
-        best = best.max(txns as f64 / secs / 1000.0);
+        best = best.max(items as f64 / secs / 1000.0);
     }
     best
+}
+
+/// Feeds [`FRAMES`] synthetic frames (no bus) through `on` on a fresh
+/// layer-1 model; returns the frame count.
+fn frame_stream(on: impl Fn(&mut Layer1EnergyModel, &SignalFrame)) -> u64 {
+    let mut model = Layer1EnergyModel::new(CharacterizationDb::uniform());
+    let mut frame = SignalFrame::default();
+    for i in 0..FRAMES {
+        frame.a_addr = i.wrapping_mul(0x9E37_79B9);
+        frame.r_data = (i as u32).rotate_left(7);
+        on(&mut model, &frame);
+    }
+    std::hint::black_box(model.total_energy());
+    FRAMES
 }
 
 /// Worker counts for the campaign scaling measurement: 1, 2, 4 and the
@@ -70,7 +77,7 @@ fn main() {
         "Measuring {} transactions per run, {REPS} repetitions each...\n",
         grouped(TXNS as u64)
     );
-    let scenario = mix();
+    let scenario = table3_mix(SEED, TXNS);
     let stimulus: Materialized = scenario.clone().into();
     let db = harness::shared_db();
     let mut session = Session::new(&db);
@@ -127,8 +134,17 @@ fn main() {
     println!("{}", table3.render());
     println!(
         "Layer-1 hot path: {l1_with:.1} kT/s vs {l1_with_reference:.1} kT/s bit-loop reference \
-         ({:.2}x over reference)\n",
+         ({:.2}x over reference)",
         l1_with / l1_with_reference
+    );
+    // The same pair on the pure model path: a synthetic frame stream
+    // with no bus, so simulation cost cannot dilute the ratio.
+    let model_kfps = measure(|| frame_stream(Layer1EnergyModel::on_frame));
+    let model_reference_kfps = measure(|| frame_stream(Layer1EnergyModel::on_frame_reference));
+    println!(
+        "Layer-1 energy model alone: {model_kfps:.1} kframes/s vs {model_reference_kfps:.1} \
+         kframes/s bit-loop reference ({:.2}x over reference)\n",
+        model_kfps / model_reference_kfps
     );
 
     // Observability overhead: the span/counter probes are compiled into
@@ -152,18 +168,7 @@ fn main() {
 
     // Export an observed run of a small slice of the mix so the span
     // layout behind these numbers can be inspected in Perfetto.
-    let obs_mix = random_mix(
-        0xBE9C,
-        MixParams {
-            count: 60,
-            read_pct: 50,
-            burst_pct: 40,
-            fetch_pct: 30,
-            max_idle: 0,
-            ..MixParams::default()
-        },
-    );
-    let mut run = hierbus::observe::run_observed(&obs_mix, &db);
+    let mut run = hierbus::observe::run_observed(&table3_mix(SEED, 60), &db);
     run.name = "table3_simperf".to_owned();
     match hierbus::observe::export(&run, &hierbus::observe::default_dir()) {
         Ok((trace, csv)) => println!(
@@ -175,46 +180,19 @@ fn main() {
     }
 
     // Campaign throughput scaling: the §4.3 exploration matrix on the
-    // worker pool. The matrix is a slice of the full sweep (8 interface
-    // configurations × every workload) so the measurement stays quick;
-    // scenarios/s is what a designer's exploration loop actually feels.
+    // worker pool, one reset-reused session per worker. The matrix is a
+    // slice of the full sweep (8 interface configurations × every
+    // workload) so the measurement stays quick; scenarios/s is what a
+    // designer's exploration loop actually feels.
     let mut configs = IfaceConfig::all_variants(0x8000);
     configs.truncate(8);
     let workloads = standard_workloads();
     let matrix = explore_matrix(&configs, &workloads);
-    let worker_counts = scaling_worker_counts();
-    // Old engine arm: per-scenario claiming with a fresh energy model
-    // per scenario driving the bit-loop reference diff — the code path
-    // the committed baseline measured.
-    let old_scaling =
-        hierbus_campaign::measure_scaling_with::<(), hierbus_jcvm::ExplorationRow, _, _>(
-            &matrix,
-            "table3_campaign_old",
-            &worker_counts,
-            hierbus_campaign::ClaimStrategy::PerScenario,
-            || (),
-            |(), point| {
-                hierbus_jcvm::run_config_reference(
-                    configs[point.coords[0]],
-                    &workloads[point.coords[1]],
-                    &db,
-                )
-                .expect("exploration scenario runs")
-            },
-        );
-    // New engine arm: chunked claiming, one reset-reused session per
-    // worker.
-    let scaling = hierbus_campaign::measure_scaling_with::<
-        hierbus_jcvm::ExploreSession,
-        hierbus_jcvm::ExplorationRow,
-        _,
-        _,
-    >(
+    let scaling = hierbus_campaign::measure_scaling::<ExploreSession, ExplorationRow, _, _>(
         &matrix,
-        "table3_campaign",
-        &worker_counts,
-        hierbus_campaign::ClaimStrategy::Chunked,
-        || hierbus_jcvm::ExploreSession::new(&db),
+        &CampaignOptions::sequential("table3_campaign"),
+        &scaling_worker_counts(),
+        || ExploreSession::new(&db),
         |session, point| {
             session
                 .run(configs[point.coords[0]], &workloads[point.coords[1]])
@@ -222,22 +200,13 @@ fn main() {
         },
     );
     let base_sps = scaling[0].scenarios_per_sec;
-    let mut scale_table = TextTable::new([
-        "workers",
-        "wall",
-        "scenarios/s",
-        "old scen/s",
-        "speedup (new/old)",
-        "scaling (vs 1w)",
-        "busy",
-    ]);
-    for (p, old) in scaling.iter().zip(&old_scaling) {
+    let mut scale_table =
+        TextTable::new(["workers", "wall", "scenarios/s", "scaling (vs 1w)", "busy"]);
+    for p in &scaling {
         scale_table.row([
             p.workers.to_string(),
             format!("{:.2?}", p.wall),
             format!("{:.1}", p.scenarios_per_sec),
-            format!("{:.1}", old.scenarios_per_sec),
-            format!("{:.2}x", p.scenarios_per_sec / old.scenarios_per_sec),
             format!("{:.2}x", p.scenarios_per_sec / base_sps),
             format!("{:.0}%", p.busy_frac * 100.0),
         ]);
@@ -272,19 +241,10 @@ fn main() {
             Json::Arr(
                 scaling
                     .iter()
-                    .zip(&old_scaling)
-                    .map(|(p, old)| {
+                    .map(|p| {
                         Json::Obj(vec![
                             ("workers".to_owned(), Json::Num(p.workers as f64)),
                             ("scenarios_per_s".to_owned(), Json::Num(p.scenarios_per_sec)),
-                            (
-                                "old_scenarios_per_s".to_owned(),
-                                Json::Num(old.scenarios_per_sec),
-                            ),
-                            (
-                                "speedup".to_owned(),
-                                Json::Num(p.scenarios_per_sec / old.scenarios_per_sec),
-                            ),
                             (
                                 "scaling".to_owned(),
                                 Json::Num(p.scenarios_per_sec / base_sps),
@@ -315,18 +275,7 @@ fn main() {
     }
 
     // §4.2 context: the RTL reference's throughput on a smaller run.
-    let small = random_mix(
-        0xBE9C,
-        MixParams {
-            count: 6_000,
-            read_pct: 50,
-            burst_pct: 40,
-            fetch_pct: 30,
-            max_idle: 0,
-            ..MixParams::default()
-        },
-    );
-    let small: Materialized = small.into();
+    let small: Materialized = table3_mix(SEED, 6_000).into();
     let rtl = lean(with(Layer::Rtl { glitches: true }), &small);
     let rtl_ideal = lean(with(Layer::Rtl { glitches: false }), &small);
     println!("Context (§4.2): signal-level reference with gate-level estimation:");

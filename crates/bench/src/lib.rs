@@ -6,6 +6,8 @@
 //! binaries stay small and the numbers stay consistent across tables.
 
 use hierbus_campaign::Json;
+use hierbus_ec::sequences::{random_mix, MixParams};
+use hierbus_ec::Scenario;
 use std::fmt::Write as _;
 use std::path::{Path, PathBuf};
 
@@ -125,9 +127,22 @@ pub fn time_best<R>(reps: usize, mut f: impl FnMut() -> R) -> std::time::Duratio
     best
 }
 
-/// Elements-per-second throughput for a measured duration.
-pub fn throughput(elements: u64, dt: std::time::Duration) -> f64 {
-    elements as f64 / dt.as_secs_f64()
+/// The Table 3 stimulus: `count` transactions of "all combinations
+/// between single read, single write, burst read, and burst write
+/// transactions", back to back, drawn from `seed`. Every perf bin
+/// measures this one mix so their numbers compare.
+pub fn table3_mix(seed: u64, count: usize) -> Scenario {
+    random_mix(
+        seed,
+        MixParams {
+            count,
+            read_pct: 50,
+            burst_pct: 40,
+            fetch_pct: 30,
+            max_idle: 0,
+            ..MixParams::default()
+        },
+    )
 }
 
 /// Returns the results directory (optionally a subdirectory of it),

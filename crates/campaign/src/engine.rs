@@ -33,30 +33,12 @@ pub trait CampaignPayload: Sized + Send {
     fn from_json(json: &Json) -> Option<Self>;
 }
 
-/// How workers claim scenarios from the shared work list.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ClaimStrategy {
-    /// Claim contiguous chunks sized from `todo / (workers × 4)` — one
-    /// atomic op per chunk, keeping claim overhead off the per-scenario
-    /// path while the ×4 oversubscription still balances uneven
-    /// scenario costs.
-    #[default]
-    Chunked,
-    /// Claim one scenario per atomic op — the engine's original
-    /// policy, kept as the benchmark comparator (and for differential
-    /// tests: both strategies must merge byte-identically).
-    PerScenario,
-}
-
-impl ClaimStrategy {
-    /// The chunk size this strategy claims for `todo` pending scenarios
-    /// on `workers` threads (always ≥ 1).
-    pub fn chunk_size(self, todo: usize, workers: usize) -> usize {
-        match self {
-            ClaimStrategy::PerScenario => 1,
-            ClaimStrategy::Chunked => (todo / (workers * 4)).max(1),
-        }
-    }
+/// The chunk of contiguous scenarios a worker claims per atomic op for
+/// `todo` pending scenarios on `workers` threads (always ≥ 1): one
+/// claim per chunk keeps claim overhead off the per-scenario path,
+/// while the ×4 oversubscription still balances uneven scenario costs.
+fn chunk_size(todo: usize, workers: usize) -> usize {
+    (todo / (workers * 4)).max(1)
 }
 
 /// How a campaign executes.
@@ -73,9 +55,6 @@ pub struct CampaignOptions {
     /// Process only the first `limit` scenarios of the matrix —
     /// simulates an interrupted campaign and powers CI smoke runs.
     pub limit: Option<usize>,
-    /// Work-claiming policy; [`ClaimStrategy::Chunked`] unless a
-    /// benchmark explicitly asks for the legacy comparator.
-    pub claim: ClaimStrategy,
     /// Record per-worker phase timelines and contention counters into
     /// [`CampaignReport::profile`]. Off by default: a disabled profiler
     /// reduces every probe to one branch (no clock reads, no
@@ -104,7 +83,6 @@ impl CampaignOptions {
             workers: 1,
             manifest_path: None,
             limit: None,
-            claim: ClaimStrategy::default(),
             profile: false,
             trace_id: None,
             epoch: None,
@@ -248,26 +226,6 @@ where
     run_with(matrix, opts, || (), |(), point| runner(point))
 }
 
-/// Like [`run`], with per-worker mutable state: `make_state` builds one
-/// `S` per worker thread, and the runner receives it exclusively for
-/// every scenario that worker claims — the hook for reusing simulators
-/// and scratch buffers across scenarios (via a `reset()` path) instead
-/// of rebuilding them per scenario.
-///
-/// Determinism contract: the runner must produce the same result for a
-/// point whether its state is fresh or reused — reset-reuse must be
-/// observationally identical to rebuilding. Under that contract the
-/// merged output stays byte-identical for any worker count and claim
-/// strategy, exactly as for [`run`].
-///
-/// # Errors
-///
-/// I/O errors from manifest loading or saving, as for [`run`].
-///
-/// # Panics
-///
-/// A runner (or `make_state`) panic on any worker propagates after the
-/// other workers finish their current chunk.
 /// Execution context handed to a [`run_with_sink`] sink with each
 /// result: which point finished, on which worker, when (µs since
 /// [`CampaignOptions::epoch`] or the campaign start), and under which
@@ -287,6 +245,26 @@ pub struct SinkScope<'a> {
     pub finished_us: u64,
 }
 
+/// Like [`run`], with per-worker mutable state: `make_state` builds one
+/// `S` per worker thread, and the runner receives it exclusively for
+/// every scenario that worker claims — the hook for reusing simulators
+/// and scratch buffers across scenarios (via a `reset()` path) instead
+/// of rebuilding them per scenario.
+///
+/// Determinism contract: the runner must produce the same result for a
+/// point whether its state is fresh or reused — reset-reuse must be
+/// observationally identical to rebuilding. Under that contract the
+/// merged output stays byte-identical for any worker count and chunk
+/// size, exactly as for [`run`].
+///
+/// # Errors
+///
+/// I/O errors from manifest loading or saving, as for [`run`].
+///
+/// # Panics
+///
+/// A runner (or `make_state`) panic on any worker propagates after the
+/// other workers finish their current chunk.
 pub fn run_with<S, R, F, I>(
     matrix: &Matrix,
     opts: &CampaignOptions,
@@ -360,7 +338,7 @@ where
     let limit = opts.limit.unwrap_or(total).min(total);
     let todo: Vec<usize> = (0..limit).filter(|&i| results[i].is_none()).collect();
     let workers = opts.workers.max(1).min(todo.len().max(1));
-    let chunk = opts.claim.chunk_size(todo.len(), workers);
+    let chunk = chunk_size(todo.len(), workers);
 
     let profiler = Profiler::new(opts.profile);
     let started = Instant::now();
@@ -551,8 +529,8 @@ pub struct ScalingPoint {
     pub utilization: f64,
     /// Workers that completed no scenario at all during the best run.
     pub idle_workers: usize,
-    /// The best run's pool profile; `Some` iff measured through
-    /// [`measure_scaling_profiled`].
+    /// The best run's pool profile; `Some` iff measured with
+    /// [`CampaignOptions::profile`] set.
     pub profile: Option<PoolProfile>,
 }
 
@@ -588,81 +566,28 @@ impl ScalingPoint {
 /// crate, so transient scheduler noise cannot fake a scaling cliff.
 pub const SCALING_REPS: usize = 5;
 
-/// Runs the full campaign fresh (no manifest) [`SCALING_REPS`] times
-/// per worker count and reports the best-of-N throughput trajectory —
-/// the campaign-engine analog of Table 3's kT/s column.
+/// Runs the full campaign fresh [`SCALING_REPS`] times per worker count
+/// over the stateful [`run_with`] path and reports the best-of-N
+/// throughput trajectory — the campaign-engine analog of Table 3's kT/s
+/// column.
 ///
-/// # Panics
-///
-/// Propagates runner panics, like [`run`].
-pub fn measure_scaling<R, F>(
-    matrix: &Matrix,
-    name: &str,
-    worker_counts: &[usize],
-    runner: F,
-) -> Vec<ScalingPoint>
-where
-    R: CampaignPayload + Send,
-    F: Fn(&ScenarioPoint) -> R + Sync,
-{
-    measure_scaling_with(
-        matrix,
-        name,
-        worker_counts,
-        ClaimStrategy::default(),
-        || (),
-        |(), point| runner(point),
-    )
-}
-
-/// [`measure_scaling`] over the stateful [`run_with`] path with an
-/// explicit claim strategy — the instrument behind the old-vs-new
-/// engine comparison in `BENCH_throughput.json`.
-///
-/// # Panics
-///
-/// Propagates runner panics, like [`run`].
-pub fn measure_scaling_with<S, R, F, I>(
-    matrix: &Matrix,
-    name: &str,
-    worker_counts: &[usize],
-    claim: ClaimStrategy,
-    make_state: I,
-    runner: F,
-) -> Vec<ScalingPoint>
-where
-    R: CampaignPayload + Send,
-    I: Fn() -> S + Sync,
-    F: Fn(&mut S, &ScenarioPoint) -> R + Sync,
-{
-    measure_scaling_profiled(
-        matrix,
-        name,
-        worker_counts,
-        claim,
-        false,
-        make_state,
-        runner,
-    )
-}
-
-/// [`measure_scaling_with`] with the pool profiler optionally enabled:
-/// each [`ScalingPoint`] then carries the *best* rep's
-/// [`PoolProfile`], ready for [`scaling_audit`] — so the audit
-/// decomposes the same run the throughput number came from, not an
-/// average of noisy reps.
+/// `opts` supplies everything but the worker count, which each
+/// measurement overrides from `worker_counts`; its manifest path and
+/// limit are ignored, so every rep executes the whole matrix. With
+/// [`CampaignOptions::profile`] set, each [`ScalingPoint`] carries the
+/// *best* rep's [`PoolProfile`], ready for [`scaling_audit`] — so the
+/// audit decomposes the same run the throughput number came from, not
+/// an average of noisy reps.
 ///
 /// [`scaling_audit`]: hierbus_obs::profiling::scaling_audit
 ///
 /// # Panics
 ///
 /// Propagates runner panics, like [`run`].
-pub fn measure_scaling_profiled<S, R, F, I>(
+pub fn measure_scaling<S, R, F, I>(
     matrix: &Matrix,
-    name: &str,
+    opts: &CampaignOptions,
     worker_counts: &[usize],
-    claim: ClaimStrategy,
-    profile: bool,
     make_state: I,
     runner: F,
 ) -> Vec<ScalingPoint>
@@ -675,9 +600,10 @@ where
         .iter()
         .map(|&workers| {
             let opts = CampaignOptions {
-                claim,
-                profile,
-                ..CampaignOptions::with_workers(name, workers)
+                workers,
+                manifest_path: None,
+                limit: None,
+                ..opts.clone()
             };
             let mut best: Option<ScalingPoint> = None;
             for _ in 0..SCALING_REPS.max(1) {
@@ -852,7 +778,13 @@ mod tests {
 
     #[test]
     fn scaling_runs_every_worker_count() {
-        let points = measure_scaling::<Cell, _>(&matrix(), "toy", &[1, 2], toy_runner);
+        let points = measure_scaling::<(), Cell, _, _>(
+            &matrix(),
+            &CampaignOptions::sequential("toy"),
+            &[1, 2],
+            || (),
+            |(), p| toy_runner(p),
+        );
         assert_eq!(points.len(), 2);
         assert_eq!(points[0].workers, 1);
         assert_eq!(points[1].workers, 2);
@@ -860,30 +792,31 @@ mod tests {
 
     #[test]
     fn chunk_size_derivation() {
-        assert_eq!(ClaimStrategy::Chunked.chunk_size(64, 2), 8);
-        assert_eq!(ClaimStrategy::Chunked.chunk_size(16, 4), 1);
-        assert_eq!(ClaimStrategy::Chunked.chunk_size(0, 1), 1);
-        assert_eq!(ClaimStrategy::Chunked.chunk_size(1000, 1), 250);
-        assert_eq!(ClaimStrategy::PerScenario.chunk_size(1000, 4), 1);
+        assert_eq!(chunk_size(64, 2), 8);
+        assert_eq!(chunk_size(16, 4), 1);
+        assert_eq!(chunk_size(0, 1), 1);
+        assert_eq!(chunk_size(1000, 1), 250);
     }
 
     #[test]
-    fn claim_strategies_merge_identically() {
-        let m = matrix();
+    fn chunk_sizes_merge_identically() {
+        // 64 scenarios: chunks of 16, 8, 5 and 2 at 1, 2, 3 and 8
+        // workers, so every multi-worker merge interleaves multi-scenario
+        // chunks.
+        let m = Matrix::new().axis("i", (0..64).map(|i| i.to_string()));
         let mut renders = Vec::new();
-        for claim in [ClaimStrategy::Chunked, ClaimStrategy::PerScenario] {
-            for workers in [1, 3, 8] {
-                let opts = CampaignOptions {
-                    claim,
-                    ..CampaignOptions::with_workers("toy", workers)
-                };
-                let report = run(&m, &opts, toy_runner).unwrap();
-                assert!(report.is_complete(), "{claim:?} {workers} workers");
-                renders.push(render(&report));
-            }
+        for workers in [1, 2, 3, 8] {
+            let report = run(
+                &m,
+                &CampaignOptions::with_workers("toy", workers),
+                toy_runner,
+            )
+            .unwrap();
+            assert!(report.is_complete(), "{workers} workers");
+            renders.push(render(&report));
         }
         for r in &renders[1..] {
-            assert_eq!(r, &renders[0], "claim strategy changed the merge");
+            assert_eq!(r, &renders[0], "chunk size changed the merge");
         }
     }
 
@@ -1006,15 +939,19 @@ mod tests {
 
     #[test]
     fn profiled_scaling_points_carry_profiles_and_fractions() {
-        let points = measure_scaling_profiled::<(), Cell, _, _>(
-            &matrix(),
-            "toy",
-            &[1, 2],
-            ClaimStrategy::Chunked,
-            true,
-            || (),
-            |(), p| toy_runner(p),
-        );
+        let measure = |profile, worker_counts: &[usize]| {
+            measure_scaling::<(), Cell, _, _>(
+                &matrix(),
+                &CampaignOptions {
+                    profile,
+                    ..CampaignOptions::sequential("toy")
+                },
+                worker_counts,
+                || (),
+                |(), p| toy_runner(p),
+            )
+        };
+        let points = measure(true, &[1, 2]);
         for p in &points {
             let profile = p.profile.as_ref().expect("profiled measurement");
             assert_eq!(profile.workers.len(), p.workers.min(12));
@@ -1022,7 +959,7 @@ mod tests {
             assert!((0.0..=1.0).contains(&p.utilization), "{}", p.utilization);
         }
         // The unprofiled path stays profile-free.
-        let plain = measure_scaling::<Cell, _>(&matrix(), "toy", &[1], toy_runner);
+        let plain = measure(false, &[1]);
         assert!(plain[0].profile.is_none());
     }
 

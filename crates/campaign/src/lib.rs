@@ -39,9 +39,8 @@ pub mod manifest;
 pub mod matrix;
 
 pub use engine::{
-    measure_scaling, measure_scaling_profiled, measure_scaling_with, run, run_with, run_with_sink,
-    CampaignOptions, CampaignPayload, CampaignReport, CampaignStats, ClaimStrategy, ScalingPoint,
-    SinkScope, WorkerStats, SCALING_REPS,
+    measure_scaling, run, run_with, run_with_sink, CampaignOptions, CampaignPayload,
+    CampaignReport, CampaignStats, ScalingPoint, SinkScope, WorkerStats, SCALING_REPS,
 };
 pub use fingerprint::Fingerprint;
 pub use json::Json;

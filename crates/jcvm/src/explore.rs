@@ -202,67 +202,6 @@ pub fn run_config(
     ExploreSession::new(db).run(config, workload)
 }
 
-/// [`run_config`] through the pre-optimization hot path: a fresh energy
-/// model per point driving the bit-loop reference diff and per-toggle
-/// database lookups. Kept so the benchmarks can report the old-vs-new
-/// engine uplift on identical stimulus; must stay observationally
-/// identical to [`run_config`].
-///
-/// # Errors
-///
-/// Propagates any [`JcvmError`] the applet raises, like [`run_config`].
-pub fn run_config_reference(
-    config: IfaceConfig,
-    workload: &Workload,
-    db: &CharacterizationDb,
-) -> Result<ExplorationRow, JcvmError> {
-    let mut reference_model = Layer1EnergyModel::new(db.clone());
-    reference_model.enable_trace();
-    let model = Rc::new(RefCell::new(reference_model));
-    let slave = HwStackSlave::new(
-        AddressRange::new(Address::new(config.base), 0x100),
-        config.width,
-        config.capacity,
-        config.waits(),
-    );
-    let mut bus = Tlm1Bus::new(vec![Box::new(slave)]);
-    bus.enable_obs();
-    bus.enable_frames();
-    let mut stack = BusStack::new(bus, config);
-
-    let tap = Rc::clone(&model);
-    stack.set_observer(move |bus: &mut Tlm1Bus| {
-        tap.borrow_mut().on_frame_reference(bus.last_frame());
-    });
-
-    let mut vm = Interpreter::new();
-    let (entry, args) = (workload.build)(&mut vm);
-    let result = vm
-        .run(entry, &args, &mut stack, 50_000_000)?
-        .ok_or(JcvmError::FrameUnderflow)?;
-    assert_eq!(
-        result,
-        workload.expected,
-        "{} produced a wrong result on {}",
-        workload.name,
-        config.label()
-    );
-
-    let model = model.borrow();
-    let ledger = model
-        .ledger(stack.bus().obs().spans(), &hwstack_map(&config))
-        .expect("reference model traces");
-    Ok(ExplorationRow {
-        config: config.label(),
-        workload: workload.name.to_owned(),
-        cycles: stack.cycles(),
-        transactions: stack.transactions(),
-        energy_pj: model.total_energy(),
-        result,
-        attribution: attribution_entries(&ledger),
-    })
-}
-
 impl CampaignPayload for ExplorationRow {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
@@ -389,6 +328,62 @@ mod tests {
     use hierbus_ec::DataWidth;
 
     const BASE: u64 = 0x8000;
+
+    /// [`run_config`] through the pre-optimization hot path: a fresh
+    /// energy model per point driving the bit-loop reference diff and
+    /// per-toggle database lookups — the differential oracle the
+    /// optimized session must match bit for bit.
+    fn run_config_reference(
+        config: IfaceConfig,
+        workload: &Workload,
+        db: &CharacterizationDb,
+    ) -> Result<ExplorationRow, JcvmError> {
+        let mut reference_model = Layer1EnergyModel::new(db.clone());
+        reference_model.enable_trace();
+        let model = Rc::new(RefCell::new(reference_model));
+        let slave = HwStackSlave::new(
+            AddressRange::new(Address::new(config.base), 0x100),
+            config.width,
+            config.capacity,
+            config.waits(),
+        );
+        let mut bus = Tlm1Bus::new(vec![Box::new(slave)]);
+        bus.enable_obs();
+        bus.enable_frames();
+        let mut stack = BusStack::new(bus, config);
+
+        let tap = Rc::clone(&model);
+        stack.set_observer(move |bus: &mut Tlm1Bus| {
+            tap.borrow_mut().on_frame_reference(bus.last_frame());
+        });
+
+        let mut vm = Interpreter::new();
+        let (entry, args) = (workload.build)(&mut vm);
+        let result = vm
+            .run(entry, &args, &mut stack, 50_000_000)?
+            .ok_or(JcvmError::FrameUnderflow)?;
+        assert_eq!(
+            result,
+            workload.expected,
+            "{} produced a wrong result on {}",
+            workload.name,
+            config.label()
+        );
+
+        let model = model.borrow();
+        let ledger = model
+            .ledger(stack.bus().obs().spans(), &hwstack_map(&config))
+            .expect("reference model traces");
+        Ok(ExplorationRow {
+            config: config.label(),
+            workload: workload.name.to_owned(),
+            cycles: stack.cycles(),
+            transactions: stack.transactions(),
+            energy_pj: model.total_energy(),
+            result,
+            attribution: attribution_entries(&ledger),
+        })
+    }
 
     #[test]
     fn refined_model_matches_functional_results() {

@@ -56,8 +56,7 @@ pub use adapter::{BusStack, IfaceConfig, RegOrganization, StatusPolicy};
 pub use bytecode::{Bytecode, Method, MethodId};
 pub use error::JcvmError;
 pub use explore::{
-    explore, explore_campaign, explore_matrix, run_config, run_config_reference, ExplorationRow,
-    ExploreSession,
+    explore, explore_campaign, explore_matrix, run_config, ExplorationRow, ExploreSession,
 };
 pub use firewall::{Context, Firewall};
 pub use hwstack::HwStackSlave;

@@ -43,7 +43,7 @@
 //! batch still reports its (degraded) health.
 
 use crate::cache::ResultCache;
-use crate::proto::{self, parse_request, Op, Request, PROTOCOL_VERSION};
+use crate::proto::{self, parse_request, Op, Request, MAX_LINE_BYTES, PROTOCOL_VERSION};
 use crate::session::{db_fingerprint, LeanResult, ServeSession};
 use crate::telemetry::{RequestTrace, TraceBuilder, TraceRing, LAYER_SPAN_CAP};
 use hierbus_campaign::{run_with_sink, CampaignOptions, CampaignPayload, Json, Matrix, SinkScope};
@@ -53,7 +53,7 @@ use hierbus_obs::telemetry::{
 use hierbus_obs::{CounterId, GaugeId, HistogramId, MetricsRegistry, TraceCollector};
 use hierbus_power::CharacterizationDb;
 use std::collections::VecDeque;
-use std::io::{self, BufRead, Write};
+use std::io::{self, BufRead, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -403,12 +403,18 @@ impl Daemon {
 
         std::thread::scope(|scope| {
             scope.spawn(|| {
-                for line in input.lines() {
-                    let Ok(line) = line else { break };
-                    if line.trim().is_empty() {
-                        continue;
-                    }
-                    match parse_request(&line) {
+                let mut input = input;
+                // One line buffer for the whole session. A bad line is
+                // answered with an error event; only a read error (or
+                // EOF) ends the session.
+                let mut buf = Vec::new();
+                while let Ok(Some(line)) = read_line(&mut input, &mut buf) {
+                    let parsed = match line {
+                        Ok(text) if text.trim().is_empty() => continue,
+                        Ok(text) => parse_request(text),
+                        Err(error) => Err((String::new(), error)),
+                    };
+                    match parsed {
                         Ok(Request {
                             id,
                             op: Op::Shutdown,
@@ -1140,6 +1146,37 @@ impl<W: Write> Emitter<W> {
             None => Ok(()),
         }
     }
+}
+
+/// Reads the next request line into `buf` (cleared first, reused across
+/// lines) and returns it without its line terminator; `Ok(None)` at end
+/// of input. A line that is not UTF-8 or is longer than
+/// [`MAX_LINE_BYTES`] comes back as an error message; the rest of an
+/// over-long line is skipped unbuffered, so `buf` never grows past
+/// `MAX_LINE_BYTES + 1` bytes.
+fn read_line<'b, R: BufRead>(
+    input: &mut R,
+    buf: &'b mut Vec<u8>,
+) -> io::Result<Option<Result<&'b str, String>>> {
+    buf.clear();
+    let limit = MAX_LINE_BYTES as u64 + 1;
+    if input.by_ref().take(limit).read_until(b'\n', buf)? == 0 {
+        return Ok(None);
+    }
+    if buf.last() == Some(&b'\n') {
+        buf.pop();
+        if buf.last() == Some(&b'\r') {
+            buf.pop();
+        }
+    } else if buf.len() > MAX_LINE_BYTES {
+        input.skip_until(b'\n')?;
+        return Ok(Some(Err(format!(
+            "request line exceeds {MAX_LINE_BYTES} bytes"
+        ))));
+    }
+    Ok(Some(std::str::from_utf8(buf).map_err(|e| {
+        format!("request line is not valid UTF-8: {e}")
+    })))
 }
 
 /// What the reader thread queues for the serving loop.

@@ -35,8 +35,8 @@ pub mod telemetry;
 pub use cache::{ResultCache, CACHE_INDEX_VERSION};
 pub use daemon::{Daemon, DaemonOptions, ServeSummary, DEFAULT_CACHE_CAPACITY};
 pub use proto::{
-    parse_request, Materialized, Op, Request, ScenarioSpec, MIN_PROTOCOL_VERSION, PROTOCOL_VERSION,
-    RESULT_FORMAT_VERSION,
+    parse_request, Materialized, Op, Request, ScenarioSpec, MAX_LINE_BYTES, MIN_PROTOCOL_VERSION,
+    PROTOCOL_VERSION, RESULT_FORMAT_VERSION,
 };
 pub use session::{db_fingerprint, LeanResult, ServeSession};
 pub use telemetry::{RequestTrace, TraceBuilder, TraceRing, LAYER_SPAN_CAP};

@@ -76,6 +76,12 @@ pub const RESULT_FORMAT_VERSION: u64 = 1;
 /// that would exhaust the daemon's memory.
 pub const MAX_SPEC_OPS: u64 = 1 << 20;
 
+/// The longest request line the daemon reads, in bytes, newline
+/// excluded: far above any real request (a spec is ~100 bytes), far
+/// below a line that could exhaust the daemon's memory. A longer line
+/// is answered with an `error` event and skipped.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
+
 /// The smallest mix `window` in bytes: [`sequences::random_mix`] keeps
 /// an 8-beat burst (32 bytes) inside the window and wraps sequential
 /// addresses 32 bytes before its end, so a smaller window would

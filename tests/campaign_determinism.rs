@@ -3,13 +3,12 @@
 //! worker count, and a resumed campaign must skip completed scenarios
 //! without changing the final output.
 
-use hierbus_campaign::{
-    CampaignOptions, CampaignPayload, ClaimStrategy, Json, Matrix, ScenarioPoint,
-};
+use hierbus_campaign::{CampaignOptions, CampaignPayload, Json, Matrix, ScenarioPoint};
 use hierbus_jcvm::workloads::standard_workloads;
 use hierbus_jcvm::{
     explore_campaign, explore_matrix, run_config, ExplorationRow, ExploreSession, IfaceConfig,
 };
+use hierbus_obs::profiling::PoolPhase;
 use hierbus_power::CharacterizationDb;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -156,18 +155,23 @@ fn interrupted_campaign_resumes_without_recomputing() {
 }
 
 #[test]
-fn claim_strategies_produce_identical_output_at_every_worker_count() {
+fn chunked_claims_produce_identical_output_at_every_worker_count() {
     // Chunked claiming with reset-reused sessions must be byte-identical
-    // to the old per-scenario claiming with fresh sessions — the
-    // determinism contract of the engine optimization.
+    // at every worker count. 24 scenarios claim chunks of 6, 3, 1 and 1
+    // at 1, 2, 4 and 8 workers, so the merge is pinned both with
+    // multi-scenario chunks and with one scenario per claim.
     let db = Arc::new(CharacterizationDb::uniform());
-    let configs = test_configs();
+    let mut configs = IfaceConfig::all_variants(BASE);
+    configs.truncate(12);
     let workloads = &standard_workloads()[..2];
     let matrix = explore_matrix(&configs, workloads);
+    assert_eq!(matrix.len(), 24);
 
-    let run_at = |workers: usize, claim: ClaimStrategy| {
+    // Rendered rows plus the largest chunk any worker claimed (from the
+    // pool profile, which never changes the merged results).
+    let run_at = |workers: usize| {
         let opts = CampaignOptions {
-            claim,
+            profile: true,
             ..CampaignOptions::with_workers("claims", workers)
         };
         let report = hierbus_campaign::run_with(
@@ -181,19 +185,32 @@ fn claim_strategies_produce_identical_output_at_every_worker_count() {
             },
         )
         .unwrap();
+        let largest_claim = report
+            .profile
+            .as_ref()
+            .expect("profiling was requested")
+            .workers
+            .iter()
+            .flat_map(|w| &w.records)
+            .filter(|r| r.phase == PoolPhase::Claim)
+            .map(|r| r.arg)
+            .max();
         let rows: Vec<ExplorationRow> = report.results.into_iter().flatten().collect();
-        render(&rows)
+        (render(&rows), largest_claim)
     };
 
-    let baseline = run_at(1, ClaimStrategy::PerScenario);
-    for workers in [1usize, 2, 4, 8] {
-        for claim in [ClaimStrategy::Chunked, ClaimStrategy::PerScenario] {
-            assert_eq!(
-                run_at(workers, claim),
-                baseline,
-                "output differs at {workers} workers with {claim:?}"
-            );
-        }
+    let (baseline, _) = run_at(1);
+    for (workers, chunk) in [(1usize, 6u64), (2, 3), (4, 1), (8, 1)] {
+        let (rendered, largest_claim) = run_at(workers);
+        assert_eq!(
+            largest_claim,
+            Some(chunk),
+            "chunk size at {workers} workers"
+        );
+        assert_eq!(
+            rendered, baseline,
+            "output differs at {workers} workers (chunks of {chunk})"
+        );
     }
 }
 
@@ -218,7 +235,6 @@ fn interrupted_chunked_campaign_resumes_byte_identically() {
             &CampaignOptions {
                 manifest_path: Some(manifest.clone()),
                 limit,
-                claim: ClaimStrategy::Chunked,
                 ..CampaignOptions::with_workers("chunked_resume", workers)
             },
             || ExploreSession::new(&db),

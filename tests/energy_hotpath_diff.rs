@@ -9,7 +9,7 @@
 //! sessions, the serve runner and campaign merges) must match fresh
 //! bit-loop reference runs.
 
-use hierbus::campaign::{CampaignOptions, CampaignPayload, ClaimStrategy, Json, Matrix};
+use hierbus::campaign::{CampaignOptions, CampaignPayload, Json, Matrix};
 use hierbus::core::{HasSlaves, MultiMasterSystem};
 use hierbus::ec::sequences::{random_mix, MasterOp, MixParams, Scenario};
 use hierbus::ec::{
@@ -659,48 +659,40 @@ fn render(cells: &[Cell]) -> String {
 }
 
 /// Campaign merges through reset-reused sessions running lean layer-1
-/// runs must be byte-identical at 1, 2 and 4 workers under both claim
-/// strategies, and every cell must equal a fresh `run_layer1` *and* a
-/// fresh bit-loop reference run on that scenario, bit for bit.
+/// runs must be byte-identical at 1, 2, 4 and 8 workers — 16 scenarios
+/// claim chunks of 4, 2, 1 and 1 — and every cell must equal a fresh
+/// `run_layer1` *and* a fresh bit-loop reference run on that scenario,
+/// bit for bit.
 #[test]
 fn lean_campaign_merges_match_reference_at_every_worker_count() {
     let db = harness::shared_db();
-    let seeds: Vec<u64> = (0..6).map(|i| 0x9C00 + i as u64).collect();
+    let seeds: Vec<u64> = (0..16).map(|i| 0x9C00 + i as u64).collect();
     let scenarios: Vec<Scenario> = seeds.iter().map(|&s| probe_scenario(s, 120)).collect();
     let lean = RunSpec::new(Layer::L1, Capture::Lean);
     let matrix = Matrix::new().axis("seed", seeds.iter().map(|s| format!("{s:#x}")));
 
     let mut outputs = Vec::new();
-    for workers in [1usize, 2, 4] {
-        for strategy in [ClaimStrategy::Chunked, ClaimStrategy::PerScenario] {
-            let opts = CampaignOptions {
-                claim: strategy,
-                ..CampaignOptions::with_workers("hotpath-differential", workers)
-            };
-            let report = hierbus::campaign::run_with(
-                &matrix,
-                &opts,
-                || Session::new(&db),
-                |session, point| {
-                    let run = session.run(&lean, &scenarios[point.coords[0]].clone().into());
-                    Cell {
-                        cycles: run.cycles,
-                        energy_pj: run.energy_pj,
-                    }
-                },
-            )
-            .unwrap();
-            let cells: Vec<Cell> = report.results.into_iter().flatten().collect();
-            assert_eq!(cells.len(), scenarios.len(), "w{workers} {strategy:?}");
-            outputs.push((workers, strategy, render(&cells)));
-        }
+    for workers in [1usize, 2, 4, 8] {
+        let report = hierbus::campaign::run_with(
+            &matrix,
+            &CampaignOptions::with_workers("hotpath-differential", workers),
+            || Session::new(&db),
+            |session, point| {
+                let run = session.run(&lean, &scenarios[point.coords[0]].clone().into());
+                Cell {
+                    cycles: run.cycles,
+                    energy_pj: run.energy_pj,
+                }
+            },
+        )
+        .unwrap();
+        let cells: Vec<Cell> = report.results.into_iter().flatten().collect();
+        assert_eq!(cells.len(), scenarios.len(), "w{workers}");
+        outputs.push((workers, render(&cells)));
     }
-    let base = &outputs[0].2;
-    for (workers, strategy, rendered) in &outputs[1..] {
-        assert_eq!(
-            rendered, base,
-            "merged cells differ at {workers} workers ({strategy:?})"
-        );
+    let base = &outputs[0].1;
+    for (workers, rendered) in &outputs[1..] {
+        assert_eq!(rendered, base, "merged cells differ at {workers} workers");
     }
 
     let anchored: Vec<Cell> = scenarios

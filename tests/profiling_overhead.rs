@@ -10,9 +10,7 @@
 //!    must never change the merged results, at any worker count, and
 //!    the profile must be present iff it was requested.
 
-use hierbus_campaign::{
-    CampaignOptions, CampaignPayload, CampaignReport, ClaimStrategy, Json, Matrix,
-};
+use hierbus_campaign::{CampaignOptions, CampaignPayload, CampaignReport, Json, Matrix};
 use std::time::{Duration, Instant};
 
 const SCENARIOS: usize = 64;
@@ -54,7 +52,6 @@ fn matrix() -> Matrix {
 
 fn run(workers: usize, profile: bool) -> CampaignReport<Digest> {
     let opts = CampaignOptions {
-        claim: ClaimStrategy::Chunked,
         profile,
         ..CampaignOptions::with_workers("profiling_overhead", workers)
     };

@@ -3,7 +3,7 @@
 //! against the batch harness.
 
 use hierbus::harness;
-use hierbus::serve::{Daemon, DaemonOptions, ScenarioSpec};
+use hierbus::serve::{Daemon, DaemonOptions, ScenarioSpec, MAX_LINE_BYTES};
 use hierbus_campaign::Json;
 use hierbus_ec::MixParams;
 use hierbus_power::CharacterizationDb;
@@ -100,10 +100,10 @@ fn daemon(workers: usize) -> Daemon {
 
 /// Runs one session over in-memory buffers, returning the parsed
 /// response events plus the session summary.
-fn session(daemon: &Daemon, script: &str) -> (Vec<Json>, hierbus::serve::ServeSummary) {
+fn session(daemon: &Daemon, script: impl AsRef<[u8]>) -> (Vec<Json>, hierbus::serve::ServeSummary) {
     let mut output = Vec::new();
     let summary = daemon
-        .serve(Cursor::new(script.to_owned()), &mut output)
+        .serve(Cursor::new(script.as_ref().to_vec()), &mut output)
         .expect("in-memory session");
     let events = String::from_utf8(output)
         .expect("utf-8 output")
@@ -155,6 +155,49 @@ fn ping_stats_and_errors_are_correlated() {
     // ping, stats, and the failed run were handled; malformed lines
     // were answered but never dispatched.
     assert_eq!(summary.requests, 3);
+}
+
+#[test]
+fn non_utf8_line_is_answered_and_the_session_continues() {
+    let d = daemon(1);
+    let script = b"{\"v\":1,\"id\":\"a\",\"op\":\"ping\"}\n\xff\xfe\n\
+                   {\"v\":1,\"id\":\"b\",\"op\":\"ping\"}\n";
+    let (events, summary) = session(&d, script);
+    let names: Vec<&str> = events.iter().map(event_name).collect();
+    assert_eq!(names, ["pong", "error", "pong"]);
+    assert_eq!(field(&events[0], "req").as_str(), Some("a"));
+    assert_eq!(field(&events[1], "req").as_str(), Some(""));
+    assert!(field(&events[1], "message")
+        .as_str()
+        .unwrap()
+        .contains("not valid UTF-8"));
+    assert_eq!(field(&events[2], "req").as_str(), Some("b"));
+    assert_eq!(summary.requests, 2);
+}
+
+#[test]
+fn over_long_line_is_answered_and_the_next_request_served() {
+    let d = daemon(1);
+    let mut script = vec![b'x'; MAX_LINE_BYTES + 1];
+    script.extend_from_slice(b"\n{\"v\":1,\"id\":\"after\",\"op\":\"ping\"}\n");
+    let (events, summary) = session(&d, &script);
+    assert_eq!(events.len(), 2);
+    assert_eq!(event_name(&events[0]), "error");
+    assert!(field(&events[0], "message")
+        .as_str()
+        .unwrap()
+        .contains(&format!("exceeds {MAX_LINE_BYTES} bytes")));
+    assert_eq!(event_name(&events[1]), "pong");
+    assert_eq!(field(&events[1], "req").as_str(), Some("after"));
+    assert_eq!(summary.requests, 1);
+    // A line of exactly the limit is read, not rejected as over-long.
+    let ping = br#"{"v":1,"id":"edge","op":"ping"}"#;
+    let mut script = vec![b' '; MAX_LINE_BYTES - ping.len()];
+    script.extend_from_slice(ping);
+    script.push(b'\n');
+    let (events, _) = session(&d, &script);
+    assert_eq!(events.len(), 1);
+    assert_eq!(event_name(&events[0]), "pong");
 }
 
 #[test]
