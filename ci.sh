@@ -40,9 +40,12 @@ echo "==> arbitration smoke (both policies, DMA on/off, three layers)"
 cargo run --release -p hierbus-bench --bin arbitration_smoke
 
 echo "==> bench smoke (hot-path differential + scaling regression, release)"
-# The perf layer's correctness story: the packed diff must stay
-# bit-exact against the bit-loop reference, and 2-worker campaigns must
-# not lose throughput (the test skips itself on single-CPU runners).
+# The perf layer's correctness story in a release build: the scalar
+# layer-1 energy path (`on_frame`, the word-packed XOR+popcount diff)
+# must stay to_bits-exact against the bit-loop reference
+# (`on_frame_reference`) for every layer-1 consumer, and 2-worker
+# campaigns must not lose throughput (the test skips itself on
+# single-CPU runners).
 cargo test --release -q --test energy_hotpath_diff --test campaign_scaling_regression -- --nocapture
 
 echo "==> serve daemon smoke (cold run, cached replay, drain)"

@@ -48,6 +48,7 @@ pub mod multi;
 pub(crate) mod obs_util;
 pub mod sc;
 pub mod slave;
+pub(crate) mod slots;
 pub mod tlm1;
 pub mod tlm2;
 pub mod tlm3;

@@ -119,6 +119,32 @@ pub trait TlmSlave {
     }
 }
 
+/// Indices of the slaves with per-cycle behaviour
+/// ([`TlmSlave::wants_tick`]). Both cycle-driven buses cache this at
+/// construction, so a pure-memory system skips the notification loop.
+pub(crate) fn ticking_slaves(slaves: &[Box<dyn TlmSlave>]) -> Vec<usize> {
+    slaves
+        .iter()
+        .enumerate()
+        .filter(|(_, s)| s.wants_tick())
+        .map(|(i, _)| i)
+        .collect()
+}
+
+/// Gives each slave listed in `ticking` its time notification and
+/// returns their interrupt lines as a mask (bit *n* = slave *n*).
+pub(crate) fn tick_slaves(slaves: &mut [Box<dyn TlmSlave>], ticking: &[usize], cycle: u64) -> u64 {
+    let mut irq = 0u64;
+    for &i in ticking {
+        let s = &mut slaves[i];
+        s.tick(cycle);
+        if s.irq() {
+            irq |= 1 << i;
+        }
+    }
+    irq
+}
+
 /// Shared-slave access for post-run inspection, implemented by both bus
 /// layers.
 pub trait HasSlaves {

@@ -25,7 +25,8 @@
 
 use crate::master::{Completed, CycleBus, PollStatus};
 use crate::obs_util::access_class;
-use crate::slave::{SlaveReply, TlmSlave};
+use crate::slave::{tick_slaves, ticking_slaves, SlaveReply, TlmSlave};
+use crate::slots::Slots;
 use hierbus_ec::{
     AddressMap, BusError, BusStatus, FastIdMap, FaultKind, SignalFrame, SlaveId, Transaction, TxnId,
 };
@@ -68,11 +69,7 @@ pub struct Tlm1Bus {
     /// cached at construction so pure-memory systems skip the
     /// notification loop entirely.
     ticking: Vec<usize>,
-    active: Vec<Active>,
-    /// Indices of `active` slots whose transaction was picked up and can
-    /// be reused — keeps the table at outstanding-limit size instead of
-    /// growing one slot per transaction for the whole run.
-    free: Vec<usize>,
+    active: Slots<Active>,
     request_q: VecDeque<usize>,
     addr_fsm: AddrFsm,
     read_q: VecDeque<usize>,
@@ -104,18 +101,11 @@ impl Tlm1Bus {
             map.add_slave(s.config())
                 .expect("slave windows must not overlap");
         }
-        let ticking = slaves
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.wants_tick())
-            .map(|(i, _)| i)
-            .collect();
         Tlm1Bus {
             map,
+            ticking: ticking_slaves(&slaves),
             slaves,
-            ticking,
-            active: Vec::new(),
-            free: Vec::new(),
+            active: Slots::new(),
             request_q: VecDeque::new(),
             addr_fsm: AddrFsm::Idle,
             read_q: VecDeque::new(),
@@ -460,9 +450,7 @@ impl Tlm1Bus {
 
 impl CycleBus for Tlm1Bus {
     fn reserve_transactions(&mut self, n: usize) {
-        // Active slots are recycled through the free list, so the table
-        // peaks near the outstanding limit, not at the stimulus length.
-        self.active.reserve(n.min(64));
+        self.active.reserve(n);
     }
 
     fn issue(&mut self, txn: Transaction, cycle: u64) -> BusStatus {
@@ -486,16 +474,7 @@ impl CycleBus for Tlm1Bus {
             error: None,
             read_data: Vec::with_capacity(read_beats),
         };
-        let idx = match self.free.pop() {
-            Some(i) => {
-                self.active[i] = entry;
-                i
-            }
-            None => {
-                self.active.push(entry);
-                self.active.len() - 1
-            }
-        };
+        let idx = self.active.insert(entry);
         self.request_q.push_back(idx);
         BusStatus::Request
     }
@@ -523,7 +502,7 @@ impl CycleBus for Tlm1Bus {
                     error: a.error,
                     data: std::mem::take(&mut a.read_data),
                 };
-                self.free.push(idx);
+                self.active.release(idx);
                 PollStatus::Done(done)
             }
         }
@@ -534,15 +513,7 @@ impl CycleBus for Tlm1Bus {
         // through the address map inside each phase below; peripherals
         // get their time notification first.
         if !self.ticking.is_empty() {
-            let mut irq = 0u64;
-            for &i in &self.ticking {
-                let s = &mut self.slaves[i];
-                s.tick(cycle);
-                if s.irq() {
-                    irq |= 1 << i;
-                }
-            }
-            self.irq_mask = irq;
+            self.irq_mask = tick_slaves(&mut self.slaves, &self.ticking, cycle);
         }
         let mut frame = if self.emit_frames {
             self.frame.to_idle()
@@ -695,6 +666,27 @@ mod tests {
                 assert!(r.error.is_none(), "{}: {:?}", scenario.name, r.error);
             }
         }
+    }
+
+    #[test]
+    fn active_table_stays_at_the_outstanding_limit() {
+        let limits = hierbus_ec::OutstandingLimits::CORE_DEFAULT;
+        let outstanding = (limits.instr_reads + limits.data_reads + limits.writes) as usize;
+        let params = sequences::MixParams {
+            count: 10_000,
+            ..sequences::MixParams::default()
+        };
+        let s = sequences::random_mix(3, params);
+        let mut sys = TlmSystem::new(bus_with_waits(s.waits), s.ops.clone());
+        let report = sys.run(1_000_000, |_| {});
+        assert_eq!(report.records.len(), 10_000);
+        let bus = sys.bus();
+        assert!(
+            bus.active.len() <= outstanding,
+            "{} slots for {outstanding} outstanding",
+            bus.active.len()
+        );
+        assert!(bus.finish_q.is_empty());
     }
 
     #[test]

@@ -37,7 +37,8 @@
 
 use crate::master::{Completed, CycleBus, PollStatus};
 use crate::obs_util::access_class;
-use crate::slave::{SlaveReply, TlmSlave};
+use crate::slave::{tick_slaves, ticking_slaves, SlaveReply, TlmSlave};
+use crate::slots::Slots;
 use hierbus_ec::{
     AccessKind, Address, AddressMap, BusError, BusStatus, DataWidth, FaultKind, SlaveId,
     Transaction, TxnId, WaitProfile,
@@ -137,14 +138,24 @@ struct DataSide {
 pub struct Tlm2Bus {
     map: AddressMap,
     slaves: Vec<Box<dyn TlmSlave>>,
-    active: Vec<Active>,
+    /// Slaves with per-cycle behaviour ([`TlmSlave::wants_tick`]),
+    /// cached at construction so pure-memory systems skip the
+    /// notification loop entirely.
+    ticking: Vec<usize>,
+    active: Slots<Active>,
     addr_q: VecDeque<usize>,
     addr_state: AddrState,
     read: DataSide,
     write: DataSide,
-    finish_q: hierbus_ec::FastIdMap<TxnId, usize>,
+    /// Completed transactions awaiting master pickup, as `(id, active
+    /// slot)`. Holds at most the outstanding limit, so a flat vector
+    /// beats a hash map on both insert and the poll-side lookup.
+    finish_q: Vec<(TxnId, usize)>,
+    /// Phase events since the last [`Tlm2Bus::drain_events`]; drained in
+    /// place, so the buffer keeps its capacity across cycles.
     events: Vec<PhaseEvent>,
     emit_events: bool,
+    discard_read_data: bool,
     irq_mask: u64,
     obs: TraceCollector,
 }
@@ -164,15 +175,17 @@ impl Tlm2Bus {
         }
         Tlm2Bus {
             map,
+            ticking: ticking_slaves(&slaves),
             slaves,
-            active: Vec::new(),
+            active: Slots::new(),
             addr_q: VecDeque::new(),
             addr_state: AddrState::Idle,
             read: DataSide::default(),
             write: DataSide::default(),
-            finish_q: hierbus_ec::FastIdMap::default(),
+            finish_q: Vec::new(),
             events: Vec::new(),
             emit_events: false,
+            discard_read_data: false,
             irq_mask: 0,
             obs: TraceCollector::disabled("tlm2"),
         }
@@ -199,9 +212,11 @@ impl Tlm2Bus {
         &mut self.obs
     }
 
-    /// Drains the phase events accumulated since the last call.
-    pub fn drain_events(&mut self) -> Vec<PhaseEvent> {
-        std::mem::take(&mut self.events)
+    /// Drains the phase events accumulated since the last call. The
+    /// events move out by value; the buffer itself stays with the bus,
+    /// so a per-cycle drain never reallocates it.
+    pub fn drain_events(&mut self) -> std::vec::Drain<'_, PhaseEvent> {
+        self.events.drain(..)
     }
 
     /// Emits partial [`PhaseEvent`]s (`completed == false`) for phases
@@ -292,69 +307,67 @@ impl Tlm2Bus {
     }
 
     /// Completes the data phase of `idx`: one block slave call, record
-    /// keeping, optional event emission.
+    /// keeping, optional event emission. Reads land in a stack buffer and
+    /// writes go straight from the transaction's payload, so the only
+    /// heap allocations are the copies someone keeps: the event's `data`
+    /// (events enabled) and the record's read data (read data kept).
     fn complete_data(&mut self, idx: usize, cycle: u64, phase_cycles: u32) {
-        let (addr, kind, width, beats, slave) = {
-            let a = &self.active[idx];
-            (
-                a.txn.addr,
-                a.txn.kind,
-                a.txn.width,
-                a.txn.beats(),
-                a.slave.expect("decoded"),
-            )
-        };
+        let a = &self.active[idx];
+        let (addr, kind, width, beats) = (a.txn.addr, a.txn.kind, a.txn.width, a.txn.beats());
+        let slave = a.slave.expect("decoded");
+        let is_read = kind.is_read();
+        // `BurstLen::B8` is the longest burst.
+        let mut read_buf = [0u32; 8];
+        // How much of `read_buf` the event carries (reads only).
+        let mut read_len = 0;
         let mut error = None;
-        let mut words: Vec<u32> = Vec::new();
-        if matches!(self.active[idx].fault, Some(FaultKind::SlaveError)) {
+        if matches!(a.fault, Some(FaultKind::SlaveError)) {
             // Injected slave error: fires before any data is committed
             // (the reference errors on the first beat), so memory state
             // stays identical across layers. Writes still drove their
             // payload onto the bus, so the event keeps it for energy.
             error = Some(BusError::SlaveError(addr));
-            if !kind.is_read() {
-                words = self.active[idx].txn.data.to_vec();
-            }
-        } else if kind.is_read() {
+        } else if is_read {
             if width == DataWidth::W32 {
-                words = vec![0u32; beats as usize];
-                if self.slaves[slave.0].read_block(addr, &mut words) == SlaveReply::Error {
+                // On a slave error the event keeps the partial block.
+                read_len = beats as usize;
+                let block = &mut read_buf[..read_len];
+                if self.slaves[slave.0].read_block(addr, block) == SlaveReply::Error {
                     error = Some(BusError::SlaveError(addr));
                 }
             } else {
                 // Sub-word single: one word access plus lane extraction.
                 match self.slave_read_spin(slave, addr) {
-                    Ok(w) => words = vec![width.extract(addr, w)],
+                    Ok(w) => {
+                        read_buf[0] = width.extract(addr, w);
+                        read_len = 1;
+                    }
                     Err(e) => error = Some(e),
                 }
+            }
+        } else if width == DataWidth::W32 {
+            if self.slaves[slave.0].write_block(addr, &a.txn.data) == SlaveReply::Error {
+                error = Some(BusError::SlaveError(addr));
             }
         } else {
-            let payload = self.active[idx].txn.data.clone();
-            if width == DataWidth::W32 {
-                if self.slaves[slave.0].write_block(addr, &payload) == SlaveReply::Error {
-                    error = Some(BusError::SlaveError(addr));
-                }
-            } else {
-                let ben = width.byte_enables(addr);
-                let bus_word = width.insert(addr, 0, payload[0]);
-                match self.slave_write_spin(slave, addr, bus_word, ben) {
-                    Ok(()) => {}
-                    Err(e) => error = Some(e),
-                }
+            let ben = width.byte_enables(addr);
+            let bus_word = width.insert(addr, 0, a.txn.data[0]);
+            if let Err(e) = self.slave_write_spin(slave, addr, bus_word, ben) {
+                error = Some(e);
             }
-            words = payload.to_vec();
         }
+        let read = &read_buf[..read_len];
         let a = &mut self.active[idx];
         a.done = Some(cycle);
         a.error = error;
-        if kind.is_read() && error.is_none() {
-            a.read_data = words.clone();
+        if is_read && error.is_none() && !self.discard_read_data {
+            a.read_data = read.to_vec();
         }
         let id = a.txn.id;
-        self.finish_q.insert(id, idx);
+        self.finish_q.push((id, idx));
         self.obs.end(
             id.0,
-            if kind.is_read() {
+            if is_read {
                 Phase::ReadData
             } else {
                 Phase::WriteData
@@ -363,12 +376,13 @@ impl Tlm2Bus {
             error.is_some(),
         );
         if self.emit_events {
+            let (phase, data) = if is_read {
+                (PhaseKind::ReadData, read.to_vec())
+            } else {
+                (PhaseKind::WriteData, a.txn.data.to_vec())
+            };
             self.events.push(PhaseEvent {
-                kind: if kind.is_read() {
-                    PhaseKind::ReadData
-                } else {
-                    PhaseKind::WriteData
-                },
+                kind: phase,
                 addr,
                 access: kind,
                 width,
@@ -376,7 +390,7 @@ impl Tlm2Bus {
                 cycles: phase_cycles,
                 planned_cycles: phase_cycles,
                 completed: true,
-                data: words,
+                data,
                 at_cycle: cycle,
                 trace_id: id.0,
             });
@@ -464,6 +478,10 @@ impl Tlm2Bus {
 }
 
 impl CycleBus for Tlm2Bus {
+    fn reserve_transactions(&mut self, n: usize) {
+        self.active.reserve(n);
+    }
+
     fn issue(&mut self, txn: Transaction, cycle: u64) -> BusStatus {
         // Read the slave state once, at transaction creation.
         let (slave, waits) = match self.map.decode(txn.addr, txn.kind) {
@@ -477,8 +495,7 @@ impl CycleBus for Tlm2Bus {
             txn.addr.raw(),
             access_class(txn.kind),
         );
-        let idx = self.active.len();
-        self.active.push(Active {
+        let idx = self.active.insert(Active {
             txn,
             slave,
             waits,
@@ -493,14 +510,15 @@ impl CycleBus for Tlm2Bus {
     }
 
     fn inject(&mut self, id: TxnId, fault: FaultKind) {
-        // Inject follows issue immediately, so the target is (almost
-        // always) the most recently pushed entry.
-        let a = self
-            .active
-            .iter_mut()
-            .rev()
-            .find(|a| a.txn.id == id)
-            .expect("inject follows issue");
+        // The master injects right after `CycleBus::issue`, before the
+        // next bus-process activation, so the target is the tail of the
+        // address queue.
+        let idx = *self
+            .addr_q
+            .back()
+            .expect("inject without a queued transaction");
+        let a = &mut self.active[idx];
+        assert_eq!(a.txn.id, id, "inject targets the transaction just queued");
         a.fault = Some(fault);
     }
 
@@ -513,29 +531,31 @@ impl CycleBus for Tlm2Bus {
     }
 
     fn poll(&mut self, id: TxnId) -> PollStatus {
-        match self.finish_q.remove(&id) {
+        match self.finish_q.iter().position(|&(fid, _)| fid == id) {
             None => PollStatus::Pending,
-            Some(idx) => {
+            Some(pos) => {
+                let (_, idx) = self.finish_q.swap_remove(pos);
                 let a = &mut self.active[idx];
-                PollStatus::Done(Completed {
+                let done = Completed {
                     addr_done_cycle: a.addr_done,
                     done_cycle: a.done.expect("finished entries have a done cycle"),
                     error: a.error,
                     data: std::mem::take(&mut a.read_data),
-                })
+                };
+                self.active.release(idx);
+                PollStatus::Done(done)
             }
         }
     }
 
+    fn discard_read_data(&mut self) {
+        self.discard_read_data = true;
+    }
+
     fn bus_process(&mut self, cycle: u64) {
-        let mut irq = 0u64;
-        for (i, s) in self.slaves.iter_mut().enumerate() {
-            s.tick(cycle);
-            if s.irq() {
-                irq |= 1 << i;
-            }
+        if !self.ticking.is_empty() {
+            self.irq_mask = tick_slaves(&mut self.slaves, &self.ticking, cycle);
         }
-        self.irq_mask = irq;
         // Data countdowns first: a block that finishes this cycle frees
         // its channel for a pop next cycle, like the reference.
         self.read.completed_this_cycle = false;
@@ -612,7 +632,7 @@ impl CycleBus for Tlm2Bus {
                         let a = &mut self.active[idx];
                         a.done = Some(cycle);
                         a.error = Some(e);
-                        self.finish_q.insert(a.txn.id, idx);
+                        self.finish_q.push((a.txn.id, idx));
                     }
                     None => {
                         self.active[idx].addr_done = Some(cycle);
@@ -825,6 +845,27 @@ mod tests {
                 assert!(r.error.is_none(), "{}: {:?}", scenario.name, r.error);
             }
         }
+    }
+
+    #[test]
+    fn active_table_stays_at_the_outstanding_limit() {
+        let limits = hierbus_ec::OutstandingLimits::CORE_DEFAULT;
+        let outstanding = (limits.instr_reads + limits.data_reads + limits.writes) as usize;
+        let params = sequences::MixParams {
+            count: 10_000,
+            ..sequences::MixParams::default()
+        };
+        let s = sequences::random_mix(3, params);
+        let mut sys = TlmSystem::new(bus_with_waits(s.waits), s.ops.clone());
+        let report = sys.run(1_000_000, |_| {});
+        assert_eq!(report.records.len(), 10_000);
+        let bus = sys.bus();
+        assert!(
+            bus.active.len() <= outstanding,
+            "{} slots for {outstanding} outstanding",
+            bus.active.len()
+        );
+        assert!(bus.finish_q.is_empty());
     }
 
     #[test]

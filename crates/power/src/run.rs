@@ -428,7 +428,7 @@ impl Session {
         };
         let mut out = if spec.energy {
             sys.run(spec, |bus: &mut Tlm2Bus| {
-                bus.drain_events().iter().for_each(&mut book)
+                bus.drain_events().for_each(|ev| book(&ev))
             })
         } else {
             sys.run(spec, |_| {})
@@ -439,7 +439,7 @@ impl Session {
             let at = spec.faults.iter().find_map(|f| f.plan.tear_cycle);
             sys.bus_mut()
                 .flush_partial_phases(at.expect("torn runs come from a tear plan"));
-            sys.bus_mut().drain_events().iter().for_each(&mut book);
+            sys.bus_mut().drain_events().for_each(|ev| book(&ev));
         }
         out.obs = std::mem::take(sys.bus_mut().obs_mut());
         if spec.energy {
