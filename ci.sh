@@ -16,6 +16,11 @@ cargo test -q --workspace
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc -D warnings (intra-doc links)"
+# A renamed or deleted item must not leave a stale doc link behind.
+# --lib sidesteps the hierbus_serve bin/lib doc filename collision.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --lib
+
 echo "==> frozen benchmark build (offline)"
 # benchmark/ is a package of its own (frozen sources and lockfile) that
 # calls the public harness and serve APIs; building it here turns an API

@@ -22,7 +22,11 @@
 //! stimuli against either bus through the [`master::CycleBus`] trait and
 //! produces the same [`TxnRecord`](hierbus_ec::TxnRecord)s as the RTL
 //! reference, so cycle-exactness (layer 1) and timing error (layer 2) are
-//! directly measurable.
+//! directly measurable. [`master::TlmSystem`] is the one stepping loop:
+//! one master, or several behind an [`Arbiter`](hierbus_ec::Arbiter)
+//! (the CPU + DMA pair of [`TlmSystem::for_multi`]), shaped like the RTL
+//! reference's system. [`sc::run_on_kernel`] runs one master on the
+//! discrete-event kernel instead.
 //!
 //! # Example
 //!
@@ -44,7 +48,6 @@
 //! ```
 
 pub mod master;
-pub mod multi;
 pub(crate) mod obs_util;
 pub mod sc;
 pub mod slave;
@@ -53,8 +56,8 @@ pub mod tlm1;
 pub mod tlm2;
 pub mod tlm3;
 
+pub use hierbus_ec::MasterReport;
 pub use master::{Completed, CycleBus, PollStatus, TlmMaster, TlmReport, TlmSystem};
-pub use multi::{MasterReport, MultiMasterSystem, MultiReport};
 pub use sc::run_on_kernel;
 pub use slave::{HasSlaves, MemSlave, SlaveReply, TlmSlave};
 pub use tlm1::Tlm1Bus;

@@ -1,10 +1,11 @@
-//! Master-side replay of stimulus against a TLM bus, and the run harness.
+//! Master-side replay of stimulus against a TLM bus, and the one system
+//! that steps any number of masters against it.
 
-use hierbus_ec::record::TxnRecord;
+use hierbus_ec::record::{MasterReport, TxnRecord};
 use hierbus_ec::{
-    AccessKind, BusError, BusStatus, FaultCounters, FaultKind, FaultPlan, MasterOp,
-    OutstandingLimits, OutstandingTracker, RetryPolicy, Transaction, TxnCategory, TxnId,
-    TxnOutcome,
+    AccessKind, Arbiter, ArbiterStats, ArbitrationPolicy, BusError, BusStatus, FaultCounters,
+    FaultKind, FaultPlan, MasterOp, MultiScenario, OutstandingLimits, OutstandingTracker,
+    RetryPolicy, Transaction, TxnCategory, TxnId, TxnOutcome, DMA_ID_BASE,
 };
 use hierbus_sim::CycleSchedule;
 
@@ -230,11 +231,6 @@ impl TlmMaster {
         self.counters
     }
 
-    /// Per-op outcomes; `None` while the op is still unresolved.
-    pub fn outcomes(&self) -> &[Option<TxnOutcome>] {
-        &self.outcomes
-    }
-
     /// Rising-edge step: picks up finished transactions (freeing limit
     /// slots), applies the timeout, then issues — a due retry first,
     /// else the next op if its idle gap has elapsed and a slot is free.
@@ -243,7 +239,8 @@ impl TlmMaster {
     /// [`begin_cycle`](Self::begin_cycle), then
     /// [`issue_granted`](Self::issue_granted) whenever
     /// [`arbitration_request`](Self::arbitration_request) raises — i.e.
-    /// a bus whose arbiter grants this master unconditionally.
+    /// a bus whose arbiter grants this master unconditionally, which is
+    /// how [`TlmSystem`] steps a lone master.
     pub fn rising_edge<B: CycleBus>(&mut self, bus: &mut B, cycle: u64) {
         self.begin_cycle(bus, cycle);
         if self.arbitration_request(cycle) {
@@ -257,8 +254,8 @@ impl TlmMaster {
     /// bookkeeping), then applies the timeout — abandoning attempts
     /// past their deadline. The bus is not cancelled on timeout; it
     /// drains the transaction on its own, so the FSM always returns to
-    /// idle. A multi-master system calls this for every master before
-    /// arbitrating.
+    /// idle. With several masters, [`TlmSystem`] calls this for every
+    /// master before arbitrating.
     pub fn begin_cycle<B: CycleBus>(&mut self, bus: &mut B, cycle: u64) {
         self.pickup(bus, cycle);
         if let Some(t) = self.policy.timeout {
@@ -469,26 +466,98 @@ impl TlmMaster {
     pub fn records(&self) -> &[TxnRecord] {
         &self.records
     }
+
+    /// Moves this master's slice of the run report out once every op
+    /// has settled, leaving its records and outcomes empty: a long
+    /// run's records move into the report uncopied, and its pending
+    /// outcome list is freed as soon as it is converted.
+    fn take_report(&mut self) -> MasterReport {
+        MasterReport {
+            records: std::mem::take(&mut self.records),
+            // A fresh collect, not an in-place `into_iter`: on a 600k-op
+            // run the in-place conversion took twice as long.
+            outcomes: std::mem::take(&mut self.outcomes)
+                .iter()
+                .map(|o| o.expect("all ops settled at end of run"))
+                .collect(),
+            fault: self.counters,
+            completed: self.completed,
+        }
+    }
 }
 
-/// Summary of a completed TLM run.
+/// Summary of a completed TLM run, in the shape of the RTL reference's
+/// run report: the master-side fields concatenated or summed in master
+/// order, then the per-master slices and the arbitration record.
 #[derive(Debug, Clone)]
 pub struct TlmReport {
-    /// Bus cycles from cycle 0 through the last completion, inclusive.
+    /// Bus cycles from cycle 0 through the last completion of any
+    /// master, inclusive.
     pub cycles: u64,
-    /// Per-transaction lifecycle records (one per *attempt* when the
-    /// retry policy reissues).
-    pub records: Vec<TxnRecord>,
     /// How many falling-edge bus-process activations actually ran (idle
     /// cycles are skipped — the dynamic-sensitivity saving).
     pub bus_activations: u64,
-    /// Final per-stimulus-op outcomes, parallel to the op list.
+    /// Per-transaction lifecycle records (one per *attempt* when the
+    /// retry policy reissues), concatenated in master order.
+    pub records: Vec<TxnRecord>,
+    /// Final per-stimulus-op outcomes, concatenated in master order.
     pub outcomes: Vec<TxnOutcome>,
-    /// Fault-injection and robustness counters.
+    /// Fault-injection and robustness counters, summed over masters.
     pub fault: FaultCounters,
+    /// One slice per master, in master order.
+    pub masters: Vec<MasterReport>,
+    /// The grant log: `(cycle, master)` per grant, in cycle order. A
+    /// lone master is never arbitrated, so its log stays empty.
+    pub grants: Vec<(u64, usize)>,
+    /// Arbitration statistics (per-master grants/waits, contention);
+    /// all zero for a lone master.
+    pub stats: ArbiterStats,
 }
 
-/// Drives a [`TlmMaster`] and a [`CycleBus`] cycle by cycle.
+impl TlmReport {
+    /// Assembles the report of `masters` once every op has settled,
+    /// moving their records and outcomes out — shared by the cycle loop
+    /// and the kernel-driven path.
+    pub(crate) fn assemble(
+        masters: &mut [TlmMaster],
+        bus_activations: u64,
+        arbiter: &Arbiter,
+    ) -> Self {
+        let cycles = masters
+            .iter()
+            .filter(|m| m.completed() > 0)
+            .map(|m| m.last_done_cycle() + 1)
+            .max()
+            .unwrap_or(0);
+        let masters: Vec<MasterReport> = masters.iter_mut().map(TlmMaster::take_report).collect();
+        let records: Vec<&[TxnRecord]> = masters.iter().map(|m| &m.records[..]).collect();
+        let outcomes: Vec<&[TxnOutcome]> = masters.iter().map(|m| &m.outcomes[..]).collect();
+        TlmReport {
+            cycles,
+            bus_activations,
+            records: records.concat(),
+            outcomes: outcomes.concat(),
+            fault: masters.iter().map(|m| m.fault).sum(),
+            masters,
+            grants: arbiter.log().to_vec(),
+            stats: arbiter.stats().clone(),
+        }
+    }
+}
+
+/// Drives [`TlmMaster`]s against one [`CycleBus`] cycle by cycle — the
+/// paper's §3.1 discipline: masters at the rising edge, the bus process
+/// at the falling edge.
+///
+/// Several masters share the bus behind an [`Arbiter`]: every master
+/// runs its rising-edge bookkeeping ([`TlmMaster::begin_cycle`]) and
+/// drives its request line ([`TlmMaster::arbitration_request`]), and the
+/// arbiter grants at most one, which issues
+/// ([`TlmMaster::issue_granted`]). Both TLM buses consume issues through
+/// FIFO queues, so the grant order fully determines bus behaviour and a
+/// layer-1 run is cycle-exact against the RTL reference whenever their
+/// grant logs agree. A lone master is granted whenever it requests, so
+/// it skips the arbiter and steps through [`TlmMaster::rising_edge`].
 ///
 /// See the [crate example](crate) for typical use. A per-cycle `hook`
 /// closure receives the bus after each bus-process activation so energy
@@ -496,11 +565,15 @@ pub struct TlmReport {
 #[derive(Debug)]
 pub struct TlmSystem<B> {
     bus: B,
-    master: TlmMaster,
+    masters: Vec<TlmMaster>,
+    arbiter: Arbiter,
+    /// Scratch request-line vector, reused every cycle.
+    requests: Vec<bool>,
     cycle: u64,
     bus_activations: u64,
     tear: CycleSchedule<()>,
-    torn: bool,
+    /// The cycle the card was torn at, once it has been.
+    torn_at: Option<u64>,
     sampled: FaultCounters,
     /// True once a fault plan/policy is attached; the per-cycle counter
     /// sampling is skipped entirely on clean runs.
@@ -508,46 +581,87 @@ pub struct TlmSystem<B> {
 }
 
 impl<B: CycleBus> TlmSystem<B> {
-    /// Creates a system replaying `ops` on `bus`.
-    pub fn new(mut bus: B, ops: impl Into<std::sync::Arc<[MasterOp]>>) -> Self {
-        let ops = ops.into();
-        bus.reserve_transactions(ops.len());
-        TlmSystem {
+    /// Creates a one-master system replaying `ops` on `bus`.
+    pub fn new(bus: B, ops: impl Into<std::sync::Arc<[MasterOp]>>) -> Self {
+        let mut sys = TlmSystem {
             bus,
-            master: TlmMaster::new(ops),
+            masters: Vec::new(),
+            arbiter: Arbiter::new(ArbitrationPolicy::FixedPriority, 0),
+            requests: Vec::new(),
             cycle: 0,
             bus_activations: 0,
             tear: CycleSchedule::new(),
-            torn: false,
+            torn_at: None,
             sampled: FaultCounters::default(),
             faults_configured: false,
-        }
+        };
+        sys.add_master(ops, 0);
+        sys
     }
 
-    /// Attaches a fault plan and robustness policy; builder-style. Must
-    /// be called before the first cycle.
+    /// The canonical CPU + DMA configuration: master 0 replays the CPU
+    /// scenario with ids from 0, master 1 replays the DMA program with
+    /// ids from [`DMA_ID_BASE`], arbitrated by the scenario's policy.
+    pub fn for_multi(bus: B, scenario: &MultiScenario) -> Self {
+        let mut sys = TlmSystem::new(bus, scenario.cpu.ops.clone());
+        sys.arbiter = Arbiter::new(scenario.policy, 1);
+        sys.add_master(scenario.dma_ops.clone(), DMA_ID_BASE);
+        sys
+    }
+
+    /// Adds a master replaying `ops` with transaction ids from
+    /// `id_base` (masters must get disjoint id windows); returns its
+    /// index. Must be called before the first cycle.
+    pub fn add_master(
+        &mut self,
+        ops: impl Into<std::sync::Arc<[MasterOp]>>,
+        id_base: u64,
+    ) -> usize {
+        assert_eq!(self.cycle, 0, "masters must be added before running");
+        let ops = ops.into();
+        self.bus.reserve_transactions(ops.len());
+        let mut master = TlmMaster::new(ops);
+        master.set_id_base(id_base);
+        self.masters.push(master);
+        self.arbiter = Arbiter::new(self.arbiter.policy(), self.masters.len());
+        self.masters.len() - 1
+    }
+
+    /// Attaches a fault plan and robustness policy to master 0;
+    /// builder-style. Must be called before the first cycle.
     pub fn with_faults(mut self, plan: FaultPlan, policy: RetryPolicy) -> Self {
-        self.tear = CycleSchedule::new();
-        if let Some(tc) = plan.tear_cycle {
-            self.tear.at(tc, ());
-        }
-        self.master.set_faults(plan, policy);
-        self.faults_configured = true;
+        self.set_master_faults(0, plan, policy);
         self
     }
 
-    /// Disables per-transaction record keeping (throughput measurement
-    /// mode); [`TlmReport::records`] will be empty but cycle and
-    /// completion counts stay correct. The bus is also told it may
-    /// discard read data, since nothing will keep it.
-    pub fn disable_records(&mut self) {
-        self.master.disable_records();
-        self.bus.discard_read_data();
+    /// Attaches a fault plan and robustness policy to master `idx`. A
+    /// tear cycle in any plan tears the whole system — power is gone
+    /// for every master. Must be called before the first cycle.
+    pub fn set_master_faults(&mut self, idx: usize, plan: FaultPlan, policy: RetryPolicy) {
+        assert_eq!(self.cycle, 0, "faults must be configured before running");
+        if let Some(tc) = plan.tear_cycle {
+            self.tear.at(tc, ());
+        }
+        self.masters[idx].set_faults(plan, policy);
+        self.faults_configured = true;
     }
 
-    /// Transactions completed so far.
+    /// Disables per-transaction record keeping on every master and the
+    /// grant log (throughput measurement mode); [`TlmReport::records`]
+    /// will be empty but cycle and completion counts stay correct. The
+    /// bus is also told it may discard read data, since nothing will
+    /// keep it.
+    pub fn disable_records(&mut self) {
+        for m in &mut self.masters {
+            m.disable_records();
+        }
+        self.bus.discard_read_data();
+        self.arbiter.disable_log();
+    }
+
+    /// Transactions completed so far, over every master.
     pub fn completed(&self) -> u64 {
-        self.master.completed()
+        self.masters.iter().map(TlmMaster::completed).sum()
     }
 
     /// Shared access to the bus.
@@ -560,36 +674,63 @@ impl<B: CycleBus> TlmSystem<B> {
         &mut self.bus
     }
 
-    /// The records accumulated so far.
-    pub fn records(&self) -> &[TxnRecord] {
-        self.master.records()
-    }
-
     /// True once the card has been torn.
     pub fn torn(&self) -> bool {
-        self.torn
+        self.torn_at.is_some()
     }
 
-    /// Executes one bus cycle: master at the rising edge, bus process at
-    /// the falling edge (skipped while the bus is idle), then `hook`.
+    /// The cycle the card was torn at — the earliest tear over every
+    /// master's plan — once it has been. That cycle never executed.
+    pub fn torn_at(&self) -> Option<u64> {
+        self.torn_at
+    }
+
+    /// Executes one bus cycle: the masters at the rising edge (a lone
+    /// master without arbitration, several behind one grant), the bus
+    /// process at the falling edge (skipped while the bus is idle), then
+    /// `hook`.
     pub fn step_cycle(&mut self, hook: &mut impl FnMut(&mut B)) {
-        self.master.rising_edge(&mut self.bus, self.cycle);
+        let cycle = self.cycle;
+        if let [m] = self.masters.as_mut_slice() {
+            m.rising_edge(&mut self.bus, cycle);
+        } else {
+            self.arbitrated_rising_edge(cycle);
+        }
         self.sample_fault_counters();
         if self.bus.wants_every_cycle() || !self.bus.is_idle() {
-            self.bus.bus_process(self.cycle);
+            self.bus.bus_process(cycle);
             self.bus_activations += 1;
             hook(&mut self.bus);
         }
         self.cycle += 1;
     }
 
-    /// Mirrors the master's fault counters into the bus trace whenever
-    /// they change.
+    /// The rising edge of several masters: bookkeeping and a request
+    /// line for every master, then at most one grant, which issues.
+    fn arbitrated_rising_edge(&mut self, cycle: u64) {
+        for m in &mut self.masters {
+            m.begin_cycle(&mut self.bus, cycle);
+        }
+        let mut requests = std::mem::take(&mut self.requests);
+        requests.clear();
+        requests.extend(
+            self.masters
+                .iter_mut()
+                .map(|m| m.arbitration_request(cycle)),
+        );
+        if let Some(winner) = self.arbiter.grant(cycle, &requests) {
+            self.masters[winner].issue_granted(&mut self.bus, cycle);
+        }
+        self.requests = requests;
+    }
+
+    /// Mirrors the masters' aggregate `fault.*` counters into the bus
+    /// trace whenever they change.
     fn sample_fault_counters(&mut self) {
         if !self.faults_configured {
             return;
         }
-        let c = self.master.fault_counters();
+        let c: FaultCounters = self.masters.iter().map(|m| m.fault_counters()).sum();
         if c == self.sampled {
             return;
         }
@@ -608,21 +749,22 @@ impl<B: CycleBus> TlmSystem<B> {
         self.sampled = c;
     }
 
-    /// True once the stimulus has fully completed.
+    /// True once every master's stimulus has fully completed.
     pub fn is_finished(&self) -> bool {
-        self.master.is_finished()
+        self.masters.iter().all(TlmMaster::is_finished)
     }
 
-    /// Runs to completion — or to the card tear, whichever is first.
+    /// Runs to completion — or to the card tear, whichever is first. The
+    /// report takes the masters' records and outcomes, so run once.
     ///
     /// # Panics
     ///
     /// Panics if the stimulus does not finish within `max_cycles`.
     pub fn run(&mut self, max_cycles: u64, mut hook: impl FnMut(&mut B)) -> TlmReport {
-        while !self.master.is_finished() {
+        while !self.is_finished() {
             if !self.tear.pop_due(self.cycle).is_empty() {
                 // Power is gone: the cycle at the tear never executes.
-                self.torn = true;
+                self.torn_at = Some(self.cycle);
                 break;
             }
             assert!(
@@ -631,39 +773,30 @@ impl<B: CycleBus> TlmSystem<B> {
             );
             self.step_cycle(&mut hook);
         }
-        if self.torn {
+        if self.torn() {
             // Completions from already-executed cycles settled at the
             // reference's falling edge; pick them up before aborting the
             // rest, so the tear boundary agrees across layers.
             let cycle = self.cycle;
-            self.master.pickup(&mut self.bus, cycle);
-            self.master.tear_now();
+            for m in &mut self.masters {
+                m.pickup(&mut self.bus, cycle);
+                m.tear_now();
+            }
             self.sample_fault_counters();
         }
-        let cycles = if self.master.completed() > 0 {
-            self.master.last_done_cycle() + 1
-        } else {
-            0
-        };
-        TlmReport {
-            cycles,
-            records: self.master.records().to_vec(),
-            bus_activations: self.bus_activations,
-            outcomes: self
-                .master
-                .outcomes()
-                .iter()
-                .map(|o| o.expect("all ops settled at end of run"))
-                .collect(),
-            fault: self.master.fault_counters(),
-        }
+        TlmReport::assemble(&mut self.masters, self.bus_activations, &self.arbiter)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hierbus_ec::{Address, BurstLen, DataWidth, OpFault};
+    use crate::tlm1::Tlm1Bus;
+    use crate::tlm2::Tlm2Bus;
+    use hierbus_ec::sequences::{self, Scenario};
+    use hierbus_ec::{
+        AccessRights, Address, AddressRange, BurstLen, DataWidth, OpFault, SlaveConfig, WaitProfile,
+    };
     use std::collections::HashMap;
 
     /// A bus that completes everything `LAT` cycles after issue, and
@@ -859,5 +992,155 @@ mod tests {
         assert_eq!(report.outcomes, vec![TxnOutcome::Aborted; 3]);
         assert_eq!(report.fault.aborted, 3);
         assert_eq!(report.cycles, 0); // nothing completed before the tear
+    }
+
+    fn mem_bus<B>(waits: WaitProfile, make: impl Fn(Vec<Box<dyn crate::TlmSlave>>) -> B) -> B {
+        let cfg = SlaveConfig::new(
+            AddressRange::new(Address::new(0), 0x2_0000),
+            waits,
+            AccessRights::RWX,
+        );
+        make(vec![Box::new(crate::MemSlave::new(cfg))])
+    }
+
+    /// Runs `s` twice on fresh buses: as a lone master (the branch that
+    /// skips arbitration) and with an empty-op second master (forcing
+    /// the arbitrated step). Master 0 must not tell the difference.
+    /// Returns the lone run's fault counters and whether it tore.
+    fn assert_lone_matches_arbitrated<B: CycleBus, T: PartialEq + std::fmt::Debug>(
+        tag: &str,
+        make_bus: impl Fn() -> B,
+        s: &Scenario,
+        faults: &Option<(FaultPlan, RetryPolicy)>,
+        capture: impl Fn(&mut B, &mut Vec<T>),
+    ) -> (FaultCounters, bool) {
+        let run = |second_master: bool| {
+            let mut sys = TlmSystem::new(make_bus(), s.ops.clone());
+            if second_master {
+                sys.add_master(Vec::new(), DMA_ID_BASE);
+            }
+            if let Some((plan, policy)) = faults {
+                sys.set_master_faults(0, plan.clone(), *policy);
+            }
+            let mut seen = Vec::new();
+            let report = sys.run(1_000_000, |bus| capture(bus, &mut seen));
+            (report, seen, sys.torn())
+        };
+        let (lone, lone_seen, lone_torn) = run(false);
+        let (arb, arb_seen, arb_torn) = run(true);
+        assert_eq!(lone.masters[0], arb.masters[0], "{tag}: master 0");
+        assert_eq!(lone.records, arb.records, "{tag}: records");
+        assert_eq!(lone.outcomes, arb.outcomes, "{tag}: outcomes");
+        assert_eq!(lone.fault, arb.fault, "{tag}: counters");
+        assert_eq!(lone.cycles, arb.cycles, "{tag}: cycles");
+        assert_eq!(
+            lone.bus_activations, arb.bus_activations,
+            "{tag}: activations"
+        );
+        assert_eq!(lone_seen, arb_seen, "{tag}: frames/events");
+        assert_eq!(lone_torn, arb_torn, "{tag}: torn");
+        assert!(
+            lone.grants.is_empty(),
+            "{tag}: a lone master was arbitrated"
+        );
+        // One grant per issued attempt, every one to master 0.
+        assert_eq!(arb.grants.len(), arb.records.len(), "{tag}: grants");
+        assert!(arb.grants.iter().all(|&(_, m)| m == 0), "{tag}: grantee");
+        (lone.fault, lone_torn)
+    }
+
+    #[test]
+    fn lone_master_branch_matches_arbitrated_step() {
+        let mix = |seed| {
+            sequences::random_mix(
+                seed,
+                sequences::MixParams {
+                    count: 200,
+                    burst_pct: 30,
+                    ..sequences::MixParams::default()
+                },
+            )
+        };
+        let retry_timeout = (
+            FaultPlan::new()
+                .with_fault(3, OpFault::once(FaultKind::SlaveError))
+                .with_fault(9, OpFault::always(FaultKind::SlaveError))
+                .with_fault(17, OpFault::always(FaultKind::Stall(60))),
+            RetryPolicy {
+                timeout: Some(40),
+                ..RetryPolicy::retries(2)
+            },
+        );
+        let tear = (FaultPlan::new().with_tear(150), RetryPolicy::NONE);
+        let mut cases: Vec<_> = sequences::all_scenarios()
+            .into_iter()
+            .map(|s| (s, None))
+            .collect();
+        cases.push((mix(0x1A), Some(retry_timeout)));
+        cases.push((mix(0x2B), Some(tear)));
+        let mut exercised = Vec::new();
+        for (s, faults) in &cases {
+            let layer1 = || {
+                let mut bus = mem_bus(s.waits, Tlm1Bus::new);
+                bus.enable_frames();
+                bus
+            };
+            let frames = |bus: &mut Tlm1Bus, seen: &mut Vec<_>| seen.push(*bus.last_frame());
+            let l1 = assert_lone_matches_arbitrated(
+                &format!("l1/{}", s.name),
+                layer1,
+                s,
+                faults,
+                frames,
+            );
+            let layer2 = || {
+                let mut bus = mem_bus(s.waits, Tlm2Bus::new);
+                bus.enable_events();
+                bus
+            };
+            let events = |bus: &mut Tlm2Bus, seen: &mut Vec<_>| seen.extend(bus.drain_events());
+            let l2 = assert_lone_matches_arbitrated(
+                &format!("l2/{}", s.name),
+                layer2,
+                s,
+                faults,
+                events,
+            );
+            exercised.extend([l1, l2]);
+        }
+        // The faulted mixes retried, timed out and tore on both buses.
+        let faulted = &exercised[exercised.len() - 4..];
+        assert!(faulted[..2]
+            .iter()
+            .all(|(c, _)| c.retried > 0 && c.aborted > 0));
+        assert!(faulted[2..].iter().all(|&(_, torn)| torn));
+    }
+
+    #[test]
+    fn two_masters_complete_disjoint_windows() {
+        let cpu = sequences::random_mix(
+            7,
+            sequences::MixParams {
+                count: 40,
+                ..sequences::MixParams::default()
+            },
+        );
+        let dma = hierbus_ec::DmaProgram::seeded(9, hierbus_ec::DmaParams::default());
+        let ms = MultiScenario::new("t", cpu, &dma, ArbitrationPolicy::FixedPriority);
+        let mut sys = TlmSystem::for_multi(mem_bus(ms.cpu.waits, Tlm1Bus::new), &ms);
+        let report = sys.run(1_000_000, |_| {});
+        assert_eq!(report.masters.len(), 2);
+        assert!(report.masters[1].completed > 0);
+        assert!(report
+            .masters
+            .iter()
+            .all(|m| m.outcomes.iter().all(|o| *o == TxnOutcome::Ok)));
+        // Every DMA record carries a high-range id.
+        assert!(report.masters[1]
+            .records
+            .iter()
+            .all(|r| r.id.0 >= DMA_ID_BASE));
+        // Fixed priority: the CPU never waits for a grant.
+        assert_eq!(report.stats.waits[0], 0);
     }
 }

@@ -1,21 +1,24 @@
 //! Kernel-driven execution — the SystemC process structure of the paper.
 //!
 //! The direct cycle loop of [`TlmSystem`](crate::master::TlmSystem) is
-//! the fast path; this module provides the *faithful* path: master and
-//! bus as processes on the [`hierbus_sim`] discrete-event kernel, the
-//! master statically sensitive to the **rising** clock edge and the bus
-//! process to the **falling** edge, exactly as §3.1 describes. The
-//! layer-2 model's dynamic sensitivity ("to avoid calls to processes
-//! when they are not necessary") is realised with the kernel's
-//! `next_trigger`: the bus process desensitises itself while the bus is
-//! idle, and the master notifies the wake event — timed to the falling
-//! edge — when it issues into an idle bus.
+//! the fast path; this module provides the *faithful* path for one
+//! master: master and bus as processes on the [`hierbus_sim`]
+//! discrete-event kernel, the master statically sensitive to the
+//! **rising** clock edge and the bus process to the **falling** edge,
+//! exactly as §3.1 describes. The layer-2 model's dynamic sensitivity
+//! ("to avoid calls to processes when they are not necessary") is
+//! realised with the kernel's `next_trigger`: the bus process
+//! desensitises itself while the bus is idle, and the master notifies
+//! the wake event — timed to the falling edge — when it issues into an
+//! idle bus.
 //!
 //! Both paths must agree cycle-for-cycle; `kernel_runs_match_loop_runs`
-//! in the tests pins that down.
+//! in the tests pins that down. They also assemble their
+//! [`TlmReport`] the same way, so the two reports compare field by
+//! field.
 
 use crate::master::{CycleBus, TlmMaster, TlmReport};
-use hierbus_ec::MasterOp;
+use hierbus_ec::{Arbiter, ArbitrationPolicy, MasterOp};
 use hierbus_sim::{Edge, Kernel};
 
 /// Clock period in kernel ticks (rising at even multiples, falling at
@@ -110,28 +113,18 @@ where
 
     kernel.run_until(max_cycles.saturating_mul(CLOCK_PERIOD));
 
-    let world = kernel.into_world();
+    let mut world = kernel.into_world();
     assert!(
         world.master.is_finished(),
         "stimulus did not complete within {max_cycles} cycles"
     );
-    let cycles = if world.master.completed() > 0 {
-        world.master.last_done_cycle() + 1
-    } else {
-        0
-    };
-    TlmReport {
-        cycles,
-        records: world.master.records().to_vec(),
-        bus_activations: world.bus_activations,
-        outcomes: world
-            .master
-            .outcomes()
-            .iter()
-            .map(|o| o.expect("all ops settled at end of run"))
-            .collect(),
-        fault: world.master.fault_counters(),
-    }
+    // A lone master is never arbitrated: its arbiter stays untouched,
+    // exactly as in the cycle loop.
+    TlmReport::assemble(
+        std::slice::from_mut(&mut world.master),
+        world.bus_activations,
+        &Arbiter::new(ArbitrationPolicy::FixedPriority, 1),
+    )
 }
 
 #[cfg(test)]

@@ -319,6 +319,17 @@ impl FaultCounters {
     }
 }
 
+/// Totals over masters: each counter summed.
+impl std::iter::Sum for FaultCounters {
+    fn sum<I: Iterator<Item = FaultCounters>>(iter: I) -> Self {
+        iter.fold(FaultCounters::default(), |t, c| FaultCounters {
+            injected: t.injected + c.injected,
+            retried: t.retried + c.retried,
+            aborted: t.aborted + c.aborted,
+        })
+    }
+}
+
 trait SaturatingShl {
     fn saturating_shl(self, n: u32) -> Self;
 }

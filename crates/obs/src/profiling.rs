@@ -13,7 +13,7 @@
 //! aggregates the timelines into a [`PoolProfile`], exportable as a
 //! multi-track Perfetto trace (one track per worker) and as
 //! chunk-latency / phase-duration histograms in a
-//! [`MetricsSnapshot`](crate::MetricsSnapshot).
+//! [`MetricsSnapshot`].
 //!
 //! On top of the profiles, [`scaling_audit`] decomposes the measured
 //! parallel-efficiency loss at each worker count into a serial fraction

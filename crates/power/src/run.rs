@@ -32,8 +32,7 @@
 
 use crate::{CharacterizationDb, Layer1EnergyModel, Layer2EnergyModel};
 use hierbus_core::{
-    CycleBus, HasSlaves, MasterReport, MemSlave, MultiMasterSystem, PhaseEvent, Tlm1Bus, Tlm2Bus,
-    Tlm3Bus, TlmSystem,
+    CycleBus, HasSlaves, MasterReport, MemSlave, PhaseEvent, Tlm1Bus, Tlm2Bus, Tlm3Bus, TlmSystem,
 };
 use hierbus_ec::dma::master_of_trace;
 use hierbus_ec::record::TxnRecord;
@@ -283,7 +282,8 @@ impl Session {
             Layer::L2 { correlation } => self.run_l2(correlation, spec, stimulus),
             Layer::L3 => {
                 let slave = MemSlave::new(scenario_slave(stimulus.memory()));
-                System::new(Tlm3Bus::new(vec![Box::new(slave)]), spec, stimulus).run(spec, |_| {})
+                let mut sys = tlm_system(Tlm3Bus::new(vec![Box::new(slave)]), spec, stimulus);
+                run_tlm(&mut sys, spec, stimulus, |_| {})
             }
         }
     }
@@ -377,12 +377,14 @@ impl Session {
         if spec.energy {
             bus.enable_frames();
         }
-        let mut sys = System::new(bus, spec, stimulus);
+        let mut sys = tlm_system(bus, spec, stimulus);
         let mut out = if spec.energy {
             let model = self.l1_model(full);
-            sys.run(spec, |bus: &mut Tlm1Bus| model.on_frame(bus.last_frame()))
+            run_tlm(&mut sys, spec, stimulus, |bus: &mut Tlm1Bus| {
+                model.on_frame(bus.last_frame())
+            })
         } else {
-            sys.run(spec, |_| {})
+            run_tlm(&mut sys, spec, stimulus, |_| {})
         };
         out.obs = std::mem::take(sys.bus_mut().obs_mut());
         if spec.energy {
@@ -410,7 +412,7 @@ impl Session {
         if spec.energy {
             bus.enable_events();
         }
-        let mut sys = System::new(bus, spec, stimulus);
+        let mut sys = tlm_system(bus, spec, stimulus);
         let mut model = Layer2EnergyModel::new(self.l1.db().clone());
         if correlation {
             model.enable_correlation_correction();
@@ -427,18 +429,16 @@ impl Session {
             }
         };
         let mut out = if spec.energy {
-            sys.run(spec, |bus: &mut Tlm2Bus| {
+            run_tlm(&mut sys, spec, stimulus, |bus: &mut Tlm2Bus| {
                 bus.drain_events().for_each(|ev| book(&ev))
             })
         } else {
-            sys.run(spec, |_| {})
+            run_tlm(&mut sys, spec, stimulus, |_| {})
         };
-        if out.torn && spec.energy {
+        if let Some(at) = sys.torn_at().filter(|_| spec.energy) {
             // Phases the tear cut short are flushed as partial events
-            // and charged pro-rata.
-            let at = spec.faults.iter().find_map(|f| f.plan.tear_cycle);
-            sys.bus_mut()
-                .flush_partial_phases(at.expect("torn runs come from a tear plan"));
+            // and charged pro-rata, at the cycle the system tore.
+            sys.bus_mut().flush_partial_phases(at);
             sys.bus_mut().drain_events().for_each(|ev| book(&ev));
         }
         out.obs = std::mem::take(sys.bus_mut().obs_mut());
@@ -454,94 +454,52 @@ impl Session {
     }
 }
 
-/// A TLM system over any bus: one master, or the arbitrated CPU+DMA
-/// pair.
-enum System<B> {
-    Single(TlmSystem<B>),
-    Multi(MultiMasterSystem<B>),
+/// The TLM system `spec` describes over `bus`: one master, or the
+/// arbitrated CPU+DMA pair, with the spec's faults attached.
+fn tlm_system<B: CycleBus>(bus: B, spec: &RunSpec, stimulus: &Materialized) -> TlmSystem<B> {
+    let mut sys = match stimulus {
+        Materialized::Single(s) => TlmSystem::new(bus, s.ops.clone()),
+        Materialized::Multi(ms) => TlmSystem::for_multi(bus, ms),
+    };
+    for f in &spec.faults {
+        sys.set_master_faults(f.master, f.plan.clone(), f.policy);
+    }
+    if spec.capture != Capture::Full {
+        sys.disable_records();
+    }
+    sys
 }
 
-impl<B: CycleBus + HasSlaves> System<B> {
-    fn new(bus: B, spec: &RunSpec, stimulus: &Materialized) -> Self {
-        let mut sys = match stimulus {
-            Materialized::Single(s) => {
-                let sys = TlmSystem::new(bus, s.ops.clone());
-                System::Single(match spec.faults.as_slice() {
-                    [] => sys,
-                    [f] if f.master == 0 => sys.with_faults(f.plan.clone(), f.policy),
-                    _ => panic!("a single-master scenario takes faults for master 0 only"),
-                })
-            }
-            Materialized::Multi(ms) => {
-                let mut sys = MultiMasterSystem::for_multi(bus, ms);
-                for f in &spec.faults {
-                    sys.set_master_faults(f.master, f.plan.clone(), f.policy);
-                }
-                System::Multi(sys)
-            }
-        };
-        if spec.capture != Capture::Full {
-            match &mut sys {
-                System::Single(s) => s.disable_records(),
-                System::Multi(s) => s.disable_records(),
-            }
-        }
-        sys
+/// Runs `sys` to completion (or the tear), calling `hook` after every
+/// bus-process activation. The per-master slices and the arbitration
+/// record are kept for the CPU+DMA pair only; under full capture the
+/// outcome carries the committed memory.
+fn run_tlm<B: CycleBus + HasSlaves>(
+    sys: &mut TlmSystem<B>,
+    spec: &RunSpec,
+    stimulus: &Materialized,
+    hook: impl FnMut(&mut B),
+) -> Outcome {
+    let report = sys.run(MAX_CYCLES, hook);
+    let mut out = Outcome {
+        cycles: report.cycles,
+        records: report.records,
+        outcomes: report.outcomes,
+        counters: report.fault,
+        torn: sys.torn(),
+        ..Outcome::default()
+    };
+    if let Materialized::Multi(_) = stimulus {
+        out.masters = report.masters;
+        out.grants = report.grants;
+        out.stats = report.stats;
     }
-
-    /// Runs to completion (or the tear), calling `hook` after every
-    /// bus-process activation; under full capture the outcome carries
-    /// the committed memory.
-    fn run(&mut self, spec: &RunSpec, hook: impl FnMut(&mut B)) -> Outcome {
-        let mut out = match self {
-            System::Single(sys) => {
-                let report = sys.run(MAX_CYCLES, hook);
-                Outcome {
-                    cycles: report.cycles,
-                    records: report.records,
-                    outcomes: report.outcomes,
-                    counters: report.fault,
-                    torn: sys.torn(),
-                    ..Outcome::default()
-                }
-            }
-            System::Multi(sys) => {
-                let report = sys.run(MAX_CYCLES, hook);
-                Outcome {
-                    cycles: report.cycles,
-                    records: report
-                        .masters
-                        .iter()
-                        .flat_map(|m| m.records.clone())
-                        .collect(),
-                    outcomes: report
-                        .masters
-                        .iter()
-                        .flat_map(|m| m.outcomes.clone())
-                        .collect(),
-                    counters: report.fault_total(),
-                    masters: report.masters,
-                    grants: report.grants,
-                    stats: report.stats,
-                    torn: sys.torn(),
-                    ..Outcome::default()
-                }
-            }
-        };
-        if spec.capture == Capture::Full {
-            out.memory = self
-                .bus_mut()
-                .slave_as::<MemSlave>(SlaveId(0))
-                .expect("scenario slave is a MemSlave")
-                .snapshot();
-        }
-        out
+    if spec.capture == Capture::Full {
+        out.memory = sys
+            .bus_mut()
+            .slave_as::<MemSlave>(SlaveId(0))
+            .expect("scenario slave is a MemSlave")
+            .snapshot();
     }
-
-    fn bus_mut(&mut self) -> &mut B {
-        match self {
-            System::Single(sys) => sys.bus_mut(),
-            System::Multi(sys) => sys.bus_mut(),
-        }
-    }
+    out
 }

@@ -32,8 +32,8 @@ struct Retry {
 /// one-issue-per-cycle rule and the outstanding-transaction ceilings, and
 /// records every transaction's lifetime.
 ///
-/// With a [`FaultPlan`] and [`RetryPolicy`] attached ([`set_faults`]
-/// (Self::set_faults)) the master mirrors the TLM masters' robustness
+/// With a [`FaultPlan`] and [`RetryPolicy`] attached
+/// ([`set_faults`](Self::set_faults)) the master mirrors the TLM masters' robustness
 /// policy exactly: slave errors are retried with bounded backoff
 /// (reissue no earlier than the cycle after completion plus the backoff
 /// gap — the cycle a TLM master would pick the failure up), attempts
@@ -178,9 +178,9 @@ impl RtlMaster {
     }
 
     /// Issues the attempt whose request line won arbitration this
-    /// cycle. Must follow an [`arbitration_request`]
-    /// (Self::arbitration_request) that returned true in the same
-    /// cycle. Returns the record index, the transaction to place on
+    /// cycle. Must follow an
+    /// [`arbitration_request`](Self::arbitration_request) that returned
+    /// true in the same cycle. Returns the record index, the transaction to place on
     /// the bus, and the fault resolved for this attempt.
     pub fn issue_granted(&mut self, cycle: u64) -> (usize, Transaction, Option<FaultKind>) {
         if let Some(pos) = self.due_retry(cycle) {

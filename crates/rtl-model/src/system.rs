@@ -220,7 +220,7 @@ impl RtlSystem {
 
     /// Fault counters so far, summed over masters.
     pub fn fault_counters(&self) -> FaultCounters {
-        sum_counters(self.masters.iter().map(|m| m.fault_counters()))
+        self.masters.iter().map(|m| m.fault_counters()).sum()
     }
 
     /// Downcasts the slave at position `i` to its concrete model type
@@ -345,7 +345,7 @@ impl RtlSystem {
     }
 
     /// Master 0's transaction records so far (the only master's, in a
-    /// single-master system; see [`master`](Self::master) for others).
+    /// single-master system; [`RunReport::masters`] has every master's).
     pub fn records(&self) -> &[TxnRecord] {
         self.masters[0].records()
     }
@@ -697,23 +697,12 @@ impl RtlSystem {
             transitions: self.estimator.total_transitions(),
             glitch_transitions: glitches,
             outcomes: masters.iter().flat_map(|m| m.outcomes.clone()).collect(),
-            fault: sum_counters(masters.iter().map(|m| m.fault)),
+            fault: masters.iter().map(|m| m.fault).sum(),
             masters,
             grants: self.arbiter.log().to_vec(),
             stats: self.arbiter.stats().clone(),
         }
     }
-}
-
-/// Sums fault counters over masters.
-fn sum_counters(it: impl Iterator<Item = FaultCounters>) -> FaultCounters {
-    let mut total = FaultCounters::default();
-    for c in it {
-        total.injected += c.injected;
-        total.retried += c.retried;
-        total.aborted += c.aborted;
-    }
-    total
 }
 
 impl std::fmt::Debug for RtlSystem {

@@ -10,7 +10,7 @@
 //! bit-loop reference runs.
 
 use hierbus::campaign::{CampaignOptions, CampaignPayload, Json, Matrix};
-use hierbus::core::{HasSlaves, MultiMasterSystem};
+use hierbus::core::HasSlaves;
 use hierbus::ec::sequences::{random_mix, MasterOp, MixParams, Scenario};
 use hierbus::ec::{
     AccessKind, ArbitrationPolicy, BurstLen, DataWidth, DmaParams, DmaProgram, FaultKind,
@@ -276,7 +276,7 @@ fn packed_diff_matches_reference_on_arbiter_merged_frames() {
             let mem = MemSlave::new(scenario_slave(&ms.cpu));
             let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
             bus.enable_frames();
-            let mut sys = MultiMasterSystem::for_multi(bus, &ms);
+            let mut sys = TlmSystem::for_multi(bus, &ms);
             let mut frames = Vec::new();
             sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
                 frames.push(*bus.last_frame());
@@ -484,7 +484,7 @@ fn multi_bitloop_run(ms: &MultiScenario, db: &CharacterizationDb) -> (u64, f64) 
     let mem = MemSlave::new(scenario_slave(&ms.cpu));
     let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
     bus.enable_frames();
-    let mut sys = MultiMasterSystem::for_multi(bus, ms);
+    let mut sys = TlmSystem::for_multi(bus, ms);
     let mut model = Layer1EnergyModel::new(db.clone());
     let report = sys.run(MAX_CYCLES, |bus: &mut Tlm1Bus| {
         model.on_frame_reference(bus.last_frame());

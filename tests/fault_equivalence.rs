@@ -6,8 +6,11 @@
 //!
 //! [`FaultPlan`]: hierbus::ec::FaultPlan
 
-use hierbus::ec::sequences::{MasterOp, Scenario};
-use hierbus::ec::{BusError, FaultKind, FaultPlan, OpFault, RetryPolicy, TxnOutcome, WaitProfile};
+use hierbus::ec::sequences::{self, MasterOp, MixParams, Scenario};
+use hierbus::ec::{
+    ArbitrationPolicy, BusError, DmaParams, DmaProgram, FaultKind, FaultPlan, MultiScenario,
+    OpFault, RetryPolicy, TxnOutcome, WaitProfile,
+};
 use hierbus::harness::shared_db;
 use hierbus::power::{Capture, CharacterizationDb, Layer, MasterFaults, Outcome, RunSpec, Session};
 
@@ -227,6 +230,60 @@ fn stall_fault_stretches_all_layers_identically() {
     assert!(rtl.outcomes.iter().all(|o| o.is_ok()));
     assert_eq!(rtl.cycles, clean.cycles + 5, "stall adds exactly 5 cycles");
     assert_eq!(rtl.counters.injected, 1);
+}
+
+/// Two tears on the CPU+DMA pair at layer 2, one per master: the system
+/// tears at the earlier one, and the phases it cut short are flushed at
+/// that cycle whichever order the spec lists the plans in.
+#[test]
+fn layer2_tear_flush_is_independent_of_spec_order() {
+    let db = shared_db();
+    let cpu = sequences::random_mix(
+        0x7EA2,
+        MixParams {
+            count: 100,
+            burst_pct: 40,
+            ..MixParams::default()
+        },
+    );
+    let dma = DmaProgram::seeded(0x7EA2 ^ 0xD31A, DmaParams::default());
+    let ms = MultiScenario::new("tear-order", cpu, &dma, ArbitrationPolicy::RoundRobin).into();
+    let tear =
+        |master, at| MasterFaults::new(master, FaultPlan::new().with_tear(at), RetryPolicy::NONE);
+    let run = |faults| {
+        let spec =
+            RunSpec::new(Layer::L2 { correlation: false }, Capture::Full).with_faults(faults);
+        Session::new(&db).run(&spec, &ms)
+    };
+    let booked = |o: &Outcome| -> Vec<(u64, u64)> {
+        o.bookings.iter().map(|&(c, e)| (c, e.to_bits())).collect()
+    };
+    for t in (0..26).map(|i| 10 + 7 * i) {
+        let early_first = run(vec![tear(0, t), tear(1, t + 150)]);
+        let late_first = run(vec![tear(1, t + 150), tear(0, t)]);
+        let tag = format!("tear@{t}");
+        assert!(early_first.torn, "{tag}: not torn");
+        assert!(
+            early_first.bookings.iter().all(|&(c, _)| c <= t),
+            "{tag}: a phase booked after the tear"
+        );
+        let (a, b) = (&early_first, &late_first);
+        assert_eq!(
+            a.energy_pj.to_bits(),
+            b.energy_pj.to_bits(),
+            "{tag}: energy"
+        );
+        assert_eq!(booked(a), booked(b), "{tag}: bookings");
+        assert_eq!(a.ledger, b.ledger, "{tag}: ledger");
+        assert_eq!(a.cycles, b.cycles, "{tag}: cycles");
+        assert_eq!(a.records, b.records, "{tag}: records");
+        assert_eq!(a.outcomes, b.outcomes, "{tag}: outcomes");
+        assert_eq!(a.counters, b.counters, "{tag}: counters");
+        assert_eq!(a.masters, b.masters, "{tag}: masters");
+        assert_eq!(a.grants, b.grants, "{tag}: grants");
+        assert_eq!(a.memory, b.memory, "{tag}: memory");
+        assert_eq!(a.obs.spans(), b.obs.spans(), "{tag}: spans");
+    }
 }
 
 #[test]
