@@ -86,18 +86,7 @@ fn main() {
         },
     )
     .expect("manifest-less campaign cannot fail on I/O");
-    eprintln!(
-        "campaign: {} cells in {:.2?} ({} workers)",
-        report.stats.total, report.stats.wall, report.stats.workers
-    );
-    for (i, w) in report.stats.per_worker.iter().enumerate() {
-        eprintln!(
-            "  worker {i}: {} claimed, {} completed, {:.0}% busy",
-            w.claimed,
-            w.completed,
-            100.0 * w.utilization(report.stats.wall)
-        );
-    }
+    eprintln!("campaign: {}", report.stats);
     // cells[scenario][model], merged in matrix order.
     let cell = |scenario: usize, model: &str| -> f64 {
         let m = MODELS.iter().position(|&x| x == model).expect("model");
@@ -410,18 +399,7 @@ fn fault_ablation(db: &std::sync::Arc<CharacterizationDb>) {
         },
     )
     .expect("manifest-less campaign cannot fail on I/O");
-    eprintln!(
-        "fault campaign: {} cells in {:.2?} ({} workers)",
-        report.stats.total, report.stats.wall, report.stats.workers
-    );
-    for (i, w) in report.stats.per_worker.iter().enumerate() {
-        eprintln!(
-            "  worker {i}: {} claimed, {} completed, {:.0}% busy",
-            w.claimed,
-            w.completed,
-            100.0 * w.utilization(report.stats.wall)
-        );
-    }
+    eprintln!("fault campaign: {}", report.stats);
     let cell = |preset: usize, layer: usize| -> &FaultCell {
         report.results[preset * LAYERS.len() + layer]
             .as_ref()

@@ -71,10 +71,7 @@ fn main() {
         },
     )
     .expect("manifest-less campaign cannot fail on I/O");
-    eprintln!(
-        "campaign: {} tables in {:.2?} ({} workers)",
-        report.stats.total, report.stats.wall, report.stats.workers
-    );
+    eprintln!("campaign: {}", report.stats);
     for (_, table) in report.completed() {
         println!("==== {} ====", table.name);
         println!("{}", table.text);

@@ -1,117 +1,93 @@
-//! Schema gate for `results/obs/scaling_audit.json` — part of the
-//! `ci.sh` staleness checks.
+//! Gate for `results/obs/scaling_audit.json` — part of the `ci.sh`
+//! checks.
 //!
 //! The audit artifact is wall-clock based, so its *numbers* are not
 //! regression-diffed — but its *shape* is load-bearing for anyone
 //! scripting against it, and its arithmetic contract
 //! (`serial + imbalance + contention + residual = loss` at every worker
-//! count, within 10% of the measured gap) is what makes the
-//! decomposition trustworthy. This binary verifies `schema_version` 1,
-//! the fitted serial fraction in `[0, 1]`, a non-empty `workers` array
-//! whose entries carry every decomposition field, and the sum contract.
-//! Exits non-zero naming the first violation.
+//! count) is what makes the decomposition trustworthy. Both are checked
+//! by [`hierbus_bench::check_scaling_audit`], the validator the
+//! `scaling_audit` bin also runs on its own output.
+//!
+//! The committed audit and the `campaign_explore` section of
+//! `BENCH_throughput.json` must come from one `scaling_audit` run: the
+//! same scenario count and worker counts, and per worker count the same
+//! `scenarios_per_s` and `busy_frac`. Exits non-zero naming the first
+//! violation.
 //!
 //! Run with `cargo run --release -p hierbus-bench --bin
 //! check_scaling_audit` after the `scaling_audit` binary has written
-//! the artifact.
+//! the artifacts.
 
 use hierbus_campaign::Json;
+use std::path::Path;
 use std::process::ExitCode;
 
-const POINT_FIELDS: &[&str] = &[
-    "workers",
-    "wall_ns",
-    "scenarios_per_s",
-    "efficiency",
-    "loss",
-    "serial_loss",
-    "imbalance_loss",
-    "contention_loss",
-    "residual_loss",
-    "busy_frac",
-    "balance",
-    "claim_retries",
-    "db_accesses",
-    "allocations",
-];
-
-const PHASE_FIELDS: &[&str] = &[
-    "claim",
-    "db_access",
-    "simulate",
-    "serialize",
-    "merge_wait",
-    "idle",
-    "merge",
-];
-
-const PERCENTILE_FIELDS: &[&str] = &["p50", "p90", "p99"];
-
-fn field(entry: &Json, i: usize, name: &str) -> Result<f64, String> {
-    entry
-        .get(name)
-        .and_then(Json::as_f64)
-        .ok_or(format!("workers[{i}]: missing or non-numeric field {name}"))
+fn load(path: &Path) -> Result<Json, String> {
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| format!("cannot read {}: {e}", path.display()))?;
+    Json::parse(&text).map_err(|e| format!("{} is not valid JSON: {e}", path.display()))
 }
 
-fn check(root: &Json) -> Result<(), String> {
-    let version = root
-        .get("schema_version")
-        .and_then(Json::as_u64)
-        .ok_or("missing schema_version".to_owned())?;
-    if version != 1 {
-        return Err(format!("unsupported schema_version {version}"));
-    }
-    root.get("campaign")
-        .and_then(Json::as_str)
-        .ok_or("missing campaign".to_owned())?;
-    root.get("scenarios")
-        .and_then(Json::as_u64)
-        .ok_or("missing scenarios count".to_owned())?;
-    let serial = root
-        .get("serial_fraction")
-        .and_then(Json::as_f64)
-        .ok_or("missing serial_fraction".to_owned())?;
-    if !(0.0..=1.0).contains(&serial) {
-        return Err(format!("serial_fraction {serial} outside [0, 1]"));
-    }
-    let workers = root
+/// `(workers, scenarios_per_s, busy_frac)` of every entry of a
+/// `workers` array.
+fn rows(section: &Json, what: &str) -> Result<Vec<(u64, f64, f64)>, String> {
+    let entries = section
         .get("workers")
         .and_then(Json::as_arr)
-        .ok_or("missing workers array".to_owned())?;
-    if workers.is_empty() {
-        return Err("empty workers array".to_owned());
+        .ok_or(format!("{what}: missing workers array"))?;
+    entries
+        .iter()
+        .enumerate()
+        .map(|(i, e)| {
+            let num = |name| {
+                e.get(name)
+                    .and_then(Json::as_f64)
+                    .ok_or(format!("{what}: workers[{i}] missing {name}"))
+            };
+            Ok((
+                num("workers")? as u64,
+                num("scenarios_per_s")?,
+                num("busy_frac")?,
+            ))
+        })
+        .collect()
+}
+
+/// The audit and the BENCH `campaign_explore` rows describe one run.
+fn check_same_run(audit: &Json, bench: &Json) -> Result<(), String> {
+    let campaign = bench
+        .get("campaign_explore")
+        .ok_or("BENCH_throughput.json: missing section campaign_explore")?;
+    let scenarios = |doc: &Json, what: &str| {
+        doc.get("scenarios")
+            .and_then(Json::as_u64)
+            .ok_or(format!("{what}: missing scenarios count"))
+    };
+    let (a, b) = (
+        scenarios(audit, "audit")?,
+        scenarios(campaign, "campaign_explore")?,
+    );
+    if a != b {
+        return Err(format!(
+            "audit has {a} scenarios, campaign_explore {b}: not one run"
+        ));
     }
-    for (i, entry) in workers.iter().enumerate() {
-        for name in POINT_FIELDS {
-            field(entry, i, name)?;
-        }
-        let phases = entry
-            .get("phase_ns")
-            .ok_or(format!("workers[{i}]: missing phase_ns section"))?;
-        for name in PHASE_FIELDS {
-            phases.get(name).and_then(Json::as_u64).ok_or(format!(
-                "workers[{i}]: phase_ns missing or non-numeric field {name}"
-            ))?;
-        }
-        let chunks = entry
-            .get("chunk_latency_ns")
-            .ok_or(format!("workers[{i}]: missing chunk_latency_ns section"))?;
-        for name in PERCENTILE_FIELDS {
-            chunks.get(name).and_then(Json::as_u64).ok_or(format!(
-                "workers[{i}]: chunk_latency_ns missing or non-numeric field {name}"
-            ))?;
-        }
-        // The decomposition contract: the attributed shares plus the
-        // residual must reconstruct the measured efficiency gap.
-        let loss = field(entry, i, "loss")?;
-        let sum = field(entry, i, "serial_loss")?
-            + field(entry, i, "imbalance_loss")?
-            + field(entry, i, "contention_loss")?
-            + field(entry, i, "residual_loss")?;
-        if (sum - loss).abs() > (0.1 * loss.abs()).max(1e-9) {
+    let (a, b) = (rows(audit, "audit")?, rows(campaign, "campaign_explore")?);
+    let counts = |r: &[(u64, f64, f64)]| r.iter().map(|p| p.0).collect::<Vec<_>>();
+    if counts(&a) != counts(&b) {
+        return Err(format!(
+            "audit worker counts {:?} differ from campaign_explore's {:?}: not one run",
+            counts(&a),
+            counts(&b)
+        ));
+    }
+    for (x, y) in a.iter().zip(&b) {
+        if x.1 != y.1 || x.2 != y.2 {
             return Err(format!(
-                "workers[{i}]: decomposition sums to {sum} but loss says {loss}"
+                "{} workers: audit scenarios_per_s {} / busy_frac {} vs campaign_explore {} / {}: \
+                 not one run",
+                x.0, x.1, x.2, y.1, y.2
             ));
         }
     }
@@ -119,32 +95,23 @@ fn check(root: &Json) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let path = std::path::Path::new("results/obs/scaling_audit.json");
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => {
-            eprintln!("check_scaling_audit: cannot read {}: {e}", path.display());
-            eprintln!("regenerate with: cargo run --release -p hierbus-bench --bin scaling_audit");
-            return ExitCode::FAILURE;
-        }
-    };
-    let root = match Json::parse(&text) {
-        Ok(j) => j,
-        Err(e) => {
-            eprintln!(
-                "check_scaling_audit: {} is not valid JSON: {e}",
-                path.display()
-            );
-            return ExitCode::FAILURE;
-        }
-    };
-    match check(&root) {
+    let audit_path = Path::new("results/obs/scaling_audit.json");
+    let result = load(audit_path).and_then(|audit| {
+        hierbus_bench::check_scaling_audit(&audit)
+            .map_err(|e| format!("{}: {e}", audit_path.display()))?;
+        let bench = load(&hierbus_bench::throughput_json_path())?;
+        check_same_run(&audit, &bench)
+    });
+    match result {
         Ok(()) => {
-            println!("check_scaling_audit: {} schema OK", path.display());
+            println!(
+                "check_scaling_audit: {} schema OK, one run with BENCH campaign_explore",
+                audit_path.display()
+            );
             ExitCode::SUCCESS
         }
         Err(msg) => {
-            eprintln!("check_scaling_audit: {}: {msg}", path.display());
+            eprintln!("check_scaling_audit: {msg}");
             eprintln!("regenerate with: cargo run --release -p hierbus-bench --bin scaling_audit");
             ExitCode::FAILURE
         }

@@ -5,7 +5,7 @@
 //! every revision writes the same shape, so this binary verifies the
 //! committed file parses and carries the fields the scaling analysis
 //! depends on. The `campaign_explore` section (written by
-//! `table3_simperf`) must list per-worker entries with `workers`,
+//! `scaling_audit`) must list per-worker entries with `workers`,
 //! `scenarios_per_s`, `scaling` (throughput vs the 1-worker point), the
 //! profiler-derived `busy_frac` and `utilization` fractions (numeric
 //! and in `[0, 1]`) and `idle_workers` (a whole worker count). The
@@ -88,7 +88,7 @@ fn check(root: &Json) -> Result<(), String> {
 }
 
 /// The exploration campaign's scaling curve, written by
-/// `table3_simperf`: per-worker throughput plus the pool profiler's
+/// `scaling_audit`: per-worker throughput plus the pool profiler's
 /// busy/utilization fractions and idle-worker count.
 fn check_campaign(root: &Json) -> Result<(), String> {
     const SECTION: &str = "campaign_explore";

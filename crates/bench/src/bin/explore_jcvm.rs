@@ -93,23 +93,7 @@ fn main() {
         explore_campaign(&configs, &workloads, &db, &opts).expect("campaign manifest I/O");
     // Worker count and wall-clock go to stderr so stdout (captured into
     // results/) is byte-identical for every worker count.
-    eprintln!(
-        "campaign: {} scenarios on {} worker(s) in {:.2?} ({:.1} scenarios/s, {} executed, {} resumed)",
-        stats.total,
-        stats.workers,
-        stats.wall,
-        stats.scenarios_per_sec(),
-        stats.executed,
-        stats.resumed
-    );
-    for (i, w) in stats.per_worker.iter().enumerate() {
-        eprintln!(
-            "  worker {i}: {} claimed, {} completed, {:.0}% busy",
-            w.claimed,
-            w.completed,
-            100.0 * w.utilization(stats.wall)
-        );
-    }
+    eprintln!("campaign: {stats}");
 
     // Full table, with the stack-access energy attribution from each
     // row's ledger. Back-to-back stack traffic is pipelined (address

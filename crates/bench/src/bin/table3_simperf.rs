@@ -6,19 +6,18 @@
 //! RTL→TLM acceleration around two orders of magnitude. Absolute numbers
 //! depend on the host; the factors are the reproducible shape.
 //!
-//! Beyond the paper, the binary measures *campaign* throughput — the
-//! §4.3 exploration matrix on the `hierbus-campaign` worker pool at
-//! 1/2/4/N workers — and writes the whole perf trajectory to
+//! Beyond the paper, the binary times the layer-1 hot path against its
+//! bit-loop reference and the observability probes' cost, and writes
+//! the Table 3 numbers to the `layers` section of
 //! `BENCH_throughput.json` at the repo root so future revisions can be
-//! diffed for regressions. Run with
+//! diffed for regressions. (Campaign throughput is the `scaling_audit`
+//! bin's.) Run with
 //! `cargo run --release -p hierbus-bench --bin table3_simperf`.
 
 use hierbus::harness;
 use hierbus_bench::{grouped, table3_mix, TextTable, THROUGHPUT_JSON};
-use hierbus_campaign::{CampaignOptions, Json};
+use hierbus_campaign::Json;
 use hierbus_ec::SignalFrame;
-use hierbus_jcvm::workloads::standard_workloads;
-use hierbus_jcvm::{explore_matrix, ExplorationRow, ExploreSession, IfaceConfig};
 use hierbus_power::{
     Capture, CharacterizationDb, Layer, Layer1EnergyModel, Materialized, RunSpec, Session,
 };
@@ -58,18 +57,6 @@ fn frame_stream(on: impl Fn(&mut Layer1EnergyModel, &SignalFrame)) -> u64 {
     }
     std::hint::black_box(model.total_energy());
     FRAMES
-}
-
-/// Worker counts for the campaign scaling measurement: 1, 2, 4 and the
-/// host's available parallelism (deduplicated, ascending).
-fn scaling_worker_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2, 4];
-    if let Ok(n) = std::thread::available_parallelism() {
-        counts.push(n.get());
-    }
-    counts.sort_unstable();
-    counts.dedup();
-    counts
 }
 
 fn main() {
@@ -179,44 +166,6 @@ fn main() {
         Err(e) => eprintln!("warning: could not write results/obs artifacts: {e}"),
     }
 
-    // Campaign throughput scaling: the §4.3 exploration matrix on the
-    // worker pool, one reset-reused session per worker. The matrix is a
-    // slice of the full sweep (8 interface configurations × every
-    // workload) so the measurement stays quick; scenarios/s is what a
-    // designer's exploration loop actually feels.
-    let mut configs = IfaceConfig::all_variants(0x8000);
-    configs.truncate(8);
-    let workloads = standard_workloads();
-    let matrix = explore_matrix(&configs, &workloads);
-    let scaling = hierbus_campaign::measure_scaling::<ExploreSession, ExplorationRow, _, _>(
-        &matrix,
-        &CampaignOptions::sequential("table3_campaign"),
-        &scaling_worker_counts(),
-        || ExploreSession::new(&db),
-        |session, point| {
-            session
-                .run(configs[point.coords[0]], &workloads[point.coords[1]])
-                .expect("exploration scenario runs")
-        },
-    );
-    let base_sps = scaling[0].scenarios_per_sec;
-    let mut scale_table =
-        TextTable::new(["workers", "wall", "scenarios/s", "scaling (vs 1w)", "busy"]);
-    for p in &scaling {
-        scale_table.row([
-            p.workers.to_string(),
-            format!("{:.2?}", p.wall),
-            format!("{:.1}", p.scenarios_per_sec),
-            format!("{:.2}x", p.scenarios_per_sec / base_sps),
-            format!("{:.0}%", p.busy_frac * 100.0),
-        ]);
-    }
-    println!(
-        "Campaign scaling ({} exploration scenarios per run):\n",
-        matrix.len()
-    );
-    println!("{}", scale_table.render());
-
     // Machine-readable perf trajectory for regression tracking.
     let layer_fields = vec![
         ("tlm1_with_kts".to_owned(), Json::Num(l1_with)),
@@ -234,42 +183,11 @@ fn main() {
         ("tlm2_without_kts".to_owned(), Json::Num(l2_without)),
         ("tlm3_kts".to_owned(), Json::Num(l3)),
     ];
-    let campaign_fields = vec![
-        ("scenarios".to_owned(), Json::Num(matrix.len() as f64)),
-        (
-            "workers".to_owned(),
-            Json::Arr(
-                scaling
-                    .iter()
-                    .map(|p| {
-                        Json::Obj(vec![
-                            ("workers".to_owned(), Json::Num(p.workers as f64)),
-                            ("scenarios_per_s".to_owned(), Json::Num(p.scenarios_per_sec)),
-                            (
-                                "scaling".to_owned(),
-                                Json::Num(p.scenarios_per_sec / base_sps),
-                            ),
-                            ("busy_frac".to_owned(), Json::Num(p.busy_frac)),
-                            ("utilization".to_owned(), Json::Num(p.utilization)),
-                            ("idle_workers".to_owned(), Json::Num(p.idle_workers as f64)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ];
     match hierbus_bench::write_throughput_section(
         hierbus_bench::throughput_json_path(),
         "layers",
         layer_fields,
-    )
-    .and_then(|()| {
-        hierbus_bench::write_throughput_section(
-            hierbus_bench::throughput_json_path(),
-            "campaign_explore",
-            campaign_fields,
-        )
-    }) {
+    ) {
         Ok(()) => println!("Perf trajectory written to {THROUGHPUT_JSON}\n"),
         Err(e) => eprintln!("warning: could not write {THROUGHPUT_JSON}: {e}"),
     }

@@ -204,6 +204,116 @@ pub fn write_throughput_section(
     std::fs::write(path, doc.to_string_pretty())
 }
 
+const AUDIT_POINT_FIELDS: &[&str] = &[
+    "workers",
+    "wall_ns",
+    "scenarios_per_s",
+    "efficiency",
+    "loss",
+    "serial_loss",
+    "imbalance_loss",
+    "contention_loss",
+    "residual_loss",
+    "busy_frac",
+    "balance",
+    "claim_retries",
+    "db_accesses",
+    "allocations",
+];
+
+const AUDIT_PHASE_FIELDS: &[&str] = &[
+    "claim",
+    "db_access",
+    "simulate",
+    "serialize",
+    "merge_wait",
+    "idle",
+    "merge",
+];
+
+const AUDIT_PERCENTILE_FIELDS: &[&str] = &["p50", "p90", "p99"];
+
+fn audit_field(entry: &Json, i: usize, name: &str) -> Result<f64, String> {
+    entry
+        .get(name)
+        .and_then(Json::as_f64)
+        .ok_or(format!("workers[{i}]: missing or non-numeric field {name}"))
+}
+
+/// Validates a `scaling_audit.json` document (as written by the
+/// `scaling_audit` bin): `schema_version` 1, a fitted serial fraction
+/// in `[0, 1]`, a non-empty `workers` array whose entries carry every
+/// decomposition field, phase total and chunk-latency percentile, and
+/// the decomposition contract — `serial + imbalance + contention +
+/// residual` reconstructs `loss` within 10% at every worker count.
+///
+/// # Errors
+///
+/// A description of the first violation.
+pub fn check_scaling_audit(root: &Json) -> Result<(), String> {
+    let version = root
+        .get("schema_version")
+        .and_then(Json::as_u64)
+        .ok_or("missing schema_version".to_owned())?;
+    if version != 1 {
+        return Err(format!("unsupported schema_version {version}"));
+    }
+    root.get("campaign")
+        .and_then(Json::as_str)
+        .ok_or("missing campaign".to_owned())?;
+    root.get("scenarios")
+        .and_then(Json::as_u64)
+        .ok_or("missing scenarios count".to_owned())?;
+    let serial = root
+        .get("serial_fraction")
+        .and_then(Json::as_f64)
+        .ok_or("missing serial_fraction".to_owned())?;
+    if !(0.0..=1.0).contains(&serial) {
+        return Err(format!("serial_fraction {serial} outside [0, 1]"));
+    }
+    let workers = root
+        .get("workers")
+        .and_then(Json::as_arr)
+        .ok_or("missing workers array".to_owned())?;
+    if workers.is_empty() {
+        return Err("empty workers array".to_owned());
+    }
+    for (i, entry) in workers.iter().enumerate() {
+        for name in AUDIT_POINT_FIELDS {
+            audit_field(entry, i, name)?;
+        }
+        let phases = entry
+            .get("phase_ns")
+            .ok_or(format!("workers[{i}]: missing phase_ns section"))?;
+        for name in AUDIT_PHASE_FIELDS {
+            phases.get(name).and_then(Json::as_u64).ok_or(format!(
+                "workers[{i}]: phase_ns missing or non-numeric field {name}"
+            ))?;
+        }
+        let chunks = entry
+            .get("chunk_latency_ns")
+            .ok_or(format!("workers[{i}]: missing chunk_latency_ns section"))?;
+        for name in AUDIT_PERCENTILE_FIELDS {
+            chunks.get(name).and_then(Json::as_u64).ok_or(format!(
+                "workers[{i}]: chunk_latency_ns missing or non-numeric field {name}"
+            ))?;
+        }
+        // The decomposition contract: the attributed shares plus the
+        // residual must reconstruct the measured efficiency gap.
+        let loss = audit_field(entry, i, "loss")?;
+        let sum = audit_field(entry, i, "serial_loss")?
+            + audit_field(entry, i, "imbalance_loss")?
+            + audit_field(entry, i, "contention_loss")?
+            + audit_field(entry, i, "residual_loss")?;
+        if (sum - loss).abs() > (0.1 * loss.abs()).max(1e-9) {
+            return Err(format!(
+                "workers[{i}]: decomposition sums to {sum} but loss says {loss}"
+            ));
+        }
+    }
+    Ok(())
+}
+
 /// Formats a ratio as a percentage with sign, e.g. `+14.7%`.
 pub fn pct(x: f64) -> String {
     format!("{:+.1}%", x * 100.0)

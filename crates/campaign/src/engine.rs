@@ -14,10 +14,11 @@
 //! merged output is byte-identical for any worker count, chunk size or
 //! completion interleaving.
 
-use crate::manifest::{Manifest, ManifestEntry, RunRecord, WorkerRecord};
+use crate::manifest::{Manifest, ManifestEntry};
 use crate::matrix::{Matrix, ScenarioPoint};
 use crate::Json;
 use hierbus_obs::profiling::{PoolPhase, PoolProfile, Profiler};
+use std::fmt;
 use std::io;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -57,15 +58,10 @@ pub struct CampaignOptions {
     pub limit: Option<usize>,
     /// Record per-worker phase timelines and contention counters into
     /// [`CampaignReport::profile`]. Off by default: a disabled profiler
-    /// reduces every probe to one branch (no clock reads, no
-    /// allocation), and profiling never changes the merged results or
-    /// the manifest's scenario entries either way.
+    /// reduces every probe to one branch (no allocation; the profiler
+    /// never reads the clock itself), and profiling never changes the
+    /// merged results or the manifest either way.
     pub profile: bool,
-    /// Opaque trace id stamped on every [`SinkScope`] this run hands to
-    /// its sink — the serve daemon threads its per-request trace id
-    /// through here so worker-side events correlate with the request.
-    /// Never enters the manifest or the merged results.
-    pub trace_id: Option<String>,
     /// Time origin for [`SinkScope::started_us`] /
     /// [`SinkScope::finished_us`]. A caller stitching worker spans into
     /// a larger trace (the serve daemon's per-request Perfetto track)
@@ -84,7 +80,6 @@ impl CampaignOptions {
             manifest_path: None,
             limit: None,
             profile: false,
-            trace_id: None,
             epoch: None,
         }
     }
@@ -100,16 +95,21 @@ impl CampaignOptions {
 
 /// Per-worker execution diagnostics. Claim counts and busy time depend
 /// on scheduling, so these describe *this run* — they are surfaced in
-/// run reports and in the manifest's optional `last_run` diagnostics
-/// section, and never enter the scenario entries or the merged
-/// results, which stay byte-identical at any worker count.
+/// run reports, and never enter the manifest or the merged results,
+/// which stay byte-identical at any worker count.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerStats {
     /// Scenarios this worker claimed from the shared cursor.
     pub claimed: u64,
     /// Scenarios it finished (equals `claimed` after a clean run).
     pub completed: u64,
-    /// Time spent executing scenarios (measured per claimed chunk).
+    /// Time spent on scenarios: from each chunk's first runner call to
+    /// the clock reading after its last result reached the sink and
+    /// the worker's buffer. Session build and claiming are not busy
+    /// time. With profiling on this is exactly the worker timeline's
+    /// simulate + serialize time
+    /// ([`WorkerTimeline::busy_ns`](hierbus_obs::profiling::WorkerTimeline::busy_ns)),
+    /// summed from the same clock readings.
     pub busy: Duration,
     /// Failed compare-exchange attempts while claiming from the shared
     /// cursor — the raw claim-contention signal.
@@ -130,9 +130,10 @@ impl WorkerStats {
     }
 }
 
-/// What a campaign run did (wall-clock lives here and in the
-/// manifest's `last_run` diagnostics section, never in the scenario
-/// entries or the merged results).
+/// What a campaign run did (wall-clock lives here, never in the
+/// manifest or the merged results). Its `Display` form is the stderr
+/// summary the campaign bins print: one line of totals, then one line
+/// per worker.
 #[derive(Debug, Clone)]
 pub struct CampaignStats {
     /// Scenarios in the matrix.
@@ -162,6 +163,31 @@ impl CampaignStats {
         } else {
             0.0
         }
+    }
+}
+
+impl fmt::Display for CampaignStats {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "{} scenarios on {} worker(s) in {:.2?} ({:.1} scenarios/s, {} executed, {} resumed)",
+            self.total,
+            self.workers,
+            self.wall,
+            self.scenarios_per_sec(),
+            self.executed,
+            self.resumed
+        )?;
+        for (i, w) in self.per_worker.iter().enumerate() {
+            write!(
+                f,
+                "\n  worker {i}: {} claimed, {} completed, {:.0}% busy",
+                w.claimed,
+                w.completed,
+                100.0 * w.utilization(self.wall)
+            )?;
+        }
+        Ok(())
     }
 }
 
@@ -227,18 +253,16 @@ where
 }
 
 /// Execution context handed to a [`run_with_sink`] sink with each
-/// result: which point finished, on which worker, when (µs since
-/// [`CampaignOptions::epoch`] or the campaign start), and under which
-/// [`CampaignOptions::trace_id`]. Everything here is diagnostic — none
-/// of it enters the manifest or the merged results.
+/// result: which point finished, on which worker, and when (µs since
+/// [`CampaignOptions::epoch`] or the campaign start). Everything here
+/// is diagnostic — none of it enters the manifest or the merged
+/// results.
 #[derive(Debug, Clone, Copy)]
 pub struct SinkScope<'a> {
     /// The scenario point that just completed.
     pub point: &'a ScenarioPoint,
     /// Index of the worker thread that ran it (`0..workers`).
     pub worker: usize,
-    /// The run's [`CampaignOptions::trace_id`], if any.
-    pub trace_id: Option<&'a str>,
     /// When the runner started on this point, µs since the epoch.
     pub started_us: u64,
     /// When the runner finished, µs since the epoch.
@@ -340,10 +364,10 @@ where
     let workers = opts.workers.max(1).min(todo.len().max(1));
     let chunk = chunk_size(todo.len(), workers);
 
-    let profiler = Profiler::new(opts.profile);
     let started = Instant::now();
+    let profiler = Profiler::new(opts.profile, started);
     let epoch = opts.epoch.unwrap_or(started);
-    let trace_id = opts.trace_id.as_deref();
+    let us = |t: Instant| t.saturating_duration_since(epoch).as_micros() as u64;
     let cursor = AtomicUsize::new(0);
     // Per-worker result buffers: no shared lock between claim points.
     // Each worker builds its state once and reuses it chunk after chunk.
@@ -354,56 +378,66 @@ where
         let handles: Vec<_> = (0..workers)
             .map(|worker| {
                 let (cursor, todo, points) = (&cursor, &todo[..], &points[..]);
-                let (make_state, runner, sink) = (&make_state, &runner, &sink);
+                let (make_state, runner, sink, us) = (&make_state, &runner, &sink, &us);
                 scope.spawn(move || {
                     // The profile recorder lives on the worker's own
                     // thread so the thread-local contention baselines
                     // (allocations, db accesses) are this thread's.
                     let mut wp = profiler.worker(worker);
-                    let t = wp.now_ns();
+                    // Every clock reading closes the phase that ran
+                    // since the previous one (`mark`) and feeds the
+                    // sink's span, the worker's stats and the profile
+                    // alike: two readings per scenario, around the
+                    // runner, plus one per chunk.
+                    let building = Instant::now();
                     let mut state = make_state();
-                    wp.record(PoolPhase::DbAccess, t, 0);
+                    let mut mark = Instant::now();
+                    wp.record(PoolPhase::DbAccess, building, mark, 0);
                     let mut mine: Vec<(usize, R)> = Vec::new();
                     let mut wstats = WorkerStats::default();
                     loop {
-                        let t_claim = wp.now_ns();
                         let (lo, retries) = claim_chunk(cursor, chunk, todo.len());
                         wstats.claim_retries += retries;
-                        wp.add_claim_retries(retries);
                         if lo >= todo.len() {
                             break;
                         }
                         let hi = (lo + chunk).min(todo.len());
-                        wp.record(PoolPhase::Claim, t_claim, (hi - lo) as u64);
                         wstats.claimed += (hi - lo) as u64;
                         mine.reserve(hi - lo);
-                        let chunk_started = Instant::now();
-                        let t_chunk = wp.now_ns();
+                        let claimed = mark;
+                        let mut busy_from = None;
+                        // The phase the next reading closes: this claim,
+                        // then each scenario's serialize.
+                        let mut pending = (PoolPhase::Claim, (hi - lo) as u64);
                         for &index in &todo[lo..hi] {
-                            let t = wp.now_ns();
-                            let started_us = epoch.elapsed().as_micros() as u64;
+                            let started = Instant::now();
+                            wp.record(pending.0, mark, started, pending.1);
+                            busy_from.get_or_insert(started);
                             let result = runner(&mut state, &points[index]);
-                            let finished_us = epoch.elapsed().as_micros() as u64;
-                            wp.record(PoolPhase::Simulate, t, index as u64);
-                            let t = wp.now_ns();
+                            let finished = Instant::now();
+                            wp.record(PoolPhase::Simulate, started, finished, index as u64);
                             sink(
                                 &SinkScope {
                                     point: &points[index],
                                     worker,
-                                    trace_id,
-                                    started_us,
-                                    finished_us,
+                                    started_us: us(started),
+                                    finished_us: us(finished),
                                 },
                                 &result,
                             );
                             mine.push((index, result));
-                            wp.record(PoolPhase::Serialize, t, index as u64);
                             wstats.completed += 1;
+                            pending = (PoolPhase::Serialize, index as u64);
+                            mark = finished;
                         }
-                        wstats.busy += chunk_started.elapsed();
-                        wp.chunk_done(t_chunk);
+                        let done = Instant::now();
+                        wp.record(pending.0, mark, done, pending.1);
+                        wstats.busy += done - busy_from.unwrap_or(done);
+                        wp.chunk_done(claimed, done);
+                        mark = done;
                     }
-                    (mine, wstats, wp.finish())
+                    let timeline = wp.finish(wstats.claim_retries);
+                    (mine, wstats, timeline)
                 })
             })
             .collect();
@@ -442,20 +476,6 @@ where
                 })
             })
             .collect();
-        manifest.last_run = Some(RunRecord {
-            workers,
-            wall_ns: wall.as_nanos() as u64,
-            per_worker: per_worker
-                .iter()
-                .map(|w| WorkerRecord {
-                    claimed: w.claimed,
-                    completed: w.completed,
-                    busy_ns: w.busy.as_nanos() as u64,
-                    utilization: w.utilization(wall),
-                    claim_retries: w.claim_retries,
-                })
-                .collect(),
-        });
         manifest.save(path, matrix)?;
     }
 
@@ -513,7 +533,10 @@ pub struct ScalingPoint {
     pub wall: Duration,
     pub scenarios_per_sec: f64,
     /// Fraction of the pool's worker-seconds (`workers × wall`) spent
-    /// executing scenarios — 1.0 means no worker ever waited.
+    /// busy ([`WorkerStats::busy`]) — 1.0 means no worker ever waited.
+    /// Computed in integer nanoseconds, so a profiled point's value is
+    /// bit-identical to its profile's
+    /// [`PoolProfile::busy_frac`](hierbus_obs::profiling::PoolProfile::busy_frac).
     pub busy_frac: f64,
     /// Busy/wall fraction of the pool restricted to *active* workers:
     /// Σ busy over workers that completed at least one scenario,
@@ -538,14 +561,22 @@ impl ScalingPoint {
     fn from_report<R>(workers: usize, report: CampaignReport<R>) -> Self {
         let stats = &report.stats;
         let wall_s = stats.wall.as_secs_f64();
-        let busy: f64 = stats.per_worker.iter().map(|w| w.busy.as_secs_f64()).sum();
-        let cap = wall_s * stats.per_worker.len().max(1) as f64;
+        let busy_ns: u64 = stats
+            .per_worker
+            .iter()
+            .map(|w| w.busy.as_nanos() as u64)
+            .sum();
+        let cap_ns = (stats.wall.as_nanos() as u64).saturating_mul(stats.per_worker.len() as u64);
         let active = || stats.per_worker.iter().filter(|w| w.completed >= 1);
         ScalingPoint {
             workers,
             wall: stats.wall,
             scenarios_per_sec: stats.scenarios_per_sec(),
-            busy_frac: if cap > 0.0 { busy / cap } else { 0.0 },
+            busy_frac: if cap_ns > 0 {
+                busy_ns as f64 / cap_ns as f64
+            } else {
+                0.0
+            },
             utilization: {
                 let n = active().count();
                 if n == 0 || wall_s <= 0.0 {
@@ -666,12 +697,8 @@ mod tests {
             .collect()
     }
 
-    /// Manifest bytes with the wall-clock `last_run` diagnostics
-    /// stripped — the determinism-comparison form.
-    fn manifest_sans_run(path: &std::path::Path) -> String {
-        let mut doc = Json::parse(&std::fs::read_to_string(path).unwrap()).unwrap();
-        doc.remove("last_run");
-        doc.to_string_pretty()
+    fn read(path: &std::path::Path) -> String {
+        std::fs::read_to_string(path).unwrap()
     }
 
     #[test]
@@ -746,12 +773,40 @@ mod tests {
         )
         .unwrap();
         assert_eq!(render(&resumed), render(&fresh));
-        assert_eq!(manifest_sans_run(&path), manifest_sans_run(&fresh_path));
+        assert_eq!(read(&path), read(&fresh_path));
 
         // A third run resumes everything and executes nothing.
         let idle = run(&m, &opts(None), toy_runner).unwrap();
         assert_eq!(idle.stats.resumed, 12);
         assert_eq!(idle.stats.executed, 0);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn manifest_with_a_last_run_section_still_resumes() {
+        // Manifests used to carry a wall-clock `last_run` section; one
+        // written that way resumes with the key ignored, and the next
+        // save drops it.
+        let m = matrix();
+        let dir = std::env::temp_dir().join("hierbus_campaign_last_run_test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("toy.manifest.json");
+        let opts = CampaignOptions {
+            manifest_path: Some(path.clone()),
+            ..CampaignOptions::with_workers("toy", 2)
+        };
+        run(&m, &opts, toy_runner).unwrap();
+        let clean = read(&path);
+        let mut doc = Json::parse(&clean).unwrap();
+        doc.set(
+            "last_run",
+            Json::Obj(vec![("workers".to_owned(), Json::Num(2.0))]),
+        );
+        std::fs::write(&path, doc.to_string_pretty()).unwrap();
+        let resumed = run(&m, &opts, toy_runner).unwrap();
+        assert_eq!(resumed.stats.resumed, 12);
+        assert_eq!(resumed.stats.executed, 0);
+        assert_eq!(read(&path), clean);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -964,6 +1019,67 @@ mod tests {
     }
 
     #[test]
+    fn profiled_busy_time_is_one_quantity() {
+        // Worker stats and the profile timeline read the same clock
+        // readings, so busy time and busy_frac agree exactly.
+        let points = measure_scaling::<(), Cell, _, _>(
+            &matrix(),
+            &CampaignOptions {
+                profile: true,
+                ..CampaignOptions::sequential("toy")
+            },
+            &[1, 2, 3],
+            || (),
+            |(), p| toy_runner(p),
+        );
+        for p in &points {
+            let profile = p.profile.as_ref().expect("profiled measurement");
+            assert_eq!(
+                p.busy_frac.to_bits(),
+                profile.busy_frac().to_bits(),
+                "{} workers: {} vs profile {}",
+                p.workers,
+                p.busy_frac,
+                profile.busy_frac()
+            );
+        }
+        let report = run(
+            &matrix(),
+            &CampaignOptions {
+                profile: true,
+                ..CampaignOptions::with_workers("toy", 3)
+            },
+            toy_runner,
+        )
+        .unwrap();
+        let profile = report.profile.expect("profiling was requested");
+        for (w, tl) in report.stats.per_worker.iter().zip(&profile.workers) {
+            assert_eq!(w.busy.as_nanos() as u64, tl.busy_ns());
+            assert_eq!(w.claim_retries, tl.claim_retries);
+        }
+    }
+
+    #[test]
+    fn stats_display_prints_totals_then_one_line_per_worker() {
+        let report = run(
+            &matrix(),
+            &CampaignOptions::with_workers("toy", 2),
+            toy_runner,
+        )
+        .unwrap();
+        let text = report.stats.to_string();
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 3, "{text}");
+        assert!(
+            lines[0].starts_with("12 scenarios on 2 worker(s) in "),
+            "{text}"
+        );
+        assert!(lines[0].ends_with("12 executed, 0 resumed)"), "{text}");
+        assert!(lines[1].starts_with("  worker 0: "), "{text}");
+        assert!(lines[2].ends_with("% busy"), "{text}");
+    }
+
+    #[test]
     fn idle_workers_do_not_zero_the_utilization() {
         // 16 scenarios, chunked claiming, 4 workers: chunk size is 1,
         // so a fast worker can drain the list and leave a peer with no
@@ -1086,17 +1202,12 @@ mod tests {
         let base = run(&m, &CampaignOptions::sequential("toy"), toy_runner).unwrap();
         for workers in [1, 3] {
             let seen = Mutex::new(Vec::new());
-            let opts = CampaignOptions {
-                trace_id: Some("t42".to_owned()),
-                ..CampaignOptions::with_workers("toy", workers)
-            };
             let report = run_with_sink(
                 &m,
-                &opts,
+                &CampaignOptions::with_workers("toy", workers),
                 || (),
                 |(), p| toy_runner(p),
                 |scope: &SinkScope, result: &Cell| {
-                    assert_eq!(scope.trace_id, Some("t42"));
                     assert!(
                         scope.worker < workers,
                         "worker {} of {workers}",

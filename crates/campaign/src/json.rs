@@ -92,18 +92,6 @@ impl Json {
         }
     }
 
-    /// Removes `key` from an object value, returning the removed value
-    /// (later fields keep their relative order). `None` on non-objects
-    /// or a missing key.
-    pub fn remove(&mut self, key: &str) -> Option<Json> {
-        if let Json::Obj(fields) = self {
-            if let Some(i) = fields.iter().position(|(k, _)| k == key) {
-                return Some(fields.remove(i).1);
-            }
-        }
-        None
-    }
-
     /// Serializes compactly (no whitespace).
     pub fn to_string_compact(&self) -> String {
         let mut out = String::new();
@@ -409,15 +397,6 @@ mod tests {
             ["a", "b"]
         );
         assert_eq!(v.get("a").unwrap().as_f64(), Some(9.0));
-    }
-
-    #[test]
-    fn remove_drops_the_key_and_preserves_order() {
-        let mut v = Json::parse(r#"{"a": 1, "b": 2, "c": 3}"#).unwrap();
-        assert_eq!(v.remove("b").and_then(|j| j.as_u64()), Some(2));
-        assert_eq!(v.remove("b"), None);
-        assert_eq!(v.to_string_compact(), r#"{"a":1,"c":3}"#);
-        assert_eq!(Json::Num(1.0).remove("a"), None);
     }
 
     #[test]

@@ -16,7 +16,8 @@
 //!   their serialized results, written atomically, so an interrupted
 //!   campaign reruns only what is missing.
 //! * [`measure_scaling`] — the throughput trajectory (scenarios/s per
-//!   worker count) behind the campaign rows of `BENCH_throughput.json`.
+//!   worker count), profiled by the `scaling_audit` bin into both the
+//!   campaign rows of `BENCH_throughput.json` and the scaling audit.
 //!
 //! The [`json`] module carries the manifest and trajectory formats
 //! (the workspace is offline — no serde); the only dependency is the
@@ -28,9 +29,8 @@
 //! to merged artifacts (no wall clock in merged results or the
 //! manifest's scenario entries, no iteration-order dependence). A
 //! campaign is exactly as deterministic as its runner; wall-clock
-//! diagnostics live only in [`CampaignStats`], the opt-in
-//! [`CampaignReport::profile`], and the manifest's strippable
-//! `last_run` section.
+//! diagnostics live only in [`CampaignStats`] and the opt-in
+//! [`CampaignReport::profile`], so manifests compare byte for byte.
 
 pub mod engine;
 pub mod fingerprint;
@@ -44,7 +44,7 @@ pub use engine::{
 };
 pub use fingerprint::Fingerprint;
 pub use json::Json;
-pub use manifest::{Manifest, ManifestEntry, RunRecord, WorkerRecord, MANIFEST_VERSION};
+pub use manifest::{Manifest, ManifestEntry, MANIFEST_VERSION};
 pub use matrix::{Axis, Matrix, ScenarioPoint};
 
 /// Resolves the worker count for experiment binaries: an explicit

@@ -7,15 +7,12 @@
 //! merged output — the payloads stand in for the skipped runs. The
 //! scenario entries are fully deterministic (no wall clock, index
 //! order), so two campaigns over the same matrix record byte-identical
-//! scenario sections regardless of worker count.
+//! manifests regardless of worker count.
 //!
-//! The one deliberate exception is the optional `last_run` section: a
-//! wall-clock diagnostics record of the most recent run's worker pool
-//! (per-worker claim/completion counts, busy time, utilization, claim
-//! retries). It never feeds resume decisions or merged results —
-//! consumers comparing manifests for determinism strip it first (see
-//! [`Json::remove`]) — and manifests written before it existed still
-//! parse.
+//! Wall-clock diagnostics of a run (per-worker claims, busy time) live
+//! in [`CampaignStats`](crate::CampaignStats), never here. Unknown
+//! top-level keys are ignored on load, so a manifest that carries the
+//! `last_run` section older revisions wrote still resumes.
 
 use crate::json::Json;
 use crate::matrix::Matrix;
@@ -34,84 +31,6 @@ pub struct ManifestEntry {
     pub result: Json,
 }
 
-/// One worker's diagnostics inside a [`RunRecord`].
-#[derive(Debug, Clone, PartialEq)]
-pub struct WorkerRecord {
-    /// Scenarios this worker claimed from the shared cursor.
-    pub claimed: u64,
-    /// Scenarios it finished.
-    pub completed: u64,
-    /// Time spent executing scenarios, ns.
-    pub busy_ns: u64,
-    /// `busy / wall` of the run.
-    pub utilization: f64,
-    /// Failed compare-exchange attempts on the shared claim cursor.
-    pub claim_retries: u64,
-}
-
-impl WorkerRecord {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("claimed".to_owned(), Json::Num(self.claimed as f64)),
-            ("completed".to_owned(), Json::Num(self.completed as f64)),
-            ("busy_ns".to_owned(), Json::Num(self.busy_ns as f64)),
-            ("utilization".to_owned(), Json::Num(self.utilization)),
-            (
-                "claim_retries".to_owned(),
-                Json::Num(self.claim_retries as f64),
-            ),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Option<Self> {
-        Some(WorkerRecord {
-            claimed: json.get("claimed")?.as_u64()?,
-            completed: json.get("completed")?.as_u64()?,
-            busy_ns: json.get("busy_ns")?.as_u64()?,
-            utilization: json.get("utilization")?.as_f64()?,
-            claim_retries: json.get("claim_retries")?.as_u64()?,
-        })
-    }
-}
-
-/// Wall-clock diagnostics of the run that last wrote the manifest —
-/// informational only, stripped before any determinism comparison.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunRecord {
-    /// Worker threads the run used.
-    pub workers: usize,
-    /// Wall clock of the run's execution phase, ns.
-    pub wall_ns: u64,
-    /// Per-worker diagnostics in spawn order.
-    pub per_worker: Vec<WorkerRecord>,
-}
-
-impl RunRecord {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("workers".to_owned(), Json::Num(self.workers as f64)),
-            ("wall_ns".to_owned(), Json::Num(self.wall_ns as f64)),
-            (
-                "per_worker".to_owned(),
-                Json::Arr(self.per_worker.iter().map(WorkerRecord::to_json).collect()),
-            ),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Option<Self> {
-        Some(RunRecord {
-            workers: json.get("workers")?.as_u64()? as usize,
-            wall_ns: json.get("wall_ns")?.as_u64()?,
-            per_worker: json
-                .get("per_worker")?
-                .as_arr()?
-                .iter()
-                .map(WorkerRecord::from_json)
-                .collect::<Option<Vec<_>>>()?,
-        })
-    }
-}
-
 /// A campaign manifest: the matrix identity plus the completed
 /// scenarios.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,10 +41,6 @@ pub struct Manifest {
     pub fingerprint: String,
     /// Completed scenarios in ascending index order.
     pub entries: Vec<ManifestEntry>,
-    /// Diagnostics of the run that last saved this manifest, if it
-    /// recorded any. Optional and lenient: absent in old manifests,
-    /// ignored (not an error) when malformed, never used for resume.
-    pub last_run: Option<RunRecord>,
 }
 
 impl Manifest {
@@ -135,15 +50,13 @@ impl Manifest {
             name: name.to_owned(),
             fingerprint: matrix.fingerprint(),
             entries: Vec::new(),
-            last_run: None,
         }
     }
 
-    /// Serializes the manifest (deterministic up to the optional
-    /// `last_run` diagnostics section: entries in index order, no
-    /// timestamps).
+    /// Serializes the manifest (deterministic: entries in index order,
+    /// no timestamps).
     pub fn to_json(&self, matrix: &Matrix) -> Json {
-        let mut fields = vec![
+        Json::Obj(vec![
             ("version".to_owned(), Json::Num(MANIFEST_VERSION as f64)),
             ("name".to_owned(), Json::Str(self.name.clone())),
             (
@@ -151,26 +64,22 @@ impl Manifest {
                 Json::Str(self.fingerprint.clone()),
             ),
             ("matrix".to_owned(), matrix.to_json()),
-        ];
-        if let Some(run) = &self.last_run {
-            fields.push(("last_run".to_owned(), run.to_json()));
-        }
-        fields.push((
-            "scenarios".to_owned(),
-            Json::Arr(
-                self.entries
-                    .iter()
-                    .map(|e| {
-                        Json::Obj(vec![
-                            ("index".to_owned(), Json::Num(e.index as f64)),
-                            ("key".to_owned(), Json::Str(e.key.clone())),
-                            ("result".to_owned(), e.result.clone()),
-                        ])
-                    })
-                    .collect(),
+            (
+                "scenarios".to_owned(),
+                Json::Arr(
+                    self.entries
+                        .iter()
+                        .map(|e| {
+                            Json::Obj(vec![
+                                ("index".to_owned(), Json::Num(e.index as f64)),
+                                ("key".to_owned(), Json::Str(e.key.clone())),
+                                ("result".to_owned(), e.result.clone()),
+                            ])
+                        })
+                        .collect(),
+                ),
             ),
-        ));
-        Json::Obj(fields)
+        ])
     }
 
     /// Parses a manifest document.
@@ -220,7 +129,6 @@ impl Manifest {
             name,
             fingerprint,
             entries,
-            last_run: doc.get("last_run").and_then(RunRecord::from_json),
         })
     }
 
@@ -308,101 +216,5 @@ mod tests {
         let manifest = Manifest::new("test", &matrix());
         let other = Matrix::new().axis("w", ["a"]);
         assert!(!manifest.matches(&other));
-    }
-
-    #[test]
-    fn last_run_roundtrips_through_disk() {
-        let m = matrix();
-        let mut manifest = Manifest::new("test", &m);
-        manifest.entries.push(ManifestEntry {
-            index: 0,
-            key: "w=a/k=1".to_owned(),
-            result: Json::Num(1.0),
-        });
-        manifest.last_run = Some(RunRecord {
-            workers: 2,
-            wall_ns: 1_234_567,
-            per_worker: vec![
-                WorkerRecord {
-                    claimed: 3,
-                    completed: 3,
-                    busy_ns: 1_000_000,
-                    utilization: 0.8125,
-                    claim_retries: 1,
-                },
-                WorkerRecord {
-                    claimed: 1,
-                    completed: 1,
-                    busy_ns: 400_000,
-                    utilization: 0.25,
-                    claim_retries: 0,
-                },
-            ],
-        });
-        let dir = std::env::temp_dir().join("hierbus_campaign_manifest_run_test");
-        let path = dir.join("m.json");
-        manifest.save(&path, &m).unwrap();
-        let loaded = Manifest::load(&path).unwrap().unwrap();
-        assert_eq!(loaded, manifest);
-        let run = loaded.last_run.unwrap();
-        assert_eq!(run.workers, 2);
-        assert_eq!(run.per_worker.len(), 2);
-        assert_eq!(run.per_worker[0].utilization, 0.8125);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn manifest_without_last_run_still_parses() {
-        // The exact pre-last_run on-disk layout: old manifests must keep
-        // loading, with the field absent.
-        let m = matrix();
-        let mut old = Manifest::new("legacy", &m);
-        old.entries.push(ManifestEntry {
-            index: 1,
-            key: "w=a/k=2".to_owned(),
-            result: Json::Num(7.0),
-        });
-        let doc = old.to_json(&m).to_string_pretty();
-        assert!(!doc.contains("last_run"));
-        let loaded = Manifest::from_json(&Json::parse(&doc).unwrap()).unwrap();
-        assert_eq!(loaded.last_run, None);
-        assert_eq!(loaded.entries, old.entries);
-    }
-
-    #[test]
-    fn malformed_last_run_is_ignored_not_fatal() {
-        let m = matrix();
-        let mut doc = Manifest::new("test", &m).to_json(&m);
-        doc.set("last_run", Json::Str("garbage".to_owned()));
-        let loaded = Manifest::from_json(&doc).unwrap();
-        assert_eq!(loaded.last_run, None);
-    }
-
-    #[test]
-    fn stripping_last_run_restores_byte_determinism() {
-        // The documented comparison recipe: parse, remove, re-serialize.
-        let m = matrix();
-        let mut a = Manifest::new("test", &m);
-        let mut b = a.clone();
-        a.last_run = Some(RunRecord {
-            workers: 1,
-            wall_ns: 10,
-            per_worker: Vec::new(),
-        });
-        b.last_run = Some(RunRecord {
-            workers: 8,
-            wall_ns: 99,
-            per_worker: Vec::new(),
-        });
-        let strip = |m: &Manifest| {
-            let mut doc = m.to_json(&matrix());
-            doc.remove("last_run");
-            doc.to_string_pretty()
-        };
-        assert_ne!(
-            a.to_json(&m).to_string_pretty(),
-            b.to_json(&m).to_string_pretty()
-        );
-        assert_eq!(strip(&a), strip(&b));
     }
 }

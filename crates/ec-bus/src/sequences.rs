@@ -365,6 +365,9 @@ impl Default for MixParams {
     }
 }
 
+/// The slave wait states every [`random_mix`] scenario carries.
+pub const MIX_WAITS: WaitProfile = WaitProfile::new(0, 1, 1);
+
 /// Deterministic random mixed traffic: all combinations of single/burst
 /// reads/writes and fetches, with tunable locality.
 pub fn random_mix(seed: u64, params: MixParams) -> Scenario {
@@ -435,7 +438,7 @@ pub fn random_mix(seed: u64, params: MixParams) -> Scenario {
     Scenario {
         name: "random_mix",
         ops: ops.into(),
-        waits: WaitProfile::new(0, 1, 1),
+        waits: MIX_WAITS,
     }
 }
 

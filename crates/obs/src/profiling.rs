@@ -44,7 +44,8 @@ pub enum PoolPhase {
     DbAccess,
     /// Running a scenario through the model (the useful work).
     Simulate,
-    /// Pushing the result into the worker's private buffer.
+    /// Handing the result to the campaign's sink and pushing it into
+    /// the worker's private buffer.
     Serialize,
     /// Finished claiming; waiting at the join barrier for stragglers
     /// and the index-order merge (synthesized at aggregation).
@@ -137,11 +138,13 @@ impl WorkerTimeline {
             .sum()
     }
 
-    /// Nanoseconds spent doing work (db-access + simulate + serialize).
+    /// Nanoseconds spent on scenarios: simulate + serialize, from each
+    /// scenario's start to the clock reading after its result was
+    /// stored. Session build (db-access) and claiming are not busy
+    /// time. The campaign engine's `WorkerStats::busy` is the same
+    /// quantity, summed from the same clock readings.
     pub fn busy_ns(&self) -> u64 {
-        self.phase_ns(PoolPhase::DbAccess)
-            + self.phase_ns(PoolPhase::Simulate)
-            + self.phase_ns(PoolPhase::Serialize)
+        self.phase_ns(PoolPhase::Simulate) + self.phase_ns(PoolPhase::Serialize)
     }
 
     /// End of the last record (0 on an empty timeline).
@@ -224,7 +227,9 @@ unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
 // ---------------------------------------------------------------------
 
 /// The campaign engine's profiling handle: disabled by default, in
-/// which case every probe is one branch and no timestamp is taken.
+/// which case every probe is one branch. The profiler never reads the
+/// clock itself: the engine hands it the readings it already takes for
+/// its own stats and sink, so profiling adds bookkeeping, not timing.
 #[derive(Debug, Clone, Copy)]
 pub struct Profiler {
     enabled: bool,
@@ -232,26 +237,11 @@ pub struct Profiler {
 }
 
 impl Profiler {
-    /// A profiler; `enabled: false` is the near-zero-cost default.
-    pub fn new(enabled: bool) -> Self {
-        Profiler {
-            enabled,
-            epoch: Instant::now(),
-        }
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Nanoseconds since the epoch; 0 (without reading the clock) when
-    /// disabled.
-    pub fn now_ns(&self) -> u64 {
-        if self.enabled {
-            self.epoch.elapsed().as_nanos() as u64
-        } else {
-            0
-        }
+    /// A profiler whose timestamps count from `epoch` (the start of the
+    /// campaign's execution phase); `enabled: false` is the
+    /// near-zero-cost default.
+    pub fn new(enabled: bool, epoch: Instant) -> Self {
+        Profiler { enabled, epoch }
     }
 
     /// A per-worker recorder. Call on the worker's own thread so the
@@ -339,23 +329,17 @@ pub struct WorkerProfile {
 }
 
 impl WorkerProfile {
-    /// Nanoseconds since the profiler epoch; 0 (no clock read) when
-    /// disabled. Pair with [`record`](Self::record).
-    pub fn now_ns(&self) -> u64 {
-        if self.enabled {
-            self.epoch.elapsed().as_nanos() as u64
-        } else {
-            0
-        }
+    fn ns(&self, t: Instant) -> u64 {
+        t.saturating_duration_since(self.epoch).as_nanos() as u64
     }
 
-    /// Closes a phase opened at `begin_ns` (from [`now_ns`](Self::now_ns))
-    /// ending now. No-op when disabled.
-    pub fn record(&mut self, phase: PoolPhase, begin_ns: u64, arg: u64) {
+    /// Records a `phase` that ran from `begin` to `end`. No-op when
+    /// disabled.
+    pub fn record(&mut self, phase: PoolPhase, begin: Instant, end: Instant, arg: u64) {
         if !self.enabled {
             return;
         }
-        let end_ns = self.epoch.elapsed().as_nanos() as u64;
+        let (begin_ns, end_ns) = (self.ns(begin), self.ns(end));
         self.timeline.records.push(PhaseRecord {
             phase,
             begin_ns,
@@ -364,29 +348,20 @@ impl WorkerProfile {
         });
     }
 
-    /// Records the claim-to-completion latency of a chunk begun at
-    /// `begin_ns`.
-    pub fn chunk_done(&mut self, begin_ns: u64) {
-        if !self.enabled {
-            return;
-        }
-        let now = self.epoch.elapsed().as_nanos() as u64;
-        self.timeline
-            .chunk_latencies_ns
-            .push(now.saturating_sub(begin_ns));
-    }
-
-    /// Adds failed claim-cursor compare-exchange attempts.
-    pub fn add_claim_retries(&mut self, n: u64) {
+    /// Records the claim-to-completion latency of a chunk claimed at
+    /// `claimed` and finished at `done`.
+    pub fn chunk_done(&mut self, claimed: Instant, done: Instant) {
         if self.enabled {
-            self.timeline.claim_retries += n;
+            let latency = self.ns(done).saturating_sub(self.ns(claimed));
+            self.timeline.chunk_latencies_ns.push(latency);
         }
     }
 
-    /// Finishes the worker: captures the thread-local contention deltas
-    /// and releases the timeline.
-    pub fn finish(mut self) -> WorkerTimeline {
+    /// Finishes the worker: takes its final claim-retry count, captures
+    /// the thread-local contention deltas and releases the timeline.
+    pub fn finish(mut self, claim_retries: u64) -> WorkerTimeline {
         if self.enabled {
+            self.timeline.claim_retries = claim_retries;
             self.timeline.allocations = thread_allocations().saturating_sub(self.alloc_base);
             self.timeline.db_accesses = thread_db_accesses().saturating_sub(self.db_base);
         }
@@ -561,10 +536,9 @@ impl PoolProfile {
 #[derive(Debug, Clone)]
 pub struct AuditInput {
     pub workers: usize,
-    /// Best-of-N wall clock of the execution phase, ns.
-    pub wall_ns: u64,
     pub scenarios_per_sec: f64,
-    /// The profile of the best run.
+    /// The profile of the best run; its `wall_ns` is the run's wall
+    /// clock.
     pub profile: PoolProfile,
 }
 
@@ -594,7 +568,7 @@ pub struct AuditPoint {
     /// `loss − serial − imbalance − contention`; may be negative when
     /// the attributed terms overlap.
     pub residual_loss: f64,
-    /// Σ busy / (N × wall).
+    /// Σ busy / (workers × wall): [`PoolProfile::busy_frac`].
     pub busy_frac: f64,
     /// max busy / mean busy (1.0 = perfectly balanced).
     pub balance: f64,
@@ -632,7 +606,7 @@ pub struct ScalingAudit {
 pub fn scaling_audit(campaign: &str, scenarios: usize, inputs: &[AuditInput]) -> ScalingAudit {
     assert!(!inputs.is_empty(), "scaling_audit needs at least one run");
     let base = &inputs[0];
-    let t1 = base.wall_ns as f64;
+    let t1 = base.profile.wall_ns as f64;
     let busy1 = base.profile.total_busy_ns() as f64;
 
     // Amdahl fit over the non-baseline points: TN − T1/N = s·T1·(1−1/N).
@@ -641,7 +615,7 @@ pub fn scaling_audit(campaign: &str, scenarios: usize, inputs: &[AuditInput]) ->
     for p in inputs.iter().filter(|p| p.workers > base.workers) {
         let n = p.workers as f64;
         let x = t1 * (1.0 - 1.0 / n);
-        let y = p.wall_ns as f64 - t1 / n;
+        let y = p.profile.wall_ns as f64 - t1 / n;
         num += x * y;
         den += x * x;
     }
@@ -655,7 +629,7 @@ pub fn scaling_audit(campaign: &str, scenarios: usize, inputs: &[AuditInput]) ->
         .iter()
         .map(|p| {
             let n = p.workers as f64;
-            let tn = p.wall_ns as f64;
+            let tn = p.profile.wall_ns as f64;
             let cap = (n * tn).max(1.0);
             let efficiency = t1 / cap;
             let loss = 1.0 - efficiency;
@@ -686,7 +660,7 @@ pub fn scaling_audit(campaign: &str, scenarios: usize, inputs: &[AuditInput]) ->
             }
             AuditPoint {
                 workers: p.workers,
-                wall_ns: p.wall_ns,
+                wall_ns: p.profile.wall_ns,
                 scenarios_per_sec: p.scenarios_per_sec,
                 efficiency,
                 loss,
@@ -694,7 +668,7 @@ pub fn scaling_audit(campaign: &str, scenarios: usize, inputs: &[AuditInput]) ->
                 imbalance_loss,
                 contention_loss,
                 residual_loss,
-                busy_frac: sum_busy / cap,
+                busy_frac: p.profile.busy_frac(),
                 balance: if mean_busy > 0.0 {
                     max_busy / mean_busy
                 } else {
@@ -796,16 +770,13 @@ mod tests {
     static ALLOC: CountingAlloc = CountingAlloc;
 
     #[test]
-    fn disabled_profiler_records_nothing_and_reads_no_clock() {
-        let profiler = Profiler::new(false);
-        assert_eq!(profiler.now_ns(), 0);
+    fn disabled_profiler_records_nothing() {
+        let t = Instant::now();
+        let profiler = Profiler::new(false, t);
         let mut wp = profiler.worker(0);
-        let t = wp.now_ns();
-        assert_eq!(t, 0);
-        wp.record(PoolPhase::Simulate, t, 7);
-        wp.chunk_done(t);
-        wp.add_claim_retries(3);
-        let tl = wp.finish();
+        wp.record(PoolPhase::Simulate, t, Instant::now(), 7);
+        wp.chunk_done(t, Instant::now());
+        let tl = wp.finish(3);
         assert!(tl.records.is_empty());
         assert!(tl.chunk_latencies_ns.is_empty());
         assert_eq!(tl.claim_retries, 0);
@@ -814,17 +785,25 @@ mod tests {
 
     #[test]
     fn enabled_profiler_builds_a_timeline_with_synthesized_tail() {
-        let profiler = Profiler::new(true);
+        let epoch = Instant::now();
+        let profiler = Profiler::new(true, epoch);
         let mut wp = profiler.worker(2);
-        let t = wp.now_ns();
-        wp.record(PoolPhase::Claim, t, 4);
-        let t = wp.now_ns();
-        wp.record(PoolPhase::Simulate, t, 0);
-        wp.chunk_done(t);
-        let tl = wp.finish();
+        let claimed = Instant::now();
+        let started = Instant::now();
+        wp.record(PoolPhase::Claim, claimed, started, 4);
+        let finished = Instant::now();
+        wp.record(PoolPhase::Simulate, started, finished, 0);
+        wp.chunk_done(claimed, finished);
+        let tl = wp.finish(0);
         assert_eq!(tl.worker, 2);
         assert_eq!(tl.records.len(), 2);
-        assert_eq!(tl.chunk_latencies_ns.len(), 1);
+        // Records share the readings they were handed: the claim ends
+        // exactly where the simulate begins.
+        assert_eq!(tl.records[0].end_ns, tl.records[1].begin_ns);
+        assert_eq!(
+            tl.chunk_latencies_ns,
+            [tl.records[1].end_ns - tl.records[0].begin_ns]
+        );
         let end = tl.end_ns();
         let profile = profiler
             .assemble(vec![tl], end + 5_000_000, 1_000)
@@ -839,7 +818,7 @@ mod tests {
 
     #[test]
     fn idle_gaps_between_records_are_synthesized() {
-        let profiler = Profiler::new(true);
+        let profiler = Profiler::new(true, Instant::now());
         let tl = WorkerTimeline {
             worker: 0,
             records: vec![
@@ -897,14 +876,13 @@ mod tests {
 
     #[test]
     fn worker_profile_captures_contention_deltas() {
-        let profiler = Profiler::new(true);
-        let mut wp = profiler.worker(0);
+        let profiler = Profiler::new(true, Instant::now());
+        let wp = profiler.worker(0);
         record_db_access();
         record_db_access();
-        wp.add_claim_retries(5);
         let v: Vec<u64> = vec![1, 2, 3];
         std::hint::black_box(&v);
-        let tl = wp.finish();
+        let tl = wp.finish(5);
         assert_eq!(tl.db_accesses, 2);
         assert_eq!(tl.claim_retries, 5);
         assert!(tl.allocations > 0);
@@ -937,19 +915,16 @@ mod tests {
         let inputs = vec![
             AuditInput {
                 workers: 1,
-                wall_ns: 1_000_000,
                 scenarios_per_sec: 16.0,
                 profile: synthetic_profile(1, 950_000, 1_000_000),
             },
             AuditInput {
                 workers: 2,
-                wall_ns: 900_000,
                 scenarios_per_sec: 17.8,
                 profile: synthetic_profile(2, 850_000, 900_000),
             },
             AuditInput {
                 workers: 4,
-                wall_ns: 880_000,
                 scenarios_per_sec: 18.2,
                 profile: synthetic_profile(4, 820_000, 880_000),
             },
@@ -978,13 +953,11 @@ mod tests {
         let inputs = vec![
             AuditInput {
                 workers: 1,
-                wall_ns: 1_000_000,
                 scenarios_per_sec: 16.0,
                 profile: synthetic_profile(1, 990_000, 1_000_000),
             },
             AuditInput {
                 workers: 4,
-                wall_ns: 250_000,
                 scenarios_per_sec: 64.0,
                 profile: synthetic_profile(4, 247_000, 250_000),
             },
@@ -998,7 +971,6 @@ mod tests {
     fn audit_json_has_schema_and_parses_shape() {
         let inputs = vec![AuditInput {
             workers: 1,
-            wall_ns: 1_000,
             scenarios_per_sec: 1.0,
             profile: synthetic_profile(1, 900, 1_000),
         }];
@@ -1014,15 +986,16 @@ mod tests {
 
     #[test]
     fn pool_profile_exports_perfetto_tracks_and_metrics() {
-        let profiler = Profiler::new(true);
+        let profiler = Profiler::new(true, Instant::now());
         let mk = |w: usize| {
             let mut wp = profiler.worker(w);
-            let t = wp.now_ns();
-            wp.record(PoolPhase::Claim, t, 8);
-            let t = wp.now_ns();
-            wp.record(PoolPhase::Simulate, t, w as u64);
-            wp.chunk_done(t);
-            wp.finish()
+            let claimed = Instant::now();
+            let started = Instant::now();
+            wp.record(PoolPhase::Claim, claimed, started, 8);
+            let finished = Instant::now();
+            wp.record(PoolPhase::Simulate, started, finished, w as u64);
+            wp.chunk_done(claimed, finished);
+            wp.finish(0)
         };
         let timelines = vec![mk(0), mk(1)];
         let wall = timelines.iter().map(WorkerTimeline::end_ns).max().unwrap() + 10_000;

@@ -15,8 +15,9 @@
 //! The telemetry plane has three parts. **Request tracing**
 //! ([`DaemonOptions::trace_requests`]): every `run` request gets a
 //! trace id (`t1`, `t2`, ...) that rides through the queue, the cache
-//! pass, the worker pool (via [`CampaignOptions::trace_id`]) and down
-//! into the bus model's span collector, assembled per request into one
+//! pass, the worker pool (whose sink spans share the request's clock
+//! via [`CampaignOptions::epoch`]) and down into the bus model's span
+//! collector, assembled per request into one
 //! connected Perfetto trace ([`crate::telemetry::TraceBuilder`]) and
 //! retained in a ring for the `dump-trace` op. **Live telemetry**: a
 //! leveled [`EventLog`], a rolling [`SloWindow`] over request
@@ -856,15 +857,14 @@ impl Daemon {
         // Batch the misses onto the worker pool, streaming each result
         // (and filling the cache) from the worker thread that produced
         // it. One fingerprint axis: the matrix is this request's
-        // deduplicated work list. Under tracing the request's trace id
-        // and enqueue instant ride into the pool so worker spans share
-        // the request's clock, and the first few scenarios run with the
-        // bus span collector on.
+        // deduplicated work list. The request's enqueue instant rides
+        // into the pool so worker spans share the request's clock, and
+        // under tracing the first few scenarios run with the bus span
+        // collector on.
         let worker_spans: Mutex<Vec<(usize, usize, u64, u64)>> = Mutex::new(Vec::new());
         let layer_caps: Mutex<Vec<(usize, TraceCollector)>> = Mutex::new(Vec::new());
         if !miss_keys.is_empty() {
             let opts = CampaignOptions {
-                trace_id: Some(trace.clone()),
                 epoch: Some(enqueued),
                 ..CampaignOptions::with_workers("serve", self.workers)
             };
@@ -930,8 +930,7 @@ impl Daemon {
         if tracing {
             fields.push(("trace".to_owned(), Json::Str(trace.clone())));
         }
-        // Wall-clock diagnostics only — comparisons must strip it,
-        // like the manifest's last_run section.
+        // Wall-clock diagnostics only — comparisons must strip it.
         fields.push(("wall_us".to_owned(), Json::Num(wall_us as f64)));
         emitter.emit(fields);
         let done_us = enqueued.elapsed().as_micros() as u64;

@@ -31,6 +31,10 @@
 //! {"kind":"multi","seed":7,"policy":"rr","cpu_count":200,"dma_burst":8}
 //! ```
 //!
+//! A spec whose run could outlast the run loop's cycle ceiling
+//! ([`ScenarioSpec::worst_case_cycles`] above [`MAX_CYCLES`]) is
+//! rejected with an `error` event, like any other invalid field.
+//!
 //! Responses to a `run` stream one `result` event per scenario in
 //! completion order (`cached` marks cache replays), then a terminal
 //! `done` event; other operations answer with a single event. The
@@ -49,8 +53,9 @@
 
 use hierbus_campaign::{Fingerprint, Json};
 use hierbus_ec::addr::ADDR_MASK;
-use hierbus_ec::sequences::{self, DataProfile, MixParams};
+use hierbus_ec::sequences::{self, DataProfile, MixParams, MIX_WAITS};
 use hierbus_ec::{ArbitrationPolicy, BurstLen, DmaParams, DmaProgram, MultiScenario, WaitProfile};
+use hierbus_power::run::MAX_CYCLES;
 
 /// The protocol version this daemon speaks; response events carry it.
 pub const PROTOCOL_VERSION: u64 = 2;
@@ -87,6 +92,60 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// addresses 32 bytes before its end, so a smaller window would
 /// underflow its address arithmetic.
 pub const MIN_MIX_WINDOW: u64 = 32;
+
+/// Cycles per op the worst-case bound adds on top of the op's gap and
+/// wait states: the address cycle, the issue cycle and the completion
+/// pickup.
+const OP_OVERHEAD_CYCLES: u64 = 3;
+
+/// Worst-case cycles of one master running `ops` ops back to back, each
+/// after a gap of at most `max_gap` idle cycles and of at most
+/// `max_beats` beats, against `waits`. No phase overlap and no help
+/// from pipelining: a real run never takes longer.
+fn master_bound(ops: usize, max_gap: u32, max_beats: u32, waits: WaitProfile) -> u64 {
+    let data_wait = u64::from(waits.read.max(waits.write));
+    let per_op = u64::from(max_gap)
+        + u64::from(waits.address)
+        + u64::from(max_beats) * (data_wait + 1)
+        + OP_OVERHEAD_CYCLES;
+    (ops as u64).saturating_mul(per_op)
+}
+
+/// [`master_bound`] of a [`sequences::random_mix`] stimulus.
+fn mix_bound(params: &MixParams, waits: WaitProfile) -> u64 {
+    let beats = if params.burst_pct > 0 { 8 } else { 1 };
+    master_bound(params.count, params.max_idle, beats, waits)
+}
+
+/// `spec` if its [`worst_case_cycles`](ScenarioSpec::worst_case_cycles)
+/// fit the run loop's [`MAX_CYCLES`] ceiling; a spec above it would
+/// trip the ceiling's deadlock assertion instead of finishing.
+fn within_cycle_budget(spec: ScenarioSpec) -> Result<ScenarioSpec, String> {
+    let bound = spec.worst_case_cycles();
+    if bound <= MAX_CYCLES {
+        return Ok(spec);
+    }
+    let fields = match &spec {
+        ScenarioSpec::Mix { params, waits, .. } => {
+            let w = waits.unwrap_or(MIX_WAITS);
+            format!(
+                "mix spec fields count = {}, max_idle = {} and waits = [{},{},{}]",
+                params.count, params.max_idle, w.address, w.read, w.write
+            )
+        }
+        ScenarioSpec::Multi { cpu_count, dma, .. } => format!(
+            "multi spec fields cpu_count = {cpu_count}, dma_descriptors = {}, dma_gap = {} \
+             and dma_burst = {}",
+            dma.descriptors,
+            dma.max_gap,
+            dma.burst.beats()
+        ),
+        ScenarioSpec::Named { name } => format!("named spec {name:?}"),
+    };
+    Err(format!(
+        "{fields} allow up to {bound} cycles, above the limit of {MAX_CYCLES}"
+    ))
+}
 
 /// `value` of an op-count field, if it is at most [`MAX_SPEC_OPS`].
 fn op_count(kind: &str, field: &str, value: u64) -> Result<usize, String> {
@@ -211,7 +270,7 @@ impl ScenarioSpec {
                         Some(WaitProfile::new(n(0)?, n(1)?, n(2)?))
                     }
                 };
-                Ok(ScenarioSpec::Mix {
+                within_cycle_budget(ScenarioSpec::Mix {
                     seed: u("seed", 0)?,
                     params: MixParams {
                         count: op_count("mix", "count", u("count", d.count as u64)?)?,
@@ -261,7 +320,7 @@ impl ScenarioSpec {
                         "multi spec field dma_read_pct = {read_pct} outside 0..=100"
                     ));
                 }
-                Ok(ScenarioSpec::Multi {
+                within_cycle_budget(ScenarioSpec::Multi {
                     seed: u("seed", 0)?,
                     policy,
                     cpu_count: ops("cpu_count", MixParams::default().count)?,
@@ -399,6 +458,40 @@ impl ScenarioSpec {
                 dma.read_pct,
                 dma.max_gap,
             ),
+        }
+    }
+
+    /// The most bus cycles this spec's run can take: per master, ops ×
+    /// (longest gap + address wait + longest burst × (data wait + 1) +
+    /// 3 cycles of issue, address and pickup), summed over the CPU and
+    /// DMA masters of a multi spec. The parser rejects specs whose bound
+    /// exceeds the run loop's [`MAX_CYCLES`] ceiling; an unknown name
+    /// bounds at 0 (it fails to materialize instead).
+    pub fn worst_case_cycles(&self) -> u64 {
+        match self {
+            ScenarioSpec::Named { name } => sequences::all_scenarios()
+                .into_iter()
+                .find(|s| s.name == name)
+                .map_or(0, |s| {
+                    let gap = s.ops.iter().map(|op| op.idle_before).max().unwrap_or(0);
+                    let beats = s.ops.iter().map(|op| op.burst.beats()).max().unwrap_or(0);
+                    master_bound(s.ops.len(), gap, beats, s.waits)
+                }),
+            ScenarioSpec::Mix { params, waits, .. } => {
+                mix_bound(params, waits.unwrap_or(MIX_WAITS))
+            }
+            ScenarioSpec::Multi { cpu_count, dma, .. } => {
+                let cpu = MixParams {
+                    count: *cpu_count,
+                    ..MixParams::default()
+                };
+                mix_bound(&cpu, MIX_WAITS).saturating_add(master_bound(
+                    dma.descriptors,
+                    dma.max_gap,
+                    dma.burst.beats(),
+                    MIX_WAITS,
+                ))
+            }
         }
     }
 
@@ -874,6 +967,77 @@ mod tests {
         );
         // The limit admits the 600k-transaction Table 3 mix.
         assert!(parse_spec(r#"{"kind":"mix","count":600000}"#).is_ok());
+    }
+
+    #[test]
+    fn specs_that_cannot_finish_are_rejected() {
+        // 50 ops with up to 4e9 idle cycles each used to run into the
+        // run loop's deadlock ceiling and take the daemon down.
+        let line = r#"{"v":1,"id":"a","op":"run","scenarios":[{"kind":"mix","seed":7,"count":50,"max_idle":4000000000}]}"#;
+        let (id, err) = parse_request(line).unwrap_err();
+        assert_eq!(id, "a");
+        assert!(
+            err.starts_with("scenarios[0]: mix spec fields count = 50, max_idle = 4000000000"),
+            "{err}"
+        );
+        for (line, needle) in [
+            (
+                r#"{"kind":"mix","count":10,"waits":[0,4000000000,1]}"#,
+                "waits = [0,4000000000,1]",
+            ),
+            (
+                r#"{"kind":"multi","cpu_count":10,"dma_gap":4000000000}"#,
+                "dma_gap = 4000000000",
+            ),
+            (
+                r#"{"kind":"mix","count":1048576,"max_idle":100}"#,
+                "count = 1048576",
+            ),
+        ] {
+            let err = parse_spec(line).unwrap_err();
+            assert!(err.contains(needle), "{line}: {err}");
+            assert!(
+                err.ends_with(&format!("above the limit of {MAX_CYCLES}")),
+                "{err}"
+            );
+        }
+        // The largest default mix still fits.
+        let big = parse_spec(r#"{"kind":"mix","count":1048576}"#).unwrap();
+        assert!(big.worst_case_cycles() <= MAX_CYCLES);
+    }
+
+    #[test]
+    fn runs_finish_within_their_worst_case_bound() {
+        let db = hierbus_power::CharacterizationDb::uniform();
+        let mut session = crate::ServeSession::new(&db);
+        let mut specs: Vec<ScenarioSpec> = sequences::all_scenarios()
+            .into_iter()
+            .map(|s| ScenarioSpec::Named {
+                name: s.name.to_owned(),
+            })
+            .collect();
+        for line in [
+            // The tightest per-op bound: single beats, no waits, no gaps.
+            r#"{"kind":"mix","seed":1,"count":300,"burst_pct":0,"max_idle":0,"waits":[0,0,0]}"#,
+            r#"{"kind":"mix","seed":2,"count":300,"burst_pct":100,"max_idle":0,"waits":[0,0,0]}"#,
+            r#"{"kind":"mix","seed":3,"count":200,"burst_pct":100,"read_pct":0,"waits":[3,5,7]}"#,
+            r#"{"kind":"mix","seed":4,"count":200,"max_idle":9,"waits":[2,0,4]}"#,
+            r#"{"kind":"multi","seed":5,"cpu_count":200,"dma_descriptors":60,"dma_gap":0,"dma_burst":8}"#,
+            r#"{"kind":"multi","seed":6,"policy":"rr","cpu_count":200,"dma_descriptors":60,"dma_gap":0,"dma_burst":1}"#,
+            r#"{"kind":"multi","seed":7,"cpu_count":50,"dma_descriptors":100,"dma_gap":20,"dma_read_pct":0}"#,
+        ] {
+            specs.push(parse_spec(line).unwrap());
+        }
+        for spec in specs {
+            let bound = spec.worst_case_cycles();
+            let run = session.run_materialized(&spec.materialize().unwrap());
+            assert!(
+                run.cycles <= bound,
+                "{}: ran {} cycles, bound {bound}",
+                spec.canonical(),
+                run.cycles
+            );
+        }
     }
 
     /// Every spec the parser accepts over the edges of its address,

@@ -3,7 +3,7 @@
 //! worker count, and a resumed campaign must skip completed scenarios
 //! without changing the final output.
 
-use hierbus_campaign::{CampaignOptions, CampaignPayload, Json, Matrix, ScenarioPoint};
+use hierbus_campaign::{CampaignOptions, CampaignPayload, Matrix, ScenarioPoint};
 use hierbus_jcvm::workloads::standard_workloads;
 use hierbus_jcvm::{
     explore_campaign, explore_matrix, run_config, ExplorationRow, ExploreSession, IfaceConfig,
@@ -40,14 +40,10 @@ fn render(rows: &[ExplorationRow]) -> String {
     rows.iter().map(|r| format!("{r:?}\n")).collect()
 }
 
-/// Manifest bytes with the wall-clock `last_run` diagnostics section
-/// stripped — everything else must stay byte-identical across worker
+/// The raw manifest bytes: they must stay byte-identical across worker
 /// counts and resume paths.
-fn manifest_sans_run(path: &PathBuf) -> String {
-    let mut doc = Json::parse(&std::fs::read_to_string(path).expect("manifest written"))
-        .expect("manifest parses");
-    doc.remove("last_run");
-    doc.to_string_pretty()
+fn manifest_bytes(path: &PathBuf) -> String {
+    std::fs::read_to_string(path).expect("manifest written")
 }
 
 #[test]
@@ -67,7 +63,7 @@ fn merged_results_and_manifest_identical_for_1_2_4_8_workers() {
         let (rows, stats) = explore_campaign(&configs, workloads, &db, &opts).unwrap();
         assert_eq!(stats.executed, configs.len() * workloads.len());
         assert_eq!(stats.workers, workers.min(stats.total));
-        outputs.push((render(&rows), manifest_sans_run(&manifest)));
+        outputs.push((render(&rows), manifest_bytes(&manifest)));
     }
     let (base_rows, base_manifest) = &outputs[0];
     for (rows, manifest) in &outputs[1..] {
@@ -147,10 +143,7 @@ fn interrupted_campaign_resumes_without_recomputing() {
     let resumed_rows: Vec<ExplorationRow> =
         resumed.results.into_iter().map(Option::unwrap).collect();
     assert_eq!(render(&resumed_rows), render(&fresh_rows));
-    assert_eq!(
-        manifest_sans_run(&manifest),
-        manifest_sans_run(&fresh_manifest)
-    );
+    assert_eq!(manifest_bytes(&manifest), manifest_bytes(&fresh_manifest));
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -272,10 +265,7 @@ fn interrupted_chunked_campaign_resumes_byte_identically() {
     let resumed_rows: Vec<ExplorationRow> =
         resumed.results.into_iter().map(Option::unwrap).collect();
     assert_eq!(render(&resumed_rows), render(&fresh_rows));
-    assert_eq!(
-        manifest_sans_run(&manifest),
-        manifest_sans_run(&fresh_manifest)
-    );
+    assert_eq!(manifest_bytes(&manifest), manifest_bytes(&fresh_manifest));
     let _ = std::fs::remove_dir_all(&dir);
 }
 

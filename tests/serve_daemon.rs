@@ -201,6 +201,41 @@ fn over_long_line_is_answered_and_the_next_request_served() {
 }
 
 #[test]
+fn spec_that_cannot_finish_is_rejected_and_the_session_continues() {
+    // 50 ops with up to 4e9 idle cycles each cannot finish within the
+    // run loop's cycle ceiling. Accepted, it panicked a worker and hung
+    // the session; it is now rejected when the request is parsed. The
+    // session runs on its own thread so a regression fails instead of
+    // hanging the suite.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let script = concat!(
+            r#"{"v":1,"id":"a","op":"run","scenarios":[{"kind":"mix","seed":7,"count":50,"max_idle":4000000000}]}"#,
+            "\n",
+            r#"{"v":1,"id":"p","op":"ping"}"#,
+            "\n"
+        );
+        let _ = tx.send(session(&daemon(2), script));
+    });
+    let (events, summary) = rx
+        .recv_timeout(Duration::from_secs(120))
+        .expect("the session drains at EOF");
+    handle.join().expect("session thread");
+    assert_eq!(events.len(), 2);
+    assert_eq!(event_name(&events[0]), "error");
+    assert_eq!(field(&events[0], "req").as_str(), Some("a"));
+    let message = field(&events[0], "message").as_str().unwrap();
+    assert!(
+        message.contains("max_idle = 4000000000") && message.contains("above the limit"),
+        "{message}"
+    );
+    assert_eq!(event_name(&events[1]), "pong");
+    assert_eq!(field(&events[1], "req").as_str(), Some("p"));
+    assert!(!summary.shutdown, "EOF is not a shutdown");
+    assert_eq!(summary.requests, 1);
+}
+
+#[test]
 fn run_streams_results_then_done_and_shutdown_says_bye() {
     let d = daemon(2);
     // The shutdown line is released only after the run's `done` event,

@@ -2,13 +2,15 @@
 //! mutated, truncated, deeply nested and out-of-range request lines go
 //! through [`parse_request`] and [`ScenarioSpec::materialize`]. The
 //! properties: neither call ever panics, every accepted spec respects
-//! the parser's documented bounds, and every accepted mix or multi spec
+//! the parser's documented bounds (its worst-case cycle count
+//! included), and every accepted mix or multi spec
 //! materializes — in this debug test build, any arithmetic overflow in
 //! the stimulus generators would panic. Deterministic: the streams come
 //! from the in-repo [`SplitMix64`], so a failure reproduces exactly.
 
 use hierbus::campaign::json::MAX_DEPTH;
 use hierbus::ec::addr::ADDR_MASK;
+use hierbus::power::run::MAX_CYCLES;
 use hierbus::serve::proto::{MAX_SPEC_OPS, MIN_MIX_WINDOW};
 use hierbus::serve::{parse_request, Materialized, Op, ScenarioSpec};
 use hierbus::sim::SplitMix64;
@@ -270,6 +272,11 @@ fn assert_in_bounds(spec: &ScenarioSpec, line: &str) {
         }
         ScenarioSpec::Named { .. } => {}
     }
+    let bound = spec.worst_case_cycles();
+    assert!(
+        bound <= MAX_CYCLES,
+        "accepted spec may run {bound} cycles, above {MAX_CYCLES}: {line}"
+    );
 }
 
 /// Feeds one line through the parser and every accepted spec through
