@@ -22,10 +22,10 @@
 use hierbus::harness;
 use hierbus_bench::{pct, TextTable};
 use hierbus_campaign::{CampaignOptions, CampaignPayload, Json, Matrix};
-use hierbus_core::{Tlm1Bus, TlmMaster};
+use hierbus_core::{Tlm1Bus, TlmSystem};
 use hierbus_ec::sequences::{random_mix, MixParams};
 use hierbus_ec::OutstandingLimits;
-use hierbus_power::run::tlm1_bus;
+use hierbus_power::run::{tlm1_bus, MAX_CYCLES};
 use hierbus_power::CharacterizationDb;
 
 /// The model axis of the ablation campaign.
@@ -185,24 +185,9 @@ fn main() {
             data_reads: limit,
             writes: limit,
         };
-        let mut bus = tlm1_bus(&mix);
-        let mut master = TlmMaster::with_limits(mix.ops.clone(), limits);
-        let mut cycle = 0u64;
-        use hierbus_core::CycleBus;
-        while !master.is_finished() {
-            master.rising_edge(&mut bus, cycle);
-            if !bus.is_idle() {
-                bus.bus_process(cycle);
-            }
-            cycle += 1;
-            assert!(cycle < 10_000_000, "deadlock");
-        }
-        let cycles = master
-            .records()
-            .iter()
-            .filter_map(|r| r.done_cycle)
-            .max()
-            .map_or(0, |c| c + 1);
+        let mut sys = TlmSystem::new(tlm1_bus(&mix), mix.ops.clone());
+        sys.set_master_limits(0, limits);
+        let cycles = sys.run(MAX_CYCLES, |_| {}).cycles;
         if limit == 1 {
             base_cycles = cycles;
         }

@@ -25,8 +25,7 @@
 //! directly measurable. [`master::TlmSystem`] is the one stepping loop:
 //! one master, or several behind an [`Arbiter`](hierbus_ec::Arbiter)
 //! (the CPU + DMA pair of [`TlmSystem::for_multi`]), shaped like the RTL
-//! reference's system. [`sc::run_on_kernel`] runs one master on the
-//! discrete-event kernel instead.
+//! reference's system, and the only way a TLM bus is ever stepped.
 //!
 //! # Example
 //!
@@ -49,7 +48,6 @@
 
 pub mod master;
 pub(crate) mod obs_util;
-pub mod sc;
 pub mod slave;
 pub(crate) mod slots;
 pub mod tlm1;
@@ -58,7 +56,6 @@ pub mod tlm3;
 
 pub use hierbus_ec::MasterReport;
 pub use master::{Completed, CycleBus, PollStatus, TlmMaster, TlmReport, TlmSystem};
-pub use sc::run_on_kernel;
 pub use slave::{HasSlaves, MemSlave, SlaveReply, TlmSlave};
 pub use tlm1::Tlm1Bus;
 pub use tlm2::{PhaseEvent, PhaseKind, Tlm2Bus};

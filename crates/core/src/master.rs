@@ -36,9 +36,9 @@ pub enum PollStatus {
 /// The cycle-driven interface both TLM bus layers expose to a master.
 ///
 /// The master calls [`issue`](CycleBus::issue)/[`poll`](CycleBus::poll)
-/// at the rising clock edge and the kernel (or harness) calls
-/// [`bus_process`](CycleBus::bus_process) at the falling edge — the
-/// paper's clocking discipline.
+/// at the rising clock edge and the stepping loop ([`TlmSystem`], or a
+/// CPU driver) calls [`bus_process`](CycleBus::bus_process) at the
+/// falling edge — the paper's clocking discipline.
 pub trait CycleBus {
     /// Presents a new transaction. Returns
     /// [`BusStatus::Request`](hierbus_ec::BusStatus) when accepted.
@@ -51,7 +51,7 @@ pub trait CycleBus {
     fn bus_process(&mut self, cycle: u64);
 
     /// True when the bus has no queued or in-progress work, allowing the
-    /// harness to skip the bus process — the dynamic-sensitivity
+    /// stepping loop to skip the bus process — the dynamic-sensitivity
     /// optimisation of the layer-2 model.
     fn is_idle(&self) -> bool;
 
@@ -159,14 +159,6 @@ pub struct TlmMaster {
 impl TlmMaster {
     /// Creates a master for `ops` with the core's default limits.
     pub fn new(ops: impl Into<std::sync::Arc<[MasterOp]>>) -> Self {
-        Self::with_limits(ops, OutstandingLimits::CORE_DEFAULT)
-    }
-
-    /// Creates a master with explicit limits.
-    pub fn with_limits(
-        ops: impl Into<std::sync::Arc<[MasterOp]>>,
-        limits: OutstandingLimits,
-    ) -> Self {
         let ops = ops.into();
         let idle_left = ops.first().map_or(0, |op| op.idle_before);
         let outcomes = vec![None; ops.len()];
@@ -175,7 +167,7 @@ impl TlmMaster {
             next_op: 0,
             idle_left,
             next_id: TxnId(0),
-            tracker: OutstandingTracker::new(limits),
+            tracker: OutstandingTracker::new(OutstandingLimits::CORE_DEFAULT),
             records: Vec::new(),
             in_flight: Vec::new(),
             keep_records: true,
@@ -195,6 +187,13 @@ impl TlmMaster {
         assert_eq!(self.next_op, 0, "faults must be configured before running");
         self.plan = plan;
         self.policy = policy;
+    }
+
+    /// Replaces the outstanding-transaction ceilings. Must be called
+    /// before the first cycle.
+    pub fn set_limits(&mut self, limits: OutstandingLimits) {
+        assert_eq!(self.next_op, 0, "limits must be configured before running");
+        self.tracker = OutstandingTracker::new(limits);
     }
 
     /// Sets the first transaction id this master will use. Multi-master
@@ -462,11 +461,6 @@ impl TlmMaster {
         self.next_op >= self.ops.len() && self.in_flight.is_empty() && self.retries.is_empty()
     }
 
-    /// The records accumulated so far.
-    pub fn records(&self) -> &[TxnRecord] {
-        &self.records
-    }
-
     /// Moves this master's slice of the run report out once every op
     /// has settled, leaving its records and outcomes empty: a long
     /// run's records move into the report uncopied, and its pending
@@ -516,13 +510,8 @@ pub struct TlmReport {
 
 impl TlmReport {
     /// Assembles the report of `masters` once every op has settled,
-    /// moving their records and outcomes out — shared by the cycle loop
-    /// and the kernel-driven path.
-    pub(crate) fn assemble(
-        masters: &mut [TlmMaster],
-        bus_activations: u64,
-        arbiter: &Arbiter,
-    ) -> Self {
+    /// moving their records and outcomes out.
+    fn assemble(masters: &mut [TlmMaster], bus_activations: u64, arbiter: &Arbiter) -> Self {
         let cycles = masters
             .iter()
             .filter(|m| m.completed() > 0)
@@ -644,6 +633,13 @@ impl<B: CycleBus> TlmSystem<B> {
         }
         self.masters[idx].set_faults(plan, policy);
         self.faults_configured = true;
+    }
+
+    /// Replaces master `idx`'s outstanding-transaction ceilings. Must be
+    /// called before the first cycle.
+    pub fn set_master_limits(&mut self, idx: usize, limits: OutstandingLimits) {
+        assert_eq!(self.cycle, 0, "limits must be configured before running");
+        self.masters[idx].set_limits(limits);
     }
 
     /// Disables per-transaction record keeping on every master and the
@@ -898,6 +894,23 @@ mod tests {
         let report = sys.run(100, |_| hooks += 1);
         assert_eq!(hooks, report.bus_activations);
         assert!(hooks > 0);
+    }
+
+    /// §3.2's dynamic sensitivity on both layers: the bus process is not
+    /// activated while the bus is idle, so a 50-cycle idle gap between
+    /// two zero-wait reads costs no activations at all.
+    #[test]
+    fn idle_gap_skips_the_bus_process_on_both_layers() {
+        let ops = vec![MasterOp::read(0x100), MasterOp::read(0x200).after_idle(50)];
+        let check = |report: TlmReport, layer: &str| {
+            assert_eq!(report.cycles, 52, "{layer}");
+            assert_eq!(report.bus_activations, 2, "{layer}");
+            assert_eq!(report.records[1].done_cycle, Some(51), "{layer}");
+        };
+        let mut l1 = TlmSystem::new(mem_bus(WaitProfile::ZERO, Tlm1Bus::new), ops.clone());
+        check(l1.run(1_000, |_| {}), "layer 1");
+        let mut l2 = TlmSystem::new(mem_bus(WaitProfile::ZERO, Tlm2Bus::new), ops);
+        check(l2.run(1_000, |_| {}), "layer 2");
     }
 
     #[test]

@@ -7,8 +7,8 @@
 //! the instrumentation layer those measurements flow through:
 //!
 //! * [`MetricsRegistry`] — named counters, gauges and fixed-bucket
-//!   histograms; sim-time based, snapshot/diff-able like
-//!   `KernelStats::since`.
+//!   histograms; sim-time based, snapshots diff-able with
+//!   [`MetricsSnapshot::since`].
 //! * [`TraceCollector`] — per-layer transaction spans (request →
 //!   address → data phases) keyed by the bus transaction's monotonic
 //!   id, plus sampled counter tracks for energy.

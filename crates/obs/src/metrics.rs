@@ -1,14 +1,11 @@
 //! Named counters, gauges and fixed-bucket histograms.
 //!
-//! The registry is deliberately shaped like [`KernelStats`]: everything
-//! is sim-time based (no wall clock), snapshots are plain values, and
-//! two snapshots can be diffed with [`MetricsSnapshot::since`] to
-//! measure one phase of a run. A disabled registry records nothing —
-//! every mutation is a branch on the `enabled` flag, and no allocation
-//! happens after registration — so instrumented code can leave its
-//! probes in place permanently.
-//!
-//! [`KernelStats`]: https://docs.rs/hierbus-sim
+//! Everything is sim-time based (no wall clock), snapshots are plain
+//! values, and two snapshots can be diffed with
+//! [`MetricsSnapshot::since`] to measure one phase of a run. A disabled
+//! registry records nothing — every mutation is a branch on the
+//! `enabled` flag, and no allocation happens after registration — so
+//! instrumented code can leave its probes in place permanently.
 
 /// Handle to a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

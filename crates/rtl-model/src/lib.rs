@@ -16,8 +16,8 @@
 //! # Canonical protocol timing
 //!
 //! Both this reference and the layer-1 TLM model implement these rules, so
-//! their cycle counts must agree exactly (Table 1's 0% row). One tick of
-//! the kernel clock = one bus cycle; a transaction *issues* in the cycle
+//! their cycle counts must agree exactly (Table 1's 0% row). One clock
+//! tick = one bus cycle; a transaction *issues* in the cycle
 //! the master first presents it.
 //!
 //! 1. The address channel carries one address phase at a time. A phase

@@ -1,57 +1,50 @@
-//! A compact discrete-event simulation kernel standing in for SystemC 2.0.
+//! Simulation primitives shared by the bus models: the parts of SystemC 2.0
+//! the paper's models lean on, without a scheduler.
 //!
-//! The hierarchical bus models of the DATE 2004 paper are SystemC modules:
-//! `SC_METHOD` processes statically sensitive to clock edges, plus
-//! dynamically notified events used by the layer-2 model to avoid waking the
-//! bus process when no transaction is pending. This crate provides exactly
-//! that subset:
+//! The hierarchical bus models of the DATE 2004 paper are SystemC modules
+//! whose processes run on clock edges: masters on the rising edge, the bus
+//! process on the falling edge, and the bus process not activated at all
+//! while the bus is idle. That discipline is a plain cycle loop here —
+//! `TlmSystem::step_cycle` in `hierbus-core` and `RtlSystem::step_cycle` in
+//! `hierbus-rtl` — so this crate only carries what those loops share:
 //!
-//! * [`Kernel`] — the scheduler, generic over a user-owned *world* type `W`
-//!   that holds all module state. Processes are closures over `&mut W`,
-//!   which sidesteps the shared-ownership problems a literal SystemC port
-//!   would have in Rust while keeping module code readable.
-//! * [`ClockId`]/[`Edge`] — free-running clocks; processes register
-//!   sensitivity to rising or falling edges, mirroring the paper's split
-//!   (masters and slaves on the rising edge, the bus process on the falling
-//!   edge).
-//! * [`EventId`] — dynamically notified events with zero-delay ("delta")
-//!   or timed notification.
-//! * [`signal`] — [`signal::Wire`] and [`signal::Vector`]
-//!   two-phase signals whose `update()` step counts bit transitions; the
-//!   gate-level power estimator and the layer-1 energy model are built on
-//!   these counters.
+//! * [`signal`] — [`signal::Wire`] and [`signal::Vector`] two-phase
+//!   signals whose `update()` step counts bit transitions; the gate-level
+//!   power estimator and the layer-1 energy model are built on these
+//!   counters.
+//! * [`trace`] — a VCD waveform recorder keyed by [`SimTime`].
+//! * [`schedule`] — [`CycleSchedule`], cycle-keyed scripted events (card
+//!   tear) replayed identically at every abstraction level.
+//! * [`prng`] — [`SplitMix64`], the seeded generator behind every random
+//!   stimulus.
 //!
 //! # Example
 //!
-//! ```
-//! use hierbus_sim::{Kernel, Edge};
+//! A combinational glitch: a bus settles through an intermediate value
+//! within one cycle, and both updates count as transitions — the
+//! activity a gate-level estimator sees and a cycle-boundary model
+//! cannot.
 //!
-//! struct World { ticks: u64 }
-//! let mut kernel = Kernel::new(World { ticks: 0 });
-//! let clk = kernel.add_clock(10); // period of 10 time units
-//! kernel.register("counter", move |w: &mut World, _api| w.ticks += 1)
-//!     .sensitive_to_clock(clk, Edge::Rising);
-//! kernel.run_until(100);
-//! assert_eq!(kernel.world().ticks, 11); // rising edges at t = 0, 10, ..., 100
+//! ```
+//! use hierbus_sim::Vector;
+//!
+//! let mut data = Vector::new(8);
+//! data.set(0x0F);
+//! assert_eq!(data.value(), 0x00); // a write is not visible until update
+//! data.update();
+//! data.set(0xF0);
+//! data.update();
+//! assert_eq!(data.value(), 0xF0);
+//! assert_eq!(data.toggles(), 4 + 8);
 //! ```
 
-pub mod clock;
-pub mod event;
-pub mod kernel;
 pub mod prng;
-pub mod process;
 pub mod schedule;
 pub mod signal;
-pub mod stats;
 pub mod time;
 pub mod trace;
 
-pub use clock::{ClockId, ClockSpec, Edge};
-pub use event::EventId;
-pub use kernel::{Api, Kernel, ProcessBuilder};
 pub use prng::SplitMix64;
-pub use process::{ProcessId, ProcessProfile};
 pub use schedule::CycleSchedule;
 pub use signal::{Transition, Vector, Wire};
-pub use stats::KernelStats;
 pub use time::SimTime;

@@ -4,9 +4,8 @@
 //! at predetermined cycles of a run, identically at every abstraction
 //! level. [`CycleSchedule`] is the deterministic primitive for that: a
 //! sorted list of `(cycle, payload)` entries with a monotone cursor.
-//! Unlike the dynamic [`Kernel`](crate::Kernel) event queue it is plain
-//! data — clonable, comparable, and trivially replayable — which is
-//! what differential tests across model layers require.
+//! It is plain data — clonable, comparable, and trivially replayable —
+//! which is what differential tests across model layers require.
 
 /// A sorted, replayable schedule of cycle-keyed events.
 ///

@@ -1,8 +1,8 @@
 //! Two-phase signals with transition accounting.
 //!
-//! Hardware signals in this kernel follow SystemC semantics: writes go to a
+//! Hardware signals follow SystemC `sc_signal` semantics: writes go to a
 //! *next* value and become visible when [`Wire::update`]/[`Vector::update`]
-//! runs at a delta boundary. Every update classifies and counts the bit
+//! runs at the update step. Every update classifies and counts the bit
 //! transitions it performs — these counters are the raw material for the
 //! gate-level power estimator and the layer-1 energy model.
 //!

@@ -3,12 +3,13 @@
 use std::fmt;
 use std::ops::{Add, AddAssign, Sub};
 
-/// A point in simulated time, measured in kernel ticks.
+/// A point in simulated time, measured in ticks.
 ///
-/// The kernel is unit-agnostic; the bus models adopt the convention of one
-/// tick per nanosecond, so a 10-tick clock period models a 100 MHz system
-/// clock. `SimTime` is a transparent `u64` newtype so arithmetic stays cheap
-/// while keeping time values from mixing with cycle counts or energies.
+/// Ticks are unit-agnostic; the VCD [`trace`](crate::trace) recorder gives
+/// them a unit through its timescale (the RTL waveform records one tick per
+/// bus cycle). `SimTime` is a transparent `u64` newtype so arithmetic stays
+/// cheap while keeping time values from mixing with cycle counts or
+/// energies.
 ///
 /// ```
 /// use hierbus_sim::SimTime;
