@@ -22,10 +22,13 @@
 //! stimuli against either bus through the [`master::CycleBus`] trait and
 //! produces the same [`TxnRecord`](hierbus_ec::TxnRecord)s as the RTL
 //! reference, so cycle-exactness (layer 1) and timing error (layer 2) are
-//! directly measurable. [`master::TlmSystem`] is the one stepping loop:
-//! one master, or several behind an [`Arbiter`](hierbus_ec::Arbiter)
-//! (the CPU + DMA pair of [`TlmSystem::for_multi`]), shaped like the RTL
-//! reference's system, and the only way a TLM bus is ever stepped.
+//! directly measurable. [`master::TlmSystem`] is the stepping loop for
+//! stimulus masters: one master, or several behind an
+//! [`Arbiter`](hierbus_ec::Arbiter) (the CPU + DMA pair of
+//! [`TlmSystem::for_multi`]), shaped like the RTL reference's system.
+//! It, the ISS's `CpuSystem` and the JCVM master adapter all step a bus
+//! through [`CycleBus::falling_edge`], which keeps §3.2's idle skip
+//! inside the bus.
 //!
 //! # Example
 //!

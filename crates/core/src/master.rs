@@ -36,9 +36,11 @@ pub enum PollStatus {
 /// The cycle-driven interface both TLM bus layers expose to a master.
 ///
 /// The master calls [`issue`](CycleBus::issue)/[`poll`](CycleBus::poll)
-/// at the rising clock edge and the stepping loop ([`TlmSystem`], or a
-/// CPU driver) calls [`bus_process`](CycleBus::bus_process) at the
-/// falling edge — the paper's clocking discipline.
+/// at the rising clock edge and the driver calls
+/// [`falling_edge`](CycleBus::falling_edge) once per cycle — the paper's
+/// clocking discipline. Three drivers step a bus: [`TlmSystem`] (the
+/// stimulus masters), the ISS's `CpuSystem` and the JCVM master
+/// adapter's `BusStack`; none of them decides idleness itself.
 pub trait CycleBus {
     /// Presents a new transaction. Returns
     /// [`BusStatus::Request`](hierbus_ec::BusStatus) when accepted.
@@ -47,22 +49,11 @@ pub trait CycleBus {
     /// Polls an in-flight transaction; removes and returns it once done.
     fn poll(&mut self, id: TxnId) -> PollStatus;
 
-    /// The bus process (falling edge).
-    fn bus_process(&mut self, cycle: u64);
-
-    /// True when the bus has no queued or in-progress work, allowing the
-    /// stepping loop to skip the bus process — the dynamic-sensitivity
-    /// optimisation of the layer-2 model.
-    fn is_idle(&self) -> bool;
-
-    /// True if the bus process must run even on idle cycles. The layer-1
-    /// bus returns true while frame emission is enabled: its power module
-    /// watches the wires every cycle (handshake signals *fall* on the
-    /// first idle cycle, and that transition costs energy), so the
-    /// process stays statically sensitive like the paper's SC_METHOD.
-    fn wants_every_cycle(&self) -> bool {
-        false
-    }
+    /// The falling clock edge: runs the bus process if the bus is
+    /// sensitive this cycle and returns whether it ran. An idle bus is
+    /// not activated — §3.2's dynamic sensitivity — unless it must watch
+    /// its wires every cycle (the layer-1 bus while it emits frames).
+    fn falling_edge(&mut self, cycle: u64) -> bool;
 
     /// True if at least one transaction is waiting in the finish queue.
     /// Purely an optimisation hint: the master skips per-transaction
@@ -682,9 +673,8 @@ impl<B: CycleBus> TlmSystem<B> {
     }
 
     /// Executes one bus cycle: the masters at the rising edge (a lone
-    /// master without arbitration, several behind one grant), the bus
-    /// process at the falling edge (skipped while the bus is idle), then
-    /// `hook`.
+    /// master without arbitration, several behind one grant), the bus's
+    /// falling edge, then `hook` if the bus process ran.
     pub fn step_cycle(&mut self, hook: &mut impl FnMut(&mut B)) {
         let cycle = self.cycle;
         if let [m] = self.masters.as_mut_slice() {
@@ -693,8 +683,7 @@ impl<B: CycleBus> TlmSystem<B> {
             self.arbitrated_rising_edge(cycle);
         }
         self.sample_fault_counters();
-        if self.bus.wants_every_cycle() || !self.bus.is_idle() {
-            self.bus.bus_process(cycle);
+        if self.bus.falling_edge(cycle) {
             self.bus_activations += 1;
             hook(&mut self.bus);
         }
@@ -831,12 +820,13 @@ mod tests {
                 PollStatus::Pending
             }
         }
-        fn bus_process(&mut self, cycle: u64) {
+        fn falling_edge(&mut self, cycle: u64) -> bool {
+            if self.pending.is_empty() {
+                return false;
+            }
             self.cycle = cycle + 1; // completions visible next rising edge
             self.processed += 1;
-        }
-        fn is_idle(&self) -> bool {
-            self.pending.is_empty()
+            true
         }
     }
 
@@ -991,7 +981,7 @@ mod tests {
         assert_eq!(report.outcomes[1], TxnOutcome::Ok);
         assert_eq!(report.fault.aborted, 1);
         // The abandoned transaction was still drained from the bus.
-        assert!(sys.bus().is_idle());
+        assert!(sys.bus().pending.is_empty());
         assert!(sys.is_finished());
     }
 

@@ -446,6 +446,17 @@ impl Tlm1Bus {
             }
         }
     }
+
+    /// True when no transaction is queued or in progress: the bus
+    /// process has nothing to do this cycle.
+    fn is_idle(&self) -> bool {
+        self.request_q.is_empty()
+            && matches!(self.addr_fsm, AddrFsm::Idle)
+            && self.read_q.is_empty()
+            && self.write_q.is_empty()
+            && self.read_beat.is_none()
+            && self.write_beat.is_none()
+    }
 }
 
 impl CycleBus for Tlm1Bus {
@@ -508,7 +519,14 @@ impl CycleBus for Tlm1Bus {
         }
     }
 
-    fn bus_process(&mut self, cycle: u64) {
+    fn falling_edge(&mut self, cycle: u64) -> bool {
+        // Idle with no frames to emit: nothing to compute (§3.2). With
+        // frames on the process stays statically sensitive like the
+        // paper's SC_METHOD — its power module watches the wires every
+        // cycle, and handshake signals *fall* on the first idle cycle.
+        if !self.emit_frames && self.is_idle() {
+            return false;
+        }
         // Phase 0, get_slave_state(): slave configurations are consulted
         // through the address map inside each phase below; peripherals
         // get their time notification first.
@@ -526,19 +544,7 @@ impl CycleBus for Tlm1Bus {
         if self.emit_frames {
             self.frame = frame;
         }
-    }
-
-    fn is_idle(&self) -> bool {
-        self.request_q.is_empty()
-            && matches!(self.addr_fsm, AddrFsm::Idle)
-            && self.read_q.is_empty()
-            && self.write_q.is_empty()
-            && self.read_beat.is_none()
-            && self.write_beat.is_none()
-    }
-
-    fn wants_every_cycle(&self) -> bool {
-        self.emit_frames
+        true
     }
 
     fn has_finished(&self) -> bool {

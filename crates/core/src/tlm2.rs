@@ -475,6 +475,17 @@ impl Tlm2Bus {
             self.complete_data(idx, cycle, total);
         }
     }
+
+    /// True when no transaction is queued or in progress: the bus
+    /// process has nothing to do this cycle.
+    fn is_idle(&self) -> bool {
+        self.addr_q.is_empty()
+            && matches!(self.addr_state, AddrState::Idle)
+            && self.read.queue.is_empty()
+            && self.read.current.is_none()
+            && self.write.queue.is_empty()
+            && self.write.current.is_none()
+    }
 }
 
 impl CycleBus for Tlm2Bus {
@@ -552,7 +563,10 @@ impl CycleBus for Tlm2Bus {
         self.discard_read_data = true;
     }
 
-    fn bus_process(&mut self, cycle: u64) {
+    fn falling_edge(&mut self, cycle: u64) -> bool {
+        if self.is_idle() {
+            return false;
+        }
         if !self.ticking.is_empty() {
             self.irq_mask = tick_slaves(&mut self.slaves, &self.ticking, cycle);
         }
@@ -688,15 +702,7 @@ impl CycleBus for Tlm2Bus {
                 }
             }
         }
-    }
-
-    fn is_idle(&self) -> bool {
-        self.addr_q.is_empty()
-            && matches!(self.addr_state, AddrState::Idle)
-            && self.read.queue.is_empty()
-            && self.read.current.is_none()
-            && self.write.queue.is_empty()
-            && self.write.current.is_none()
+        true
     }
 }
 

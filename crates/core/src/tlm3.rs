@@ -168,14 +168,11 @@ impl CycleBus for Tlm3Bus {
         }
     }
 
-    fn bus_process(&mut self, _cycle: u64) {
-        // Untimed: everything already happened at issue.
-    }
-
-    fn is_idle(&self) -> bool {
-        // No cycle-driven work ever pends; pickups happen at the
-        // master's next rising edge regardless.
-        self.finish_q.is_empty()
+    fn falling_edge(&mut self, _cycle: u64) -> bool {
+        // Untimed: everything already happened at issue, so there is no
+        // work to do; the edge counts as an activation while completions
+        // wait for pickup at the master's next rising edge.
+        !self.finish_q.is_empty()
     }
 }
 

@@ -151,38 +151,39 @@ impl IfaceConfig {
     }
 }
 
-/// Per-cycle observer closures installed with [`BusStack::set_observer`].
-type Observer<B> = Box<dyn FnMut(&mut B)>;
-
 /// The master adapter: owns the bus and the simulated clock, translating
-/// stack calls into run-to-completion bus transactions.
-pub struct BusStack<B: CycleBus> {
+/// stack calls into run-to-completion bus transactions. `tap` runs after
+/// every bus-process activation (energy models hook in here); the
+/// default is a no-op.
+pub struct BusStack<B, T = fn(&mut B)> {
     bus: B,
     config: IfaceConfig,
     cycle: u64,
     next_id: TxnId,
     txns: u64,
-    observer: Option<Observer<B>>,
+    tap: T,
 }
 
 impl<B: CycleBus> BusStack<B> {
     /// Wraps `bus` (which must already contain the matching
-    /// [`HwStackSlave`](crate::hwstack::HwStackSlave)).
+    /// [`HwStackSlave`](crate::hwstack::HwStackSlave)) with no tap.
     pub fn new(bus: B, config: IfaceConfig) -> Self {
+        BusStack::with_tap(bus, config, |_| {})
+    }
+}
+
+impl<B: CycleBus, T: FnMut(&mut B)> BusStack<B, T> {
+    /// Wraps `bus` like [`new`](BusStack::new), calling `tap` after
+    /// every bus-process activation.
+    pub fn with_tap(bus: B, config: IfaceConfig, tap: T) -> Self {
         BusStack {
             bus,
             config,
             cycle: 0,
             next_id: TxnId(0),
             txns: 0,
-            observer: None,
+            tap,
         }
-    }
-
-    /// Installs a per-cycle observer called after every bus-process
-    /// activation (energy models hook in here).
-    pub fn set_observer(&mut self, observer: impl FnMut(&mut B) + 'static) {
-        self.observer = Some(Box::new(observer));
     }
 
     /// Bus cycles consumed so far.
@@ -205,7 +206,7 @@ impl<B: CycleBus> BusStack<B> {
         &self.bus
     }
 
-    /// Consumes the adapter, returning the bus.
+    /// Consumes the adapter, returning the bus (and releasing the tap).
     pub fn into_bus(self) -> B {
         self.bus
     }
@@ -216,9 +217,8 @@ impl<B: CycleBus> BusStack<B> {
         self.txns += 1;
         self.bus.issue(txn, self.cycle);
         loop {
-            self.bus.bus_process(self.cycle);
-            if let Some(obs) = &mut self.observer {
-                obs(&mut self.bus);
+            if self.bus.falling_edge(self.cycle) {
+                (self.tap)(&mut self.bus);
             }
             self.cycle += 1;
             if let PollStatus::Done(done) = self.bus.poll(id) {
@@ -314,7 +314,7 @@ impl<B: CycleBus> BusStack<B> {
     }
 }
 
-impl<B: CycleBus> BusStack<B> {
+impl<B: CycleBus, T: FnMut(&mut B)> BusStack<B, T> {
     /// Largest legal burst not exceeding `n` beats.
     fn burst_for(n: usize) -> BurstLen {
         match n {
@@ -377,7 +377,7 @@ impl<B: CycleBus> BusStack<B> {
     }
 }
 
-impl<B: CycleBus> OperandStack for BusStack<B> {
+impl<B: CycleBus, T: FnMut(&mut B)> OperandStack for BusStack<B, T> {
     fn push(&mut self, value: i32) -> Result<(), JcvmError> {
         match self.config.status_policy {
             StatusPolicy::EveryPush | StatusPolicy::EveryOp => self.check_depth(true)?,
@@ -433,7 +433,7 @@ impl<B: CycleBus> OperandStack for BusStack<B> {
     }
 }
 
-impl<B: CycleBus + std::fmt::Debug> std::fmt::Debug for BusStack<B> {
+impl<B, T> std::fmt::Debug for BusStack<B, T> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("BusStack")
             .field("config", &self.config.label())
@@ -452,14 +452,17 @@ mod tests {
 
     const BASE: u64 = 0x8000;
 
-    fn make(config: IfaceConfig) -> BusStack<Tlm1Bus> {
-        let slave = HwStackSlave::new(
+    fn slaves(config: IfaceConfig) -> Vec<Box<dyn hierbus_core::TlmSlave>> {
+        vec![Box::new(HwStackSlave::new(
             AddressRange::new(Address::new(BASE), 0x100),
             config.width,
             config.capacity,
             config.waits(),
-        );
-        BusStack::new(Tlm1Bus::new(vec![Box::new(slave)]), config)
+        ))]
+    }
+
+    fn make(config: IfaceConfig) -> BusStack<Tlm1Bus> {
+        BusStack::new(Tlm1Bus::new(slaves(config)), config)
     }
 
     #[test]
@@ -628,16 +631,23 @@ mod tests {
         assert_eq!(s.pop_many(3).unwrap(), vec![3, 2, 1]);
     }
 
+    /// The tap runs on every cycle of every transaction: inside a
+    /// transaction the bus is never idle, so routing the adapter through
+    /// `falling_edge` skips nothing even with frames off.
     #[test]
-    fn observer_sees_every_bus_activation() {
-        use std::cell::RefCell;
-        use std::rc::Rc;
-        let count = Rc::new(RefCell::new(0u64));
-        let mut s = make(IfaceConfig::baseline(BASE));
-        let c2 = Rc::clone(&count);
-        s.set_observer(move |_bus| *c2.borrow_mut() += 1);
-        s.push(5).unwrap();
-        s.pop().unwrap();
-        assert!(*count.borrow() >= 2);
+    fn tap_sees_every_bus_activation() {
+        fn push_pop<B: CycleBus>(bus: B, config: IfaceConfig) {
+            let mut taps = 0u64;
+            let mut s = BusStack::with_tap(bus, config, |_: &mut B| taps += 1);
+            s.push(5).unwrap();
+            assert_eq!(s.pop(), Ok(5));
+            let cycles = s.cycles();
+            drop(s);
+            assert!(cycles >= 2);
+            assert_eq!(taps, cycles);
+        }
+        let config = IfaceConfig::baseline(BASE);
+        push_pop(Tlm1Bus::new(slaves(config)), config);
+        push_pop(hierbus_core::Tlm2Bus::new(slaves(config)), config);
     }
 }

@@ -79,50 +79,6 @@ pub enum Bytecode {
     NewArray,
 }
 
-impl Bytecode {
-    /// The instruction's mnemonic, for dispatch profiling and
-    /// disassembly listings.
-    pub fn mnemonic(&self) -> &'static str {
-        match self {
-            Bytecode::Nop => "nop",
-            Bytecode::Const(_) => "const",
-            Bytecode::Iadd => "iadd",
-            Bytecode::Isub => "isub",
-            Bytecode::Imul => "imul",
-            Bytecode::Iand => "iand",
-            Bytecode::Ior => "ior",
-            Bytecode::Ixor => "ixor",
-            Bytecode::Ineg => "ineg",
-            Bytecode::Ishl => "ishl",
-            Bytecode::Ishr => "ishr",
-            Bytecode::Dup => "dup",
-            Bytecode::Pop => "pop",
-            Bytecode::Swap => "swap",
-            Bytecode::Iload(_) => "iload",
-            Bytecode::Istore(_) => "istore",
-            Bytecode::Iinc(..) => "iinc",
-            Bytecode::IfEq(_) => "ifeq",
-            Bytecode::IfNe(_) => "ifne",
-            Bytecode::IfLt(_) => "iflt",
-            Bytecode::IfGe(_) => "ifge",
-            Bytecode::IfIcmpEq(_) => "if_icmpeq",
-            Bytecode::IfIcmpNe(_) => "if_icmpne",
-            Bytecode::IfIcmpLt(_) => "if_icmplt",
-            Bytecode::IfIcmpGe(_) => "if_icmpge",
-            Bytecode::Goto(_) => "goto",
-            Bytecode::Invokestatic(_) => "invokestatic",
-            Bytecode::Return => "return",
-            Bytecode::Ireturn => "ireturn",
-            Bytecode::Getstatic(_) => "getstatic",
-            Bytecode::Putstatic(_) => "putstatic",
-            Bytecode::ArrayLoad => "arrayload",
-            Bytecode::ArrayStore => "arraystore",
-            Bytecode::ArrayLength => "arraylength",
-            Bytecode::NewArray => "newarray",
-        }
-    }
-}
-
 /// A method: its code, frame shape and firewall context.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Method {

@@ -13,11 +13,9 @@ use crate::interp::Interpreter;
 use crate::workloads::Workload;
 use hierbus_campaign::{CampaignOptions, CampaignPayload, CampaignStats, Json, Matrix};
 use hierbus_core::Tlm1Bus;
-use hierbus_ec::{Address, AddressRange};
+use hierbus_ec::{Address, AddressRange, SignalFrame};
 use hierbus_obs::{BucketKey, EnergyLedger, SlaveMap};
 use hierbus_power::{CharacterizationDb, Layer1EnergyModel};
-use std::cell::RefCell;
-use std::rc::Rc;
 use std::sync::Arc;
 
 /// One measured design point.
@@ -103,6 +101,58 @@ fn attribution_entries(ledger: &EnergyLedger) -> Vec<(String, f64)> {
     ledger.entries().map(|(k, v)| (k.folded_key(), v)).collect()
 }
 
+/// Builds and runs one design point — interpreter → master adapter →
+/// layer-1 TLM bus → hardware stack — with `price` booking every bus
+/// activation's frame into `model`, then books the row and its
+/// attribution ledger.
+fn run_point(
+    model: &mut Layer1EnergyModel,
+    price: impl Fn(&mut Layer1EnergyModel, &SignalFrame),
+    config: IfaceConfig,
+    workload: &Workload,
+) -> Result<ExplorationRow, JcvmError> {
+    let slave = HwStackSlave::new(
+        AddressRange::new(Address::new(config.base), 0x100),
+        config.width,
+        config.capacity,
+        config.waits(),
+    );
+    let mut bus = Tlm1Bus::new(vec![Box::new(slave)]);
+    bus.enable_obs();
+    bus.enable_frames();
+    let mut stack = BusStack::with_tap(bus, config, |bus: &mut Tlm1Bus| {
+        price(model, bus.last_frame());
+    });
+
+    let mut vm = Interpreter::new();
+    let (entry, args) = (workload.build)(&mut vm);
+    let result = vm
+        .run(entry, &args, &mut stack, 50_000_000)?
+        .ok_or(JcvmError::FrameUnderflow)?;
+    assert_eq!(
+        result,
+        workload.expected,
+        "{} produced a wrong result on {}",
+        workload.name,
+        config.label()
+    );
+
+    let (cycles, transactions) = (stack.cycles(), stack.transactions());
+    let bus = stack.into_bus();
+    let ledger = model
+        .ledger(bus.obs().spans(), &hwstack_map(&config))
+        .expect("the point's model traces");
+    Ok(ExplorationRow {
+        config: config.label(),
+        workload: workload.name.to_owned(),
+        cycles,
+        transactions,
+        energy_pj: model.total_energy(),
+        result,
+        attribution: attribution_entries(&ledger),
+    })
+}
+
 /// A reusable exploration runner: the layer-1 energy model (its weight
 /// cache and characterization clone) is built once and [`reset`] between
 /// design points instead of per run. One session replaying a sequence of
@@ -112,7 +162,7 @@ fn attribution_entries(ledger: &EnergyLedger) -> Vec<(String, f64)> {
 ///
 /// [`reset`]: Layer1EnergyModel::reset
 pub struct ExploreSession {
-    model: Rc<RefCell<Layer1EnergyModel>>,
+    model: Layer1EnergyModel,
 }
 
 impl ExploreSession {
@@ -125,9 +175,7 @@ impl ExploreSession {
         // Per-cycle trace feeds the row's attribution ledger; reset()
         // keeps the allocation across design points.
         model.enable_trace();
-        ExploreSession {
-            model: Rc::new(RefCell::new(model)),
-        }
+        ExploreSession { model }
     }
 
     /// Runs one workload on one interface configuration.
@@ -141,49 +189,13 @@ impl ExploreSession {
         config: IfaceConfig,
         workload: &Workload,
     ) -> Result<ExplorationRow, JcvmError> {
-        self.model.borrow_mut().reset();
-        let slave = HwStackSlave::new(
-            AddressRange::new(Address::new(config.base), 0x100),
-            config.width,
-            config.capacity,
-            config.waits(),
-        );
-        let mut bus = Tlm1Bus::new(vec![Box::new(slave)]);
-        bus.enable_obs();
-        bus.enable_frames();
-        let mut stack = BusStack::new(bus, config);
-
-        let tap = Rc::clone(&self.model);
-        stack.set_observer(move |bus: &mut Tlm1Bus| {
-            tap.borrow_mut().on_frame(bus.last_frame());
-        });
-
-        let mut vm = Interpreter::new();
-        let (entry, args) = (workload.build)(&mut vm);
-        let result = vm
-            .run(entry, &args, &mut stack, 50_000_000)?
-            .ok_or(JcvmError::FrameUnderflow)?;
-        assert_eq!(
-            result,
-            workload.expected,
-            "{} produced a wrong result on {}",
-            workload.name,
-            config.label()
-        );
-
-        let model = self.model.borrow();
-        let ledger = model
-            .ledger(stack.bus().obs().spans(), &hwstack_map(&config))
-            .expect("session model traces");
-        Ok(ExplorationRow {
-            config: config.label(),
-            workload: workload.name.to_owned(),
-            cycles: stack.cycles(),
-            transactions: stack.transactions(),
-            energy_pj: model.total_energy(),
-            result,
-            attribution: attribution_entries(&ledger),
-        })
+        self.model.reset();
+        run_point(
+            &mut self.model,
+            Layer1EnergyModel::on_frame,
+            config,
+            workload,
+        )
     }
 }
 
@@ -338,51 +350,14 @@ mod tests {
         workload: &Workload,
         db: &CharacterizationDb,
     ) -> Result<ExplorationRow, JcvmError> {
-        let mut reference_model = Layer1EnergyModel::new(db.clone());
-        reference_model.enable_trace();
-        let model = Rc::new(RefCell::new(reference_model));
-        let slave = HwStackSlave::new(
-            AddressRange::new(Address::new(config.base), 0x100),
-            config.width,
-            config.capacity,
-            config.waits(),
-        );
-        let mut bus = Tlm1Bus::new(vec![Box::new(slave)]);
-        bus.enable_obs();
-        bus.enable_frames();
-        let mut stack = BusStack::new(bus, config);
-
-        let tap = Rc::clone(&model);
-        stack.set_observer(move |bus: &mut Tlm1Bus| {
-            tap.borrow_mut().on_frame_reference(bus.last_frame());
-        });
-
-        let mut vm = Interpreter::new();
-        let (entry, args) = (workload.build)(&mut vm);
-        let result = vm
-            .run(entry, &args, &mut stack, 50_000_000)?
-            .ok_or(JcvmError::FrameUnderflow)?;
-        assert_eq!(
-            result,
-            workload.expected,
-            "{} produced a wrong result on {}",
-            workload.name,
-            config.label()
-        );
-
-        let model = model.borrow();
-        let ledger = model
-            .ledger(stack.bus().obs().spans(), &hwstack_map(&config))
-            .expect("reference model traces");
-        Ok(ExplorationRow {
-            config: config.label(),
-            workload: workload.name.to_owned(),
-            cycles: stack.cycles(),
-            transactions: stack.transactions(),
-            energy_pj: model.total_energy(),
-            result,
-            attribution: attribution_entries(&ledger),
-        })
+        let mut model = Layer1EnergyModel::new(db.clone());
+        model.enable_trace();
+        run_point(
+            &mut model,
+            Layer1EnergyModel::on_frame_reference,
+            config,
+            workload,
+        )
     }
 
     #[test]

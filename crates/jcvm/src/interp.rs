@@ -28,9 +28,6 @@ pub struct Interpreter {
     /// The applet firewall.
     pub firewall: Firewall,
     steps: u64,
-    /// Per-mnemonic dispatch counts, present once profiling is enabled
-    /// (`None` costs one branch per bytecode).
-    dispatch: Option<std::collections::BTreeMap<&'static str, u64>>,
 }
 
 impl Interpreter {
@@ -54,31 +51,6 @@ impl Interpreter {
     /// Bytecodes executed so far (across runs).
     pub fn steps(&self) -> u64 {
         self.steps
-    }
-
-    /// Starts counting dispatches per mnemonic (across runs).
-    pub fn enable_dispatch_profile(&mut self) {
-        self.dispatch
-            .get_or_insert_with(std::collections::BTreeMap::new);
-    }
-
-    /// The per-mnemonic dispatch counts, if profiling is enabled.
-    pub fn dispatch_counts(&self) -> Option<&std::collections::BTreeMap<&'static str, u64>> {
-        self.dispatch.as_ref()
-    }
-
-    /// Copies the dispatch counts into `reg` as
-    /// `jcvm.dispatch.<mnemonic>` counters (plus the
-    /// `jcvm.steps` total; no-op when profiling is off).
-    pub fn export_metrics(&self, reg: &mut hierbus_obs::MetricsRegistry) {
-        let c = reg.counter("jcvm.steps");
-        reg.add(c, self.steps);
-        if let Some(counts) = &self.dispatch {
-            for (mnemonic, n) in counts {
-                let c = reg.counter(&format!("jcvm.dispatch.{mnemonic}"));
-                reg.add(c, *n);
-            }
-        }
     }
 
     /// Runs `entry` with `args` as its first locals, using `stack` as
@@ -120,14 +92,6 @@ impl Interpreter {
             }
             budget -= 1;
             self.steps += 1;
-
-            if let Some(counts) = &mut self.dispatch {
-                if let Some(frame) = frames.last() {
-                    if let Some(op) = self.methods[frame.method].code.get(frame.pc) {
-                        *counts.entry(op.mnemonic()).or_insert(0) += 1;
-                    }
-                }
-            }
 
             let frame = frames.last_mut().expect("a frame is always active");
             let method = &self.methods[frame.method];
@@ -326,27 +290,6 @@ mod tests {
     fn arithmetic_and_return() {
         let r = run_main(vec![Const(6), Const(7), Imul, Ireturn], 0);
         assert_eq!(r, Ok(Some(42)));
-    }
-
-    #[test]
-    fn dispatch_profile_counts_mnemonics() {
-        let mut vm = Interpreter::new();
-        vm.enable_dispatch_profile();
-        let main = vm.add_method(Method::new(vec![Const(6), Const(7), Imul, Ireturn], 0, 0));
-        let mut stack = SoftStack::new(16);
-        assert_eq!(vm.run(main, &[], &mut stack, 1_000), Ok(Some(42)));
-        let counts = vm.dispatch_counts().expect("profiling enabled");
-        assert_eq!(counts.get("const"), Some(&2));
-        assert_eq!(counts.get("imul"), Some(&1));
-        assert_eq!(counts.get("ireturn"), Some(&1));
-        assert_eq!(counts.values().sum::<u64>(), vm.steps());
-
-        let mut reg = hierbus_obs::MetricsRegistry::new();
-        vm.export_metrics(&mut reg);
-        let c = reg.counter("jcvm.dispatch.const");
-        assert_eq!(reg.counter_value(c), 2);
-        let c = reg.counter("jcvm.steps");
-        assert_eq!(reg.counter_value(c), 4);
     }
 
     #[test]

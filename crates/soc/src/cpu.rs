@@ -414,11 +414,11 @@ impl<B: CycleBus> CpuSystem<B> {
         &self.core
     }
 
-    /// Executes one bus cycle; `hook` runs after the bus process.
+    /// Executes one bus cycle: the core at the rising edge, the bus's
+    /// falling edge, then `hook` if the bus process ran.
     pub fn step_cycle(&mut self, hook: &mut impl FnMut(&mut B)) {
         self.core.rising_edge(&mut self.bus, self.cycle);
-        if !self.bus.is_idle() || self.bus.wants_every_cycle() {
-            self.bus.bus_process(self.cycle);
+        if self.bus.falling_edge(self.cycle) {
             hook(&mut self.bus);
         }
         self.cycle += 1;
@@ -444,5 +444,56 @@ impl<B: CycleBus> CpuSystem<B> {
             instructions: self.core.retired(),
             fault: self.core.fault(),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::platform::{Platform, PlatformMap};
+    use crate::program::Program;
+
+    /// §3.2 on the ISS driver: an icache-resident loop leaves the bus
+    /// idle on cache hits. The layer-1 bus emitting frames stays
+    /// sensitive every cycle; the layer-2 bus is skipped while idle; the
+    /// architecture cannot tell the difference.
+    #[test]
+    fn hook_runs_only_on_bus_activations() {
+        let mut p = Program::new(PlatformMap::RESET_PC);
+        p.li(Reg::T0, 50);
+        p.li(Reg::T1, 0);
+        p.label("loop");
+        p.addu(Reg::T1, Reg::T1, Reg::T0);
+        p.addiu(Reg::T0, Reg::T0, -1);
+        p.bne(Reg::T0, Reg::ZERO, "loop");
+        p.halt();
+        let words = p.assemble().unwrap();
+        let platform = || {
+            let mut platform = Platform::new();
+            platform.load_boot_program(&words);
+            platform
+        };
+        let regs = |core: &MipsCore| (0..32).map(|r| core.reg(Reg(r))).collect::<Vec<_>>();
+
+        let mut bus = platform().into_tlm1();
+        bus.enable_frames();
+        let mut l1 = CpuSystem::with_icache(bus, PlatformMap::RESET_PC, 16);
+        let mut l1_hooks = 0u64;
+        let l1_report = l1.run_until_halt(100_000, |_| l1_hooks += 1);
+        assert_eq!(l1_hooks, l1_report.cycles);
+
+        let mut l2 = CpuSystem::with_icache(platform().into_tlm2(), PlatformMap::RESET_PC, 16);
+        let mut l2_hooks = 0u64;
+        let l2_report = l2.run_until_halt(100_000, |_| l2_hooks += 1);
+        assert!(l2_hooks > 0);
+        assert!(
+            l2_hooks < l2_report.cycles,
+            "{l2_hooks} activations over {} cycles",
+            l2_report.cycles
+        );
+
+        assert!(l1_report.fault.is_none() && l2_report.fault.is_none());
+        assert_eq!(l1.core().reg(Reg::T1), 50 * 51 / 2);
+        assert_eq!(regs(l1.core()), regs(l2.core()));
     }
 }
