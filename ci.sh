@@ -66,6 +66,15 @@ echo "$serve_out" | grep -q '"req":"a".*"cached":false' \
   || { echo "serve smoke: first run was not simulated" >&2; exit 1; }
 echo "$serve_out" | grep -q '"req":"b".*"cached":true' \
   || { echo "serve smoke: resubmission was not served from cache" >&2; exit 1; }
+# The cached replay splices the stored bytes into its event line: its
+# result payload must equal the fresh run's byte for byte.
+serve_payload() {
+  echo "$serve_out" | sed -n "s/^.*\"req\":\"$1\",\"event\":\"result\".*\"cached\":$2,\"result\":\(.*\)}\$/\1/p"
+}
+fresh_payload="$(serve_payload a false)"
+cached_payload="$(serve_payload b true)"
+[ -n "$fresh_payload" ] && [ "$fresh_payload" = "$cached_payload" ] \
+  || { echo "serve smoke: cached result payload differs from the fresh one" >&2; exit 1; }
 printf '%s\n' '{"v":1,"id":"q","op":"shutdown"}' \
   | ./target/release/hierbus-serve 2>/dev/null | grep -q '"event":"bye"' \
   || { echo "serve smoke: shutdown was not acknowledged" >&2; exit 1; }

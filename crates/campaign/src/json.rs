@@ -330,12 +330,15 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 scalar (input is a &str, so this is
-                // always on a char boundary).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "invalid utf-8")?;
-                let c = rest.chars().next().unwrap_or('\u{fffd}');
-                out.push(c);
-                *pos += c.len_utf8();
+                // Consume the whole run up to the next `"` or `\` in one
+                // step. Both delimiters are ASCII and the input is a
+                // &str, so the run starts and ends on char boundaries.
+                let run = bytes[*pos..]
+                    .iter()
+                    .position(|&b| b == b'"' || b == b'\\')
+                    .map_or(bytes.len(), |n| *pos + n);
+                out.push_str(std::str::from_utf8(&bytes[*pos..run]).map_err(|_| "invalid utf-8")?);
+                *pos = run;
             }
         }
     }
@@ -418,6 +421,47 @@ mod tests {
         assert!(err.contains("nesting deeper than"), "{err}");
         let err = Json::parse(&"{\"a\":".repeat(200_000)).unwrap_err();
         assert!(err.contains("nesting deeper than"), "{err}");
+    }
+
+    /// `text` parses to the string `want`, and that value survives a
+    /// compact serialize/parse round trip.
+    fn assert_string_roundtrip(text: &str, want: &str) {
+        let v = Json::parse(text).unwrap();
+        assert_eq!(v.as_str(), Some(want));
+        assert_eq!(Json::parse(&v.to_string_compact()).unwrap(), v);
+    }
+
+    #[test]
+    fn multibyte_runs_between_escapes_parse_whole() {
+        assert_string_roundtrip(
+            r#""héllo\nwörld ✓\t日本語\"𝄞\\é""#,
+            "héllo\nwörld ✓\t日本語\"𝄞\\é",
+        );
+        assert_string_roundtrip(r#""\"日\"""#, "\"日\"");
+        assert_string_roundtrip(r#""""#, "");
+    }
+
+    #[test]
+    fn unicode_escapes_decode_between_runs() {
+        assert_string_roundtrip(r#""aéb\u0001c日""#, "aéb\u{1}c日");
+        // An unpaired surrogate decodes to the replacement character.
+        assert_string_roundtrip(r#""x\ud800y""#, "x\u{fffd}y");
+        assert!(Json::parse(r#""\u00e""#).is_err());
+        assert!(Json::parse(r#""\u00zz""#).is_err());
+    }
+
+    #[test]
+    fn long_run_then_end_of_input_is_unterminated() {
+        let run = "é".repeat(100_000);
+        assert_eq!(
+            Json::parse(&format!("\"{run}")).unwrap_err(),
+            "unterminated string"
+        );
+        assert_eq!(
+            Json::parse(&format!("\"{run}\\")).unwrap_err(),
+            "bad escape at byte 200002"
+        );
+        assert_string_roundtrip(&format!("\"{run}\""), &run);
     }
 
     #[test]

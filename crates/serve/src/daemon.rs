@@ -44,7 +44,9 @@
 //! batch still reports its (degraded) health.
 
 use crate::cache::ResultCache;
-use crate::proto::{self, parse_request, Op, Request, MAX_LINE_BYTES, PROTOCOL_VERSION};
+use crate::proto::{
+    self, parse_request, Op, Request, ScenarioSpec, MAX_LINE_BYTES, PROTOCOL_VERSION,
+};
 use crate::session::{db_fingerprint, LeanResult, ServeSession};
 use crate::telemetry::{RequestTrace, TraceBuilder, TraceRing, LAYER_SPAN_CAP};
 use hierbus_campaign::{run_with_sink, CampaignOptions, CampaignPayload, Json, Matrix, SinkScope};
@@ -793,31 +795,30 @@ impl Daemon {
     fn handle_run<W: Write + Send>(
         &self,
         id: &str,
-        specs: &[proto::ScenarioSpec],
+        specs: &[ScenarioSpec],
         enqueued: Instant,
         emitter: &Emitter<W>,
         summary: &mut ServeSummary,
     ) {
         let started = Instant::now();
         let queue_us = enqueued.elapsed().as_micros() as u64;
-        let mut scenarios = Vec::with_capacity(specs.len());
-        let (mut singles, mut multis) = (0u64, 0u64);
-        for (i, spec) in specs.iter().enumerate() {
-            match spec.materialize() {
-                Ok(s) => {
-                    match s {
-                        proto::Materialized::Single(_) => singles += 1,
-                        proto::Materialized::Multi(_) => multis += 1,
-                    }
-                    scenarios.push(s);
-                }
-                Err(e) => {
-                    self.emit_error(emitter, id, &format!("scenarios[{i}]: {e}"));
-                    summary.requests += 1;
-                    return;
-                }
-            }
+        // Every mix and multi field was validated when the request
+        // parsed, so only an unknown name can fail to materialize:
+        // reject it before the cache is touched.
+        let unknown = specs.iter().enumerate().find_map(|(i, spec)| match spec {
+            ScenarioSpec::Named { .. } => spec.materialize().err().map(|e| (i, e)),
+            _ => None,
+        });
+        if let Some((i, e)) = unknown {
+            self.emit_error(emitter, id, &format!("scenarios[{i}]: {e}"));
+            summary.requests += 1;
+            return;
         }
+        let multis = specs
+            .iter()
+            .filter(|s| matches!(s, ScenarioSpec::Multi { .. }))
+            .count() as u64;
+        let singles = specs.len() as u64 - multis;
         let keys: Vec<String> = specs.iter().map(|s| s.fingerprint(&self.db_fp)).collect();
         let tracing = !self.telemetry.lock().unwrap().traces.is_disabled();
         let trace = format!("t{}", self.trace_seq.fetch_add(1, Ordering::Relaxed) + 1);
@@ -828,9 +829,10 @@ impl Daemon {
         });
 
         // Cache pass: answer hits immediately (in request order),
-        // collect misses deduplicated by fingerprint.
+        // collect misses deduplicated by fingerprint. Only a miss is
+        // ever materialized, on the worker that runs it.
         let mut miss_keys: Vec<String> = Vec::new();
-        let mut miss_scenarios = Vec::new();
+        let mut miss_specs: Vec<&ScenarioSpec> = Vec::new();
         let mut miss_targets: Vec<Vec<usize>> = Vec::new();
         let (hits, misses, evictions_before) = {
             let mut cache = self.cache.lock().unwrap();
@@ -844,7 +846,7 @@ impl Daemon {
                         Some(j) => miss_targets[j].push(i),
                         None => {
                             miss_keys.push(key.clone());
-                            miss_scenarios.push(scenarios[i].clone());
+                            miss_specs.push(&specs[i]);
                             miss_targets.push(vec![i]);
                         }
                     }
@@ -873,13 +875,15 @@ impl Daemon {
                 &opts,
                 || ServeSession::new(&self.db),
                 |session, point| {
+                    let scenario = miss_specs[point.index]
+                        .materialize()
+                        .expect("unknown names were rejected before the cache pass");
                     if tracing && point.index < LAYER_SPAN_CAP {
-                        let (result, collector) =
-                            session.run_observed(&miss_scenarios[point.index]);
+                        let (result, collector) = session.run_observed(&scenario);
                         layer_caps.lock().unwrap().push((point.index, collector));
                         result
                     } else {
-                        session.run_materialized(&miss_scenarios[point.index])
+                        session.run_materialized(&scenario)
                     }
                 },
                 |scope: &SinkScope, result: &LeanResult| {
@@ -999,14 +1003,15 @@ impl Daemon {
         fields.push(("index".to_owned(), Json::Num(index as f64)));
         fields.push(("key".to_owned(), Json::Str(key.to_owned())));
         fields.push(("cached".to_owned(), Json::Bool(cached)));
-        // The cached bytes round-trip the serializer unchanged
-        // (shortest-round-trip floats), so a replayed result field is
-        // byte-identical to the fresh one.
-        fields.push((
-            "result".to_owned(),
-            Json::parse(bytes).expect("cache holds serialized results"),
-        ));
-        emitter.emit(fields);
+        // Every cache value is serializer output, and serializing a
+        // parse of it gives the same bytes back, so the bytes are
+        // spliced in as the last field without a re-parse.
+        let mut line = Json::Obj(fields).to_string_compact();
+        line.pop(); // the object's closing brace
+        line.push_str(",\"result\":");
+        line.push_str(bytes);
+        line.push('}');
+        emitter.emit_line(&line);
     }
 
     fn health_event(&self, id: &str) -> Vec<(String, Json)> {
@@ -1128,11 +1133,15 @@ impl<W: Write> Emitter<W> {
     }
 
     fn emit(&self, fields: Vec<(String, Json)>) {
+        self.emit_line(&Json::Obj(fields).to_string_compact());
+    }
+
+    /// Writes one already-serialized event line.
+    fn emit_line(&self, line: &str) {
         let mut error = self.error.lock().unwrap();
         if error.is_some() {
             return;
         }
-        let line = Json::Obj(fields).to_string_compact();
         let mut out = self.out.lock().unwrap();
         if let Err(e) = writeln!(out, "{line}").and_then(|()| out.flush()) {
             *error = Some(e);

@@ -616,3 +616,126 @@ fn cache_index_persists_across_daemons_and_rejects_foreign_dbs() {
     assert_eq!(foreign.cache_len(), 0, "foreign index must be discarded");
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+#[test]
+fn max_length_ping_is_parsed_in_linear_time() {
+    // A ping line of exactly the limit, nearly all of it the id string:
+    // the pong must echo the whole id, and the health probe behind it
+    // (answered on the same reader thread) must not wait on a quadratic
+    // string parse. The session runs on its own thread so a regression
+    // fails on the deadline instead of stalling the suite.
+    let frame = r#"{"v":1,"id":"","op":"ping"}"#;
+    let prefix = "long-é-";
+    let id = format!(
+        "{prefix}{}",
+        "x".repeat(MAX_LINE_BYTES - frame.len() - prefix.len())
+    );
+    let line = format!(r#"{{"v":1,"id":"{id}","op":"ping"}}"#);
+    assert_eq!(line.len(), MAX_LINE_BYTES);
+    let script = format!("{line}\n{}\n", r#"{"v":1,"id":"h","op":"health"}"#);
+    let (tx, rx) = std::sync::mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let _ = tx.send(session(&daemon(1), script));
+    });
+    let (events, summary) = rx
+        .recv_timeout(Duration::from_secs(10))
+        .expect("a max-length line parses in linear time");
+    handle.join().expect("session thread");
+    // The reader answers health out-of-band, so it may overtake the
+    // pong.
+    let mut answers: Vec<(&str, &str)> = events
+        .iter()
+        .map(|e| (event_name(e), field(e, "req").as_str().unwrap()))
+        .collect();
+    answers.sort_unstable();
+    assert_eq!(answers, [("health", "h"), ("pong", id.as_str())]);
+    assert_eq!(summary.requests, 1);
+}
+
+#[test]
+fn unknown_name_beside_a_cached_spec_is_rejected_before_the_cache() {
+    // Request 2 repeats request 1's cached mix next to an unknown name.
+    // The name is checked before the cache pass, so request 2 streams
+    // exactly one error and no result, and counts no cache lookup.
+    let d = daemon(1);
+    let mix = r#"{"kind":"mix","seed":7,"count":50}"#;
+    let script = [
+        format!(r#"{{"v":1,"id":"r1","op":"run","scenarios":[{mix}]}}"#),
+        r#"{"v":1,"id":"s1","op":"stats"}"#.to_owned(),
+        format!(
+            r#"{{"v":1,"id":"r2","op":"run","scenarios":[{mix},{{"kind":"named","name":"nope"}}]}}"#
+        ),
+        r#"{"v":1,"id":"s2","op":"stats"}"#.to_owned(),
+    ]
+    .join("\n");
+    let (events, summary) = session(&d, &script);
+    let of = |req: &str| -> Vec<&Json> {
+        events
+            .iter()
+            .filter(|e| field(e, "req").as_str() == Some(req))
+            .collect()
+    };
+    let r2 = of("r2");
+    assert_eq!(r2.len(), 1, "request 2 gets one event");
+    assert_eq!(event_name(r2[0]), "error");
+    let message = field(r2[0], "message").as_str().unwrap();
+    assert!(
+        message.contains("scenarios[1]: unknown scenario name"),
+        "{message}"
+    );
+    let (s1, s2) = (of("s1")[0], of("s2")[0]);
+    for counter in ["cache_hits", "cache_misses"] {
+        assert_eq!(
+            field(s1, counter).as_u64(),
+            field(s2, counter).as_u64(),
+            "{counter} moved for a rejected request"
+        );
+    }
+    assert_eq!(field(s2, "cache_hits").as_u64(), Some(0));
+    assert_eq!((summary.cache_hits, summary.cache_misses), (0, 1));
+    assert_eq!(summary.requests, 4);
+}
+
+#[test]
+fn spliced_hit_line_is_canonical_and_carries_the_fresh_payload() {
+    // A cached result's bytes are spliced into its event line, not
+    // re-serialized: the line must still be exactly what the serializer
+    // writes, and its payload must match the fresh run's byte for byte.
+    let d = daemon(2);
+    let specs = r#"[{"kind":"mix","seed":11,"count":60},{"kind":"multi","seed":4,"cpu_count":40}]"#;
+    let script = format!(
+        "{}\n{}\n",
+        format_args!(r#"{{"v":1,"id":"fresh","op":"run","scenarios":{specs}}}"#),
+        format_args!(r#"{{"v":1,"id":"hit","op":"run","scenarios":{specs}}}"#),
+    );
+    let mut output = Vec::new();
+    d.serve(Cursor::new(script), &mut output)
+        .expect("in-memory session");
+    let output = String::from_utf8(output).expect("utf-8 output");
+    // (request, index) -> raw payload bytes, taken from the line text.
+    let mut payloads = std::collections::BTreeMap::new();
+    for line in output.lines() {
+        let event = Json::parse(line).expect("every response line is JSON");
+        assert_eq!(event.to_string_compact(), line, "line is not canonical");
+        if event_name(&event) != "result" {
+            continue;
+        }
+        let req = field(&event, "req").as_str().unwrap().to_owned();
+        let cached = field(&event, "cached").as_bool().unwrap();
+        assert_eq!(cached, req == "hit");
+        let marker = format!(r#""cached":{cached},"result":"#);
+        let (_, rest) = line.split_once(&marker).expect("result is the last field");
+        let raw = rest.strip_suffix('}').expect("line ends its object");
+        assert_eq!(raw, field(&event, "result").to_string_compact());
+        let index = field(&event, "index").as_u64().unwrap();
+        payloads.insert((req, index), raw.to_owned());
+    }
+    assert_eq!(payloads.len(), 4);
+    for index in 0..2 {
+        assert_eq!(
+            payloads[&("hit".to_owned(), index)],
+            payloads[&("fresh".to_owned(), index)],
+            "cached payload {index} differs from the fresh one"
+        );
+    }
+}
