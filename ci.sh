@@ -116,12 +116,15 @@ echo "==> results staleness gate (deterministic tables)"
 # Every bin below prints byte-deterministic output (table3_simperf is
 # wall-clock based and exempt). Regenerate each and diff against the
 # committed results/ copy so a model change can't silently strand the
-# published numbers. Refresh with:
+# published numbers. The committed tables come from 1-worker runs; the
+# campaign-backed bins (explore_jcvm, ablations) regenerate here on 2
+# workers, so the diff also pins the merge's worker-count independence.
+# Refresh with:
 #   cargo run --release -p hierbus-bench --bin all_tables
 stale_tmp="$(mktemp -d)"
 trap 'rm -rf "$stale_tmp"' EXIT
 for bin in table1_timing table2_energy fig6_sampling explore_jcvm ablations attribution; do
-  ./target/release/"$bin" > "$stale_tmp/$bin.txt" 2>/dev/null
+  CAMPAIGN_WORKERS=2 ./target/release/"$bin" > "$stale_tmp/$bin.txt" 2>/dev/null
   if ! diff -u "results/$bin.txt" "$stale_tmp/$bin.txt"; then
     echo "results/$bin.txt is stale — regenerate with the all_tables bin" >&2
     exit 1

@@ -21,7 +21,7 @@
 
 use hierbus::harness;
 use hierbus_bench::{pct, TextTable};
-use hierbus_campaign::{CampaignOptions, CampaignPayload, Json, Matrix};
+use hierbus_campaign::{CampaignOptions, Matrix};
 use hierbus_core::{Tlm1Bus, TlmSystem};
 use hierbus_ec::sequences::{random_mix, MixParams};
 use hierbus_ec::OutstandingLimits;
@@ -38,23 +38,6 @@ const MODELS: [&str; 6] = [
     "layer2_corrected",
 ];
 
-/// One campaign cell: the energy one model estimates for one scenario.
-struct EnergyCell {
-    energy_pj: f64,
-}
-
-impl CampaignPayload for EnergyCell {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![("energy_pj".to_owned(), Json::Num(self.energy_pj))])
-    }
-
-    fn from_json(json: &Json) -> Option<Self> {
-        Some(EnergyCell {
-            energy_pj: json.get("energy_pj")?.as_f64()?,
-        })
-    }
-}
-
 fn main() {
     let db = harness::shared_db();
     let scenarios = harness::evaluation_scenarios();
@@ -65,12 +48,13 @@ fn main() {
         .axis("model", MODELS);
     let workers = hierbus_campaign::worker_count(None);
     let runner_db = std::sync::Arc::clone(&db);
-    let report = hierbus_campaign::run(
+    // Each cell is the energy (pJ) one model estimates for one scenario.
+    let Ok(report) = hierbus_campaign::run(
         &matrix,
         &CampaignOptions::with_workers("ablations", workers),
         move |point| {
             let s = &scenarios[point.coords[0]];
-            let energy_pj = match MODELS[point.coords[1]] {
+            match MODELS[point.coords[1]] {
                 "gate" => harness::run_reference(s, false).energy_pj,
                 "ideal_netlist" => harness::run_reference(s, true).energy_pj,
                 "layer1" => harness::run_layer1(s, &runner_db).energy_pj,
@@ -81,19 +65,14 @@ fn main() {
                 "layer2_plain" => harness::run_layer2(s, &runner_db, false).energy_pj,
                 "layer2_corrected" => harness::run_layer2(s, &runner_db, true).energy_pj,
                 other => unreachable!("unknown model {other}"),
-            };
-            EnergyCell { energy_pj }
+            }
         },
-    )
-    .expect("manifest-less campaign cannot fail on I/O");
+    );
     eprintln!("campaign: {}", report.stats);
     // cells[scenario][model], merged in matrix order.
     let cell = |scenario: usize, model: &str| -> f64 {
         let m = MODELS.iter().position(|&x| x == model).expect("model");
-        report.results[scenario * MODELS.len() + m]
-            .as_ref()
-            .expect("complete campaign")
-            .energy_pj
+        report.results[scenario * MODELS.len() + m].expect("complete campaign")
     };
     let n_scen = report.stats.total / MODELS.len();
 
@@ -253,30 +232,6 @@ struct FaultCell {
     retried: f64,
 }
 
-impl CampaignPayload for FaultCell {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("cycles".to_owned(), Json::Num(self.cycles)),
-            ("energy_pj".to_owned(), Json::Num(self.energy_pj)),
-            ("ok".to_owned(), Json::Num(self.ok)),
-            ("errors".to_owned(), Json::Num(self.errors)),
-            ("aborted".to_owned(), Json::Num(self.aborted)),
-            ("retried".to_owned(), Json::Num(self.retried)),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Option<Self> {
-        Some(FaultCell {
-            cycles: json.get("cycles")?.as_f64()?,
-            energy_pj: json.get("energy_pj")?.as_f64()?,
-            ok: json.get("ok")?.as_f64()?,
-            errors: json.get("errors")?.as_f64()?,
-            aborted: json.get("aborted")?.as_f64()?,
-            retried: json.get("retried")?.as_f64()?,
-        })
-    }
-}
-
 /// The fault-preset × layer sweep: the same seeded [`FaultPlan`]s
 /// replayed at every abstraction level, reporting what robustness costs.
 ///
@@ -358,7 +313,7 @@ fn fault_ablation(db: &std::sync::Arc<CharacterizationDb>) {
     let matrix = Matrix::new().axis("fault", PRESETS).axis("layer", LAYERS);
     let workers = hierbus_campaign::worker_count(None);
     let runner_db = std::sync::Arc::clone(db);
-    let report = hierbus_campaign::run(
+    let Ok(report) = hierbus_campaign::run(
         &matrix,
         &CampaignOptions::with_workers("fault-ablation", workers),
         move |point| {
@@ -382,8 +337,7 @@ fn fault_ablation(db: &std::sync::Arc<CharacterizationDb>) {
                 retried: run.counters.retried as f64,
             }
         },
-    )
-    .expect("manifest-less campaign cannot fail on I/O");
+    );
     eprintln!("fault campaign: {}", report.stats);
     let cell = |preset: usize, layer: usize| -> &FaultCell {
         report.results[preset * LAYERS.len() + layer]

@@ -6,7 +6,7 @@
 //! table order either way.
 //! `cargo run --release -p hierbus-bench --bin all_tables`.
 
-use hierbus_campaign::{CampaignOptions, CampaignPayload, Json, Matrix};
+use hierbus_campaign::{CampaignOptions, Matrix};
 use std::fs;
 use std::process::Command;
 
@@ -20,28 +20,6 @@ const BINARIES: [&str; 7] = [
     "attribution",
 ];
 
-/// One regenerated table: the binary's name and its stdout.
-struct TableOutput {
-    name: String,
-    text: String,
-}
-
-impl CampaignPayload for TableOutput {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("name".to_owned(), Json::Str(self.name.clone())),
-            ("text".to_owned(), Json::Str(self.text.clone())),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Option<Self> {
-        Some(TableOutput {
-            name: json.get("name")?.as_str()?.to_owned(),
-            text: json.get("text")?.as_str()?.to_owned(),
-        })
-    }
-}
-
 fn main() {
     let results = hierbus_bench::results_dir(None).expect("create results directory");
     let exe_dir = std::env::current_exe()
@@ -51,7 +29,8 @@ fn main() {
         .to_path_buf();
     let matrix = Matrix::new().axis("table", BINARIES);
     let workers = hierbus_campaign::worker_count(None);
-    let report = hierbus_campaign::run(
+    // Each scenario is one binary; its result is that binary's stdout.
+    let Ok(report) = hierbus_campaign::run(
         &matrix,
         &CampaignOptions::with_workers("all_tables", workers),
         |point| {
@@ -64,19 +43,16 @@ fn main() {
                 "{name} failed:\n{}",
                 String::from_utf8_lossy(&output.stderr)
             );
-            TableOutput {
-                name: name.to_owned(),
-                text: String::from_utf8_lossy(&output.stdout).into_owned(),
-            }
+            String::from_utf8_lossy(&output.stdout).into_owned()
         },
-    )
-    .expect("manifest-less campaign cannot fail on I/O");
+    );
     eprintln!("campaign: {}", report.stats);
-    for (_, table) in report.completed() {
-        println!("==== {} ====", table.name);
-        println!("{}", table.text);
-        fs::write(results.join(format!("{}.txt", table.name)), &table.text)
-            .unwrap_or_else(|e| panic!("writing results/{}.txt: {e}", table.name));
+    for (point, text) in report.completed() {
+        let name = BINARIES[point.coords[0]];
+        println!("==== {name} ====");
+        println!("{text}");
+        fs::write(results.join(format!("{name}.txt")), text)
+            .unwrap_or_else(|e| panic!("writing results/{name}.txt: {e}"));
     }
     println!("wrote results/<name>.txt for: {}", BINARIES.join(", "));
 }

@@ -11,8 +11,6 @@
 //! ```text
 //! cargo run --release -p hierbus-bench --bin explore_jcvm            # sequential
 //! cargo run --release -p hierbus-bench --bin explore_jcvm -- --workers 4
-//! cargo run --release -p hierbus-bench --bin explore_jcvm -- \
-//!     --workers 4 --manifest results/explore_jcvm.manifest.json      # resumable
 //! cargo run --release -p hierbus-bench --bin explore_jcvm -- --smoke # tiny matrix (CI)
 //! ```
 //!
@@ -24,20 +22,17 @@ use hierbus_bench::TextTable;
 use hierbus_campaign::CampaignOptions;
 use hierbus_jcvm::workloads::standard_workloads;
 use hierbus_jcvm::{explore_campaign, IfaceConfig};
-use std::path::PathBuf;
 
 const STACK_BASE: u64 = 0x8000;
 
 struct Args {
     workers: Option<usize>,
-    manifest: Option<PathBuf>,
     smoke: bool,
 }
 
 fn parse_args() -> Args {
     let mut args = Args {
         workers: None,
-        manifest: None,
         smoke: false,
     };
     let mut it = std::env::args().skip(1);
@@ -49,9 +44,6 @@ fn parse_args() -> Args {
                         .and_then(|v| v.parse().ok())
                         .expect("--workers takes a positive integer"),
                 );
-            }
-            "--manifest" => {
-                args.manifest = Some(PathBuf::from(it.next().expect("--manifest takes a path")));
             }
             "--smoke" => args.smoke = true,
             other => panic!("unknown argument {other:?} (see the module docs)"),
@@ -85,12 +77,8 @@ fn main() {
         configs.len(),
         workloads.len()
     );
-    let opts = CampaignOptions {
-        manifest_path: args.manifest.clone(),
-        ..CampaignOptions::with_workers("explore_jcvm", workers)
-    };
-    let (rows, stats) =
-        explore_campaign(&configs, &workloads, &db, &opts).expect("campaign manifest I/O");
+    let opts = CampaignOptions::with_workers("explore_jcvm", workers);
+    let Ok((rows, stats)) = explore_campaign(&configs, &workloads, &db, &opts);
     // Worker count and wall-clock go to stderr so stdout (captured into
     // results/) is byte-identical for every worker count.
     eprintln!("campaign: {stats}");

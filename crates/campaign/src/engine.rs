@@ -1,5 +1,5 @@
 //! The campaign executor: a sharded worker pool with a deterministic
-//! index-order merge and manifest-based resume.
+//! index-order merge.
 //!
 //! Workers claim *chunks* of contiguous scenario indices from a shared
 //! atomic cursor (chunk size derived from the matrix length and the
@@ -14,53 +14,48 @@
 //! merged output is byte-identical for any worker count, chunk size or
 //! completion interleaving.
 
-use crate::manifest::{Manifest, ManifestEntry};
 use crate::matrix::{Matrix, ScenarioPoint};
 use crate::Json;
 use hierbus_obs::profiling::{PoolPhase, PoolProfile, Profiler};
+use std::convert::Infallible;
 use std::fmt;
-use std::io;
-use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::{Duration, Instant};
 
-/// A campaign result type: anything that can round-trip through the
-/// manifest's JSON payload.
-pub trait CampaignPayload: Sized + Send {
-    /// Serializes the result for the manifest.
+/// A result type with a JSON form. The engine never serializes results;
+/// the trait stays, with both methods, because the frozen benchmark
+/// package implements it and calls `LeanResult::from_json` and
+/// `ExplorationRow::to_json` through it.
+pub trait CampaignPayload: Sized {
+    /// Serializes the result.
     fn to_json(&self) -> Json;
-    /// Reconstructs a result from a manifest payload; `None` marks the
-    /// payload stale (the scenario re-runs instead of resuming).
+    /// Reconstructs a result; `None` if the document does not describe
+    /// one.
     fn from_json(json: &Json) -> Option<Self>;
 }
 
 /// The chunk of contiguous scenarios a worker claims per atomic op for
-/// `todo` pending scenarios on `workers` threads (always ≥ 1): one
-/// claim per chunk keeps claim overhead off the per-scenario path,
-/// while the ×4 oversubscription still balances uneven scenario costs.
-fn chunk_size(todo: usize, workers: usize) -> usize {
-    (todo / (workers * 4)).max(1)
+/// `total` scenarios on `workers` threads (always ≥ 1): one claim per
+/// chunk keeps claim overhead off the per-scenario path, while the ×4
+/// oversubscription still balances uneven scenario costs.
+fn chunk_size(total: usize, workers: usize) -> usize {
+    (total / (workers * 4)).max(1)
 }
 
 /// How a campaign executes.
 #[derive(Debug, Clone)]
 pub struct CampaignOptions {
-    /// Campaign name, recorded in the manifest.
+    /// Campaign name. Worker threads are spawned as `{name}-{worker}`,
+    /// so a runner panic names the campaign it came from.
     pub name: String,
     /// Worker threads (clamped to at least 1). One worker reproduces
     /// the classic sequential loop exactly.
     pub workers: usize,
-    /// Manifest to resume from / checkpoint to; `None` disables
-    /// resume.
-    pub manifest_path: Option<PathBuf>,
-    /// Process only the first `limit` scenarios of the matrix —
-    /// simulates an interrupted campaign and powers CI smoke runs.
-    pub limit: Option<usize>,
     /// Record per-worker phase timelines and contention counters into
     /// [`CampaignReport::profile`]. Off by default: a disabled profiler
     /// reduces every probe to one branch (no allocation; the profiler
     /// never reads the clock itself), and profiling never changes the
-    /// merged results or the manifest either way.
+    /// merged results either way.
     pub profile: bool,
     /// Time origin for [`SinkScope::started_us`] /
     /// [`SinkScope::finished_us`]. A caller stitching worker spans into
@@ -71,14 +66,12 @@ pub struct CampaignOptions {
 }
 
 impl CampaignOptions {
-    /// Sequential, manifest-less execution — the drop-in replacement
-    /// for a plain `for` loop over the matrix.
+    /// Sequential execution — the drop-in replacement for a plain `for`
+    /// loop over the matrix.
     pub fn sequential(name: &str) -> Self {
         CampaignOptions {
             name: name.to_owned(),
             workers: 1,
-            manifest_path: None,
-            limit: None,
             profile: false,
             epoch: None,
         }
@@ -95,8 +88,8 @@ impl CampaignOptions {
 
 /// Per-worker execution diagnostics. Claim counts and busy time depend
 /// on scheduling, so these describe *this run* — they are surfaced in
-/// run reports, and never enter the manifest or the merged results,
-/// which stay byte-identical at any worker count.
+/// run reports, and never enter the merged results, which stay
+/// byte-identical at any worker count.
 #[derive(Debug, Clone, Default)]
 pub struct WorkerStats {
     /// Scenarios this worker claimed from the shared cursor.
@@ -130,21 +123,13 @@ impl WorkerStats {
     }
 }
 
-/// What a campaign run did (wall-clock lives here, never in the
-/// manifest or the merged results). Its `Display` form is the stderr
-/// summary the campaign bins print: one line of totals, then one line
-/// per worker.
+/// What a campaign run did (wall-clock lives here, never in the merged
+/// results). Its `Display` form is the stderr summary the campaign bins
+/// print: one line of totals, then one line per worker.
 #[derive(Debug, Clone)]
 pub struct CampaignStats {
-    /// Scenarios in the matrix.
+    /// Scenarios in the matrix, every one of them executed.
     pub total: usize,
-    /// Scenarios executed by this run.
-    pub executed: usize,
-    /// Scenarios skipped because the manifest already had their
-    /// results.
-    pub resumed: usize,
-    /// Scenarios left untouched (beyond [`CampaignOptions::limit`]).
-    pub pending: usize,
     /// Worker threads actually used.
     pub workers: usize,
     /// Wall-clock time of the execution phase.
@@ -159,7 +144,7 @@ impl CampaignStats {
     pub fn scenarios_per_sec(&self) -> f64 {
         let secs = self.wall.as_secs_f64();
         if secs > 0.0 {
-            self.executed as f64 / secs
+            self.total as f64 / secs
         } else {
             0.0
         }
@@ -170,13 +155,11 @@ impl fmt::Display for CampaignStats {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(
             f,
-            "{} scenarios on {} worker(s) in {:.2?} ({:.1} scenarios/s, {} executed, {} resumed)",
+            "{} scenarios on {} worker(s) in {:.2?} ({:.1} scenarios/s)",
             self.total,
             self.workers,
             self.wall,
-            self.scenarios_per_sec(),
-            self.executed,
-            self.resumed
+            self.scenarios_per_sec()
         )?;
         for (i, w) in self.per_worker.iter().enumerate() {
             write!(
@@ -196,8 +179,9 @@ impl fmt::Display for CampaignStats {
 pub struct CampaignReport<R> {
     /// Scenario points in matrix order.
     pub points: Vec<ScenarioPoint>,
-    /// Per-scenario results, parallel to `points`; `None` only for
-    /// scenarios beyond the limit.
+    /// Per-scenario results, parallel to `points`. Every entry is
+    /// `Some`; the `Option` stays because the frozen benchmark package
+    /// calls `.flatten()` on this vector.
     pub results: Vec<Option<R>>,
     /// Execution statistics.
     pub stats: CampaignStats,
@@ -208,17 +192,9 @@ pub struct CampaignReport<R> {
 }
 
 impl<R> CampaignReport<R> {
-    /// Completed `(point, result)` pairs in scenario-index order.
+    /// `(point, result)` pairs in scenario-index order.
     pub fn completed(&self) -> impl Iterator<Item = (&ScenarioPoint, &R)> {
-        self.points
-            .iter()
-            .zip(&self.results)
-            .filter_map(|(p, r)| r.as_ref().map(|r| (p, r)))
-    }
-
-    /// True once every scenario of the matrix has a result.
-    pub fn is_complete(&self) -> bool {
-        self.results.iter().all(Option::is_some)
+        self.points.iter().zip(self.results.iter().flatten())
     }
 }
 
@@ -226,15 +202,14 @@ impl<R> CampaignReport<R> {
 ///
 /// The runner maps a scenario point to its result; it must be pure in
 /// the point (campaign determinism is *its* determinism fanned out).
-/// Results merge in scenario-index order; if a manifest path is set,
-/// completed results load from it before execution and the union is
-/// checkpointed back after.
+/// Results merge in scenario-index order.
 ///
 /// # Errors
 ///
-/// I/O errors from manifest loading or saving. A manifest written for
-/// a *different* matrix is ignored (the campaign starts fresh), not an
-/// error.
+/// None: the error type is [`Infallible`]. The `Result` stays so the
+/// frozen benchmark package's `.expect(..)` and `.map_err(..)?` calls on
+/// the entry points keep compiling; in-repo callers bind the report
+/// with `let Ok(report) = …;`.
 ///
 /// # Panics
 ///
@@ -244,9 +219,9 @@ pub fn run<R, F>(
     matrix: &Matrix,
     opts: &CampaignOptions,
     runner: F,
-) -> io::Result<CampaignReport<R>>
+) -> Result<CampaignReport<R>, Infallible>
 where
-    R: CampaignPayload,
+    R: Send,
     F: Fn(&ScenarioPoint) -> R + Sync,
 {
     run_with(matrix, opts, || (), |(), point| runner(point))
@@ -255,8 +230,7 @@ where
 /// Execution context handed to a [`run_with_sink`] sink with each
 /// result: which point finished, on which worker, and when (µs since
 /// [`CampaignOptions::epoch`] or the campaign start). Everything here
-/// is diagnostic — none of it enters the manifest or the merged
-/// results.
+/// is diagnostic — none of it enters the merged results.
 #[derive(Debug, Clone, Copy)]
 pub struct SinkScope<'a> {
     /// The scenario point that just completed.
@@ -283,7 +257,7 @@ pub struct SinkScope<'a> {
 ///
 /// # Errors
 ///
-/// I/O errors from manifest loading or saving, as for [`run`].
+/// None, as for [`run`].
 ///
 /// # Panics
 ///
@@ -294,9 +268,9 @@ pub fn run_with<S, R, F, I>(
     opts: &CampaignOptions,
     make_state: I,
     runner: F,
-) -> io::Result<CampaignReport<R>>
+) -> Result<CampaignReport<R>, Infallible>
 where
-    R: CampaignPayload + Send,
+    R: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &ScenarioPoint) -> R + Sync,
 {
@@ -313,12 +287,11 @@ where
 /// scheduling; anything that must be deterministic should come from
 /// the merged [`CampaignReport`], not the sink. The sink runs inside
 /// the worker's busy window, so a slow sink shows up as worker busy
-/// time. Resumed scenarios (adopted from a manifest) never reach the
-/// sink — only freshly executed ones do.
+/// time.
 ///
 /// # Errors
 ///
-/// I/O errors from manifest loading or saving, as for [`run`].
+/// None, as for [`run`].
 ///
 /// # Panics
 ///
@@ -330,39 +303,17 @@ pub fn run_with_sink<S, R, F, I, K>(
     make_state: I,
     runner: F,
     sink: K,
-) -> io::Result<CampaignReport<R>>
+) -> Result<CampaignReport<R>, Infallible>
 where
-    R: CampaignPayload + Send,
+    R: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &ScenarioPoint) -> R + Sync,
     K: Fn(&SinkScope, &R) + Sync,
 {
     let points = matrix.points();
     let total = points.len();
-    let mut results: Vec<Option<R>> = (0..total).map(|_| None).collect();
-
-    // Resume: adopt every manifest entry whose key still matches the
-    // matrix point and whose payload still parses.
-    let mut resumed = 0;
-    if let Some(path) = &opts.manifest_path {
-        if let Some(manifest) = Manifest::load(path)? {
-            if manifest.matches(matrix) {
-                for entry in &manifest.entries {
-                    if entry.index < total && points[entry.index].key == entry.key {
-                        if let Some(r) = R::from_json(&entry.result) {
-                            results[entry.index] = Some(r);
-                            resumed += 1;
-                        }
-                    }
-                }
-            }
-        }
-    }
-
-    let limit = opts.limit.unwrap_or(total).min(total);
-    let todo: Vec<usize> = (0..limit).filter(|&i| results[i].is_none()).collect();
-    let workers = opts.workers.max(1).min(todo.len().max(1));
-    let chunk = chunk_size(todo.len(), workers);
+    let workers = opts.workers.max(1).min(total.max(1));
+    let chunk = chunk_size(total, workers);
 
     let started = Instant::now();
     let profiler = Profiler::new(opts.profile, started);
@@ -371,15 +322,15 @@ where
     let cursor = AtomicUsize::new(0);
     // Per-worker result buffers: no shared lock between claim points.
     // Each worker builds its state once and reuses it chunk after chunk.
-    let mut executed_results: Vec<(usize, R)> = Vec::with_capacity(todo.len());
+    let mut executed: Vec<(usize, R)> = Vec::with_capacity(total);
     let mut per_worker: Vec<WorkerStats> = Vec::with_capacity(workers);
     let mut timelines = Vec::with_capacity(workers);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|worker| {
-                let (cursor, todo, points) = (&cursor, &todo[..], &points[..]);
+                let (cursor, points) = (&cursor, &points[..]);
                 let (make_state, runner, sink, us) = (&make_state, &runner, &sink, &us);
-                scope.spawn(move || {
+                let body = move || {
                     // The profile recorder lives on the worker's own
                     // thread so the thread-local contention baselines
                     // (allocations, db accesses) are this thread's.
@@ -396,12 +347,12 @@ where
                     let mut mine: Vec<(usize, R)> = Vec::new();
                     let mut wstats = WorkerStats::default();
                     loop {
-                        let (lo, retries) = claim_chunk(cursor, chunk, todo.len());
+                        let (lo, retries) = claim_chunk(cursor, chunk, total);
                         wstats.claim_retries += retries;
-                        if lo >= todo.len() {
+                        if lo >= total {
                             break;
                         }
-                        let hi = (lo + chunk).min(todo.len());
+                        let hi = (lo + chunk).min(total);
                         wstats.claimed += (hi - lo) as u64;
                         mine.reserve(hi - lo);
                         let claimed = mark;
@@ -409,16 +360,17 @@ where
                         // The phase the next reading closes: this claim,
                         // then each scenario's serialize.
                         let mut pending = (PoolPhase::Claim, (hi - lo) as u64);
-                        for &index in &todo[lo..hi] {
+                        for point in &points[lo..hi] {
+                            let index = point.index;
                             let started = Instant::now();
                             wp.record(pending.0, mark, started, pending.1);
                             busy_from.get_or_insert(started);
-                            let result = runner(&mut state, &points[index]);
+                            let result = runner(&mut state, point);
                             let finished = Instant::now();
                             wp.record(PoolPhase::Simulate, started, finished, index as u64);
                             sink(
                                 &SinkScope {
-                                    point: &points[index],
+                                    point,
                                     worker,
                                     started_us: us(started),
                                     finished_us: us(finished),
@@ -438,13 +390,17 @@ where
                     }
                     let timeline = wp.finish(wstats.claim_retries);
                     (mine, wstats, timeline)
-                })
+                };
+                std::thread::Builder::new()
+                    .name(format!("{}-{worker}", opts.name))
+                    .spawn_scoped(scope, body)
+                    .expect("spawn campaign worker thread")
             })
             .collect();
         for handle in handles {
             match handle.join() {
                 Ok((mine, wstats, timeline)) => {
-                    executed_results.extend(mine);
+                    executed.extend(mine);
                     per_worker.push(wstats);
                     timelines.push(timeline);
                 }
@@ -455,45 +411,24 @@ where
     let wall = started.elapsed();
 
     // Deterministic merge: completion interleaving is erased by
-    // slotting each result back at its scenario index. Timed (with the
-    // manifest checkpoint) as the profile's serial merge segment.
+    // slotting each result back at its scenario index. Timed as the
+    // profile's serial merge segment.
     let merge_started = Instant::now();
-    let executed = executed_results.len();
-    for (index, result) in executed_results {
+    let mut results: Vec<Option<R>> = (0..total).map(|_| None).collect();
+    for (index, result) in executed {
         results[index] = Some(result);
     }
-
-    if let Some(path) = &opts.manifest_path {
-        let mut manifest = Manifest::new(&opts.name, matrix);
-        manifest.entries = points
-            .iter()
-            .zip(&results)
-            .filter_map(|(p, r)| {
-                r.as_ref().map(|r| ManifestEntry {
-                    index: p.index,
-                    key: p.key.clone(),
-                    result: r.to_json(),
-                })
-            })
-            .collect();
-        manifest.save(path, matrix)?;
-    }
-
     let profile = profiler.assemble(
         timelines,
         wall.as_nanos() as u64,
         merge_started.elapsed().as_nanos() as u64,
     );
 
-    let pending = results.iter().filter(|r| r.is_none()).count();
     Ok(CampaignReport {
         points,
         results,
         stats: CampaignStats {
             total,
-            executed,
-            resumed,
-            pending,
             workers,
             wall,
             per_worker,
@@ -603,8 +538,7 @@ pub const SCALING_REPS: usize = 5;
 /// column.
 ///
 /// `opts` supplies everything but the worker count, which each
-/// measurement overrides from `worker_counts`; its manifest path and
-/// limit are ignored, so every rep executes the whole matrix. With
+/// measurement overrides from `worker_counts`. With
 /// [`CampaignOptions::profile`] set, each [`ScalingPoint`] carries the
 /// *best* rep's [`PoolProfile`], ready for [`scaling_audit`] — so the
 /// audit decomposes the same run the throughput number came from, not
@@ -623,7 +557,7 @@ pub fn measure_scaling<S, R, F, I>(
     runner: F,
 ) -> Vec<ScalingPoint>
 where
-    R: CampaignPayload + Send,
+    R: Send,
     I: Fn() -> S + Sync,
     F: Fn(&mut S, &ScenarioPoint) -> R + Sync,
 {
@@ -632,14 +566,11 @@ where
         .map(|&workers| {
             let opts = CampaignOptions {
                 workers,
-                manifest_path: None,
-                limit: None,
                 ..opts.clone()
             };
             let mut best: Option<ScalingPoint> = None;
             for _ in 0..SCALING_REPS.max(1) {
-                let report = run_with::<S, R, _, _>(matrix, &opts, &make_state, &runner)
-                    .expect("manifest-less campaign cannot fail on I/O");
+                let Ok(report) = run_with::<S, R, _, _>(matrix, &opts, &make_state, &runner);
                 let point = ScalingPoint::from_report(workers, report);
                 if best.as_ref().is_none_or(|b| point.wall < b.wall) {
                     best = Some(point);
@@ -654,27 +585,12 @@ where
 mod tests {
     use super::*;
 
-    /// A toy payload: deterministic function of the scenario key.
+    /// A toy payload with no JSON form: the engine asks only `Send` of
+    /// its results.
     #[derive(Debug, Clone, PartialEq)]
     struct Cell {
-        key: String,
+        coords: Vec<usize>,
         value: u64,
-    }
-
-    impl CampaignPayload for Cell {
-        fn to_json(&self) -> Json {
-            Json::Obj(vec![
-                ("key".to_owned(), Json::Str(self.key.clone())),
-                ("value".to_owned(), Json::Num(self.value as f64)),
-            ])
-        }
-
-        fn from_json(json: &Json) -> Option<Self> {
-            Some(Cell {
-                key: json.get("key")?.as_str()?.to_owned(),
-                value: json.get("value")?.as_u64()?,
-            })
-        }
     }
 
     fn matrix() -> Matrix {
@@ -683,30 +599,28 @@ mod tests {
             .axis("b", ["x", "y", "z"])
     }
 
+    /// A deterministic function of the scenario point.
     fn toy_runner(p: &ScenarioPoint) -> Cell {
+        let mix = p.coords.iter().fold(1, |acc, &c| acc * 31 + c as u64);
         Cell {
-            key: p.key.clone(),
-            value: p.key.bytes().map(u64::from).sum::<u64>() * (p.index as u64 + 1),
+            coords: p.coords.clone(),
+            value: mix * (p.index as u64 + 1),
         }
     }
 
     fn render<R: std::fmt::Debug>(report: &CampaignReport<R>) -> String {
         report
             .completed()
-            .map(|(p, r)| format!("{} {:?}\n", p.key, r))
+            .map(|(p, r)| format!("{} {:?}\n", p.index, r))
             .collect()
-    }
-
-    fn read(path: &std::path::Path) -> String {
-        std::fs::read_to_string(path).unwrap()
     }
 
     #[test]
     fn worker_count_does_not_change_merged_output() {
         let m = matrix();
-        let base = run(&m, &CampaignOptions::sequential("toy"), toy_runner).unwrap();
-        assert!(base.is_complete());
-        assert_eq!(base.stats.executed, 12);
+        let Ok(base) = run(&m, &CampaignOptions::sequential("toy"), toy_runner);
+        assert!(base.results.iter().all(Option::is_some));
+        assert_eq!(base.stats.total, 12);
         for workers in [2, 4, 7] {
             let par = run(
                 &m,
@@ -716,119 +630,6 @@ mod tests {
             .unwrap();
             assert_eq!(render(&par), render(&base), "{workers} workers");
         }
-    }
-
-    #[test]
-    fn limit_leaves_tail_pending() {
-        let m = matrix();
-        let report = run(
-            &m,
-            &CampaignOptions {
-                limit: Some(5),
-                ..CampaignOptions::with_workers("toy", 3)
-            },
-            toy_runner,
-        )
-        .unwrap();
-        assert_eq!(report.stats.executed, 5);
-        assert_eq!(report.stats.pending, 7);
-        assert!(report.results[..5].iter().all(Option::is_some));
-        assert!(report.results[5..].iter().all(Option::is_none));
-    }
-
-    #[test]
-    fn manifest_resume_skips_completed_scenarios() {
-        let m = matrix();
-        let dir = std::env::temp_dir().join("hierbus_campaign_engine_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("toy.manifest.json");
-        let opts = |limit| CampaignOptions {
-            manifest_path: Some(path.clone()),
-            limit,
-            ..CampaignOptions::with_workers("toy", 2)
-        };
-
-        // "Interrupted" campaign: only 4 scenarios complete.
-        let partial = run(&m, &opts(Some(4)), toy_runner).unwrap();
-        assert_eq!(partial.stats.executed, 4);
-        assert!(!partial.is_complete());
-
-        // Resume: the 4 come from the manifest, the other 8 execute.
-        let resumed = run(&m, &opts(None), toy_runner).unwrap();
-        assert_eq!(resumed.stats.resumed, 4);
-        assert_eq!(resumed.stats.executed, 8);
-        assert!(resumed.is_complete());
-
-        // A fresh full run and the resumed run agree byte for byte —
-        // merged output and manifest both.
-        let fresh_path = dir.join("fresh.manifest.json");
-        let fresh = run(
-            &m,
-            &CampaignOptions {
-                manifest_path: Some(fresh_path.clone()),
-                limit: None,
-                ..CampaignOptions::sequential("toy")
-            },
-            toy_runner,
-        )
-        .unwrap();
-        assert_eq!(render(&resumed), render(&fresh));
-        assert_eq!(read(&path), read(&fresh_path));
-
-        // A third run resumes everything and executes nothing.
-        let idle = run(&m, &opts(None), toy_runner).unwrap();
-        assert_eq!(idle.stats.resumed, 12);
-        assert_eq!(idle.stats.executed, 0);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn manifest_with_a_last_run_section_still_resumes() {
-        // Manifests used to carry a wall-clock `last_run` section; one
-        // written that way resumes with the key ignored, and the next
-        // save drops it.
-        let m = matrix();
-        let dir = std::env::temp_dir().join("hierbus_campaign_last_run_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("toy.manifest.json");
-        let opts = CampaignOptions {
-            manifest_path: Some(path.clone()),
-            ..CampaignOptions::with_workers("toy", 2)
-        };
-        run(&m, &opts, toy_runner).unwrap();
-        let clean = read(&path);
-        let mut doc = Json::parse(&clean).unwrap();
-        doc.set(
-            "last_run",
-            Json::Obj(vec![("workers".to_owned(), Json::Num(2.0))]),
-        );
-        std::fs::write(&path, doc.to_string_pretty()).unwrap();
-        let resumed = run(&m, &opts, toy_runner).unwrap();
-        assert_eq!(resumed.stats.resumed, 12);
-        assert_eq!(resumed.stats.executed, 0);
-        assert_eq!(read(&path), clean);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn foreign_manifest_is_ignored() {
-        let m = matrix();
-        let dir = std::env::temp_dir().join("hierbus_campaign_engine_test2");
-        let _ = std::fs::remove_dir_all(&dir);
-        let path = dir.join("toy.manifest.json");
-        let other = Matrix::new().axis("a", ["0"]);
-        let opts = CampaignOptions {
-            manifest_path: Some(path.clone()),
-            limit: None,
-            ..CampaignOptions::sequential("toy")
-        };
-        run(&other, &opts, toy_runner).unwrap();
-        // Same path, different matrix: starts fresh instead of adopting
-        // stale entries.
-        let report = run(&m, &opts, toy_runner).unwrap();
-        assert_eq!(report.stats.resumed, 0);
-        assert_eq!(report.stats.executed, 12);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -867,7 +668,6 @@ mod tests {
                 toy_runner,
             )
             .unwrap();
-            assert!(report.is_complete(), "{workers} workers");
             renders.push(render(&report));
         }
         for r in &renders[1..] {
@@ -889,8 +689,8 @@ mod tests {
             assert_eq!(stats.per_worker.len(), stats.workers);
             let claimed: u64 = stats.per_worker.iter().map(|w| w.claimed).sum();
             let completed: u64 = stats.per_worker.iter().map(|w| w.completed).sum();
-            assert_eq!(claimed, stats.executed as u64);
-            assert_eq!(completed, stats.executed as u64);
+            assert_eq!(claimed, stats.total as u64);
+            assert_eq!(completed, stats.total as u64);
             for w in &stats.per_worker {
                 assert_eq!(w.claimed, w.completed, "clean runs finish every claim");
                 let u = w.utilization(stats.wall);
@@ -900,21 +700,30 @@ mod tests {
     }
 
     #[test]
-    fn resumed_campaign_reports_idle_workers() {
-        // Everything comes from the manifest: no claims, no busy time.
-        let m = matrix();
-        let dir = std::env::temp_dir().join("hierbus_campaign_wstats_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = CampaignOptions {
-            manifest_path: Some(dir.join("toy.manifest.json")),
-            ..CampaignOptions::with_workers("toy", 2)
-        };
-        run(&m, &opts, toy_runner).unwrap();
-        let idle = run(&m, &opts, toy_runner).unwrap();
-        assert_eq!(idle.stats.executed, 0);
+    fn empty_campaign_reports_idle_workers() {
+        // Nothing to run: one worker, no claims, no busy time.
+        let Ok(idle) = run(
+            &Matrix::new(),
+            &CampaignOptions::with_workers("toy", 2),
+            toy_runner,
+        );
+        assert_eq!(idle.stats.total, 0);
+        assert_eq!(idle.stats.workers, 1);
+        assert!(idle.results.is_empty());
         let claimed: u64 = idle.stats.per_worker.iter().map(|w| w.claimed).sum();
         assert_eq!(claimed, 0);
-        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(idle.stats.per_worker[0].busy, Duration::ZERO);
+    }
+
+    #[test]
+    fn worker_threads_carry_the_campaign_name() {
+        let Ok(report) = run(&matrix(), &CampaignOptions::with_workers("toy", 3), |_| {
+            std::thread::current().name().map(str::to_owned)
+        });
+        for name in report.results.iter().flatten() {
+            let name = name.as_deref().expect("workers are named");
+            assert!(["toy-0", "toy-1", "toy-2"].contains(&name), "{name}");
+        }
     }
 
     #[test]
@@ -980,7 +789,7 @@ mod tests {
                         .count()
                 })
                 .sum();
-            assert_eq!(simulated, report.stats.executed);
+            assert_eq!(simulated, report.stats.total);
             // Worker stats and profile agree on claim retries.
             let stats_retries: u64 = report
                 .stats
@@ -1074,7 +883,7 @@ mod tests {
             lines[0].starts_with("12 scenarios on 2 worker(s) in "),
             "{text}"
         );
-        assert!(lines[0].ends_with("12 executed, 0 resumed)"), "{text}");
+        assert!(lines[0].ends_with(" scenarios/s)"), "{text}");
         assert!(lines[1].starts_with("  worker 0: "), "{text}");
         assert!(lines[2].ends_with("% busy"), "{text}");
     }
@@ -1096,9 +905,6 @@ mod tests {
             results: Vec::new(),
             stats: CampaignStats {
                 total: 16,
-                executed: 16,
-                resumed: 0,
-                pending: 0,
                 workers: 4,
                 wall: Duration::from_millis(100),
                 per_worker: vec![mk(6, 90), mk(5, 85), mk(5, 95), mk(0, 0)],
@@ -1118,9 +924,6 @@ mod tests {
             results: Vec::new(),
             stats: CampaignStats {
                 total: 16,
-                executed: 16,
-                resumed: 0,
-                pending: 0,
                 workers: 2,
                 wall: Duration::from_millis(100),
                 per_worker: vec![mk(8, 90), mk(8, 50)],
@@ -1130,15 +933,12 @@ mod tests {
         let point = ScalingPoint::from_report(2, report);
         assert_eq!(point.idle_workers, 0);
         assert!((point.utilization - 0.7).abs() < 1e-9);
-        // Fully resumed run: everything idle, utilization reads 0.
+        // Empty run: everything idle, utilization reads 0.
         let report: CampaignReport<Cell> = CampaignReport {
             points: Vec::new(),
             results: Vec::new(),
             stats: CampaignStats {
-                total: 16,
-                executed: 0,
-                resumed: 16,
-                pending: 0,
+                total: 0,
                 workers: 2,
                 wall: Duration::from_millis(1),
                 per_worker: vec![mk(0, 0), mk(0, 0)],
@@ -1168,9 +968,6 @@ mod tests {
             results: Vec::new(),
             stats: CampaignStats {
                 total: 16,
-                executed: 16,
-                resumed: 0,
-                pending: 0,
                 workers: 4,
                 wall: Duration::from_micros(100_000),
                 per_worker: vec![mk(6, 90_000), mk(5, 85_000), mk(4, 60_200), mk(1, 12_800)],
@@ -1226,38 +1023,12 @@ mod tests {
             assert_eq!(render(&report), render(&base), "{workers} workers");
             let mut seen = seen.into_inner().unwrap();
             seen.sort_by_key(|(i, _)| *i);
-            assert_eq!(seen.len(), report.stats.executed);
+            assert_eq!(seen.len(), report.stats.total);
             for ((i, cell), (p, r)) in seen.iter().zip(report.completed()) {
                 assert_eq!(*i, p.index);
                 assert_eq!(cell, r, "sink saw a different result than the merge");
             }
         }
-    }
-
-    #[test]
-    fn resumed_scenarios_never_reach_the_sink() {
-        let m = matrix();
-        let dir = std::env::temp_dir().join("hierbus_campaign_sink_test");
-        let _ = std::fs::remove_dir_all(&dir);
-        let opts = CampaignOptions {
-            manifest_path: Some(dir.join("toy.manifest.json")),
-            ..CampaignOptions::with_workers("toy", 2)
-        };
-        run(&m, &opts, toy_runner).unwrap();
-        let sunk = AtomicUsize::new(0);
-        let report = run_with_sink(
-            &m,
-            &opts,
-            || (),
-            |(), p| toy_runner(p),
-            |_, _: &Cell| {
-                sunk.fetch_add(1, Ordering::Relaxed);
-            },
-        )
-        .unwrap();
-        assert_eq!(report.stats.resumed, 12);
-        assert_eq!(sunk.load(Ordering::Relaxed), 0);
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1278,7 +1049,7 @@ mod tests {
             },
         )
         .unwrap();
-        assert!(report.is_complete());
+        assert!(report.results.iter().all(Option::is_some));
         let built = states_built.load(Ordering::Relaxed);
         assert!(
             (1..=2).contains(&built),

@@ -1,8 +1,8 @@
 //! A reusable FNV-1a fingerprint builder.
 //!
-//! The manifest machinery needs a stable, dependency-free content hash
-//! to detect matrix changes; the serve daemon's result cache needs the
-//! same thing over scenario specifications. Both use this builder, so
+//! The serve daemon's result cache needs a stable, dependency-free
+//! content hash over scenario specifications, and the characterization
+//! database identity needs the same thing. Both use this builder, so
 //! the hash form (64-bit FNV-1a, 16 hex digits) and the out-of-band
 //! field separator stay identical everywhere a fingerprint appears.
 //!

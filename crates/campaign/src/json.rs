@@ -1,9 +1,9 @@
 //! A minimal JSON value model, parser and writer.
 //!
-//! The campaign manifest and the `BENCH_throughput.json` trajectory
-//! file both need machine-readable round-trippable storage, and the
-//! workspace is offline (no serde). This module covers exactly the
-//! JSON subset those files use: objects, arrays, strings, finite
+//! The serve protocol, its cache index and the `BENCH_throughput.json`
+//! trajectory file all need machine-readable round-trippable storage,
+//! and the workspace is offline (no serde). This module covers exactly
+//! the JSON subset those use: objects, arrays, strings, finite
 //! numbers, booleans and null, with deterministic serialization
 //! (object keys keep insertion order; floats print with enough digits
 //! to round-trip).
@@ -100,7 +100,7 @@ impl Json {
     }
 
     /// Serializes with two-space indentation and a trailing newline —
-    /// the format manifests and trajectory files are written in.
+    /// the format cache indexes and trajectory files are written in.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, Some(2), 0);
@@ -174,7 +174,7 @@ impl Json {
     }
 }
 
-/// Integers print without a fraction so manifests stay stable; other
+/// Integers print without a fraction so written files stay stable; other
 /// floats use Rust's shortest round-trip formatting.
 fn write_number(out: &mut String, n: f64) {
     if !n.is_finite() {
@@ -222,7 +222,7 @@ fn expect(bytes: &[u8], pos: &mut usize, lit: &str) -> Result<(), String> {
 /// Deepest array/object nesting [`Json::parse`] accepts. The parser
 /// recurses once per level, so an unbounded input line of `[[[[...`
 /// would overflow the stack; every document the workspace writes
-/// (protocol lines, manifests, cache indexes) nests fewer than 10.
+/// (protocol lines, cache indexes, trajectory files) nests fewer than 10.
 pub const MAX_DEPTH: usize = 128;
 
 fn parse_value(bytes: &[u8], pos: &mut usize, depth: usize) -> Result<Json, String> {

@@ -5,10 +5,8 @@
 //! the §4.3 exploration, or `scenario × model` for the ablation
 //! benches. The product is enumerated in row-major order (the first
 //! axis varies slowest), which fixes the scenario index every other
-//! part of the engine keys on: workers pull indices, results merge in
-//! index order, and the manifest records completion per index.
-
-use crate::json::Json;
+//! part of the engine keys on: workers pull indices and results merge
+//! in index order.
 
 /// One named axis of a scenario matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -27,9 +25,6 @@ pub struct ScenarioPoint {
     pub index: usize,
     /// Per-axis value indices, parallel to [`Matrix::axes`].
     pub coords: Vec<usize>,
-    /// Stable identifier, e.g. `workload=fib_rec/iface=w32_sep` — the
-    /// manifest key, so resumed campaigns can detect matrix changes.
-    pub key: String,
 }
 
 /// The cartesian product of named axes.
@@ -90,12 +85,6 @@ impl Matrix {
         self.len() == 0
     }
 
-    /// The value of `axis` at scenario point `p`.
-    pub fn value_of(&self, p: &ScenarioPoint, axis: &str) -> Option<&str> {
-        let i = self.axes.iter().position(|a| a.name == axis)?;
-        Some(self.axes[i].values[p.coords[i]].as_str())
-    }
-
     /// Enumerates every scenario point in row-major order (first axis
     /// slowest) — the canonical campaign order.
     pub fn points(&self) -> Vec<ScenarioPoint> {
@@ -108,48 +97,9 @@ impl Matrix {
                 coords[i] = rem % axis.values.len();
                 rem /= axis.values.len();
             }
-            let key = self
-                .axes
-                .iter()
-                .zip(&coords)
-                .map(|(a, &c)| format!("{}={}", a.name, a.values[c]))
-                .collect::<Vec<_>>()
-                .join("/");
-            out.push(ScenarioPoint { index, coords, key });
+            out.push(ScenarioPoint { index, coords });
         }
         out
-    }
-
-    /// A stable fingerprint of the matrix definition (axis names and
-    /// values, in order). A manifest written for one fingerprint is
-    /// rejected for any other.
-    pub fn fingerprint(&self) -> String {
-        let mut fp = crate::fingerprint::Fingerprint::new();
-        for axis in &self.axes {
-            fp.eat(&axis.name);
-            for v in &axis.values {
-                fp.eat(v);
-            }
-        }
-        fp.finish()
-    }
-
-    /// The matrix definition as JSON (for the manifest header).
-    pub fn to_json(&self) -> Json {
-        Json::Arr(
-            self.axes
-                .iter()
-                .map(|a| {
-                    Json::Obj(vec![
-                        ("name".to_owned(), Json::Str(a.name.clone())),
-                        (
-                            "values".to_owned(),
-                            Json::Arr(a.values.iter().map(|v| Json::Str(v.clone())).collect()),
-                        ),
-                    ])
-                })
-                .collect(),
-        )
     }
 }
 
@@ -167,44 +117,13 @@ mod tests {
     fn row_major_enumeration_first_axis_slowest() {
         let m = sample();
         assert_eq!(m.len(), 6);
-        let keys: Vec<String> = m.points().into_iter().map(|p| p.key).collect();
-        assert_eq!(
-            keys,
-            [
-                "config=a/workload=x",
-                "config=a/workload=y",
-                "config=b/workload=x",
-                "config=b/workload=y",
-                "config=c/workload=x",
-                "config=c/workload=y",
-            ]
-        );
-    }
-
-    #[test]
-    fn value_lookup_matches_coords() {
-        let m = sample();
         let points = m.points();
-        assert_eq!(m.value_of(&points[3], "config"), Some("b"));
-        assert_eq!(m.value_of(&points[3], "workload"), Some("y"));
-        assert_eq!(m.value_of(&points[3], "missing"), None);
-        assert_eq!(points[3].index, 3);
-    }
-
-    #[test]
-    fn fingerprint_tracks_definition() {
-        let m = sample();
-        assert_eq!(m.fingerprint(), sample().fingerprint());
-        let other = Matrix::new()
-            .axis("config", ["a", "b", "c"])
-            .axis("workload", ["x", "z"]);
-        assert_ne!(m.fingerprint(), other.fingerprint());
-        // Moving a boundary must change the fingerprint (separator is
-        // out-of-band, not a character collision).
-        let shifted = Matrix::new()
-            .axis("config", ["a", "b", "cx"])
-            .axis("workload", ["", "y"]);
-        assert_ne!(m.fingerprint(), shifted.fingerprint());
+        let coords: Vec<Vec<usize>> = points.iter().map(|p| p.coords.clone()).collect();
+        assert_eq!(
+            coords,
+            [[0, 0], [0, 1], [1, 0], [1, 1], [2, 0], [2, 1]].map(Vec::from)
+        );
+        assert!(points.iter().enumerate().all(|(i, p)| p.index == i));
     }
 
     #[test]

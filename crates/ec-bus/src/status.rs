@@ -44,7 +44,7 @@ impl fmt::Display for BusStatus {
 }
 
 // A terminal `Error` status is usable as an error value directly (e.g.
-// in campaign manifests and `?`-style test plumbing); the richer cause
+// in `?`-style test plumbing); the richer cause
 // lives in [`crate::BusError`].
 impl std::error::Error for BusStatus {}
 

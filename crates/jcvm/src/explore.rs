@@ -199,21 +199,6 @@ impl ExploreSession {
     }
 }
 
-/// Runs one workload on one interface configuration (a one-shot
-/// [`ExploreSession`]).
-///
-/// # Errors
-///
-/// Propagates any [`JcvmError`] the applet raises (the standard
-/// workloads raise none on capacities ≥ their stack needs).
-pub fn run_config(
-    config: IfaceConfig,
-    workload: &Workload,
-    db: &CharacterizationDb,
-) -> Result<ExplorationRow, JcvmError> {
-    ExploreSession::new(db).run(config, workload)
-}
-
 impl CampaignPayload for ExplorationRow {
     fn to_json(&self) -> Json {
         Json::Obj(vec![
@@ -239,8 +224,6 @@ impl CampaignPayload for ExplorationRow {
     }
 
     fn from_json(json: &Json) -> Option<Self> {
-        // Manifests from before the attribution field parse to None and
-        // re-run, like any other stale payload.
         let attribution = match json.get("attribution")? {
             Json::Obj(fields) => fields
                 .iter()
@@ -270,13 +253,14 @@ pub fn explore_matrix(configs: &[IfaceConfig], workloads: &[Workload]) -> Matrix
 }
 
 /// The full sweep as a campaign: every configuration × every workload,
-/// executed per `opts` (worker count, optional resume manifest, limit)
-/// with results merged in matrix order. One worker reproduces
-/// [`explore`] exactly.
+/// executed per `opts` (worker count, profiling) with results merged
+/// in matrix order. One worker reproduces [`explore`] exactly.
 ///
 /// # Errors
 ///
-/// I/O errors from the resume manifest, if one is configured.
+/// None: the error type is [`Infallible`](std::convert::Infallible),
+/// as for [`hierbus_campaign::run`]. The `Result` stays so the frozen
+/// benchmark package's `.expect(..)` and `.map_err(..)?` keep compiling.
 ///
 /// # Panics
 ///
@@ -287,14 +271,14 @@ pub fn explore_campaign(
     workloads: &[Workload],
     db: &Arc<CharacterizationDb>,
     opts: &CampaignOptions,
-) -> std::io::Result<(Vec<ExplorationRow>, CampaignStats)> {
+) -> Result<(Vec<ExplorationRow>, CampaignStats), std::convert::Infallible> {
     let matrix = explore_matrix(configs, workloads);
     // Workers share the read-only characterization DB; each worker
     // builds one session (energy model) and resets it between points,
     // while the interpreter + bus + hardware stack are rebuilt inside
     // the runner, so nothing mutable crosses threads.
     let db = Arc::clone(db);
-    let report = hierbus_campaign::run_with(
+    let Ok(report) = hierbus_campaign::run_with(
         &matrix,
         opts,
         || ExploreSession::new(&db),
@@ -305,7 +289,7 @@ pub fn explore_campaign(
                 .run(config, workload)
                 .unwrap_or_else(|e| panic!("{} on {}: {e}", workload.name, config.label()))
         },
-    )?;
+    );
     let stats = report.stats.clone();
     Ok((report.results.into_iter().flatten().collect(), stats))
 }
@@ -322,13 +306,12 @@ pub fn explore(
     db: &CharacterizationDb,
 ) -> Vec<ExplorationRow> {
     let db = Arc::new(db.clone());
-    let (rows, _) = explore_campaign(
+    let Ok((rows, _)) = explore_campaign(
         configs,
         workloads,
         &db,
         &CampaignOptions::sequential("explore_jcvm"),
-    )
-    .expect("manifest-less campaign cannot fail on I/O");
+    );
     rows
 }
 
@@ -341,7 +324,7 @@ mod tests {
 
     const BASE: u64 = 0x8000;
 
-    /// [`run_config`] through the pre-optimization hot path: a fresh
+    /// One design point through the pre-optimization hot path: a fresh
     /// energy model per point driving the bit-loop reference diff and
     /// per-toggle database lookups — the differential oracle the
     /// optimized session must match bit for bit.
@@ -364,7 +347,9 @@ mod tests {
     fn refined_model_matches_functional_results() {
         let db = CharacterizationDb::uniform();
         let w = standard_workloads();
-        let row = run_config(IfaceConfig::baseline(BASE), &w[0], &db).unwrap();
+        let row = ExploreSession::new(&db)
+            .run(IfaceConfig::baseline(BASE), &w[0])
+            .unwrap();
         assert_eq!(row.result, w[0].expected);
         assert!(row.cycles > 0);
         assert!(row.energy_pj > 0.0);
@@ -375,16 +360,18 @@ mod tests {
     fn narrower_interface_costs_more() {
         let db = CharacterizationDb::uniform();
         let w = &standard_workloads()[0];
-        let wide = run_config(IfaceConfig::baseline(BASE), w, &db).unwrap();
-        let narrow = run_config(
-            IfaceConfig {
-                width: DataWidth::W8,
-                ..IfaceConfig::baseline(BASE)
-            },
-            w,
-            &db,
-        )
-        .unwrap();
+        let wide = ExploreSession::new(&db)
+            .run(IfaceConfig::baseline(BASE), w)
+            .unwrap();
+        let narrow = ExploreSession::new(&db)
+            .run(
+                IfaceConfig {
+                    width: DataWidth::W8,
+                    ..IfaceConfig::baseline(BASE)
+                },
+                w,
+            )
+            .unwrap();
         assert!(narrow.cycles > wide.cycles);
         assert!(narrow.transactions > wide.transactions);
         assert!(narrow.energy_pj > wide.energy_pj);
@@ -394,16 +381,18 @@ mod tests {
     fn polling_costs_transactions() {
         let db = CharacterizationDb::uniform();
         let w = &standard_workloads()[0];
-        let silent = run_config(IfaceConfig::baseline(BASE), w, &db).unwrap();
-        let polled = run_config(
-            IfaceConfig {
-                status_policy: StatusPolicy::EveryPush,
-                ..IfaceConfig::baseline(BASE)
-            },
-            w,
-            &db,
-        )
-        .unwrap();
+        let silent = ExploreSession::new(&db)
+            .run(IfaceConfig::baseline(BASE), w)
+            .unwrap();
+        let polled = ExploreSession::new(&db)
+            .run(
+                IfaceConfig {
+                    status_policy: StatusPolicy::EveryPush,
+                    ..IfaceConfig::baseline(BASE)
+                },
+                w,
+            )
+            .unwrap();
         assert!(polled.transactions > silent.transactions);
     }
 
@@ -417,16 +406,18 @@ mod tests {
         // compare on array_checksum (no Dup either) — fall back to
         // measuring that single-reg is never *cheaper*.
         let w = &standard_workloads()[0];
-        let sep = run_config(IfaceConfig::baseline(BASE), w, &db).unwrap();
-        let single = run_config(
-            IfaceConfig {
-                organization: RegOrganization::SingleDataReg,
-                ..IfaceConfig::baseline(BASE)
-            },
-            w,
-            &db,
-        )
-        .unwrap();
+        let sep = ExploreSession::new(&db)
+            .run(IfaceConfig::baseline(BASE), w)
+            .unwrap();
+        let single = ExploreSession::new(&db)
+            .run(
+                IfaceConfig {
+                    organization: RegOrganization::SingleDataReg,
+                    ..IfaceConfig::baseline(BASE)
+                },
+                w,
+            )
+            .unwrap();
         assert!(single.transactions >= sep.transactions);
     }
 
@@ -451,7 +442,7 @@ mod tests {
         )
         .unwrap();
         assert_eq!(parallel, sequential);
-        assert_eq!(stats.executed, configs.len() * workloads.len());
+        assert_eq!(stats.total, configs.len() * workloads.len());
     }
 
     #[test]
@@ -467,7 +458,7 @@ mod tests {
         let workloads = &standard_workloads()[..2];
         for config in configs {
             for w in workloads {
-                let fast = run_config(config, w, &db).unwrap();
+                let fast = ExploreSession::new(&db).run(config, w).unwrap();
                 let slow = run_config_reference(config, w, &db).unwrap();
                 assert_eq!(fast, slow);
                 assert_eq!(fast.energy_pj.to_bits(), slow.energy_pj.to_bits());
@@ -490,7 +481,7 @@ mod tests {
         for config in configs {
             for w in workloads {
                 let reused = session.run(config, w).unwrap();
-                let fresh = run_config(config, w, &db).unwrap();
+                let fresh = ExploreSession::new(&db).run(config, w).unwrap();
                 assert_eq!(reused, fresh);
                 assert_eq!(reused.energy_pj.to_bits(), fresh.energy_pj.to_bits());
             }
@@ -501,7 +492,9 @@ mod tests {
     fn attribution_decomposes_row_energy_and_round_trips() {
         let db = CharacterizationDb::uniform();
         let w = &standard_workloads()[0];
-        let row = run_config(IfaceConfig::baseline(BASE), w, &db).unwrap();
+        let row = ExploreSession::new(&db)
+            .run(IfaceConfig::baseline(BASE), w)
+            .unwrap();
         assert!(!row.attribution.is_empty());
         let total: f64 = row.attribution.iter().map(|(_, v)| v).sum();
         assert!(
@@ -519,7 +512,7 @@ mod tests {
             .map(|p| row.phase_share(p))
             .sum();
         assert!((sum - 1.0).abs() < 1e-9);
-        // The manifest payload round-trips the attribution exactly.
+        // The JSON payload round-trips the attribution exactly.
         let back = ExplorationRow::from_json(&row.to_json()).unwrap();
         assert_eq!(back, row);
         // And the ledger reconstruction keeps the software dimension.
@@ -530,10 +523,12 @@ mod tests {
     }
 
     #[test]
-    fn pre_attribution_payload_reruns_instead_of_resuming() {
+    fn payload_without_attribution_does_not_parse() {
         let db = CharacterizationDb::uniform();
         let w = &standard_workloads()[0];
-        let row = run_config(IfaceConfig::baseline(BASE), w, &db).unwrap();
+        let row = ExploreSession::new(&db)
+            .run(IfaceConfig::baseline(BASE), w)
+            .unwrap();
         let mut json = row.to_json();
         if let Json::Obj(fields) = &mut json {
             fields.retain(|(k, _)| k != "attribution");

@@ -55,9 +55,7 @@ pub mod workloads;
 pub use adapter::{BusStack, IfaceConfig, RegOrganization, StatusPolicy};
 pub use bytecode::{Bytecode, Method, MethodId};
 pub use error::JcvmError;
-pub use explore::{
-    explore, explore_campaign, explore_matrix, run_config, ExplorationRow, ExploreSession,
-};
+pub use explore::{explore, explore_campaign, explore_matrix, ExplorationRow, ExploreSession};
 pub use firewall::{Context, Firewall};
 pub use hwstack::HwStackSlave;
 pub use interp::Interpreter;

@@ -396,7 +396,7 @@ pub const NS_BOUNDS: [u64; 12] = [
 pub struct PoolProfile {
     /// Wall clock of the execution phase (spawn to join), ns.
     pub wall_ns: u64,
-    /// Main-thread merge + manifest-save time after the join, ns.
+    /// Main-thread merge time after the join, ns.
     pub merge_ns: u64,
     /// One timeline per worker, in spawn order.
     pub workers: Vec<WorkerTimeline>,

@@ -10,7 +10,7 @@
 //! into its [`hierbus_obs::MetricsRegistry`].
 //!
 //! The cache can persist itself as a versioned JSON index (atomic
-//! temp-file + rename, like the campaign manifest). An index records
+//! temp-file + rename). An index records
 //! the database fingerprint it was built against; loading under a
 //! different characterization (or index version) starts empty instead
 //! of replaying stale energies.

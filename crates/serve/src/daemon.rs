@@ -68,6 +68,9 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 /// Requests a [`SloWindow`] aggregates over.
 const SLO_WINDOW: usize = 256;
 
+/// Event-log ring capacity (entries).
+const LOG_CAPACITY: usize = 256;
+
 /// Consecutive monitor ticks of a non-empty queue with no request in
 /// flight before the watchdog calls the pool idle.
 const IDLE_TICKS: u32 = 3;
@@ -103,8 +106,6 @@ pub struct DaemonOptions {
     /// Mirror events at this severity or worse to stderr, prefixed
     /// `hierbus-serve:`.
     pub log_stderr: Option<Level>,
-    /// Event-log ring capacity.
-    pub log_capacity: usize,
     /// Prometheus text exposition file, atomically rewritten by the
     /// monitor whenever the metrics change and once at session end.
     pub metrics_file: Option<PathBuf>,
@@ -125,7 +126,6 @@ impl Default for DaemonOptions {
             trace_dir: None,
             log_level: None,
             log_stderr: None,
-            log_capacity: 256,
             metrics_file: None,
             deadline_ms: 0,
             tick_ms: 25,
@@ -273,7 +273,7 @@ impl Daemon {
             .as_deref()
             .and_then(|path| ResultCache::load(path, capacity, &db_fp).ok().flatten())
             .unwrap_or_else(|| ResultCache::new(capacity));
-        let mut log = EventLog::new("hierbus-serve", opts.log_level, opts.log_capacity.max(1));
+        let mut log = EventLog::new("hierbus-serve", opts.log_level, LOG_CAPACITY);
         log.set_stderr(opts.log_stderr);
         let log_active = opts.log_level.is_some() || opts.log_stderr.is_some();
         Daemon {
@@ -870,7 +870,7 @@ impl Daemon {
                 epoch: Some(enqueued),
                 ..CampaignOptions::with_workers("serve", self.workers)
             };
-            run_with_sink(
+            let Ok(_) = run_with_sink(
                 &Matrix::new().axis("spec", miss_keys.iter().cloned()),
                 &opts,
                 || ServeSession::new(&self.db),
@@ -905,8 +905,7 @@ impl Daemon {
                         ));
                     }
                 },
-            )
-            .expect("manifest-less campaign cannot fail on I/O");
+            );
         }
         let exec_us = enqueued.elapsed().as_micros() as u64;
 

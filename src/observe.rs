@@ -383,26 +383,16 @@ mod tests {
 
     #[test]
     fn export_pool_profile_writes_worker_tracks() {
-        use hierbus_campaign::{run, CampaignOptions, CampaignPayload, Json, Matrix};
-        struct N(u64);
-        impl CampaignPayload for N {
-            fn to_json(&self) -> Json {
-                Json::Num(self.0 as f64)
-            }
-            fn from_json(json: &Json) -> Option<Self> {
-                json.as_u64().map(N)
-            }
-        }
+        use hierbus_campaign::{run, CampaignOptions, Matrix};
         let matrix = Matrix::new().axis("i", (0..8).map(|i| i.to_string()));
-        let report = run(
+        let Ok(report) = run(
             &matrix,
             &CampaignOptions {
                 profile: true,
                 ..CampaignOptions::with_workers("profile_export", 2)
             },
-            |p| N(p.index as u64),
-        )
-        .unwrap();
+            |p| p.index,
+        );
         let profile = report.profile.expect("profiling enabled");
         let dir = std::env::temp_dir().join("hierbus_pool_profile_test");
         let (trace, csv) =

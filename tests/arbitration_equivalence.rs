@@ -393,17 +393,7 @@ fn faults_on_either_master_stay_layer_invariant_under_contention() {
 
 #[test]
 fn multi_master_campaign_byte_identical_across_worker_counts() {
-    use hierbus_campaign::{CampaignOptions, CampaignPayload, Json, Matrix};
-
-    struct Cell(String);
-    impl CampaignPayload for Cell {
-        fn to_json(&self) -> Json {
-            Json::Str(self.0.clone())
-        }
-        fn from_json(json: &Json) -> Option<Self> {
-            json.as_str().map(|s| Cell(s.to_owned()))
-        }
-    }
+    use hierbus_campaign::{CampaignOptions, Matrix};
 
     let db = shared_db();
     let bursts = [BurstLen::Single, BurstLen::B4];
@@ -430,19 +420,19 @@ fn multi_master_campaign_byte_identical_across_worker_counts() {
                 let (cpu_count, descriptors) = ratios[point.coords[2]];
                 let ms = contention_scenario(99, policy, burst, cpu_count, descriptors);
                 let run = run_layer1(&ms, &db, &[]);
-                Cell(format!(
+                format!(
                     "cycles={} energy={:?} grants={} stats={:?} ledger={:?}",
                     run.cycles,
                     run.energy_pj,
                     run.grants.len(),
                     run.stats,
                     run.ledger.master_totals(),
-                ))
+                )
             },
         )
         .unwrap()
         .completed()
-        .map(|(p, c)| format!("## {}\n{}\n", p.key, c.0))
+        .map(|(p, c)| format!("## {:?}\n{c}\n", p.coords))
         .collect::<String>()
     };
 

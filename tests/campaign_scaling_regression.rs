@@ -7,24 +7,13 @@
 //! scheduler noise, shared caches); the old per-scenario claiming with
 //! per-scenario rebuild regressed far below it.
 
-use hierbus_campaign::{CampaignOptions, CampaignPayload, Json, Matrix};
+use hierbus_campaign::{CampaignOptions, Matrix};
 
 const SCENARIOS: usize = 64;
 /// 2-worker throughput must be at least this fraction of 1-worker
 /// throughput. Genuine parallel speedup shows up well above 1.0; this
 /// gate only rejects *negative* scaling.
 const TOLERANCE: f64 = 0.80;
-
-struct Digest(u64);
-
-impl CampaignPayload for Digest {
-    fn to_json(&self) -> Json {
-        Json::Num(self.0 as f64)
-    }
-    fn from_json(json: &Json) -> Option<Self> {
-        json.as_u64().map(Digest)
-    }
-}
 
 /// A deterministic CPU-bound unit of work (an LCG churn), heavy enough
 /// that claiming overhead is a small fraction of it.
@@ -50,13 +39,12 @@ fn two_workers_do_not_regress_scenarios_per_sec() {
     }
     let matrix = Matrix::new().axis("seed", (0..SCENARIOS).map(|i| i.to_string()));
     let run_at = |workers: usize| {
-        let report = hierbus_campaign::run_with(
+        let Ok(report) = hierbus_campaign::run_with(
             &matrix,
             &CampaignOptions::with_workers("scaling_regression", workers),
             || (),
-            |(), point| Digest(churn(point.index as u64)),
-        )
-        .expect("manifest-less campaign cannot fail on I/O");
+            |(), point| churn(point.index as u64),
+        );
         report.stats.scenarios_per_sec()
     };
     // Warm-up pass so thread-pool and page-cache effects hit neither arm.

@@ -9,7 +9,7 @@
 //! sessions, the serve runner and campaign merges) must match fresh
 //! bit-loop reference runs.
 
-use hierbus::campaign::{CampaignOptions, CampaignPayload, Json, Matrix};
+use hierbus::campaign::{CampaignOptions, Matrix};
 use hierbus::core::HasSlaves;
 use hierbus::ec::sequences::{random_mix, MasterOp, MixParams, Scenario};
 use hierbus::ec::{
@@ -631,22 +631,6 @@ fn serve_session_reuse_matches_reference_runs() {
 struct Cell {
     cycles: u64,
     energy_pj: f64,
-}
-
-impl CampaignPayload for Cell {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("cycles".to_owned(), Json::Num(self.cycles as f64)),
-            ("energy_pj".to_owned(), Json::Num(self.energy_pj)),
-        ])
-    }
-
-    fn from_json(json: &Json) -> Option<Self> {
-        Some(Cell {
-            cycles: json.get("cycles")?.as_u64()?,
-            energy_pj: json.get("energy_pj")?.as_f64()?,
-        })
-    }
 }
 
 /// Bit-precise rendering: energies as raw u64 bit patterns, so a

@@ -288,17 +288,7 @@ fn layer2_tear_flush_is_independent_of_spec_order() {
 
 #[test]
 fn fault_campaign_byte_identical_across_worker_counts() {
-    use hierbus_campaign::{CampaignOptions, CampaignPayload, Json, Matrix};
-
-    struct Cell(String);
-    impl CampaignPayload for Cell {
-        fn to_json(&self) -> Json {
-            Json::Str(self.0.clone())
-        }
-        fn from_json(json: &Json) -> Option<Self> {
-            json.as_str().map(|s| Cell(s.to_owned()))
-        }
-    }
+    use hierbus_campaign::{CampaignOptions, Matrix};
 
     let db = shared_db();
     let scenario = three_writes();
@@ -339,15 +329,15 @@ fn fault_campaign_byte_identical_across_worker_counts() {
                     1 => run_layer1(&scenario, &db, plan, *policy),
                     _ => run_layer2(&scenario, &db, plan, *policy),
                 };
-                Cell(format!(
+                format!(
                     "outcomes={:?} counters={:?} cycles={} energy={:?} mem={:?}",
                     run.outcomes, run.counters, run.cycles, run.energy_pj, run.memory
-                ))
+                )
             },
         )
         .unwrap()
         .completed()
-        .map(|(p, c)| format!("## {}\n{}\n", p.key, c.0))
+        .map(|(p, c)| format!("## {:?}\n{c}\n", p.coords))
         .collect::<String>()
     };
 

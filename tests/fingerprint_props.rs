@@ -1,11 +1,9 @@
 //! Seeded property coverage for the campaign [`Fingerprint`] and its
-//! two client derivations, matrix fingerprints and serve scenario-spec
-//! fingerprints.
+//! client derivation, serve scenario-spec fingerprints.
 //!
-//! The fingerprint is load-bearing in three places — manifest
-//! compatibility checks, the serve result cache's content addresses,
-//! and the characterization-database identity — so these tests pin the
-//! properties those uses rely on:
+//! The fingerprint is load-bearing in two places — the serve result
+//! cache's content addresses and the characterization-database
+//! identity — so these tests pin the properties those uses rely on:
 //!
 //! * field sequences are absorbed with an out-of-band terminator, so
 //!   distinct sequences (different bytes, different boundaries,
@@ -19,7 +17,7 @@
 //! Everything is seeded (the repo's standard SplitMix64 recurrence), so
 //! a failure always reproduces.
 
-use hierbus::campaign::{Fingerprint, Json, Matrix};
+use hierbus::campaign::{Fingerprint, Json};
 use hierbus::serve::ScenarioSpec;
 use hierbus_ec::{ArbitrationPolicy, BurstLen, DmaParams, MixParams, WaitProfile};
 
@@ -141,14 +139,10 @@ fn random_perturbations_change_the_fingerprint() {
 
 #[test]
 fn field_order_is_part_of_the_identity() {
-    // Raw field sequences are order-SENSITIVE by spec: the manifest
-    // matrix fingerprint must change when axes are reordered.
+    // Raw field sequences are order-SENSITIVE by spec.
     let a = Fingerprint::new().field("alpha").field("beta").finish();
     let b = Fingerprint::new().field("beta").field("alpha").finish();
     assert_ne!(a, b);
-    let m = Matrix::new().axis("x", ["1", "2"]).axis("y", ["3"]);
-    let swapped = Matrix::new().axis("y", ["3"]).axis("x", ["1", "2"]);
-    assert_ne!(m.fingerprint(), swapped.fingerprint());
 }
 
 #[test]

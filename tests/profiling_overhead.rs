@@ -10,7 +10,7 @@
 //!    must never change the merged results, at any worker count, and
 //!    the profile must be present iff it was requested.
 
-use hierbus_campaign::{CampaignOptions, CampaignPayload, CampaignReport, Json, Matrix};
+use hierbus_campaign::{CampaignOptions, CampaignReport, Matrix};
 use std::time::{Duration, Instant};
 
 const SCENARIOS: usize = 64;
@@ -21,18 +21,6 @@ const REPS: usize = 5;
 /// 64 scenarios) still would.
 const BUDGET_FACTOR: f64 = 1.5;
 const BUDGET_SLACK: Duration = Duration::from_millis(25);
-
-#[derive(Debug)]
-struct Digest(u64);
-
-impl CampaignPayload for Digest {
-    fn to_json(&self) -> Json {
-        Json::Num(self.0 as f64)
-    }
-    fn from_json(json: &Json) -> Option<Self> {
-        json.as_u64().map(Digest)
-    }
-}
 
 /// A deterministic CPU-bound unit of work (an LCG churn), heavy enough
 /// that per-scenario engine overhead is a small fraction of it.
@@ -50,26 +38,26 @@ fn matrix() -> Matrix {
     Matrix::new().axis("seed", (0..SCENARIOS).map(|i| i.to_string()))
 }
 
-fn run(workers: usize, profile: bool) -> CampaignReport<Digest> {
+fn run(workers: usize, profile: bool) -> CampaignReport<u64> {
     let opts = CampaignOptions {
         profile,
         ..CampaignOptions::with_workers("profiling_overhead", workers)
     };
-    hierbus_campaign::run_with(
+    let Ok(report) = hierbus_campaign::run_with(
         &matrix(),
         &opts,
         || (),
-        |(), point| Digest(churn(point.index as u64)),
-    )
-    .expect("manifest-less campaign cannot fail on I/O")
+        |(), point| churn(point.index as u64),
+    );
+    report
 }
 
-/// The merged results in comparison form: scenario key + payload, in
+/// The merged results in comparison form: scenario index + payload, in
 /// matrix order.
-fn rendered(report: &CampaignReport<Digest>) -> String {
+fn rendered(report: &CampaignReport<u64>) -> String {
     report
         .completed()
-        .map(|(p, r)| format!("{} {:?}\n", p.key, r))
+        .map(|(p, r)| format!("{} {:?}\n", p.index, r))
         .collect()
 }
 
