@@ -5,10 +5,12 @@
 //! every revision writes the same shape, so this binary verifies the
 //! committed file parses and carries the fields the scaling analysis
 //! depends on. The `campaign_explore` section (written by
-//! `scaling_audit`) must list per-worker entries with `workers`,
+//! `campaign_scaling`) must list per-worker entries with `workers`,
 //! `scenarios_per_s`, `scaling` (throughput vs the 1-worker point), the
-//! profiler-derived `busy_frac` and `utilization` fractions (numeric
-//! and in `[0, 1]`) and `idle_workers` (a whole worker count). The
+//! `busy_frac` and `utilization` fractions from the engine's
+//! `CampaignStats` (numeric and in `[0, 1]`) and `idle_workers` (a
+//! whole worker count); [`hierbus_bench::check_campaign`] checks it,
+//! the same validator `campaign_scaling --smoke` runs in-process. The
 //! `layers` section must carry the Table 3 kT/s numbers and is gated on
 //! `tlm1_hotpath_speedup` — the production layer-1 path must be at
 //! least as fast as the bit-loop reference it replaced, measured in the
@@ -37,11 +39,6 @@ const LAYER_FIELDS: &[&str] = &[
 /// fast as the bit-loop reference (`tlm1_with_reference_kts`) in the
 /// same `table3_simperf` run.
 const MIN_HOTPATH_SPEEDUP: f64 = 1.0;
-
-const WORKER_FIELDS: &[&str] = &["workers", "scenarios_per_s", "scaling"];
-
-/// Per-worker pool-profiler fields: unit-interval fractions.
-const FRACTION_FIELDS: &[&str] = &["busy_frac", "utilization"];
 
 /// Per-worker fields of the daemon's steady-state serving section.
 const SERVE_FIELDS: &[&str] = &[
@@ -83,52 +80,8 @@ fn check(root: &Json) -> Result<(), String> {
              (tlm1_with_kts vs tlm1_with_reference_kts, same run)"
         ));
     }
-    check_campaign(root)?;
+    hierbus_bench::check_campaign(root)?;
     check_serve(root)
-}
-
-/// The exploration campaign's scaling curve, written by
-/// `scaling_audit`: per-worker throughput plus the pool profiler's
-/// busy/utilization fractions and idle-worker count.
-fn check_campaign(root: &Json) -> Result<(), String> {
-    const SECTION: &str = "campaign_explore";
-    let s = root
-        .get(SECTION)
-        .ok_or(format!("missing section: {SECTION}"))?;
-    s.get("scenarios")
-        .and_then(Json::as_u64)
-        .ok_or(format!("{SECTION}: missing scenarios count"))?;
-    let workers = s
-        .get("workers")
-        .and_then(Json::as_arr)
-        .ok_or(format!("{SECTION}: missing workers array"))?;
-    if workers.is_empty() {
-        return Err(format!("{SECTION}: empty workers array"));
-    }
-    for (i, entry) in workers.iter().enumerate() {
-        for field in WORKER_FIELDS {
-            entry.get(field).and_then(Json::as_f64).ok_or(format!(
-                "{SECTION}: workers[{i}] missing or non-numeric field {field}"
-            ))?;
-        }
-        for field in FRACTION_FIELDS {
-            let v = entry.get(field).and_then(Json::as_f64).ok_or(format!(
-                "{SECTION}: workers[{i}] missing or non-numeric field {field}"
-            ))?;
-            if !(0.0..=1.0).contains(&v) {
-                return Err(format!(
-                    "{SECTION}: workers[{i}] field {field} = {v} outside [0, 1]"
-                ));
-            }
-        }
-        entry
-            .get("idle_workers")
-            .and_then(Json::as_u64)
-            .ok_or(format!(
-                "{SECTION}: workers[{i}] idle_workers must be a non-negative integer"
-            ))?;
-    }
-    Ok(())
 }
 
 /// The daemon's steady-state serving section: per-worker cold/warm

@@ -10,7 +10,7 @@
 //! bit-loop reference and the observability probes' cost, and writes
 //! the Table 3 numbers to the `layers` section of
 //! `BENCH_throughput.json` at the repo root so future revisions can be
-//! diffed for regressions. (Campaign throughput is the `scaling_audit`
+//! diffed for regressions. (Campaign throughput is the `campaign_scaling`
 //! bin's.) Run with
 //! `cargo run --release -p hierbus-bench --bin table3_simperf`.
 

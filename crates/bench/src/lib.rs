@@ -204,112 +204,64 @@ pub fn write_throughput_section(
     std::fs::write(path, doc.to_string_pretty())
 }
 
-const AUDIT_POINT_FIELDS: &[&str] = &[
-    "workers",
-    "wall_ns",
-    "scenarios_per_s",
-    "efficiency",
-    "loss",
-    "serial_loss",
-    "imbalance_loss",
-    "contention_loss",
-    "residual_loss",
-    "busy_frac",
-    "balance",
-    "claim_retries",
-    "db_accesses",
-    "allocations",
-];
+/// The section of [`THROUGHPUT_JSON`] the `campaign_scaling` bin
+/// writes.
+pub const CAMPAIGN_SECTION: &str = "campaign_explore";
 
-const AUDIT_PHASE_FIELDS: &[&str] = &[
-    "claim",
-    "db_access",
-    "simulate",
-    "serialize",
-    "merge_wait",
-    "idle",
-    "merge",
-];
+/// Numeric fields every `campaign_explore` worker row carries.
+const WORKER_FIELDS: &[&str] = &["workers", "scenarios_per_s", "scaling"];
 
-const AUDIT_PERCENTILE_FIELDS: &[&str] = &["p50", "p90", "p99"];
+/// Per-worker [`CampaignStats`](hierbus_campaign::CampaignStats)
+/// fractions: unit-interval values.
+const FRACTION_FIELDS: &[&str] = &["busy_frac", "utilization"];
 
-fn audit_field(entry: &Json, i: usize, name: &str) -> Result<f64, String> {
-    entry
-        .get(name)
-        .and_then(Json::as_f64)
-        .ok_or(format!("workers[{i}]: missing or non-numeric field {name}"))
-}
-
-/// Validates a `scaling_audit.json` document (as written by the
-/// `scaling_audit` bin): `schema_version` 1, a fitted serial fraction
-/// in `[0, 1]`, a non-empty `workers` array whose entries carry every
-/// decomposition field, phase total and chunk-latency percentile, and
-/// the decomposition contract — `serial + imbalance + contention +
-/// residual` reconstructs `loss` within 10% at every worker count.
+/// Validates the `campaign_explore` section of a [`THROUGHPUT_JSON`]
+/// document, as written by the `campaign_scaling` bin: a scenario
+/// count and a non-empty `workers` array whose rows carry `workers`,
+/// `scenarios_per_s` and `scaling` (throughput vs the 1-worker point),
+/// `busy_frac` and `utilization` in `[0, 1]`, and `idle_workers` as a
+/// whole worker count.
 ///
 /// # Errors
 ///
 /// A description of the first violation.
-pub fn check_scaling_audit(root: &Json) -> Result<(), String> {
-    let version = root
-        .get("schema_version")
+pub fn check_campaign(root: &Json) -> Result<(), String> {
+    const SECTION: &str = CAMPAIGN_SECTION;
+    let s = root
+        .get(SECTION)
+        .ok_or(format!("missing section: {SECTION}"))?;
+    s.get("scenarios")
         .and_then(Json::as_u64)
-        .ok_or("missing schema_version".to_owned())?;
-    if version != 1 {
-        return Err(format!("unsupported schema_version {version}"));
-    }
-    root.get("campaign")
-        .and_then(Json::as_str)
-        .ok_or("missing campaign".to_owned())?;
-    root.get("scenarios")
-        .and_then(Json::as_u64)
-        .ok_or("missing scenarios count".to_owned())?;
-    let serial = root
-        .get("serial_fraction")
-        .and_then(Json::as_f64)
-        .ok_or("missing serial_fraction".to_owned())?;
-    if !(0.0..=1.0).contains(&serial) {
-        return Err(format!("serial_fraction {serial} outside [0, 1]"));
-    }
-    let workers = root
+        .ok_or(format!("{SECTION}: missing scenarios count"))?;
+    let workers = s
         .get("workers")
         .and_then(Json::as_arr)
-        .ok_or("missing workers array".to_owned())?;
+        .ok_or(format!("{SECTION}: missing workers array"))?;
     if workers.is_empty() {
-        return Err("empty workers array".to_owned());
+        return Err(format!("{SECTION}: empty workers array"));
     }
     for (i, entry) in workers.iter().enumerate() {
-        for name in AUDIT_POINT_FIELDS {
-            audit_field(entry, i, name)?;
-        }
-        let phases = entry
-            .get("phase_ns")
-            .ok_or(format!("workers[{i}]: missing phase_ns section"))?;
-        for name in AUDIT_PHASE_FIELDS {
-            phases.get(name).and_then(Json::as_u64).ok_or(format!(
-                "workers[{i}]: phase_ns missing or non-numeric field {name}"
+        for field in WORKER_FIELDS {
+            entry.get(field).and_then(Json::as_f64).ok_or(format!(
+                "{SECTION}: workers[{i}] missing or non-numeric field {field}"
             ))?;
         }
-        let chunks = entry
-            .get("chunk_latency_ns")
-            .ok_or(format!("workers[{i}]: missing chunk_latency_ns section"))?;
-        for name in AUDIT_PERCENTILE_FIELDS {
-            chunks.get(name).and_then(Json::as_u64).ok_or(format!(
-                "workers[{i}]: chunk_latency_ns missing or non-numeric field {name}"
+        for field in FRACTION_FIELDS {
+            let v = entry.get(field).and_then(Json::as_f64).ok_or(format!(
+                "{SECTION}: workers[{i}] missing or non-numeric field {field}"
             ))?;
+            if !(0.0..=1.0).contains(&v) {
+                return Err(format!(
+                    "{SECTION}: workers[{i}] field {field} = {v} outside [0, 1]"
+                ));
+            }
         }
-        // The decomposition contract: the attributed shares plus the
-        // residual must reconstruct the measured efficiency gap.
-        let loss = audit_field(entry, i, "loss")?;
-        let sum = audit_field(entry, i, "serial_loss")?
-            + audit_field(entry, i, "imbalance_loss")?
-            + audit_field(entry, i, "contention_loss")?
-            + audit_field(entry, i, "residual_loss")?;
-        if (sum - loss).abs() > (0.1 * loss.abs()).max(1e-9) {
-            return Err(format!(
-                "workers[{i}]: decomposition sums to {sum} but loss says {loss}"
-            ));
-        }
+        entry
+            .get("idle_workers")
+            .and_then(Json::as_u64)
+            .ok_or(format!(
+                "{SECTION}: workers[{i}] idle_workers must be a non-negative integer"
+            ))?;
     }
     Ok(())
 }

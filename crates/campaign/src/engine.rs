@@ -16,7 +16,6 @@
 
 use crate::matrix::{Matrix, ScenarioPoint};
 use crate::Json;
-use hierbus_obs::profiling::{PoolPhase, PoolProfile, Profiler};
 use std::convert::Infallible;
 use std::fmt;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -51,12 +50,6 @@ pub struct CampaignOptions {
     /// Worker threads (clamped to at least 1). One worker reproduces
     /// the classic sequential loop exactly.
     pub workers: usize,
-    /// Record per-worker phase timelines and contention counters into
-    /// [`CampaignReport::profile`]. Off by default: a disabled profiler
-    /// reduces every probe to one branch (no allocation; the profiler
-    /// never reads the clock itself), and profiling never changes the
-    /// merged results either way.
-    pub profile: bool,
     /// Time origin for [`SinkScope::started_us`] /
     /// [`SinkScope::finished_us`]. A caller stitching worker spans into
     /// a larger trace (the serve daemon's per-request Perfetto track)
@@ -72,7 +65,6 @@ impl CampaignOptions {
         CampaignOptions {
             name: name.to_owned(),
             workers: 1,
-            profile: false,
             epoch: None,
         }
     }
@@ -99,10 +91,7 @@ pub struct WorkerStats {
     /// Time spent on scenarios: from each chunk's first runner call to
     /// the clock reading after its last result reached the sink and
     /// the worker's buffer. Session build and claiming are not busy
-    /// time. With profiling on this is exactly the worker timeline's
-    /// simulate + serialize time
-    /// ([`WorkerTimeline::busy_ns`](hierbus_obs::profiling::WorkerTimeline::busy_ns)),
-    /// summed from the same clock readings.
+    /// time.
     pub busy: Duration,
     /// Failed compare-exchange attempts while claiming from the shared
     /// cursor — the raw claim-contention signal.
@@ -185,10 +174,6 @@ pub struct CampaignReport<R> {
     pub results: Vec<Option<R>>,
     /// Execution statistics.
     pub stats: CampaignStats,
-    /// Per-worker phase timelines and contention counters; `Some` iff
-    /// [`CampaignOptions::profile`] was set. Wall-clock based, so it is
-    /// diagnostics only — never merged into `results`.
-    pub profile: Option<PoolProfile>,
 }
 
 impl<R> CampaignReport<R> {
@@ -316,7 +301,6 @@ where
     let chunk = chunk_size(total, workers);
 
     let started = Instant::now();
-    let profiler = Profiler::new(opts.profile, started);
     let epoch = opts.epoch.unwrap_or(started);
     let us = |t: Instant| t.saturating_duration_since(epoch).as_micros() as u64;
     let cursor = AtomicUsize::new(0);
@@ -324,26 +308,16 @@ where
     // Each worker builds its state once and reuses it chunk after chunk.
     let mut executed: Vec<(usize, R)> = Vec::with_capacity(total);
     let mut per_worker: Vec<WorkerStats> = Vec::with_capacity(workers);
-    let mut timelines = Vec::with_capacity(workers);
     std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|worker| {
                 let (cursor, points) = (&cursor, &points[..]);
                 let (make_state, runner, sink, us) = (&make_state, &runner, &sink, &us);
                 let body = move || {
-                    // The profile recorder lives on the worker's own
-                    // thread so the thread-local contention baselines
-                    // (allocations, db accesses) are this thread's.
-                    let mut wp = profiler.worker(worker);
-                    // Every clock reading closes the phase that ran
-                    // since the previous one (`mark`) and feeds the
-                    // sink's span, the worker's stats and the profile
-                    // alike: two readings per scenario, around the
-                    // runner, plus one per chunk.
-                    let building = Instant::now();
+                    // Two clock readings per scenario, around the
+                    // runner, feed the sink's span and the worker's
+                    // busy time; one more per chunk closes it.
                     let mut state = make_state();
-                    let mut mark = Instant::now();
-                    wp.record(PoolPhase::DbAccess, building, mark, 0);
                     let mut mine: Vec<(usize, R)> = Vec::new();
                     let mut wstats = WorkerStats::default();
                     loop {
@@ -355,19 +329,12 @@ where
                         let hi = (lo + chunk).min(total);
                         wstats.claimed += (hi - lo) as u64;
                         mine.reserve(hi - lo);
-                        let claimed = mark;
                         let mut busy_from = None;
-                        // The phase the next reading closes: this claim,
-                        // then each scenario's serialize.
-                        let mut pending = (PoolPhase::Claim, (hi - lo) as u64);
                         for point in &points[lo..hi] {
-                            let index = point.index;
                             let started = Instant::now();
-                            wp.record(pending.0, mark, started, pending.1);
                             busy_from.get_or_insert(started);
                             let result = runner(&mut state, point);
                             let finished = Instant::now();
-                            wp.record(PoolPhase::Simulate, started, finished, index as u64);
                             sink(
                                 &SinkScope {
                                     point,
@@ -377,19 +344,13 @@ where
                                 },
                                 &result,
                             );
-                            mine.push((index, result));
+                            mine.push((point.index, result));
                             wstats.completed += 1;
-                            pending = (PoolPhase::Serialize, index as u64);
-                            mark = finished;
                         }
                         let done = Instant::now();
-                        wp.record(pending.0, mark, done, pending.1);
                         wstats.busy += done - busy_from.unwrap_or(done);
-                        wp.chunk_done(claimed, done);
-                        mark = done;
                     }
-                    let timeline = wp.finish(wstats.claim_retries);
-                    (mine, wstats, timeline)
+                    (mine, wstats)
                 };
                 std::thread::Builder::new()
                     .name(format!("{}-{worker}", opts.name))
@@ -399,10 +360,9 @@ where
             .collect();
         for handle in handles {
             match handle.join() {
-                Ok((mine, wstats, timeline)) => {
+                Ok((mine, wstats)) => {
                     executed.extend(mine);
                     per_worker.push(wstats);
-                    timelines.push(timeline);
                 }
                 Err(payload) => std::panic::resume_unwind(payload),
             }
@@ -411,18 +371,11 @@ where
     let wall = started.elapsed();
 
     // Deterministic merge: completion interleaving is erased by
-    // slotting each result back at its scenario index. Timed as the
-    // profile's serial merge segment.
-    let merge_started = Instant::now();
+    // slotting each result back at its scenario index.
     let mut results: Vec<Option<R>> = (0..total).map(|_| None).collect();
     for (index, result) in executed {
         results[index] = Some(result);
     }
-    let profile = profiler.assemble(
-        timelines,
-        wall.as_nanos() as u64,
-        merge_started.elapsed().as_nanos() as u64,
-    );
 
     Ok(CampaignReport {
         points,
@@ -433,15 +386,14 @@ where
             wall,
             per_worker,
         },
-        profile,
     })
 }
 
 /// Claims `[lo, lo+chunk)` (clamped to `len`) from the shared cursor
 /// with a bounded compare-exchange loop, returning the claimed `lo`
 /// (`len` when the work list is exhausted) and the number of failed
-/// exchange attempts — the per-claim contention sample the profiler
-/// aggregates. Unlike a blind `fetch_add`, the cursor never runs past
+/// exchange attempts — the per-claim contention sample summed into
+/// [`WorkerStats::claim_retries`]. Unlike a blind `fetch_add`, the cursor never runs past
 /// `len`.
 fn claim_chunk(cursor: &AtomicUsize, chunk: usize, len: usize) -> (usize, u64) {
     let mut retries = 0u64;
@@ -469,9 +421,7 @@ pub struct ScalingPoint {
     pub scenarios_per_sec: f64,
     /// Fraction of the pool's worker-seconds (`workers × wall`) spent
     /// busy ([`WorkerStats::busy`]) — 1.0 means no worker ever waited.
-    /// Computed in integer nanoseconds, so a profiled point's value is
-    /// bit-identical to its profile's
-    /// [`PoolProfile::busy_frac`](hierbus_obs::profiling::PoolProfile::busy_frac).
+    /// Computed in integer nanoseconds from [`CampaignStats`].
     pub busy_frac: f64,
     /// Busy/wall fraction of the pool restricted to *active* workers:
     /// Σ busy over workers that completed at least one scenario,
@@ -487,9 +437,6 @@ pub struct ScalingPoint {
     pub utilization: f64,
     /// Workers that completed no scenario at all during the best run.
     pub idle_workers: usize,
-    /// The best run's pool profile; `Some` iff measured with
-    /// [`CampaignOptions::profile`] set.
-    pub profile: Option<PoolProfile>,
 }
 
 impl ScalingPoint {
@@ -522,7 +469,6 @@ impl ScalingPoint {
                 }
             },
             idle_workers: stats.per_worker.len() - active().count(),
-            profile: report.profile,
         }
     }
 }
@@ -538,13 +484,10 @@ pub const SCALING_REPS: usize = 5;
 /// column.
 ///
 /// `opts` supplies everything but the worker count, which each
-/// measurement overrides from `worker_counts`. With
-/// [`CampaignOptions::profile`] set, each [`ScalingPoint`] carries the
-/// *best* rep's [`PoolProfile`], ready for [`scaling_audit`] — so the
-/// audit decomposes the same run the throughput number came from, not
-/// an average of noisy reps.
-///
-/// [`scaling_audit`]: hierbus_obs::profiling::scaling_audit
+/// measurement overrides from `worker_counts`. Every field of a
+/// [`ScalingPoint`] comes from the best rep's [`CampaignStats`], so
+/// throughput and busy fractions describe one run, not an average of
+/// noisy reps.
 ///
 /// # Panics
 ///
@@ -652,6 +595,12 @@ mod tests {
         assert_eq!(chunk_size(16, 4), 1);
         assert_eq!(chunk_size(0, 1), 1);
         assert_eq!(chunk_size(1000, 1), 250);
+        // The 24-scenario slice `campaign_determinism` runs at 1/2/4/8
+        // workers: multi-scenario chunks at 1 and 2 workers, one
+        // scenario per claim at 4 and 8.
+        for (workers, chunk) in [(1, 6), (2, 3), (4, 1), (8, 1)] {
+            assert_eq!(chunk_size(24, workers), chunk, "{workers} workers");
+        }
     }
 
     #[test]
@@ -759,116 +708,6 @@ mod tests {
     }
 
     #[test]
-    fn profile_is_present_iff_requested_and_never_changes_results() {
-        let m = matrix();
-        let base = run(&m, &CampaignOptions::sequential("toy"), toy_runner).unwrap();
-        assert!(base.profile.is_none(), "profiling is off by default");
-        for workers in [1, 3] {
-            let report = run(
-                &m,
-                &CampaignOptions {
-                    profile: true,
-                    ..CampaignOptions::with_workers("toy", workers)
-                },
-                toy_runner,
-            )
-            .unwrap();
-            assert_eq!(render(&report), render(&base), "{workers} workers");
-            let profile = report.profile.expect("profiling was requested");
-            assert_eq!(profile.workers.len(), report.stats.workers);
-            assert!(profile.wall_ns > 0);
-            // Every executed scenario produced a simulate and a
-            // serialize record.
-            let simulated: usize = profile
-                .workers
-                .iter()
-                .map(|w| {
-                    w.records
-                        .iter()
-                        .filter(|r| r.phase == PoolPhase::Simulate)
-                        .count()
-                })
-                .sum();
-            assert_eq!(simulated, report.stats.total);
-            // Worker stats and profile agree on claim retries.
-            let stats_retries: u64 = report
-                .stats
-                .per_worker
-                .iter()
-                .map(|w| w.claim_retries)
-                .sum();
-            assert_eq!(profile.claim_retries(), stats_retries);
-        }
-    }
-
-    #[test]
-    fn profiled_scaling_points_carry_profiles_and_fractions() {
-        let measure = |profile, worker_counts: &[usize]| {
-            measure_scaling::<(), Cell, _, _>(
-                &matrix(),
-                &CampaignOptions {
-                    profile,
-                    ..CampaignOptions::sequential("toy")
-                },
-                worker_counts,
-                || (),
-                |(), p| toy_runner(p),
-            )
-        };
-        let points = measure(true, &[1, 2]);
-        for p in &points {
-            let profile = p.profile.as_ref().expect("profiled measurement");
-            assert_eq!(profile.workers.len(), p.workers.min(12));
-            assert!((0.0..=1.0).contains(&p.busy_frac), "{}", p.busy_frac);
-            assert!((0.0..=1.0).contains(&p.utilization), "{}", p.utilization);
-        }
-        // The unprofiled path stays profile-free.
-        let plain = measure(false, &[1]);
-        assert!(plain[0].profile.is_none());
-    }
-
-    #[test]
-    fn profiled_busy_time_is_one_quantity() {
-        // Worker stats and the profile timeline read the same clock
-        // readings, so busy time and busy_frac agree exactly.
-        let points = measure_scaling::<(), Cell, _, _>(
-            &matrix(),
-            &CampaignOptions {
-                profile: true,
-                ..CampaignOptions::sequential("toy")
-            },
-            &[1, 2, 3],
-            || (),
-            |(), p| toy_runner(p),
-        );
-        for p in &points {
-            let profile = p.profile.as_ref().expect("profiled measurement");
-            assert_eq!(
-                p.busy_frac.to_bits(),
-                profile.busy_frac().to_bits(),
-                "{} workers: {} vs profile {}",
-                p.workers,
-                p.busy_frac,
-                profile.busy_frac()
-            );
-        }
-        let report = run(
-            &matrix(),
-            &CampaignOptions {
-                profile: true,
-                ..CampaignOptions::with_workers("toy", 3)
-            },
-            toy_runner,
-        )
-        .unwrap();
-        let profile = report.profile.expect("profiling was requested");
-        for (w, tl) in report.stats.per_worker.iter().zip(&profile.workers) {
-            assert_eq!(w.busy.as_nanos() as u64, tl.busy_ns());
-            assert_eq!(w.claim_retries, tl.claim_retries);
-        }
-    }
-
-    #[test]
     fn stats_display_prints_totals_then_one_line_per_worker() {
         let report = run(
             &matrix(),
@@ -909,7 +748,6 @@ mod tests {
                 wall: Duration::from_millis(100),
                 per_worker: vec![mk(6, 90), mk(5, 85), mk(5, 95), mk(0, 0)],
             },
-            profile: None,
         };
         let point = ScalingPoint::from_report(4, report);
         assert_eq!(point.idle_workers, 1);
@@ -928,7 +766,6 @@ mod tests {
                 wall: Duration::from_millis(100),
                 per_worker: vec![mk(8, 90), mk(8, 50)],
             },
-            profile: None,
         };
         let point = ScalingPoint::from_report(2, report);
         assert_eq!(point.idle_workers, 0);
@@ -943,7 +780,6 @@ mod tests {
                 wall: Duration::from_millis(1),
                 per_worker: vec![mk(0, 0), mk(0, 0)],
             },
-            profile: None,
         };
         let point = ScalingPoint::from_report(2, report);
         assert_eq!(point.idle_workers, 2);
@@ -972,7 +808,6 @@ mod tests {
                 wall: Duration::from_micros(100_000),
                 per_worker: vec![mk(6, 90_000), mk(5, 85_000), mk(4, 60_200), mk(1, 12_800)],
             },
-            profile: None,
         };
         let point = ScalingPoint::from_report(4, report);
         assert_eq!(point.idle_workers, 0);

@@ -13,20 +13,17 @@
 //!   from an atomic cursor; results merge in scenario-index order, so
 //!   the merged output is byte-identical for any worker count.
 //! * [`measure_scaling`] — the throughput trajectory (scenarios/s per
-//!   worker count), profiled by the `scaling_audit` bin into both the
-//!   campaign rows of `BENCH_throughput.json` and the scaling audit.
+//!   worker count, busy fractions from [`CampaignStats`]), written by
+//!   the `campaign_scaling` bin into the campaign rows of
+//!   `BENCH_throughput.json`.
 //!
 //! The [`json`] module is the workspace's hand-rolled JSON (it is
-//! offline — no serde); the only dependency is the
-//! workspace's own `hierbus-obs`, whose
-//! [`profiling`](hierbus_obs::profiling) module backs the engine's
-//! opt-in self-profiler ([`CampaignOptions::profile`]).
+//! offline — no serde); the crate has no dependencies.
 //!
 //! Determinism contract: the engine adds no nondeterminism of its own
 //! to merged results (no wall clock, no iteration-order dependence). A
 //! campaign is a function of its matrix and exactly as deterministic as
-//! its runner; wall-clock diagnostics live only in [`CampaignStats`]
-//! and the opt-in [`CampaignReport::profile`].
+//! its runner; wall-clock diagnostics live only in [`CampaignStats`].
 
 pub mod engine;
 pub mod fingerprint;

@@ -168,9 +168,6 @@ pub struct ExploreSession {
 impl ExploreSession {
     /// Builds a session over a characterization database.
     pub fn new(db: &CharacterizationDb) -> Self {
-        // Cloning the shared characterization DB is the campaign pool's
-        // per-worker DB touch; the profiler counts it per thread.
-        hierbus_obs::profiling::record_db_access();
         let mut model = Layer1EnergyModel::new(db.clone());
         // Per-cycle trace feeds the row's attribution ledger; reset()
         // keeps the allocation across design points.
@@ -253,7 +250,7 @@ pub fn explore_matrix(configs: &[IfaceConfig], workloads: &[Workload]) -> Matrix
 }
 
 /// The full sweep as a campaign: every configuration × every workload,
-/// executed per `opts` (worker count, profiling) with results merged
+/// executed per `opts` (name, worker count) with results merged
 /// in matrix order. One worker reproduces [`explore`] exactly.
 ///
 /// # Errors

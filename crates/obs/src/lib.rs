@@ -18,25 +18,20 @@
 //!   along `layer → slave → phase → access class` (folded-stack, JSON
 //!   and Perfetto-counter exports), and [`DivergenceAuditor`] pinpoints
 //!   the first bucket/cycle where two layers disagree.
-//! * [`profiling`] — the one deliberately wall-clock-based module: the
-//!   campaign pool's self-profiler ([`Profiler`] / [`PoolProfile`])
-//!   with per-worker phase timelines, contention counters, and the
-//!   [`scaling_audit`] efficiency-loss decomposition.
 //! * [`telemetry`] — the live serving-side plane: a leveled
 //!   ring-buffered structured [`EventLog`] (JSONL export), rolling
 //!   [`SloWindow`] latency/hit-ratio aggregates, and a
 //!   Prometheus-style text exposition of a [`MetricsSnapshot`].
 //!
-//! Everything except [`profiling`] and [`telemetry`] is deterministic
-//! (no wall clock, no randomness, stable ordering), so exports can be
-//! golden-file tested, and everything is cheap when off: disabled
-//! registries, collectors, profilers and event logs reduce every probe
-//! to one branch on an `enabled` flag with no allocation.
+//! Everything except [`telemetry`] is deterministic (no wall clock, no
+//! randomness, stable ordering), so exports can be golden-file tested,
+//! and everything is cheap when off: disabled registries, collectors
+//! and event logs reduce every probe to one branch on an `enabled` flag
+//! with no allocation.
 
 pub mod attribution;
 pub mod metrics;
 pub mod perfetto;
-pub mod profiling;
 pub mod span;
 pub mod telemetry;
 
@@ -45,10 +40,6 @@ pub use attribution::{
     LedgerAudit, LedgerPhase, SlaveMap, TraceDivergence,
 };
 pub use metrics::{CounterId, GaugeId, Histogram, HistogramId, MetricsRegistry, MetricsSnapshot};
-pub use profiling::{
-    scaling_audit, AuditInput, AuditPoint, PoolPhase, PoolProfile, Profiler, ScalingAudit,
-    WorkerProfile, WorkerTimeline,
-};
 pub use span::{AccessClass, CounterTrack, Phase, SpanEvent, TraceCollector};
 pub use telemetry::{
     prometheus_text, write_atomic, EventLog, Level, Quantiles, RequestSample, SloAggregate,

@@ -41,8 +41,8 @@ fn phase_tid(phase: Phase) -> u32 {
 
 /// Incremental builder for a trace-event JSON document: the envelope
 /// and per-event formatting used by [`export`], reusable by other
-/// producers (the campaign pool profiler builds its multi-track worker
-/// timelines with it). Events render in push order; [`finish`]
+/// producers (the serve daemon builds its per-request traces with
+/// it). Events render in push order; [`finish`]
 /// produces the same envelope bytes `export` always emitted.
 ///
 /// [`finish`]: TraceEvents::finish

@@ -2,17 +2,15 @@
 //! rolling request-latency window, and a Prometheus-style text
 //! exposition of a [`MetricsSnapshot`].
 //!
-//! This module is the serving-side counterpart of [`profiling`]: where
-//! the profiler answers "where did a finished campaign spend its
-//! time", the telemetry plane answers "what is the daemon doing *right
-//! now*". Three pieces:
+//! This module answers "what is the serve daemon doing *right now*".
+//! Three pieces:
 //!
 //! * [`EventLog`] — structured events (`level`, name, typed fields) in
 //!   a bounded ring buffer, exported as JSONL
 //!   (`schema_version` [`TELEMETRY_SCHEMA_VERSION`]) and optionally
 //!   mirrored to stderr at `warn`+. The same cheap-when-off discipline
-//!   as [`Profiler`]: a log that wants nothing reduces every probe to
-//!   one branch, with no allocation and no clock read.
+//!   as the rest of the crate: a log that wants nothing reduces every
+//!   probe to one branch, with no allocation and no clock read.
 //! * [`SloWindow`] — a sliding window over the last N request latency
 //!   samples (queue wait / execute / end-to-end, plus cache hits and
 //!   misses), aggregated on demand into nearest-rank percentiles and a
@@ -24,12 +22,9 @@
 //!   with the temp-file + rename idiom so scrapers never read a torn
 //!   write.
 //!
-//! Like [`profiling`], the event log is wall-clock based (timestamps
+//! The event log is the crate's one wall-clock-based piece (timestamps
 //! are microseconds since the log's construction); everything else
 //! here is deterministic.
-//!
-//! [`profiling`]: crate::profiling
-//! [`Profiler`]: crate::profiling::Profiler
 
 use crate::metrics::MetricsSnapshot;
 use std::collections::VecDeque;
@@ -221,7 +216,7 @@ impl TelemetryEvent {
 /// while only `warn`+ reaches stderr. When *neither* threshold wants a
 /// level, [`wants`](Self::wants) is false and an instrumentation site
 /// guarded by it performs no allocation and no clock read — the same
-/// discipline as the campaign profiler.
+/// discipline as a disabled metrics registry or trace collector.
 #[derive(Debug)]
 pub struct EventLog {
     /// Prefix of stderr-mirrored lines, e.g. `hierbus-serve`.

@@ -263,7 +263,6 @@ impl Session {
     /// Builds a session over a characterization database (the reference
     /// reads it only to price its frames).
     pub fn new(db: &CharacterizationDb) -> Self {
-        hierbus_obs::profiling::record_db_access();
         Session {
             l1: Layer1EnergyModel::new(db.clone()),
         }

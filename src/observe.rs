@@ -160,32 +160,6 @@ pub fn default_dir() -> PathBuf {
     PathBuf::from("results/obs")
 }
 
-/// Writes a campaign pool profile as `<dir>/<name>.trace.json` (one
-/// Perfetto track per worker) and `<dir>/<name>.metrics.csv`
-/// (chunk-latency / phase-duration histograms plus contention
-/// counters), creating `dir` as needed. Returns the two paths.
-///
-/// Unlike every other export in this module the profile is wall-clock
-/// based, so these artifacts are diagnostics of *a* run, not golden
-/// files.
-///
-/// # Errors
-///
-/// Any I/O error from creating the directory or writing the files.
-pub fn export_pool_profile(
-    profile: &hierbus_obs::PoolProfile,
-    dir: &Path,
-    name: &str,
-) -> std::io::Result<(PathBuf, PathBuf)> {
-    std::fs::create_dir_all(dir)?;
-    let base = slug(name);
-    let trace_path = dir.join(format!("{base}.trace.json"));
-    std::fs::write(&trace_path, profile.to_perfetto())?;
-    let csv_path = dir.join(format!("{base}.metrics.csv"));
-    hierbus_obs::save_csv(&csv_path, &profile.metrics())?;
-    Ok((trace_path, csv_path))
-}
-
 fn delta_json(d: &Option<hierbus_obs::attribution::BucketDelta>) -> String {
     match d {
         None => "null".to_owned(),
@@ -378,33 +352,6 @@ mod tests {
         for line in folded.lines() {
             assert_eq!(line.split(' ').count(), 2, "folded line: {line}");
         }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn export_pool_profile_writes_worker_tracks() {
-        use hierbus_campaign::{run, CampaignOptions, Matrix};
-        let matrix = Matrix::new().axis("i", (0..8).map(|i| i.to_string()));
-        let Ok(report) = run(
-            &matrix,
-            &CampaignOptions {
-                profile: true,
-                ..CampaignOptions::with_workers("profile_export", 2)
-            },
-            |p| p.index,
-        );
-        let profile = report.profile.expect("profiling enabled");
-        let dir = std::env::temp_dir().join("hierbus_pool_profile_test");
-        let (trace, csv) =
-            export_pool_profile(&profile, &dir, "pool profile!").expect("export writes");
-        assert!(trace.ends_with("pool_profile_.trace.json"));
-        let json = std::fs::read_to_string(&trace).unwrap();
-        assert!(json.starts_with("{\"traceEvents\":["));
-        assert!(json.contains(r#""name":"worker 0""#));
-        assert!(json.contains(r#""name":"simulate""#));
-        let metrics = std::fs::read_to_string(&csv).unwrap();
-        assert!(metrics.contains("hist,pool.chunk_latency_ns,"));
-        assert!(metrics.contains("counter,pool.workers,count,"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -1,17 +1,61 @@
 //! Allocation pins for the bus hot paths: a run's heap allocations must
 //! not grow with the stimulus length. The recycled transaction slots,
 //! the flat finish queue and the allocation-free layer-2 completion are
-//! what keep both buses there; this binary counts allocations with
-//! [`CountingAlloc`] and fails if one of them starts allocating per
+//! what keep both buses there; this binary counts allocations with its
+//! own [`CountingAlloc`] and fails if one of them starts allocating per
 //! transaction again.
 
 use hierbus::core::{PhaseKind, Tlm2Bus, TlmSystem};
 use hierbus::ec::sequences::{random_mix, MixParams, Scenario};
-use hierbus::obs::profiling::{thread_allocations, CountingAlloc};
 use hierbus::power::run::{tlm1_bus, tlm2_bus, MAX_CYCLES};
+use std::cell::Cell;
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
+
+thread_local! {
+    static THREAD_ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Heap allocations performed on the calling thread since it started —
+/// monotone, so a caller reads a before/after delta.
+fn thread_allocations() -> u64 {
+    THREAD_ALLOCS.with(|c| c.get())
+}
+
+/// A counting global allocator: forwards to the system allocator and
+/// counts allocations per thread.
+struct CountingAlloc;
+
+fn count_alloc() {
+    // `try_with` because allocation can happen while thread-locals are
+    // being torn down; dropping the count there is fine.
+    let _ = THREAD_ALLOCS.try_with(|c| c.set(c.get() + 1));
+}
+
+// SAFETY: pure pass-through to `std::alloc::System`; the only addition
+// is a destructor-free thread-local counter bump, which itself never
+// allocates.
+unsafe impl std::alloc::GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: std::alloc::Layout) -> *mut u8 {
+        count_alloc();
+        std::alloc::System.alloc(layout)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: std::alloc::Layout) {
+        std::alloc::System.dealloc(ptr, layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: std::alloc::Layout) -> *mut u8 {
+        count_alloc();
+        std::alloc::System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: std::alloc::Layout, new_size: usize) -> *mut u8 {
+        count_alloc();
+        std::alloc::System.realloc(ptr, layout, new_size)
+    }
+}
 
 /// Allocations a run may differ by without allocating per transaction:
 /// queue growth and bookkeeping that is sized once per run.
@@ -95,4 +139,13 @@ fn layer2_events_add_at_most_one_allocation_per_data_phase() {
              {data_events} data-phase events"
         );
     }
+}
+
+#[test]
+fn counting_allocator_reports_thread_allocations() {
+    let before = thread_allocations();
+    let v: Vec<u64> = Vec::with_capacity(64);
+    std::hint::black_box(&v);
+    let after = thread_allocations();
+    assert!(after > before, "allocation not counted: {before} → {after}");
 }

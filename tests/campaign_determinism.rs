@@ -4,7 +4,6 @@
 use hierbus_campaign::{CampaignOptions, CampaignPayload, Matrix, ScenarioPoint};
 use hierbus_jcvm::workloads::standard_workloads;
 use hierbus_jcvm::{explore_campaign, explore_matrix, ExplorationRow, ExploreSession, IfaceConfig};
-use hierbus_obs::profiling::PoolPhase;
 use hierbus_power::CharacterizationDb;
 use std::sync::Arc;
 
@@ -50,8 +49,9 @@ fn merged_results_identical_for_1_2_4_8_workers() {
 fn chunked_claims_produce_identical_output_at_every_worker_count() {
     // Chunked claiming with reset-reused sessions must be byte-identical
     // at every worker count. 24 scenarios claim chunks of 6, 3, 1 and 1
-    // at 1, 2, 4 and 8 workers, so the merge is pinned both with
-    // multi-scenario chunks and with one scenario per claim.
+    // at 1, 2, 4 and 8 workers (pinned by the engine's
+    // `chunk_size_derivation` unit test), so the merge is pinned both
+    // with multi-scenario chunks and with one scenario per claim.
     let db = Arc::new(CharacterizationDb::uniform());
     let mut configs = IfaceConfig::all_variants(BASE);
     configs.truncate(12);
@@ -59,13 +59,8 @@ fn chunked_claims_produce_identical_output_at_every_worker_count() {
     let matrix = explore_matrix(&configs, workloads);
     assert_eq!(matrix.len(), 24);
 
-    // Rendered rows plus the largest chunk any worker claimed (from the
-    // pool profile, which never changes the merged results).
     let run_at = |workers: usize| {
-        let opts = CampaignOptions {
-            profile: true,
-            ..CampaignOptions::with_workers("claims", workers)
-        };
+        let opts = CampaignOptions::with_workers("claims", workers);
         let Ok(report) = hierbus_campaign::run_with(
             &matrix,
             &opts,
@@ -76,28 +71,13 @@ fn chunked_claims_produce_identical_output_at_every_worker_count() {
                     .unwrap()
             },
         );
-        let largest_claim = report
-            .profile
-            .as_ref()
-            .expect("profiling was requested")
-            .workers
-            .iter()
-            .flat_map(|w| &w.records)
-            .filter(|r| r.phase == PoolPhase::Claim)
-            .map(|r| r.arg)
-            .max();
         let rows: Vec<ExplorationRow> = report.results.into_iter().flatten().collect();
-        (render(&rows), largest_claim)
+        render(&rows)
     };
 
-    let (baseline, _) = run_at(1);
+    let baseline = run_at(1);
     for (workers, chunk) in [(1usize, 6u64), (2, 3), (4, 1), (8, 1)] {
-        let (rendered, largest_claim) = run_at(workers);
-        assert_eq!(
-            largest_claim,
-            Some(chunk),
-            "chunk size at {workers} workers"
-        );
+        let rendered = run_at(workers);
         assert_eq!(
             rendered, baseline,
             "output differs at {workers} workers (chunks of {chunk})"
