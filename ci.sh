@@ -7,6 +7,21 @@ cd "$(dirname "$0")"
 echo "==> cargo fmt --check"
 cargo fmt --all -- --check
 
+echo "==> program lines (informational)"
+# Non-blank lines of the library and binary sources, each file cut at
+# its first #[cfg(test)] so unit tests do not count. Not a gate.
+total=0
+for dir in src crates/*/src; do
+  n="$(find "$dir" -name '*.rs' | sort | xargs awk '
+    FNR == 1 { cut = 0 }
+    /#\[cfg\(test\)\]/ { cut = 1 }
+    !cut && NF { n++ }
+    END { print n + 0 }')"
+  printf '  %-20s %6d\n' "$dir" "$n"
+  total=$((total + n))
+done
+printf '  %-20s %6d\n' total "$total"
+
 echo "==> cargo build --release"
 cargo build --release --workspace --all-targets
 

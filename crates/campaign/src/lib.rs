@@ -36,7 +36,7 @@ pub use engine::{
 };
 pub use fingerprint::Fingerprint;
 pub use json::Json;
-pub use matrix::{Axis, Matrix, ScenarioPoint};
+pub use matrix::{Matrix, ScenarioPoint};
 
 /// Resolves the worker count for experiment binaries: an explicit
 /// request wins, else the `CAMPAIGN_WORKERS` environment variable,

@@ -10,11 +10,11 @@
 
 /// One named axis of a scenario matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Axis {
+struct Axis {
     /// Axis name, e.g. `"workload"`.
-    pub name: String,
+    name: String,
     /// The values the axis sweeps over, in sweep order.
-    pub values: Vec<String>,
+    values: Vec<String>,
 }
 
 /// One point of the product: its global index plus the value index
@@ -23,7 +23,7 @@ pub struct Axis {
 pub struct ScenarioPoint {
     /// Position in row-major enumeration order (the merge key).
     pub index: usize,
-    /// Per-axis value indices, parallel to [`Matrix::axes`].
+    /// Per-axis value indices, in axis declaration order.
     pub coords: Vec<usize>,
 }
 
@@ -63,11 +63,6 @@ impl Matrix {
             values,
         });
         self
-    }
-
-    /// The axes in declaration order.
-    pub fn axes(&self) -> &[Axis] {
-        &self.axes
     }
 
     /// Total number of scenarios (product of axis lengths; 0 with no

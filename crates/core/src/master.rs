@@ -182,7 +182,7 @@ impl TlmMaster {
 
     /// Replaces the outstanding-transaction ceilings. Must be called
     /// before the first cycle.
-    pub fn set_limits(&mut self, limits: OutstandingLimits) {
+    fn set_limits(&mut self, limits: OutstandingLimits) {
         assert_eq!(self.next_op, 0, "limits must be configured before running");
         self.tracker = OutstandingTracker::new(limits);
     }
@@ -212,7 +212,7 @@ impl TlmMaster {
     }
 
     /// The cycle of the latest completion seen so far.
-    pub fn last_done_cycle(&self) -> u64 {
+    fn last_done_cycle(&self) -> u64 {
         self.last_done_cycle
     }
 
@@ -323,7 +323,7 @@ impl TlmMaster {
     /// is the same decision point — except at a card tear, where
     /// [`TlmSystem`] calls it once more so completions from already
     /// executed cycles are not spuriously aborted.
-    pub fn pickup<B: CycleBus>(&mut self, bus: &mut B, cycle: u64) {
+    fn pickup<B: CycleBus>(&mut self, bus: &mut B, cycle: u64) {
         if self.in_flight.is_empty() || !bus.has_finished() {
             return;
         }

@@ -26,7 +26,6 @@ pub struct Tlm3Bus {
     map: AddressMap,
     slaves: Vec<Box<dyn TlmSlave>>,
     finish_q: hierbus_ec::FastIdMap<TxnId, Completed>,
-    messages: u64,
 }
 
 impl Tlm3Bus {
@@ -46,13 +45,7 @@ impl Tlm3Bus {
             map,
             slaves,
             finish_q: hierbus_ec::FastIdMap::default(),
-            messages: 0,
         }
-    }
-
-    /// Messages (untimed transfers) completed so far.
-    pub fn messages(&self) -> u64 {
-        self.messages
     }
 
     /// Access to a slave (e.g. to inspect memory).
@@ -72,7 +65,6 @@ impl Tlm3Bus {
     /// Decode, rights or slave errors as [`BusError`].
     pub fn read(&mut self, addr: Address, buf: &mut [u32]) -> Result<(), BusError> {
         let slave = self.map.decode(addr, hierbus_ec::AccessKind::DataRead)?;
-        self.messages += 1;
         match self.slaves[slave.0].read_block(addr, buf) {
             SlaveReply::Ok(()) => Ok(()),
             _ => Err(BusError::SlaveError(addr)),
@@ -86,7 +78,6 @@ impl Tlm3Bus {
     /// Decode, rights or slave errors as [`BusError`].
     pub fn write(&mut self, addr: Address, data: &[u32]) -> Result<(), BusError> {
         let slave = self.map.decode(addr, hierbus_ec::AccessKind::DataWrite)?;
-        self.messages += 1;
         match self.slaves[slave.0].write_block(addr, data) {
             SlaveReply::Ok(()) => Ok(()),
             _ => Err(BusError::SlaveError(addr)),
@@ -99,7 +90,6 @@ impl Tlm3Bus {
         let (error, data) = match result {
             Err(e) => (Some(e), Vec::new()),
             Ok(slave) => {
-                self.messages += 1;
                 if txn.kind.is_read() {
                     if txn.width == DataWidth::W32 {
                         let mut buf = vec![0u32; txn.beats() as usize];
@@ -190,7 +180,6 @@ impl std::fmt::Debug for Tlm3Bus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tlm3Bus")
             .field("slaves", &self.slaves.len())
-            .field("messages", &self.messages)
             .finish()
     }
 }
@@ -219,7 +208,6 @@ mod tests {
         let mut buf = [0u32; 3];
         b.read(Address::new(0x100), &mut buf).unwrap();
         assert_eq!(buf, [1, 2, 3]);
-        assert_eq!(b.messages(), 2);
     }
 
     #[test]

@@ -15,8 +15,7 @@ pub const ADDR_MASK: u64 = (1u64 << ADDR_BITS) - 1;
 /// ```
 /// use hierbus_ec::Address;
 /// let a = Address::new(0x0_4000_0013);
-/// assert_eq!(a.word_aligned().raw(), 0x0_4000_0010);
-/// assert_eq!(a.byte_in_word(), 3);
+/// assert_eq!(a.word_offset(), 0x0_4000_0010 >> 2);
 /// assert_eq!((a + 4).raw() - a.raw(), 4);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
@@ -35,12 +34,6 @@ impl Address {
         self.0
     }
 
-    /// The word-aligned base of this address.
-    #[inline]
-    pub const fn word_aligned(self) -> Address {
-        Address(self.0 & !0x3)
-    }
-
     /// Word index from the start of the address space.
     #[inline]
     pub const fn word_offset(self) -> u64 {
@@ -49,7 +42,7 @@ impl Address {
 
     /// Byte lane within the 32-bit word (0..=3).
     #[inline]
-    pub const fn byte_in_word(self) -> u32 {
+    pub(crate) const fn byte_in_word(self) -> u32 {
         (self.0 & 0x3) as u32
     }
 
@@ -150,7 +143,7 @@ impl AddressRange {
     }
 
     /// True if the two ranges share any address.
-    pub fn overlaps(&self, other: &AddressRange) -> bool {
+    pub(crate) fn overlaps(&self, other: &AddressRange) -> bool {
         self.base.raw() < other.end() && other.base.raw() < self.end()
     }
 }
@@ -174,7 +167,6 @@ mod tests {
     #[test]
     fn word_and_byte_decomposition() {
         let a = Address::new(0x1007);
-        assert_eq!(a.word_aligned().raw(), 0x1004);
         assert_eq!(a.byte_in_word(), 3);
         assert!(!a.is_aligned(2));
         assert!(Address::new(0x1004).is_aligned(4));

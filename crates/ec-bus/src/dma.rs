@@ -36,7 +36,7 @@ pub const MASTER_NAMES: [&str; 2] = ["cpu", "dma"];
 
 /// The master a transaction id (equivalently: span trace id, phase
 /// event trace id) belongs to — 0 for CPU, 1 for DMA.
-pub fn master_index_of_trace(trace_id: u64) -> usize {
+fn master_index_of_trace(trace_id: u64) -> usize {
     usize::from(trace_id >= DMA_ID_BASE)
 }
 
@@ -145,7 +145,7 @@ impl DmaProgram {
     }
 
     /// Compiles the program to master stimulus ops.
-    pub fn to_ops(&self) -> Arc<[MasterOp]> {
+    fn to_ops(&self) -> Arc<[MasterOp]> {
         self.descriptors
             .iter()
             .map(|d| {

@@ -151,11 +151,6 @@ impl FaultPlan {
         self.faults.is_empty() && self.tear_cycle.is_none()
     }
 
-    /// Number of ops carrying a fault.
-    pub fn fault_count(&self) -> usize {
-        self.faults.len()
-    }
-
     /// The scheduled faults in op-index order.
     pub fn entries(&self) -> impl Iterator<Item = (usize, OpFault)> + '_ {
         self.faults.iter().map(|(&i, &f)| (i, f))
@@ -384,7 +379,7 @@ mod tests {
                 ..FaultParams::default()
             },
         );
-        assert_eq!(all.fault_count(), 256);
+        assert_eq!(all.entries().count(), 256);
     }
 
     #[test]

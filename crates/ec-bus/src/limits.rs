@@ -108,8 +108,6 @@ impl Default for OutstandingLimits {
 pub struct OutstandingTracker {
     limits: OutstandingLimits,
     counts: [u32; 3],
-    /// Highest simultaneous occupancy seen, per category (for diagnostics).
-    high_water: [u32; 3],
 }
 
 impl OutstandingTracker {
@@ -119,7 +117,6 @@ impl OutstandingTracker {
         OutstandingTracker {
             limits,
             counts: [0; 3],
-            high_water: [0; 3],
         }
     }
 
@@ -136,7 +133,6 @@ impl OutstandingTracker {
             return false;
         }
         self.counts[i] += 1;
-        self.high_water[i] = self.high_water[i].max(self.counts[i]);
         true
     }
 
@@ -161,16 +157,6 @@ impl OutstandingTracker {
     /// Transactions of `category` currently in flight.
     pub fn in_flight(&self, category: TxnCategory) -> u32 {
         self.counts[category.index()]
-    }
-
-    /// Total transactions in flight across all categories.
-    pub fn total_in_flight(&self) -> u32 {
-        self.counts.iter().sum()
-    }
-
-    /// Highest simultaneous occupancy observed for `category`.
-    pub fn high_water(&self, category: TxnCategory) -> u32 {
-        self.high_water[category.index()]
     }
 }
 
@@ -204,7 +190,8 @@ mod tests {
         assert!(!t.can_issue(TxnCategory::DataRead));
         // Other categories are unaffected.
         assert!(t.try_issue(TxnCategory::Write));
-        assert_eq!(t.total_in_flight(), 5);
+        assert_eq!(t.in_flight(TxnCategory::DataRead), 4);
+        assert_eq!(t.in_flight(TxnCategory::Write), 1);
     }
 
     #[test]
@@ -215,7 +202,6 @@ mod tests {
         }
         t.complete(TxnCategory::Write);
         assert!(t.try_issue(TxnCategory::Write));
-        assert_eq!(t.high_water(TxnCategory::Write), 4);
     }
 
     #[test]

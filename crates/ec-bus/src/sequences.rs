@@ -240,7 +240,7 @@ pub fn back_to_back_reads() -> Scenario {
 }
 
 /// Four writes issued back to back at consecutive word addresses.
-pub fn back_to_back_writes() -> Scenario {
+fn back_to_back_writes() -> Scenario {
     Scenario {
         name: "back_to_back_writes",
         ops: (0..4)

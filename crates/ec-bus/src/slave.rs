@@ -57,7 +57,7 @@ impl AccessRights {
     };
 
     /// True if `kind` is permitted.
-    pub const fn permits(&self, kind: AccessKind) -> bool {
+    pub(crate) const fn permits(&self, kind: AccessKind) -> bool {
         match kind {
             AccessKind::InstrFetch => self.execute,
             AccessKind::DataRead => self.read,

@@ -23,14 +23,6 @@ pub enum BusStatus {
     Error,
 }
 
-impl BusStatus {
-    /// True for the terminal states [`Ok`](Self::Ok) and
-    /// [`Error`](Self::Error).
-    pub const fn is_done(self) -> bool {
-        matches!(self, BusStatus::Ok | BusStatus::Error)
-    }
-}
-
 impl fmt::Display for BusStatus {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let s = match self {
@@ -51,14 +43,6 @@ impl std::error::Error for BusStatus {}
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn terminal_states() {
-        assert!(BusStatus::Ok.is_done());
-        assert!(BusStatus::Error.is_done());
-        assert!(!BusStatus::Request.is_done());
-        assert!(!BusStatus::Wait.is_done());
-    }
 
     #[test]
     fn display_matches_paper_vocabulary() {

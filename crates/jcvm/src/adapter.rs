@@ -175,7 +175,7 @@ impl<B: CycleBus> BusStack<B> {
 impl<B: CycleBus, T: FnMut(&mut B)> BusStack<B, T> {
     /// Wraps `bus` like [`new`](BusStack::new), calling `tap` after
     /// every bus-process activation.
-    pub fn with_tap(bus: B, config: IfaceConfig, tap: T) -> Self {
+    pub(crate) fn with_tap(bus: B, config: IfaceConfig, tap: T) -> Self {
         BusStack {
             bus,
             config,
@@ -207,7 +207,7 @@ impl<B: CycleBus, T: FnMut(&mut B)> BusStack<B, T> {
     }
 
     /// Consumes the adapter, returning the bus (and releasing the tap).
-    pub fn into_bus(self) -> B {
+    pub(crate) fn into_bus(self) -> B {
         self.bus
     }
 

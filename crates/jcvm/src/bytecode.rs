@@ -108,12 +108,6 @@ impl Method {
         }
     }
 
-    /// Sets the owning firewall context.
-    pub fn in_context(mut self, ctx: crate::firewall::Context) -> Self {
-        self.context = ctx;
-        self
-    }
-
     /// Marks the method callable across contexts.
     pub fn shared(mut self) -> Self {
         self.entry_point = true;
@@ -125,6 +119,14 @@ impl Method {
 mod tests {
     use super::*;
     use crate::firewall::Context;
+
+    impl Method {
+        /// Sets the owning firewall context.
+        pub(crate) fn in_context(mut self, ctx: Context) -> Self {
+            self.context = ctx;
+            self
+        }
+    }
 
     #[test]
     fn method_builder_sets_flags() {

@@ -66,25 +66,6 @@ impl ExplorationRow {
             + 0.0; // empty sums are -0.0; normalize the sign
         matching / total
     }
-
-    /// Reconstructs the row's [`EnergyLedger`] (layer `tlm1`, software
-    /// dimension = the interface config label), e.g. for merging a
-    /// campaign's rows into one per-config or sweep-wide ledger.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a malformed attribution key — rows only carry keys
-    /// produced by [`BucketKey::folded_key`].
-    pub fn to_ledger(&self) -> EnergyLedger {
-        let mut ledger = EnergyLedger::new("tlm1").with_software(self.config.clone());
-        ledger.set_cycles(self.cycles);
-        for (key, pj) in &self.attribution {
-            let key = BucketKey::from_folded_key(key)
-                .unwrap_or_else(|| panic!("malformed attribution key {key:?}"));
-            ledger.book(key, *pj);
-        }
-        ledger
-    }
 }
 
 /// The attribution slave map for one interface configuration: the
@@ -320,6 +301,27 @@ mod tests {
     use hierbus_ec::DataWidth;
 
     const BASE: u64 = 0x8000;
+
+    impl ExplorationRow {
+        /// Reconstructs the row's [`EnergyLedger`] (layer `tlm1`,
+        /// software dimension = the interface config label), e.g. for
+        /// merging a campaign's rows into one sweep-wide ledger.
+        ///
+        /// # Panics
+        ///
+        /// Panics on a malformed attribution key — rows only carry keys
+        /// produced by [`BucketKey::folded_key`].
+        fn to_ledger(&self) -> EnergyLedger {
+            let mut ledger = EnergyLedger::new("tlm1").with_software(self.config.clone());
+            ledger.set_cycles(self.cycles);
+            for (key, pj) in &self.attribution {
+                let key = BucketKey::from_folded_key(key)
+                    .unwrap_or_else(|| panic!("malformed attribution key {key:?}"));
+                ledger.book(key, *pj);
+            }
+            ledger
+        }
+    }
 
     /// One design point through the pre-optimization hot path: a fresh
     /// energy model per point driving the bit-loop reference diff and

@@ -29,7 +29,6 @@ impl fmt::Display for Context {
 #[derive(Debug, Clone, Default)]
 pub struct Firewall {
     checks: u64,
-    denials: u64,
 }
 
 impl Firewall {
@@ -55,7 +54,6 @@ impl Firewall {
         if current == owner || current == Context::JCRE || shared {
             Ok(())
         } else {
-            self.denials += 1;
             Err(JcvmError::SecurityViolation)
         }
     }
@@ -63,11 +61,6 @@ impl Firewall {
     /// Total checks performed.
     pub fn checks(&self) -> u64 {
         self.checks
-    }
-
-    /// Checks that were denied.
-    pub fn denials(&self) -> u64 {
-        self.denials
     }
 }
 
@@ -96,6 +89,5 @@ mod tests {
         );
         assert!(fw.check(Context(1), Context(2), true).is_ok());
         assert_eq!(fw.checks(), 2);
-        assert_eq!(fw.denials(), 1);
     }
 }

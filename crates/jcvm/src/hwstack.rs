@@ -69,8 +69,6 @@ pub struct HwStackSlave {
     lanes_read: u8,
     overflow: bool,
     underflow: bool,
-    pushes: u64,
-    pops: u64,
 }
 
 impl HwStackSlave {
@@ -95,24 +93,12 @@ impl HwStackSlave {
             lanes_read: 0,
             overflow: false,
             underflow: false,
-            pushes: 0,
-            pops: 0,
         }
     }
 
     /// Current depth.
     pub fn depth(&self) -> usize {
         self.values.len()
-    }
-
-    /// Completed pushes.
-    pub fn pushes(&self) -> u64 {
-        self.pushes
-    }
-
-    /// Completed pops.
-    pub fn pops(&self) -> u64 {
-        self.pops
     }
 
     /// The stored values bottom-to-top (inspection aid).
@@ -145,7 +131,6 @@ impl HwStackSlave {
                 return SlaveReply::Error;
             }
             self.values.push(self.staged_in as i32);
-            self.pushes += 1;
         }
         SlaveReply::Ok(())
     }
@@ -165,7 +150,6 @@ impl HwStackSlave {
         if self.lanes_read == 0b1111 {
             self.lanes_read = 0;
             self.values.pop();
-            self.pops += 1;
         }
         SlaveReply::Ok(out)
     }
@@ -193,16 +177,12 @@ impl HwStackSlave {
             return SlaveReply::Error;
         }
         self.values.push(data as i32);
-        self.pushes += 1;
         SlaveReply::Ok(())
     }
 
     fn window_pop(&mut self) -> SlaveReply<u32> {
         match self.values.pop() {
-            Some(v) => {
-                self.pops += 1;
-                SlaveReply::Ok(v as u32)
-            }
+            Some(v) => SlaveReply::Ok(v as u32),
             None => {
                 self.underflow = true;
                 SlaveReply::Error
@@ -298,7 +278,6 @@ mod tests {
         assert_eq!(s.depth(), 1);
         assert_eq!(s.read_word(a(regs::DATA)), SlaveReply::Ok(0x1234_5678));
         assert_eq!(s.depth(), 0);
-        assert_eq!((s.pushes(), s.pops()), (1, 1));
     }
 
     #[test]

@@ -31,24 +31,12 @@ impl MemoryManager {
         MemoryManager::default()
     }
 
-    /// Declares a static field owned by `owner`; returns its index.
-    pub fn add_static(&mut self, initial: i32, owner: Context, shared: bool) -> u8 {
-        let idx = self.statics.len();
-        assert!(idx < 256, "static field table full");
-        self.statics.push(StaticField {
-            value: initial,
-            owner,
-            shared,
-        });
-        idx as u8
-    }
-
     /// Reads a static field under firewall check.
     ///
     /// # Errors
     ///
     /// [`JcvmError::NoSuchField`] or [`JcvmError::SecurityViolation`].
-    pub fn get_static(
+    pub(crate) fn get_static(
         &mut self,
         fw: &mut Firewall,
         current: Context,
@@ -67,7 +55,7 @@ impl MemoryManager {
     /// # Errors
     ///
     /// As for [`get_static`](Self::get_static).
-    pub fn put_static(
+    pub(crate) fn put_static(
         &mut self,
         fw: &mut Firewall,
         current: Context,
@@ -89,7 +77,7 @@ impl MemoryManager {
     /// # Errors
     ///
     /// [`JcvmError::ArrayBounds`] if `len` is negative.
-    pub fn new_array(&mut self, owner: Context, len: i32) -> Result<i32, JcvmError> {
+    pub(crate) fn new_array(&mut self, owner: Context, len: i32) -> Result<i32, JcvmError> {
         if len < 0 {
             return Err(JcvmError::ArrayBounds);
         }
@@ -106,7 +94,7 @@ impl MemoryManager {
     /// # Errors
     ///
     /// [`JcvmError::ArrayBounds`] or [`JcvmError::SecurityViolation`].
-    pub fn array_load(
+    pub(crate) fn array_load(
         &mut self,
         fw: &mut Firewall,
         current: Context,
@@ -129,7 +117,7 @@ impl MemoryManager {
     /// # Errors
     ///
     /// As for [`array_load`](Self::array_load).
-    pub fn array_store(
+    pub(crate) fn array_store(
         &mut self,
         fw: &mut Firewall,
         current: Context,
@@ -150,7 +138,7 @@ impl MemoryManager {
     /// # Errors
     ///
     /// [`JcvmError::ArrayBounds`] for a bad handle.
-    pub fn array_length(&self, handle: i32) -> Result<i32, JcvmError> {
+    pub(crate) fn array_length(&self, handle: i32) -> Result<i32, JcvmError> {
         let a = self
             .arrays
             .get(usize::try_from(handle).map_err(|_| JcvmError::ArrayBounds)?)
@@ -162,6 +150,20 @@ impl MemoryManager {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MemoryManager {
+        /// Declares a static field owned by `owner`; returns its index.
+        pub(crate) fn add_static(&mut self, initial: i32, owner: Context, shared: bool) -> u8 {
+            let idx = self.statics.len();
+            assert!(idx < 256, "static field table full");
+            self.statics.push(StaticField {
+                value: initial,
+                owner,
+                shared,
+            });
+            idx as u8
+        }
+    }
 
     #[test]
     fn statics_respect_ownership() {

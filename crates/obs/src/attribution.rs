@@ -19,7 +19,8 @@
 //! key order, so a campaign merging per-scenario ledgers in index
 //! order is byte-identical at any worker count.
 
-use crate::span::{AccessClass, Phase, SpanEvent, TraceCollector};
+use crate::perfetto::escape;
+use crate::span::{AccessClass, Phase, SpanEvent};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -56,7 +57,7 @@ impl LedgerPhase {
 
     /// The ledger phase corresponding to a span phase; `None` for
     /// request spans, which never own energy.
-    pub fn from_span_phase(phase: Phase) -> Option<LedgerPhase> {
+    fn from_span_phase(phase: Phase) -> Option<LedgerPhase> {
         match phase {
             Phase::Request => None,
             Phase::Address => Some(LedgerPhase::Address),
@@ -357,29 +358,6 @@ impl EnergyLedger {
         out
     }
 
-    /// Renders the ledger as Perfetto counter tracks (one per bucket,
-    /// ramping 0 → bucket energy over the run) on a [`TraceCollector`],
-    /// so [`crate::perfetto::export`] can lay attribution next to the
-    /// span tracks.
-    pub fn to_collector(&self) -> TraceCollector {
-        // TraceCollector layers are static; map the known model layers
-        // and fall back to a generic label.
-        let layer = match self.layer.as_str() {
-            "rtl" => "rtl",
-            "tlm1" => "tlm1",
-            "tlm2" => "tlm2",
-            _ => "ledger",
-        };
-        let mut c = TraceCollector::for_layer(layer);
-        let end = self.cycles.max(1);
-        for (k, v) in self.entries() {
-            let track = format!("pJ {}", k.folded_key());
-            c.counter_sample(&track, 0, 0.0);
-            c.counter_sample(&track, end, v);
-        }
-        c
-    }
-
     /// Totals along the per-master dimension, in sorted master order
     /// with the untagged (`None`) slice first. The slice sum equals
     /// [`total_pj`](Self::total_pj) up to f64 regrouping — every joule
@@ -401,20 +379,6 @@ impl EnergyLedger {
             .sum::<f64>()
             + 0.0
     }
-}
-
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Builds a ledger from a per-cycle energy trace plus the span record
@@ -919,21 +883,6 @@ mod tests {
         assert!(json.starts_with(r#"{"layer":"tlm2","software":null,"cycles":7,"#));
         assert!(json
             .contains(r#""phase":"write-data","class":"write","energy_pj":0.30000000000000004"#));
-    }
-
-    #[test]
-    fn collector_renders_one_track_per_bucket() {
-        let mut l = EnergyLedger::new("rtl");
-        l.set_cycles(4);
-        l.book(BucketKey::idle(), 1.5);
-        l.book(
-            BucketKey::new("ram", LedgerPhase::Address, Some(AccessClass::Read)),
-            2.0,
-        );
-        let c = l.to_collector();
-        assert_eq!(c.layer(), "rtl");
-        assert_eq!(c.counters().len(), 2);
-        assert_eq!(c.counters()[0].samples, vec![(0, 0.0), (4, 1.5)]);
     }
 
     #[test]

@@ -64,12 +64,6 @@ impl Histogram {
         self.max = self.max.max(v);
     }
 
-    /// Index of the bucket a value falls in (`bounds.len()` =
-    /// overflow).
-    pub fn bucket_of(&self, v: u64) -> usize {
-        self.bounds.partition_point(|&b| b < v)
-    }
-
     /// The `q`-quantile (`0 < q <= 1`) estimated from the buckets, or
     /// `None` on an empty histogram.
     ///
@@ -237,14 +231,6 @@ impl MetricsRegistry {
         }
     }
 
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
-    }
-
-    pub fn set_enabled(&mut self, on: bool) {
-        self.enabled = on;
-    }
-
     /// Registers (or looks up) a counter by name.
     pub fn counter(&mut self, name: &str) -> CounterId {
         if let Some(i) = self.counters.iter().position(|(n, _)| n == name) {
@@ -289,10 +275,6 @@ impl MetricsRegistry {
 
     pub fn gauge_value(&self, id: GaugeId) -> i64 {
         self.gauges[id.0].1
-    }
-
-    pub fn gauge_hwm(&self, id: GaugeId) -> i64 {
-        self.gauges[id.0].2
     }
 
     /// Registers (or looks up) a histogram with inclusive ascending
@@ -351,7 +333,7 @@ mod tests {
         m.set_gauge(g, 3);
         assert_eq!(m.counter_value(c), 5);
         assert_eq!(m.gauge_value(g), 3);
-        assert_eq!(m.gauge_hwm(g), 7);
+        assert_eq!(m.gauges[g.0].2, 7, "high-water mark");
     }
 
     #[test]
@@ -375,7 +357,7 @@ mod tests {
         m.set_gauge(g, 9);
         m.observe(h, 1);
         assert_eq!(m.counter_value(c), 0);
-        assert_eq!(m.gauge_hwm(g), 0);
+        assert_eq!(m.gauges[g.0].2, 0, "high-water mark");
         assert_eq!(m.histogram_data(h).count, 0);
     }
 
@@ -385,24 +367,12 @@ mod tests {
         let h = m.histogram("lat", &[2, 4, 8]);
         // A value equal to a bound lands in that bound's bucket; one
         // past it lands in the next.
-        for v in [0, 1, 2] {
-            assert_eq!(m.histogram_data(h).bucket_of(v), 0, "v={v}");
-        }
-        for v in [3, 4] {
-            assert_eq!(m.histogram_data(h).bucket_of(v), 1, "v={v}");
-        }
-        for v in [5, 8] {
-            assert_eq!(m.histogram_data(h).bucket_of(v), 2, "v={v}");
-        }
-        for v in [9, 1000] {
-            assert_eq!(m.histogram_data(h).bucket_of(v), 3, "v={v}");
-        }
-        for v in [0, 2, 3, 4, 8, 9] {
+        for v in [0, 1, 2, 3, 4, 5, 8, 9, 1000] {
             m.observe(h, v);
         }
         let d = m.histogram_data(h);
-        assert_eq!(d.counts, vec![2, 2, 1, 1]);
-        assert_eq!((d.count, d.min, d.max), (6, 0, 9));
+        assert_eq!(d.counts, vec![3, 2, 2, 2]);
+        assert_eq!((d.count, d.min, d.max), (9, 0, 1000));
     }
 
     #[test]

@@ -30,7 +30,10 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-fn phase_tid(phase: Phase) -> u32 {
+/// The thread track (`tid`) of a protocol phase within its layer's
+/// process — public so other producers (the serve daemon's
+/// request-trace assembler) lay phase spans on the same tracks.
+pub fn phase_tid(phase: Phase) -> u32 {
     match phase {
         Phase::Request => 1,
         Phase::Address => 2,

@@ -92,7 +92,7 @@ impl CounterTrack {
     /// track ends on a plateau whose last cycle is later than the last
     /// stored sample. Exporters append this so ramps span their full
     /// duration.
-    pub fn trailing_sample(&self) -> Option<(u64, f64)> {
+    pub(crate) fn trailing_sample(&self) -> Option<(u64, f64)> {
         match (self.samples.last(), self.last) {
             (Some(&(stored, _)), Some((cycle, value))) if cycle > stored => Some((cycle, value)),
             _ => None,
@@ -135,10 +135,6 @@ impl TraceCollector {
 
     pub fn enable(&mut self) {
         self.enabled = true;
-    }
-
-    pub fn is_enabled(&self) -> bool {
-        self.enabled
     }
 
     pub fn layer(&self) -> &'static str {

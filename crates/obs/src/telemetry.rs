@@ -27,6 +27,7 @@
 //! here is deterministic.
 
 use crate::metrics::MetricsSnapshot;
+use crate::perfetto::escape;
 use std::collections::VecDeque;
 use std::io;
 use std::path::Path;
@@ -154,20 +155,6 @@ impl From<String> for Value {
     }
 }
 
-fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
-}
-
 /// One structured event: severity, a static name, typed fields.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TelemetryEvent {
@@ -185,7 +172,7 @@ pub struct TelemetryEvent {
 impl TelemetryEvent {
     /// One JSONL line: `schema_version`, `seq`, `ts_us`, `level`,
     /// `event`, then the fields object.
-    pub fn to_json_line(&self) -> String {
+    fn to_json_line(&self) -> String {
         let mut out = String::with_capacity(96);
         out.push_str(&format!(
             "{{\"schema_version\":{TELEMETRY_SCHEMA_VERSION},\"seq\":{},\"ts_us\":{},\
@@ -256,11 +243,6 @@ impl EventLog {
     /// `component: [level] name key=value ...` lines.
     pub fn set_stderr(&mut self, level: Option<Level>) {
         self.stderr = level;
-    }
-
-    /// The capture threshold.
-    pub fn capture_level(&self) -> Option<Level> {
-        self.capture
     }
 
     /// True when an event at `level` would be captured or mirrored —

@@ -74,7 +74,7 @@ impl Layer1EnergyModel {
     }
 
     /// Stops tracing and drops the trace.
-    pub fn disable_trace(&mut self) {
+    pub(crate) fn disable_trace(&mut self) {
         self.trace = None;
     }
 

@@ -41,8 +41,6 @@ pub struct Layer2EnergyModel {
     last_addr: Option<u64>,
     last_read_word: Option<u32>,
     last_write_word: Option<u32>,
-    phases_estimated: u64,
-    partial_phases: u64,
 }
 
 impl Layer2EnergyModel {
@@ -56,8 +54,6 @@ impl Layer2EnergyModel {
             last_addr: None,
             last_read_word: None,
             last_write_word: None,
-            phases_estimated: 0,
-            partial_phases: 0,
         }
     }
 
@@ -67,7 +63,7 @@ impl Layer2EnergyModel {
     /// training averages. This is *not* part of the paper's layer-2
     /// model — it quantifies exactly how much of the overestimate the
     /// missing correlation causes.
-    pub fn enable_correlation_correction(&mut self) {
+    pub(crate) fn enable_correlation_correction(&mut self) {
         self.correlation_correction = true;
     }
 
@@ -78,7 +74,7 @@ impl Layer2EnergyModel {
     /// `cycles / planned_cycles` of the average-only estimate.
     ///
     /// Returns the energy booked for this event, in pJ, so callers can
-    /// attribute it (see [`on_event_ledger`](Self::on_event_ledger)).
+    /// attribute it.
     pub fn on_event(&mut self, ev: &PhaseEvent) -> f64 {
         if !ev.completed {
             let fraction = f64::from(ev.cycles) / f64::from(ev.planned_cycles.max(1));
@@ -103,8 +99,6 @@ impl Layer2EnergyModel {
             let energy = full * fraction;
             self.total_pj += energy;
             self.since_last_pj += energy;
-            self.phases_estimated += 1;
-            self.partial_phases += 1;
             return energy;
         }
         let e = |class: SignalClass| self.db.energy_per_toggle(class);
@@ -143,7 +137,6 @@ impl Layer2EnergyModel {
         };
         self.total_pj += energy;
         self.since_last_pj += energy;
-        self.phases_estimated += 1;
         energy
     }
 
@@ -156,7 +149,7 @@ impl Layer2EnergyModel {
     /// Layer 2 prices whole phases, so its ledgers have no idle bucket;
     /// the ledger total still matches
     /// [`total_energy`](Self::total_energy) up to f64 regrouping.
-    pub fn on_event_ledger(
+    pub(crate) fn on_event_ledger(
         &mut self,
         ev: &PhaseEvent,
         ledger: &mut hierbus_obs::EnergyLedger,
@@ -211,16 +204,6 @@ impl Layer2EnergyModel {
     /// Total estimated energy in pJ.
     pub fn total_energy(&self) -> f64 {
         self.total_pj
-    }
-
-    /// Number of phases booked so far.
-    pub fn phases_estimated(&self) -> u64 {
-        self.phases_estimated
-    }
-
-    /// Number of truncated (card-tear) phases booked pro-rata.
-    pub fn partial_phases(&self) -> u64 {
-        self.partial_phases
     }
 
     /// The characterization database in use.
@@ -329,7 +312,6 @@ mod tests {
         };
         m.on_event(&ev);
         assert_eq!(m.total_energy(), 76.0 / 2.0);
-        assert_eq!(m.partial_phases(), 1);
         // The charge scales linearly with the driven fraction: the same
         // phase torn one cycle later costs proportionally more.
         let mut later = Layer2EnergyModel::new(CharacterizationDb::uniform());
@@ -377,13 +359,5 @@ mod tests {
         m.on_event_ledger(&torn, &mut ledger, &slaves, untagged);
         assert_eq!(ledger.total_pj(), m.total_energy());
         assert_eq!(ledger.bucket_count(), 2);
-    }
-
-    #[test]
-    fn phase_counter_tracks_events() {
-        let mut m = Layer2EnergyModel::new(CharacterizationDb::uniform());
-        m.on_event(&addr_event(0));
-        m.on_event(&read_event(vec![1]));
-        assert_eq!(m.phases_estimated(), 2);
     }
 }

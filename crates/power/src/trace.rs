@@ -72,28 +72,6 @@ impl PowerTrace {
             .max_by(|a, b| a.1.total_cmp(&b.1))
     }
 
-    /// Indices of intervals whose energy exceeds `mean + factor × σ` —
-    /// the "visible to SPA" spikes.
-    pub fn spikes(&self, factor: f64) -> Vec<usize> {
-        if self.samples.len() < 2 {
-            return Vec::new();
-        }
-        let mean = self.mean();
-        let var = self
-            .samples
-            .iter()
-            .map(|s| (s - mean) * (s - mean))
-            .sum::<f64>()
-            / self.samples.len() as f64;
-        let threshold = mean + factor * var.sqrt();
-        self.samples
-            .iter()
-            .enumerate()
-            .filter(|&(_, &s)| s > threshold)
-            .map(|(i, _)| i)
-            .collect()
-    }
-
     /// Sums the trace into non-overlapping windows of `width` intervals
     /// (the last window may be partial).
     ///
@@ -105,32 +83,6 @@ impl PowerTrace {
         PowerTrace {
             samples: self.samples.chunks(width).map(|c| c.iter().sum()).collect(),
         }
-    }
-
-    /// Kocher-style difference-of-means DPA statistic: partitions the
-    /// intervals by the `selector` bit hypothesis and returns
-    /// `mean(selected) − mean(rest)`. A hypothesis correlated with the
-    /// processed data yields a visibly non-zero difference; a wrong (or
-    /// masked-away) hypothesis averages out. Returns `None` when lengths
-    /// differ or either partition is empty.
-    pub fn difference_of_means(&self, selector: &[bool]) -> Option<f64> {
-        if self.samples.len() != selector.len() {
-            return None;
-        }
-        let (mut s1, mut n1, mut s0, mut n0) = (0.0f64, 0u32, 0.0f64, 0u32);
-        for (&x, &sel) in self.samples.iter().zip(selector) {
-            if sel {
-                s1 += x;
-                n1 += 1;
-            } else {
-                s0 += x;
-                n0 += 1;
-            }
-        }
-        if n1 == 0 || n0 == 0 {
-            return None;
-        }
-        Some(s1 / n1 as f64 - s0 / n0 as f64)
     }
 
     /// Pearson correlation between the trace and per-interval `weights`
@@ -206,14 +158,6 @@ mod tests {
     }
 
     #[test]
-    fn spikes_flag_outliers() {
-        let mut samples = vec![1.0; 100];
-        samples[40] = 50.0;
-        let t = PowerTrace::from_samples(samples);
-        assert_eq!(t.spikes(3.0), vec![40]);
-    }
-
-    #[test]
     fn windowing_sums_chunks() {
         let t = PowerTrace::from_samples(vec![1.0, 2.0, 3.0, 4.0, 5.0]);
         let w = t.windowed(2);
@@ -236,29 +180,6 @@ mod tests {
         assert_eq!(t.correlation(&[1.0, 2.0, 3.0]), None); // constant trace
         let t2 = PowerTrace::from_samples(vec![1.0, 2.0]);
         assert_eq!(t2.correlation(&[1.0]), None); // length mismatch
-    }
-
-    #[test]
-    fn difference_of_means_detects_partition() {
-        // Selected intervals carry 2 pJ extra.
-        let selector: Vec<bool> = (0..64).map(|i| i % 3 == 0).collect();
-        let samples: Vec<f64> = selector
-            .iter()
-            .map(|&s| if s { 5.0 } else { 3.0 })
-            .collect();
-        let t = PowerTrace::from_samples(samples);
-        assert_eq!(t.difference_of_means(&selector), Some(2.0));
-        // A wrong hypothesis averages toward zero on balanced data.
-        let wrong: Vec<bool> = (0..64).map(|i| i % 2 == 0).collect();
-        let d = t.difference_of_means(&wrong).unwrap();
-        assert!(d.abs() < 0.5, "wrong hypothesis leaked {d}");
-    }
-
-    #[test]
-    fn difference_of_means_degenerate_cases() {
-        let t = PowerTrace::from_samples(vec![1.0, 2.0]);
-        assert_eq!(t.difference_of_means(&[true]), None); // length mismatch
-        assert_eq!(t.difference_of_means(&[true, true]), None); // empty side
     }
 
     #[test]

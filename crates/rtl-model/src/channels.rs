@@ -157,7 +157,7 @@ impl DataChannel {
     /// Drops the in-progress transfer (remaining beats never run). Used
     /// when an injected slave error terminates the transaction on its
     /// first beat. Queued jobs behind it are unaffected.
-    pub fn cancel_current(&mut self) {
+    pub(crate) fn cancel_current(&mut self) {
         self.current = None;
     }
 

@@ -55,7 +55,7 @@ impl GlitchConfig {
     /// `cycle`: a subset of the bits that are stable across the transition
     /// which momentarily toggle. Returns 0 when disabled or nothing
     /// changes.
-    pub fn hazard_mask(&self, cycle: u64, old: u64, new: u64, width: u32) -> u64 {
+    pub(crate) fn hazard_mask(&self, cycle: u64, old: u64, new: u64, width: u32) -> u64 {
         if !self.enabled {
             return 0;
         }

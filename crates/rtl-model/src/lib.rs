@@ -63,7 +63,7 @@ pub mod wires;
 
 pub use glitch::GlitchConfig;
 pub use master::{RtlMaster, TxnRecord};
-pub use power::{GateLevelPowerEstimator, PowerConfig, WireDb};
+pub use power::{GateLevelPowerEstimator, PowerConfig};
 pub use slave::{RtlSlaveModel, SimpleMem};
 pub use system::{RtlSystem, RunReport};
 pub use wires::InterfaceWires;

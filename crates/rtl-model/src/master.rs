@@ -257,7 +257,7 @@ impl RtlMaster {
     }
 
     /// Records an address-phase completion.
-    pub fn address_done(&mut self, rec: usize, cycle: u64) {
+    pub(crate) fn address_done(&mut self, rec: usize, cycle: u64) {
         self.records[rec].addr_done_cycle = Some(cycle);
     }
 

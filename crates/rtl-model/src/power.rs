@@ -67,7 +67,7 @@ impl Default for PowerConfig {
 /// Deterministic for a given seed, so every run of the workspace sees the
 /// same "chip".
 #[derive(Debug, Clone)]
-pub struct WireDb {
+struct WireDb {
     /// `caps[class][bit]` in pF.
     caps: [Vec<f64>; 6],
 }
@@ -78,7 +78,7 @@ impl WireDb {
     /// Capacitance ranges per class (pF): address bus 0.45–0.85, data
     /// buses 0.35–0.75, control 0.10–0.30 — long top-level bus routes
     /// versus short control nets.
-    pub fn synthesize(seed: u64) -> Self {
+    fn synthesize(seed: u64) -> Self {
         let mut rng = SplitMix64::new(seed);
         let mut caps: [Vec<f64>; 6] = Default::default();
         for class in SignalClass::ALL {
@@ -97,14 +97,8 @@ impl WireDb {
     /// # Panics
     ///
     /// Panics if `bit` exceeds the class width.
-    pub fn capacitance(&self, class: SignalClass, bit: u32) -> f64 {
+    fn capacitance(&self, class: SignalClass, bit: u32) -> f64 {
         self.caps[class.index()][bit as usize]
-    }
-
-    /// Mean capacitance of a class in pF.
-    pub fn mean_capacitance(&self, class: SignalClass) -> f64 {
-        let c = &self.caps[class.index()];
-        c.iter().sum::<f64>() / c.len() as f64
     }
 }
 
@@ -123,7 +117,6 @@ struct ClassAccum {
 #[derive(Debug, Clone)]
 pub struct GateLevelPowerEstimator {
     config: PowerConfig,
-    db: WireDb,
     /// `half_cv2[class][bit] = (0.5 · C) · V²` in pJ, hoisted out of the
     /// per-transition loop. `t · slope_factor` is bit-identical to the
     /// unhoisted `0.5 · C · V² · slope_factor` because `f64`
@@ -148,7 +141,6 @@ impl GateLevelPowerEstimator {
                 .collect()
         });
         GateLevelPowerEstimator {
-            db,
             config,
             half_cv2,
             accum: Default::default(),
@@ -160,11 +152,6 @@ impl GateLevelPowerEstimator {
     /// Enables the per-cycle energy trace (costs one `Vec` push per cycle).
     pub fn enable_trace(&mut self) {
         self.trace = Some(Vec::new());
-    }
-
-    /// The layout database in use.
-    pub fn wire_db(&self) -> &WireDb {
-        &self.db
     }
 
     /// Accounts one wire-group update.
@@ -207,7 +194,7 @@ impl GateLevelPowerEstimator {
 
     /// Marks a cycle boundary: pushes the cycle's energy onto the trace
     /// (if enabled) and returns it.
-    pub fn cycle_boundary(&mut self) -> f64 {
+    pub(crate) fn cycle_boundary(&mut self) -> f64 {
         let e = self.cycle_energy;
         self.cycle_energy = 0.0;
         if let Some(trace) = &mut self.trace {
@@ -221,23 +208,13 @@ impl GateLevelPowerEstimator {
         self.accum.iter().map(|a| a.energy_pj).sum()
     }
 
-    /// Energy of one signal class in pJ.
-    pub fn class_energy(&self, class: SignalClass) -> f64 {
-        self.accum[class.index()].energy_pj
-    }
-
-    /// Transitions of one class (all phases).
-    pub fn class_transitions(&self, class: SignalClass) -> u64 {
-        self.accum[class.index()].transitions
-    }
-
     /// Glitch transitions of one class.
-    pub fn class_glitch_transitions(&self, class: SignalClass) -> u64 {
+    pub(crate) fn class_glitch_transitions(&self, class: SignalClass) -> u64 {
         self.accum[class.index()].glitch_transitions
     }
 
     /// Total transitions across classes.
-    pub fn total_transitions(&self) -> u64 {
+    pub(crate) fn total_transitions(&self) -> u64 {
         self.accum.iter().map(|a| a.transitions).sum()
     }
 
@@ -287,14 +264,22 @@ mod tests {
         );
     }
 
+    /// Mean capacitance of a class in pF.
+    fn mean_capacitance(db: &WireDb, class: SignalClass) -> f64 {
+        let c = &db.caps[class.index()];
+        c.iter().sum::<f64>() / c.len() as f64
+    }
+
     #[test]
     fn bus_wires_are_heavier_than_control() {
         let db = WireDb::synthesize(0);
         assert!(
-            db.mean_capacitance(SignalClass::AddrBus) > db.mean_capacitance(SignalClass::AddrCtl)
+            mean_capacitance(&db, SignalClass::AddrBus)
+                > mean_capacitance(&db, SignalClass::AddrCtl)
         );
         assert!(
-            db.mean_capacitance(SignalClass::ReadData) > db.mean_capacitance(SignalClass::ReadCtl)
+            mean_capacitance(&db, SignalClass::ReadData)
+                > mean_capacitance(&db, SignalClass::ReadCtl)
         );
     }
 
@@ -375,7 +360,7 @@ mod tests {
     #[test]
     fn reset_clears_accumulators_not_layout() {
         let mut est = GateLevelPowerEstimator::new(PowerConfig::default());
-        let cap_before = est.wire_db().capacitance(SignalClass::AddrBus, 5);
+        let layout_before = est.half_cv2.clone();
         est.observe(
             SignalClass::AddrBus,
             VectorUpdate { rises: 1, falls: 0 },
@@ -383,9 +368,6 @@ mod tests {
         );
         est.reset();
         assert_eq!(est.total_energy(), 0.0);
-        assert_eq!(
-            est.wire_db().capacitance(SignalClass::AddrBus, 5),
-            cap_before
-        );
+        assert_eq!(est.half_cv2, layout_before);
     }
 }

@@ -62,11 +62,6 @@ impl SimpleMem {
         }
     }
 
-    /// Number of explicitly written words.
-    pub fn written_words(&self) -> usize {
-        self.words.len()
-    }
-
     /// Reads back a word without bus semantics (test/inspection aid).
     pub fn peek(&self, addr: Address) -> u32 {
         *self
@@ -141,7 +136,7 @@ mod tests {
         let mut m = mem();
         m.write_word(Address::new(0x10), 0xDEAD_BEEF, 0b1111);
         assert_eq!(m.read_word(Address::new(0x10)), 0xDEAD_BEEF);
-        assert_eq!(m.written_words(), 1);
+        assert_eq!(m.snapshot(), vec![(0x10 >> 2, 0xDEAD_BEEF)]);
     }
 
     #[test]

@@ -94,24 +94,12 @@ pub struct RtlSystem {
     last_done: u64,
     /// Optional per-cycle settled-frame log (for model-equivalence tests).
     frame_log: Option<Vec<SignalFrame>>,
-    /// Optional VCD waveform recording of the wire bundle.
-    waveform: Option<(hierbus_sim::trace::TraceRecorder, WaveChannels)>,
     obs: TraceCollector,
     /// The card-tear schedule (at most one entry, from the fault plan).
     tear: CycleSchedule<()>,
     torn: bool,
     /// Fault counters already mirrored into the trace.
     sampled: FaultCounters,
-}
-
-/// Channel handles of the waveform recording.
-struct WaveChannels {
-    a_addr: hierbus_sim::trace::ChannelId,
-    a_ctl: hierbus_sim::trace::ChannelId,
-    r_data: hierbus_sim::trace::ChannelId,
-    r_ctl: hierbus_sim::trace::ChannelId,
-    w_data: hierbus_sim::trace::ChannelId,
-    w_ctl: hierbus_sim::trace::ChannelId,
 }
 
 impl RtlSystem {
@@ -149,7 +137,6 @@ impl RtlSystem {
             cycle: 0,
             last_done: 0,
             frame_log: None,
-            waveform: None,
             obs: TraceCollector::disabled("rtl"),
             tear: CycleSchedule::new(),
             torn: false,
@@ -197,7 +184,7 @@ impl RtlSystem {
 
     /// Replaces the arbitration policy. Must be called before the
     /// first cycle.
-    pub fn set_arbitration(&mut self, policy: ArbitrationPolicy) {
+    fn set_arbitration(&mut self, policy: ArbitrationPolicy) {
         assert_eq!(self.cycle, 0, "policy must be set before running");
         self.arbiter = Arbiter::new(policy, self.masters.len());
     }
@@ -306,27 +293,6 @@ impl RtlSystem {
     /// Starts logging the settled frame of every cycle.
     pub fn enable_frame_log(&mut self) {
         self.frame_log = Some(Vec::new());
-    }
-
-    /// Starts recording the wire bundle into a VCD waveform (one sample
-    /// per cycle, timescale = one tick per cycle).
-    pub fn enable_waveform(&mut self) {
-        use hierbus_sim::trace::TraceRecorder;
-        let mut rec = TraceRecorder::new("10ns");
-        let channels = WaveChannels {
-            a_addr: rec.add_channel("a_addr", 36),
-            a_ctl: rec.add_channel("a_ctl", SignalClass::AddrCtl.wires()),
-            r_data: rec.add_channel("r_data", 32),
-            r_ctl: rec.add_channel("r_ctl", SignalClass::ReadCtl.wires()),
-            w_data: rec.add_channel("w_data", 32),
-            w_ctl: rec.add_channel("w_ctl", SignalClass::WriteCtl.wires()),
-        };
-        self.waveform = Some((rec, channels));
-    }
-
-    /// The recorded waveform as VCD text, if recording was enabled.
-    pub fn waveform_vcd(&self) -> Option<String> {
-        self.waveform.as_ref().map(|(rec, _)| rec.to_vcd())
     }
 
     /// Enables the estimator's per-cycle energy trace.
@@ -591,15 +557,6 @@ impl RtlSystem {
         }
         if let Some(log) = &mut self.frame_log {
             log.push(self.wires.snapshot());
-        }
-        if let Some((rec, ch)) = &mut self.waveform {
-            let t = hierbus_sim::SimTime::from_ticks(self.cycle);
-            rec.sample(t, ch.a_addr, self.wires.a_addr.value());
-            rec.sample(t, ch.a_ctl, self.wires.a_ctl.value());
-            rec.sample(t, ch.r_data, self.wires.r_data.value());
-            rec.sample(t, ch.r_ctl, self.wires.r_ctl.value());
-            rec.sample(t, ch.w_data, self.wires.w_data.value());
-            rec.sample(t, ch.w_ctl, self.wires.w_ctl.value());
         }
     }
 
@@ -890,17 +847,6 @@ mod tests {
             !last.a_valid && !last.r_valid && !last.w_valid,
             "bus settles idle"
         );
-    }
-
-    #[test]
-    fn waveform_records_bus_activity() {
-        let mut sys = system_with_waits(vec![MasterOp::read(0x100)], WaitProfile::ZERO);
-        sys.enable_waveform();
-        sys.run(100);
-        let vcd = sys.waveform_vcd().expect("waveform enabled");
-        assert!(vcd.contains("$var wire 36"));
-        assert!(vcd.contains("a_addr"));
-        assert!(vcd.contains("b100000000 ")); // 0x100 on the address bus
     }
 
     #[test]

@@ -1,8 +1,7 @@
 //! The explicit wire bundle of the bus interface.
 
 use hierbus_ec::{SignalClass, SignalFrame};
-use hierbus_sim::signal::VectorUpdate;
-use hierbus_sim::{Vector, Wire};
+use hierbus_sim::Vector;
 
 /// Every wire of the interface, grouped as in
 /// [`SignalClass`]. Control bits are packed into small
@@ -25,20 +24,6 @@ pub struct InterfaceWires {
     pub w_ctl: Vector,
 }
 
-/// The result of settling all six wire groups in one step.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SettleUpdates {
-    /// Per-group update masks, indexed by [`SignalClass::index`].
-    pub updates: [VectorUpdate; 6],
-}
-
-impl SettleUpdates {
-    /// Total toggles across all groups.
-    pub fn toggles(&self) -> u32 {
-        self.updates.iter().map(|u| u.toggles()).sum()
-    }
-}
-
 impl InterfaceWires {
     /// Creates the bundle with all wires low.
     pub fn new() -> Self {
@@ -53,25 +38,13 @@ impl InterfaceWires {
     }
 
     /// Schedules all wires to the values of `frame`.
-    pub fn drive(&mut self, frame: &SignalFrame) {
+    pub(crate) fn drive(&mut self, frame: &SignalFrame) {
         self.a_addr.set(frame.a_addr);
         self.a_ctl.set(Self::pack_a_ctl(frame));
         self.r_data.set(frame.r_data as u64);
         self.r_ctl.set(Self::pack_r_ctl(frame));
         self.w_data.set(frame.w_data as u64);
         self.w_ctl.set(Self::pack_w_ctl(frame));
-    }
-
-    /// Applies all scheduled values, returning per-group transition masks.
-    pub fn settle(&mut self) -> SettleUpdates {
-        let mut s = SettleUpdates::default();
-        s.updates[SignalClass::AddrBus.index()] = self.a_addr.update();
-        s.updates[SignalClass::AddrCtl.index()] = self.a_ctl.update();
-        s.updates[SignalClass::ReadData.index()] = self.r_data.update();
-        s.updates[SignalClass::ReadCtl.index()] = self.r_ctl.update();
-        s.updates[SignalClass::WriteData.index()] = self.w_data.update();
-        s.updates[SignalClass::WriteCtl.index()] = self.w_ctl.update();
-        s
     }
 
     /// Reads the settled wires back as a [`SignalFrame`].
@@ -114,7 +87,7 @@ impl InterfaceWires {
     }
 
     /// The wire group of `class` as an exclusive reference.
-    pub fn group_mut(&mut self, class: SignalClass) -> &mut Vector {
+    pub(crate) fn group_mut(&mut self, class: SignalClass) -> &mut Vector {
         match class {
             SignalClass::AddrBus => &mut self.a_addr,
             SignalClass::AddrCtl => &mut self.a_ctl,
@@ -156,15 +129,21 @@ impl Default for InterfaceWires {
     }
 }
 
-/// A one-bit view kept for API completeness where single wires are probed
-/// in tests.
-#[derive(Debug, Clone, Default)]
-pub struct ProbeWire(pub Wire);
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use hierbus_ec::{AccessKind, BurstLen, DataWidth};
+    use hierbus_sim::signal::VectorUpdate;
+
+    /// Applies all scheduled values, returning per-group transition
+    /// masks indexed by [`SignalClass::index`].
+    fn settle(wires: &mut InterfaceWires) -> [VectorUpdate; 6] {
+        let mut updates = [VectorUpdate::default(); 6];
+        for class in SignalClass::ALL {
+            updates[class.index()] = wires.group_mut(class).update();
+        }
+        updates
+    }
 
     #[test]
     fn drive_settle_snapshot_roundtrip() {
@@ -181,7 +160,7 @@ mod tests {
         frame.drive_write(0x1234_5678, 0b0011, 5, true, false);
         frame.drive_read(0x9ABC_DEF0, 2, true, true);
         wires.drive(&frame);
-        wires.settle();
+        settle(&mut wires);
         assert_eq!(wires.snapshot(), frame);
     }
 
@@ -200,11 +179,11 @@ mod tests {
         );
         cur.drive_read(0xFFFF_0000, 3, true, false);
         wires.drive(&cur);
-        let settled = wires.settle();
+        let settled = settle(&mut wires);
         let diff = cur.diff(&prev);
         for class in SignalClass::ALL {
             assert_eq!(
-                settled.updates[class.index()].toggles(),
+                settled[class.index()].toggles(),
                 diff.get(class),
                 "mismatch in {class}"
             );
@@ -229,7 +208,7 @@ mod tests {
                 ..SignalFrame::default()
             };
             wires.drive(&f);
-            wires.settle();
+            settle(&mut wires);
         }
         assert_eq!(wires.a_addr.bit_toggles(0), 3);
         assert_eq!(wires.a_addr.bit_toggles(1), 1);

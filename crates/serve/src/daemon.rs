@@ -24,9 +24,9 @@
 //! latencies, and a [`MetricsRegistry`] surfaced through the extended
 //! `stats` reply, `subscribe` snapshot streaming, and an atomically
 //! rewritten Prometheus text file ([`DaemonOptions::metrics_file`]).
-//! **Watchdog**: a monitor thread that ticks every
-//! [`DaemonOptions::tick_ms`] ms, detecting in-flight requests past
-//! [`DaemonOptions::deadline_ms`], a non-empty queue with idle
+//! **Watchdog**: a monitor thread that ticks every 25 ms (or every
+//! [`DaemonOptions::deadline_ms`] ms when that is shorter), detecting
+//! in-flight requests past the deadline, a non-empty queue with idle
 //! workers, and cache-index flush failures — each emits a warn event
 //! plus a counter and flips the `health` op's answer to `degraded`
 //! while the condition persists. With everything at its default-off
@@ -71,6 +71,9 @@ const SLO_WINDOW: usize = 256;
 /// Event-log ring capacity (entries).
 const LOG_CAPACITY: usize = 256;
 
+/// Monitor thread tick (ms) when no stall deadline is set.
+const MONITOR_TICK_MS: u64 = 25;
+
 /// Consecutive monitor ticks of a non-empty queue with no request in
 /// flight before the watchdog calls the pool idle.
 const IDLE_TICKS: u32 = 3;
@@ -112,8 +115,6 @@ pub struct DaemonOptions {
     /// Watchdog stall deadline for an in-flight request (ms); 0
     /// disables stall detection.
     pub deadline_ms: u64,
-    /// Monitor thread tick (ms; clamped to at least 1).
-    pub tick_ms: u64,
 }
 
 impl Default for DaemonOptions {
@@ -128,7 +129,6 @@ impl Default for DaemonOptions {
             log_stderr: None,
             metrics_file: None,
             deadline_ms: 0,
-            tick_ms: 25,
         }
     }
 }
@@ -249,6 +249,8 @@ pub struct Daemon {
     trace_dir: Option<PathBuf>,
     metrics_file: Option<PathBuf>,
     deadline_ms: u64,
+    /// Monitor thread tick (ms): [`MONITOR_TICK_MS`], shortened to the
+    /// stall deadline when one is set so a stall is seen within it.
     tick_ms: u64,
     /// False when neither capture nor stderr wants any level — the
     /// lock-free fast path that keeps disabled logging at one branch.
@@ -284,7 +286,10 @@ impl Daemon {
             trace_dir: opts.trace_dir,
             metrics_file: opts.metrics_file,
             deadline_ms: opts.deadline_ms,
-            tick_ms: opts.tick_ms.max(1),
+            tick_ms: match opts.deadline_ms {
+                0 => MONITOR_TICK_MS,
+                deadline => deadline.clamp(1, MONITOR_TICK_MS),
+            },
             log_active,
             cache: Mutex::new(cache),
             metrics: Mutex::new(Metrics::new()),

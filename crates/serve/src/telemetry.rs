@@ -17,7 +17,7 @@
 //!
 //! [`SinkScope`]: hierbus_campaign::SinkScope
 
-use hierbus_obs::perfetto::{escape, TraceEvents};
+use hierbus_obs::perfetto::{escape, phase_tid, TraceEvents};
 use hierbus_obs::{Phase, TraceCollector};
 use std::collections::VecDeque;
 
@@ -33,15 +33,6 @@ pub const LAYER_PID_BASE: u32 = 3;
 /// — a cap, because layer spans are per-bus-phase and a thousand-
 /// scenario batch would swamp the trace.
 pub const LAYER_SPAN_CAP: usize = 4;
-
-fn phase_tid(phase: Phase) -> u32 {
-    match phase {
-        Phase::Request => 1,
-        Phase::Address => 2,
-        Phase::ReadData => 3,
-        Phase::WriteData => 4,
-    }
-}
 
 /// One finished request trace, ready to dump.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -92,7 +83,7 @@ impl TraceBuilder {
 
     /// A span on the daemon track (µs since the request was enqueued):
     /// `queued`, `cache-check`, `execute`, `serialize`.
-    pub fn daemon_span(&mut self, name: &str, ts_us: u64, dur_us: u64) {
+    pub(crate) fn daemon_span(&mut self, name: &str, ts_us: u64, dur_us: u64) {
         let args = format!("{{{}}}", self.base_args());
         self.events.complete(
             DAEMON_PID,
@@ -107,7 +98,7 @@ impl TraceBuilder {
 
     /// One executed scenario on its worker's track (µs since the
     /// request was enqueued, straight from the campaign sink scope).
-    pub fn worker_span(
+    pub(crate) fn worker_span(
         &mut self,
         worker: usize,
         scenario_index: usize,
@@ -137,7 +128,7 @@ impl TraceBuilder {
     /// [`hierbus_obs::perfetto::export`]), kept on a separate `pid` so
     /// the viewer doesn't mix cycle and µs axes; the shared trace id in
     /// `args` is the connection.
-    pub fn layer_spans(&mut self, scenario_index: usize, collector: &TraceCollector) {
+    pub(crate) fn layer_spans(&mut self, scenario_index: usize, collector: &TraceCollector) {
         let pid = LAYER_PID_BASE + self.layer_slots;
         self.layer_slots += 1;
         self.events.meta_process(
@@ -165,11 +156,6 @@ impl TraceBuilder {
                 &args,
             );
         }
-    }
-
-    /// Layer track groups added so far.
-    pub fn layer_count(&self) -> u32 {
-        self.layer_slots
     }
 
     /// Seals the document.
@@ -200,7 +186,7 @@ impl TraceRing {
     }
 
     /// True when tracing is off (capacity 0).
-    pub fn is_disabled(&self) -> bool {
+    pub(crate) fn is_disabled(&self) -> bool {
         self.capacity == 0
     }
 

@@ -8,8 +8,8 @@
 //! `TlmSystem::step_cycle` in `hierbus-core` and `RtlSystem::step_cycle` in
 //! `hierbus-rtl` — so this crate only carries what those loops share:
 //!
-//! * [`signal`] — [`signal::Wire`] and [`signal::Vector`] two-phase
-//!   signals whose `update()` step counts bit transitions; the gate-level
+//! * [`signal`] — [`signal::Vector`], the two-phase signal whose
+//!   `update()` step counts bit transitions; the gate-level
 //!   power estimator and the layer-1 energy model are built on these
 //!   counters.
 //! * [`trace`] — a VCD waveform recorder keyed by [`SimTime`].
@@ -46,5 +46,5 @@ pub mod trace;
 
 pub use prng::SplitMix64;
 pub use schedule::CycleSchedule;
-pub use signal::{Transition, Vector, Wire};
+pub use signal::Vector;
 pub use time::SimTime;

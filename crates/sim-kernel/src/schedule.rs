@@ -28,13 +28,6 @@ impl<T> CycleSchedule<T> {
         }
     }
 
-    /// Builds a schedule from arbitrary-order entries; the sort is
-    /// stable, so same-cycle events keep their insertion order.
-    pub fn from_entries(mut entries: Vec<(u64, T)>) -> Self {
-        entries.sort_by_key(|&(cycle, _)| cycle);
-        CycleSchedule { entries, cursor: 0 }
-    }
-
     /// Adds an event at `cycle`. Events may be added after popping has
     /// begun as long as `cycle` has not been passed yet.
     pub fn at(&mut self, cycle: u64, payload: T) {
@@ -51,13 +44,8 @@ impl<T> CycleSchedule<T> {
     }
 
     /// The cycle of the next unfired event.
-    pub fn next_cycle(&self) -> Option<u64> {
+    fn next_cycle(&self) -> Option<u64> {
         self.entries.get(self.cursor).map(|&(c, _)| c)
-    }
-
-    /// True when every event has fired.
-    pub fn is_drained(&self) -> bool {
-        self.cursor >= self.entries.len()
     }
 
     /// Fires and returns every event scheduled at or before `cycle`.
@@ -72,11 +60,6 @@ impl<T> CycleSchedule<T> {
             .collect()
     }
 
-    /// Rewinds the cursor so the schedule replays from the start.
-    pub fn rewind(&mut self) {
-        self.cursor = 0;
-    }
-
     /// All entries, fired or not, in firing order.
     pub fn entries(&self) -> &[(u64, T)] {
         &self.entries
@@ -89,13 +72,16 @@ mod tests {
 
     #[test]
     fn fires_in_cycle_order() {
-        let mut s = CycleSchedule::from_entries(vec![(30, "c"), (10, "a"), (20, "b")]);
+        let mut s = CycleSchedule::new();
+        s.at(30, "c");
+        s.at(10, "a");
+        s.at(20, "b");
         assert_eq!(s.next_cycle(), Some(10));
         assert_eq!(s.pop_due(5), Vec::<&&str>::new());
         assert_eq!(s.pop_due(20), vec![&"a", &"b"]);
-        assert!(!s.is_drained());
+        assert_eq!(s.next_cycle(), Some(30));
         assert_eq!(s.pop_due(100), vec![&"c"]);
-        assert!(s.is_drained());
+        assert_eq!(s.next_cycle(), None);
     }
 
     #[test]
@@ -105,13 +91,5 @@ mod tests {
         s.at(7, 2);
         s.at(3, 0);
         assert_eq!(s.pop_due(7), vec![&0, &1, &2]);
-    }
-
-    #[test]
-    fn rewind_replays() {
-        let mut s = CycleSchedule::from_entries(vec![(1, 'x')]);
-        assert_eq!(s.pop_due(1), vec![&'x']);
-        s.rewind();
-        assert_eq!(s.pop_due(1), vec![&'x']);
     }
 }

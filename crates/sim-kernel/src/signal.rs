@@ -1,8 +1,8 @@
 //! Two-phase signals with transition accounting.
 //!
 //! Hardware signals follow SystemC `sc_signal` semantics: writes go to a
-//! *next* value and become visible when [`Wire::update`]/[`Vector::update`]
-//! runs at the update step. Every update classifies and counts the bit
+//! *next* value and become visible when [`Vector::update`] runs at the
+//! update step. Every update classifies and counts the bit
 //! transitions it performs — these counters are the raw material for the
 //! gate-level power estimator and the layer-1 energy model.
 //!
@@ -11,111 +11,6 @@
 //! and then overwritten within the same cycle register as extra (glitch)
 //! transitions, exactly the activity a gate-level tool sees and a
 //! cycle-boundary TLM model cannot.
-
-/// The direction of a single-bit transition.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum Transition {
-    /// Value unchanged.
-    None,
-    /// 0 → 1.
-    Rise,
-    /// 1 → 0.
-    Fall,
-}
-
-/// A one-bit two-phase signal.
-///
-/// ```
-/// use hierbus_sim::{Wire, Transition};
-/// let mut w = Wire::new(false);
-/// w.set(true);
-/// assert_eq!(w.value(), false); // not visible until update
-/// assert_eq!(w.update(), Transition::Rise);
-/// assert_eq!(w.value(), true);
-/// assert_eq!(w.rises(), 1);
-/// ```
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Wire {
-    cur: bool,
-    next: bool,
-    rises: u64,
-    falls: u64,
-}
-
-impl Wire {
-    /// Creates a wire with the given initial (settled) value.
-    pub fn new(initial: bool) -> Self {
-        Wire {
-            cur: initial,
-            next: initial,
-            rises: 0,
-            falls: 0,
-        }
-    }
-
-    /// Schedules `v` to become visible at the next [`update`](Wire::update).
-    #[inline]
-    pub fn set(&mut self, v: bool) {
-        self.next = v;
-    }
-
-    /// The settled value.
-    #[inline]
-    pub fn value(&self) -> bool {
-        self.cur
-    }
-
-    /// True if an update would change the settled value.
-    #[inline]
-    pub fn pending(&self) -> bool {
-        self.cur != self.next
-    }
-
-    /// Applies the scheduled value and returns the transition performed.
-    #[inline]
-    pub fn update(&mut self) -> Transition {
-        match (self.cur, self.next) {
-            (false, true) => {
-                self.cur = true;
-                self.rises += 1;
-                Transition::Rise
-            }
-            (true, false) => {
-                self.cur = false;
-                self.falls += 1;
-                Transition::Fall
-            }
-            _ => Transition::None,
-        }
-    }
-
-    /// Cumulative 0→1 transitions.
-    pub fn rises(&self) -> u64 {
-        self.rises
-    }
-
-    /// Cumulative 1→0 transitions.
-    pub fn falls(&self) -> u64 {
-        self.falls
-    }
-
-    /// Cumulative transitions of both polarities.
-    pub fn toggles(&self) -> u64 {
-        self.rises + self.falls
-    }
-
-    /// Clears the transition counters (the value is kept).
-    pub fn reset_counters(&mut self) {
-        self.rises = 0;
-        self.falls = 0;
-    }
-}
-
-impl Default for Wire {
-    fn default() -> Self {
-        Wire::new(false)
-    }
-}
 
 /// The per-bit outcome of one [`Vector::update`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -217,13 +112,6 @@ impl Vector {
         self.cur != self.next
     }
 
-    /// Hamming distance between the settled and scheduled values — the
-    /// toggles the next update would perform.
-    #[inline]
-    pub fn hamming_to_next(&self) -> u32 {
-        (self.cur ^ self.next).count_ones()
-    }
-
     /// Applies the scheduled value, accumulating per-bit counters, and
     /// returns masks of the transitions performed.
     pub fn update(&mut self) -> VectorUpdate {
@@ -268,41 +156,11 @@ impl Vector {
     pub fn bit_toggles(&self, bit: u32) -> u64 {
         self.per_bit[bit as usize]
     }
-
-    /// Per-bit cumulative transition counts, LSB first.
-    pub fn per_bit_toggles(&self) -> &[u64] {
-        &self.per_bit
-    }
-
-    /// Clears all transition counters (the value is kept).
-    pub fn reset_counters(&mut self) {
-        self.rises = 0;
-        self.falls = 0;
-        self.per_bit.iter_mut().for_each(|c| *c = 0);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn wire_transitions_and_counters() {
-        let mut w = Wire::new(false);
-        assert_eq!(w.update(), Transition::None);
-        w.set(true);
-        assert!(w.pending());
-        assert_eq!(w.update(), Transition::Rise);
-        assert_eq!(w.update(), Transition::None);
-        w.set(false);
-        assert_eq!(w.update(), Transition::Fall);
-        assert_eq!(w.rises(), 1);
-        assert_eq!(w.falls(), 1);
-        assert_eq!(w.toggles(), 2);
-        w.reset_counters();
-        assert_eq!(w.toggles(), 0);
-        assert!(!w.value());
-    }
 
     #[test]
     fn vector_masks_to_width() {
@@ -337,18 +195,7 @@ mod tests {
         }
         assert_eq!(v.bit_toggles(0), 5);
         assert_eq!(v.bit_toggles(1), 0);
-        assert_eq!(v.per_bit_toggles(), &[5, 0, 0]);
-    }
-
-    #[test]
-    fn vector_hamming_preview_matches_update() {
-        let mut v = Vector::new(16);
-        v.set(0xABCD);
-        v.update();
-        v.set(0xA0C0);
-        let predicted = v.hamming_to_next();
-        let actual = v.update().toggles();
-        assert_eq!(predicted, actual);
+        assert_eq!(v.bit_toggles(2), 0);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! Useful for inspecting bus waveforms from the RTL reference model in any
 //! VCD viewer. The recorder is deliberately simple: scalar and vector
 //! channels, explicit sampling (typically once per half-cycle), text output
-//! via [`TraceRecorder::write_vcd`].
+//! via [`TraceRecorder::to_vcd`].
 
 use crate::time::SimTime;
 use std::fmt::Write as _;
@@ -133,15 +133,6 @@ impl TraceRecorder {
             }
         }
         out
-    }
-
-    /// Writes the VCD document to `w`.
-    ///
-    /// # Errors
-    ///
-    /// Propagates any I/O error from the writer.
-    pub fn write_vcd<W: std::io::Write>(&self, mut w: W) -> std::io::Result<()> {
-        w.write_all(self.to_vcd().as_bytes())
     }
 
     fn id_code(index: usize) -> String {

@@ -51,11 +51,6 @@ impl ICache {
         }
     }
 
-    /// Number of lines.
-    pub fn n_lines(&self) -> usize {
-        self.lines.len()
-    }
-
     /// Hits recorded.
     pub fn hits(&self) -> u64 {
         self.hits
@@ -78,14 +73,14 @@ impl ICache {
     }
 
     /// The aligned base address of the line containing `pc`.
-    pub fn line_base(pc: u32) -> Address {
+    pub(crate) fn line_base(pc: u32) -> Address {
         Address::new((pc & !(LINE_BYTES - 1)) as u64)
     }
 
     /// Looks `pc` up; on a hit returns the instruction word and counts a
     /// hit, on a miss counts a miss and returns `None` (the core then
     /// fetches the line over the bus and [`fill`](Self::fill)s it).
-    pub fn lookup(&mut self, pc: u32) -> Option<u32> {
+    pub(crate) fn lookup(&mut self, pc: u32) -> Option<u32> {
         let (index, tag) = self.index_and_tag(pc);
         match &self.lines[index] {
             Some(line) if line.tag == tag => {
@@ -114,11 +109,6 @@ impl ICache {
         line.words.copy_from_slice(words);
         self.lines[index] = Some(line);
         line.words[((pc / 4) as usize) % LINE_WORDS]
-    }
-
-    /// Drops all lines (e.g. after loading new code in a test harness).
-    pub fn invalidate_all(&mut self) {
-        self.lines.iter_mut().for_each(|l| *l = None);
     }
 }
 
@@ -154,15 +144,6 @@ mod tests {
     fn line_base_is_16_byte_aligned() {
         assert_eq!(ICache::line_base(0x10F).raw(), 0x100);
         assert_eq!(ICache::line_base(0x110).raw(), 0x110);
-    }
-
-    #[test]
-    fn invalidate_clears_everything() {
-        let mut c = ICache::new(2);
-        c.lookup(0);
-        c.fill(0, &[9, 9, 9, 9]);
-        c.invalidate_all();
-        assert_eq!(c.lookup(0), None);
     }
 
     #[test]

@@ -122,7 +122,7 @@ impl MipsCore {
     }
 
     /// Writes a register (writes to register 0 are ignored).
-    pub fn set_reg(&mut self, r: Reg, v: u32) {
+    fn set_reg(&mut self, r: Reg, v: u32) {
         if r.0 != 0 {
             self.regs[r.0 as usize] = v;
         }
@@ -134,7 +134,7 @@ impl MipsCore {
     }
 
     /// Instructions retired so far.
-    pub fn retired(&self) -> u64 {
+    fn retired(&self) -> u64 {
         self.retired
     }
 

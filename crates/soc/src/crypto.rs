@@ -41,6 +41,8 @@ pub mod ctrl {
 
 const XTEA_ROUNDS: u32 = 32;
 const XTEA_DELTA: u32 = 0x9E37_79B9;
+/// Bus cycles one block takes from start to done.
+const CYCLES_PER_BLOCK: u64 = 64;
 
 /// Reference XTEA encryption (public, for checking the peripheral).
 pub fn xtea_encrypt(block: [u32; 2], key: [u32; 4]) -> [u32; 2] {
@@ -60,7 +62,7 @@ pub fn xtea_encrypt(block: [u32; 2], key: [u32; 4]) -> [u32; 2] {
 }
 
 /// Reference XTEA decryption.
-pub fn xtea_decrypt(block: [u32; 2], key: [u32; 4]) -> [u32; 2] {
+fn xtea_decrypt(block: [u32; 2], key: [u32; 4]) -> [u32; 2] {
     let [mut v0, mut v1] = block;
     let mut sum = XTEA_DELTA.wrapping_mul(XTEA_ROUNDS);
     for _ in 0..XTEA_ROUNDS {
@@ -84,7 +86,6 @@ pub struct CryptoAccel {
     data: [u32; 2],
     busy_left: u64,
     done: bool,
-    cycles_per_block: u64,
     blocks_processed: u64,
     last_cycle: u64,
     /// Operation latched at start (true = decrypt).
@@ -107,7 +108,6 @@ impl CryptoAccel {
             data: [0; 2],
             busy_left: 0,
             done: false,
-            cycles_per_block: 64,
             blocks_processed: 0,
             last_cycle: 0,
             pending_decrypt: false,
@@ -117,27 +117,17 @@ impl CryptoAccel {
 
     /// Wait replies issued so far while a block was in flight — bus
     /// cycles the master spent stalled on this peripheral.
-    pub fn stall_waits(&self) -> u64 {
+    pub(crate) fn stall_waits(&self) -> u64 {
         self.stall_waits
     }
 
-    /// Overrides the per-block latency (cycles).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cycles` is zero.
-    pub fn set_cycles_per_block(&mut self, cycles: u64) {
-        assert!(cycles > 0, "block latency must be non-zero");
-        self.cycles_per_block = cycles;
-    }
-
     /// Blocks completed since reset.
-    pub fn blocks_processed(&self) -> u64 {
+    pub(crate) fn blocks_processed(&self) -> u64 {
         self.blocks_processed
     }
 
     /// True while a block is being processed.
-    pub fn is_busy(&self) -> bool {
+    fn is_busy(&self) -> bool {
         self.busy_left > 0
     }
 
@@ -213,7 +203,7 @@ impl TlmSlave for CryptoAccel {
                 }
                 if data & (ctrl::START_ENC | ctrl::START_DEC) != 0 {
                     self.pending_decrypt = data & ctrl::START_DEC != 0;
-                    self.busy_left = self.cycles_per_block;
+                    self.busy_left = CYCLES_PER_BLOCK;
                     self.done = false;
                 }
                 SlaveReply::Ok(())
@@ -331,11 +321,12 @@ mod tests {
     }
 
     #[test]
-    fn configurable_latency() {
+    fn a_block_takes_cycles_per_block() {
         let mut c = accel();
-        c.set_cycles_per_block(4);
         c.write_word(a(0x00), ctrl::START_ENC, 0b1111);
-        c.tick(4);
+        c.tick(CYCLES_PER_BLOCK - 1);
+        assert!(c.is_busy());
+        c.tick(CYCLES_PER_BLOCK);
         assert!(!c.is_busy());
     }
 }

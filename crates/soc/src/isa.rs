@@ -386,22 +386,6 @@ impl Instr {
             _ => None,
         }
     }
-
-    /// True for loads and stores (the instructions that produce data-bus
-    /// traffic).
-    pub fn is_memory_op(self) -> bool {
-        matches!(
-            self,
-            Instr::Lb { .. }
-                | Instr::Lbu { .. }
-                | Instr::Lh { .. }
-                | Instr::Lhu { .. }
-                | Instr::Lw { .. }
-                | Instr::Sb { .. }
-                | Instr::Sh { .. }
-                | Instr::Sw { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -473,18 +457,6 @@ mod tests {
     fn unknown_opcodes_decode_to_none() {
         assert_eq!(Instr::decode(0xFC00_0000), None); // opcode 0x3F
         assert_eq!(Instr::decode(0x0000_003F), None); // SPECIAL funct 0x3F
-    }
-
-    #[test]
-    fn memory_op_classification() {
-        assert!(Instr::Lw {
-            rt: Reg::T0,
-            base: Reg::SP,
-            off: 0
-        }
-        .is_memory_op());
-        assert!(!Instr::Break.is_memory_op());
-        assert!(!Instr::NOP.is_memory_op());
     }
 
     fn arb_reg(rng: &mut SplitMix64) -> Reg {

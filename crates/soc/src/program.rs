@@ -98,11 +98,6 @@ impl Program {
         self.words.is_empty()
     }
 
-    /// The byte address the next instruction will get.
-    pub fn here(&self) -> u32 {
-        self.base + 4 * self.words.len() as u32
-    }
-
     /// Defines a label at the current position.
     pub fn label(&mut self, name: &str) -> &mut Self {
         if self
@@ -155,39 +150,14 @@ impl Program {
         self.emit(Instr::Xor { rd, rs, rt })
     }
 
-    /// `rd = !(rs | rt)`.
-    pub fn nor(&mut self, rd: Reg, rs: Reg, rt: Reg) -> &mut Self {
-        self.emit(Instr::Nor { rd, rs, rt })
-    }
-
-    /// `rd = (rs as i32) < (rt as i32)`.
-    pub fn slt(&mut self, rd: Reg, rs: Reg, rt: Reg) -> &mut Self {
-        self.emit(Instr::Slt { rd, rs, rt })
-    }
-
-    /// `rd = rs < rt` (unsigned).
-    pub fn sltu(&mut self, rd: Reg, rs: Reg, rt: Reg) -> &mut Self {
-        self.emit(Instr::Sltu { rd, rs, rt })
-    }
-
     /// `rd = (rs * rt) as u32`.
     pub fn mul(&mut self, rd: Reg, rs: Reg, rt: Reg) -> &mut Self {
         self.emit(Instr::Mul { rd, rs, rt })
     }
 
-    /// `rd = rt << sh`.
-    pub fn sll(&mut self, rd: Reg, rt: Reg, sh: u8) -> &mut Self {
-        self.emit(Instr::Sll { rd, rt, sh })
-    }
-
     /// `rd = rt >> sh` (logical).
     pub fn srl(&mut self, rd: Reg, rt: Reg, sh: u8) -> &mut Self {
         self.emit(Instr::Srl { rd, rt, sh })
-    }
-
-    /// `rd = (rt as i32) >> sh`.
-    pub fn sra(&mut self, rd: Reg, rt: Reg, sh: u8) -> &mut Self {
-        self.emit(Instr::Sra { rd, rt, sh })
     }
 
     /// `rt = rs + imm` (sign-extended).
@@ -201,17 +171,12 @@ impl Program {
     }
 
     /// `rt = rs | imm` (zero-extended).
-    pub fn ori(&mut self, rt: Reg, rs: Reg, imm: u16) -> &mut Self {
+    fn ori(&mut self, rt: Reg, rs: Reg, imm: u16) -> &mut Self {
         self.emit(Instr::Ori { rt, rs, imm })
     }
 
-    /// `rt = rs ^ imm` (zero-extended).
-    pub fn xori(&mut self, rt: Reg, rs: Reg, imm: u16) -> &mut Self {
-        self.emit(Instr::Xori { rt, rs, imm })
-    }
-
     /// `rt = imm << 16`.
-    pub fn lui(&mut self, rt: Reg, imm: u16) -> &mut Self {
+    fn lui(&mut self, rt: Reg, imm: u16) -> &mut Self {
         self.emit(Instr::Lui { rt, imm })
     }
 
@@ -256,11 +221,6 @@ impl Program {
     /// `rt = mem16[base+off]` sign-extended.
     pub fn lh(&mut self, rt: Reg, base: Reg, off: i16) -> &mut Self {
         self.emit(Instr::Lh { rt, base, off })
-    }
-
-    /// `rt = mem16[base+off]` zero-extended.
-    pub fn lhu(&mut self, rt: Reg, base: Reg, off: i16) -> &mut Self {
-        self.emit(Instr::Lhu { rt, base, off })
     }
 
     /// `rt = mem32[base+off]`.
@@ -437,11 +397,10 @@ mod tests {
     }
 
     #[test]
-    fn here_tracks_addresses() {
+    fn emitted_words_are_counted() {
         let mut p = Program::new(0x40);
-        assert_eq!(p.here(), 0x40);
+        assert!(p.is_empty());
         p.nop();
-        assert_eq!(p.here(), 0x44);
         assert_eq!(p.len(), 1);
         assert!(!p.is_empty());
     }

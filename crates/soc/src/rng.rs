@@ -37,7 +37,7 @@ impl TrueRng {
     }
 
     /// Number of words read through the data register.
-    pub fn words_drawn(&self) -> u64 {
+    pub(crate) fn words_drawn(&self) -> u64 {
         self.words_drawn
     }
 

@@ -88,7 +88,7 @@ impl DualTimer {
     /// # Panics
     ///
     /// Panics if `unit > 1`.
-    pub fn expiries(&self, unit: usize) -> u64 {
+    pub(crate) fn expiries(&self, unit: usize) -> u64 {
         self.units[unit].expiries
     }
 
@@ -97,7 +97,7 @@ impl DualTimer {
     /// # Panics
     ///
     /// Panics if `unit > 1`.
-    pub fn decrements(&self, unit: usize) -> u64 {
+    pub(crate) fn decrements(&self, unit: usize) -> u64 {
         self.units[unit].decrements
     }
 

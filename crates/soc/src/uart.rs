@@ -68,12 +68,12 @@ impl Uart {
 
     /// Wait replies issued so far because the TX FIFO was full — each
     /// one is a bus cycle the master spent stalled on this peripheral.
-    pub fn stall_waits(&self) -> u64 {
+    pub(crate) fn stall_waits(&self) -> u64 {
         self.stall_waits
     }
 
     /// High-water mark of TX FIFO occupancy.
-    pub fn tx_fifo_hwm(&self) -> usize {
+    pub(crate) fn tx_fifo_hwm(&self) -> usize {
         self.tx_fifo_hwm
     }
 
@@ -83,12 +83,12 @@ impl Uart {
     }
 
     /// Every byte fully transmitted so far.
-    pub fn sent(&self) -> &[u8] {
+    pub(crate) fn sent(&self) -> &[u8] {
         &self.sent
     }
 
     /// True while bytes are queued or shifting out.
-    pub fn tx_busy(&self) -> bool {
+    fn tx_busy(&self) -> bool {
         self.tx_left > 0 || !self.tx_fifo.is_empty()
     }
 

@@ -180,7 +180,6 @@ fn main() -> ExitCode {
             log_stderr: args.log_level,
             metrics_file: args.metrics_file,
             deadline_ms: args.deadline_ms,
-            ..DaemonOptions::default()
         },
     );
     if log.wants(Level::Info) {

@@ -131,7 +131,7 @@ pub fn characterize(training: &[Scenario]) -> CharacterizationDb {
 /// The standard training set: the spec's training scenarios plus a
 /// low-locality random mix, so every signal class is exercised and the
 /// averages reflect mixed (weakly correlated) traffic.
-pub fn standard_training() -> Vec<Scenario> {
+fn standard_training() -> Vec<Scenario> {
     let mut set = sequences::training_scenarios();
     set.push(sequences::random_mix(
         0xC0FFEE,
@@ -144,8 +144,9 @@ pub fn standard_training() -> Vec<Scenario> {
     set
 }
 
-/// Characterization over [`standard_training`] — the database the
-/// experiments use.
+/// Characterization over the standard training set (the spec's
+/// training scenarios plus a low-locality random mix) — the database
+/// the experiments use.
 pub fn standard_db() -> CharacterizationDb {
     characterize(&standard_training())
 }

@@ -145,3 +145,24 @@ fn folded_stack_export_matches_golden_file() {
          BLESS=1 cargo test --test attribution_cross_layer"
     );
 }
+
+#[test]
+fn ledger_json_escapes_slave_and_master_names() {
+    use hierbus::campaign::Json;
+    use hierbus::obs::BucketKey;
+    let slave = "ram \"bank\" \\0\u{1}";
+    let master = "dma\\\"1\"\n\u{1f}";
+    let mut ledger = EnergyLedger::new("tlm1");
+    ledger.book(
+        BucketKey::new(slave, LedgerPhase::Address, None).with_master(Some(master)),
+        1.5,
+    );
+    let json = Json::parse(&ledger.to_json()).expect("ledger JSON parses");
+    let buckets = json.get("buckets").and_then(Json::as_arr).unwrap();
+    assert_eq!(buckets.len(), 1);
+    assert_eq!(buckets[0].get("slave").and_then(Json::as_str), Some(slave));
+    assert_eq!(
+        buckets[0].get("master").and_then(Json::as_str),
+        Some(master)
+    );
+}

@@ -112,7 +112,6 @@ fn a_stalled_request_degrades_health_and_warns() {
     let d = daemon(DaemonOptions {
         workers: 1,
         deadline_ms: 1,
-        tick_ms: 1,
         log_level: Some(Level::Warn),
         ..DaemonOptions::default()
     });
