@@ -59,6 +59,15 @@ echo "==> arbitration smoke (both policies, DMA on/off, three layers)"
 # energy pin and the per-master ledger partition.
 cargo run --release -p hierbus-bench --bin arbitration_smoke
 
+echo "==> examples that assert cross-layer agreement"
+# Each of these examples asserts that the layers agree (cycle-exact
+# layer 1, identical outcomes and memory, grant lines, the crypto
+# driver's results); a failed assert exits non-zero and stops CI. The
+# release build above already compiled them.
+for example in quickstart fault_injection multi_master crypto_coprocessor; do
+  ./target/release/examples/"$example" > /dev/null
+done
+
 echo "==> bench smoke (hot-path differential + scaling regression, release)"
 # The perf layer's correctness story in a release build: the scalar
 # layer-1 energy path (`on_frame`, the word-packed XOR+popcount diff)

@@ -19,10 +19,11 @@
 //!   completion events for the coarse layer-2 energy model.
 //!
 //! [`master::TlmMaster`] replays [`MasterOp`](hierbus_ec::MasterOp)
-//! stimuli against either bus through the [`master::CycleBus`] trait and
-//! produces the same [`TxnRecord`](hierbus_ec::TxnRecord)s as the RTL
-//! reference, so cycle-exactness (layer 1) and timing error (layer 2) are
-//! directly measurable. [`master::TlmSystem`] is the stepping loop for
+//! stimuli against either bus through the [`master::CycleBus`] trait. Its
+//! policy is [`Replay`](hierbus_ec::Replay), the one the RTL reference
+//! runs, so it produces the same [`TxnRecord`](hierbus_ec::TxnRecord)s and
+//! cycle-exactness (layer 1) and timing error (layer 2) are directly
+//! measurable. [`master::TlmSystem`] is the stepping loop for
 //! stimulus masters: one master, or several behind an
 //! [`Arbiter`](hierbus_ec::Arbiter) (the CPU + DMA pair of
 //! [`TlmSystem::for_multi`]), shaped like the RTL reference's system.

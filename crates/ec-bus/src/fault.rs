@@ -312,6 +312,20 @@ impl FaultCounters {
     pub fn is_zero(&self) -> bool {
         *self == FaultCounters::default()
     }
+
+    /// The `fault.*` trace tracks whose count differs from `prev`, as
+    /// `(track, count)` pairs in injected, retried, aborted order — what
+    /// a system mirrors into its trace after each change.
+    pub fn changed_since(self, prev: FaultCounters) -> impl Iterator<Item = (&'static str, f64)> {
+        [
+            ("fault.injected", self.injected, prev.injected),
+            ("fault.retried", self.retried, prev.retried),
+            ("fault.aborted", self.aborted, prev.aborted),
+        ]
+        .into_iter()
+        .filter(|&(_, now, was)| now != was)
+        .map(|(track, now, _)| (track, now as f64))
+    }
 }
 
 /// Totals over masters: each counter summed.
@@ -390,6 +404,19 @@ mod tests {
         assert_eq!(p.backoff(2), 8);
         assert_eq!(p.backoff(3), 8);
         assert_eq!(RetryPolicy::NONE.backoff(0), 0);
+    }
+
+    #[test]
+    fn changed_since_yields_only_moved_tracks() {
+        let prev = FaultCounters {
+            injected: 2,
+            retried: 1,
+            aborted: 0,
+        };
+        let now = FaultCounters { aborted: 1, ..prev };
+        let moved: Vec<_> = now.changed_since(prev).collect();
+        assert_eq!(moved, vec![("fault.aborted", 1.0)]);
+        assert_eq!(now.changed_since(now).count(), 0);
     }
 
     #[test]

@@ -33,6 +33,9 @@
 //! * [`sequences`] — the verification scenarios of §4.1 plus random mixes.
 //! * [`fault`] — deterministic fault plans (error replies, stalls, card
 //!   tear), the master retry/timeout policy and per-op outcomes.
+//! * [`replay`] — [`Replay`], the stimulus master's policy (idle gaps,
+//!   limits, ids, retries, timeout, outcomes, tear) that the RTL
+//!   reference and the TLM masters all run.
 //! * [`arbiter`], [`dma`] — the multi-master extension: the shared
 //!   request/grant arbitration kernel (fixed-priority and round-robin)
 //!   and the DMA engine's seeded descriptor programs.
@@ -48,6 +51,7 @@ pub mod limits;
 pub mod map;
 pub mod merge;
 pub mod record;
+pub mod replay;
 pub mod sequences;
 pub mod slave;
 pub mod status;
@@ -66,6 +70,7 @@ pub use limits::{OutstandingLimits, OutstandingTracker, TxnCategory};
 pub use map::AddressMap;
 pub use merge::DataWidth;
 pub use record::{MasterReport, TxnRecord};
+pub use replay::Replay;
 pub use sequences::{DataProfile, MasterOp, MixParams, Scenario};
 pub use slave::{AccessRights, SlaveConfig, SlaveId, WaitProfile};
 pub use status::BusStatus;

@@ -55,14 +55,12 @@
 
 pub mod channels;
 pub mod glitch;
-pub mod master;
 pub mod power;
 pub mod slave;
 pub mod system;
 pub mod wires;
 
 pub use glitch::GlitchConfig;
-pub use master::{RtlMaster, TxnRecord};
 pub use power::{GateLevelPowerEstimator, PowerConfig};
 pub use slave::{RtlSlaveModel, SimpleMem};
 pub use system::{RtlSystem, RunReport};

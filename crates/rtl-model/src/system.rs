@@ -2,14 +2,13 @@
 
 use crate::channels::{AddrCycle, AddressChannel, DataChannel, DataCycle};
 use crate::glitch::GlitchConfig;
-use crate::master::{RtlMaster, TxnRecord};
 use crate::power::{GateLevelPowerEstimator, PowerConfig, TransitionPhase};
 use crate::slave::RtlSlaveModel;
 use crate::wires::InterfaceWires;
 use hierbus_ec::{
     AccessKind, AddressMap, Arbiter, ArbiterStats, ArbitrationPolicy, BusError, FaultCounters,
-    FaultKind, FaultPlan, MasterReport, MultiScenario, OutstandingLimits, RetryPolicy, Scenario,
-    SignalClass, SignalFrame, SlaveId, Transaction, TxnOutcome, DMA_ID_BASE,
+    FaultKind, FaultPlan, MasterReport, MultiScenario, OutstandingLimits, Replay, RetryPolicy,
+    Scenario, SignalClass, SignalFrame, SlaveId, Transaction, TxnOutcome, TxnRecord, DMA_ID_BASE,
 };
 use hierbus_obs::{AccessClass, Phase, TraceCollector};
 use hierbus_sim::CycleSchedule;
@@ -29,7 +28,6 @@ fn access_class(kind: AccessKind) -> AccessClass {
 struct ActiveTxn {
     /// Index of the owning master.
     master: usize,
-    rec: usize,
     txn: Transaction,
     slave: Option<SlaveId>,
     /// The fault injected into this attempt, resolved at issue time.
@@ -72,11 +70,18 @@ impl RunReport {
     }
 }
 
-/// The cycle-true reference: stimulus master, bus controller (decode +
+/// The cycle-true reference: stimulus masters, bus controller (decode +
 /// channels), slaves, explicit wires, hazard model and gate-level power
 /// estimator.
+///
+/// Each master is a [`Replay`], the stimulus policy the TLM masters run
+/// too. The reference drives it directly: it stamps the address phase
+/// and read beats into the attempt's record as they happen on the wires,
+/// and reports a completion at the falling edge it happens, with the
+/// following cycle as the one the master sees it — the rising edge a
+/// TLM master picks the completion up at.
 pub struct RtlSystem {
-    masters: Vec<RtlMaster>,
+    masters: Vec<Replay>,
     arbiter: Arbiter,
     /// Scratch request-line vector, reused every cycle.
     requests: Vec<bool>,
@@ -91,7 +96,6 @@ pub struct RtlSystem {
     glitch: GlitchConfig,
     estimate: bool,
     cycle: u64,
-    last_done: u64,
     /// Optional per-cycle settled-frame log (for model-equivalence tests).
     frame_log: Option<Vec<SignalFrame>>,
     obs: TraceCollector,
@@ -121,7 +125,7 @@ impl RtlSystem {
                 .expect("slave windows must not overlap");
         }
         RtlSystem {
-            masters: vec![RtlMaster::new(ops, OutstandingLimits::CORE_DEFAULT)],
+            masters: vec![Replay::new(ops, OutstandingLimits::CORE_DEFAULT)],
             arbiter: Arbiter::new(ArbitrationPolicy::FixedPriority, 1),
             requests: Vec::new(),
             map,
@@ -135,7 +139,6 @@ impl RtlSystem {
             glitch,
             estimate: true,
             cycle: 0,
-            last_done: 0,
             frame_log: None,
             obs: TraceCollector::disabled("rtl"),
             tear: CycleSchedule::new(),
@@ -175,7 +178,7 @@ impl RtlSystem {
         id_base: u64,
     ) -> usize {
         assert_eq!(self.cycle, 0, "masters must be added before running");
-        let mut m = RtlMaster::new(ops, OutstandingLimits::CORE_DEFAULT);
+        let mut m = Replay::new(ops, OutstandingLimits::CORE_DEFAULT);
         m.set_id_base(id_base);
         self.masters.push(m);
         self.arbiter = Arbiter::new(self.arbiter.policy(), self.masters.len());
@@ -310,12 +313,6 @@ impl RtlSystem {
         &self.estimator
     }
 
-    /// Master 0's transaction records so far (the only master's, in a
-    /// single-master system; [`RunReport::masters`] has every master's).
-    pub fn records(&self) -> &[TxnRecord] {
-        self.masters[0].records()
-    }
-
     /// Current cycle number (cycles executed so far).
     pub fn cycle(&self) -> u64 {
         self.cycle
@@ -337,7 +334,7 @@ impl RtlSystem {
         let granted = self.arbiter.grant(cycle, &requests);
         self.requests = requests;
         if let Some(winner) = granted {
-            let (rec, txn, fault) = self.masters[winner].issue_granted(cycle);
+            let (txn, fault) = self.masters[winner].issue_granted(cycle);
             let decode = self.map.decode(txn.addr, txn.kind);
             let (slave, addr_waits, error) = match decode {
                 Ok(id) => (Some(id), self.map.config(id).waits.address, None),
@@ -353,7 +350,6 @@ impl RtlSystem {
             );
             self.active.push(ActiveTxn {
                 master: winner,
-                rec,
                 txn,
                 slave,
                 fault,
@@ -379,7 +375,7 @@ impl RtlSystem {
                 self.obs_addr_start(idx, cycle);
                 self.obs
                     .end(self.active[idx].txn.id.0, Phase::Address, cycle, false);
-                let (kind, beats, wait, stall, rec, mi) = {
+                let (kind, beats, wait, stall) = {
                     let a = &self.active[idx];
                     let waits = self.map.config(a.slave.expect("decoded")).waits;
                     let stall = match a.fault {
@@ -391,13 +387,11 @@ impl RtlSystem {
                         a.txn.beats(),
                         waits.data_wait(a.txn.kind),
                         stall,
-                        a.rec,
-                        a.master,
                     )
                 };
                 let t = &self.active[idx].txn;
                 frame.drive_address(t.addr.raw(), t.kind, t.width, t.burst, true, false);
-                self.masters[mi].address_done(rec, cycle);
+                self.record(idx).addr_done_cycle = Some(cycle);
                 if kind.is_read() {
                     self.read_ch.push(idx, beats, wait, stall);
                 } else {
@@ -410,9 +404,7 @@ impl RtlSystem {
                     .end(self.active[idx].txn.id.0, Phase::Address, cycle, true);
                 let t = &self.active[idx].txn;
                 frame.drive_address(t.addr.raw(), t.kind, t.width, t.burst, true, true);
-                let (rec, mi) = (self.active[idx].rec, self.active[idx].master);
-                self.masters[mi].complete(rec, cycle, Some(err));
-                self.last_done = cycle;
+                self.complete(idx, cycle, Some(err));
             }
         }
 
@@ -428,9 +420,9 @@ impl RtlSystem {
                 let injected =
                     beat == 0 && matches!(self.active[idx].fault, Some(FaultKind::SlaveError));
                 if injected {
-                    let (tag, rec, mi, addr) = {
+                    let (tag, addr) = {
                         let a = &self.active[idx];
-                        (a.txn.id.tag(), a.rec, a.master, a.txn.beat_addr(0))
+                        (a.txn.id.tag(), a.txn.beat_addr(0))
                     };
                     let prev = self.wires.r_data.value() as u32;
                     frame.drive_read(prev, tag, true, true);
@@ -439,29 +431,24 @@ impl RtlSystem {
                     }
                     self.obs
                         .end(self.active[idx].txn.id.0, Phase::ReadData, cycle, true);
-                    self.masters[mi].complete(rec, cycle, Some(BusError::SlaveError(addr)));
-                    self.last_done = cycle;
+                    self.complete(idx, cycle, Some(BusError::SlaveError(addr)));
                 } else {
-                    let (word, tag, rec, mi, err) = {
+                    let (word, tag) = {
                         let a = &self.active[idx];
                         let addr = a.txn.beat_addr(beat);
                         let slave = a.slave.expect("decoded");
-                        let word = self.slaves[slave.0].read_word(addr);
-                        (word, a.txn.id.tag(), a.rec, a.master, None::<BusError>)
+                        (self.slaves[slave.0].read_word(addr), a.txn.id.tag())
                     };
                     frame.drive_read(word, tag, true, false);
                     let a = &self.active[idx];
                     let value = a.txn.width.extract(a.txn.beat_addr(beat), word);
-                    self.masters[mi].read_beat(rec, beat, value);
+                    let data = &mut self.record(idx).data;
+                    debug_assert_eq!(data.len(), beat as usize, "beats arrive in order");
+                    data.push(value);
                     if last {
-                        self.obs.end(
-                            self.active[idx].txn.id.0,
-                            Phase::ReadData,
-                            cycle,
-                            err.is_some(),
-                        );
-                        self.masters[mi].complete(rec, cycle, err);
-                        self.last_done = cycle;
+                        self.obs
+                            .end(self.active[idx].txn.id.0, Phase::ReadData, cycle, false);
+                        self.complete(idx, cycle, None);
                     }
                 }
             }
@@ -477,7 +464,7 @@ impl RtlSystem {
                 // The payload was still driven onto the bus.
                 let injected =
                     beat == 0 && matches!(self.active[idx].fault, Some(FaultKind::SlaveError));
-                let (bus_word, ben, tag, rec, mi) = {
+                let (bus_word, ben, tag) = {
                     let a = &self.active[idx];
                     let addr = a.txn.beat_addr(beat);
                     let value = a.txn.data[beat as usize];
@@ -486,7 +473,7 @@ impl RtlSystem {
                     let prev = self.wires.w_data.value() as u32;
                     let bus_word = a.txn.width.insert(addr, prev, value);
                     let ben = a.txn.width.byte_enables(addr);
-                    (bus_word, ben, a.txn.id.tag(), a.rec, a.master)
+                    (bus_word, ben, a.txn.id.tag())
                 };
                 frame.drive_write(bus_word, ben, tag, true, injected);
                 if !injected {
@@ -507,14 +494,29 @@ impl RtlSystem {
                         cycle,
                         err.is_some(),
                     );
-                    self.masters[mi].complete(rec, cycle, err);
-                    self.last_done = cycle;
+                    self.complete(idx, cycle, err);
                 }
             }
         }
 
         self.settle(&frame);
         self.cycle += 1;
+    }
+
+    /// The record of active transaction `idx`.
+    fn record(&mut self, idx: usize) -> &mut TxnRecord {
+        let a = &self.active[idx];
+        self.masters[a.master]
+            .record_mut(a.txn.id)
+            .expect("the reference keeps records")
+    }
+
+    /// Active transaction `idx` finished at the falling edge of `cycle`;
+    /// its master sees that at the next rising edge, `cycle + 1`. Its
+    /// limit slot frees now: nothing issues before that rising edge.
+    fn complete(&mut self, idx: usize, cycle: u64, error: Option<BusError>) {
+        let a = &self.active[idx];
+        self.masters[a.master].complete(a.txn.id, cycle, error, cycle + 1);
     }
 
     /// Drives the wires to `frame`, injecting hazards and feeding the
@@ -564,26 +566,15 @@ impl RtlSystem {
     /// trace whenever they change.
     fn sample_fault_counters(&mut self, cycle: u64) {
         let c = self.fault_counters();
-        if c == self.sampled {
-            return;
-        }
-        if c.injected != self.sampled.injected {
-            self.obs
-                .counter_sample("fault.injected", cycle, c.injected as f64);
-        }
-        if c.retried != self.sampled.retried {
-            self.obs
-                .counter_sample("fault.retried", cycle, c.retried as f64);
-        }
-        if c.aborted != self.sampled.aborted {
-            self.obs
-                .counter_sample("fault.aborted", cycle, c.aborted as f64);
+        for (track, value) in c.changed_since(self.sampled) {
+            self.obs.counter_sample(track, cycle, value);
         }
         self.sampled = c;
     }
 
     /// Runs until the stimulus completes — or to the card tear,
-    /// whichever is first. Returns the run report.
+    /// whichever is first. The report takes the masters' records and
+    /// outcomes, so run once.
     ///
     /// # Panics
     ///
@@ -628,28 +619,17 @@ impl RtlSystem {
             .iter()
             .map(|&c| self.estimator.class_glitch_transitions(c))
             .sum();
-        let masters: Vec<MasterReport> = self
+        let cycles = self
             .masters
             .iter()
-            .map(|m| MasterReport {
-                records: m.records().to_vec(),
-                outcomes: m
-                    .outcomes()
-                    .iter()
-                    .map(|o| o.expect("all ops settled at end of run"))
-                    .collect(),
-                fault: m.fault_counters(),
-                completed: m
-                    .records()
-                    .iter()
-                    .filter(|r| r.done_cycle.is_some())
-                    .count() as u64,
-            })
-            .collect();
-        let any_done = masters.iter().any(|m| m.completed > 0);
+            .filter_map(Replay::end_cycle)
+            .max()
+            .unwrap_or(0);
+        let masters: Vec<MasterReport> = self.masters.iter_mut().map(Replay::take_report).collect();
+        let records: Vec<&[TxnRecord]> = masters.iter().map(|m| &m.records[..]).collect();
         RunReport {
-            cycles: if any_done { self.last_done + 1 } else { 0 },
-            records: masters.iter().flat_map(|m| m.records.clone()).collect(),
+            cycles,
+            records: records.concat(),
             energy_pj: self.estimator.total_energy(),
             transitions: self.estimator.total_transitions(),
             glitch_transitions: glitches,

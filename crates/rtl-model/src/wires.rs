@@ -197,20 +197,4 @@ mod tests {
             assert_eq!(wires.group(class).width(), class.wires(), "{class}");
         }
     }
-
-    #[test]
-    fn per_bit_counters_accumulate_across_cycles() {
-        let mut wires = InterfaceWires::new();
-        for i in 0..4u64 {
-            // bit 0 toggles every cycle, bit 1 every other cycle
-            let f = SignalFrame {
-                a_addr: i,
-                ..SignalFrame::default()
-            };
-            wires.drive(&f);
-            settle(&mut wires);
-        }
-        assert_eq!(wires.a_addr.bit_toggles(0), 3);
-        assert_eq!(wires.a_addr.bit_toggles(1), 1);
-    }
 }

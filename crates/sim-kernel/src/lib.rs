@@ -9,9 +9,8 @@
 //! `hierbus-rtl` — so this crate only carries what those loops share:
 //!
 //! * [`signal`] — [`signal::Vector`], the two-phase signal whose
-//!   `update()` step counts bit transitions; the gate-level
-//!   power estimator and the layer-1 energy model are built on these
-//!   counters.
+//!   `update()` step returns the bits it toggled (rising and falling
+//!   masks); the gate-level power estimator prices those masks.
 //! * [`trace`] — a VCD waveform recorder keyed by [`SimTime`].
 //! * [`schedule`] — [`CycleSchedule`], cycle-keyed scripted events (card
 //!   tear) replayed identically at every abstraction level.
@@ -31,11 +30,11 @@
 //! let mut data = Vector::new(8);
 //! data.set(0x0F);
 //! assert_eq!(data.value(), 0x00); // a write is not visible until update
-//! data.update();
+//! let first = data.update();
 //! data.set(0xF0);
-//! data.update();
+//! let second = data.update();
 //! assert_eq!(data.value(), 0xF0);
-//! assert_eq!(data.toggles(), 4 + 8);
+//! assert_eq!(first.toggles() + second.toggles(), 4 + 8);
 //! ```
 
 pub mod prng;

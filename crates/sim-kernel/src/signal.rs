@@ -1,10 +1,11 @@
-//! Two-phase signals with transition accounting.
+//! Two-phase signals with transition classification.
 //!
 //! Hardware signals follow SystemC `sc_signal` semantics: writes go to a
 //! *next* value and become visible when [`Vector::update`] runs at the
-//! update step. Every update classifies and counts the bit
-//! transitions it performs — these counters are the raw material for the
-//! gate-level power estimator and the layer-1 energy model.
+//! update step. Every update returns the rising and falling bits of the
+//! transition it performs — the raw material the gate-level power
+//! estimator prices. The signal keeps no running totals; a caller that
+//! wants them sums the returned [`VectorUpdate`]s.
 //!
 //! Calling `update` more than once between reads is allowed and is how the
 //! RTL model represents combinational settling: intermediate values applied
@@ -33,8 +34,8 @@ impl VectorUpdate {
     }
 }
 
-/// A multi-bit two-phase signal of width 1..=64 with per-bit transition
-/// counters.
+/// A multi-bit two-phase signal of width 1..=64 whose update reports
+/// the bits it toggled.
 ///
 /// ```
 /// use hierbus_sim::Vector;
@@ -42,8 +43,8 @@ impl VectorUpdate {
 /// addr.set(0xF000_0000);
 /// let upd = addr.update();
 /// assert_eq!(upd.toggles(), 4);
+/// assert_eq!(upd.rises, 0xF000_0000);
 /// assert_eq!(addr.value(), 0xF000_0000);
-/// assert_eq!(addr.bit_toggles(28), 1);
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Vector {
@@ -51,9 +52,6 @@ pub struct Vector {
     mask: u64,
     cur: u64,
     next: u64,
-    rises: u64,
-    falls: u64,
-    per_bit: Vec<u64>,
 }
 
 impl Vector {
@@ -77,9 +75,6 @@ impl Vector {
             mask,
             cur: 0,
             next: 0,
-            rises: 0,
-            falls: 0,
-            per_bit: vec![0; width as usize],
         }
     }
 
@@ -112,49 +107,17 @@ impl Vector {
         self.cur != self.next
     }
 
-    /// Applies the scheduled value, accumulating per-bit counters, and
-    /// returns masks of the transitions performed.
+    /// Applies the scheduled value and returns masks of the transitions
+    /// performed.
+    #[inline]
     pub fn update(&mut self) -> VectorUpdate {
         let changed = self.cur ^ self.next;
-        if changed == 0 {
-            return VectorUpdate::default();
-        }
-        let rises = changed & self.next;
-        let falls = changed & self.cur;
-        self.rises += rises.count_ones() as u64;
-        self.falls += falls.count_ones() as u64;
-        let mut bits = changed;
-        while bits != 0 {
-            let b = bits.trailing_zeros();
-            self.per_bit[b as usize] += 1;
-            bits &= bits - 1;
-        }
+        let update = VectorUpdate {
+            rises: changed & self.next,
+            falls: changed & self.cur,
+        };
         self.cur = self.next;
-        VectorUpdate { rises, falls }
-    }
-
-    /// Cumulative 0→1 transitions across all bits.
-    pub fn rises(&self) -> u64 {
-        self.rises
-    }
-
-    /// Cumulative 1→0 transitions across all bits.
-    pub fn falls(&self) -> u64 {
-        self.falls
-    }
-
-    /// Cumulative transitions across all bits.
-    pub fn toggles(&self) -> u64 {
-        self.rises + self.falls
-    }
-
-    /// Cumulative transitions of a single bit.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bit >= width`.
-    pub fn bit_toggles(&self, bit: u32) -> u64 {
-        self.per_bit[bit as usize]
+        update
     }
 }
 
@@ -182,20 +145,10 @@ mod tests {
         assert_eq!(u2.rises, 0b0100);
         assert_eq!(u2.falls, 0b1000);
         assert_eq!(u2.toggles(), 2);
-        assert_eq!(v.rises(), 3);
-        assert_eq!(v.falls(), 1);
-    }
-
-    #[test]
-    fn vector_per_bit_counters() {
-        let mut v = Vector::new(3);
-        for _ in 0..5 {
-            v.set(v.value() ^ 0b001);
-            v.update();
-        }
-        assert_eq!(v.bit_toggles(0), 5);
-        assert_eq!(v.bit_toggles(1), 0);
-        assert_eq!(v.bit_toggles(2), 0);
+        let rises: u32 = [u1, u2].iter().map(|u| u.rises.count_ones()).sum();
+        let falls: u32 = [u1, u2].iter().map(|u| u.falls.count_ones()).sum();
+        assert_eq!(rises, 3);
+        assert_eq!(falls, 1);
     }
 
     #[test]
@@ -204,17 +157,17 @@ mod tests {
         // the mechanism behind the gate-level vs layer-1 energy gap.
         let mut clean = Vector::new(8);
         clean.set(0x0F);
-        clean.update();
+        let clean_toggles = clean.update().toggles();
 
         let mut glitchy = Vector::new(8);
         glitchy.set(0xFF); // intermediate hazard value
-        glitchy.update();
+        let mut glitchy_toggles = glitchy.update().toggles();
         glitchy.set(0x0F); // settles to the same final value
-        glitchy.update();
+        glitchy_toggles += glitchy.update().toggles();
 
         assert_eq!(clean.value(), glitchy.value());
-        assert!(glitchy.toggles() > clean.toggles());
-        assert_eq!(glitchy.toggles(), 12);
+        assert!(glitchy_toggles > clean_toggles);
+        assert_eq!(glitchy_toggles, 12);
     }
 
     #[test]

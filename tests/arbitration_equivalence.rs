@@ -93,43 +93,67 @@ fn all_layers(
 
 /// The layer-invariant multi-master contract.
 fn assert_agreement(tag: &str, rtl: &Outcome, l1: &Outcome, l2: &Outcome) {
-    // Per-master outcomes and fault counters agree everywhere.
-    assert_eq!(rtl.outcomes(), l1.outcomes(), "{tag}: rtl vs l1 outcomes");
+    assert_l1_matches_reference(tag, rtl, l1);
+    // Per-master outcomes, fault counters and committed memory agree at
+    // layer 2 too.
     assert_eq!(l1.outcomes(), l2.outcomes(), "{tag}: l1 vs l2 outcomes");
-    for (i, (r, o)) in rtl.masters.iter().zip(l1.masters.iter()).enumerate() {
-        assert_eq!(r.fault, o.fault, "{tag}: master {i} rtl vs l1 counters");
-    }
     for (i, (r, o)) in l1.masters.iter().zip(l2.masters.iter()).enumerate() {
         assert_eq!(r.fault, o.fault, "{tag}: master {i} l1 vs l2 counters");
     }
-    // Committed memory agrees everywhere.
-    assert_eq!(rtl.memory, l1.memory, "{tag}: rtl vs l1 memory");
     assert_eq!(l1.memory, l2.memory, "{tag}: l1 vs l2 memory");
-    // Layer 1 is cycle-exact, grant line for grant line, record for
-    // record; layer 2 prices contention coarsely but never optimistically.
-    assert_eq!(rtl.cycles, l1.cycles, "{tag}: layer 1 not cycle-exact");
-    assert_eq!(rtl.grants, l1.grants, "{tag}: grant lines diverge");
-    for (i, (r, o)) in rtl.masters.iter().zip(l1.masters.iter()).enumerate() {
-        assert_eq!(r.records, o.records, "{tag}: master {i} records diverge");
-    }
+    // Layer 2 prices contention coarsely but never optimistically.
     assert!(
         l2.cycles >= l1.cycles,
         "{tag}: layer 2 optimistic ({} < {})",
         l2.cycles,
         l1.cycles
     );
-    // Every layer grants exactly once per issued attempt.
-    for run in [rtl, l1, l2] {
-        let attempts: usize = run.masters.iter().map(|m| m.records.len()).sum();
-        assert_eq!(run.grants.len(), attempts, "{tag}: grants != attempts");
-        for (i, m) in run.masters.iter().enumerate() {
-            assert_eq!(
-                run.stats.grants[i] as usize,
-                m.records.len(),
-                "{tag}: master {i} grant count"
-            );
-        }
+    assert_grants_per_attempt(tag, l2);
+    assert_ledger_partitions(&format!("{tag}: tlm2"), l2, l2.energy_pj);
+}
+
+/// A layer's master-tagged ledger partitions its own attributed
+/// `total`: the untagged (idle) slice plus the per-master slices sum
+/// back to the total the layer reported.
+fn assert_ledger_partitions(tag: &str, run: &Outcome, total: f64) {
+    let slices: f64 = run.ledger.master_totals().iter().map(|(_, e)| e).sum();
+    assert_close(&format!("{tag} ledger total"), run.ledger.total_pj(), total);
+    assert_close(&format!("{tag} slice sum"), slices, total);
+}
+
+/// Every layer grants exactly once per issued attempt.
+fn assert_grants_per_attempt(tag: &str, run: &Outcome) {
+    let attempts: usize = run.masters.iter().map(|m| m.records.len()).sum();
+    assert_eq!(run.grants.len(), attempts, "{tag}: grants != attempts");
+    for (i, m) in run.masters.iter().enumerate() {
+        assert_eq!(
+            run.stats.grants[i] as usize,
+            m.records.len(),
+            "{tag}: master {i} grant count"
+        );
     }
+}
+
+/// The layer-1 half of the contract, which holds for any plan and
+/// policy: layer 1 is cycle-exact against the reference, so even a
+/// timing-dependent decision (a timeout) comes out the same.
+fn assert_l1_matches_reference(tag: &str, rtl: &Outcome, l1: &Outcome) {
+    // Per-master outcomes and fault counters agree.
+    assert_eq!(rtl.outcomes(), l1.outcomes(), "{tag}: rtl vs l1 outcomes");
+    for (i, (r, o)) in rtl.masters.iter().zip(l1.masters.iter()).enumerate() {
+        assert_eq!(r.fault, o.fault, "{tag}: master {i} rtl vs l1 counters");
+    }
+    // Committed memory agrees.
+    assert_eq!(rtl.memory, l1.memory, "{tag}: rtl vs l1 memory");
+    // Layer 1 is cycle-exact, grant line for grant line, record for
+    // record.
+    assert_eq!(rtl.cycles, l1.cycles, "{tag}: layer 1 not cycle-exact");
+    assert_eq!(rtl.grants, l1.grants, "{tag}: grant lines diverge");
+    for (i, (r, o)) in rtl.masters.iter().zip(l1.masters.iter()).enumerate() {
+        assert_eq!(r.records, o.records, "{tag}: master {i} records diverge");
+    }
+    assert_grants_per_attempt(tag, rtl);
+    assert_grants_per_attempt(tag, l1);
     // The layer-1 characterized model over the *RTL frame log* equals
     // the layer-1 TLM run's energy to 1e-9 relative.
     let frames_energy = rtl.l1_frames_energy_pj.expect("reference run");
@@ -138,22 +162,8 @@ fn assert_agreement(tag: &str, rtl: &Outcome, l1: &Outcome, l2: &Outcome) {
         frames_energy,
         l1.energy_pj,
     );
-    // Each layer's master-tagged ledger partitions its own attributed
-    // total: the untagged (idle) slice plus the per-master slices sum
-    // back to the total the layer reported.
-    for (name, run, total) in [
-        ("rtl", rtl, frames_energy),
-        ("tlm1", l1, l1.energy_pj),
-        ("tlm2", l2, l2.energy_pj),
-    ] {
-        let slices: f64 = run.ledger.master_totals().iter().map(|(_, e)| e).sum();
-        assert_close(
-            &format!("{tag}: {name} ledger total"),
-            run.ledger.total_pj(),
-            total,
-        );
-        assert_close(&format!("{tag}: {name} slice sum"), slices, total);
-    }
+    assert_ledger_partitions(&format!("{tag}: rtl"), rtl, frames_energy);
+    assert_ledger_partitions(&format!("{tag}: tlm1"), l1, l1.energy_pj);
     // The per-master split itself is layer-exact between the reference
     // and layer 1 (same frames, same spans, same ownership rule).
     for master in [None, Some("cpu"), Some("dma")] {
@@ -388,6 +398,34 @@ fn faults_on_either_master_stay_layer_invariant_under_contention() {
         assert_agreement(tag, &rtl, &l1, &l2);
         let injected: u64 = rtl.masters.iter().map(|m| m.fault.injected).sum();
         assert!(injected > 0, "{tag}: no fault fired");
+    }
+    // A timeout under arbitration, on both masters: a stall that
+    // outlives the timeout and a retried slave error each. Layer 1
+    // must match the reference record for record and grant for grant;
+    // layer 2 is left out, because its data phases are not cycle-exact
+    // and a timeout can expire on a different attempt there.
+    let policy = RetryPolicy {
+        timeout: Some(25),
+        ..RetryPolicy::retries(2)
+    };
+    let timed_out = |master, stalled, errored| MasterFaults {
+        master,
+        plan: FaultPlan::new()
+            .with_fault(stalled, OpFault::always(FaultKind::Stall(40)))
+            .with_fault(errored, OpFault::once(FaultKind::SlaveError)),
+        policy,
+    };
+    for arbitration in ArbitrationPolicy::ALL {
+        let ms = contention_scenario(31, arbitration, BurstLen::B4, 40, 8);
+        let faults = [timed_out(0, 2, 30), timed_out(1, 4, 0)];
+        let rtl = run_reference(&ms, &db, &faults);
+        let l1 = run_layer1(&ms, &db, &faults);
+        let tag = format!("{}/timeout", arbitration.name());
+        assert_l1_matches_reference(&tag, &rtl, &l1);
+        for (i, m) in rtl.masters.iter().enumerate() {
+            assert!(m.fault.aborted > 0, "{tag}: master {i} never timed out");
+            assert!(m.fault.retried > 0, "{tag}: master {i} never retried");
+        }
     }
 }
 

@@ -13,6 +13,7 @@ use hierbus::ec::{
 };
 use hierbus::harness::shared_db;
 use hierbus::power::{Capture, CharacterizationDb, Layer, MasterFaults, Outcome, RunSpec, Session};
+use hierbus::sim::SplitMix64;
 
 /// `scenario` at `layer` under one fault plan, full capture.
 fn faulted(
@@ -85,19 +86,34 @@ fn all_layers(
 /// final outcomes, identical fault counters, identical committed
 /// memory, layer 1 cycle-exact against the reference.
 fn assert_agreement(tag: &str, rtl: &Outcome, l1: &Outcome, l2: &Outcome) {
-    assert_eq!(rtl.outcomes, l1.outcomes, "{tag}: rtl vs l1 outcomes");
+    assert_l1_matches_reference(tag, rtl, l1);
     assert_eq!(l1.outcomes, l2.outcomes, "{tag}: l1 vs l2 outcomes");
-    assert_eq!(rtl.counters, l1.counters, "{tag}: rtl vs l1 counters");
     assert_eq!(l1.counters, l2.counters, "{tag}: l1 vs l2 counters");
-    assert_eq!(rtl.memory, l1.memory, "{tag}: rtl vs l1 memory");
     assert_eq!(l1.memory, l2.memory, "{tag}: l1 vs l2 memory");
-    assert_eq!(rtl.cycles, l1.cycles, "{tag}: layer 1 not cycle-exact");
     assert!(
         l2.cycles >= l1.cycles,
         "{tag}: layer 2 optimistic ({} < {})",
         l2.cycles,
         l1.cycles
     );
+}
+
+/// The layer-1 half of the contract, which holds for any plan and
+/// policy: layer 1 is cycle-exact, so even timing-dependent decisions
+/// (a timeout) come out as at the reference.
+fn assert_l1_matches_reference(tag: &str, rtl: &Outcome, l1: &Outcome) {
+    assert_eq!(rtl.outcomes, l1.outcomes, "{tag}: rtl vs l1 outcomes");
+    assert_eq!(rtl.counters, l1.counters, "{tag}: rtl vs l1 counters");
+    assert_eq!(rtl.memory, l1.memory, "{tag}: rtl vs l1 memory");
+    assert_eq!(rtl.cycles, l1.cycles, "{tag}: layer 1 not cycle-exact");
+    // One replay policy drives the reference and the TLM master, so an
+    // untorn run agrees attempt for attempt. A torn run can differ only
+    // in the attempts still in flight at the tear: the reference stamps
+    // their address phase and read beats as they happen, while a TLM
+    // master writes them at pickup, which never comes.
+    if !rtl.torn {
+        assert_eq!(rtl.records, l1.records, "{tag}: rtl vs l1 records");
+    }
 }
 
 #[test]
@@ -217,6 +233,45 @@ fn timeout_aborts_but_the_bus_drains_to_idle() {
     // what matters is that all layers agree on that memory state,
     // which assert_agreement checked above.
     assert!(!rtl.torn);
+
+    // Seeded mixes under the same policy shape: stalls that may outlive
+    // a 9-cycle timeout, once and always slave errors, two retries.
+    // Layer 1 agrees with the reference record for record, abandoned
+    // attempts included. Layer 2 is left out: its data phases are not
+    // cycle-exact, so a timeout may expire on a different attempt.
+    let policy = RetryPolicy {
+        timeout: Some(9),
+        ..RetryPolicy::retries(2)
+    };
+    let (mut aborted, mut retried) = (0, 0);
+    for seed in 0..8u64 {
+        let params = MixParams {
+            count: 60,
+            burst_pct: 30,
+            ..MixParams::default()
+        };
+        let scenario = sequences::random_mix(0x71E0 + seed, params);
+        let mut rng = SplitMix64::new(seed);
+        let mut plan = FaultPlan::new();
+        for op in 0..scenario.ops.len() {
+            let fault = match rng.next_u64() % 12 {
+                0 => OpFault::always(FaultKind::Stall(1 + (rng.next_u64() % 12) as u32)),
+                1 => OpFault::once(FaultKind::SlaveError),
+                2 => OpFault::always(FaultKind::SlaveError),
+                _ => continue,
+            };
+            plan = plan.with_fault(op, fault);
+        }
+        let rtl = run_reference(&scenario, &plan, policy);
+        let l1 = run_layer1(&scenario, &db, &plan, policy);
+        assert_l1_matches_reference(&format!("timeout-mix{seed}"), &rtl, &l1);
+        aborted += rtl.counters.aborted;
+        retried += rtl.counters.retried;
+    }
+    assert!(
+        aborted > 0 && retried > 0,
+        "no seeded mix timed out and retried"
+    );
 }
 
 #[test]
