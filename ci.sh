@@ -155,16 +155,25 @@ for bin in table1_timing table2_energy fig6_sampling explore_jcvm ablations attr
   fi
 done
 
-echo "==> attribution JSON schema gate"
+echo "==> attribution JSON schema gate, observed-run artifacts"
 # The attribution bin above rewrote results/obs/attribution_*.json as a
 # side effect; validate the schema and fail if the rewrite left the
 # committed copies stale.
 cargo run --release -p hierbus-bench --bin check_attribution
-# Only the attribution artifacts are gated here; the other files in
-# results/obs/ are the table bins' observed-run traces and metrics.
-if ! git diff --quiet -- 'results/obs/attribution_*'; then
-  git --no-pager diff --stat -- 'results/obs/attribution_*' >&2
-  echo "results/obs attribution artifacts are stale — commit the regenerated files" >&2
+# The table1_timing and table2_energy runs above also rewrote their
+# observed-run artifacts (the RTL/L1/L2 span streams, energy tracks and
+# per-layer record metrics); they are deterministic, so they are gated
+# too. table3_simperf's artifacts carry wall-clock numbers and
+# smartcard_boot's are not regenerated in CI, so both stay ungated.
+obs_gated=('results/obs/attribution_*')
+for bin in table1_timing table2_energy; do
+  for ext in trace.json metrics.csv metrics.prom; do
+    obs_gated+=("results/obs/$bin.$ext")
+  done
+done
+if ! git diff --quiet -- "${obs_gated[@]}"; then
+  git --no-pager diff --stat -- "${obs_gated[@]}" >&2
+  echo "results/obs artifacts are stale — commit the regenerated files" >&2
   exit 1
 fi
 

@@ -19,14 +19,16 @@
 //!   completion events for the coarse layer-2 energy model.
 //!
 //! [`master::TlmMaster`] replays [`MasterOp`](hierbus_ec::MasterOp)
-//! stimuli against either bus through the [`master::CycleBus`] trait. Its
-//! policy is [`Replay`](hierbus_ec::Replay), the one the RTL reference
-//! runs, so it produces the same [`TxnRecord`](hierbus_ec::TxnRecord)s and
-//! cycle-exactness (layer 1) and timing error (layer 2) are directly
-//! measurable. [`master::TlmSystem`] is the stepping loop for
-//! stimulus masters: one master, or several behind an
+//! stimuli through the [`master::CycleBus`] trait against any bus: either
+//! TLM layer, or the RTL reference (`hierbus_rtl::RtlBus`, which
+//! implements the trait). Its policy is [`Replay`](hierbus_ec::Replay),
+//! so every layer produces the same kind of
+//! [`TxnRecord`](hierbus_ec::TxnRecord)s and cycle-exactness (layer 1)
+//! and timing error (layer 2) are directly measurable.
+//! [`master::TlmSystem`] is the stepping loop for stimulus masters at
+//! every layer: one master, or several behind an
 //! [`Arbiter`](hierbus_ec::Arbiter) (the CPU + DMA pair of
-//! [`TlmSystem::for_multi`]), shaped like the RTL reference's system.
+//! [`TlmSystem::for_multi`]).
 //! It, the ISS's `CpuSystem` and the JCVM master adapter all step a bus
 //! through [`CycleBus::falling_edge`], which keeps §3.2's idle skip
 //! inside the bus.
@@ -60,7 +62,9 @@ pub mod tlm3;
 
 pub use hierbus_ec::MasterReport;
 pub use master::{Completed, CycleBus, PollStatus, TlmMaster, TlmReport, TlmSystem};
+pub use obs_util::access_class;
 pub use slave::{HasSlaves, MemSlave, SlaveReply, TlmSlave};
+pub use slots::Slots;
 pub use tlm1::Tlm1Bus;
 pub use tlm2::{PhaseEvent, PhaseKind, Tlm2Bus};
 pub use tlm3::Tlm3Bus;

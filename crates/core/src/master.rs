@@ -33,7 +33,8 @@ pub enum PollStatus {
     Done(Completed),
 }
 
-/// The cycle-driven interface both TLM bus layers expose to a master.
+/// The cycle-driven interface every bus layer exposes to a master: the
+/// TLM buses and the RTL reference (`hierbus_rtl::RtlBus`) alike.
 ///
 /// The master calls [`issue`](CycleBus::issue)/[`poll`](CycleBus::poll)
 /// at the rising clock edge and the driver calls
@@ -52,7 +53,8 @@ pub trait CycleBus {
     /// The falling clock edge: runs the bus process if the bus is
     /// sensitive this cycle and returns whether it ran. An idle bus is
     /// not activated — §3.2's dynamic sensitivity — unless it must watch
-    /// its wires every cycle (the layer-1 bus while it emits frames).
+    /// its wires every cycle (the layer-1 bus while it emits frames, and
+    /// the reference, whose wires settle every cycle).
     fn falling_edge(&mut self, cycle: u64) -> bool;
 
     /// True if at least one transaction is waiting in the finish queue.
@@ -96,11 +98,11 @@ pub trait CycleBus {
 /// Replays a [`MasterOp`] list against a [`CycleBus`]. The policy —
 /// idle gaps, the one-issue-per-cycle rule, outstanding-transaction
 /// ceilings, faults, retries, timeout, outcomes and the card tear — is
-/// the shared [`Replay`], the same one the RTL reference runs, so the
-/// [`TxnRecord`]s and [`TxnOutcome`]s compare directly with the
-/// reference's. This type adds the bus side: it places issued attempts
-/// on the bus, injects their planned faults, and polls the in-flight
-/// attempts for completion at every rising edge.
+/// [`Replay`]. The same master runs against every layer, the RTL
+/// reference included, so the [`TxnRecord`]s and [`TxnOutcome`]s
+/// compare directly across layers. This type adds the bus side: it
+/// places issued attempts on the bus, injects their planned faults, and
+/// polls the in-flight attempts for completion at every rising edge.
 #[derive(Debug)]
 pub struct TlmMaster {
     replay: Replay,
@@ -160,11 +162,11 @@ impl TlmMaster {
     }
 
     /// Polls every in-flight attempt and hands the finished ones to the
-    /// policy, seen at `cycle`. Abandoned attempts are polled too, so the
-    /// bus drains to a defined idle state. The reference settles an
-    /// outcome at the falling edge the transaction completes; this runs
-    /// at the next rising edge, which is the same decision point —
-    /// except at a card tear, where [`TlmSystem`] calls it once more so
+    /// policy, seen at `cycle`, stamping the address phase and read
+    /// beats into the record. Abandoned attempts are polled too, so the
+    /// bus drains to a defined idle state. A transaction that completes
+    /// at a falling edge is seen at the next rising edge (protocol rule
+    /// 5). At a card tear [`TlmSystem`] calls this once more, so
     /// completions from already executed cycles are not spuriously
     /// aborted.
     fn pickup<B: CycleBus>(&mut self, bus: &mut B, cycle: u64) {
@@ -189,9 +191,9 @@ impl TlmMaster {
     }
 }
 
-/// Summary of a completed TLM run, in the shape of the RTL reference's
-/// run report: the master-side fields concatenated or summed in master
-/// order, then the per-master slices and the arbitration record.
+/// Summary of a completed run at any layer: the master-side fields
+/// concatenated or summed in master order, then the per-master slices
+/// and the arbitration record.
 #[derive(Debug, Clone)]
 pub struct TlmReport {
     /// Bus cycles from cycle 0 through the last completion of any
@@ -245,13 +247,16 @@ impl TlmReport {
 
 /// Drives [`TlmMaster`]s against one [`CycleBus`] cycle by cycle — the
 /// paper's §3.1 discipline: masters at the rising edge, the bus process
-/// at the falling edge.
+/// at the falling edge. It is the one stepping loop for stimulus
+/// masters at every layer: the RTL reference runs as
+/// `TlmSystem<hierbus_rtl::RtlBus>`, so the layers differ only in the
+/// bus.
 ///
 /// Several masters share the bus behind an [`Arbiter`]: every master
 /// runs its rising-edge bookkeeping ([`TlmMaster::begin_cycle`]) and
 /// drives its request line ([`Replay::arbitration_request`]), and the
 /// arbiter grants at most one, which issues
-/// ([`TlmMaster::issue_granted`]). Both TLM buses consume issues through
+/// ([`TlmMaster::issue_granted`]). Every bus consumes issues through
 /// FIFO queues, so the grant order fully determines bus behaviour and a
 /// layer-1 run is cycle-exact against the RTL reference whenever their
 /// grant logs agree. A lone master is granted whenever it requests, so
@@ -465,9 +470,9 @@ impl<B: CycleBus> TlmSystem<B> {
             self.step_cycle(&mut hook);
         }
         if self.torn() {
-            // Completions from already-executed cycles settled at the
-            // reference's falling edge; pick them up before aborting the
-            // rest, so the tear boundary agrees across layers.
+            // Completions from already-executed cycles settled at their
+            // falling edge; pick them up before aborting the rest, so the
+            // tear boundary agrees across layers.
             let cycle = self.cycle;
             for m in &mut self.masters {
                 m.pickup(&mut self.bus, cycle);

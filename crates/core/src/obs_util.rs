@@ -1,4 +1,4 @@
-//! Shared helpers for wiring the TLM buses into `hierbus-obs`.
+//! Shared helpers for wiring the buses into `hierbus-obs`.
 
 use hierbus_ec::AccessKind;
 use hierbus_obs::AccessClass;
@@ -6,9 +6,9 @@ use hierbus_obs::AccessClass;
 /// Maps a bus access kind onto the obs-local access class.
 ///
 /// `hierbus-obs` is dependency-free, so it cannot name
-/// [`AccessKind`] itself; every instrumented crate carries this
-/// three-line translation instead.
-pub(crate) fn access_class(kind: AccessKind) -> AccessClass {
+/// [`AccessKind`] itself; every instrumented bus translates through
+/// this function instead.
+pub fn access_class(kind: AccessKind) -> AccessClass {
     match kind {
         AccessKind::InstrFetch => AccessClass::Fetch,
         AccessKind::DataRead => AccessClass::Read,

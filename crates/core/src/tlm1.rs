@@ -105,7 +105,7 @@ impl Tlm1Bus {
             map,
             ticking: ticking_slaves(&slaves),
             slaves,
-            active: Slots::new(),
+            active: Slots::default(),
             request_q: VecDeque::new(),
             addr_fsm: AddrFsm::Idle,
             read_q: VecDeque::new(),
@@ -570,7 +570,7 @@ impl std::fmt::Debug for Tlm1Bus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tlm1Bus")
             .field("slaves", &self.slaves.len())
-            .field("active", &self.active.len())
+            .field("active", &self.active.allocated())
             .field("request_q", &self.request_q.len())
             .field("finish_q", &self.finish_q.len())
             .finish()
@@ -688,9 +688,9 @@ mod tests {
         assert_eq!(report.records.len(), 10_000);
         let bus = sys.bus();
         assert!(
-            bus.active.len() <= outstanding,
+            bus.active.allocated() <= outstanding,
             "{} slots for {outstanding} outstanding",
-            bus.active.len()
+            bus.active.allocated()
         );
         assert!(bus.finish_q.is_empty());
     }

@@ -177,7 +177,7 @@ impl Tlm2Bus {
             map,
             ticking: ticking_slaves(&slaves),
             slaves,
-            active: Slots::new(),
+            active: Slots::default(),
             addr_q: VecDeque::new(),
             addr_state: AddrState::Idle,
             read: DataSide::default(),
@@ -720,7 +720,7 @@ impl std::fmt::Debug for Tlm2Bus {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Tlm2Bus")
             .field("slaves", &self.slaves.len())
-            .field("active", &self.active.len())
+            .field("active", &self.active.allocated())
             .field("addr_q", &self.addr_q.len())
             .field("finish_q", &self.finish_q.len())
             .finish()
@@ -867,9 +867,9 @@ mod tests {
         assert_eq!(report.records.len(), 10_000);
         let bus = sys.bus();
         assert!(
-            bus.active.len() <= outstanding,
+            bus.active.allocated() <= outstanding,
             "{} slots for {outstanding} outstanding",
-            bus.active.len()
+            bus.active.allocated()
         );
         assert!(bus.finish_q.is_empty());
     }

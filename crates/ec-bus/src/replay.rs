@@ -1,11 +1,10 @@
 //! Stimulus replay: the one master-side policy every bus layer runs.
 //!
 //! [`Replay`] decides everything a stimulus master decides; the bus side
-//! stays with each model. The RTL reference stamps phases into the
-//! records as its wires move and reports a completion at the falling
-//! edge it happens; a TLM master polls its bus and reports it at the
-//! rising edge it picks it up. Both pass the cycle the master *sees* the
-//! completion, so the retry clock is the same at every layer.
+//! stays with each model. At every layer, the RTL reference included, a
+//! master polls its bus and reports a completion at the rising edge it
+//! picks it up, passing the cycle it *sees* the completion, so the retry
+//! clock is the same at every layer.
 
 use crate::error::BusError;
 use crate::fault::{FaultCounters, FaultKind, FaultPlan, RetryPolicy, TxnOutcome};

@@ -41,7 +41,7 @@ use hierbus_ec::{
     RetryPolicy, Scenario, SignalClass, SlaveConfig, SlaveId, TxnOutcome,
 };
 use hierbus_obs::{attribute_cycles_by_master, EnergyLedger, SlaveMap, TraceCollector};
-use hierbus_rtl::{GlitchConfig, RtlSystem, SimpleMem};
+use hierbus_rtl::{GlitchConfig, RtlBus, SimpleMem};
 
 /// Cycle ceiling for every run; hitting it is a deadlock bug.
 pub const MAX_CYCLES: u64 = 50_000_000;
@@ -282,7 +282,7 @@ impl Session {
             Layer::L3 => {
                 let slave = MemSlave::new(scenario_slave(stimulus.memory()));
                 let mut sys = tlm_system(Tlm3Bus::new(vec![Box::new(slave)]), spec, stimulus);
-                run_tlm(&mut sys, spec, stimulus, |_| {})
+                run_tlm(&mut sys, spec, stimulus, |_| {}, tlm_memory)
             }
         }
     }
@@ -299,58 +299,40 @@ impl Session {
     }
 
     fn run_rtl(&mut self, glitches: bool, spec: &RunSpec, stimulus: &Materialized) -> Outcome {
-        let glitch = if glitches {
-            GlitchConfig::default()
-        } else {
-            GlitchConfig::off()
-        };
         // One memory over the scenario window, default wire capacitances.
-        let mut sys = match stimulus {
-            Materialized::Single(s) => RtlSystem::for_scenario(s),
-            Materialized::Multi(ms) => RtlSystem::for_multi_scenario(ms),
-        };
-        sys.set_glitch(glitch);
-        for f in &spec.faults {
-            sys.set_master_faults(f.master, f.plan.clone(), f.policy);
+        let mut bus = RtlBus::for_scenario(stimulus.memory());
+        if !glitches {
+            bus.set_glitch(GlitchConfig::off());
         }
         if !spec.energy {
-            sys.disable_estimation();
+            bus.disable_estimation();
         }
         if spec.capture != Capture::Lean {
-            sys.enable_obs();
+            bus.enable_obs();
         }
-        let full = spec.capture == Capture::Full;
-        if full && spec.energy {
-            sys.enable_power_trace();
-            sys.enable_frame_log();
+        if spec.capture == Capture::Full && spec.energy {
+            bus.enable_power_trace();
+            bus.enable_frame_log();
         }
-        let report = sys.run(MAX_CYCLES);
-        let mut out = Outcome {
-            cycles: report.cycles,
-            energy_pj: report.energy_pj,
-            records: report.records,
-            outcomes: report.outcomes,
-            counters: report.fault,
-            torn: sys.torn(),
-            obs: std::mem::take(sys.obs_mut()),
-            ..Outcome::default()
-        };
-        if let Materialized::Multi(_) = stimulus {
-            out.masters = report.masters;
-            out.grants = report.grants;
-            out.stats = report.stats;
-        }
-        if full {
-            out.memory = sys
-                .slave_as::<SimpleMem>(0)
-                .expect("scenario slave is a SimpleMem")
-                .snapshot();
-        }
+        let mut sys = tlm_system(bus, spec, stimulus);
+        let mut out = run_tlm(
+            &mut sys,
+            spec,
+            stimulus,
+            |_| {},
+            |bus: &RtlBus| {
+                let mem = bus.slave_as::<SimpleMem>(0);
+                mem.expect("scenario slave is a SimpleMem").snapshot()
+            },
+        );
+        let bus = sys.bus_mut();
+        out.energy_pj = bus.estimator().total_energy();
+        out.obs = std::mem::take(bus.obs_mut());
         if spec.energy {
-            out.class_stats = sys.estimator().class_stats();
+            out.class_stats = bus.estimator().class_stats();
         }
-        if let Some(frames) = sys.frames() {
-            out.trace = sys.estimator().trace().unwrap_or(&[]).to_vec();
+        if let Some(frames) = bus.frames() {
+            out.trace = bus.estimator().trace().unwrap_or(&[]).to_vec();
             let model = self.l1_model(true);
             for frame in frames {
                 model.on_frame(frame);
@@ -379,11 +361,15 @@ impl Session {
         let mut sys = tlm_system(bus, spec, stimulus);
         let mut out = if spec.energy {
             let model = self.l1_model(full);
-            run_tlm(&mut sys, spec, stimulus, |bus: &mut Tlm1Bus| {
-                model.on_frame(bus.last_frame())
-            })
+            run_tlm(
+                &mut sys,
+                spec,
+                stimulus,
+                |bus: &mut Tlm1Bus| model.on_frame(bus.last_frame()),
+                tlm_memory,
+            )
         } else {
-            run_tlm(&mut sys, spec, stimulus, |_| {})
+            run_tlm(&mut sys, spec, stimulus, |_| {}, tlm_memory)
         };
         out.obs = std::mem::take(sys.bus_mut().obs_mut());
         if spec.energy {
@@ -428,11 +414,15 @@ impl Session {
             }
         };
         let mut out = if spec.energy {
-            run_tlm(&mut sys, spec, stimulus, |bus: &mut Tlm2Bus| {
-                bus.drain_events().for_each(|ev| book(&ev))
-            })
+            run_tlm(
+                &mut sys,
+                spec,
+                stimulus,
+                |bus: &mut Tlm2Bus| bus.drain_events().for_each(|ev| book(&ev)),
+                tlm_memory,
+            )
         } else {
-            run_tlm(&mut sys, spec, stimulus, |_| {})
+            run_tlm(&mut sys, spec, stimulus, |_| {}, tlm_memory)
         };
         if let Some(at) = sys.torn_at().filter(|_| spec.energy) {
             // Phases the tear cut short are flushed as partial events
@@ -453,8 +443,8 @@ impl Session {
     }
 }
 
-/// The TLM system `spec` describes over `bus`: one master, or the
-/// arbitrated CPU+DMA pair, with the spec's faults attached.
+/// The system `spec` describes over `bus`, at any layer: one master, or
+/// the arbitrated CPU+DMA pair, with the spec's faults attached.
 fn tlm_system<B: CycleBus>(bus: B, spec: &RunSpec, stimulus: &Materialized) -> TlmSystem<B> {
     let mut sys = match stimulus {
         Materialized::Single(s) => TlmSystem::new(bus, s.ops.clone()),
@@ -463,21 +453,30 @@ fn tlm_system<B: CycleBus>(bus: B, spec: &RunSpec, stimulus: &Materialized) -> T
     for f in &spec.faults {
         sys.set_master_faults(f.master, f.plan.clone(), f.policy);
     }
-    if spec.capture != Capture::Full {
+    // The reference keeps its records under every capture: the
+    // characterization counts phases from them.
+    if spec.capture != Capture::Full && !matches!(spec.layer, Layer::Rtl { .. }) {
         sys.disable_records();
     }
     sys
 }
 
+/// The committed memory of a TLM bus's scenario slave.
+fn tlm_memory<B: HasSlaves>(bus: &B) -> Vec<(u64, u32)> {
+    let mem = bus.slave_as::<MemSlave>(SlaveId(0));
+    mem.expect("scenario slave is a MemSlave").snapshot()
+}
+
 /// Runs `sys` to completion (or the tear), calling `hook` after every
 /// bus-process activation. The per-master slices and the arbitration
 /// record are kept for the CPU+DMA pair only; under full capture the
-/// outcome carries the committed memory.
-fn run_tlm<B: CycleBus + HasSlaves>(
+/// outcome carries the committed memory, read by `memory`.
+fn run_tlm<B: CycleBus>(
     sys: &mut TlmSystem<B>,
     spec: &RunSpec,
     stimulus: &Materialized,
     hook: impl FnMut(&mut B),
+    memory: fn(&B) -> Vec<(u64, u32)>,
 ) -> Outcome {
     let report = sys.run(MAX_CYCLES, hook);
     let mut out = Outcome {
@@ -494,11 +493,7 @@ fn run_tlm<B: CycleBus + HasSlaves>(
         out.stats = report.stats;
     }
     if spec.capture == Capture::Full {
-        out.memory = sys
-            .bus_mut()
-            .slave_as::<MemSlave>(SlaveId(0))
-            .expect("scenario slave is a MemSlave")
-            .snapshot();
+        out.memory = memory(sys.bus());
     }
     out
 }

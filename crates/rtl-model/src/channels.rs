@@ -9,7 +9,7 @@
 use hierbus_ec::BusError;
 use std::collections::VecDeque;
 
-/// Index of an active transaction in the system's table.
+/// Index of an active transaction in the bus's table.
 pub(crate) type ActiveIdx = usize;
 
 /// The address channel: serialises address phases.
@@ -54,6 +54,11 @@ impl AddressChannel {
     pub fn push(&mut self, idx: ActiveIdx, addr_waits: u32, error: Option<BusError>) {
         self.queue.push_back(idx);
         self.meta.push_back((addr_waits, error));
+    }
+
+    /// The transaction pushed last, if its phase has not started yet.
+    pub(crate) fn last_queued(&self) -> Option<ActiveIdx> {
+        self.queue.back().copied()
     }
 
     /// True if no phase is active or queued.

@@ -42,26 +42,30 @@
 
 //! # Example
 //!
-//! ```
-//! use hierbus_rtl::RtlSystem;
-//! use hierbus_ec::sequences;
+//! The reference is a [`CycleBus`](hierbus_core::CycleBus): the one
+//! stepping loop every layer runs, `hierbus_core::TlmSystem`, drives it.
 //!
-//! let scenario = sequences::single_read(false);
-//! let mut sys = RtlSystem::for_scenario(&scenario);
-//! let report = sys.run(1_000);
+//! ```
+//! use hierbus_core::TlmSystem;
+//! use hierbus_ec::sequences;
+//! use hierbus_rtl::RtlBus;
+//!
+//! let s = sequences::single_read(false);
+//! let mut sys = TlmSystem::new(RtlBus::for_scenario(&s), s.ops.clone());
+//! let report = sys.run(1_000, |_| {});
 //! assert_eq!(report.cycles, 1); // a zero-wait read completes in one cycle
-//! assert!(report.energy_pj > 0.0);
+//! assert!(sys.bus().estimator().total_energy() > 0.0);
 //! ```
 
+pub mod bus;
 pub mod channels;
 pub mod glitch;
 pub mod power;
 pub mod slave;
-pub mod system;
 pub mod wires;
 
+pub use bus::RtlBus;
 pub use glitch::GlitchConfig;
 pub use power::{GateLevelPowerEstimator, PowerConfig};
 pub use slave::{RtlSlaveModel, SimpleMem};
-pub use system::{RtlSystem, RunReport};
 pub use wires::InterfaceWires;

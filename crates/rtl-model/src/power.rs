@@ -208,13 +208,8 @@ impl GateLevelPowerEstimator {
         self.accum.iter().map(|a| a.energy_pj).sum()
     }
 
-    /// Glitch transitions of one class.
-    pub(crate) fn class_glitch_transitions(&self, class: SignalClass) -> u64 {
-        self.accum[class.index()].glitch_transitions
-    }
-
     /// Total transitions across classes.
-    pub(crate) fn total_transitions(&self) -> u64 {
+    pub fn total_transitions(&self) -> u64 {
         self.accum.iter().map(|a| a.transitions).sum()
     }
 
@@ -248,6 +243,13 @@ impl GateLevelPowerEstimator {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl GateLevelPowerEstimator {
+        /// Glitch transitions of one class.
+        pub(crate) fn class_glitch_transitions(&self, class: SignalClass) -> u64 {
+            self.accum[class.index()].glitch_transitions
+        }
+    }
 
     #[test]
     fn layout_is_deterministic_per_seed() {

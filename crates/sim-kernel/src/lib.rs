@@ -5,8 +5,9 @@
 //! whose processes run on clock edges: masters on the rising edge, the bus
 //! process on the falling edge, and the bus process not activated at all
 //! while the bus is idle. That discipline is a plain cycle loop here —
-//! `TlmSystem::step_cycle` in `hierbus-core` and `RtlSystem::step_cycle` in
-//! `hierbus-rtl` — so this crate only carries what those loops share:
+//! `TlmSystem::step_cycle` in `hierbus-core`, which steps the RTL
+//! reference's bus too — so this crate only carries what the models
+//! share:
 //!
 //! * [`signal`] — [`signal::Vector`], the two-phase signal whose
 //!   `update()` step returns the bits it toggled (rising and falling

@@ -519,7 +519,7 @@ fn multi_master_layer1_runs_match_bitloop_replays() {
 /// of the same log.
 #[test]
 fn multi_reference_frame_log_energy_matches_bitloop_replay() {
-    use hierbus::rtl::{GlitchConfig, RtlSystem};
+    use hierbus::rtl::{GlitchConfig, RtlBus};
     let db = harness::shared_db();
     for policy in ArbitrationPolicy::ALL {
         let ms = probe_multi(0x5E77, policy);
@@ -530,12 +530,13 @@ fn multi_reference_frame_log_energy_matches_bitloop_replay() {
             )
             .l1_frames_energy_pj
             .expect("reference runs price their frame log");
-        let mut sys = RtlSystem::for_multi_scenario(&ms);
-        sys.set_glitch(GlitchConfig::off());
-        sys.enable_frame_log();
-        sys.run(MAX_CYCLES);
+        let mut bus = RtlBus::for_scenario(&ms.cpu);
+        bus.set_glitch(GlitchConfig::off());
+        bus.enable_frame_log();
+        let mut sys = TlmSystem::for_multi(bus, &ms);
+        sys.run(MAX_CYCLES, |_| {});
         let mut model = Layer1EnergyModel::new((*db).clone());
-        for frame in sys.frames().expect("frame log enabled above") {
+        for frame in sys.bus().frames().expect("frame log enabled above") {
             model.on_frame_reference(frame);
         }
         assert_eq!(

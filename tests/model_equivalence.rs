@@ -6,7 +6,7 @@ use hierbus_core::{MemSlave, Tlm1Bus, Tlm2Bus, TlmSystem};
 use hierbus_ec::record::first_divergence;
 use hierbus_ec::sequences::{self, MixParams, Scenario};
 use hierbus_ec::{AccessRights, Address, AddressRange, SlaveConfig};
-use hierbus_rtl::{GlitchConfig, PowerConfig, RtlSystem, SimpleMem};
+use hierbus_rtl::{GlitchConfig, PowerConfig, RtlBus, SimpleMem};
 
 fn slave_config(scenario: &Scenario) -> SlaveConfig {
     SlaveConfig::new(
@@ -16,15 +16,18 @@ fn slave_config(scenario: &Scenario) -> SlaveConfig {
     )
 }
 
-fn run_rtl(scenario: &Scenario) -> hierbus_rtl::RunReport {
+fn rtl_bus(scenario: &Scenario) -> RtlBus {
     let mem = SimpleMem::new(slave_config(scenario));
-    let mut sys = RtlSystem::new(
-        scenario.ops.clone(),
+    RtlBus::new(
         vec![Box::new(mem)],
         PowerConfig::default(),
         GlitchConfig::off(),
-    );
-    sys.run(5_000_000)
+    )
+}
+
+fn run_rtl(scenario: &Scenario) -> hierbus_core::TlmReport {
+    let mut sys = TlmSystem::new(rtl_bus(scenario), scenario.ops.clone());
+    sys.run(5_000_000, |_| {})
 }
 
 fn run_tlm1(scenario: &Scenario) -> hierbus_core::TlmReport {
@@ -121,15 +124,10 @@ fn layer2_matches_architectural_results() {
 #[test]
 fn layer1_frames_match_rtl_settled_wires_without_glitches() {
     for scenario in sequences::all_scenarios() {
-        let mem = SimpleMem::new(slave_config(&scenario));
-        let mut rtl = RtlSystem::new(
-            scenario.ops.clone(),
-            vec![Box::new(mem)],
-            PowerConfig::default(),
-            GlitchConfig::off(),
-        );
-        rtl.enable_frame_log();
-        let rtl_report = rtl.run(100_000);
+        let mut bus = rtl_bus(&scenario);
+        bus.enable_frame_log();
+        let mut rtl = TlmSystem::new(bus, scenario.ops.clone());
+        let rtl_report = rtl.run(100_000, |_| {});
 
         let mem = MemSlave::new(slave_config(&scenario));
         let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
@@ -138,7 +136,7 @@ fn layer1_frames_match_rtl_settled_wires_without_glitches() {
         let mut frames = Vec::new();
         sys.run(100_000, |b: &mut Tlm1Bus| frames.push(*b.last_frame()));
 
-        let rtl_frames = rtl.frames().expect("frame log enabled");
+        let rtl_frames = rtl.bus().frames().expect("frame log enabled");
         // With frame emission on, the layer-1 bus process runs every
         // cycle (like the RTL), so the frame streams must be identical,
         // idle gaps and the trailing return-to-idle cycle included.

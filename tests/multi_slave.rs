@@ -8,7 +8,7 @@ use hierbus::ec::sequences::MasterOp;
 use hierbus::ec::{
     AccessKind, AccessRights, Address, AddressRange, BurstLen, DataWidth, SlaveConfig, WaitProfile,
 };
-use hierbus::rtl::{GlitchConfig, PowerConfig, RtlSystem, SimpleMem};
+use hierbus::rtl::{GlitchConfig, PowerConfig, RtlBus, SimpleMem};
 use hierbus::sim::SplitMix64;
 
 /// Four windows with very different personalities.
@@ -75,13 +75,13 @@ fn traffic(seed: u64, count: usize) -> Vec<MasterOp> {
     ops
 }
 
-fn run_rtl(ops: Vec<MasterOp>) -> hierbus::rtl::RunReport {
+fn run_rtl(ops: Vec<MasterOp>) -> hierbus::core::TlmReport {
     let slaves: Vec<Box<dyn hierbus::rtl::RtlSlaveModel>> = slave_configs()
         .into_iter()
         .map(|c| Box::new(SimpleMem::new(c)) as Box<dyn hierbus::rtl::RtlSlaveModel>)
         .collect();
-    let mut sys = RtlSystem::new(ops, slaves, PowerConfig::default(), GlitchConfig::off());
-    sys.run(10_000_000)
+    let bus = RtlBus::new(slaves, PowerConfig::default(), GlitchConfig::off());
+    TlmSystem::new(bus, ops).run(10_000_000, |_| {})
 }
 
 fn tlm_slaves() -> Vec<Box<dyn hierbus::core::TlmSlave>> {

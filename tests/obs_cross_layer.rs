@@ -15,19 +15,23 @@ use hierbus::ec::{
 };
 use hierbus::obs::{Phase, TraceCollector};
 use hierbus::power::run::{scenario_slave, MAX_CYCLES};
-use hierbus::rtl::{GlitchConfig, PowerConfig, RtlSystem, SimpleMem};
+use hierbus::rtl::{GlitchConfig, PowerConfig, RtlBus, SimpleMem};
 
 fn rtl_spans(scenario: &Scenario) -> TraceCollector {
+    let mut rtl = TlmSystem::new(rtl_bus(scenario), scenario.ops.clone());
+    rtl.run(MAX_CYCLES, |_| {});
+    rtl.bus().obs().clone()
+}
+
+fn rtl_bus(scenario: &Scenario) -> RtlBus {
     let mem = SimpleMem::new(scenario_slave(scenario));
-    let mut rtl = RtlSystem::new(
-        scenario.ops.clone(),
+    let mut bus = RtlBus::new(
         vec![Box::new(mem)],
         PowerConfig::default(),
         GlitchConfig::default(),
     );
-    rtl.enable_obs();
-    rtl.run(MAX_CYCLES);
-    rtl.obs().clone()
+    bus.enable_obs();
+    bus
 }
 
 fn tlm1_spans(scenario: &Scenario) -> TraceCollector {
@@ -156,17 +160,10 @@ fn perfetto_export_matches_golden_file() {
 }
 
 fn rtl_fault_spans(scenario: &Scenario, plan: &FaultPlan, policy: RetryPolicy) -> TraceCollector {
-    let mem = SimpleMem::new(scenario_slave(scenario));
-    let mut rtl = RtlSystem::new(
-        scenario.ops.clone(),
-        vec![Box::new(mem)],
-        PowerConfig::default(),
-        GlitchConfig::default(),
-    )
-    .with_faults(plan.clone(), policy);
-    rtl.enable_obs();
-    rtl.run(MAX_CYCLES);
-    rtl.obs().clone()
+    let mut rtl =
+        TlmSystem::new(rtl_bus(scenario), scenario.ops.clone()).with_faults(plan.clone(), policy);
+    rtl.run(MAX_CYCLES, |_| {});
+    rtl.bus().obs().clone()
 }
 
 fn tlm1_fault_spans(scenario: &Scenario, plan: &FaultPlan, policy: RetryPolicy) -> TraceCollector {

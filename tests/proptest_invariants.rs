@@ -14,7 +14,7 @@ use hierbus::ec::{
     AccessKind, AccessRights, Address, AddressRange, BurstLen, DataWidth, SlaveConfig, WaitProfile,
 };
 use hierbus::power::{Capture, CharacterizationDb, Layer, MasterFaults, Outcome, RunSpec, Session};
-use hierbus::rtl::{GlitchConfig, PowerConfig, RtlSystem, SimpleMem};
+use hierbus::rtl::{GlitchConfig, PowerConfig, RtlBus, SimpleMem};
 use hierbus::sim::SplitMix64;
 
 const CASES: u64 = 48;
@@ -88,15 +88,18 @@ fn arb_waits(rng: &mut SplitMix64) -> WaitProfile {
     )
 }
 
-fn run_rtl(scenario: &Scenario) -> hierbus::rtl::RunReport {
+fn rtl_system(scenario: &Scenario) -> TlmSystem<RtlBus> {
     let mem = SimpleMem::new(slave_config(scenario.waits));
-    let mut sys = RtlSystem::new(
-        scenario.ops.clone(),
+    let bus = RtlBus::new(
         vec![Box::new(mem)],
         PowerConfig::default(),
         GlitchConfig::off(),
     );
-    sys.run(1_000_000)
+    TlmSystem::new(bus, scenario.ops.clone())
+}
+
+fn run_rtl(scenario: &Scenario) -> hierbus::core::TlmReport {
+    rtl_system(scenario).run(1_000_000, |_| {})
 }
 
 /// `scenario` at `layer` under one fault plan, full capture; the
@@ -494,7 +497,8 @@ fn glitchless_reference_transitions_equal_layer1_toggles() {
             ops: arb_ops(&mut rng, 1, 25).into(),
             waits: arb_waits(&mut rng),
         };
-        let rtl = run_rtl(&scenario); // glitches off
+        let mut rtl = rtl_system(&scenario); // glitches off
+        rtl.run(1_000_000, |_| {});
         let mem = MemSlave::new(slave_config(scenario.waits));
         let mut bus = Tlm1Bus::new(vec![Box::new(mem)]);
         bus.enable_frames();
@@ -507,7 +511,7 @@ fn glitchless_reference_transitions_equal_layer1_toggles() {
         // layer-1 frame-diff toggles exactly — the TLM-to-RTL adapter
         // sees the same signal activity.
         assert_eq!(
-            rtl.transitions,
+            rtl.bus().estimator().total_transitions(),
             model.toggles().total() as u64,
             "case {case}"
         );
