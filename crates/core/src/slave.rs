@@ -7,11 +7,11 @@ use hierbus_ec::{Address, SlaveConfig};
 pub enum SlaveReply<T> {
     /// The access completed.
     Ok(T),
-    /// The slave is dynamically busy this cycle; the layer-1 bus retries
-    /// next cycle (extends the beat beyond the static wait states). The
-    /// layer-2 model cannot represent dynamic waits — its block transfers
-    /// spin them away, a documented source of layer-2 timing error on
-    /// peripherals that use them.
+    /// The slave is dynamically busy this cycle; the layer-1 bus and the
+    /// reference retry next cycle (extends the beat beyond the static
+    /// wait states). The layer-2 model cannot represent dynamic waits —
+    /// its block transfers spin them away, a documented source of
+    /// layer-2 timing error on peripherals that use them.
     Wait,
     /// The slave signals a bus error for this access.
     Error,
@@ -28,7 +28,7 @@ impl<T> SlaveReply<T> {
     }
 }
 
-/// The TLM slave interface used by both layers.
+/// The slave interface of every layer, the reference included.
 ///
 /// Word-level calls carry full 32-bit bus words; byte-lane selection is
 /// the master/bus side's job via the merge patterns. The block calls are
@@ -39,11 +39,11 @@ pub trait TlmSlave {
     /// The slave control interface: address range, wait states, rights.
     fn config(&self) -> SlaveConfig;
 
-    /// Time notification: both buses call this once per bus-process
-    /// activation, before any phase runs. Peripherals with internal
-    /// behaviour (timers, transmitters, coprocessor pipelines) advance by
-    /// the *delta* from the last cycle they saw, so skipped idle cycles
-    /// are not lost. Pure memories ignore it.
+    /// Time notification: every cycle-driven bus calls this once per
+    /// bus-process activation, before any phase runs. Peripherals with
+    /// internal behaviour (timers, transmitters, coprocessor pipelines)
+    /// advance by the *delta* from the last cycle they saw, so skipped
+    /// idle cycles are not lost. Pure memories ignore it.
     fn tick(&mut self, cycle: u64) {
         let _ = cycle;
     }
@@ -120,9 +120,10 @@ pub trait TlmSlave {
 }
 
 /// Indices of the slaves with per-cycle behaviour
-/// ([`TlmSlave::wants_tick`]). Both cycle-driven buses cache this at
-/// construction, so a pure-memory system skips the notification loop.
-pub(crate) fn ticking_slaves(slaves: &[Box<dyn TlmSlave>]) -> Vec<usize> {
+/// ([`TlmSlave::wants_tick`]). Every cycle-driven bus (layers 1 and 2,
+/// the reference) caches this at construction, so a pure-memory system
+/// skips the notification loop.
+pub fn ticking_slaves(slaves: &[Box<dyn TlmSlave>]) -> Vec<usize> {
     slaves
         .iter()
         .enumerate()
@@ -133,7 +134,7 @@ pub(crate) fn ticking_slaves(slaves: &[Box<dyn TlmSlave>]) -> Vec<usize> {
 
 /// Gives each slave listed in `ticking` its time notification and
 /// returns their interrupt lines as a mask (bit *n* = slave *n*).
-pub(crate) fn tick_slaves(slaves: &mut [Box<dyn TlmSlave>], ticking: &[usize], cycle: u64) -> u64 {
+pub fn tick_slaves(slaves: &mut [Box<dyn TlmSlave>], ticking: &[usize], cycle: u64) -> u64 {
     let mut irq = 0u64;
     for &i in ticking {
         let s = &mut slaves[i];
@@ -145,8 +146,8 @@ pub(crate) fn tick_slaves(slaves: &mut [Box<dyn TlmSlave>], ticking: &[usize], c
     irq
 }
 
-/// Shared-slave access for post-run inspection, implemented by both bus
-/// layers.
+/// Shared-slave access for post-run inspection, implemented by every
+/// bus.
 pub trait HasSlaves {
     /// The slave registered under `id` (construction order).
     ///
@@ -191,8 +192,11 @@ enum Backing {
     Sparse(hierbus_ec::FastIdMap<u64, u32>),
 }
 
-/// A memory slave with the same deterministic fill pattern as the RTL
-/// reference's memory, so both models observe identical data.
+/// A memory slave whose never-written words read as a deterministic
+/// fill pattern, so reads of "uninitialised" locations still produce
+/// repeatable, non-trivial data-bus activity. It is the memory of every
+/// layer, the reference included, so all of them observe identical
+/// data.
 #[derive(Debug, Clone)]
 pub struct MemSlave {
     config: SlaveConfig,
@@ -222,8 +226,7 @@ impl MemSlave {
         MemSlave { config, backing }
     }
 
-    /// The background pattern of a never-written word (identical to the
-    /// RTL reference's `SimpleMem::fill_pattern`).
+    /// The background pattern of a never-written word.
     pub fn fill_pattern(addr: Address) -> u32 {
         fill_of(addr.word_offset())
     }
@@ -390,6 +393,50 @@ mod tests {
         m.write_word(Address::new(0x20), 0x4433_2211, 0b1111);
         m.write_word(Address::new(0x20), 0xAABB_CCDD, 0b1010);
         assert_eq!(m.read_word(Address::new(0x20)), SlaveReply::Ok(0xAA33_CC11));
+    }
+
+    #[test]
+    fn unwritten_words_use_fill_pattern() {
+        let mut m = mem();
+        let a = Address::new(0x40);
+        assert_eq!(m.read_word(a), SlaveReply::Ok(MemSlave::fill_pattern(a)));
+        // Two different addresses give different patterns.
+        assert_ne!(m.read_word(a), m.read_word(Address::new(0x44)));
+    }
+
+    #[test]
+    fn full_word_write_read_roundtrip() {
+        let mut m = mem();
+        m.write_word(Address::new(0x10), 0xDEAD_BEEF, 0b1111);
+        assert_eq!(m.read_word(Address::new(0x10)), SlaveReply::Ok(0xDEAD_BEEF));
+        assert_eq!(m.snapshot(), vec![(0x10 >> 2, 0xDEAD_BEEF)]);
+    }
+
+    #[test]
+    fn byte_enables_merge_lanes() {
+        let mut m = mem();
+        m.write_word(Address::new(0x20), 0x4433_2211, 0b1111);
+        m.write_word(Address::new(0x20), 0xAABB_CCDD, 0b0101);
+        assert_eq!(m.read_word(Address::new(0x20)), SlaveReply::Ok(0x44BB_22DD));
+    }
+
+    #[test]
+    fn partial_write_to_untouched_word_keeps_pattern_lanes() {
+        let mut m = mem();
+        let a = Address::new(0x80);
+        let pattern = MemSlave::fill_pattern(a);
+        m.write_word(a, 0x0000_00EE, 0b0001);
+        let expect = (pattern & 0xFFFF_FF00) | 0xEE;
+        assert_eq!(m.read_word(a), SlaveReply::Ok(expect));
+    }
+
+    #[test]
+    fn load_preloads_consecutive_words() {
+        let mut m = mem();
+        m.load(Address::new(0x100), &[1, 2, 3]);
+        assert_eq!(m.peek(Address::new(0x100)), 1);
+        assert_eq!(m.peek(Address::new(0x104)), 2);
+        assert_eq!(m.peek(Address::new(0x108)), 3);
     }
 
     #[test]

@@ -41,7 +41,7 @@ use hierbus_ec::{
     RetryPolicy, Scenario, SignalClass, SlaveConfig, SlaveId, TxnOutcome,
 };
 use hierbus_obs::{attribute_cycles_by_master, EnergyLedger, SlaveMap, TraceCollector};
-use hierbus_rtl::{GlitchConfig, RtlBus, SimpleMem};
+use hierbus_rtl::{GlitchConfig, RtlBus};
 
 /// Cycle ceiling for every run; hitting it is a deadlock bug.
 pub const MAX_CYCLES: u64 = 50_000_000;
@@ -282,7 +282,7 @@ impl Session {
             Layer::L3 => {
                 let slave = MemSlave::new(scenario_slave(stimulus.memory()));
                 let mut sys = tlm_system(Tlm3Bus::new(vec![Box::new(slave)]), spec, stimulus);
-                run_tlm(&mut sys, spec, stimulus, |_| {}, tlm_memory)
+                run_tlm(&mut sys, spec, stimulus, |_| {})
             }
         }
     }
@@ -315,16 +315,7 @@ impl Session {
             bus.enable_frame_log();
         }
         let mut sys = tlm_system(bus, spec, stimulus);
-        let mut out = run_tlm(
-            &mut sys,
-            spec,
-            stimulus,
-            |_| {},
-            |bus: &RtlBus| {
-                let mem = bus.slave_as::<SimpleMem>(0);
-                mem.expect("scenario slave is a SimpleMem").snapshot()
-            },
-        );
+        let mut out = run_tlm(&mut sys, spec, stimulus, |_| {});
         let bus = sys.bus_mut();
         out.energy_pj = bus.estimator().total_energy();
         out.obs = std::mem::take(bus.obs_mut());
@@ -361,15 +352,11 @@ impl Session {
         let mut sys = tlm_system(bus, spec, stimulus);
         let mut out = if spec.energy {
             let model = self.l1_model(full);
-            run_tlm(
-                &mut sys,
-                spec,
-                stimulus,
-                |bus: &mut Tlm1Bus| model.on_frame(bus.last_frame()),
-                tlm_memory,
-            )
+            run_tlm(&mut sys, spec, stimulus, |bus: &mut Tlm1Bus| {
+                model.on_frame(bus.last_frame())
+            })
         } else {
-            run_tlm(&mut sys, spec, stimulus, |_| {}, tlm_memory)
+            run_tlm(&mut sys, spec, stimulus, |_| {})
         };
         out.obs = std::mem::take(sys.bus_mut().obs_mut());
         if spec.energy {
@@ -414,15 +401,11 @@ impl Session {
             }
         };
         let mut out = if spec.energy {
-            run_tlm(
-                &mut sys,
-                spec,
-                stimulus,
-                |bus: &mut Tlm2Bus| bus.drain_events().for_each(|ev| book(&ev)),
-                tlm_memory,
-            )
+            run_tlm(&mut sys, spec, stimulus, |bus: &mut Tlm2Bus| {
+                bus.drain_events().for_each(|ev| book(&ev))
+            })
         } else {
-            run_tlm(&mut sys, spec, stimulus, |_| {}, tlm_memory)
+            run_tlm(&mut sys, spec, stimulus, |_| {})
         };
         if let Some(at) = sys.torn_at().filter(|_| spec.energy) {
             // Phases the tear cut short are flushed as partial events
@@ -461,7 +444,7 @@ fn tlm_system<B: CycleBus>(bus: B, spec: &RunSpec, stimulus: &Materialized) -> T
     sys
 }
 
-/// The committed memory of a TLM bus's scenario slave.
+/// The committed memory of the scenario slave, at any layer.
 fn tlm_memory<B: HasSlaves>(bus: &B) -> Vec<(u64, u32)> {
     let mem = bus.slave_as::<MemSlave>(SlaveId(0));
     mem.expect("scenario slave is a MemSlave").snapshot()
@@ -470,13 +453,12 @@ fn tlm_memory<B: HasSlaves>(bus: &B) -> Vec<(u64, u32)> {
 /// Runs `sys` to completion (or the tear), calling `hook` after every
 /// bus-process activation. The per-master slices and the arbitration
 /// record are kept for the CPU+DMA pair only; under full capture the
-/// outcome carries the committed memory, read by `memory`.
-fn run_tlm<B: CycleBus>(
+/// outcome carries the committed memory.
+fn run_tlm<B: CycleBus + HasSlaves>(
     sys: &mut TlmSystem<B>,
     spec: &RunSpec,
     stimulus: &Materialized,
     hook: impl FnMut(&mut B),
-    memory: fn(&B) -> Vec<(u64, u32)>,
 ) -> Outcome {
     let report = sys.run(MAX_CYCLES, hook);
     let mut out = Outcome {
@@ -493,7 +475,7 @@ fn run_tlm<B: CycleBus>(
         out.stats = report.stats;
     }
     if spec.capture == Capture::Full {
-        out.memory = memory(sys.bus());
+        out.memory = tlm_memory(sys.bus());
     }
     out
 }

@@ -3,12 +3,14 @@
 use crate::channels::{AddrCycle, AddressChannel, DataChannel, DataCycle};
 use crate::glitch::GlitchConfig;
 use crate::power::{GateLevelPowerEstimator, PowerConfig, TransitionPhase};
-use crate::slave::RtlSlaveModel;
 use crate::wires::InterfaceWires;
-use hierbus_core::{access_class, Completed, CycleBus, PollStatus, Slots};
+use hierbus_core::slave::{tick_slaves, ticking_slaves};
+use hierbus_core::{
+    access_class, Completed, CycleBus, HasSlaves, MemSlave, PollStatus, SlaveReply, Slots, TlmSlave,
+};
 use hierbus_ec::{
-    AddressMap, BusError, BusStatus, FaultKind, Scenario, SignalClass, SignalFrame, SlaveId,
-    Transaction, TxnId,
+    Address, AddressMap, BusError, BusStatus, FaultKind, Scenario, SignalClass, SignalFrame,
+    SlaveId, Transaction, TxnId,
 };
 use hierbus_obs::{Phase, TraceCollector};
 
@@ -32,14 +34,21 @@ struct ActiveTxn {
 ///
 /// It is stepped like every other layer, as a [`CycleBus`] under
 /// `hierbus_core::TlmSystem`, so the reference and the TLM layers share
-/// their masters and differ only in the bus. Its wires settle every
-/// cycle, so [`falling_edge`](CycleBus::falling_edge) always runs the
-/// bus process. A transaction completes at a falling edge into the
-/// finish queue, and its master picks it up at the following rising
-/// edge (protocol rule 5).
+/// their masters and differ only in the bus. Its slaves are the same
+/// [`TlmSlave`]s, called on the same cycles as at layer 1: a `Wait`
+/// reply holds the beat, an `Error` reply ends the transaction, and
+/// ticking slaves get their time notification and sample their
+/// interrupt lines at every falling edge. Its wires settle every cycle,
+/// so [`falling_edge`](CycleBus::falling_edge) always runs the bus
+/// process. A transaction completes at a falling edge into the finish
+/// queue, and its master picks it up at the following rising edge
+/// (protocol rule 5).
 pub struct RtlBus {
     map: AddressMap,
-    slaves: Vec<Box<dyn RtlSlaveModel>>,
+    slaves: Vec<Box<dyn TlmSlave>>,
+    /// Slaves with per-cycle behaviour ([`TlmSlave::wants_tick`]).
+    ticking: Vec<usize>,
+    irq_mask: u64,
     addr_ch: AddressChannel,
     read_ch: DataChannel,
     write_ch: DataChannel,
@@ -64,11 +73,7 @@ impl RtlBus {
     /// # Panics
     ///
     /// Panics if slave address windows overlap.
-    pub fn new(
-        slaves: Vec<Box<dyn RtlSlaveModel>>,
-        power: PowerConfig,
-        glitch: GlitchConfig,
-    ) -> Self {
+    pub fn new(slaves: Vec<Box<dyn TlmSlave>>, power: PowerConfig, glitch: GlitchConfig) -> Self {
         let mut map = AddressMap::new();
         for s in &slaves {
             map.add_slave(s.config())
@@ -76,7 +81,9 @@ impl RtlBus {
         }
         RtlBus {
             map,
+            ticking: ticking_slaves(&slaves),
             slaves,
+            irq_mask: 0,
             addr_ch: AddressChannel::new(),
             read_ch: DataChannel::new(),
             write_ch: DataChannel::new(),
@@ -94,9 +101,8 @@ impl RtlBus {
     /// Convenience constructor: one memory slave sized/configured for a
     /// [`Scenario`], default power and glitch models.
     pub fn for_scenario(scenario: &Scenario) -> Self {
-        use crate::slave::SimpleMem;
-        use hierbus_ec::{AccessRights, Address, AddressRange, SlaveConfig};
-        let mem = SimpleMem::new(SlaveConfig::new(
+        use hierbus_ec::{AccessRights, AddressRange, SlaveConfig};
+        let mem = MemSlave::new(SlaveConfig::new(
             AddressRange::new(Address::new(0), 0x2_0000),
             scenario.waits,
             AccessRights::RWX,
@@ -108,10 +114,10 @@ impl RtlBus {
         )
     }
 
-    /// Downcasts the slave at position `i` to its concrete model type
-    /// (post-run memory inspection; see [`RtlSlaveModel::as_any`]).
-    pub fn slave_as<T: 'static>(&self, i: usize) -> Option<&T> {
-        self.slaves.get(i)?.as_any()?.downcast_ref::<T>()
+    /// Interrupt lines sampled at the last falling edge, one bit per
+    /// slave (bit *n* = slave *n*).
+    pub fn irq_mask(&self) -> u64 {
+        self.irq_mask
     }
 
     /// Enables transaction-span collection (request/address/data phase
@@ -188,6 +194,14 @@ impl RtlBus {
         };
         let (id, addr, class) = (a.txn.id.0, a.txn.addr.raw(), access_class(a.txn.kind));
         self.obs.begin(id, phase, cycle, addr, class);
+    }
+
+    /// The data phase of `idx` ends at `cycle`, and with it the
+    /// transaction.
+    fn end_data(&mut self, idx: usize, phase: Phase, cycle: u64, error: Option<BusError>) {
+        let id = self.active[idx].txn.id.0;
+        self.obs.end(id, phase, cycle, error.is_some());
+        self.complete(idx, cycle, error);
     }
 
     /// Transaction `idx` finished at the falling edge of `cycle`: it
@@ -303,11 +317,16 @@ impl CycleBus for RtlBus {
         !self.finished.is_empty()
     }
 
-    /// The bus process: the three phases in the paper's order (address,
-    /// read, write) drive the wires, which then settle. It runs every
-    /// cycle, idle ones included: the wires settle whether or not a
-    /// transaction is on the bus.
+    /// The bus process: the slaves' time notification, then the three
+    /// phases in the paper's order (address, read, write) drive the
+    /// wires, which then settle. It runs every cycle, idle ones
+    /// included: the wires settle whether or not a transaction is on the
+    /// bus.
     fn falling_edge(&mut self, cycle: u64) -> bool {
+        // Peripherals get their time notification before any phase runs.
+        if !self.ticking.is_empty() {
+            self.irq_mask = tick_slaves(&mut self.slaves, &self.ticking, cycle);
+        }
         let mut frame = self.wires.snapshot().to_idle();
 
         match self.addr_ch.step() {
@@ -355,36 +374,35 @@ impl CycleBus for RtlBus {
             DataCycle::Busy(idx) => self.obs_data_start(idx, cycle),
             DataCycle::Beat { idx, beat, last } => {
                 self.obs_data_start(idx, cycle);
+                let a = &mut self.active[idx];
+                let (addr, tag) = (a.txn.beat_addr(beat), a.txn.id.tag());
                 // An injected slave error fires on the first data beat,
                 // before the slave is consulted — no data is ever read.
-                // The error response holds the previous read-bus value
-                // (matching the layer-1 adapter's frame).
-                let injected =
-                    beat == 0 && matches!(self.active[idx].fault, Some(FaultKind::SlaveError));
-                if injected {
-                    let (tag, addr) = {
-                        let a = &self.active[idx];
-                        (a.txn.id.tag(), a.txn.beat_addr(0))
-                    };
-                    let prev = self.wires.r_data.value() as u32;
-                    frame.drive_read(prev, tag, true, true);
-                    if !last {
-                        self.read_ch.cancel_current();
-                    }
-                    self.obs
-                        .end(self.active[idx].txn.id.0, Phase::ReadData, cycle, true);
-                    self.complete(idx, cycle, Some(BusError::SlaveError(addr)));
+                let reply = if beat == 0 && matches!(a.fault, Some(FaultKind::SlaveError)) {
+                    SlaveReply::Error
                 } else {
-                    let a = &mut self.active[idx];
-                    let addr = a.txn.beat_addr(beat);
-                    let word = self.slaves[a.slave.expect("decoded").0].read_word(addr);
-                    frame.drive_read(word, a.txn.id.tag(), true, false);
-                    debug_assert_eq!(a.data.len(), beat as usize, "beats arrive in order");
-                    a.data.push(a.txn.width.extract(addr, word));
-                    if last {
-                        self.obs
-                            .end(self.active[idx].txn.id.0, Phase::ReadData, cycle, false);
-                        self.complete(idx, cycle, None);
+                    self.slaves[a.slave.expect("decoded").0].read_word(addr)
+                };
+                match reply {
+                    // The slave is busy: nothing is driven, and the beat
+                    // runs again next cycle.
+                    SlaveReply::Wait => self.read_ch.hold(),
+                    SlaveReply::Error => {
+                        // The error response holds the previous read-bus
+                        // value (matching the layer-1 adapter's frame).
+                        let prev = self.wires.r_data.value() as u32;
+                        frame.drive_read(prev, tag, true, true);
+                        self.read_ch.cancel_current();
+                        let err = BusError::SlaveError(addr);
+                        self.end_data(idx, Phase::ReadData, cycle, Some(err));
+                    }
+                    SlaveReply::Ok(word) => {
+                        frame.drive_read(word, tag, true, false);
+                        debug_assert_eq!(a.data.len(), beat as usize, "beats arrive in order");
+                        a.data.push(a.txn.width.extract(addr, word));
+                        if last {
+                            self.end_data(idx, Phase::ReadData, cycle, None);
+                        }
                     }
                 }
             }
@@ -395,48 +413,51 @@ impl CycleBus for RtlBus {
             DataCycle::Busy(idx) => self.obs_data_start(idx, cycle),
             DataCycle::Beat { idx, beat, last } => {
                 self.obs_data_start(idx, cycle);
+                let a = &self.active[idx];
+                let (addr, tag) = (a.txn.beat_addr(beat), a.txn.id.tag());
+                // Non-enabled lanes hold the previous bus value (keeper
+                // behaviour), enabled lanes carry the datum.
+                let prev = self.wires.w_data.value() as u32;
+                let bus_word = a.txn.width.insert(addr, prev, a.txn.data[beat as usize]);
+                let ben = a.txn.width.byte_enables(addr);
                 // An injected slave error fires on the first data beat,
                 // before the slave commits — memory is never modified.
-                // The payload was still driven onto the bus.
-                let injected =
-                    beat == 0 && matches!(self.active[idx].fault, Some(FaultKind::SlaveError));
-                let (bus_word, ben, tag) = {
-                    let a = &self.active[idx];
-                    let addr = a.txn.beat_addr(beat);
-                    let value = a.txn.data[beat as usize];
-                    // Non-enabled lanes hold the previous bus value
-                    // (keeper behaviour), enabled lanes carry the datum.
-                    let prev = self.wires.w_data.value() as u32;
-                    let bus_word = a.txn.width.insert(addr, prev, value);
-                    let ben = a.txn.width.byte_enables(addr);
-                    (bus_word, ben, a.txn.id.tag())
+                // The payload is still driven onto the bus.
+                let reply = if beat == 0 && matches!(a.fault, Some(FaultKind::SlaveError)) {
+                    SlaveReply::Error
+                } else {
+                    self.slaves[a.slave.expect("decoded").0].write_word(addr, bus_word, ben)
                 };
-                frame.drive_write(bus_word, ben, tag, true, injected);
-                if !injected {
-                    let a = &self.active[idx];
-                    let addr = a.txn.beat_addr(beat);
-                    let slave = a.slave.expect("decoded");
-                    self.slaves[slave.0].write_word(addr, bus_word, ben);
-                }
-                if last || injected {
-                    let err =
-                        injected.then(|| BusError::SlaveError(self.active[idx].txn.beat_addr(0)));
-                    if !last {
+                match reply {
+                    SlaveReply::Wait => self.write_ch.hold(),
+                    SlaveReply::Error => {
+                        frame.drive_write(bus_word, ben, tag, true, true);
                         self.write_ch.cancel_current();
+                        let err = BusError::SlaveError(addr);
+                        self.end_data(idx, Phase::WriteData, cycle, Some(err));
                     }
-                    self.obs.end(
-                        self.active[idx].txn.id.0,
-                        Phase::WriteData,
-                        cycle,
-                        err.is_some(),
-                    );
-                    self.complete(idx, cycle, err);
+                    SlaveReply::Ok(()) => {
+                        frame.drive_write(bus_word, ben, tag, true, false);
+                        if last {
+                            self.end_data(idx, Phase::WriteData, cycle, None);
+                        }
+                    }
                 }
             }
         }
 
         self.settle(&frame, cycle);
         true
+    }
+}
+
+impl HasSlaves for RtlBus {
+    fn slave_ref(&self, id: SlaveId) -> &dyn TlmSlave {
+        self.slaves[id.0].as_ref()
+    }
+
+    fn slave_count(&self) -> usize {
+        self.slaves.len()
     }
 }
 
@@ -453,8 +474,7 @@ impl std::fmt::Debug for RtlBus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::slave::SimpleMem;
-    use hierbus_core::{TlmReport, TlmSystem};
+    use hierbus_core::{Tlm1Bus, TlmReport, TlmSystem};
     use hierbus_ec::sequences::{self, MasterOp};
     use hierbus_ec::{
         AccessRights, Address, AddressRange, ArbitrationPolicy, BurstLen, MultiScenario,
@@ -465,7 +485,7 @@ mod tests {
         ops: impl Into<std::sync::Arc<[MasterOp]>>,
         waits: WaitProfile,
     ) -> TlmSystem<RtlBus> {
-        let mem = SimpleMem::new(SlaveConfig::new(
+        let mem = MemSlave::new(SlaveConfig::new(
             AddressRange::new(Address::new(0), 0x1_0000),
             waits,
             AccessRights::RWX,
@@ -491,7 +511,7 @@ mod tests {
         assert_eq!(r.issue_cycle, 0);
         assert_eq!(r.addr_done_cycle, Some(0));
         assert_eq!(r.done_cycle, Some(0));
-        assert_eq!(r.data[0], SimpleMem::fill_pattern(Address::new(0x100)));
+        assert_eq!(r.data[0], MemSlave::fill_pattern(Address::new(0x100)));
     }
 
     #[test]
@@ -560,7 +580,7 @@ mod tests {
 
     #[test]
     fn rights_violation_is_an_error() {
-        let rom = SimpleMem::new(SlaveConfig::new(
+        let rom = MemSlave::new(SlaveConfig::new(
             AddressRange::new(Address::new(0), 0x1000),
             WaitProfile::ZERO,
             AccessRights::RX,
@@ -711,5 +731,98 @@ mod tests {
             "{} slots",
             sys.bus().active.allocated()
         );
+    }
+
+    #[test]
+    fn dynamic_wait_slave_extends_beat() {
+        /// Replies `Wait` a fixed number of times before each read.
+        struct BusySlave {
+            cfg: SlaveConfig,
+            stalls: u32,
+            left: u32,
+        }
+        impl TlmSlave for BusySlave {
+            fn config(&self) -> SlaveConfig {
+                self.cfg
+            }
+            fn read_word(&mut self, _addr: Address) -> SlaveReply<u32> {
+                if self.left > 0 {
+                    self.left -= 1;
+                    SlaveReply::Wait
+                } else {
+                    self.left = self.stalls;
+                    SlaveReply::Ok(0x77)
+                }
+            }
+            fn write_word(&mut self, _: Address, _: u32, _: u8) -> SlaveReply<()> {
+                SlaveReply::Ok(())
+            }
+        }
+        let slave = BusySlave {
+            cfg: SlaveConfig::new(
+                AddressRange::new(Address::new(0), 0x1000),
+                WaitProfile::ZERO,
+                AccessRights::RWX,
+            ),
+            stalls: 2,
+            left: 2,
+        };
+        let bus = RtlBus::new(
+            vec![Box::new(slave)],
+            PowerConfig::default(),
+            GlitchConfig::off(),
+        );
+        let mut sys = TlmSystem::new(bus, vec![MasterOp::read(0x0)]);
+        let report = run(&mut sys, 100);
+        // Address done at cycle 0, two dynamic stalls, data at cycle 2.
+        assert_eq!(report.records[0].done_cycle, Some(2));
+        assert_eq!(report.records[0].data, vec![0x77]);
+    }
+
+    /// A slave error on beat 1 of a burst ends the burst there, at the
+    /// same cycle and with the same records as at layer 1; the write's
+    /// beat 0 stays committed.
+    #[test]
+    fn slave_error_on_a_later_beat_matches_layer1() {
+        /// Memory that answers `Error` for one word.
+        struct BadWord(MemSlave);
+        impl TlmSlave for BadWord {
+            fn config(&self) -> SlaveConfig {
+                self.0.config()
+            }
+            fn read_word(&mut self, addr: Address) -> SlaveReply<u32> {
+                if addr.raw() == 0x204 {
+                    return SlaveReply::Error;
+                }
+                self.0.read_word(addr)
+            }
+            fn write_word(&mut self, addr: Address, data: u32, ben: u8) -> SlaveReply<()> {
+                if addr.raw() == 0x204 {
+                    return SlaveReply::Error;
+                }
+                self.0.write_word(addr, data, ben)
+            }
+        }
+        let slaves = || -> Vec<Box<dyn TlmSlave>> {
+            vec![Box::new(BadWord(MemSlave::new(SlaveConfig::new(
+                AddressRange::new(Address::new(0), 0x1000),
+                WaitProfile::new(0, 1, 1),
+                AccessRights::RWX,
+            ))))]
+        };
+        let ops = vec![
+            MasterOp::burst_read(0x200, BurstLen::B4),
+            MasterOp::burst_write(0x200, vec![1, 2, 3, 4]),
+            MasterOp::read(0x200).after_idle(4),
+        ];
+        let bus = RtlBus::new(slaves(), PowerConfig::default(), GlitchConfig::off());
+        let rtl = run(&mut TlmSystem::new(bus, ops.clone()), 100);
+        let l1 = TlmSystem::new(Tlm1Bus::new(slaves()), ops).run(100, |_| {});
+        assert_eq!(rtl.records, l1.records);
+        assert_eq!(rtl.cycles, l1.cycles);
+        let bad = Some(BusError::SlaveError(Address::new(0x204)));
+        assert_eq!(rtl.records[0].error, bad);
+        assert_eq!(rtl.records[1].error, bad);
+        assert_eq!(rtl.records[2].data, vec![1]);
     }
 }

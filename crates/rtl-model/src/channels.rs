@@ -61,11 +61,6 @@ impl AddressChannel {
         self.queue.back().copied()
     }
 
-    /// True if no phase is active or queued.
-    pub fn is_idle(&self) -> bool {
-        self.current.is_none() && self.queue.is_empty()
-    }
-
     /// Advances one cycle.
     pub fn step(&mut self) -> AddrCycle {
         if self.current.is_none() {
@@ -113,11 +108,10 @@ struct DataJob {
 #[derive(Debug, Clone, Copy)]
 struct BeatState {
     job: DataJob,
+    /// The next beat to complete; `job.beats` once the last one has, and
+    /// the channel takes its next job at the following step.
     beat: u32,
     waits_left: u32,
-    /// Set when the beat was armed in a previous cycle's completion and
-    /// must not complete before its own start cycle has elapsed.
-    armed_next_cycle: bool,
 }
 
 /// The outcome of one data-channel cycle.
@@ -160,52 +154,49 @@ impl DataChannel {
     }
 
     /// Drops the in-progress transfer (remaining beats never run). Used
-    /// when an injected slave error terminates the transaction on its
-    /// first beat. Queued jobs behind it are unaffected.
+    /// when a slave error terminates the transaction on a beat. Queued
+    /// jobs behind it are unaffected.
     pub(crate) fn cancel_current(&mut self) {
         self.current = None;
     }
 
-    /// True if no beat is active or queued.
-    pub fn is_idle(&self) -> bool {
-        self.current.is_none() && self.queue.is_empty()
+    /// Holds the beat the last [`step`](Self::step) completed: the slave
+    /// answered `Wait`, so the same beat completes again, with no further
+    /// wait states, at the next step at the earliest.
+    pub(crate) fn hold(&mut self) {
+        let st = self.current.as_mut().expect("a beat just completed");
+        st.beat -= 1;
+        st.waits_left = 0;
     }
 
     /// Advances one cycle.
     pub fn step(&mut self) -> DataCycle {
-        if self.current.is_none() {
-            if let Some(job) = self.queue.pop_front() {
-                self.current = Some(BeatState {
+        let st = match &mut self.current {
+            Some(st) if st.beat < st.job.beats => st,
+            current => {
+                let Some(job) = self.queue.pop_front() else {
+                    *current = None;
+                    return DataCycle::Idle;
+                };
+                current.insert(BeatState {
                     job,
                     beat: 0,
                     waits_left: job.wait_per_beat + job.first_beat_extra,
-                    armed_next_cycle: false,
-                });
-            } else {
-                return DataCycle::Idle;
+                })
             }
-        }
-        let st = self.current.as_mut().expect("beat just ensured");
-        if st.armed_next_cycle {
-            // This beat was armed when the previous beat completed; it
-            // starts now.
-            st.armed_next_cycle = false;
-        }
+        };
         if st.waits_left > 0 {
             st.waits_left -= 1;
             return DataCycle::Busy(st.job.idx);
         }
-        let idx = st.job.idx;
         let beat = st.beat;
-        let last = beat + 1 == st.job.beats;
-        if last {
-            self.current = None;
-        } else {
-            st.beat += 1;
-            st.waits_left = st.job.wait_per_beat;
-            st.armed_next_cycle = true;
+        st.beat += 1;
+        st.waits_left = st.job.wait_per_beat;
+        DataCycle::Beat {
+            idx: st.job.idx,
+            beat,
+            last: st.beat == st.job.beats,
         }
-        DataCycle::Beat { idx, beat, last }
     }
 }
 
@@ -218,7 +209,7 @@ mod tests {
         let mut ch = AddressChannel::new();
         ch.push(0, 0, None);
         assert_eq!(ch.step(), AddrCycle::Done(0));
-        assert!(ch.is_idle());
+        assert_eq!(ch.step(), AddrCycle::Idle);
     }
 
     #[test]
@@ -262,7 +253,7 @@ mod tests {
                 last: true
             }
         );
-        assert!(ch.is_idle());
+        assert_eq!(ch.step(), DataCycle::Idle);
     }
 
     #[test]
@@ -343,6 +334,27 @@ mod tests {
                 ..
             }
         ));
-        assert!(ch.is_idle());
+        assert_eq!(ch.step(), DataCycle::Idle);
+    }
+
+    #[test]
+    fn hold_repeats_the_beat_without_waits() {
+        let mut ch = DataChannel::new();
+        ch.push(0, 2, 1, 0);
+        assert_eq!(ch.step(), DataCycle::Busy(0));
+        assert!(matches!(ch.step(), DataCycle::Beat { beat: 0, .. }));
+        ch.hold();
+        // The held beat skips its wait states; beat 1 keeps them.
+        assert!(matches!(ch.step(), DataCycle::Beat { beat: 0, .. }));
+        assert_eq!(ch.step(), DataCycle::Busy(0));
+        let last = DataCycle::Beat {
+            idx: 0,
+            beat: 1,
+            last: true,
+        };
+        assert_eq!(ch.step(), last);
+        ch.hold();
+        assert_eq!(ch.step(), last);
+        assert_eq!(ch.step(), DataCycle::Idle);
     }
 }

@@ -39,6 +39,18 @@
 //!    completion on its next interface call (the following rising edge).
 //! 6. The master issues at most one new transaction per cycle and never
 //!    exceeds the per-category outstanding limits (4/4/4).
+//!
+//! # Slaves
+//!
+//! The reference has no slave interface of its own: [`RtlBus`] carries
+//! the same [`TlmSlave`](hierbus_core::TlmSlave)s as layers 1 and 2
+//! ([`MemSlave`](hierbus_core::MemSlave) for a scenario's memory, the
+//! platform's peripherals for a program), and calls each on the cycle
+//! layer 1 does. A `Wait` reply holds the beat, so it runs again next
+//! cycle with nothing driven; an `Error` reply ends the transaction
+//! with a slave error on that beat; ticking slaves get their time
+//! notification at every falling edge, and their interrupt lines form
+//! [`RtlBus::irq_mask`].
 
 //! # Example
 //!
@@ -58,14 +70,12 @@
 //! ```
 
 pub mod bus;
-pub mod channels;
+mod channels;
 pub mod glitch;
 pub mod power;
-pub mod slave;
 pub mod wires;
 
 pub use bus::RtlBus;
 pub use glitch::GlitchConfig;
 pub use power::{GateLevelPowerEstimator, PowerConfig};
-pub use slave::{RtlSlaveModel, SimpleMem};
 pub use wires::InterfaceWires;

@@ -51,6 +51,9 @@ macro_rules! memory_peripheral {
             fn config(&self) -> SlaveConfig {
                 self.inner.config()
             }
+            fn as_any(&self) -> Option<&dyn std::any::Any> {
+                Some(self)
+            }
             fn read_word(&mut self, addr: Address) -> SlaveReply<u32> {
                 self.inner.read_word(addr)
             }

@@ -7,11 +7,12 @@ use crate::timer::DualTimer;
 use crate::uart::Uart;
 use hierbus_core::{Tlm1Bus, Tlm2Bus, TlmSlave};
 use hierbus_ec::{Address, AddressRange, SlaveId};
+use hierbus_rtl::{GlitchConfig, PowerConfig, RtlBus};
 
 /// The platform's fixed address map and slave identities.
 ///
-/// Slave ids follow construction order in
-/// [`Platform::into_tlm1`]/[`into_tlm2`](Platform::into_tlm2).
+/// Slave ids follow construction order in [`Platform::into_tlm1`],
+/// [`into_tlm2`](Platform::into_tlm2) and [`into_rtl`](Platform::into_rtl).
 #[derive(Debug, Clone, Copy)]
 pub struct PlatformMap;
 
@@ -134,6 +135,16 @@ impl Platform {
     pub fn into_tlm2(self) -> Tlm2Bus {
         Tlm2Bus::new(self.slaves())
     }
+
+    /// Assembles the platform on the cycle-true reference bus, with the
+    /// default wire capacitances and hazard model.
+    pub fn into_rtl(self) -> RtlBus {
+        RtlBus::new(
+            self.slaves(),
+            PowerConfig::default(),
+            GlitchConfig::default(),
+        )
+    }
 }
 
 impl Default for Platform {
@@ -150,9 +161,10 @@ mod tests {
     use crate::program::Program;
     #[test]
     fn windows_do_not_overlap() {
-        // Constructing either bus validates the address map.
+        // Constructing any bus validates the address map.
         let _ = Platform::new().into_tlm1();
         let _ = Platform::new().into_tlm2();
+        let _ = Platform::new().into_rtl();
     }
 
     #[test]

@@ -2,9 +2,26 @@
 //! lines, the bus aggregates them into a mask, and software observes and
 //! acknowledges them over the bus.
 
-use hierbus::core::{SlaveReply, Tlm1Bus};
+use hierbus::core::{CycleBus, SlaveReply, Tlm1Bus};
 use hierbus::ec::Address;
+use hierbus::rtl::RtlBus;
 use hierbus::soc::{timer, CpuSystem, Platform, PlatformMap, Program, Reg};
+
+/// Runs a program on `bus` to its halt; returns every interrupt line the
+/// bus raised along the way and its mask after the halt.
+fn irq_lines<B: CycleBus>(bus: B, irq_mask: fn(&B) -> u64) -> (u64, u64) {
+    let mut sys = CpuSystem::new(bus, PlatformMap::RESET_PC);
+    let mut mask_bits = 0u64;
+    for _ in 0..10_000 {
+        if sys.core().is_halted() {
+            break;
+        }
+        sys.step_cycle(&mut |bus: &mut B| mask_bits |= irq_mask(bus));
+    }
+    assert!(sys.core().is_halted(), "runaway");
+    assert_ne!(mask_bits, 0, "no interrupt line ever asserted");
+    (mask_bits, irq_mask(sys.bus()))
+}
 
 #[test]
 fn timer_expiry_raises_and_ack_clears_the_line() {
@@ -26,30 +43,25 @@ fn timer_expiry_raises_and_ack_clears_the_line() {
     p.nop();
     p.halt();
     let words = p.assemble().unwrap();
+    let platform = || {
+        let mut platform = Platform::new();
+        platform.load_boot_program(&words);
+        platform
+    };
 
-    let mut platform = Platform::new();
-    platform.load_boot_program(&words);
-    let mut sys = CpuSystem::new(platform.into_tlm1(), PlatformMap::RESET_PC);
-
-    let mut raised_cycles = 0u64;
-    let mut mask_bits = 0u64;
-    while !sys.core().is_halted() {
-        sys.step_cycle(&mut |bus: &mut Tlm1Bus| {
-            if bus.irq_mask() != 0 {
-                raised_cycles += 1;
-                mask_bits |= bus.irq_mask();
-            }
-        });
-        assert!(raised_cycles < 10_000, "runaway");
+    // Layer 1 and the reference raise the same line.
+    for (mask_bits, after_ack) in [
+        irq_lines(platform().into_tlm1(), Tlm1Bus::irq_mask),
+        irq_lines(platform().into_rtl(), RtlBus::irq_mask),
+    ] {
+        assert_eq!(
+            mask_bits,
+            1 << PlatformMap::TIMER.0,
+            "only the timer's line should assert"
+        );
+        // After the acknowledge, the line is low again.
+        assert_eq!(after_ack, 0);
     }
-    assert!(raised_cycles > 0, "the timer line never asserted");
-    assert_eq!(
-        mask_bits,
-        1 << PlatformMap::TIMER.0,
-        "only the timer's line should assert"
-    );
-    // After the acknowledge, the line is low again.
-    assert_eq!(sys.bus().irq_mask(), 0);
 }
 
 #[test]

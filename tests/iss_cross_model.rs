@@ -1,30 +1,49 @@
 //! The instruction-set simulator as a cross-model oracle: the same MIPS
-//! program must produce identical architectural results on the layer-1
-//! and layer-2 buses, with layer-2 timing never optimistic.
+//! program must produce identical architectural results on the
+//! cycle-true reference and the layer-1 and layer-2 buses, with layer 1
+//! cycle-exact against the reference and layer-2 timing never
+//! optimistic.
 
-use hierbus::core::SlaveReply;
+use hierbus::core::{CycleBus, SlaveReply};
 use hierbus::ec::Address;
 use hierbus::soc::cpu::CpuReport;
+use hierbus::soc::crypto::{ctrl, xtea_encrypt};
 use hierbus::soc::{CpuSystem, Platform, PlatformMap, Program, Reg};
 
-/// Runs a program on both layers; returns (layer1, layer2) reports plus
-/// the final value of `observe` on each.
+/// Runs a program to its halt on `bus`; returns the report and the final
+/// value of `observe`.
+fn run_on<B: CycleBus>(bus: B, observe: Reg) -> (CpuReport, u32) {
+    let mut sys = CpuSystem::new(bus, PlatformMap::RESET_PC);
+    let report = sys.run_until_halt(5_000_000, |_| {});
+    (report, sys.core().reg(observe))
+}
+
+fn platform(words: &[u32]) -> Platform {
+    let mut platform = Platform::new();
+    platform.load_boot_program(words);
+    platform
+}
+
+/// Runs a program on the reference and on layer 1, asserts that they
+/// agree exactly (observed register, cycles, instructions, fault), and
+/// returns layer 1's result.
+fn run_exact(words: &[u32], observe: Reg) -> (CpuReport, u32) {
+    let (r0, v0) = run_on(platform(words).into_rtl(), observe);
+    let (r1, v1) = run_on(platform(words).into_tlm1(), observe);
+    assert_eq!(v0, v1, "reference and layer 1 disagree on {observe:?}");
+    assert_eq!(
+        (r0.cycles, r0.instructions, r0.fault),
+        (r1.cycles, r1.instructions, r1.fault),
+        "layer 1 must be cycle-exact against the reference"
+    );
+    (r1, v1)
+}
+
+/// [`run_exact`] plus a layer-2 run; returns the (layer1, layer2)
+/// results.
 fn run_both(words: &[u32], observe: Reg) -> ((CpuReport, u32), (CpuReport, u32)) {
-    let l1 = {
-        let mut platform = Platform::new();
-        platform.load_boot_program(words);
-        let mut sys = CpuSystem::new(platform.into_tlm1(), PlatformMap::RESET_PC);
-        let report = sys.run_until_halt(5_000_000, |_| {});
-        (report, sys.core().reg(observe))
-    };
-    let l2 = {
-        let mut platform = Platform::new();
-        platform.load_boot_program(words);
-        let mut sys = CpuSystem::new(platform.into_tlm2(), PlatformMap::RESET_PC);
-        let report = sys.run_until_halt(5_000_000, |_| {});
-        (report, sys.core().reg(observe))
-    };
-    (l1, l2)
+    let l1 = run_exact(words, observe);
+    (l1, run_on(platform(words).into_tlm2(), observe))
 }
 
 #[test]
@@ -220,4 +239,41 @@ fn cpi_is_reasonable_without_caches() {
     let cpi = r1.cpi();
     assert!(cpi >= 1.0, "CPI {cpi} below the fetch bound");
     assert!(cpi < 4.0, "CPI {cpi} unreasonably high for an ALU loop");
+}
+
+/// The crypto coprocessor answers `Wait` to a CTRL write while a block
+/// is in flight, so a second start issued at once holds its beat until
+/// the first block completes, on the same cycles at layer 1 and the
+/// reference. Layer 2 is left out: it spins a `Wait` away inside one
+/// slave call, and the coprocessor only leaves busy on a `tick`, so the
+/// spin never ends.
+#[test]
+fn crypto_back_pressure_agrees_across_layers() {
+    let key = [0x0123_4567, 0x89AB_CDEF, 0xFEDC_BA98, 0x7654_3210];
+    let block = [0xDEAD_BEEF, 0xCAFE_F00D];
+    let mut p = Program::new(PlatformMap::RESET_PC);
+    p.li(Reg::T0, PlatformMap::CRYPTO_BASE);
+    for (i, k) in key.iter().enumerate() {
+        p.li(Reg::T1, *k);
+        p.sw(Reg::T1, Reg::T0, 0x08 + 4 * i as i16);
+    }
+    p.li(Reg::T1, block[0]);
+    p.sw(Reg::T1, Reg::T0, 0x18);
+    p.li(Reg::T1, block[1]);
+    p.sw(Reg::T1, Reg::T0, 0x1C);
+    // Two starts back to back: the second waits out the first block and
+    // then encrypts its ciphertext.
+    p.li(Reg::T1, ctrl::START_ENC);
+    p.sw(Reg::T1, Reg::T0, 0x00);
+    p.sw(Reg::T1, Reg::T0, 0x00);
+    p.label("poll");
+    p.lw(Reg::T2, Reg::T0, 0x04);
+    p.andi(Reg::T2, Reg::T2, 0x1); // BUSY
+    p.bne(Reg::T2, Reg::ZERO, "poll");
+    p.lw(Reg::T3, Reg::T0, 0x18);
+    p.halt();
+    let words = p.assemble().unwrap();
+    let (r1, v1) = run_exact(&words, Reg::T3);
+    assert_eq!(v1, xtea_encrypt(xtea_encrypt(block, key), key)[0]);
+    assert!(r1.fault.is_none());
 }

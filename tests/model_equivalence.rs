@@ -6,7 +6,7 @@ use hierbus_core::{MemSlave, Tlm1Bus, Tlm2Bus, TlmSystem};
 use hierbus_ec::record::first_divergence;
 use hierbus_ec::sequences::{self, MixParams, Scenario};
 use hierbus_ec::{AccessRights, Address, AddressRange, SlaveConfig};
-use hierbus_rtl::{GlitchConfig, PowerConfig, RtlBus, SimpleMem};
+use hierbus_rtl::{GlitchConfig, PowerConfig, RtlBus};
 
 fn slave_config(scenario: &Scenario) -> SlaveConfig {
     SlaveConfig::new(
@@ -17,7 +17,7 @@ fn slave_config(scenario: &Scenario) -> SlaveConfig {
 }
 
 fn rtl_bus(scenario: &Scenario) -> RtlBus {
-    let mem = SimpleMem::new(slave_config(scenario));
+    let mem = MemSlave::new(slave_config(scenario));
     RtlBus::new(
         vec![Box::new(mem)],
         PowerConfig::default(),

@@ -8,7 +8,7 @@ use hierbus::ec::sequences::MasterOp;
 use hierbus::ec::{
     AccessKind, AccessRights, Address, AddressRange, BurstLen, DataWidth, SlaveConfig, WaitProfile,
 };
-use hierbus::rtl::{GlitchConfig, PowerConfig, RtlBus, SimpleMem};
+use hierbus::rtl::{GlitchConfig, PowerConfig, RtlBus};
 use hierbus::sim::SplitMix64;
 
 /// Four windows with very different personalities.
@@ -76,11 +76,7 @@ fn traffic(seed: u64, count: usize) -> Vec<MasterOp> {
 }
 
 fn run_rtl(ops: Vec<MasterOp>) -> hierbus::core::TlmReport {
-    let slaves: Vec<Box<dyn hierbus::rtl::RtlSlaveModel>> = slave_configs()
-        .into_iter()
-        .map(|c| Box::new(SimpleMem::new(c)) as Box<dyn hierbus::rtl::RtlSlaveModel>)
-        .collect();
-    let bus = RtlBus::new(slaves, PowerConfig::default(), GlitchConfig::off());
+    let bus = RtlBus::new(tlm_slaves(), PowerConfig::default(), GlitchConfig::off());
     TlmSystem::new(bus, ops).run(10_000_000, |_| {})
 }
 

@@ -15,7 +15,7 @@ use hierbus::ec::{
 };
 use hierbus::obs::{Phase, TraceCollector};
 use hierbus::power::run::{scenario_slave, MAX_CYCLES};
-use hierbus::rtl::{GlitchConfig, PowerConfig, RtlBus, SimpleMem};
+use hierbus::rtl::{GlitchConfig, PowerConfig, RtlBus};
 
 fn rtl_spans(scenario: &Scenario) -> TraceCollector {
     let mut rtl = TlmSystem::new(rtl_bus(scenario), scenario.ops.clone());
@@ -24,7 +24,7 @@ fn rtl_spans(scenario: &Scenario) -> TraceCollector {
 }
 
 fn rtl_bus(scenario: &Scenario) -> RtlBus {
-    let mem = SimpleMem::new(scenario_slave(scenario));
+    let mem = MemSlave::new(scenario_slave(scenario));
     let mut bus = RtlBus::new(
         vec![Box::new(mem)],
         PowerConfig::default(),

@@ -14,7 +14,7 @@ use hierbus::ec::{
     AccessKind, AccessRights, Address, AddressRange, BurstLen, DataWidth, SlaveConfig, WaitProfile,
 };
 use hierbus::power::{Capture, CharacterizationDb, Layer, MasterFaults, Outcome, RunSpec, Session};
-use hierbus::rtl::{GlitchConfig, PowerConfig, RtlBus, SimpleMem};
+use hierbus::rtl::{GlitchConfig, PowerConfig, RtlBus};
 use hierbus::sim::SplitMix64;
 
 const CASES: u64 = 48;
@@ -89,7 +89,7 @@ fn arb_waits(rng: &mut SplitMix64) -> WaitProfile {
 }
 
 fn rtl_system(scenario: &Scenario) -> TlmSystem<RtlBus> {
-    let mem = SimpleMem::new(slave_config(scenario.waits));
+    let mem = MemSlave::new(slave_config(scenario.waits));
     let bus = RtlBus::new(
         vec![Box::new(mem)],
         PowerConfig::default(),
