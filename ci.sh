@@ -62,8 +62,9 @@ cargo run --release -p hierbus-bench --bin arbitration_smoke
 echo "==> examples that assert cross-layer agreement"
 # Each of these examples asserts that the layers agree (cycle-exact
 # layer 1, identical outcomes and memory, grant lines, the crypto
-# driver's results); a failed assert exits non-zero and stops CI. The
-# release build above already compiled them.
+# driver's results, and its layer-2 cycles at or above layer 1's, the
+# Table 1 shape on program traffic); a failed assert exits non-zero and
+# stops CI. The release build above already compiled them.
 for example in quickstart fault_injection multi_master crypto_coprocessor; do
   ./target/release/examples/"$example" > /dev/null
 done

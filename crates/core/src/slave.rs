@@ -1,17 +1,18 @@
 //! The abstract slave interface of the TLM models.
 
-use hierbus_ec::{Address, SlaveConfig};
+use hierbus_ec::{Address, SlaveConfig, Transaction};
 
 /// Reply of a slave data-interface call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlaveReply<T> {
     /// The access completed.
     Ok(T),
-    /// The slave is dynamically busy this cycle; the layer-1 bus and the
-    /// reference retry next cycle (extends the beat beyond the static
-    /// wait states). The layer-2 model cannot represent dynamic waits —
-    /// its block transfers spin them away, a documented source of
-    /// layer-2 timing error on peripherals that use them.
+    /// The slave is dynamically busy: call again later. The reference
+    /// and layer 1 hold the beat and call it again next cycle (extending
+    /// it beyond the static wait states); layer 2 holds its data phase a
+    /// cycle and resumes at the waiting beat; untimed layer 3 calls the
+    /// beat again at once. Every cycle-driven bus ticks its slaves
+    /// between the calls, so a `Wait` that only time ends does end.
     Wait,
     /// The slave signals a bus error for this access.
     Error,
@@ -31,10 +32,9 @@ impl<T> SlaveReply<T> {
 /// The slave interface of every layer, the reference included.
 ///
 /// Word-level calls carry full 32-bit bus words; byte-lane selection is
-/// the master/bus side's job via the merge patterns. The block calls are
-/// the layer-2 "data pointer plus byte length" interface; their default
-/// implementations loop over the word interface, spinning away dynamic
-/// waits (see [`SlaveReply::Wait`]).
+/// the master/bus side's job via the merge patterns. There are no block
+/// calls: every layer moves a burst one word call per beat, so a slave
+/// can answer [`SlaveReply::Wait`] or [`SlaveReply::Error`] on any beat.
 pub trait TlmSlave {
     /// The slave control interface: address range, wait states, rights.
     fn config(&self) -> SlaveConfig;
@@ -82,41 +82,49 @@ pub trait TlmSlave {
     /// Writes `data` to the word containing `addr` under byte enables
     /// `ben`.
     fn write_word(&mut self, addr: Address, data: u32, ben: u8) -> SlaveReply<()>;
+}
 
-    /// Layer-2 block read: fills `words` from consecutive word addresses
-    /// starting at `addr`. Returns `Error` if any word access errors.
-    fn read_block(&mut self, addr: Address, words: &mut [u32]) -> SlaveReply<()> {
-        for (i, slot) in words.iter_mut().enumerate() {
-            let a = addr + 4 * i as u64;
-            loop {
-                match self.read_word(a) {
-                    SlaveReply::Ok(w) => {
-                        *slot = w;
-                        break;
-                    }
-                    SlaveReply::Wait => continue,
-                    SlaveReply::Error => return SlaveReply::Error,
-                }
-            }
-        }
-        SlaveReply::Ok(())
-    }
+/// Why [`transfer`] stopped short of the last beat.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Stop {
+    /// The slave answered `Wait` on this beat; resume from it.
+    Wait(u32),
+    /// The slave answered `Error` on this beat (its address is
+    /// `txn.beat_addr(beat)`); the beats before it moved.
+    Error(u32),
+}
 
-    /// Layer-2 block write: stores `words` to consecutive word addresses
-    /// starting at `addr`.
-    fn write_block(&mut self, addr: Address, words: &[u32]) -> SlaveReply<()> {
-        for (i, &w) in words.iter().enumerate() {
-            let a = addr + 4 * i as u64;
-            loop {
-                match self.write_word(a, w, 0b1111) {
-                    SlaveReply::Ok(()) => break,
-                    SlaveReply::Wait => continue,
-                    SlaveReply::Error => return SlaveReply::Error,
-                }
-            }
+/// Moves the beats of `txn` from `from_beat` on through `slave`'s word
+/// interface: the data transfer of layers 2 and 3, which call the slave
+/// for a whole transaction at once. A read stores each beat's
+/// lane-extracted value at its index in `buf`; a write drives each
+/// payload value under its byte enables, with the other lanes zero (the
+/// bus keeps no previous word). Stops at the first beat that is not
+/// `Ok`.
+pub(crate) fn transfer(
+    slave: &mut dyn TlmSlave,
+    txn: &Transaction,
+    from_beat: u32,
+    buf: &mut [u32; 8],
+) -> Result<(), Stop> {
+    let width = txn.width;
+    for beat in from_beat..txn.beats() {
+        let addr = txn.beat_addr(beat);
+        let reply = if txn.kind.is_read() {
+            slave
+                .read_word(addr)
+                .map(|w| buf[beat as usize] = width.extract(addr, w))
+        } else {
+            let word = width.insert(addr, 0, txn.data[beat as usize]);
+            slave.write_word(addr, word, width.byte_enables(addr))
+        };
+        match reply {
+            SlaveReply::Ok(()) => {}
+            SlaveReply::Wait => return Err(Stop::Wait(beat)),
+            SlaveReply::Error => return Err(Stop::Error(beat)),
         }
-        SlaveReply::Ok(())
     }
+    Ok(())
 }
 
 /// Indices of the slaves with per-cycle behaviour
@@ -370,7 +378,9 @@ impl TlmSlave for MemSlave {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hierbus_ec::{AccessRights, AddressRange, WaitProfile};
+    use hierbus_ec::{
+        AccessKind, AccessRights, AddressRange, BurstLen, DataWidth, TxnId, WaitProfile,
+    };
 
     fn mem() -> MemSlave {
         MemSlave::new(SlaveConfig::new(
@@ -439,25 +449,32 @@ mod tests {
         assert_eq!(m.peek(Address::new(0x108)), 3);
     }
 
+    fn burst(kind: AccessKind, addr: u64, burst: BurstLen, data: Vec<u32>) -> Transaction {
+        Transaction::new(
+            TxnId(0),
+            kind,
+            Address::new(addr),
+            DataWidth::W32,
+            burst,
+            data,
+        )
+    }
+
     #[test]
     fn default_block_read_fills_words() {
         let mut m = mem();
         m.load(Address::new(0x40), &[1, 2, 3, 4]);
-        let mut buf = [0u32; 4];
-        assert_eq!(
-            m.read_block(Address::new(0x40), &mut buf),
-            SlaveReply::Ok(())
-        );
-        assert_eq!(buf, [1, 2, 3, 4]);
+        let mut buf = [0u32; 8];
+        let txn = burst(AccessKind::DataRead, 0x40, BurstLen::B4, Vec::new());
+        assert_eq!(transfer(&mut m, &txn, 0, &mut buf), Ok(()));
+        assert_eq!(buf[..4], [1, 2, 3, 4]);
     }
 
     #[test]
     fn default_block_write_stores_words() {
         let mut m = mem();
-        assert_eq!(
-            m.write_block(Address::new(0x80), &[9, 8]),
-            SlaveReply::Ok(())
-        );
+        let txn = burst(AccessKind::DataWrite, 0x80, BurstLen::B2, vec![9, 8]);
+        assert_eq!(transfer(&mut m, &txn, 0, &mut [0; 8]), Ok(()));
         assert_eq!(m.peek(Address::new(0x80)), 9);
         assert_eq!(m.peek(Address::new(0x84)), 8);
     }
@@ -528,8 +545,10 @@ mod tests {
             WaitProfile::ZERO,
             AccessRights::RWX,
         ));
-        let mut buf = [0u32; 2];
-        assert_eq!(s.read_block(Address::new(0), &mut buf), SlaveReply::Error);
-        assert_eq!(s.write_block(Address::new(0), &buf), SlaveReply::Error);
+        let mut buf = [0u32; 8];
+        let read = burst(AccessKind::DataRead, 0, BurstLen::B2, Vec::new());
+        assert_eq!(transfer(&mut s, &read, 0, &mut buf), Err(Stop::Error(0)));
+        let write = burst(AccessKind::DataWrite, 0, BurstLen::B2, vec![0, 0]);
+        assert_eq!(transfer(&mut s, &write, 0, &mut buf), Err(Stop::Error(0)));
     }
 }

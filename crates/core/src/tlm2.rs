@@ -4,9 +4,15 @@
 //! transaction list connects the interface functions to a bus process
 //! that decrements wait-state counters; a burst is carried as a *single*
 //! transaction whose data moves as one slice ("pointer passing"); the
-//! slave's block data interface is invoked once, at the end of the data
-//! phase. Slave wait states are read **once**, when the transaction is
-//! created during the first interface call.
+//! slave is called for the whole transfer once, at the end of the data
+//! phase, one word call per beat. Slave wait states are read **once**,
+//! when the transaction is created during the first interface call.
+//!
+//! A slave that answers [`SlaveReply::Wait`](crate::SlaveReply::Wait)
+//! holds the data phase: the beats before the waiting one have moved,
+//! and the transfer resumes at the waiting beat at the next falling
+//! edge, after the slaves' tick. Each held cycle lengthens the phase,
+//! and its [`PhaseEvent`] counts it.
 //!
 //! # The atomicity approximation
 //!
@@ -37,7 +43,7 @@
 
 use crate::master::{Completed, CycleBus, PollStatus};
 use crate::obs_util::access_class;
-use crate::slave::{tick_slaves, ticking_slaves, SlaveReply, TlmSlave};
+use crate::slave::{tick_slaves, ticking_slaves, transfer, Stop, TlmSlave};
 use crate::slots::Slots;
 use hierbus_ec::{
     AccessKind, Address, AddressMap, BusError, BusStatus, DataWidth, FaultKind, SlaveId,
@@ -115,11 +121,14 @@ enum AddrState {
     },
 }
 
-#[derive(Debug)]
+#[derive(Debug, Clone, Copy)]
 struct DataState {
     idx: usize,
     left: u32,
     total: u32,
+    /// The beat the slave transfer starts from: 0, or after a `Wait`
+    /// the waiting beat.
+    beat: u32,
 }
 
 /// One direction's data machinery: a queue plus the current countdown.
@@ -147,6 +156,11 @@ pub struct Tlm2Bus {
     addr_state: AddrState,
     read: DataSide,
     write: DataSide,
+    /// The current read phase's words, one per beat (`BurstLen::B8` is
+    /// the longest burst). A read phase held by a `Wait` keeps its
+    /// finished beats here; the next read phase starts only once the
+    /// read side is free.
+    read_words: [u32; 8],
     /// Completed transactions awaiting master pickup, as `(id, active
     /// slot)`. Holds at most the outstanding limit, so a flat vector
     /// beats a hash map on both insert and the poll-side lookup.
@@ -182,6 +196,7 @@ impl Tlm2Bus {
             addr_state: AddrState::Idle,
             read: DataSide::default(),
             write: DataSide::default(),
+            read_words: [0; 8],
             finish_q: Vec::new(),
             events: Vec::new(),
             emit_events: false,
@@ -283,16 +298,6 @@ impl Tlm2Bus {
         self.irq_mask
     }
 
-    /// Access to a slave (e.g. to inspect memory after a run).
-    pub fn slave(&self, id: SlaveId) -> &dyn TlmSlave {
-        self.slaves[id.0].as_ref()
-    }
-
-    /// Exclusive access to a slave.
-    pub fn slave_mut(&mut self, id: SlaveId) -> &mut dyn TlmSlave {
-        self.slaves[id.0].as_mut()
-    }
-
     fn data_duration(a: &Active) -> u32 {
         let wait = a.waits.data_wait(a.txn.kind);
         a.txn.beats() * (1 + wait) + Self::injected_stall(a)
@@ -306,65 +311,62 @@ impl Tlm2Bus {
         }
     }
 
-    /// Completes the data phase of `idx`: one block slave call, record
-    /// keeping, optional event emission. Reads land in a stack buffer and
-    /// writes go straight from the transaction's payload, so the only
-    /// heap allocations are the copies someone keeps: the event's `data`
-    /// (events enabled) and the record's read data (read data kept).
-    fn complete_data(&mut self, idx: usize, cycle: u64, phase_cycles: u32) {
-        let a = &self.active[idx];
+    /// Ends the countdown of data phase `st`, the current phase of its
+    /// side: one slave transfer, record keeping, optional event
+    /// emission. A slave `Wait` holds the phase one more cycle, to
+    /// resume at the waiting beat. Reads land in the bus's word buffer
+    /// and writes go straight from the transaction's payload, so the
+    /// only heap allocations are the copies someone keeps: the event's
+    /// `data` (events enabled) and the record's read data (read data
+    /// kept).
+    fn complete_data(&mut self, is_read: bool, st: DataState, cycle: u64) {
+        let side = if is_read {
+            &mut self.read
+        } else {
+            &mut self.write
+        };
+        let a = &self.active[st.idx];
         let (addr, kind, width, beats) = (a.txn.addr, a.txn.kind, a.txn.width, a.txn.beats());
-        let slave = a.slave.expect("decoded");
-        let is_read = kind.is_read();
-        // `BurstLen::B8` is the longest burst.
-        let mut read_buf = [0u32; 8];
-        // How much of `read_buf` the event carries (reads only).
-        let mut read_len = 0;
-        let mut error = None;
-        if matches!(a.fault, Some(FaultKind::SlaveError)) {
+        let injected = matches!(a.fault, Some(FaultKind::SlaveError));
+        let stop = if injected {
             // Injected slave error: fires before any data is committed
             // (the reference errors on the first beat), so memory state
             // stays identical across layers. Writes still drove their
             // payload onto the bus, so the event keeps it for energy.
-            error = Some(BusError::SlaveError(addr));
-        } else if is_read {
-            if width == DataWidth::W32 {
-                // On a slave error the event keeps the partial block.
-                read_len = beats as usize;
-                let block = &mut read_buf[..read_len];
-                if self.slaves[slave.0].read_block(addr, block) == SlaveReply::Error {
-                    error = Some(BusError::SlaveError(addr));
-                }
-            } else {
-                // Sub-word single: one word access plus lane extraction.
-                match self.slave_read_spin(slave, addr) {
-                    Ok(w) => {
-                        read_buf[0] = width.extract(addr, w);
-                        read_len = 1;
-                    }
-                    Err(e) => error = Some(e),
-                }
-            }
-        } else if width == DataWidth::W32 {
-            if self.slaves[slave.0].write_block(addr, &a.txn.data) == SlaveReply::Error {
-                error = Some(BusError::SlaveError(addr));
-            }
+            Err(Stop::Error(0))
         } else {
-            let ben = width.byte_enables(addr);
-            let bus_word = width.insert(addr, 0, a.txn.data[0]);
-            if let Err(e) = self.slave_write_spin(slave, addr, bus_word, ben) {
-                error = Some(e);
+            let slave = a.slave.expect("decoded");
+            transfer(
+                self.slaves[slave.0].as_mut(),
+                &a.txn,
+                st.beat,
+                &mut self.read_words,
+            )
+        };
+        // How many beats moved: all of them, or those before the error.
+        let (moved, error) = match stop {
+            Ok(()) => (beats, None),
+            Err(Stop::Wait(beat)) => {
+                side.current = Some(DataState {
+                    left: 1,
+                    total: st.total + 1,
+                    beat,
+                    ..st
+                });
+                return;
             }
-        }
-        let read = &read_buf[..read_len];
-        let a = &mut self.active[idx];
+            Err(Stop::Error(beat)) => (beat, Some(BusError::SlaveError(a.txn.beat_addr(beat)))),
+        };
+        side.current = None;
+        side.completed_this_cycle = true;
+        let a = &mut self.active[st.idx];
         a.done = Some(cycle);
         a.error = error;
-        if is_read && error.is_none() && !self.discard_read_data {
-            a.read_data = read.to_vec();
+        if is_read && !self.discard_read_data {
+            a.read_data = self.read_words[..moved as usize].to_vec();
         }
         let id = a.txn.id;
-        self.finish_q.push((id, idx));
+        self.finish_q.push((id, st.idx));
         self.obs.end(
             id.0,
             if is_read {
@@ -377,7 +379,17 @@ impl Tlm2Bus {
         );
         if self.emit_events {
             let (phase, data) = if is_read {
-                (PhaseKind::ReadData, read.to_vec())
+                // A failing word block reads zero past the failing beat;
+                // a failing sub-word read and an injected error carry
+                // nothing.
+                let shown = if injected || (error.is_some() && width != DataWidth::W32) {
+                    0
+                } else {
+                    beats
+                };
+                let mut data = self.read_words[..moved as usize].to_vec();
+                data.resize(shown as usize, 0);
+                (PhaseKind::ReadData, data)
             } else {
                 (PhaseKind::WriteData, a.txn.data.to_vec())
             };
@@ -387,40 +399,13 @@ impl Tlm2Bus {
                 access: kind,
                 width,
                 beats,
-                cycles: phase_cycles,
-                planned_cycles: phase_cycles,
+                cycles: st.total,
+                planned_cycles: st.total,
                 completed: true,
                 data,
                 at_cycle: cycle,
                 trace_id: id.0,
             });
-        }
-    }
-
-    /// Word read spinning away dynamic waits (layer 2 cannot time them).
-    fn slave_read_spin(&mut self, slave: SlaveId, addr: Address) -> Result<u32, BusError> {
-        loop {
-            match self.slaves[slave.0].read_word(addr) {
-                SlaveReply::Ok(w) => return Ok(w),
-                SlaveReply::Wait => continue,
-                SlaveReply::Error => return Err(BusError::SlaveError(addr)),
-            }
-        }
-    }
-
-    fn slave_write_spin(
-        &mut self,
-        slave: SlaveId,
-        addr: Address,
-        word: u32,
-        ben: u8,
-    ) -> Result<(), BusError> {
-        loop {
-            match self.slaves[slave.0].write_word(addr, word, ben) {
-                SlaveReply::Ok(()) => return Ok(()),
-                SlaveReply::Wait => continue,
-                SlaveReply::Error => return Err(BusError::SlaveError(addr)),
-            }
         }
     }
 
@@ -455,6 +440,7 @@ impl Tlm2Bus {
                     idx,
                     left: total,
                     total,
+                    beat: 0,
                 });
             } else {
                 return;
@@ -468,11 +454,8 @@ impl Tlm2Bus {
         let st = side.current.as_mut().expect("state just ensured");
         st.left -= 1;
         if st.left == 0 {
-            let idx = st.idx;
-            let total = st.total;
-            side.current = None;
-            side.completed_this_cycle = true;
-            self.complete_data(idx, cycle, total);
+            let st = *st;
+            self.complete_data(is_read, st, cycle);
         }
     }
 
@@ -678,19 +661,21 @@ impl CycleBus for Tlm2Bus {
                             );
                             let a = &self.active[idx];
                             let wait = a.waits.data_wait(kind) + Self::injected_stall(a);
+                            let st = DataState {
+                                idx,
+                                left: wait,
+                                total: 1 + wait,
+                                beat: 0,
+                            };
                             if wait == 0 {
-                                self.complete_data(idx, cycle, 1);
+                                self.complete_data(is_read, st, cycle);
                             } else {
                                 let side = if is_read {
                                     &mut self.read
                                 } else {
                                     &mut self.write
                                 };
-                                side.current = Some(DataState {
-                                    idx,
-                                    left: wait,
-                                    total: 1 + wait,
-                                });
+                                side.current = Some(st);
                             }
                         } else {
                             // Bursts (and contended singles) go through
@@ -731,7 +716,8 @@ impl std::fmt::Debug for Tlm2Bus {
 mod tests {
     use super::*;
     use crate::master::TlmSystem;
-    use crate::slave::MemSlave;
+    use crate::slave::{HasSlaves, MemSlave, SlaveReply};
+    use crate::tlm1::Tlm1Bus;
     use hierbus_ec::sequences::{self, MasterOp};
     use hierbus_ec::{AccessRights, AddressRange, BurstLen, SlaveConfig};
 
@@ -808,7 +794,7 @@ mod tests {
         let bus = bus_with_waits(WaitProfile::ZERO);
         let mut sys = TlmSystem::new(bus, vec![MasterOp::burst_write(0x500, data)]);
         sys.run(100, |_| {});
-        let slave = sys.bus().slave(SlaveId(0));
+        let slave = sys.bus().slave_ref(SlaveId(0));
         let cfg = slave.config();
         assert!(cfg.range.contains(Address::new(0x500)));
         // Inspect through the trait by downcast-free read.
@@ -876,7 +862,6 @@ mod tests {
 
     #[test]
     fn layer2_never_finishes_before_layer1_on_the_suite() {
-        use crate::tlm1::Tlm1Bus;
         for scenario in sequences::all_scenarios() {
             let l2 = run(scenario.ops.clone(), scenario.waits);
             let mem = MemSlave::new(SlaveConfig::new(
@@ -894,5 +879,191 @@ mod tests {
                 l1.cycles
             );
         }
+    }
+
+    #[test]
+    fn dynamic_wait_slave_extends_beat() {
+        /// Replies `Wait` a fixed number of times before each read.
+        struct BusySlave {
+            cfg: SlaveConfig,
+            stalls: u32,
+            left: u32,
+        }
+        impl TlmSlave for BusySlave {
+            fn config(&self) -> SlaveConfig {
+                self.cfg
+            }
+            fn read_word(&mut self, _addr: Address) -> SlaveReply<u32> {
+                if self.left > 0 {
+                    self.left -= 1;
+                    SlaveReply::Wait
+                } else {
+                    self.left = self.stalls;
+                    SlaveReply::Ok(0x77)
+                }
+            }
+            fn write_word(&mut self, _: Address, _: u32, _: u8) -> SlaveReply<()> {
+                SlaveReply::Ok(())
+            }
+        }
+        let slave = || BusySlave {
+            cfg: SlaveConfig::new(
+                AddressRange::new(Address::new(0), 0x1000),
+                WaitProfile::ZERO,
+                AccessRights::RWX,
+            ),
+            stalls: 2,
+            left: 2,
+        };
+        let ops = vec![MasterOp::read(0x0)];
+        let l1 =
+            TlmSystem::new(Tlm1Bus::new(vec![Box::new(slave())]), ops.clone()).run(100, |_| {});
+        let mut bus = Tlm2Bus::new(vec![Box::new(slave())]);
+        bus.enable_events();
+        let mut events = Vec::new();
+        let l2 =
+            TlmSystem::new(bus, ops).run(100, |b: &mut Tlm2Bus| events.extend(b.drain_events()));
+        assert_eq!(l2.records[0].data, vec![0x77]);
+        assert!(
+            l2.cycles >= l1.cycles,
+            "layer2 {} < layer1 {}",
+            l2.cycles,
+            l1.cycles
+        );
+        // The one-cycle data phase was held for the two dynamic stalls.
+        let data = events
+            .iter()
+            .find(|e| e.kind == PhaseKind::ReadData)
+            .unwrap();
+        assert_eq!((data.cycles, data.planned_cycles), (3, 3));
+    }
+
+    /// A `Wait` on beat 2 of a 4-beat read holds the phase; the transfer
+    /// resumes at beat 2, so no beat is read twice.
+    #[test]
+    fn burst_wait_resumes_at_the_waiting_beat() {
+        /// Memory that answers `Wait` once at 0x108 and logs every `Ok`
+        /// read.
+        struct WaitAtBeat2 {
+            mem: MemSlave,
+            waited: bool,
+            reads: Vec<u64>,
+        }
+        impl TlmSlave for WaitAtBeat2 {
+            fn config(&self) -> SlaveConfig {
+                self.mem.config()
+            }
+            fn as_any(&self) -> Option<&dyn std::any::Any> {
+                Some(self)
+            }
+            fn read_word(&mut self, addr: Address) -> SlaveReply<u32> {
+                if addr.raw() == 0x108 && !self.waited {
+                    self.waited = true;
+                    return SlaveReply::Wait;
+                }
+                self.reads.push(addr.raw());
+                self.mem.read_word(addr)
+            }
+            fn write_word(&mut self, addr: Address, data: u32, ben: u8) -> SlaveReply<()> {
+                self.mem.write_word(addr, data, ben)
+            }
+        }
+        let slaves = || -> Vec<Box<dyn TlmSlave>> {
+            let mut mem = MemSlave::new(SlaveConfig::new(
+                AddressRange::new(Address::new(0), 0x1000),
+                WaitProfile::ZERO,
+                AccessRights::RWX,
+            ));
+            mem.load(Address::new(0x100), &[0xA1, 0xB2, 0xC3, 0xD4]);
+            vec![Box::new(WaitAtBeat2 {
+                mem,
+                waited: false,
+                reads: Vec::new(),
+            })]
+        };
+        let ops = vec![MasterOp::burst_read(0x100, BurstLen::B4)];
+        let l1 = TlmSystem::new(Tlm1Bus::new(slaves()), ops.clone()).run(100, |_| {});
+        let mut sys = TlmSystem::new(Tlm2Bus::new(slaves()), ops);
+        let l2 = sys.run(100, |_| {});
+        assert_eq!(l2.records[0].data, l1.records[0].data);
+        assert_eq!(l2.records[0].data, vec![0xA1, 0xB2, 0xC3, 0xD4]);
+        let slave = sys.bus().slave_as::<WaitAtBeat2>(SlaveId(0)).unwrap();
+        assert_eq!(slave.reads, vec![0x100, 0x104, 0x108, 0x10C]);
+        assert!(l2.cycles > l1.cycles);
+    }
+
+    /// A slave error on beat 1 of a burst ends the burst there with
+    /// layer 1's error address and read data; the write's beat 0 stays
+    /// committed.
+    #[test]
+    fn slave_error_on_a_later_beat_matches_layer1() {
+        /// Memory that answers `Error` for one word.
+        struct BadWord(MemSlave);
+        impl TlmSlave for BadWord {
+            fn config(&self) -> SlaveConfig {
+                self.0.config()
+            }
+            fn as_any(&self) -> Option<&dyn std::any::Any> {
+                Some(self)
+            }
+            fn read_word(&mut self, addr: Address) -> SlaveReply<u32> {
+                if addr.raw() == 0x204 {
+                    return SlaveReply::Error;
+                }
+                self.0.read_word(addr)
+            }
+            fn write_word(&mut self, addr: Address, data: u32, ben: u8) -> SlaveReply<()> {
+                if addr.raw() == 0x204 {
+                    return SlaveReply::Error;
+                }
+                self.0.write_word(addr, data, ben)
+            }
+        }
+        let slaves = || -> Vec<Box<dyn TlmSlave>> {
+            vec![Box::new(BadWord(MemSlave::new(SlaveConfig::new(
+                AddressRange::new(Address::new(0), 0x1000),
+                WaitProfile::new(0, 1, 1),
+                AccessRights::RWX,
+            ))))]
+        };
+        let ops = vec![
+            MasterOp::burst_read(0x200, BurstLen::B4),
+            MasterOp::burst_write(0x200, vec![1, 2, 3, 4]),
+            MasterOp::read(0x200).after_idle(4),
+        ];
+        let mut sys1 = TlmSystem::new(Tlm1Bus::new(slaves()), ops.clone());
+        let l1 = sys1.run(100, |_| {});
+        let mut bus2 = Tlm2Bus::new(slaves());
+        bus2.enable_events();
+        let mut sys2 = TlmSystem::new(bus2, ops);
+        let mut events = Vec::new();
+        let l2 = sys2.run(100, |b: &mut Tlm2Bus| events.extend(b.drain_events()));
+        let outcome = |r: &crate::master::TlmReport| -> Vec<_> {
+            r.records
+                .iter()
+                .map(|r| (r.error, r.data.clone()))
+                .collect()
+        };
+        assert_eq!(outcome(&l2), outcome(&l1));
+        let bad = Some(BusError::SlaveError(Address::new(0x204)));
+        assert_eq!(l2.records[0].error, bad);
+        assert_eq!(l2.records[1].error, bad);
+        assert_eq!(l2.records[2].data, vec![1]);
+        // The failed burst's event carries its word block, zero past the
+        // failing beat.
+        let burst = events
+            .iter()
+            .find(|e| e.kind == PhaseKind::ReadData)
+            .unwrap();
+        let first = MemSlave::fill_pattern(Address::new(0x200));
+        assert_eq!(burst.data, vec![first, 0, 0, 0]);
+        let snapshot = |s: &dyn TlmSlave| -> Vec<(u64, u32)> {
+            let any = s.as_any().unwrap();
+            any.downcast_ref::<BadWord>().unwrap().0.snapshot()
+        };
+        assert_eq!(
+            snapshot(sys2.bus().slave_ref(SlaveId(0))),
+            snapshot(sys1.bus().slave_ref(SlaveId(0)))
+        );
     }
 }

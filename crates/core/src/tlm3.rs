@@ -7,19 +7,22 @@
 //! model starts life at this level (Fig. 7a). This module completes the
 //! hierarchy in code:
 //!
-//! * the native interface is *blocking and untimed*: [`Tlm3Bus::read`]
-//!   and [`Tlm3Bus::write`] move whole buffers in one call;
-//! * a [`CycleBus`] bridge (Haverinen: "bridging layer three or layer
-//!   two components to cycle accurate systems") lets the same stimulus
-//!   machinery drive it — every transaction completes in its issue
-//!   cycle, so "timing" collapses to the issue schedule, which is
-//!   exactly what an untimed model should report.
+//! * its one interface is a [`CycleBus`] bridge (Haverinen: "bridging
+//!   layer three or layer two components to cycle accurate systems"),
+//!   so the same stimulus machinery drives it; there is no native
+//!   blocking `read`/`write`;
+//! * every transaction executes whole, at issue, and completes in its
+//!   issue cycle, so "timing" collapses to the issue schedule, which is
+//!   exactly what an untimed model should report;
+//! * waits take no time: a beat the slave answers
+//!   [`SlaveReply::Wait`](crate::SlaveReply::Wait) is called again at
+//!   once. No tick runs in between, so a slave whose `Wait` only time
+//!   can end (the crypto coprocessor while a block is in flight, a full
+//!   UART FIFO) cannot run at layer 3.
 
 use crate::master::{Completed, CycleBus, PollStatus};
-use crate::slave::{SlaveReply, TlmSlave};
-use hierbus_ec::{
-    Address, AddressMap, BusError, BusStatus, DataWidth, SlaveId, Transaction, TxnId,
-};
+use crate::slave::{transfer, Stop, TlmSlave};
+use hierbus_ec::{AddressMap, BusError, BusStatus, SlaveId, Transaction, TxnId};
 
 /// The layer-3 bus. See the [module docs](self).
 pub struct Tlm3Bus {
@@ -48,92 +51,36 @@ impl Tlm3Bus {
         }
     }
 
-    /// Access to a slave (e.g. to inspect memory).
-    pub fn slave(&self, id: SlaveId) -> &dyn TlmSlave {
-        self.slaves[id.0].as_ref()
-    }
-
-    /// Exclusive access to a slave.
-    pub fn slave_mut(&mut self, id: SlaveId) -> &mut dyn TlmSlave {
-        self.slaves[id.0].as_mut()
-    }
-
-    /// Untimed block read: fills `buf` from consecutive words at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Decode, rights or slave errors as [`BusError`].
-    pub fn read(&mut self, addr: Address, buf: &mut [u32]) -> Result<(), BusError> {
-        let slave = self.map.decode(addr, hierbus_ec::AccessKind::DataRead)?;
-        match self.slaves[slave.0].read_block(addr, buf) {
-            SlaveReply::Ok(()) => Ok(()),
-            _ => Err(BusError::SlaveError(addr)),
-        }
-    }
-
-    /// Untimed block write: stores `data` to consecutive words at `addr`.
-    ///
-    /// # Errors
-    ///
-    /// Decode, rights or slave errors as [`BusError`].
-    pub fn write(&mut self, addr: Address, data: &[u32]) -> Result<(), BusError> {
-        let slave = self.map.decode(addr, hierbus_ec::AccessKind::DataWrite)?;
-        match self.slaves[slave.0].write_block(addr, data) {
-            SlaveReply::Ok(()) => Ok(()),
-            _ => Err(BusError::SlaveError(addr)),
-        }
-    }
-
     /// Executes a whole transaction immediately (the bridge's engine).
     fn execute(&mut self, txn: &Transaction) -> Completed {
-        let result = self.map.decode(txn.addr, txn.kind);
-        let (error, data) = match result {
-            Err(e) => (Some(e), Vec::new()),
+        let mut buf = [0u32; 8];
+        let error = match self.map.decode(txn.addr, txn.kind) {
+            Err(e) => Some(e),
             Ok(slave) => {
-                if txn.kind.is_read() {
-                    if txn.width == DataWidth::W32 {
-                        let mut buf = vec![0u32; txn.beats() as usize];
-                        match self.slaves[slave.0].read_block(txn.addr, &mut buf) {
-                            SlaveReply::Ok(()) => (None, buf),
-                            _ => (Some(BusError::SlaveError(txn.addr)), Vec::new()),
+                let slave = self.slaves[slave.0].as_mut();
+                let mut from = 0;
+                loop {
+                    match transfer(slave, txn, from, &mut buf) {
+                        Ok(()) => break None,
+                        // Untimed: the waiting beat is called again at once.
+                        Err(Stop::Wait(beat)) => from = beat,
+                        Err(Stop::Error(beat)) => {
+                            break Some(BusError::SlaveError(txn.beat_addr(beat)))
                         }
-                    } else {
-                        match self.read_word_spin(slave, txn.addr) {
-                            Ok(w) => (None, vec![txn.width.extract(txn.addr, w)]),
-                            Err(e) => (Some(e), Vec::new()),
-                        }
-                    }
-                } else if txn.width == DataWidth::W32 {
-                    match self.slaves[slave.0].write_block(txn.addr, &txn.data) {
-                        SlaveReply::Ok(()) => (None, Vec::new()),
-                        _ => (Some(BusError::SlaveError(txn.addr)), Vec::new()),
-                    }
-                } else {
-                    let ben = txn.width.byte_enables(txn.addr);
-                    let word = txn.width.insert(txn.addr, 0, txn.data[0]);
-                    match self.slaves[slave.0].write_word(txn.addr, word, ben) {
-                        SlaveReply::Ok(()) => (None, Vec::new()),
-                        SlaveReply::Wait => (None, Vec::new()), // untimed: waits vanish
-                        SlaveReply::Error => (Some(BusError::SlaveError(txn.addr)), Vec::new()),
                     }
                 }
             }
+        };
+        let data = if txn.kind.is_read() && error.is_none() {
+            buf[..txn.beats() as usize].to_vec()
+        } else {
+            Vec::new()
         };
         Completed {
             addr_done_cycle: None,
             done_cycle: 0, // patched by the bridge with the issue cycle
             error,
             data,
-        }
-    }
-
-    fn read_word_spin(&mut self, slave: SlaveId, addr: Address) -> Result<u32, BusError> {
-        loop {
-            match self.slaves[slave.0].read_word(addr) {
-                SlaveReply::Ok(w) => return Ok(w),
-                SlaveReply::Wait => continue,
-                SlaveReply::Error => return Err(BusError::SlaveError(addr)),
-            }
         }
     }
 }
@@ -188,9 +135,12 @@ impl std::fmt::Debug for Tlm3Bus {
 mod tests {
     use super::*;
     use crate::master::TlmSystem;
-    use crate::slave::MemSlave;
+    use crate::slave::{MemSlave, SlaveReply};
     use hierbus_ec::sequences::{self, MasterOp, MixParams};
-    use hierbus_ec::{AccessRights, AddressRange, SlaveConfig, WaitProfile};
+    use hierbus_ec::{
+        AccessKind, AccessRights, Address, AddressRange, BurstLen, DataWidth, SlaveConfig,
+        WaitProfile,
+    };
 
     fn bus() -> Tlm3Bus {
         let mem = MemSlave::new(SlaveConfig::new(
@@ -203,21 +153,65 @@ mod tests {
 
     #[test]
     fn untimed_block_roundtrip() {
-        let mut b = bus();
-        b.write(Address::new(0x100), &[1, 2, 3]).unwrap();
-        let mut buf = [0u32; 3];
-        b.read(Address::new(0x100), &mut buf).unwrap();
+        let ops = vec![
+            MasterOp::burst_write(0x100, vec![1, 2]),
+            MasterOp::write(0x108, 3),
+            MasterOp::burst_read(0x100, BurstLen::B2).after_idle(1),
+            MasterOp::read(0x108),
+        ];
+        let report = TlmSystem::new(bus(), ops).run(1_000, |_| {});
+        assert!(report.records.iter().all(|r| r.error.is_none()));
+        let buf = [&report.records[2].data[..], &report.records[3].data[..]].concat();
         assert_eq!(buf, [1, 2, 3]);
     }
 
     #[test]
     fn decode_errors_surface() {
-        let mut b = bus();
-        let mut buf = [0u32; 1];
-        assert!(matches!(
-            b.read(Address::new(0xF_0000), &mut buf),
-            Err(BusError::Decode(_))
+        let report = TlmSystem::new(bus(), vec![MasterOp::read(0xF_0000)]).run(1_000, |_| {});
+        assert!(matches!(report.records[0].error, Some(BusError::Decode(_))));
+    }
+
+    #[test]
+    fn sub_word_write_to_a_waiting_slave_lands() {
+        /// Memory that answers `Wait` once before each write.
+        struct WaitOnce {
+            mem: MemSlave,
+            waited: bool,
+        }
+        impl TlmSlave for WaitOnce {
+            fn config(&self) -> SlaveConfig {
+                self.mem.config()
+            }
+            fn read_word(&mut self, addr: Address) -> SlaveReply<u32> {
+                self.mem.read_word(addr)
+            }
+            fn write_word(&mut self, addr: Address, data: u32, ben: u8) -> SlaveReply<()> {
+                self.waited = !self.waited;
+                if self.waited {
+                    return SlaveReply::Wait;
+                }
+                self.mem.write_word(addr, data, ben)
+            }
+        }
+        let mut mem = MemSlave::new(SlaveConfig::new(
+            AddressRange::new(Address::new(0), 0x1000),
+            WaitProfile::ZERO,
+            AccessRights::RWX,
         ));
+        mem.load(Address::new(0x300), &[0xAAAA_AAAA]);
+        let op = MasterOp {
+            idle_before: 0,
+            kind: AccessKind::DataWrite,
+            addr: Address::new(0x301),
+            width: DataWidth::W8,
+            burst: BurstLen::Single,
+            data: vec![0xEE].into(),
+        };
+        let ops = vec![op, MasterOp::read(0x300).after_idle(1)];
+        let bus = Tlm3Bus::new(vec![Box::new(WaitOnce { mem, waited: false })]);
+        let report = TlmSystem::new(bus, ops).run(100, |_| {});
+        assert!(report.records[0].error.is_none());
+        assert_eq!(report.records[1].data, vec![0xAAAA_EEAA]);
     }
 
     #[test]

@@ -246,4 +246,52 @@ mod tests {
         let mut u = uart();
         assert_eq!(u.read_word(Address::new(0x9040)), SlaveReply::Error);
     }
+
+    /// A program writes 12 bytes back to back into the 8-deep TX FIFO at
+    /// a slow baud, so the UART answers `Wait` until a byte shifts out.
+    /// Every layer sends all 12; the reference and layer 1 take the same
+    /// cycles and layer 2 is never faster.
+    #[test]
+    fn back_pressure_agrees_across_layers() {
+        use crate::cpu::{CpuReport, CpuSystem};
+        use crate::isa::Reg;
+        use crate::platform::{Platform, PlatformMap};
+        use crate::program::Program;
+        use hierbus_core::{CycleBus, HasSlaves};
+
+        let bytes: Vec<u8> = (0..12).map(|i| 0x41 + i).collect();
+        let mut p = Program::new(PlatformMap::RESET_PC);
+        p.li(Reg::T0, PlatformMap::UART_BASE);
+        p.li(Reg::T1, 20);
+        p.sw(Reg::T1, Reg::T0, 0x8); // slow baud: 20 cycles per byte
+        for &b in &bytes {
+            p.li(Reg::T1, b as u32);
+            p.sw(Reg::T1, Reg::T0, 0x0);
+        }
+        p.label("drain");
+        p.lw(Reg::T2, Reg::T0, 0x4);
+        p.andi(Reg::T2, Reg::T2, status::TX_BUSY as u16);
+        p.bne(Reg::T2, Reg::ZERO, "drain");
+        p.halt();
+        let words = p.assemble().unwrap();
+        let platform = || {
+            let mut platform = Platform::new();
+            platform.load_boot_program(&words);
+            platform
+        };
+        fn run<B: CycleBus + HasSlaves>(bus: B, bytes: &[u8]) -> CpuReport {
+            let mut sys = CpuSystem::new(bus, PlatformMap::RESET_PC);
+            let report = sys.run_until_halt(100_000, |_| {});
+            assert!(report.fault.is_none());
+            let uart = sys.bus().slave_as::<Uart>(PlatformMap::UART).unwrap();
+            assert_eq!(uart.sent(), bytes);
+            assert!(uart.stall_waits() > 0, "the FIFO must back-pressure");
+            report
+        }
+        let r0 = run(platform().into_rtl(), &bytes);
+        let r1 = run(platform().into_tlm1(), &bytes);
+        let r2 = run(platform().into_tlm2(), &bytes);
+        assert_eq!(r0.cycles, r1.cycles, "layer 1 must be cycle-exact");
+        assert!(r2.cycles >= r1.cycles, "layer 2 must not be optimistic");
+    }
 }

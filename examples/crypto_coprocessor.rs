@@ -6,8 +6,9 @@
 //! register until done, and reads the ciphertext back into scratchpad
 //! RAM. The run is repeated on the layer-1 and layer-2 buses and on the
 //! cycle-true reference; results must match the XTEA reference, the
-//! reference must take exactly layer 1's cycles, and the layer-1 and
-//! reference runs carry an energy estimate.
+//! reference must take exactly layer 1's cycles, layer 2 must take at
+//! least layer 1's (Table 1's shape), and the layer-1 and reference runs
+//! carry an energy estimate.
 //!
 //! ```sh
 //! cargo run --example crypto_coprocessor
@@ -111,6 +112,12 @@ fn main() {
     let report2 = sys2.run_until_halt(1_000_000, |_| {});
     assert!(report2.fault.is_none());
     assert_eq!(read_result(sys2.bus()), expected);
+    assert!(
+        report2.cycles >= report.cycles,
+        "layer 2 must not be optimistic: {} < {} cycles",
+        report2.cycles,
+        report.cycles
+    );
 
     println!("\nlayer 2:");
     println!(
