@@ -16,19 +16,31 @@
 //! of replaying stale energies.
 
 use hierbus_campaign::Json;
+use std::collections::{BTreeMap, HashMap};
 use std::io;
 use std::path::Path;
+use std::sync::Arc;
 
 /// Version of the persisted index format; bumped on layout changes so
 /// an old index is discarded, never misread.
 pub const CACHE_INDEX_VERSION: u64 = 1;
 
 /// A bounded LRU map from scenario fingerprint to serialized result.
+///
+/// Entries are indexed by key; recency is a monotone stamp per entry,
+/// mirrored in an ordered stamp → key map whose first entry is the
+/// least recently used. A hit is one hash lookup, a re-stamp and a
+/// reference count on the shared result bytes; an eviction pops the
+/// oldest stamp.
 #[derive(Debug, Clone)]
 pub struct ResultCache {
     capacity: usize,
-    /// Entries oldest-first; a lookup moves its entry to the back.
-    entries: Vec<(String, String)>,
+    /// Key → (recency stamp, result bytes).
+    entries: HashMap<String, (u64, Arc<str>)>,
+    /// Recency stamp → key, oldest first.
+    order: BTreeMap<u64, String>,
+    /// The stamp the next touched entry gets.
+    next_stamp: u64,
     hits: u64,
     misses: u64,
     evictions: u64,
@@ -39,7 +51,9 @@ impl ResultCache {
     pub fn new(capacity: usize) -> Self {
         ResultCache {
             capacity: capacity.max(1),
-            entries: Vec::new(),
+            entries: HashMap::new(),
+            order: BTreeMap::new(),
+            next_stamp: 0,
             hits: 0,
             misses: 0,
             evictions: 0,
@@ -77,34 +91,58 @@ impl ResultCache {
     }
 
     /// Looks up a fingerprint, counting the hit or miss and refreshing
-    /// the entry's recency on a hit.
+    /// the entry's recency on a hit. The bytes come back shared, not
+    /// copied.
+    pub(crate) fn get_shared(&mut self, key: &str) -> Option<Arc<str>> {
+        let Some((stamp, value)) = self.entries.get_mut(key) else {
+            self.misses += 1;
+            return None;
+        };
+        self.hits += 1;
+        let owned = self.order.remove(stamp).expect("every entry has a stamp");
+        *stamp = self.next_stamp;
+        self.order.insert(self.next_stamp, owned);
+        self.next_stamp += 1;
+        Some(Arc::clone(value))
+    }
+
+    /// Looks up a fingerprint like the daemon's lookup does (counting
+    /// the hit or miss, refreshing recency on a hit) and copies the
+    /// bytes out.
     pub fn get(&mut self, key: &str) -> Option<String> {
-        match self.entries.iter().position(|(k, _)| k == key) {
-            Some(i) => {
-                self.hits += 1;
-                let entry = self.entries.remove(i);
-                let value = entry.1.clone();
-                self.entries.push(entry);
-                Some(value)
+        self.get_shared(key).map(|value| value.to_string())
+    }
+
+    /// Inserts (or refreshes) an entry as most recently used, evicting
+    /// the least recently used entry if the cache is full.
+    pub(crate) fn insert_shared(&mut self, key: &str, value: Arc<str>) {
+        let stamp = self.next_stamp;
+        self.next_stamp += 1;
+        match self.entries.get_mut(key) {
+            Some(entry) => {
+                let owned = self
+                    .order
+                    .remove(&entry.0)
+                    .expect("every entry has a stamp");
+                self.order.insert(stamp, owned);
+                *entry = (stamp, value);
             }
             None => {
-                self.misses += 1;
-                None
+                self.entries.insert(key.to_owned(), (stamp, value));
+                self.order.insert(stamp, key.to_owned());
             }
+        }
+        while self.entries.len() > self.capacity {
+            let (_, oldest) = self.order.pop_first().expect("a full cache has entries");
+            self.entries.remove(&oldest);
+            self.evictions += 1;
         }
     }
 
     /// Inserts (or refreshes) an entry as most recently used, evicting
     /// the least recently used entry if the cache is full.
     pub fn insert(&mut self, key: &str, value: String) {
-        if let Some(i) = self.entries.iter().position(|(k, _)| k == key) {
-            self.entries.remove(i);
-        }
-        self.entries.push((key.to_owned(), value));
-        while self.entries.len() > self.capacity {
-            self.entries.remove(0);
-            self.evictions += 1;
-        }
+        self.insert_shared(key, value.into());
     }
 
     /// The persisted form: version, database fingerprint, entries in
@@ -116,9 +154,10 @@ impl ResultCache {
             (
                 "entries".to_owned(),
                 Json::Arr(
-                    self.entries
-                        .iter()
-                        .map(|(k, v)| {
+                    self.order
+                        .values()
+                        .map(|k| {
+                            let (_, v) = &self.entries[k];
                             Json::Obj(vec![
                                 ("key".to_owned(), Json::Str(k.clone())),
                                 ("result".to_owned(), Json::parse(v).unwrap_or(Json::Null)),
@@ -270,5 +309,111 @@ mod tests {
             .unwrap()
             .is_none());
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The obvious LRU: a `Vec` oldest-first, scanned and shifted.
+    struct NaiveLru {
+        capacity: usize,
+        entries: Vec<(String, String)>,
+        hits: u64,
+        misses: u64,
+        evictions: u64,
+    }
+
+    impl NaiveLru {
+        fn get(&mut self, key: &str) -> Option<String> {
+            match self.entries.iter().position(|(k, _)| k == key) {
+                Some(i) => {
+                    self.hits += 1;
+                    let entry = self.entries.remove(i);
+                    let value = entry.1.clone();
+                    self.entries.push(entry);
+                    Some(value)
+                }
+                None => {
+                    self.misses += 1;
+                    None
+                }
+            }
+        }
+
+        fn insert(&mut self, key: &str, value: String) {
+            self.entries.retain(|(k, _)| k != key);
+            self.entries.push((key.to_owned(), value));
+            while self.entries.len() > self.capacity {
+                self.entries.remove(0);
+                self.evictions += 1;
+            }
+        }
+    }
+
+    /// The index's `(key, result bytes)` pairs in file order.
+    fn index_entries(json: &Json) -> Vec<(String, String)> {
+        json.get("entries")
+            .and_then(Json::as_arr)
+            .unwrap()
+            .iter()
+            .map(|e| {
+                (
+                    e.get("key").and_then(Json::as_str).unwrap().to_owned(),
+                    e.get("result").unwrap().to_string_compact(),
+                )
+            })
+            .collect()
+    }
+
+    #[test]
+    fn matches_a_naive_lru_reference() {
+        for capacity in [1usize, 2, 17, 1024] {
+            let keys = 3 * capacity as u64;
+            // SplitMix64, seeded per capacity.
+            let mut state = 0x5eed_0000 + capacity as u64;
+            let mut next = move || {
+                state = state.wrapping_add(0x9e37_79b9_7f4a_7c15);
+                let mut z = state;
+                z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+                z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+                z ^ (z >> 31)
+            };
+            let mut cache = ResultCache::new(capacity);
+            let mut reference = NaiveLru {
+                capacity,
+                entries: Vec::new(),
+                hits: 0,
+                misses: 0,
+                evictions: 0,
+            };
+            for step in 0..10_000u64 {
+                let key = format!("k{}", next() % keys);
+                if next() % 2 == 0 {
+                    assert_eq!(
+                        cache.get(&key),
+                        reference.get(&key),
+                        "capacity {capacity}, step {step}: get({key})"
+                    );
+                } else {
+                    cache.insert(&key, value(step));
+                    reference.insert(&key, value(step));
+                }
+                assert_eq!(
+                    (cache.hits(), cache.misses(), cache.evictions()),
+                    (reference.hits, reference.misses, reference.evictions),
+                    "capacity {capacity}, step {step}: counters"
+                );
+                assert_eq!(cache.len(), reference.entries.len());
+                if step % 100 == 0 {
+                    assert_eq!(
+                        index_entries(&cache.to_json("db-fp")),
+                        reference.entries,
+                        "capacity {capacity}, step {step}: index order"
+                    );
+                }
+            }
+            assert_eq!(cache.len(), capacity, "the sequence fills the cache");
+            let json = cache.to_json("db-fp");
+            let back = ResultCache::from_json(&json, capacity, "db-fp").unwrap();
+            assert_eq!(back.evictions(), 0);
+            assert_eq!(index_entries(&back.to_json("db-fp")), reference.entries);
+        }
     }
 }

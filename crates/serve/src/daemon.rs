@@ -55,7 +55,8 @@ use hierbus_obs::telemetry::{
 };
 use hierbus_obs::{CounterId, GaugeId, HistogramId, MetricsRegistry, TraceCollector};
 use hierbus_power::CharacterizationDb;
-use std::collections::VecDeque;
+use std::collections::{HashMap, VecDeque};
+use std::fmt::Write as _;
 use std::io::{self, BufRead, Read, Write};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -67,6 +68,11 @@ pub const DEFAULT_CACHE_CAPACITY: usize = 1024;
 
 /// Requests a [`SloWindow`] aggregates over.
 const SLO_WINDOW: usize = 256;
+
+/// Bytes of hit events buffered before the cache pass writes them: a
+/// request of many hits is answered in writes of about this size, not
+/// in one buffer holding its whole reply.
+const HIT_CHUNK_BYTES: usize = 64 * 1024;
 
 /// Event-log ring capacity (entries).
 const LOG_CAPACITY: usize = 256;
@@ -833,9 +839,11 @@ impl Daemon {
             warned: false,
         });
 
-        // Cache pass: answer hits immediately (in request order),
-        // collect misses deduplicated by fingerprint. Only a miss is
-        // ever materialized, on the worker that runs it.
+        // Cache pass: collect hits (the shared result bytes) and
+        // misses deduplicated by fingerprint. Only a miss is ever
+        // materialized, on the worker that runs it.
+        let mut hit_bytes: Vec<(usize, Arc<str>)> = Vec::new();
+        let mut miss_slots: HashMap<&str, usize> = HashMap::new();
         let mut miss_keys: Vec<String> = Vec::new();
         let mut miss_specs: Vec<&ScenarioSpec> = Vec::new();
         let mut miss_targets: Vec<Vec<usize>> = Vec::new();
@@ -844,21 +852,34 @@ impl Daemon {
             let (h0, m0) = (cache.hits(), cache.misses());
             let evictions_before = cache.evictions();
             for (i, key) in keys.iter().enumerate() {
-                if let Some(bytes) = cache.get(key) {
-                    self.emit_result(emitter, id, i, key, true, &bytes);
-                } else {
-                    match miss_keys.iter().position(|k| k == key) {
-                        Some(j) => miss_targets[j].push(i),
-                        None => {
-                            miss_keys.push(key.clone());
-                            miss_specs.push(&specs[i]);
-                            miss_targets.push(vec![i]);
-                        }
-                    }
+                if let Some(bytes) = cache.get_shared(key) {
+                    hit_bytes.push((i, bytes));
+                    continue;
                 }
+                let slot = *miss_slots.entry(key).or_insert_with(|| {
+                    miss_keys.push(key.clone());
+                    miss_specs.push(&specs[i]);
+                    miss_targets.push(Vec::new());
+                    miss_keys.len() - 1
+                });
+                miss_targets[slot].push(i);
             }
             (cache.hits() - h0, cache.misses() - m0, evictions_before)
         };
+        // Answer the hits in request order, in as few writes as the
+        // chunk bound allows, before any miss starts.
+        let prefix = result_prefix(id);
+        let mut batch = String::new();
+        for (i, bytes) in &hit_bytes {
+            push_result(&mut batch, &prefix, *i, &keys[*i], true, bytes);
+            if batch.len() >= HIT_CHUNK_BYTES {
+                emitter.write_lines(&batch);
+                batch.clear();
+            }
+        }
+        if !batch.is_empty() {
+            emitter.write_lines(&batch);
+        }
         let cache_us = enqueued.elapsed().as_micros() as u64;
 
         // Batch the misses onto the worker pool, streaming each result
@@ -893,13 +914,16 @@ impl Daemon {
                 },
                 |scope: &SinkScope, result: &LeanResult| {
                     let index = scope.point.index;
-                    let bytes = result.to_json().to_string_compact();
+                    let bytes: Arc<str> = result.to_json().to_string_compact().into();
                     self.cache
                         .lock()
                         .unwrap()
-                        .insert(&miss_keys[index], bytes.clone());
+                        .insert_shared(&miss_keys[index], Arc::clone(&bytes));
+                    let mut line = String::new();
                     for &i in &miss_targets[index] {
-                        self.emit_result(emitter, id, i, &miss_keys[index], false, &bytes);
+                        line.clear();
+                        push_result(&mut line, &prefix, i, &miss_keys[index], false, &bytes);
+                        emitter.write_lines(&line);
                     }
                     if tracing {
                         worker_spans.lock().unwrap().push((
@@ -992,30 +1016,6 @@ impl Daemon {
         summary.results += specs.len();
         summary.cache_hits += hits;
         summary.cache_misses += misses;
-    }
-
-    fn emit_result<W: Write>(
-        &self,
-        emitter: &Emitter<W>,
-        id: &str,
-        index: usize,
-        key: &str,
-        cached: bool,
-        bytes: &str,
-    ) {
-        let mut fields = proto::event(id, "result");
-        fields.push(("index".to_owned(), Json::Num(index as f64)));
-        fields.push(("key".to_owned(), Json::Str(key.to_owned())));
-        fields.push(("cached".to_owned(), Json::Bool(cached)));
-        // Every cache value is serializer output, and serializing a
-        // parse of it gives the same bytes back, so the bytes are
-        // spliced in as the last field without a re-parse.
-        let mut line = Json::Obj(fields).to_string_compact();
-        line.pop(); // the object's closing brace
-        line.push_str(",\"result\":");
-        line.push_str(bytes);
-        line.push('}');
-        emitter.emit_line(&line);
     }
 
     fn health_event(&self, id: &str) -> Vec<(String, Json)> {
@@ -1137,17 +1137,20 @@ impl<W: Write> Emitter<W> {
     }
 
     fn emit(&self, fields: Vec<(String, Json)>) {
-        self.emit_line(&Json::Obj(fields).to_string_compact());
+        let mut line = Json::Obj(fields).to_string_compact();
+        line.push('\n');
+        self.write_lines(&line);
     }
 
-    /// Writes one already-serialized event line.
-    fn emit_line(&self, line: &str) {
+    /// Writes already-serialized event lines, each ending in `\n`, in
+    /// one `write_all`.
+    fn write_lines(&self, lines: &str) {
         let mut error = self.error.lock().unwrap();
         if error.is_some() {
             return;
         }
         let mut out = self.out.lock().unwrap();
-        if let Err(e) = writeln!(out, "{line}").and_then(|()| out.flush()) {
+        if let Err(e) = out.write_all(lines.as_bytes()).and_then(|()| out.flush()) {
             *error = Some(e);
         }
     }
@@ -1158,6 +1161,32 @@ impl<W: Write> Emitter<W> {
             None => Ok(()),
         }
     }
+}
+
+/// A `result` event line up to its fixed fields — `{"v":..,"req":..,
+/// "event":"result"` without the closing brace — serialized once per
+/// request.
+fn result_prefix(id: &str) -> String {
+    let mut prefix = Json::Obj(proto::event(id, "result")).to_string_compact();
+    prefix.pop(); // the object's closing brace
+    prefix
+}
+
+/// Appends one `result` event line to `out`: the request's
+/// [`result_prefix`], then `index`, `key`, `cached`, and the result
+/// bytes spliced in as the last field. Every cache value is serializer
+/// output, and serializing a parse of it gives the same bytes back, so
+/// the line is exactly what the serializer writes for the whole event.
+fn push_result(out: &mut String, prefix: &str, index: usize, key: &str, cached: bool, bytes: &str) {
+    // Keys are fingerprints (hex digits), which JSON never escapes.
+    debug_assert!(key.bytes().all(|b| b.is_ascii_hexdigit()));
+    out.push_str(prefix);
+    let _ = write!(
+        out,
+        ",\"index\":{index},\"key\":\"{key}\",\"cached\":{cached},\"result\":"
+    );
+    out.push_str(bytes);
+    out.push_str("}\n");
 }
 
 /// Reads the next request line into `buf` (cleared first, reused across
@@ -1209,4 +1238,57 @@ struct QueueState {
     /// it — out-of-band, so a long-running batch cannot delay drain
     /// detection.
     shutdown: Option<String>,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::io::Cursor;
+
+    /// Records the size of every write operation.
+    #[derive(Clone, Default)]
+    struct Writes(Arc<Mutex<Vec<usize>>>);
+
+    impl Write for Writes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.0.lock().unwrap().push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_large_all_hit_run_is_written_in_bounded_chunks() {
+        let daemon = Daemon::new(
+            Arc::new(CharacterizationDb::uniform()),
+            DaemonOptions::default(),
+        );
+        // One simulated scenario, then 2,000 hits on it: about 280 KB
+        // of hit events, several chunks.
+        let spec = r#"{"kind":"mix","seed":3,"count":40}"#;
+        let line = |id: &str, n: usize| {
+            let specs = vec![spec; n].join(",");
+            format!(r#"{{"v":1,"id":"{id}","op":"run","scenarios":[{specs}]}}"#) + "\n"
+        };
+        let writes = Writes::default();
+        daemon
+            .serve(Cursor::new(line("fill", 1)), writes.clone())
+            .unwrap();
+        writes.0.lock().unwrap().clear();
+        let summary = daemon
+            .serve(Cursor::new(line("hits", 2000)), writes.clone())
+            .unwrap();
+        assert_eq!((summary.cache_hits, summary.cache_misses), (2000, 0));
+        let sizes = writes.0.lock().unwrap().clone();
+        let (done, batch) = sizes.split_last().unwrap();
+        let event = batch.iter().sum::<usize>() / 2000;
+        assert!(*done < event, "the last write is the done event");
+        assert!(batch.len() >= 3, "{} hit chunks", batch.len());
+        for &size in batch {
+            assert!(size < HIT_CHUNK_BYTES + event, "a {size}-byte hit chunk");
+        }
+    }
 }

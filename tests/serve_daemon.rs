@@ -8,7 +8,9 @@ use hierbus_campaign::Json;
 use hierbus_ec::MixParams;
 use hierbus_power::CharacterizationDb;
 use std::collections::VecDeque;
-use std::io::{BufReader, Cursor, Read, Write};
+use std::io::{BufRead, BufReader, Cursor, Read, Write};
+use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -738,4 +740,161 @@ fn spliced_hit_line_is_canonical_and_carries_the_fresh_payload() {
             "cached payload {index} differs from the fresh one"
         );
     }
+}
+
+#[test]
+fn escaped_request_ids_keep_spliced_lines_canonical() {
+    // The result event's fixed prefix is serialized once per request
+    // and the rest appended by hand: ids that need escaping must still
+    // give exactly the serializer's bytes, fresh and cached alike.
+    let d = daemon(2);
+    let specs = r#"[{"kind":"mix","seed":11,"count":60},{"kind":"multi","seed":4,"cpu_count":40}]"#;
+    let ids = [
+        "fresh \"q\" \\ \n \u{1} \u{e9}\u{4e2d}",
+        "hit \"q\" \\ \n \u{1} \u{1f600}",
+    ];
+    let script: String = ids
+        .iter()
+        .map(|id| {
+            let id = Json::Str((*id).to_owned()).to_string_compact();
+            format!(r#"{{"v":1,"id":{id},"op":"run","scenarios":{specs}}}"#) + "\n"
+        })
+        .collect();
+    let mut output = Vec::new();
+    d.serve(Cursor::new(script), &mut output)
+        .expect("in-memory session");
+    let output = String::from_utf8(output).expect("utf-8 output");
+    let mut results = 0;
+    for line in output.lines() {
+        let event = Json::parse(line).expect("every response line is JSON");
+        assert_eq!(event.to_string_compact(), line, "line is not canonical");
+        if event_name(&event) != "result" {
+            continue;
+        }
+        let req = field(&event, "req").as_str().unwrap();
+        let cached = field(&event, "cached").as_bool().unwrap();
+        assert_eq!((req, cached), (ids[usize::from(cached)], cached));
+        results += 1;
+    }
+    assert_eq!(results, 4);
+}
+
+/// Counts the write operations a session issues: a `write` or a
+/// `write_all` is one operation, however the stream splits it.
+struct CountingWriter {
+    inner: UnixStream,
+    writes: Arc<AtomicUsize>,
+}
+
+impl Write for CountingWriter {
+    fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+        self.writes.fetch_add(1, Ordering::SeqCst);
+        self.inner.write(buf)
+    }
+
+    fn write_all(&mut self, buf: &[u8]) -> std::io::Result<()> {
+        self.writes.fetch_add(1, Ordering::SeqCst);
+        self.inner.write_all(buf)
+    }
+
+    fn flush(&mut self) -> std::io::Result<()> {
+        self.inner.flush()
+    }
+}
+
+#[test]
+fn socket_session_matches_memory_and_writes_once_per_event() {
+    let specs: Vec<ScenarioSpec> = (0..16)
+        .map(|seed| ScenarioSpec::Mix {
+            seed,
+            params: MixParams {
+                count: 40,
+                ..MixParams::default()
+            },
+            waits: None,
+        })
+        .collect();
+    let line = |id: &str| {
+        Json::Obj(vec![
+            ("v".to_owned(), Json::Num(2.0)),
+            ("id".to_owned(), Json::Str(id.to_owned())),
+            ("op".to_owned(), Json::Str("run".to_owned())),
+            (
+                "scenarios".to_owned(),
+                Json::Arr(specs.iter().map(ScenarioSpec::to_json).collect()),
+            ),
+        ])
+        .to_string_compact()
+            + "\n"
+    };
+    // `wall_us` is the `done` event's last field.
+    let strip_wall = |line: &str| match line.split_once(r#","wall_us":"#) {
+        Some((head, _)) => format!("{head}}}"),
+        None => line.to_owned(),
+    };
+
+    // One worker, so misses complete in request order on both paths.
+    let d = daemon(1);
+    let (client, server) = UnixStream::pair().expect("socket pair");
+    client
+        .set_read_timeout(Some(Duration::from_secs(60)))
+        .expect("socket read timeout");
+    let writes = Arc::new(AtomicUsize::new(0));
+    let mut lines = Vec::new();
+    let (miss_writes, hit_writes) = std::thread::scope(|s| {
+        let server_in = BufReader::new(server.try_clone().expect("socket clone"));
+        let out = CountingWriter {
+            inner: server,
+            writes: Arc::clone(&writes),
+        };
+        let session = s.spawn(|| d.serve(server_in, out));
+        let mut reader = BufReader::new(client.try_clone().expect("socket clone"));
+        let mut writer = client;
+        // Sends a line, reads through its `done`, and returns the write
+        // operations the daemon issued meanwhile.
+        let mut exchange = |request: &str| {
+            let before = writes.load(Ordering::SeqCst);
+            writer.write_all(request.as_bytes()).expect("send");
+            loop {
+                let mut event = String::new();
+                assert!(
+                    reader.read_line(&mut event).expect("recv") > 0,
+                    "daemon hung up"
+                );
+                let done = event.contains(r#""event":"done""#);
+                lines.push(event.trim_end().to_owned());
+                if done {
+                    return writes.load(Ordering::SeqCst) - before;
+                }
+            }
+        };
+        let counts = (exchange(&line("miss")), exchange(&line("hit")));
+        writer
+            .shutdown(std::net::Shutdown::Write)
+            .expect("close input");
+        let mut rest = String::new();
+        reader.read_to_string(&mut rest).expect("recv to end");
+        assert_eq!(rest, "", "nothing follows the last done at input EOF");
+        let summary = session.join().expect("session thread").expect("session");
+        assert_eq!((summary.cache_hits, summary.cache_misses), (16, 16));
+        counts
+    });
+    assert_eq!(miss_writes, 17, "one write per miss result plus done");
+    assert!(
+        hit_writes <= 2,
+        "an all-hit run took {hit_writes} writes, not the hit batch and done"
+    );
+
+    let mut memory = Vec::new();
+    daemon(1)
+        .serve(Cursor::new(line("miss") + &line("hit")), &mut memory)
+        .expect("in-memory session");
+    let memory: Vec<String> = String::from_utf8(memory)
+        .expect("utf-8 output")
+        .lines()
+        .map(strip_wall)
+        .collect();
+    let socket: Vec<String> = lines.iter().map(|l| strip_wall(l)).collect();
+    assert_eq!(socket.len(), 34);
+    assert_eq!(socket, memory);
 }
