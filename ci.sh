@@ -9,12 +9,13 @@ cargo fmt --all -- --check
 
 echo "==> program lines (informational)"
 # Non-blank lines of the library and binary sources, each file cut at
-# its first #[cfg(test)] so unit tests do not count. Not a gate.
+# its first #[cfg(test)] (or #![cfg(test)], a test-only module file) so
+# unit tests do not count. Not a gate.
 total=0
 for dir in src crates/*/src; do
   n="$(find "$dir" -name '*.rs' | sort | xargs awk '
     FNR == 1 { cut = 0 }
-    /#\[cfg\(test\)\]/ { cut = 1 }
+    /#!?\[cfg\(test\)\]/ { cut = 1 }
     !cut && NF { n++ }
     END { print n + 0 }')"
   printf '  %-20s %6d\n' "$dir" "$n"
@@ -49,6 +50,19 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml || bench_st
 cp "$bench_lock" benchmark/Cargo.lock
 rm -f "$bench_lock"
 [ "$bench_status" -eq 0 ] || exit "$bench_status"
+
+echo "==> frozen benchmark smoke (every workload, smoke size)"
+# One smoke-size run of each workload through the binary just built,
+# run directly so cargo leaves the frozen lockfile alone. The last line
+# is the run's JSON summary: it must report a correct run in which no
+# operation failed.
+for workload in table3_mix explore_jcvm serve_cold serve_hot; do
+  summary="$(benchmark/target/release/hierbus-benchmark run --workload "$workload" --seed 1 --smoke 2>/dev/null | tail -n 1)"
+  if ! grep -q '"correct":true' <<< "$summary" || ! grep -q '"failed":0,' <<< "$summary"; then
+    echo "benchmark smoke: $workload was incorrect or failed operations: $summary" >&2
+    exit 1
+  fi
+done
 
 echo "==> campaign smoke (2 workers, tiny matrix)"
 cargo run --release -p hierbus-bench --bin explore_jcvm -- --smoke --workers 2

@@ -11,10 +11,11 @@
 //! `CampaignStats` (numeric and in `[0, 1]`) and `idle_workers` (a
 //! whole worker count); [`hierbus_bench::check_campaign`] checks it,
 //! the same validator `campaign_scaling --smoke` runs in-process. The
-//! `layers` section must carry the Table 3 kT/s numbers and is gated on
+//! `layers` section must carry the Table 3 kT/s numbers and the paired
+//! layer-2 ratios with their quartiles, and is gated on
 //! `tlm1_hotpath_speedup` — the production layer-1 path must be at
 //! least as fast as the bit-loop reference it replaced, measured in the
-//! same run. The `serve` section (written by `serve_bench`) must list
+//! same rounds. The `serve` section (written by `serve_bench`) must list
 //! per-worker cold/warm request latencies with the warm one strictly
 //! below the cold one — the daemon's result cache earning its keep.
 //! Exits non-zero with a description of the first violation.
@@ -33,6 +34,15 @@ const LAYER_FIELDS: &[&str] = &[
     "tlm2_with_kts",
     "tlm2_without_kts",
     "tlm3_kts",
+    "tlm2_over_tlm1_with",
+    "tlm2_over_tlm1_with_q1",
+    "tlm2_over_tlm1_with_q3",
+    "tlm2_over_tlm1_without",
+    "tlm2_over_tlm1_without_q1",
+    "tlm2_over_tlm1_without_q3",
+    "tlm2_over_tlm3",
+    "tlm2_over_tlm3_q1",
+    "tlm2_over_tlm3_q3",
 ];
 
 /// The production layer-1 path (`tlm1_with_kts`) must be at least as
@@ -77,7 +87,7 @@ fn check(root: &Json) -> Result<(), String> {
     if speedup < MIN_HOTPATH_SPEEDUP {
         return Err(format!(
             "layers: tlm1_hotpath_speedup {speedup:.2} below the {MIN_HOTPATH_SPEEDUP:.1}x floor \
-             (tlm1_with_kts vs tlm1_with_reference_kts, same run)"
+             (the paired median of tlm1_with vs tlm1_with_reference, same rounds)"
         ));
     }
     hierbus_bench::check_campaign(root)?;

@@ -13,10 +13,11 @@
 //!   [`SignalFrame`](hierbus_ec::SignalFrame), which is what makes the
 //!   layer-1 energy model a "transaction level to RTL adapter".
 //! * [`tlm2::Tlm2Bus`] — **layer 2, transaction layer**: timed but not
-//!   cycle-accurate. One shared transaction list, wait-state counters
-//!   decremented per cycle, a burst transferred as a single transaction
-//!   with data passed by slice ("pointer passing"), and per-phase
-//!   completion events for the coarse layer-2 energy model.
+//!   cycle-accurate. One shared transaction list, phases scheduled at
+//!   absolute cycles from the slaves' wait states, a burst transferred
+//!   as a single transaction with data passed by slice ("pointer
+//!   passing"), and per-phase completion events for the coarse layer-2
+//!   energy model.
 //!
 //! [`master::TlmMaster`] replays [`MasterOp`](hierbus_ec::MasterOp)
 //! stimuli through the [`master::CycleBus`] trait against any bus: either
@@ -31,7 +32,9 @@
 //! [`TlmSystem::for_multi`]).
 //! It, the ISS's `CpuSystem` and the JCVM master adapter all step a bus
 //! through [`CycleBus::falling_edge`], which keeps §3.2's idle skip
-//! inside the bus.
+//! inside the bus; [`TlmSystem`] steps only the cycles some
+//! [`CycleBus::next_wake`] or [`Replay::next_wake`](hierbus_ec::Replay::next_wake)
+//! names.
 //!
 //! # Example
 //!
@@ -59,6 +62,7 @@ pub(crate) mod slots;
 pub mod tlm1;
 pub mod tlm2;
 pub mod tlm3;
+mod wake_equivalence;
 
 pub use hierbus_ec::MasterReport;
 pub use master::{Completed, CycleBus, PollStatus, TlmMaster, TlmReport, TlmSystem};

@@ -38,10 +38,12 @@ pub enum PollStatus {
 ///
 /// The master calls [`issue`](CycleBus::issue)/[`poll`](CycleBus::poll)
 /// at the rising clock edge and the driver calls
-/// [`falling_edge`](CycleBus::falling_edge) once per cycle — the paper's
+/// [`falling_edge`](CycleBus::falling_edge) after it — the paper's
 /// clocking discipline. Three drivers step a bus: [`TlmSystem`] (the
 /// stimulus masters), the ISS's `CpuSystem` and the JCVM master
-/// adapter's `BusStack`; none of them decides idleness itself.
+/// adapter's `BusStack`; none of them decides idleness itself. The ISS
+/// and the adapter step every cycle; [`TlmSystem`] steps only the cycles
+/// some [`next_wake`](CycleBus::next_wake) names.
 pub trait CycleBus {
     /// Presents a new transaction. Returns
     /// [`BusStatus::Request`](hierbus_ec::BusStatus) when accepted.
@@ -57,14 +59,24 @@ pub trait CycleBus {
     /// the reference, whose wires settle every cycle).
     fn falling_edge(&mut self, cycle: u64) -> bool;
 
-    /// True if at least one transaction is waiting in the finish queue.
-    /// Purely an optimisation hint: the master skips per-transaction
-    /// polling on cycles where nothing can have completed, which is
-    /// observationally invisible — a poll only ever succeeds when the
-    /// finish queue is non-empty. The conservative default keeps
-    /// polling every cycle.
-    fn has_finished(&self) -> bool {
-        true
+    /// Asked after the falling edge of `cycle`: the earliest later cycle
+    /// whose falling edge can change the bus, or at whose rising edge a
+    /// master can pick up a completion; `u64::MAX` when nothing is
+    /// scheduled. A bus that is stepped anyway between issues and wakes
+    /// must do nothing observable on the cycles in between, so
+    /// [`TlmSystem::run`] may skip them. The conservative default wakes
+    /// every cycle.
+    fn next_wake(&self, cycle: u64) -> u64 {
+        cycle + 1
+    }
+
+    /// How many transactions wait in the finish queue. Purely an
+    /// optimisation hint: a master stops polling its in-flight attempts
+    /// once it has picked up this many, which is observationally
+    /// invisible — a poll only ever succeeds on a finished transaction.
+    /// The conservative default polls every attempt every cycle.
+    fn finished(&self) -> usize {
+        usize::MAX
     }
 
     /// Hints that the master will discard read data (records disabled),
@@ -170,21 +182,23 @@ impl TlmMaster {
     /// completions from already executed cycles are not spuriously
     /// aborted.
     fn pickup<B: CycleBus>(&mut self, bus: &mut B, cycle: u64) {
-        if !bus.has_finished() {
-            return;
-        }
+        let mut left = bus.finished();
         let mut i = 0;
-        while let Some(id) = self.replay.in_flight_id(i) {
+        while left > 0 {
+            let Some(id) = self.replay.in_flight_id(i) else {
+                break;
+            };
             match bus.poll(id) {
                 PollStatus::Pending => i += 1,
                 PollStatus::Done(done) => {
+                    left -= 1;
                     if let Some(r) = self.replay.record_mut(id) {
                         r.addr_done_cycle = done.addr_done_cycle;
                         if r.kind != AccessKind::DataWrite {
                             r.data = done.data;
                         }
                     }
-                    self.replay.complete(id, done.done_cycle, done.error, cycle);
+                    self.replay.complete(i, done.done_cycle, done.error, cycle);
                 }
             }
         }
@@ -202,6 +216,10 @@ pub struct TlmReport {
     /// How many falling-edge bus-process activations actually ran (idle
     /// cycles are skipped — the dynamic-sensitivity saving).
     pub bus_activations: u64,
+    /// How many cycles the system stepped: the cycles some master or
+    /// the bus had a wake at ([`CycleBus::next_wake`]); the rest were
+    /// skipped.
+    pub cycles_stepped: u64,
     /// Per-transaction lifecycle records (one per *attempt* when the
     /// retry policy reissues), concatenated in master order.
     pub records: Vec<TxnRecord>,
@@ -222,7 +240,12 @@ pub struct TlmReport {
 impl TlmReport {
     /// Assembles the report of `masters` once every op has settled,
     /// moving their records and outcomes out.
-    fn assemble(masters: &mut [TlmMaster], bus_activations: u64, arbiter: &Arbiter) -> Self {
+    fn assemble(
+        masters: &mut [TlmMaster],
+        bus_activations: u64,
+        cycles_stepped: u64,
+        arbiter: &Arbiter,
+    ) -> Self {
         let cycles = masters
             .iter()
             .filter_map(|m| m.replay.end_cycle())
@@ -235,6 +258,7 @@ impl TlmReport {
         TlmReport {
             cycles,
             bus_activations,
+            cycles_stepped,
             records: records.concat(),
             outcomes: outcomes.concat(),
             fault: masters.iter().map(|m| m.fault).sum(),
@@ -274,6 +298,7 @@ pub struct TlmSystem<B> {
     requests: Vec<bool>,
     cycle: u64,
     bus_activations: u64,
+    cycles_stepped: u64,
     tear: CycleSchedule<()>,
     /// The cycle the card was torn at, once it has been.
     torn_at: Option<u64>,
@@ -293,6 +318,7 @@ impl<B: CycleBus> TlmSystem<B> {
             requests: Vec::new(),
             cycle: 0,
             bus_activations: 0,
+            cycles_stepped: 0,
             tear: CycleSchedule::new(),
             torn_at: None,
             sampled: FaultCounters::default(),
@@ -411,6 +437,7 @@ impl<B: CycleBus> TlmSystem<B> {
             hook(&mut self.bus);
         }
         self.cycle += 1;
+        self.cycles_stepped += 1;
     }
 
     /// The rising edge of several masters: bookkeeping and a request
@@ -453,26 +480,84 @@ impl<B: CycleBus> TlmSystem<B> {
     /// Runs to completion — or to the card tear, whichever is first. The
     /// report takes the masters' records and outcomes, so run once.
     ///
+    /// After each stepped cycle the system jumps to the earliest wake
+    /// over the bus ([`CycleBus::next_wake`]), every master
+    /// ([`Replay::next_wake`]) and the tear schedule: the cycles in
+    /// between would only count idle gaps down, which the masters
+    /// account for ([`Replay::skip`]). The result is the run that steps
+    /// every cycle.
+    ///
     /// # Panics
     ///
     /// Panics if the stimulus does not finish within `max_cycles`.
     pub fn run(&mut self, max_cycles: u64, mut hook: impl FnMut(&mut B)) -> TlmReport {
-        while !self.is_finished() {
-            if !self.tear.pop_due(self.cycle).is_empty() {
-                // Power is gone: the cycle at the tear never executes.
-                self.torn_at = Some(self.cycle);
-                break;
-            }
-            assert!(
-                self.cycle < max_cycles,
-                "bus deadlock: {max_cycles} cycles without completion"
-            );
+        while self.next_cycle_runs(max_cycles) {
+            self.step_cycle(&mut hook);
+            self.skip_to_wake(max_cycles);
+        }
+        self.settle()
+    }
+
+    /// [`run`](Self::run) without the skip: steps every cycle. The
+    /// oracle the wake-driven run is checked against.
+    #[cfg(test)]
+    pub(crate) fn run_every_cycle(
+        &mut self,
+        max_cycles: u64,
+        mut hook: impl FnMut(&mut B),
+    ) -> TlmReport {
+        while self.next_cycle_runs(max_cycles) {
             self.step_cycle(&mut hook);
         }
+        self.settle()
+    }
+
+    /// True when the cycle at hand is to run: the stimulus is unfinished
+    /// and the card is not torn at it (power is gone: the cycle at the
+    /// tear never executes).
+    fn next_cycle_runs(&mut self, max_cycles: u64) -> bool {
+        if self.is_finished() {
+            return false;
+        }
+        if self.tear.next_cycle().is_some_and(|t| t <= self.cycle) {
+            self.tear.pop_due(self.cycle);
+            self.torn_at = Some(self.cycle);
+            return false;
+        }
+        assert!(
+            self.cycle < max_cycles,
+            "bus deadlock: {max_cycles} cycles without completion"
+        );
+        true
+    }
+
+    /// Moves the clock to the earliest wake after the cycle just
+    /// stepped, never past the tear or the cycle budget. The bus is
+    /// asked first: while it must be stepped every cycle, the masters
+    /// are not asked at all.
+    fn skip_to_wake(&mut self, max_cycles: u64) {
+        let (last, next) = (self.cycle - 1, self.cycle);
+        let mut wake = self.bus.next_wake(last).min(max_cycles);
+        for m in &self.masters {
+            if wake <= next {
+                return;
+            }
+            wake = wake.min(m.replay.next_wake(last));
+        }
+        wake = wake.min(self.tear.next_cycle().unwrap_or(u64::MAX));
+        if wake > next {
+            for m in &mut self.masters {
+                m.replay.skip(next, wake);
+            }
+            self.cycle = wake;
+        }
+    }
+
+    /// Ends the run: at a card tear, completions from already executed
+    /// cycles settled at their falling edge and are picked up before
+    /// the rest is aborted, so the tear boundary agrees across layers.
+    fn settle(&mut self) -> TlmReport {
         if self.torn() {
-            // Completions from already-executed cycles settled at their
-            // falling edge; pick them up before aborting the rest, so the
-            // tear boundary agrees across layers.
             let cycle = self.cycle;
             for m in &mut self.masters {
                 m.pickup(&mut self.bus, cycle);
@@ -480,7 +565,12 @@ impl<B: CycleBus> TlmSystem<B> {
             }
             self.sample_fault_counters();
         }
-        TlmReport::assemble(&mut self.masters, self.bus_activations, &self.arbiter)
+        TlmReport::assemble(
+            &mut self.masters,
+            self.bus_activations,
+            self.cycles_stepped,
+            &self.arbiter,
+        )
     }
 }
 

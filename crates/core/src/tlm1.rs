@@ -547,8 +547,8 @@ impl CycleBus for Tlm1Bus {
         true
     }
 
-    fn has_finished(&self) -> bool {
-        !self.finish_q.is_empty()
+    fn finished(&self) -> usize {
+        self.finish_q.len()
     }
 
     fn discard_read_data(&mut self) {

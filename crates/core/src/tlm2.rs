@@ -1,18 +1,32 @@
 //! The transaction-level **layer-2** (transaction layer) bus model.
 //!
 //! Timed but not cycle-accurate (§3.2 of the paper): one shared
-//! transaction list connects the interface functions to a bus process
-//! that decrements wait-state counters; a burst is carried as a *single*
-//! transaction whose data moves as one slice ("pointer passing"); the
-//! slave is called for the whole transfer once, at the end of the data
-//! phase, one word call per beat. Slave wait states are read **once**,
-//! when the transaction is created during the first interface call.
+//! transaction list connects the interface functions to a bus process;
+//! a burst is carried as a *single* transaction whose data moves as one
+//! slice ("pointer passing"); the slave is called for the whole transfer
+//! once, at the end of the data phase, one word call per beat. Slave
+//! wait states are read **once**, when the transaction is created during
+//! the first interface call.
+//!
+//! # Scheduled phases
+//!
+//! Where the paper's bus process decrements wait-state counters every
+//! cycle, this one fixes each phase's first and last cycle when it can
+//! and does nothing in between. The address phase is fixed at issue: it
+//! starts once the address channel is free and lasts the slave's address
+//! wait states plus one cycle. The data phase is fixed when the address
+//! phase completes (see the timing approximation below). Each channel —
+//! address, read data, write data — keeps its phases in a FIFO, so the
+//! bus's next event is the earliest FIFO head, which
+//! [`CycleBus::next_wake`] reports: a
+//! [`TlmSystem`](crate::TlmSystem) steps only those cycles.
 //!
 //! A slave that answers [`SlaveReply::Wait`](crate::SlaveReply::Wait)
 //! holds the data phase: the beats before the waiting one have moved,
 //! and the transfer resumes at the waiting beat at the next falling
-//! edge, after the slaves' tick. Each held cycle lengthens the phase,
-//! and its [`PhaseEvent`] counts it.
+//! edge, after the slaves' tick. Each held cycle moves the phase's end,
+//! and every phase queued behind it on that side, one cycle later; the
+//! phase's [`PhaseEvent`] counts it.
 //!
 //! # The atomicity approximation
 //!
@@ -25,12 +39,13 @@
 //! # The timing approximation
 //!
 //! Single-beat transfers keep the layer-1 fusion (the data item can
-//! complete in the cycle the address phase completes), so they are
-//! cycle-exact. A **burst's** data block is handed to the countdown
-//! machinery and starts *the cycle after* its address phase completes —
-//! one cycle late when the data channel was free. This is the documented
-//! source of the layer-2 timing error (the paper's +0.5% row of Table 1):
-//! small, always pessimistic, proportional to the burst fraction of the
+//! complete in the cycle the address phase completes, when its side is
+//! free), so they are cycle-exact. Any other data phase — a **burst**,
+//! or a single whose side is busy — starts the cycle after its address
+//! phase completes, or once its side is free if that is later: an
+//! uncontended burst is one cycle late. This is the documented source of
+//! the layer-2 timing error (the paper's +0.5% row of Table 1): small,
+//! always pessimistic, proportional to the burst fraction of the
 //! traffic.
 //!
 //! # Energy hooks
@@ -97,12 +112,47 @@ pub struct PhaseEvent {
     pub trace_id: u64,
 }
 
+impl PhaseEvent {
+    /// The event of `txn`'s `kind` phase at `at_cycle`, which drove
+    /// `cycles` of its `planned_cycles`: complete when they are equal.
+    fn of(
+        kind: PhaseKind,
+        txn: &Transaction,
+        cycles: u32,
+        planned_cycles: u32,
+        data: Vec<u32>,
+        at_cycle: u64,
+    ) -> Self {
+        PhaseEvent {
+            kind,
+            addr: txn.addr,
+            access: txn.kind,
+            width: txn.width,
+            beats: txn.beats(),
+            cycles,
+            planned_cycles,
+            completed: cycles == planned_cycles,
+            data,
+            at_cycle,
+            trace_id: txn.id.0,
+        }
+    }
+}
+
 #[derive(Debug)]
 struct Active {
     txn: Transaction,
     slave: Option<SlaveId>,
     /// Wait states captured at creation (first interface call).
     waits: WaitProfile,
+    /// First and last cycle (inclusive) of the transaction's scheduled
+    /// phase: the address phase from issue on, the data phase once the
+    /// address phase has completed.
+    start: u64,
+    end: u64,
+    /// The beat the slave transfer starts from: 0, or after a `Wait`
+    /// the waiting beat.
+    beat: u32,
     addr_done: Option<u64>,
     done: Option<u64>,
     error: Option<BusError>,
@@ -111,36 +161,29 @@ struct Active {
     fault: Option<FaultKind>,
 }
 
-#[derive(Debug)]
-enum AddrState {
-    Idle,
-    Counting {
-        idx: usize,
-        left: u32,
-        error: Option<BusError>,
-    },
+impl Active {
+    /// The scheduled phase's length in cycles.
+    fn cycles(&self) -> u32 {
+        (self.end - self.start + 1) as u32
+    }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct DataState {
-    idx: usize,
-    left: u32,
-    total: u32,
-    /// The beat the slave transfer starts from: 0, or after a `Wait`
-    /// the waiting beat.
-    beat: u32,
+/// The span phase of a read or write data phase.
+fn data_phase(is_read: bool) -> Phase {
+    if is_read {
+        Phase::ReadData
+    } else {
+        Phase::WriteData
+    }
 }
 
-/// One direction's data machinery: a queue plus the current countdown.
+/// One channel's schedule: the slots whose phases are scheduled on it,
+/// in order (the head is in progress or next), and the first cycle
+/// after the last of them.
 #[derive(Debug, Default)]
-struct DataSide {
+struct Channel {
     queue: VecDeque<usize>,
-    current: Option<DataState>,
-    /// A data phase completed in the current bus-process activation; the
-    /// channel is only *free for fusion* from the next cycle on (the
-    /// reference's channel is likewise occupied for the whole completion
-    /// cycle).
-    completed_this_cycle: bool,
+    free_from: u64,
 }
 
 /// The layer-2 bus. See the [module docs](self) for semantics.
@@ -152,10 +195,9 @@ pub struct Tlm2Bus {
     /// notification loop entirely.
     ticking: Vec<usize>,
     active: Slots<Active>,
-    addr_q: VecDeque<usize>,
-    addr_state: AddrState,
-    read: DataSide,
-    write: DataSide,
+    addr: Channel,
+    read: Channel,
+    write: Channel,
     /// The current read phase's words, one per beat (`BurstLen::B8` is
     /// the longest burst). A read phase held by a `Wait` keeps its
     /// finished beats here; the next read phase starts only once the
@@ -192,10 +234,9 @@ impl Tlm2Bus {
             ticking: ticking_slaves(&slaves),
             slaves,
             active: Slots::default(),
-            addr_q: VecDeque::new(),
-            addr_state: AddrState::Idle,
-            read: DataSide::default(),
-            write: DataSide::default(),
+            addr: Channel::default(),
+            read: Channel::default(),
+            write: Channel::default(),
             read_words: [0; 8],
             finish_q: Vec::new(),
             events: Vec::new(),
@@ -242,52 +283,18 @@ impl Tlm2Bus {
         if !self.emit_events {
             return;
         }
-        if let AddrState::Counting { idx, left, error } = &self.addr_state {
-            let a = &self.active[*idx];
-            let planned = if error.is_some() {
-                1
-            } else {
-                1 + a.waits.address
-            };
-            let elapsed = planned - 1 - left;
-            if elapsed > 0 {
-                self.events.push(PhaseEvent {
-                    kind: PhaseKind::Address,
-                    addr: a.txn.addr,
-                    access: a.txn.kind,
-                    width: a.txn.width,
-                    beats: a.txn.beats(),
-                    cycles: elapsed,
-                    planned_cycles: planned,
-                    completed: false,
-                    data: Vec::new(),
-                    at_cycle: cycle,
-                    trace_id: a.txn.id.0,
-                });
-            }
-        }
-        for (side, kind) in [
+        for (ch, kind) in [
+            (&self.addr, PhaseKind::Address),
             (&self.read, PhaseKind::ReadData),
             (&self.write, PhaseKind::WriteData),
         ] {
-            if let Some(st) = &side.current {
-                let a = &self.active[st.idx];
-                let elapsed = st.total - st.left;
-                if elapsed > 0 {
-                    self.events.push(PhaseEvent {
-                        kind,
-                        addr: a.txn.addr,
-                        access: a.txn.kind,
-                        width: a.txn.width,
-                        beats: a.txn.beats(),
-                        cycles: elapsed,
-                        planned_cycles: st.total,
-                        completed: false,
-                        data: Vec::new(),
-                        at_cycle: cycle,
-                        trace_id: a.txn.id.0,
-                    });
-                }
+            let Some(a) = ch.queue.front().map(|&idx| &self.active[idx]) else {
+                continue;
+            };
+            if a.start < cycle {
+                let elapsed = (cycle - a.start) as u32;
+                let event = PhaseEvent::of(kind, &a.txn, elapsed, a.cycles(), Vec::new(), cycle);
+                self.events.push(event);
             }
         }
     }
@@ -298,35 +305,25 @@ impl Tlm2Bus {
         self.irq_mask
     }
 
-    fn data_duration(a: &Active) -> u32 {
-        let wait = a.waits.data_wait(a.txn.kind);
-        a.txn.beats() * (1 + wait) + Self::injected_stall(a)
-    }
-
-    /// Extra first-beat wait states from an injected stall fault.
-    fn injected_stall(a: &Active) -> u32 {
-        match a.fault {
-            Some(FaultKind::Stall(n)) => n,
-            _ => 0,
-        }
-    }
-
-    /// Ends the countdown of data phase `st`, the current phase of its
-    /// side: one slave transfer, record keeping, optional event
-    /// emission. A slave `Wait` holds the phase one more cycle, to
-    /// resume at the waiting beat. Reads land in the bus's word buffer
-    /// and writes go straight from the transaction's payload, so the
-    /// only heap allocations are the copies someone keeps: the event's
-    /// `data` (events enabled) and the record's read data (read data
-    /// kept).
-    fn complete_data(&mut self, is_read: bool, st: DataState, cycle: u64) {
-        let side = if is_read {
+    fn data_side(&mut self, is_read: bool) -> &mut Channel {
+        if is_read {
             &mut self.read
         } else {
             &mut self.write
-        };
-        let a = &self.active[st.idx];
-        let (addr, kind, width, beats) = (a.txn.addr, a.txn.kind, a.txn.width, a.txn.beats());
+        }
+    }
+
+    /// Ends data phase `idx`, the head of its side, at `cycle`: one
+    /// slave transfer, record keeping, optional event emission. A slave
+    /// `Wait` holds the phase one more cycle, to resume at the waiting
+    /// beat, and every phase queued behind it on that side moves a cycle
+    /// later. Reads land in the bus's word buffer and writes go straight
+    /// from the transaction's payload, so the only heap allocations are
+    /// the copies someone keeps: the event's `data` (events enabled) and
+    /// the record's read data (read data kept).
+    fn complete_data(&mut self, is_read: bool, idx: usize, cycle: u64) {
+        let a = &self.active[idx];
+        let (width, beats) = (a.txn.width, a.txn.beats());
         let injected = matches!(a.fault, Some(FaultKind::SlaveError));
         let stop = if injected {
             // Injected slave error: fires before any data is committed
@@ -339,7 +336,7 @@ impl Tlm2Bus {
             transfer(
                 self.slaves[slave.0].as_mut(),
                 &a.txn,
-                st.beat,
+                a.beat,
                 &mut self.read_words,
             )
         };
@@ -347,38 +344,35 @@ impl Tlm2Bus {
         let (moved, error) = match stop {
             Ok(()) => (beats, None),
             Err(Stop::Wait(beat)) => {
-                side.current = Some(DataState {
-                    left: 1,
-                    total: st.total + 1,
-                    beat,
-                    ..st
-                });
+                self.active[idx].beat = beat;
+                let side = if is_read {
+                    &mut self.read
+                } else {
+                    &mut self.write
+                };
+                for (k, &i) in side.queue.iter().enumerate() {
+                    let p = &mut self.active[i];
+                    p.start += u64::from(k > 0);
+                    p.end += 1;
+                }
+                side.free_from += 1;
                 return;
             }
             Err(Stop::Error(beat)) => (beat, Some(BusError::SlaveError(a.txn.beat_addr(beat)))),
         };
-        side.current = None;
-        side.completed_this_cycle = true;
-        let a = &mut self.active[st.idx];
+        self.data_side(is_read).queue.pop_front();
+        let a = &mut self.active[idx];
         a.done = Some(cycle);
         a.error = error;
         if is_read && !self.discard_read_data {
             a.read_data = self.read_words[..moved as usize].to_vec();
         }
-        let id = a.txn.id;
-        self.finish_q.push((id, st.idx));
-        self.obs.end(
-            id.0,
-            if is_read {
-                Phase::ReadData
-            } else {
-                Phase::WriteData
-            },
-            cycle,
-            error.is_some(),
-        );
+        self.finish_q.push((a.txn.id, idx));
+        let a = &self.active[idx];
+        self.obs
+            .end(a.txn.id.0, data_phase(is_read), cycle, error.is_some());
         if self.emit_events {
-            let (phase, data) = if is_read {
+            let (kind, data) = if is_read {
                 // A failing word block reads zero past the failing beat;
                 // a failing sub-word read and an injected error carry
                 // nothing.
@@ -393,81 +387,117 @@ impl Tlm2Bus {
             } else {
                 (PhaseKind::WriteData, a.txn.data.to_vec())
             };
-            self.events.push(PhaseEvent {
-                kind: phase,
-                addr,
-                access: kind,
-                width,
-                beats,
-                cycles: st.total,
-                planned_cycles: st.total,
-                completed: true,
-                data,
-                at_cycle: cycle,
-                trace_id: id.0,
-            });
+            let event = PhaseEvent::of(kind, &a.txn, a.cycles(), a.cycles(), data, cycle);
+            self.events.push(event);
         }
     }
 
-    /// One direction's countdown step: pop, decrement, complete.
-    fn data_step(&mut self, is_read: bool, cycle: u64) {
-        let side = if is_read {
-            &mut self.read
-        } else {
-            &mut self.write
+    /// Opens the span of data phase `idx` at `cycle`, its start.
+    fn begin_data(&mut self, is_read: bool, idx: usize, cycle: u64) {
+        let t = &self.active[idx].txn;
+        let class = access_class(t.kind);
+        self.obs
+            .begin(t.id.0, data_phase(is_read), cycle, t.addr.raw(), class);
+    }
+
+    /// One data side at the falling edge of `cycle`: its head phase
+    /// starts, ends, or both.
+    fn data_edge(&mut self, is_read: bool, cycle: u64) {
+        let Some(&idx) = self.data_side(is_read).queue.front() else {
+            return;
         };
-        if side.current.is_none() {
-            if let Some(idx) = side.queue.pop_front() {
-                let total = Self::data_duration(&self.active[idx]);
-                let t = &self.active[idx].txn;
-                self.obs.begin(
-                    t.id.0,
-                    if is_read {
-                        Phase::ReadData
-                    } else {
-                        Phase::WriteData
-                    },
-                    cycle,
-                    t.addr.raw(),
-                    access_class(t.kind),
-                );
-                let side = if is_read {
-                    &mut self.read
-                } else {
-                    &mut self.write
-                };
-                side.current = Some(DataState {
-                    idx,
-                    left: total,
-                    total,
-                    beat: 0,
-                });
-            } else {
-                return;
-            }
+        let (start, end) = (self.active[idx].start, self.active[idx].end);
+        if start == cycle {
+            self.begin_data(is_read, idx, cycle);
         }
-        let side = if is_read {
-            &mut self.read
-        } else {
-            &mut self.write
+        if end == cycle {
+            self.complete_data(is_read, idx, cycle);
+        }
+    }
+
+    /// The address channel at the falling edge of `cycle`: its head
+    /// phase starts, ends, or both. A completed address phase schedules
+    /// its data phase: a single data item on a free side fuses with it
+    /// (it may complete in the same cycle), anything else starts the
+    /// cycle after, once its side is free.
+    fn addr_edge(&mut self, cycle: u64) {
+        let Some(&idx) = self.addr.queue.front() else {
+            return;
         };
-        let st = side.current.as_mut().expect("state just ensured");
-        st.left -= 1;
-        if st.left == 0 {
-            let st = *st;
-            self.complete_data(is_read, st, cycle);
+        let a = &self.active[idx];
+        let id = a.txn.id.0;
+        if a.start == cycle {
+            let (addr, class) = (a.txn.addr.raw(), access_class(a.txn.kind));
+            self.obs.end(id, Phase::Request, cycle, false);
+            self.obs.begin(id, Phase::Address, cycle, addr, class);
+        }
+        if a.end != cycle {
+            return;
+        }
+        self.addr.queue.pop_front();
+        let a = &self.active[idx];
+        let error = match a.slave {
+            Some(_) => None,
+            None => Some(
+                self.map
+                    .decode(a.txn.addr, a.txn.kind)
+                    .expect_err("slave absent implies decode failure"),
+            ),
+        };
+        self.obs.end(id, Phase::Address, cycle, error.is_some());
+        if self.emit_events {
+            let event = PhaseEvent::of(
+                PhaseKind::Address,
+                &a.txn,
+                a.cycles(),
+                a.cycles(),
+                Vec::new(),
+                cycle,
+            );
+            self.events.push(event);
+        }
+        if let Some(e) = error {
+            let a = &mut self.active[idx];
+            a.done = Some(cycle);
+            a.error = Some(e);
+            self.finish_q.push((a.txn.id, idx));
+            return;
+        }
+        let (kind, beats) = (a.txn.kind, a.txn.beats());
+        let stall = match a.fault {
+            Some(FaultKind::Stall(n)) => n,
+            _ => 0,
+        };
+        let total = beats * (1 + a.waits.data_wait(kind)) + stall;
+        let is_read = kind.is_read();
+        let side = self.data_side(is_read);
+        // A side that completed a phase this cycle is free for fusion
+        // only from the next cycle on, like the reference's channel.
+        // Bursts never fuse: the documented +1-cycle approximation.
+        let data_start = if beats == 1 && side.free_from <= cycle {
+            cycle
+        } else {
+            side.free_from.max(cycle + 1)
+        };
+        let data_end = data_start + u64::from(total) - 1;
+        side.free_from = data_end + 1;
+        side.queue.push_back(idx);
+        let a = &mut self.active[idx];
+        a.addr_done = Some(cycle);
+        a.start = data_start;
+        a.end = data_end;
+        if data_start == cycle {
+            self.begin_data(is_read, idx, cycle);
+            if data_end == cycle {
+                self.complete_data(is_read, idx, cycle);
+            }
         }
     }
 
     /// True when no transaction is queued or in progress: the bus
     /// process has nothing to do this cycle.
     fn is_idle(&self) -> bool {
-        self.addr_q.is_empty()
-            && matches!(self.addr_state, AddrState::Idle)
-            && self.read.queue.is_empty()
-            && self.read.current.is_none()
-            && self.write.queue.is_empty()
-            && self.write.current.is_none()
+        self.addr.queue.is_empty() && self.read.queue.is_empty() && self.write.queue.is_empty()
     }
 }
 
@@ -476,6 +506,9 @@ impl CycleBus for Tlm2Bus {
         self.active.reserve(n);
     }
 
+    /// Creates the transaction and fixes its address phase: it starts
+    /// once the address channel is free and lasts the slave's address
+    /// wait states plus one cycle (one cycle for a decode error).
     fn issue(&mut self, txn: Transaction, cycle: u64) -> BusStatus {
         // Read the slave state once, at transaction creation.
         let (slave, waits) = match self.map.decode(txn.addr, txn.kind) {
@@ -489,17 +522,23 @@ impl CycleBus for Tlm2Bus {
             txn.addr.raw(),
             access_class(txn.kind),
         );
+        let start = self.addr.free_from.max(cycle);
+        let end = start + u64::from(waits.address);
+        self.addr.free_from = end + 1;
         let idx = self.active.insert(Active {
             txn,
             slave,
             waits,
+            start,
+            end,
+            beat: 0,
             addr_done: None,
             done: None,
             error: None,
             read_data: Vec::new(),
             fault: None,
         });
-        self.addr_q.push_back(idx);
+        self.addr.queue.push_back(idx);
         BusStatus::Request
     }
 
@@ -508,7 +547,8 @@ impl CycleBus for Tlm2Bus {
         // next bus-process activation, so the target is the tail of the
         // address queue.
         let idx = *self
-            .addr_q
+            .addr
+            .queue
             .back()
             .expect("inject without a queued transaction");
         let a = &mut self.active[idx];
@@ -520,8 +560,8 @@ impl CycleBus for Tlm2Bus {
         self.obs.counter_sample(track, cycle, value);
     }
 
-    fn has_finished(&self) -> bool {
-        !self.finish_q.is_empty()
+    fn finished(&self) -> usize {
+        self.finish_q.len()
     }
 
     fn poll(&mut self, id: TxnId) -> PollStatus {
@@ -553,141 +593,35 @@ impl CycleBus for Tlm2Bus {
         if !self.ticking.is_empty() {
             self.irq_mask = tick_slaves(&mut self.slaves, &self.ticking, cycle);
         }
-        // Data countdowns first: a block that finishes this cycle frees
-        // its channel for a pop next cycle, like the reference.
-        self.read.completed_this_cycle = false;
-        self.write.completed_this_cycle = false;
-        self.data_step(true, cycle);
-        self.data_step(false, cycle);
-
-        // Address phase countdown.
-        if matches!(self.addr_state, AddrState::Idle) {
-            if let Some(idx) = self.addr_q.pop_front() {
-                {
-                    let t = &self.active[idx].txn;
-                    let (id, addr, class) = (t.id.0, t.addr.raw(), access_class(t.kind));
-                    self.obs.end(id, Phase::Request, cycle, false);
-                    self.obs.begin(id, Phase::Address, cycle, addr, class);
-                }
-                let a = &self.active[idx];
-                let error = match a.slave {
-                    Some(_) => None,
-                    None => Some(
-                        self.map
-                            .decode(a.txn.addr, a.txn.kind)
-                            .expect_err("slave absent implies decode failure"),
-                    ),
-                };
-                self.addr_state = AddrState::Counting {
-                    idx,
-                    left: if error.is_some() { 0 } else { a.waits.address },
-                    error,
-                };
-            }
-        }
-        if let AddrState::Counting { idx, left, error } = &mut self.addr_state {
-            if *left > 0 {
-                *left -= 1;
-            } else {
-                let idx = *idx;
-                let error = *error;
-                self.addr_state = AddrState::Idle;
-                self.obs.end(
-                    self.active[idx].txn.id.0,
-                    Phase::Address,
-                    cycle,
-                    error.is_some(),
-                );
-                let (addr, kind, width, burst_beats, addr_waits, trace_id) = {
-                    let a = &self.active[idx];
-                    (
-                        a.txn.addr,
-                        a.txn.kind,
-                        a.txn.width,
-                        a.txn.beats(),
-                        a.waits.address,
-                        a.txn.id.0,
-                    )
-                };
-                if self.emit_events {
-                    self.events.push(PhaseEvent {
-                        kind: PhaseKind::Address,
-                        addr,
-                        access: kind,
-                        width,
-                        beats: burst_beats,
-                        cycles: 1 + addr_waits,
-                        planned_cycles: 1 + addr_waits,
-                        completed: true,
-                        data: Vec::new(),
-                        at_cycle: cycle,
-                        trace_id,
-                    });
-                }
-                match error {
-                    Some(e) => {
-                        let a = &mut self.active[idx];
-                        a.done = Some(cycle);
-                        a.error = Some(e);
-                        self.finish_q.push((a.txn.id, idx));
-                    }
-                    None => {
-                        self.active[idx].addr_done = Some(cycle);
-                        let is_read = kind.is_read();
-                        let side = if is_read {
-                            &mut self.read
-                        } else {
-                            &mut self.write
-                        };
-                        let single = burst_beats == 1;
-                        if single
-                            && side.current.is_none()
-                            && side.queue.is_empty()
-                            && !side.completed_this_cycle
-                        {
-                            // Fusion: a single data item may complete in
-                            // the cycle its address phase completes.
-                            let data_phase = if is_read {
-                                Phase::ReadData
-                            } else {
-                                Phase::WriteData
-                            };
-                            self.obs.begin(
-                                self.active[idx].txn.id.0,
-                                data_phase,
-                                cycle,
-                                addr.raw(),
-                                access_class(kind),
-                            );
-                            let a = &self.active[idx];
-                            let wait = a.waits.data_wait(kind) + Self::injected_stall(a);
-                            let st = DataState {
-                                idx,
-                                left: wait,
-                                total: 1 + wait,
-                                beat: 0,
-                            };
-                            if wait == 0 {
-                                self.complete_data(is_read, st, cycle);
-                            } else {
-                                let side = if is_read {
-                                    &mut self.read
-                                } else {
-                                    &mut self.write
-                                };
-                                side.current = Some(st);
-                            }
-                        } else {
-                            // Bursts (and contended singles) go through
-                            // the queue — the documented +1-cycle
-                            // approximation for uncontended bursts.
-                            side.queue.push_back(idx);
-                        }
-                    }
-                }
-            }
-        }
+        // Data sides first: a phase that ends this cycle frees its side
+        // for a start next cycle, like the reference.
+        self.data_edge(true, cycle);
+        self.data_edge(false, cycle);
+        self.addr_edge(cycle);
         true
+    }
+
+    /// The earliest scheduled phase end, or with spans on the earliest
+    /// start or end still ahead (a span opens at its phase's start);
+    /// the next cycle while completions await pickup or a slave ticks.
+    fn next_wake(&self, cycle: u64) -> u64 {
+        if !self.ticking.is_empty() || !self.finish_q.is_empty() {
+            return cycle + 1;
+        }
+        let spans = self.obs.is_enabled();
+        [&self.addr, &self.read, &self.write]
+            .into_iter()
+            .filter_map(|ch| ch.queue.front())
+            .map(|&idx| {
+                let a = &self.active[idx];
+                if spans && a.start > cycle {
+                    a.start
+                } else {
+                    a.end
+                }
+            })
+            .min()
+            .unwrap_or(u64::MAX)
     }
 }
 
@@ -706,7 +640,7 @@ impl std::fmt::Debug for Tlm2Bus {
         f.debug_struct("Tlm2Bus")
             .field("slaves", &self.slaves.len())
             .field("active", &self.active.allocated())
-            .field("addr_q", &self.addr_q.len())
+            .field("addr_q", &self.addr.queue.len())
             .field("finish_q", &self.finish_q.len())
             .finish()
     }

@@ -94,8 +94,8 @@ impl CycleBus for Tlm3Bus {
         BusStatus::Request
     }
 
-    fn has_finished(&self) -> bool {
-        !self.finish_q.is_empty()
+    fn finished(&self) -> usize {
+        self.finish_q.len()
     }
 
     fn poll(&mut self, id: TxnId) -> PollStatus {

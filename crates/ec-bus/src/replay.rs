@@ -60,7 +60,8 @@ struct Retry {
 /// let (txn, fault) = m.issue_granted(0);
 /// assert!(fault.is_none());
 /// // The bus finishes it at cycle 2; the master sees that at cycle 3.
-/// m.complete(txn.id, 2, None, 3);
+/// assert_eq!(m.in_flight_id(0), Some(txn.id));
+/// m.complete(0, 2, None, 3);
 /// assert!(m.is_finished());
 /// let report = m.take_report();
 /// assert_eq!(report.outcomes, vec![TxnOutcome::Ok]);
@@ -212,6 +213,59 @@ impl Replay {
             .can_issue(TxnCategory::of(self.ops[self.next_op].kind))
     }
 
+    /// Asked after the rising edge of `cycle`: the earliest later cycle
+    /// at which this master's rising edge does more than count its idle
+    /// gap down — an issue it could make at once, the end of the idle
+    /// gap, a retry falling due or a timeout deadline — or `u64::MAX`
+    /// when only a completion can unblock it. A driver that skips to a
+    /// later cycle accounts for the skipped ones with
+    /// [`skip`](Self::skip).
+    pub fn next_wake(&self, cycle: u64) -> u64 {
+        let next = cycle + 1;
+        let mut wake = match self.policy.timeout {
+            Some(t) => self
+                .in_flight
+                .iter()
+                .filter(|f| !f.abandoned)
+                .map(|f| f.issue_cycle + t)
+                .min()
+                .unwrap_or(u64::MAX),
+            None => u64::MAX,
+        };
+        if let Some(pos) = self.due_retry(next) {
+            // A due retry issues as soon as a slot is free, and fresh
+            // stimulus waits behind it.
+            let category = TxnCategory::of(self.ops[self.retries[pos].op].kind);
+            return if self.tracker.can_issue(category) {
+                next
+            } else {
+                wake.max(next)
+            };
+        }
+        if let Some(r) = self.retries.iter().map(|r| r.earliest).min() {
+            wake = wake.min(r);
+        }
+        if let Some(op) = self.ops.get(self.next_op) {
+            if self.idle_left > 0 {
+                wake = wake.min(next + u64::from(self.idle_left));
+            } else if self.tracker.can_issue(TxnCategory::of(op.kind)) {
+                return next;
+            }
+        }
+        wake.max(next)
+    }
+
+    /// Accounts for the rising edges of cycles `from..to`, which the
+    /// driver skipped because [`next_wake`](Self::next_wake) lay at or
+    /// beyond `to`: each counted the idle gap down, unless a retry was
+    /// due.
+    pub fn skip(&mut self, from: u64, to: u64) {
+        if self.next_op < self.ops.len() && self.due_retry(from).is_none() {
+            let skipped = u32::try_from(to - from).unwrap_or(u32::MAX);
+            self.idle_left = self.idle_left.saturating_sub(skipped);
+        }
+    }
+
     /// Issues the attempt [`arbitration_request`](Self::arbitration_request)
     /// raised its line for: returns the transaction to place on the bus
     /// and the fault the plan resolves for this attempt, if any.
@@ -313,23 +367,21 @@ impl Replay {
         self.records.get_mut(usize::try_from(k).ok()?)
     }
 
-    /// Attempt `id` finished on the bus in cycle `done_cycle`, with
-    /// `error` if it failed; the master sees the completion in cycle
-    /// `seen`. Frees its limit slot and stamps its record. An abandoned
-    /// attempt stops there. Otherwise a slave error with retry budget
-    /// left schedules a reissue no earlier than `seen` plus the backoff,
-    /// and anything else settles the op's outcome.
+    /// The `i`-th attempt in flight (see
+    /// [`in_flight_id`](Self::in_flight_id)) finished on the bus in
+    /// cycle `done_cycle`, with `error` if it failed; the master sees
+    /// the completion in cycle `seen`. Frees its limit slot and stamps
+    /// its record. An abandoned attempt stops there. Otherwise a slave
+    /// error with retry budget left schedules a reissue no earlier than
+    /// `seen` plus the backoff, and anything else settles the op's
+    /// outcome.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not in flight.
-    pub fn complete(&mut self, id: TxnId, done_cycle: u64, error: Option<BusError>, seen: u64) {
-        let pos = self
-            .in_flight
-            .iter()
-            .position(|f| f.id == id)
-            .unwrap_or_else(|| panic!("{id} completed but not in flight"));
-        let f = self.in_flight.swap_remove(pos);
+    /// Panics if fewer than `i + 1` attempts are in flight.
+    pub fn complete(&mut self, i: usize, done_cycle: u64, error: Option<BusError>, seen: u64) {
+        let f = self.in_flight.swap_remove(i);
+        let id = f.id;
         self.completed += 1;
         self.last_done_cycle = self.last_done_cycle.max(done_cycle);
         if let Some(r) = self.record_mut(id) {
@@ -405,6 +457,16 @@ mod tests {
         MasterOp::read(addr)
     }
 
+    /// Completes attempt `id`, wherever it sits in flight.
+    fn complete(m: &mut Replay, id: TxnId, done_cycle: u64, error: Option<BusError>, seen: u64) {
+        let i = m
+            .in_flight
+            .iter()
+            .position(|f| f.id == id)
+            .expect("in flight");
+        m.complete(i, done_cycle, error, seen);
+    }
+
     /// One rising edge of a master the arbiter always grants.
     fn step(m: &mut Replay, cycle: u64) -> Option<(Transaction, Option<FaultKind>)> {
         m.begin_cycle(cycle);
@@ -423,7 +485,7 @@ mod tests {
             pending.retain(|&(id, due, error)| {
                 let done = due < cycle;
                 if done {
-                    m.complete(id, due, error, cycle);
+                    complete(&mut m, id, due, error, cycle);
                 }
                 !done
             });
@@ -476,6 +538,28 @@ mod tests {
         }
     }
 
+    /// Skipping to the wake is stepping every cycle in between: the
+    /// wake is the gap's end, and the skipped cycles count it down.
+    #[test]
+    fn skipping_to_the_wake_counts_the_idle_gap_down() {
+        let ops = vec![read_op(0), read_op(4).after_idle(5)];
+        let mut stepped = Replay::new(ops.clone(), OutstandingLimits::CORE_DEFAULT);
+        let mut skipped = Replay::new(ops, OutstandingLimits::CORE_DEFAULT);
+        for m in [&mut stepped, &mut skipped] {
+            assert!(step(m, 0).is_some());
+        }
+        assert_eq!(skipped.next_wake(0), 6);
+        skipped.skip(1, 6);
+        for c in 1..6 {
+            assert!(step(&mut stepped, c).is_none());
+        }
+        let (a, _) = step(&mut stepped, 6).expect("gap over");
+        let (b, _) = step(&mut skipped, 6).expect("gap over");
+        assert_eq!(a, b);
+        // Nothing left to issue: only a completion can wake it.
+        assert_eq!(skipped.next_wake(6), u64::MAX);
+    }
+
     #[test]
     fn limit_stall_and_release() {
         let limits = OutstandingLimits {
@@ -488,7 +572,7 @@ mod tests {
         assert!(step(&mut m, 1).is_none(), "stalled on limit");
         // Finished at the falling edge of cycle 1, seen at cycle 2: the
         // slot is free for the issue at cycle 2.
-        m.complete(t.id, 1, None, 2);
+        complete(&mut m, t.id, 1, None, 2);
         assert!(step(&mut m, 2).is_some());
 
         // Latency 10 with a 4-deep read window: the 5th read must wait
@@ -517,8 +601,8 @@ mod tests {
         m.record_mut(write.id)
             .expect("records kept")
             .addr_done_cycle = Some(0);
-        m.complete(write.id, 2, None, 3);
-        m.complete(fetch.id, 5, None, 6);
+        complete(&mut m, write.id, 2, None, 3);
+        complete(&mut m, fetch.id, 5, None, 6);
         assert!(m.is_finished());
         let records = m.take_report().records;
         let w = &records[0];
@@ -545,7 +629,7 @@ mod tests {
         let (t, _) = step(&mut m, 0).expect("issue");
         m.record_mut(t.id).expect("records kept").data.push(0x11);
         m.record_mut(t.id).expect("records kept").data.push(0x22);
-        m.complete(t.id, 1, None, 2);
+        complete(&mut m, t.id, 1, None, 2);
         assert_eq!(m.take_report().records[0].data, vec![0x11, 0x22]);
     }
 
@@ -554,7 +638,7 @@ mod tests {
         let mut m = Replay::new(vec![read_op(0)], OutstandingLimits::CORE_DEFAULT);
         let (t, _) = step(&mut m, 0).expect("issue");
         assert!(!m.is_finished());
-        m.complete(t.id, 0, None, 1);
+        complete(&mut m, t.id, 0, None, 1);
         assert!(m.is_finished());
     }
 
@@ -581,7 +665,13 @@ mod tests {
         assert_eq!(fault, Some(FaultKind::SlaveError));
         // Failed at cycle 4, seen at cycle 5; backoff(0) = 2, so the
         // reissue must not land before cycle 7.
-        m.complete(t.id, 4, Some(BusError::SlaveError(Address::new(0x40))), 5);
+        complete(
+            &mut m,
+            t.id,
+            4,
+            Some(BusError::SlaveError(Address::new(0x40))),
+            5,
+        );
         assert!(!m.is_finished(), "retry still pending");
         for c in 5..7 {
             assert!(step(&mut m, c).is_none(), "reissued too early at {c}");
@@ -589,7 +679,7 @@ mod tests {
         let (t2, fault2) = step(&mut m, 7).expect("retry issues");
         assert_eq!(t2.addr, Address::new(0x40));
         assert!(fault2.is_none(), "once() fault does not refire");
-        m.complete(t2.id, 8, None, 9);
+        complete(&mut m, t2.id, 8, None, 9);
         assert!(m.is_finished());
         let report = m.take_report();
         assert_eq!(report.outcomes, vec![TxnOutcome::Ok]);
@@ -657,7 +747,7 @@ mod tests {
         assert!(step(&mut m, 3).is_none());
         assert_eq!(m.fault_counters().aborted, 1);
         // The bus drains the transaction later; the outcome stays Aborted.
-        m.complete(t.id, 10, None, 11);
+        complete(&mut m, t.id, 10, None, 11);
         assert!(m.is_finished());
         assert_eq!(m.take_report().outcomes, vec![TxnOutcome::Aborted]);
     }
@@ -669,7 +759,7 @@ mod tests {
             OutstandingLimits::CORE_DEFAULT,
         );
         let (t, _) = step(&mut m, 0).expect("issue");
-        m.complete(t.id, 0, None, 1);
+        complete(&mut m, t.id, 0, None, 1);
         m.tear_now();
         let report = m.take_report();
         assert_eq!(report.outcomes, vec![TxnOutcome::Ok, TxnOutcome::Aborted]);

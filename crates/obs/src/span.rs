@@ -137,6 +137,11 @@ impl TraceCollector {
         self.enabled = true;
     }
 
+    /// True once [`enable`](Self::enable)d: the probes record.
+    pub fn is_enabled(&self) -> bool {
+        self.enabled
+    }
+
     pub fn layer(&self) -> &'static str {
         self.layer
     }

@@ -204,6 +204,11 @@ impl RunSpec {
 pub struct Outcome {
     /// Bus cycles from cycle 0 through the last completion.
     pub cycles: u64,
+    /// The cycles the system stepped; the others it skipped
+    /// ([`TlmReport::cycles_stepped`](hierbus_core::TlmReport::cycles_stepped)).
+    pub cycles_stepped: u64,
+    /// Falling edges whose bus process ran.
+    pub bus_activations: u64,
     /// Gate-level energy at the reference, the characterized model's
     /// total at layers 1 and 2, in pJ; 0 without estimation.
     pub energy_pj: f64,
@@ -463,6 +468,8 @@ fn run_tlm<B: CycleBus + HasSlaves>(
     let report = sys.run(MAX_CYCLES, hook);
     let mut out = Outcome {
         cycles: report.cycles,
+        cycles_stepped: report.cycles_stepped,
+        bus_activations: report.bus_activations,
         records: report.records,
         outcomes: report.outcomes,
         counters: report.fault,

@@ -313,8 +313,8 @@ impl CycleBus for RtlBus {
         }
     }
 
-    fn has_finished(&self) -> bool {
-        !self.finished.is_empty()
+    fn finished(&self) -> usize {
+        self.finished.len()
     }
 
     /// The bus process: the slaves' time notification, then the three

@@ -44,7 +44,7 @@ impl<T> CycleSchedule<T> {
     }
 
     /// The cycle of the next unfired event.
-    fn next_cycle(&self) -> Option<u64> {
+    pub fn next_cycle(&self) -> Option<u64> {
         self.entries.get(self.cursor).map(|&(c, _)| c)
     }
 
