@@ -77,9 +77,11 @@ echo "==> examples that assert cross-layer agreement"
 # Each of these examples asserts that the layers agree (cycle-exact
 # layer 1, identical outcomes and memory, grant lines, the crypto
 # driver's results, and its layer-2 cycles at or above layer 1's, the
-# Table 1 shape on program traffic); a failed assert exits non-zero and
-# stops CI. The release build above already compiled them.
-for example in quickstart fault_injection multi_master crypto_coprocessor; do
+# Table 1 shape on program traffic) or, for smartcard_boot, the ISS boot
+# flow's checksum; a failed assert exits non-zero and stops CI. The
+# release build above already compiled them. smartcard_boot also
+# rewrites its results/obs artifacts, gated below.
+for example in quickstart fault_injection multi_master crypto_coprocessor smartcard_boot; do
   ./target/release/examples/"$example" > /dev/null
 done
 
@@ -175,13 +177,14 @@ echo "==> attribution JSON schema gate, observed-run artifacts"
 # side effect; validate the schema and fail if the rewrite left the
 # committed copies stale.
 cargo run --release -p hierbus-bench --bin check_attribution
-# The table1_timing and table2_energy runs above also rewrote their
-# observed-run artifacts (the RTL/L1/L2 span streams, energy tracks and
-# per-layer record metrics); they are deterministic, so they are gated
-# too. table3_simperf's artifacts carry wall-clock numbers and
-# smartcard_boot's are not regenerated in CI, so both stay ungated.
+# The table1_timing and table2_energy runs and the smartcard_boot
+# example above also rewrote their observed-run artifacts (the RTL/L1/L2
+# span streams, energy tracks and per-layer record metrics, the boot
+# flow's spans and metrics); they are deterministic, so they are gated
+# too. table3_simperf's artifacts carry wall-clock numbers, so they stay
+# ungated.
 obs_gated=('results/obs/attribution_*')
-for bin in table1_timing table2_energy; do
+for bin in table1_timing table2_energy smartcard_boot; do
   for ext in trace.json metrics.csv metrics.prom; do
     obs_gated+=("results/obs/$bin.$ext")
   done

@@ -19,17 +19,18 @@
 //!   passing"), and per-phase completion events for the coarse layer-2
 //!   energy model.
 //!
-//! [`master::TlmMaster`] replays [`MasterOp`](hierbus_ec::MasterOp)
-//! stimuli through the [`master::CycleBus`] trait against any bus: either
+//! [`master::TlmSystem`] replays [`MasterOp`](hierbus_ec::MasterOp)
+//! stimuli through the [`master::CycleBus`] trait against any bus: any
 //! TLM layer, or the RTL reference (`hierbus_rtl::RtlBus`, which
-//! implements the trait). Its policy is [`Replay`](hierbus_ec::Replay),
-//! so every layer produces the same kind of
-//! [`TxnRecord`](hierbus_ec::TxnRecord)s and cycle-exactness (layer 1)
-//! and timing error (layer 2) are directly measurable.
-//! [`master::TlmSystem`] is the stepping loop for stimulus masters at
-//! every layer: one master, or several behind an
-//! [`Arbiter`](hierbus_ec::Arbiter) (the CPU + DMA pair of
-//! [`TlmSystem::for_multi`]).
+//! implements the trait). Every master's policy is
+//! [`Replay`](hierbus_ec::Replay), so every layer produces the same kind
+//! of [`TxnRecord`](hierbus_ec::TxnRecord)s and cycle-exactness (layer 1)
+//! and timing error (layer 2) are directly measurable. It is the
+//! stepping loop for stimulus masters at every layer: one master, or
+//! several behind an [`Arbiter`](hierbus_ec::Arbiter) (the CPU + DMA pair
+//! of [`TlmSystem::for_multi`]). Every bus hands finished transactions
+//! out of its finish queue in order ([`CycleBus::take_completed`]), and
+//! the system routes each [`Completed`] to the master that issued it.
 //! It, the ISS's `CpuSystem` and the JCVM master adapter all step a bus
 //! through [`CycleBus::falling_edge`], which keeps §3.2's idle skip
 //! inside the bus; [`TlmSystem`] steps only the cycles some
@@ -64,8 +65,8 @@ pub mod tlm2;
 pub mod tlm3;
 mod wake_equivalence;
 
-pub use hierbus_ec::MasterReport;
-pub use master::{Completed, CycleBus, PollStatus, TlmMaster, TlmReport, TlmSystem};
+pub use hierbus_ec::{Completed, MasterReport};
+pub use master::{CycleBus, TlmReport, TlmSystem};
 pub use obs_util::access_class;
 pub use slave::{HasSlaves, MemSlave, SlaveReply, TlmSlave};
 pub use slots::Slots;

@@ -1,43 +1,20 @@
-//! Master-side replay of stimulus against a TLM bus, and the one system
-//! that steps any number of masters against it.
+//! The one system that steps any number of stimulus masters against a
+//! bus, and the interface every bus exposes to it.
 
 use hierbus_ec::record::{MasterReport, TxnRecord};
 use hierbus_ec::{
-    AccessKind, Arbiter, ArbiterStats, ArbitrationPolicy, BusError, BusStatus, FaultCounters,
-    FaultKind, FaultPlan, MasterOp, MultiScenario, OutstandingLimits, Replay, RetryPolicy,
-    Transaction, TxnId, TxnOutcome, DMA_ID_BASE,
+    Arbiter, ArbiterStats, ArbitrationPolicy, BusStatus, Completed, FaultCounters, FaultKind,
+    FaultPlan, MasterOp, MultiScenario, OutstandingLimits, Replay, RetryPolicy, Transaction, TxnId,
+    TxnOutcome, DMA_ID_BASE,
 };
 use hierbus_sim::CycleSchedule;
-
-/// The completion payload a bus hands back when a transaction is picked
-/// up from the finish queue.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Completed {
-    /// Cycle the address phase completed.
-    pub addr_done_cycle: Option<u64>,
-    /// Cycle the transaction completed.
-    pub done_cycle: u64,
-    /// Error that terminated it, if any.
-    pub error: Option<BusError>,
-    /// Read results (lane-extracted architectural values), empty for
-    /// writes.
-    pub data: Vec<u32>,
-}
-
-/// Result of polling an in-flight transaction.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PollStatus {
-    /// Still in progress — poll again next cycle (the paper's `wait`).
-    Pending,
-    /// Finished; the completion payload (the paper's `ok`/`error`).
-    Done(Completed),
-}
 
 /// The cycle-driven interface every bus layer exposes to a master: the
 /// TLM buses and the RTL reference (`hierbus_rtl::RtlBus`) alike.
 ///
-/// The master calls [`issue`](CycleBus::issue)/[`poll`](CycleBus::poll)
-/// at the rising clock edge and the driver calls
+/// At the rising clock edge the master takes finished transactions from
+/// the bus's finish queue ([`take_completed`](CycleBus::take_completed))
+/// and may [`issue`](CycleBus::issue) a new one; the driver calls
 /// [`falling_edge`](CycleBus::falling_edge) after it — the paper's
 /// clocking discipline. Three drivers step a bus: [`TlmSystem`] (the
 /// stimulus masters), the ISS's `CpuSystem` and the JCVM master
@@ -49,8 +26,12 @@ pub trait CycleBus {
     /// [`BusStatus::Request`](hierbus_ec::BusStatus) when accepted.
     fn issue(&mut self, txn: Transaction, cycle: u64) -> BusStatus;
 
-    /// Polls an in-flight transaction; removes and returns it once done.
-    fn poll(&mut self, id: TxnId) -> PollStatus;
+    /// Removes and returns the head of the finish queue, the earliest
+    /// finished transaction (the paper's `ok`/`error`), or `None` while
+    /// nothing has finished (its `wait`). A transaction that completes
+    /// at a falling edge is taken at the next rising edge (protocol rule
+    /// 5).
+    fn take_completed(&mut self) -> Option<Completed>;
 
     /// The falling clock edge: runs the bus process if the bus is
     /// sensitive this cycle and returns whether it ran. An idle bus is
@@ -61,22 +42,13 @@ pub trait CycleBus {
 
     /// Asked after the falling edge of `cycle`: the earliest later cycle
     /// whose falling edge can change the bus, or at whose rising edge a
-    /// master can pick up a completion; `u64::MAX` when nothing is
+    /// master can take a completion; `u64::MAX` when nothing is
     /// scheduled. A bus that is stepped anyway between issues and wakes
     /// must do nothing observable on the cycles in between, so
     /// [`TlmSystem::run`] may skip them. The conservative default wakes
     /// every cycle.
     fn next_wake(&self, cycle: u64) -> u64 {
         cycle + 1
-    }
-
-    /// How many transactions wait in the finish queue. Purely an
-    /// optimisation hint: a master stops polling its in-flight attempts
-    /// once it has picked up this many, which is observationally
-    /// invisible — a poll only ever succeeds on a finished transaction.
-    /// The conservative default polls every attempt every cycle.
-    fn finished(&self) -> usize {
-        usize::MAX
     }
 
     /// Hints that the master will discard read data (records disabled),
@@ -97,111 +69,6 @@ pub trait CycleBus {
     /// master's `fault.*` counters into the trace.
     fn obs_counter(&mut self, track: &'static str, cycle: u64, value: f64) {
         let _ = (track, cycle, value);
-    }
-
-    /// Hints the expected number of transactions so the bus can pre-size
-    /// its bookkeeping and never reallocate on the issue path. Purely a
-    /// capacity hint; buses may ignore it.
-    fn reserve_transactions(&mut self, n: usize) {
-        let _ = n;
-    }
-}
-
-/// Replays a [`MasterOp`] list against a [`CycleBus`]. The policy —
-/// idle gaps, the one-issue-per-cycle rule, outstanding-transaction
-/// ceilings, faults, retries, timeout, outcomes and the card tear — is
-/// [`Replay`]. The same master runs against every layer, the RTL
-/// reference included, so the [`TxnRecord`]s and [`TxnOutcome`]s
-/// compare directly across layers. This type adds the bus side: it
-/// places issued attempts on the bus, injects their planned faults, and
-/// polls the in-flight attempts for completion at every rising edge.
-#[derive(Debug)]
-pub struct TlmMaster {
-    replay: Replay,
-}
-
-impl TlmMaster {
-    /// Creates a master for `ops` with the core's default limits.
-    pub fn new(ops: impl Into<std::sync::Arc<[MasterOp]>>) -> Self {
-        TlmMaster {
-            replay: Replay::new(ops, OutstandingLimits::CORE_DEFAULT),
-        }
-    }
-
-    /// Rising-edge step: picks up finished transactions (freeing limit
-    /// slots), applies the timeout, then issues — a due retry first,
-    /// else the next op if its idle gap has elapsed and a slot is free.
-    ///
-    /// Single-master form of the split interface: equivalent to
-    /// [`begin_cycle`](Self::begin_cycle), then
-    /// [`issue_granted`](Self::issue_granted) whenever
-    /// [`Replay::arbitration_request`] raises — i.e. a bus whose arbiter
-    /// grants this master unconditionally, which is how [`TlmSystem`]
-    /// steps a lone master.
-    pub fn rising_edge<B: CycleBus>(&mut self, bus: &mut B, cycle: u64) {
-        self.begin_cycle(bus, cycle);
-        if self.replay.arbitration_request(cycle) {
-            self.issue_granted(bus, cycle);
-        }
-    }
-
-    /// Rising-edge bookkeeping that happens whether or not this master
-    /// wins the bus: picks up completions first so a freed slot can be
-    /// reused in the same cycle, then runs [`Replay::begin_cycle`] (the
-    /// timeout). With several masters, [`TlmSystem`] calls this for
-    /// every master before arbitrating.
-    pub fn begin_cycle<B: CycleBus>(&mut self, bus: &mut B, cycle: u64) {
-        self.pickup(bus, cycle);
-        self.replay.begin_cycle(cycle);
-    }
-
-    /// Places the attempt [`Replay::arbitration_request`] raised for on
-    /// the bus — the granted master's drive of the address channel —
-    /// and injects its planned fault.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called without a raised request (nothing to issue or
-    /// no limit slot).
-    pub fn issue_granted<B: CycleBus>(&mut self, bus: &mut B, cycle: u64) {
-        let (txn, fault) = self.replay.issue_granted(cycle);
-        let id = txn.id;
-        let status = bus.issue(txn, cycle);
-        debug_assert_eq!(status, BusStatus::Request, "bus rejected a legal issue");
-        if let Some(kind) = fault {
-            bus.inject(id, kind);
-        }
-    }
-
-    /// Polls every in-flight attempt and hands the finished ones to the
-    /// policy, seen at `cycle`, stamping the address phase and read
-    /// beats into the record. Abandoned attempts are polled too, so the
-    /// bus drains to a defined idle state. A transaction that completes
-    /// at a falling edge is seen at the next rising edge (protocol rule
-    /// 5). At a card tear [`TlmSystem`] calls this once more, so
-    /// completions from already executed cycles are not spuriously
-    /// aborted.
-    fn pickup<B: CycleBus>(&mut self, bus: &mut B, cycle: u64) {
-        let mut left = bus.finished();
-        let mut i = 0;
-        while left > 0 {
-            let Some(id) = self.replay.in_flight_id(i) else {
-                break;
-            };
-            match bus.poll(id) {
-                PollStatus::Pending => i += 1,
-                PollStatus::Done(done) => {
-                    left -= 1;
-                    if let Some(r) = self.replay.record_mut(id) {
-                        r.addr_done_cycle = done.addr_done_cycle;
-                        if r.kind != AccessKind::DataWrite {
-                            r.data = done.data;
-                        }
-                    }
-                    self.replay.complete(i, done.done_cycle, done.error, cycle);
-                }
-            }
-        }
     }
 }
 
@@ -241,18 +108,17 @@ impl TlmReport {
     /// Assembles the report of `masters` once every op has settled,
     /// moving their records and outcomes out.
     fn assemble(
-        masters: &mut [TlmMaster],
+        masters: &mut [Replay],
         bus_activations: u64,
         cycles_stepped: u64,
         arbiter: &Arbiter,
     ) -> Self {
         let cycles = masters
             .iter()
-            .filter_map(|m| m.replay.end_cycle())
+            .filter_map(|m| m.end_cycle())
             .max()
             .unwrap_or(0);
-        let masters: Vec<MasterReport> =
-            masters.iter_mut().map(|m| m.replay.take_report()).collect();
+        let masters: Vec<MasterReport> = masters.iter_mut().map(|m| m.take_report()).collect();
         let records: Vec<&[TxnRecord]> = masters.iter().map(|m| &m.records[..]).collect();
         let outcomes: Vec<&[TxnOutcome]> = masters.iter().map(|m| &m.outcomes[..]).collect();
         TlmReport {
@@ -269,22 +135,26 @@ impl TlmReport {
     }
 }
 
-/// Drives [`TlmMaster`]s against one [`CycleBus`] cycle by cycle — the
-/// paper's §3.1 discipline: masters at the rising edge, the bus process
-/// at the falling edge. It is the one stepping loop for stimulus
-/// masters at every layer: the RTL reference runs as
+/// Drives stimulus masters ([`Replay`]s) against one [`CycleBus`]
+/// cycle by cycle — the paper's §3.1 discipline: masters at the rising
+/// edge, the bus process at the falling edge. It is the one stepping
+/// loop for stimulus masters at every layer: the RTL reference runs as
 /// `TlmSystem<hierbus_rtl::RtlBus>`, so the layers differ only in the
 /// bus.
 ///
-/// Several masters share the bus behind an [`Arbiter`]: every master
-/// runs its rising-edge bookkeeping ([`TlmMaster::begin_cycle`]) and
-/// drives its request line ([`Replay::arbitration_request`]), and the
-/// arbiter grants at most one, which issues
-/// ([`TlmMaster::issue_granted`]). Every bus consumes issues through
+/// Each rising edge first drains the bus's finish queue
+/// ([`CycleBus::take_completed`]), handing every completion to the
+/// master whose id window holds it ([`Replay::owns`],
+/// [`Replay::complete`]), so a freed limit slot can be reused in the
+/// same cycle. Then every master runs its bookkeeping
+/// ([`Replay::begin_cycle`], the timeout) and drives its request line
+/// ([`Replay::arbitration_request`]); with several masters an
+/// [`Arbiter`] grants at most one, which places its attempt on the bus
+/// and injects its planned fault. Every bus consumes issues through
 /// FIFO queues, so the grant order fully determines bus behaviour and a
 /// layer-1 run is cycle-exact against the RTL reference whenever their
 /// grant logs agree. A lone master is granted whenever it requests, so
-/// it skips the arbiter and steps through [`TlmMaster::rising_edge`].
+/// it skips the arbiter.
 ///
 /// See the [crate example](crate) for typical use. A per-cycle `hook`
 /// closure receives the bus after each bus-process activation so energy
@@ -292,7 +162,7 @@ impl TlmReport {
 #[derive(Debug)]
 pub struct TlmSystem<B> {
     bus: B,
-    masters: Vec<TlmMaster>,
+    masters: Vec<Replay>,
     arbiter: Arbiter,
     /// Scratch request-line vector, reused every cycle.
     requests: Vec<bool>,
@@ -347,10 +217,8 @@ impl<B: CycleBus> TlmSystem<B> {
         id_base: u64,
     ) -> usize {
         assert_eq!(self.cycle, 0, "masters must be added before running");
-        let ops = ops.into();
-        self.bus.reserve_transactions(ops.len());
-        let mut master = TlmMaster::new(ops);
-        master.replay.set_id_base(id_base);
+        let mut master = Replay::new(ops, OutstandingLimits::CORE_DEFAULT);
+        master.set_id_base(id_base);
         self.masters.push(master);
         self.arbiter = Arbiter::new(self.arbiter.policy(), self.masters.len());
         self.masters.len() - 1
@@ -371,7 +239,7 @@ impl<B: CycleBus> TlmSystem<B> {
         if let Some(tc) = plan.tear_cycle {
             self.tear.at(tc, ());
         }
-        self.masters[idx].replay.set_faults(plan, policy);
+        self.masters[idx].set_faults(plan, policy);
         self.faults_configured = true;
     }
 
@@ -379,7 +247,7 @@ impl<B: CycleBus> TlmSystem<B> {
     /// called before the first cycle.
     pub fn set_master_limits(&mut self, idx: usize, limits: OutstandingLimits) {
         assert_eq!(self.cycle, 0, "limits must be configured before running");
-        self.masters[idx].replay.set_limits(limits);
+        self.masters[idx].set_limits(limits);
     }
 
     /// Disables per-transaction record keeping on every master and the
@@ -389,7 +257,7 @@ impl<B: CycleBus> TlmSystem<B> {
     /// keep it.
     pub fn disable_records(&mut self) {
         for m in &mut self.masters {
-            m.replay.disable_records();
+            m.disable_records();
         }
         self.bus.discard_read_data();
         self.arbiter.disable_log();
@@ -397,7 +265,7 @@ impl<B: CycleBus> TlmSystem<B> {
 
     /// Transactions completed so far, over every master.
     pub fn completed(&self) -> u64 {
-        self.masters.iter().map(|m| m.replay.completed()).sum()
+        self.masters.iter().map(|m| m.completed()).sum()
     }
 
     /// Shared access to the bus.
@@ -426,8 +294,12 @@ impl<B: CycleBus> TlmSystem<B> {
     /// falling edge, then `hook` if the bus process ran.
     pub fn step_cycle(&mut self, hook: &mut impl FnMut(&mut B)) {
         let cycle = self.cycle;
+        self.pickup(cycle);
         if let [m] = self.masters.as_mut_slice() {
-            m.rising_edge(&mut self.bus, cycle);
+            m.begin_cycle(cycle);
+            if m.arbitration_request(cycle) {
+                issue(&mut self.bus, m, cycle);
+            }
         } else {
             self.arbitrated_rising_edge(cycle);
         }
@@ -440,21 +312,38 @@ impl<B: CycleBus> TlmSystem<B> {
         self.cycles_stepped += 1;
     }
 
+    /// Takes every completion from the bus's finish queue and hands it
+    /// to the master that issued it, seen at `cycle`. Abandoned attempts
+    /// are taken too, so the bus drains to a defined idle state. At a
+    /// card tear [`settle`](Self::settle) calls this once more, so
+    /// completions from already executed cycles are not spuriously
+    /// aborted.
+    fn pickup(&mut self, cycle: u64) {
+        while let Some(done) = self.bus.take_completed() {
+            let m = self
+                .masters
+                .iter_mut()
+                .find(|m| m.owns(done.id))
+                .expect("a completion of an issued attempt");
+            m.complete(done, cycle);
+        }
+    }
+
     /// The rising edge of several masters: bookkeeping and a request
     /// line for every master, then at most one grant, which issues.
     fn arbitrated_rising_edge(&mut self, cycle: u64) {
         for m in &mut self.masters {
-            m.begin_cycle(&mut self.bus, cycle);
+            m.begin_cycle(cycle);
         }
         let mut requests = std::mem::take(&mut self.requests);
         requests.clear();
         requests.extend(
             self.masters
                 .iter_mut()
-                .map(|m| m.replay.arbitration_request(cycle)),
+                .map(|m| m.arbitration_request(cycle)),
         );
         if let Some(winner) = self.arbiter.grant(cycle, &requests) {
-            self.masters[winner].issue_granted(&mut self.bus, cycle);
+            issue(&mut self.bus, &mut self.masters[winner], cycle);
         }
         self.requests = requests;
     }
@@ -465,7 +354,7 @@ impl<B: CycleBus> TlmSystem<B> {
         if !self.faults_configured {
             return;
         }
-        let c: FaultCounters = self.masters.iter().map(|m| m.replay.fault_counters()).sum();
+        let c: FaultCounters = self.masters.iter().map(|m| m.fault_counters()).sum();
         for (track, value) in c.changed_since(self.sampled) {
             self.bus.obs_counter(track, self.cycle, value);
         }
@@ -474,7 +363,7 @@ impl<B: CycleBus> TlmSystem<B> {
 
     /// True once every master's stimulus has fully completed.
     pub fn is_finished(&self) -> bool {
-        self.masters.iter().all(|m| m.replay.is_finished())
+        self.masters.iter().all(|m| m.is_finished())
     }
 
     /// Runs to completion — or to the card tear, whichever is first. The
@@ -542,12 +431,12 @@ impl<B: CycleBus> TlmSystem<B> {
             if wake <= next {
                 return;
             }
-            wake = wake.min(m.replay.next_wake(last));
+            wake = wake.min(m.next_wake(last));
         }
         wake = wake.min(self.tear.next_cycle().unwrap_or(u64::MAX));
         if wake > next {
             for m in &mut self.masters {
-                m.replay.skip(next, wake);
+                m.skip(next, wake);
             }
             self.cycle = wake;
         }
@@ -558,10 +447,9 @@ impl<B: CycleBus> TlmSystem<B> {
     /// the rest is aborted, so the tear boundary agrees across layers.
     fn settle(&mut self) -> TlmReport {
         if self.torn() {
-            let cycle = self.cycle;
+            self.pickup(self.cycle);
             for m in &mut self.masters {
-                m.pickup(&mut self.bus, cycle);
-                m.replay.tear_now();
+                m.tear_now();
             }
             self.sample_fault_counters();
         }
@@ -574,57 +462,79 @@ impl<B: CycleBus> TlmSystem<B> {
     }
 }
 
+/// Places the attempt `master` raised its request line for on `bus` —
+/// the granted master's drive of the address channel — and injects its
+/// planned fault.
+fn issue<B: CycleBus>(bus: &mut B, master: &mut Replay, cycle: u64) {
+    let (txn, fault) = master.issue_granted(cycle);
+    let id = txn.id;
+    let status = bus.issue(txn, cycle);
+    debug_assert_eq!(status, BusStatus::Request, "bus rejected a legal issue");
+    if let Some(kind) = fault {
+        bus.inject(id, kind);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::tlm1::Tlm1Bus;
     use crate::tlm2::Tlm2Bus;
     use hierbus_ec::sequences::{self, Scenario};
-    use hierbus_ec::{AccessRights, Address, AddressRange, OpFault, SlaveConfig, WaitProfile};
-    use std::collections::HashMap;
+    use hierbus_ec::{
+        AccessRights, Address, AddressRange, BusError, OpFault, SlaveConfig, WaitProfile,
+    };
 
-    /// A bus that completes everything `LAT` cycles after issue, and
-    /// honours injected faults: `SlaveError` fails the transaction,
-    /// `Stall(n)` adds `n` cycles of latency.
+    /// A bus that completes everything `LAT` cycles after issue, one
+    /// more per beat after the first, and honours injected faults: `SlaveError` fails the transaction,
+    /// `Stall(n)` adds `n` cycles of latency. Of the transactions due,
+    /// it hands out the oldest issue first, or with `newest_first` the
+    /// newest, and logs the ids in the order it handed them out.
     #[derive(Debug, Default)]
     struct FixedLatencyBus<const LAT: u64> {
-        pending: HashMap<TxnId, (u64, Option<BusError>)>,
+        /// `(id, done cycle, error)` per transaction, in issue order.
+        pending: Vec<(TxnId, u64, Option<BusError>)>,
         cycle: u64,
-        processed: u64,
+        newest_first: bool,
+        taken: Vec<TxnId>,
     }
 
     impl<const LAT: u64> CycleBus for FixedLatencyBus<LAT> {
         fn issue(&mut self, txn: Transaction, cycle: u64) -> BusStatus {
-            self.pending.insert(txn.id, (cycle + LAT, None));
+            let done = cycle + LAT + u64::from(txn.beats()) - 1;
+            self.pending.push((txn.id, done, None));
             BusStatus::Request
         }
         fn inject(&mut self, id: TxnId, fault: FaultKind) {
-            let entry = self.pending.get_mut(&id).expect("inject follows issue");
+            let entry = self.pending.last_mut().expect("inject follows issue");
+            assert_eq!(entry.0, id);
             match fault {
-                FaultKind::SlaveError => entry.1 = Some(BusError::SlaveError(Address::new(0))),
-                FaultKind::Stall(n) => entry.0 += u64::from(n),
+                FaultKind::SlaveError => entry.2 = Some(BusError::SlaveError(Address::new(0))),
+                FaultKind::Stall(n) => entry.1 += u64::from(n),
             }
         }
-        fn poll(&mut self, id: TxnId) -> PollStatus {
-            let (due, error) = self.pending[&id];
-            if self.cycle > due {
-                self.pending.remove(&id);
-                PollStatus::Done(Completed {
-                    addr_done_cycle: Some(due),
-                    done_cycle: due,
-                    error,
-                    data: vec![0xAB],
-                })
+        fn take_completed(&mut self) -> Option<Completed> {
+            let due = |&(_, done, _): &(TxnId, u64, Option<BusError>)| self.cycle > done;
+            let pos = if self.newest_first {
+                self.pending.iter().rposition(due)
             } else {
-                PollStatus::Pending
-            }
+                self.pending.iter().position(due)
+            }?;
+            let (id, done_cycle, error) = self.pending.remove(pos);
+            self.taken.push(id);
+            Some(Completed {
+                id,
+                addr_done_cycle: Some(done_cycle),
+                done_cycle,
+                error,
+                data: vec![0xAB],
+            })
         }
         fn falling_edge(&mut self, cycle: u64) -> bool {
             if self.pending.is_empty() {
                 return false;
             }
             self.cycle = cycle + 1; // completions visible next rising edge
-            self.processed += 1;
             true
         }
     }
@@ -824,6 +734,88 @@ mod tests {
             .iter()
             .all(|(c, _)| c.retried > 0 && c.aborted > 0));
         assert!(faulted[2..].iter().all(|&(_, torn)| torn));
+    }
+
+    /// Completions reach the masters in the bus's finish order, which
+    /// nothing a run reports may depend on: retries are chosen by
+    /// `(earliest, op)`, counters are sums and outcomes are kept per op.
+    /// Two arbitrated masters (the second in the DMA id window) run with
+    /// retries, backoff, stalls, timeouts and, in the second case, a
+    /// tear, on a bus that hands out due completions oldest first and
+    /// on one that hands them out newest first.
+    #[test]
+    fn completion_order_is_unobservable() {
+        let cpu = sequences::random_mix(
+            0x5EED,
+            sequences::MixParams {
+                count: 60,
+                max_idle: 2,
+                ..sequences::MixParams::default()
+            },
+        );
+        let dma: Vec<MasterOp> = (0..30)
+            .map(|i| MasterOp::read(0x1_0000 + 4 * i).after_idle((i % 3) as u32))
+            .collect();
+        let stall_every = |every: usize, n: usize| {
+            (0..n).step_by(every).fold(FaultPlan::new(), |plan, op| {
+                plan.with_fault(op, OpFault::always(FaultKind::Stall(1 + (op % 4) as u32)))
+            })
+        };
+        // Error replies on a run of ops: bursts take longer on this bus,
+        // so some fall due in the same cycle and their retries tie on
+        // `earliest`.
+        let cpu_plan = (30..48)
+            .fold(stall_every(3, 60), |plan, op| {
+                plan.with_fault(op, OpFault::once(FaultKind::SlaveError))
+            })
+            .with_fault(4, OpFault::once(FaultKind::SlaveError))
+            .with_fault(13, OpFault::always(FaultKind::SlaveError))
+            .with_fault(20, OpFault::always(FaultKind::Stall(40)));
+        let dma_plan = stall_every(2, 30).with_fault(7, OpFault::once(FaultKind::SlaveError));
+        let policy = RetryPolicy {
+            timeout: Some(24),
+            ..RetryPolicy::retries(2)
+        };
+        for tear in [None, Some(90)] {
+            let run = |newest_first: bool| {
+                let bus = FixedLatencyBus::<3> {
+                    newest_first,
+                    ..FixedLatencyBus::default()
+                };
+                let mut sys = TlmSystem::new(bus, cpu.ops.clone());
+                sys.add_master(dma.clone(), DMA_ID_BASE);
+                let plan = match tear {
+                    Some(at) => cpu_plan.clone().with_tear(at),
+                    None => cpu_plan.clone(),
+                };
+                sys.set_master_faults(0, plan, policy);
+                sys.set_master_faults(1, dma_plan.clone(), policy);
+                let report = sys.run(100_000, |_| {});
+                assert_eq!(sys.torn(), tear.is_some());
+                (report, std::mem::take(&mut sys.bus_mut().taken))
+            };
+            let (oldest, oldest_order) = run(false);
+            let (newest, newest_order) = run(true);
+            let tag = format!("tear {tear:?}");
+            assert_ne!(oldest_order, newest_order, "{tag}: order never differed");
+            assert!(
+                oldest.fault.retried > 0 && oldest.fault.aborted > 0,
+                "{tag}"
+            );
+            assert!(oldest.masters[1].completed > 0, "{tag}: DMA idle");
+            assert_eq!(oldest.cycles, newest.cycles, "{tag}: cycles");
+            assert_eq!(
+                (oldest.bus_activations, oldest.cycles_stepped),
+                (newest.bus_activations, newest.cycles_stepped),
+                "{tag}: steps"
+            );
+            assert_eq!(oldest.records, newest.records, "{tag}: records");
+            assert_eq!(oldest.outcomes, newest.outcomes, "{tag}: outcomes");
+            assert_eq!(oldest.fault, newest.fault, "{tag}: counters");
+            assert_eq!(oldest.masters, newest.masters, "{tag}: masters");
+            assert_eq!(oldest.grants, newest.grants, "{tag}: grants");
+            assert_eq!(oldest.stats, newest.stats, "{tag}: stats");
+        }
     }
 
     #[test]

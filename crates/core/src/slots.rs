@@ -3,8 +3,9 @@
 use std::ops::{Index, IndexMut};
 
 /// Transaction slots addressed by index. A bus releases a slot once
-/// nothing refers to its transaction any more (at master pickup on the
-/// TLM buses, at completion on the reference), and the next insert
+/// nothing refers to its transaction any more (when the master takes it
+/// from the finish queue on the TLM buses, at completion on the
+/// reference), and the next insert
 /// reuses it, so the table peaks at the outstanding limit instead of
 /// growing by one entry per transaction for the whole run.
 #[derive(Debug)]
@@ -24,13 +25,6 @@ impl<T> Default for Slots<T> {
 }
 
 impl<T> Slots<T> {
-    /// Pre-sizes the table for a run of `n` transactions. Slots are
-    /// recycled, so the reservation is capped at 64, far above any
-    /// outstanding limit.
-    pub fn reserve(&mut self, n: usize) {
-        self.entries.reserve(n.min(64));
-    }
-
     /// Stores `entry` in a released slot, or a new one, and returns its
     /// index.
     pub fn insert(&mut self, entry: T) -> usize {

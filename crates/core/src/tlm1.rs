@@ -23,12 +23,12 @@
 //! [`SignalFrame`] of every cycle — the "transaction level to RTL
 //! adapter" on which the layer-1 energy model operates.
 
-use crate::master::{Completed, CycleBus, PollStatus};
+use crate::master::CycleBus;
 use crate::obs_util::access_class;
 use crate::slave::{tick_slaves, ticking_slaves, SlaveReply, TlmSlave};
 use crate::slots::Slots;
 use hierbus_ec::{
-    AddressMap, BusError, BusStatus, FastIdMap, FaultKind, SignalFrame, SlaveId, Transaction, TxnId,
+    AddressMap, BusError, BusStatus, Completed, FaultKind, SignalFrame, SlaveId, Transaction, TxnId,
 };
 use hierbus_obs::{Phase, TraceCollector};
 use std::collections::VecDeque;
@@ -42,6 +42,8 @@ struct Active {
     error: Option<BusError>,
     /// Lane-extracted read results, collected beat by beat.
     read_data: Vec<u32>,
+    /// Injected fault attached at issue time, if any.
+    fault: Option<FaultKind>,
 }
 
 #[derive(Debug)]
@@ -76,11 +78,9 @@ pub struct Tlm1Bus {
     write_q: VecDeque<usize>,
     read_beat: Option<Beat>,
     write_beat: Option<Beat>,
-    /// Completed transactions awaiting master pickup, as `(id, active
-    /// slot)`. Holds at most the outstanding limit, so a flat vector
-    /// beats a hash map on both insert and the poll-side lookup.
-    finish_q: Vec<(TxnId, usize)>,
-    faults: FastIdMap<TxnId, FaultKind>,
+    /// Completed transactions awaiting master pickup, as active slots
+    /// in completion order.
+    finish_q: VecDeque<usize>,
     discard_read_data: bool,
     emit_frames: bool,
     frame: SignalFrame,
@@ -112,8 +112,7 @@ impl Tlm1Bus {
             write_q: VecDeque::new(),
             read_beat: None,
             write_beat: None,
-            finish_q: Vec::new(),
-            faults: FastIdMap::default(),
+            finish_q: VecDeque::new(),
             discard_read_data: false,
             emit_frames: false,
             frame: SignalFrame::default(),
@@ -170,11 +169,8 @@ impl Tlm1Bus {
     /// Extra first-beat wait states injected into the transaction at
     /// `idx`, if a stall fault is attached.
     fn injected_stall(&self, idx: usize) -> u32 {
-        if self.faults.is_empty() {
-            return 0;
-        }
-        match self.faults.get(&self.active[idx].txn.id) {
-            Some(FaultKind::Stall(n)) => *n,
+        match self.active[idx].fault {
+            Some(FaultKind::Stall(n)) => n,
             _ => 0,
         }
     }
@@ -183,11 +179,7 @@ impl Tlm1Bus {
     /// `idx`. The error fires on the first data beat, before the slave
     /// is consulted — no data is ever committed.
     fn injected_error(&self, idx: usize) -> bool {
-        !self.faults.is_empty()
-            && matches!(
-                self.faults.get(&self.active[idx].txn.id),
-                Some(FaultKind::SlaveError)
-            )
+        matches!(self.active[idx].fault, Some(FaultKind::SlaveError))
     }
 
     /// Phase 1 of the bus process: the address-phase FSM.
@@ -262,7 +254,7 @@ impl Tlm1Bus {
                 let a = &mut self.active[idx];
                 a.done = Some(cycle);
                 a.error = Some(e);
-                self.finish_q.push((a.txn.id, idx));
+                self.finish_q.push_back(idx);
             }
             None => {
                 self.active[idx].addr_done = Some(cycle);
@@ -329,7 +321,7 @@ impl Tlm1Bus {
                 let a = &mut self.active[idx];
                 a.done = Some(cycle);
                 a.error = Some(BusError::SlaveError(addr));
-                self.finish_q.push((a.txn.id, idx));
+                self.finish_q.push_back(idx);
                 self.obs
                     .end(self.active[idx].txn.id.0, Phase::ReadData, cycle, true);
             }
@@ -345,7 +337,7 @@ impl Tlm1Bus {
                 if last {
                     a.done = Some(cycle);
                     let id = a.txn.id;
-                    self.finish_q.push((id, idx));
+                    self.finish_q.push_back(idx);
                     self.read_beat = None;
                     self.obs.end(id.0, Phase::ReadData, cycle, false);
                 } else {
@@ -419,7 +411,7 @@ impl Tlm1Bus {
                 let a = &mut self.active[idx];
                 a.done = Some(cycle);
                 a.error = Some(BusError::SlaveError(addr));
-                self.finish_q.push((a.txn.id, idx));
+                self.finish_q.push_back(idx);
                 self.obs
                     .end(self.active[idx].txn.id.0, Phase::WriteData, cycle, true);
             }
@@ -432,7 +424,7 @@ impl Tlm1Bus {
                 if last {
                     a.done = Some(cycle);
                     let id = a.txn.id;
-                    self.finish_q.push((id, idx));
+                    self.finish_q.push_back(idx);
                     self.write_beat = None;
                     self.obs.end(id.0, Phase::WriteData, cycle, false);
                 } else {
@@ -460,10 +452,6 @@ impl Tlm1Bus {
 }
 
 impl CycleBus for Tlm1Bus {
-    fn reserve_transactions(&mut self, n: usize) {
-        self.active.reserve(n);
-    }
-
     fn issue(&mut self, txn: Transaction, cycle: u64) -> BusStatus {
         self.obs.begin(
             txn.id.0,
@@ -484,6 +472,7 @@ impl CycleBus for Tlm1Bus {
             done: None,
             error: None,
             read_data: Vec::with_capacity(read_beats),
+            fault: None,
         };
         let idx = self.active.insert(entry);
         self.request_q.push_back(idx);
@@ -491,32 +480,36 @@ impl CycleBus for Tlm1Bus {
     }
 
     fn inject(&mut self, id: TxnId, fault: FaultKind) {
-        self.faults.insert(id, fault);
+        // The master injects right after `CycleBus::issue`, before the
+        // next bus-process activation, so the target is the tail of the
+        // request queue.
+        let idx = *self
+            .request_q
+            .back()
+            .expect("inject without a queued transaction");
+        let a = &mut self.active[idx];
+        assert_eq!(a.txn.id, id, "inject targets the transaction just queued");
+        a.fault = Some(fault);
     }
 
     fn obs_counter(&mut self, track: &'static str, cycle: u64, value: f64) {
         self.obs.counter_sample(track, cycle, value);
     }
 
-    fn poll(&mut self, id: TxnId) -> PollStatus {
-        match self.finish_q.iter().position(|&(fid, _)| fid == id) {
-            None => PollStatus::Pending,
-            Some(pos) => {
-                let (_, idx) = self.finish_q.swap_remove(pos);
-                if !self.faults.is_empty() {
-                    self.faults.remove(&id);
-                }
-                let a = &mut self.active[idx];
-                let done = Completed {
-                    addr_done_cycle: a.addr_done,
-                    done_cycle: a.done.expect("finished entries have a done cycle"),
-                    error: a.error,
-                    data: std::mem::take(&mut a.read_data),
-                };
-                self.active.release(idx);
-                PollStatus::Done(done)
-            }
-        }
+    // Inlined into the caller's stepping loop: it runs every cycle.
+    #[inline]
+    fn take_completed(&mut self) -> Option<Completed> {
+        let idx = self.finish_q.pop_front()?;
+        let a = &mut self.active[idx];
+        let done = Completed {
+            id: a.txn.id,
+            addr_done_cycle: a.addr_done,
+            done_cycle: a.done.expect("finished entries have a done cycle"),
+            error: a.error,
+            data: std::mem::take(&mut a.read_data),
+        };
+        self.active.release(idx);
+        Some(done)
     }
 
     fn falling_edge(&mut self, cycle: u64) -> bool {
@@ -545,10 +538,6 @@ impl CycleBus for Tlm1Bus {
             self.frame = frame;
         }
         true
-    }
-
-    fn finished(&self) -> usize {
-        self.finish_q.len()
     }
 
     fn discard_read_data(&mut self) {

@@ -56,12 +56,12 @@
 //! signal state left by *previous* transactions, which is exactly the
 //! correlation blindness the paper names as this layer's inaccuracy.
 
-use crate::master::{Completed, CycleBus, PollStatus};
+use crate::master::CycleBus;
 use crate::obs_util::access_class;
 use crate::slave::{tick_slaves, ticking_slaves, transfer, Stop, TlmSlave};
 use crate::slots::Slots;
 use hierbus_ec::{
-    AccessKind, Address, AddressMap, BusError, BusStatus, DataWidth, FaultKind, SlaveId,
+    AccessKind, Address, AddressMap, BusError, BusStatus, Completed, DataWidth, FaultKind, SlaveId,
     Transaction, TxnId, WaitProfile,
 };
 use hierbus_obs::{Phase, TraceCollector};
@@ -203,10 +203,9 @@ pub struct Tlm2Bus {
     /// finished beats here; the next read phase starts only once the
     /// read side is free.
     read_words: [u32; 8],
-    /// Completed transactions awaiting master pickup, as `(id, active
-    /// slot)`. Holds at most the outstanding limit, so a flat vector
-    /// beats a hash map on both insert and the poll-side lookup.
-    finish_q: Vec<(TxnId, usize)>,
+    /// Completed transactions awaiting master pickup, as active slots
+    /// in completion order.
+    finish_q: VecDeque<usize>,
     /// Phase events since the last [`Tlm2Bus::drain_events`]; drained in
     /// place, so the buffer keeps its capacity across cycles.
     events: Vec<PhaseEvent>,
@@ -238,7 +237,7 @@ impl Tlm2Bus {
             read: Channel::default(),
             write: Channel::default(),
             read_words: [0; 8],
-            finish_q: Vec::new(),
+            finish_q: VecDeque::new(),
             events: Vec::new(),
             emit_events: false,
             discard_read_data: false,
@@ -367,7 +366,7 @@ impl Tlm2Bus {
         if is_read && !self.discard_read_data {
             a.read_data = self.read_words[..moved as usize].to_vec();
         }
-        self.finish_q.push((a.txn.id, idx));
+        self.finish_q.push_back(idx);
         let a = &self.active[idx];
         self.obs
             .end(a.txn.id.0, data_phase(is_read), cycle, error.is_some());
@@ -460,7 +459,7 @@ impl Tlm2Bus {
             let a = &mut self.active[idx];
             a.done = Some(cycle);
             a.error = Some(e);
-            self.finish_q.push((a.txn.id, idx));
+            self.finish_q.push_back(idx);
             return;
         }
         let (kind, beats) = (a.txn.kind, a.txn.beats());
@@ -502,10 +501,6 @@ impl Tlm2Bus {
 }
 
 impl CycleBus for Tlm2Bus {
-    fn reserve_transactions(&mut self, n: usize) {
-        self.active.reserve(n);
-    }
-
     /// Creates the transaction and fixes its address phase: it starts
     /// once the address channel is free and lasts the slave's address
     /// wait states plus one cycle (one cycle for a decode error).
@@ -560,26 +555,21 @@ impl CycleBus for Tlm2Bus {
         self.obs.counter_sample(track, cycle, value);
     }
 
-    fn finished(&self) -> usize {
-        self.finish_q.len()
-    }
-
-    fn poll(&mut self, id: TxnId) -> PollStatus {
-        match self.finish_q.iter().position(|&(fid, _)| fid == id) {
-            None => PollStatus::Pending,
-            Some(pos) => {
-                let (_, idx) = self.finish_q.swap_remove(pos);
-                let a = &mut self.active[idx];
-                let done = Completed {
-                    addr_done_cycle: a.addr_done,
-                    done_cycle: a.done.expect("finished entries have a done cycle"),
-                    error: a.error,
-                    data: std::mem::take(&mut a.read_data),
-                };
-                self.active.release(idx);
-                PollStatus::Done(done)
-            }
-        }
+    // Inlined into the caller's stepping loop: it runs every stepped
+    // cycle.
+    #[inline]
+    fn take_completed(&mut self) -> Option<Completed> {
+        let idx = self.finish_q.pop_front()?;
+        let a = &mut self.active[idx];
+        let done = Completed {
+            id: a.txn.id,
+            addr_done_cycle: a.addr_done,
+            done_cycle: a.done.expect("finished entries have a done cycle"),
+            error: a.error,
+            data: std::mem::take(&mut a.read_data),
+        };
+        self.active.release(idx);
+        Some(done)
     }
 
     fn discard_read_data(&mut self) {

@@ -20,15 +20,17 @@
 //!   can end (the crypto coprocessor while a block is in flight, a full
 //!   UART FIFO) cannot run at layer 3.
 
-use crate::master::{Completed, CycleBus, PollStatus};
+use crate::master::CycleBus;
 use crate::slave::{transfer, Stop, TlmSlave};
-use hierbus_ec::{AddressMap, BusError, BusStatus, SlaveId, Transaction, TxnId};
+use hierbus_ec::{AddressMap, BusError, BusStatus, Completed, SlaveId, Transaction};
+use std::collections::VecDeque;
 
 /// The layer-3 bus. See the [module docs](self).
 pub struct Tlm3Bus {
     map: AddressMap,
     slaves: Vec<Box<dyn TlmSlave>>,
-    finish_q: hierbus_ec::FastIdMap<TxnId, Completed>,
+    /// Completed transactions awaiting master pickup, in issue order.
+    finish_q: VecDeque<Completed>,
 }
 
 impl Tlm3Bus {
@@ -47,12 +49,13 @@ impl Tlm3Bus {
         Tlm3Bus {
             map,
             slaves,
-            finish_q: hierbus_ec::FastIdMap::default(),
+            finish_q: VecDeque::new(),
         }
     }
 
-    /// Executes a whole transaction immediately (the bridge's engine).
-    fn execute(&mut self, txn: &Transaction) -> Completed {
+    /// Executes a whole transaction immediately (the bridge's engine):
+    /// it completes, address phase included, in its issue `cycle`.
+    fn execute(&mut self, txn: &Transaction, cycle: u64) -> Completed {
         let mut buf = [0u32; 8];
         let error = match self.map.decode(txn.addr, txn.kind) {
             Err(e) => Some(e),
@@ -77,8 +80,9 @@ impl Tlm3Bus {
             Vec::new()
         };
         Completed {
-            addr_done_cycle: None,
-            done_cycle: 0, // patched by the bridge with the issue cycle
+            id: txn.id,
+            addr_done_cycle: Some(cycle),
+            done_cycle: cycle,
             error,
             data,
         }
@@ -87,22 +91,14 @@ impl Tlm3Bus {
 
 impl CycleBus for Tlm3Bus {
     fn issue(&mut self, txn: Transaction, cycle: u64) -> BusStatus {
-        let mut done = self.execute(&txn);
-        done.addr_done_cycle = Some(cycle);
-        done.done_cycle = cycle;
-        self.finish_q.insert(txn.id, done);
+        let done = self.execute(&txn, cycle);
+        self.finish_q.push_back(done);
         BusStatus::Request
     }
 
-    fn finished(&self) -> usize {
-        self.finish_q.len()
-    }
-
-    fn poll(&mut self, id: TxnId) -> PollStatus {
-        match self.finish_q.remove(&id) {
-            Some(done) => PollStatus::Done(done),
-            None => PollStatus::Pending,
-        }
+    #[inline]
+    fn take_completed(&mut self) -> Option<Completed> {
+        self.finish_q.pop_front()
     }
 
     fn falling_edge(&mut self, _cycle: u64) -> bool {

@@ -69,7 +69,7 @@ pub use hash::{FastIdHasher, FastIdMap};
 pub use limits::{OutstandingLimits, OutstandingTracker, TxnCategory};
 pub use map::AddressMap;
 pub use merge::DataWidth;
-pub use record::{MasterReport, TxnRecord};
+pub use record::{Completed, MasterReport, TxnRecord};
 pub use replay::Replay;
 pub use sequences::{DataProfile, MasterOp, MixParams, Scenario};
 pub use slave::{AccessRights, SlaveConfig, SlaveId, WaitProfile};

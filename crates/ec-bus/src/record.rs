@@ -35,6 +35,24 @@ pub struct TxnRecord {
     pub data: Vec<u32>,
 }
 
+/// What a bus hands its master from the finish queue when a transaction
+/// completes: the paper's `ok`/`error` with the timing and read data the
+/// master stamps into the transaction's [`TxnRecord`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Completed {
+    /// The transaction that completed.
+    pub id: TxnId,
+    /// Cycle the address phase completed.
+    pub addr_done_cycle: Option<u64>,
+    /// Cycle the transaction completed.
+    pub done_cycle: u64,
+    /// Error that terminated it, if any.
+    pub error: Option<BusError>,
+    /// Read results (lane-extracted architectural values), empty for
+    /// writes.
+    pub data: Vec<u32>,
+}
+
 /// One master's slice of a finished multi-master run, in the same shape
 /// at every layer so slices compare across layers directly.
 #[derive(Debug, Clone, PartialEq)]

@@ -2,14 +2,14 @@
 //!
 //! [`Replay`] decides everything a stimulus master decides; the bus side
 //! stays with each model. At every layer, the RTL reference included, a
-//! master polls its bus and reports a completion at the rising edge it
-//! picks it up, passing the cycle it *sees* the completion, so the retry
+//! master takes its completions from the bus's finish queue at a rising
+//! edge and reports each one with the cycle it *sees* it, so the retry
 //! clock is the same at every layer.
 
 use crate::error::BusError;
 use crate::fault::{FaultCounters, FaultKind, FaultPlan, RetryPolicy, TxnOutcome};
 use crate::limits::{OutstandingLimits, OutstandingTracker, TxnCategory};
-use crate::record::{MasterReport, TxnRecord};
+use crate::record::{Completed, MasterReport, TxnRecord};
 use crate::sequences::MasterOp;
 use crate::txn::{AccessKind, Transaction, TxnId};
 use std::sync::Arc;
@@ -52,7 +52,7 @@ struct Retry {
 /// next `begin_cycle`.
 ///
 /// ```
-/// use hierbus_ec::{MasterOp, OutstandingLimits, Replay, TxnOutcome};
+/// use hierbus_ec::{Completed, MasterOp, OutstandingLimits, Replay, TxnOutcome};
 ///
 /// let mut m = Replay::new(vec![MasterOp::read(0x40)], OutstandingLimits::CORE_DEFAULT);
 /// m.begin_cycle(0);
@@ -60,8 +60,15 @@ struct Retry {
 /// let (txn, fault) = m.issue_granted(0);
 /// assert!(fault.is_none());
 /// // The bus finishes it at cycle 2; the master sees that at cycle 3.
-/// assert_eq!(m.in_flight_id(0), Some(txn.id));
-/// m.complete(0, 2, None, 3);
+/// assert!(m.owns(txn.id));
+/// let done = Completed {
+///     id: txn.id,
+///     addr_done_cycle: Some(1),
+///     done_cycle: 2,
+///     error: None,
+///     data: vec![0],
+/// };
+/// m.complete(done, 3);
 /// assert!(m.is_finished());
 /// let report = m.take_report();
 /// assert_eq!(report.outcomes, vec![TxnOutcome::Ok]);
@@ -351,42 +358,48 @@ impl Replay {
             .map(|(i, _)| i)
     }
 
-    /// The id of the `i`-th attempt still in flight, or `None` past the
-    /// end. [`complete`](Self::complete) moves the last in-flight attempt
-    /// into the completed one's position, so a poller that completes
-    /// position `i` polls `i` again.
+    /// True when attempt `id` lies in this master's id window: a driver
+    /// whose masters share one bus routes each completion to its owner.
     #[inline]
-    pub fn in_flight_id(&self, i: usize) -> Option<TxnId> {
-        self.in_flight.get(i).map(|f| f.id)
+    pub fn owns(&self, id: TxnId) -> bool {
+        (self.id_base..self.next_id.0).contains(&id.0)
     }
 
     /// The record of attempt `id`, or `None` when records are disabled.
     #[inline]
-    pub fn record_mut(&mut self, id: TxnId) -> Option<&mut TxnRecord> {
+    fn record_mut(&mut self, id: TxnId) -> Option<&mut TxnRecord> {
         let k = id.0.checked_sub(self.id_base)?;
         self.records.get_mut(usize::try_from(k).ok()?)
     }
 
-    /// The `i`-th attempt in flight (see
-    /// [`in_flight_id`](Self::in_flight_id)) finished on the bus in
-    /// cycle `done_cycle`, with `error` if it failed; the master sees
-    /// the completion in cycle `seen`. Frees its limit slot and stamps
-    /// its record. An abandoned attempt stops there. Otherwise a slave
-    /// error with retry budget left schedules a reissue no earlier than
-    /// `seen` plus the backoff, and anything else settles the op's
-    /// outcome.
+    /// Attempt `done.id` finished on the bus; the master sees the
+    /// completion in cycle `seen`. Frees its limit slot and stamps its
+    /// record: address phase, done cycle, error and read data. An
+    /// abandoned attempt stops there. Otherwise a slave error with retry
+    /// budget left schedules a reissue no earlier than `seen` plus the
+    /// backoff, and anything else settles the op's outcome.
     ///
     /// # Panics
     ///
-    /// Panics if fewer than `i + 1` attempts are in flight.
-    pub fn complete(&mut self, i: usize, done_cycle: u64, error: Option<BusError>, seen: u64) {
+    /// Panics if `done.id` is not in flight.
+    #[inline]
+    pub fn complete(&mut self, done: Completed, seen: u64) {
+        let i = self
+            .in_flight
+            .iter()
+            .position(|f| f.id == done.id)
+            .expect("completion of an attempt in flight");
         let f = self.in_flight.swap_remove(i);
-        let id = f.id;
+        let error = done.error;
         self.completed += 1;
-        self.last_done_cycle = self.last_done_cycle.max(done_cycle);
-        if let Some(r) = self.record_mut(id) {
-            r.done_cycle = Some(done_cycle);
+        self.last_done_cycle = self.last_done_cycle.max(done.done_cycle);
+        if let Some(r) = self.record_mut(f.id) {
+            r.addr_done_cycle = done.addr_done_cycle;
+            r.done_cycle = Some(done.done_cycle);
             r.error = error;
+            if r.kind != AccessKind::DataWrite {
+                r.data = done.data;
+            }
         }
         self.tracker.complete(f.cat);
         if f.abandoned {
@@ -457,14 +470,20 @@ mod tests {
         MasterOp::read(addr)
     }
 
-    /// Completes attempt `id`, wherever it sits in flight.
+    /// Completes attempt `id` with the address phase and read data its
+    /// record holds so far.
     fn complete(m: &mut Replay, id: TxnId, done_cycle: u64, error: Option<BusError>, seen: u64) {
-        let i = m
-            .in_flight
-            .iter()
-            .position(|f| f.id == id)
-            .expect("in flight");
-        m.complete(i, done_cycle, error, seen);
+        let (addr_done_cycle, data) = m
+            .record_mut(id)
+            .map_or((None, Vec::new()), |r| (r.addr_done_cycle, r.data.clone()));
+        let done = Completed {
+            id,
+            addr_done_cycle,
+            done_cycle,
+            error,
+            data,
+        };
+        m.complete(done, seen);
     }
 
     /// One rising edge of a master the arbiter always grants.

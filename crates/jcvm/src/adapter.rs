@@ -11,7 +11,7 @@
 use crate::error::JcvmError;
 use crate::hwstack::regs;
 use crate::stack::OperandStack;
-use hierbus_core::{Completed, CycleBus, PollStatus};
+use hierbus_core::{Completed, CycleBus};
 use hierbus_ec::{Address, BurstLen, DataWidth, Transaction, TxnId, WaitProfile};
 
 /// How the stack's special function registers are organised.
@@ -221,7 +221,8 @@ impl<B: CycleBus, T: FnMut(&mut B)> BusStack<B, T> {
                 (self.tap)(&mut self.bus);
             }
             self.cycle += 1;
-            if let PollStatus::Done(done) = self.bus.poll(id) {
+            if let Some(done) = self.bus.take_completed() {
+                debug_assert_eq!(done.id, id, "the one transaction in flight");
                 return done;
             }
         }

@@ -6,13 +6,14 @@ use crate::power::{GateLevelPowerEstimator, PowerConfig, TransitionPhase};
 use crate::wires::InterfaceWires;
 use hierbus_core::slave::{tick_slaves, ticking_slaves};
 use hierbus_core::{
-    access_class, Completed, CycleBus, HasSlaves, MemSlave, PollStatus, SlaveReply, Slots, TlmSlave,
+    access_class, Completed, CycleBus, HasSlaves, MemSlave, SlaveReply, Slots, TlmSlave,
 };
 use hierbus_ec::{
     Address, AddressMap, BusError, BusStatus, FaultKind, Scenario, SignalClass, SignalFrame,
     SlaveId, Transaction, TxnId,
 };
 use hierbus_obs::{Phase, TraceCollector};
+use std::collections::VecDeque;
 
 /// One transaction on the bus, from issue to completion.
 #[derive(Debug)]
@@ -55,8 +56,9 @@ pub struct RtlBus {
     /// Transactions on the bus; a slot is reused once its transaction
     /// completes, since no channel references it after that.
     active: Slots<ActiveTxn>,
-    /// Completed transactions awaiting master pickup.
-    finished: Vec<(TxnId, Completed)>,
+    /// Completed transactions awaiting master pickup, in completion
+    /// order.
+    finished: VecDeque<Completed>,
     wires: InterfaceWires,
     estimator: GateLevelPowerEstimator,
     glitch: GlitchConfig,
@@ -88,7 +90,7 @@ impl RtlBus {
             read_ch: DataChannel::new(),
             write_ch: DataChannel::new(),
             active: Slots::default(),
-            finished: Vec::new(),
+            finished: VecDeque::new(),
             wires: InterfaceWires::new(),
             estimator: GateLevelPowerEstimator::new(power),
             glitch,
@@ -209,13 +211,13 @@ impl RtlBus {
     /// issue.
     fn complete(&mut self, idx: usize, cycle: u64, error: Option<BusError>) {
         let a = &mut self.active[idx];
-        let done = Completed {
+        self.finished.push_back(Completed {
+            id: a.txn.id,
             addr_done_cycle: a.addr_done_cycle,
             done_cycle: cycle,
             error,
             data: std::mem::take(&mut a.data),
-        };
-        self.finished.push((a.txn.id, done));
+        });
         self.active.release(idx);
     }
 
@@ -262,10 +264,6 @@ impl RtlBus {
 }
 
 impl CycleBus for RtlBus {
-    fn reserve_transactions(&mut self, n: usize) {
-        self.active.reserve(n);
-    }
-
     /// Decodes the transaction, opens its request span and queues its
     /// address phase.
     fn issue(&mut self, txn: Transaction, cycle: u64) -> BusStatus {
@@ -306,15 +304,9 @@ impl CycleBus for RtlBus {
         self.obs.counter_sample(track, cycle, value);
     }
 
-    fn poll(&mut self, id: TxnId) -> PollStatus {
-        match self.finished.iter().position(|(fid, _)| *fid == id) {
-            None => PollStatus::Pending,
-            Some(pos) => PollStatus::Done(self.finished.swap_remove(pos).1),
-        }
-    }
-
-    fn finished(&self) -> usize {
-        self.finished.len()
+    #[inline]
+    fn take_completed(&mut self) -> Option<Completed> {
+        self.finished.pop_front()
     }
 
     /// The bus process: the slaves' time notification, then the three

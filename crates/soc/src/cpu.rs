@@ -13,7 +13,7 @@
 //! * `BREAK` halts the core (the ISS's exit convention).
 
 use crate::isa::{Instr, Reg};
-use hierbus_core::{CycleBus, PollStatus};
+use hierbus_core::CycleBus;
 use hierbus_ec::{Address, BurstLen, DataWidth, Transaction, TxnId};
 use std::fmt;
 
@@ -193,8 +193,9 @@ impl MipsCore {
         self.state = CpuState::MemWait(id, op);
     }
 
-    /// Rising-edge step: polls outstanding transactions and advances the
-    /// execute loop, issuing at most one new transaction.
+    /// Rising-edge step: takes the completion it waits for, if the bus
+    /// has finished it, and advances the execute loop, issuing at most
+    /// one new transaction.
     pub fn rising_edge<B: CycleBus>(&mut self, bus: &mut B, cycle: u64) {
         if self.halted {
             return;
@@ -205,9 +206,9 @@ impl MipsCore {
                 None => self.halt_with(CpuFault::ReservedInstruction(word)),
                 Some(instr) => self.execute(bus, cycle, instr),
             },
-            CpuState::FetchWait(id) => match bus.poll(id) {
-                PollStatus::Pending => {}
-                PollStatus::Done(done) => {
+            CpuState::FetchWait(id) => {
+                if let Some(done) = bus.take_completed() {
+                    debug_assert_eq!(done.id, id, "the fetch is the one transaction in flight");
                     if done.error.is_some() {
                         self.halt_with(CpuFault::BusError);
                         return;
@@ -221,10 +222,10 @@ impl MipsCore {
                         Some(instr) => self.execute(bus, cycle, instr),
                     }
                 }
-            },
-            CpuState::MemWait(id, op) => match bus.poll(id) {
-                PollStatus::Pending => {}
-                PollStatus::Done(done) => {
+            }
+            CpuState::MemWait(id, op) => {
+                if let Some(done) = bus.take_completed() {
+                    debug_assert_eq!(done.id, id, "the access is the one transaction in flight");
                     if done.error.is_some() {
                         self.halt_with(CpuFault::BusError);
                         return;
@@ -244,7 +245,7 @@ impl MipsCore {
                     self.retired += 1;
                     self.issue_fetch(bus, cycle);
                 }
-            },
+            }
         }
     }
 
