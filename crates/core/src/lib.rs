@@ -4,10 +4,11 @@
 //! (in the layering of Haverinen et al. that the paper adopts):
 //!
 //! * [`tlm1::Tlm1Bus`] — **layer 1, transfer layer**: cycle-accurate.
-//!   Non-blocking master interfaces return
-//!   [`BusStatus`](hierbus_ec::BusStatus) each cycle; internally four
-//!   queues (request, read, write, finish) connect the interface calls to
-//!   a bus process that runs at the falling clock edge in four phases —
+//!   The master interface is non-blocking: [`CycleBus::issue`] is the
+//!   request, and [`CycleBus::take_completed`] answers wait (`None`), ok
+//!   or error each cycle; internally four queues (request, read, write,
+//!   finish) connect the interface calls to a bus process that runs at
+//!   the falling clock edge in four phases —
 //!   get-slave-state, address phase (an FSM), read phase, write phase.
 //!   Each cycle it can reconstruct the full signal-level
 //!   [`SignalFrame`](hierbus_ec::SignalFrame), which is what makes the

@@ -3,18 +3,20 @@
 
 use hierbus_ec::record::{MasterReport, TxnRecord};
 use hierbus_ec::{
-    Arbiter, ArbiterStats, ArbitrationPolicy, BusStatus, Completed, FaultCounters, FaultKind,
-    FaultPlan, MasterOp, MultiScenario, OutstandingLimits, Replay, RetryPolicy, Transaction, TxnId,
-    TxnOutcome, DMA_ID_BASE,
+    Arbiter, ArbiterStats, ArbitrationPolicy, Completed, FaultCounters, FaultKind, FaultPlan,
+    MasterOp, MultiScenario, OutstandingLimits, Replay, RetryPolicy, Transaction, TxnOutcome,
+    DMA_ID_BASE,
 };
-use hierbus_sim::CycleSchedule;
 
 /// The cycle-driven interface every bus layer exposes to a master: the
 /// TLM buses and the RTL reference (`hierbus_rtl::RtlBus`) alike.
 ///
 /// At the rising clock edge the master takes finished transactions from
 /// the bus's finish queue ([`take_completed`](CycleBus::take_completed))
-/// and may [`issue`](CycleBus::issue) a new one; the driver calls
+/// and may [`issue`](CycleBus::issue) a new one. These two calls carry
+/// the paper's four interface states (§3.1): `issue` is the request,
+/// `take_completed` answers `None` while it waits and a [`Completed`],
+/// with or without an error, once it is ok or failed. The driver calls
 /// [`falling_edge`](CycleBus::falling_edge) after it — the paper's
 /// clocking discipline. Three drivers step a bus: [`TlmSystem`] (the
 /// stimulus masters), the ISS's `CpuSystem` and the JCVM master
@@ -22,9 +24,12 @@ use hierbus_sim::CycleSchedule;
 /// and the adapter step every cycle; [`TlmSystem`] steps only the cycles
 /// some [`next_wake`](CycleBus::next_wake) names.
 pub trait CycleBus {
-    /// Presents a new transaction. Returns
-    /// [`BusStatus::Request`](hierbus_ec::BusStatus) when accepted.
-    fn issue(&mut self, txn: Transaction, cycle: u64) -> BusStatus;
+    /// Presents a new transaction, which the bus always accepts, with
+    /// the fault the master's plan injects into it, if any: a
+    /// [`FaultKind::SlaveError`] fails it without committing data, a
+    /// [`FaultKind::Stall`] delays its first data beat (a no-op at the
+    /// untimed layer 3).
+    fn issue(&mut self, txn: Transaction, fault: Option<FaultKind>, cycle: u64);
 
     /// Removes and returns the head of the finish queue, the earliest
     /// finished transaction (the paper's `ok`/`error`), or `None` while
@@ -55,14 +60,6 @@ pub trait CycleBus {
     /// so the bus may skip collecting per-beat read results. Purely an
     /// optimisation hint; buses may ignore it.
     fn discard_read_data(&mut self) {}
-
-    /// Attaches an injected fault to the transaction just issued as
-    /// `id`. Called by the master immediately after a successful
-    /// [`issue`](CycleBus::issue); buses without fault support ignore
-    /// it.
-    fn inject(&mut self, id: TxnId, fault: FaultKind) {
-        let _ = (id, fault);
-    }
 
     /// Records an observability counter sample on the bus's trace
     /// collector, if it has one. Used by the harness to mirror the
@@ -150,7 +147,7 @@ impl TlmReport {
 /// ([`Replay::begin_cycle`], the timeout) and drives its request line
 /// ([`Replay::arbitration_request`]); with several masters an
 /// [`Arbiter`] grants at most one, which places its attempt on the bus
-/// and injects its planned fault. Every bus consumes issues through
+/// with its planned fault. Every bus consumes issues through
 /// FIFO queues, so the grant order fully determines bus behaviour and a
 /// layer-1 run is cycle-exact against the RTL reference whenever their
 /// grant logs agree. A lone master is granted whenever it requests, so
@@ -169,7 +166,8 @@ pub struct TlmSystem<B> {
     cycle: u64,
     bus_activations: u64,
     cycles_stepped: u64,
-    tear: CycleSchedule<()>,
+    /// The earliest tear cycle over every master's fault plan.
+    tear: Option<u64>,
     /// The cycle the card was torn at, once it has been.
     torn_at: Option<u64>,
     sampled: FaultCounters,
@@ -189,7 +187,7 @@ impl<B: CycleBus> TlmSystem<B> {
             cycle: 0,
             bus_activations: 0,
             cycles_stepped: 0,
-            tear: CycleSchedule::new(),
+            tear: None,
             torn_at: None,
             sampled: FaultCounters::default(),
             faults_configured: false,
@@ -237,7 +235,7 @@ impl<B: CycleBus> TlmSystem<B> {
     pub fn set_master_faults(&mut self, idx: usize, plan: FaultPlan, policy: RetryPolicy) {
         assert_eq!(self.cycle, 0, "faults must be configured before running");
         if let Some(tc) = plan.tear_cycle {
-            self.tear.at(tc, ());
+            self.tear = Some(self.tear.map_or(tc, |t| t.min(tc)));
         }
         self.masters[idx].set_faults(plan, policy);
         self.faults_configured = true;
@@ -408,8 +406,7 @@ impl<B: CycleBus> TlmSystem<B> {
         if self.is_finished() {
             return false;
         }
-        if self.tear.next_cycle().is_some_and(|t| t <= self.cycle) {
-            self.tear.pop_due(self.cycle);
+        if self.tear.is_some_and(|t| t <= self.cycle) {
             self.torn_at = Some(self.cycle);
             return false;
         }
@@ -433,7 +430,7 @@ impl<B: CycleBus> TlmSystem<B> {
             }
             wake = wake.min(m.next_wake(last));
         }
-        wake = wake.min(self.tear.next_cycle().unwrap_or(u64::MAX));
+        wake = wake.min(self.tear.unwrap_or(u64::MAX));
         if wake > next {
             for m in &mut self.masters {
                 m.skip(next, wake);
@@ -463,16 +460,11 @@ impl<B: CycleBus> TlmSystem<B> {
 }
 
 /// Places the attempt `master` raised its request line for on `bus` —
-/// the granted master's drive of the address channel — and injects its
-/// planned fault.
+/// the granted master's drive of the address channel — with its planned
+/// fault.
 fn issue<B: CycleBus>(bus: &mut B, master: &mut Replay, cycle: u64) {
     let (txn, fault) = master.issue_granted(cycle);
-    let id = txn.id;
-    let status = bus.issue(txn, cycle);
-    debug_assert_eq!(status, BusStatus::Request, "bus rejected a legal issue");
-    if let Some(kind) = fault {
-        bus.inject(id, kind);
-    }
+    bus.issue(txn, fault, cycle);
 }
 
 #[cfg(test)]
@@ -482,7 +474,7 @@ mod tests {
     use crate::tlm2::Tlm2Bus;
     use hierbus_ec::sequences::{self, Scenario};
     use hierbus_ec::{
-        AccessRights, Address, AddressRange, BusError, OpFault, SlaveConfig, WaitProfile,
+        AccessRights, Address, AddressRange, BusError, OpFault, SlaveConfig, TxnId, WaitProfile,
     };
 
     /// A bus that completes everything `LAT` cycles after issue, one
@@ -500,18 +492,15 @@ mod tests {
     }
 
     impl<const LAT: u64> CycleBus for FixedLatencyBus<LAT> {
-        fn issue(&mut self, txn: Transaction, cycle: u64) -> BusStatus {
-            let done = cycle + LAT + u64::from(txn.beats()) - 1;
-            self.pending.push((txn.id, done, None));
-            BusStatus::Request
-        }
-        fn inject(&mut self, id: TxnId, fault: FaultKind) {
-            let entry = self.pending.last_mut().expect("inject follows issue");
-            assert_eq!(entry.0, id);
+        fn issue(&mut self, txn: Transaction, fault: Option<FaultKind>, cycle: u64) {
+            let mut done = cycle + LAT + u64::from(txn.beats()) - 1;
+            let mut error = None;
             match fault {
-                FaultKind::SlaveError => entry.2 = Some(BusError::SlaveError(Address::new(0))),
-                FaultKind::Stall(n) => entry.1 += u64::from(n),
+                Some(FaultKind::SlaveError) => error = Some(BusError::SlaveError(Address::new(0))),
+                Some(FaultKind::Stall(n)) => done += u64::from(n),
+                None => {}
             }
+            self.pending.push((txn.id, done, error));
         }
         fn take_completed(&mut self) -> Option<Completed> {
             let due = |&(_, done, _): &(TxnId, u64, Option<BusError>)| self.cycle > done;

@@ -1,8 +1,10 @@
 //! The transaction-level **layer-1** (transfer layer) bus model.
 //!
 //! Cycle-accurate, as in §3.1 of the paper: the master interfaces are
-//! non-blocking and return a [`BusStatus`]; internally four queues carry
-//! requests between the interface calls and the bus process —
+//! non-blocking — [`issue`](CycleBus::issue) requests, and
+//! [`take_completed`](CycleBus::take_completed) answers wait, ok or error
+//! each cycle; internally four queues carry requests between the
+//! interface calls and the bus process —
 //!
 //! * the **request queue** holds accepted requests awaiting their address
 //!   phase,
@@ -27,9 +29,7 @@ use crate::master::CycleBus;
 use crate::obs_util::access_class;
 use crate::slave::{tick_slaves, ticking_slaves, SlaveReply, TlmSlave};
 use crate::slots::Slots;
-use hierbus_ec::{
-    AddressMap, BusError, BusStatus, Completed, FaultKind, SignalFrame, SlaveId, Transaction, TxnId,
-};
+use hierbus_ec::{AddressMap, BusError, Completed, FaultKind, SignalFrame, SlaveId, Transaction};
 use hierbus_obs::{Phase, TraceCollector};
 use std::collections::VecDeque;
 
@@ -168,7 +168,7 @@ impl Tlm1Bus {
 
     /// Extra first-beat wait states injected into the transaction at
     /// `idx`, if a stall fault is attached.
-    fn injected_stall(&self, idx: usize) -> u32 {
+    fn stall_waits(&self, idx: usize) -> u32 {
         match self.active[idx].fault {
             Some(FaultKind::Stall(n)) => n,
             _ => 0,
@@ -178,7 +178,7 @@ impl Tlm1Bus {
     /// True when a slave-error fault is attached to the transaction at
     /// `idx`. The error fires on the first data beat, before the slave
     /// is consulted — no data is ever committed.
-    fn injected_error(&self, idx: usize) -> bool {
+    fn fails_by_fault(&self, idx: usize) -> bool {
         matches!(self.active[idx].fault, Some(FaultKind::SlaveError))
     }
 
@@ -272,7 +272,7 @@ impl Tlm1Bus {
         if self.read_beat.is_none() {
             if let Some(idx) = self.read_q.pop_front() {
                 let slave = self.active[idx].slave.expect("decoded");
-                let waits = self.map.config(slave).waits.read + self.injected_stall(idx);
+                let waits = self.map.config(slave).waits.read + self.stall_waits(idx);
                 let t = &self.active[idx].txn;
                 self.obs.begin(
                     t.id.0,
@@ -306,7 +306,7 @@ impl Tlm1Bus {
                 a.txn.width,
             )
         };
-        let reply = if beat_no == 0 && self.injected_error(idx) {
+        let reply = if beat_no == 0 && self.fails_by_fault(idx) {
             SlaveReply::Error
         } else {
             self.slaves[slave.0].read_word(addr)
@@ -357,7 +357,7 @@ impl Tlm1Bus {
         if self.write_beat.is_none() {
             if let Some(idx) = self.write_q.pop_front() {
                 let slave = self.active[idx].slave.expect("decoded");
-                let waits = self.map.config(slave).waits.write + self.injected_stall(idx);
+                let waits = self.map.config(slave).waits.write + self.stall_waits(idx);
                 let t = &self.active[idx].txn;
                 self.obs.begin(
                     t.id.0,
@@ -396,7 +396,7 @@ impl Tlm1Bus {
         // Non-enabled lanes of the write bus hold the previous bus value
         // (keeper behaviour), matching the RTL reference's wires.
         let bus_word = width.insert(addr, self.frame.w_data, value);
-        let reply = if beat_no == 0 && self.injected_error(idx) {
+        let reply = if beat_no == 0 && self.fails_by_fault(idx) {
             SlaveReply::Error
         } else {
             self.slaves[slave.0].write_word(addr, bus_word, ben)
@@ -452,7 +452,7 @@ impl Tlm1Bus {
 }
 
 impl CycleBus for Tlm1Bus {
-    fn issue(&mut self, txn: Transaction, cycle: u64) -> BusStatus {
+    fn issue(&mut self, txn: Transaction, fault: Option<FaultKind>, cycle: u64) {
         self.obs.begin(
             txn.id.0,
             Phase::Request,
@@ -472,24 +472,10 @@ impl CycleBus for Tlm1Bus {
             done: None,
             error: None,
             read_data: Vec::with_capacity(read_beats),
-            fault: None,
+            fault,
         };
         let idx = self.active.insert(entry);
         self.request_q.push_back(idx);
-        BusStatus::Request
-    }
-
-    fn inject(&mut self, id: TxnId, fault: FaultKind) {
-        // The master injects right after `CycleBus::issue`, before the
-        // next bus-process activation, so the target is the tail of the
-        // request queue.
-        let idx = *self
-            .request_q
-            .back()
-            .expect("inject without a queued transaction");
-        let a = &mut self.active[idx];
-        assert_eq!(a.txn.id, id, "inject targets the transaction just queued");
-        a.fault = Some(fault);
     }
 
     fn obs_counter(&mut self, track: &'static str, cycle: u64, value: f64) {

@@ -61,8 +61,8 @@ use crate::obs_util::access_class;
 use crate::slave::{tick_slaves, ticking_slaves, transfer, Stop, TlmSlave};
 use crate::slots::Slots;
 use hierbus_ec::{
-    AccessKind, Address, AddressMap, BusError, BusStatus, Completed, DataWidth, FaultKind, SlaveId,
-    Transaction, TxnId, WaitProfile,
+    AccessKind, Address, AddressMap, BusError, Completed, DataWidth, FaultKind, SlaveId,
+    Transaction, WaitProfile,
 };
 use hierbus_obs::{Phase, TraceCollector};
 use std::collections::VecDeque;
@@ -504,7 +504,7 @@ impl CycleBus for Tlm2Bus {
     /// Creates the transaction and fixes its address phase: it starts
     /// once the address channel is free and lasts the slave's address
     /// wait states plus one cycle (one cycle for a decode error).
-    fn issue(&mut self, txn: Transaction, cycle: u64) -> BusStatus {
+    fn issue(&mut self, txn: Transaction, fault: Option<FaultKind>, cycle: u64) {
         // Read the slave state once, at transaction creation.
         let (slave, waits) = match self.map.decode(txn.addr, txn.kind) {
             Ok(id) => (Some(id), self.map.config(id).waits),
@@ -531,24 +531,9 @@ impl CycleBus for Tlm2Bus {
             done: None,
             error: None,
             read_data: Vec::new(),
-            fault: None,
+            fault,
         });
         self.addr.queue.push_back(idx);
-        BusStatus::Request
-    }
-
-    fn inject(&mut self, id: TxnId, fault: FaultKind) {
-        // The master injects right after `CycleBus::issue`, before the
-        // next bus-process activation, so the target is the tail of the
-        // address queue.
-        let idx = *self
-            .addr
-            .queue
-            .back()
-            .expect("inject without a queued transaction");
-        let a = &mut self.active[idx];
-        assert_eq!(a.txn.id, id, "inject targets the transaction just queued");
-        a.fault = Some(fault);
     }
 
     fn obs_counter(&mut self, track: &'static str, cycle: u64, value: f64) {

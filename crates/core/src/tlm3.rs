@@ -18,11 +18,17 @@
 //!   [`SlaveReply::Wait`](crate::SlaveReply::Wait) is called again at
 //!   once. No tick runs in between, so a slave whose `Wait` only time
 //!   can end (the crypto coprocessor while a block is in flight, a full
-//!   UART FIFO) cannot run at layer 3.
+//!   UART FIFO) cannot run at layer 3;
+//! * an injected fault keeps its meaning where it has one: a decode
+//!   error still wins, otherwise a [`FaultKind::SlaveError`] fails the
+//!   transaction at issue with a slave error on its address before the
+//!   slave is called, so nothing commits (as at layer 1). A
+//!   [`FaultKind::Stall`] only adds time, which an untimed layer does
+//!   not have, so it changes nothing.
 
 use crate::master::CycleBus;
 use crate::slave::{transfer, Stop, TlmSlave};
-use hierbus_ec::{AddressMap, BusError, BusStatus, Completed, SlaveId, Transaction};
+use hierbus_ec::{AddressMap, BusError, Completed, FaultKind, SlaveId, Transaction};
 use std::collections::VecDeque;
 
 /// The layer-3 bus. See the [module docs](self).
@@ -54,11 +60,15 @@ impl Tlm3Bus {
     }
 
     /// Executes a whole transaction immediately (the bridge's engine):
-    /// it completes, address phase included, in its issue `cycle`.
-    fn execute(&mut self, txn: &Transaction, cycle: u64) -> Completed {
+    /// it completes, address phase included, in its issue `cycle`. An
+    /// injected slave error fails it without calling the slave.
+    fn execute(&mut self, txn: &Transaction, fault: Option<FaultKind>, cycle: u64) -> Completed {
         let mut buf = [0u32; 8];
         let error = match self.map.decode(txn.addr, txn.kind) {
             Err(e) => Some(e),
+            Ok(_) if matches!(fault, Some(FaultKind::SlaveError)) => {
+                Some(BusError::SlaveError(txn.addr))
+            }
             Ok(slave) => {
                 let slave = self.slaves[slave.0].as_mut();
                 let mut from = 0;
@@ -90,10 +100,9 @@ impl Tlm3Bus {
 }
 
 impl CycleBus for Tlm3Bus {
-    fn issue(&mut self, txn: Transaction, cycle: u64) -> BusStatus {
-        let done = self.execute(&txn, cycle);
+    fn issue(&mut self, txn: Transaction, fault: Option<FaultKind>, cycle: u64) {
+        let done = self.execute(&txn, fault, cycle);
         self.finish_q.push_back(done);
-        BusStatus::Request
     }
 
     #[inline]
@@ -208,6 +217,43 @@ mod tests {
         let report = TlmSystem::new(bus, ops).run(100, |_| {});
         assert!(report.records[0].error.is_none());
         assert_eq!(report.records[1].data, vec![0xAAAA_EEAA]);
+    }
+
+    /// An injected error reply fails a write at issue without calling
+    /// the slave, so no word commits; an injected stall takes no time
+    /// at an untimed layer, so the run is the clean one.
+    #[test]
+    fn faults_keep_their_meaning_untimed() {
+        use crate::slave::HasSlaves;
+        use hierbus_ec::{FaultPlan, OpFault, RetryPolicy, TxnOutcome};
+        let run = |fault: Option<FaultKind>| {
+            let ops = vec![
+                MasterOp::write(0x100, 0xDEAD_BEEF),
+                MasterOp::read(0x100).after_idle(1),
+            ];
+            let plan = fault.map_or(FaultPlan::new(), |kind| {
+                FaultPlan::new().with_fault(0, OpFault::always(kind))
+            });
+            let mut sys = TlmSystem::new(bus(), ops).with_faults(plan, RetryPolicy::NONE);
+            let report = sys.run(1_000, |_| {});
+            let mem = sys.bus().slave_as::<MemSlave>(SlaveId(0)).unwrap();
+            (report, mem.snapshot())
+        };
+        let (clean, clean_mem) = run(None);
+        assert_eq!(clean_mem, vec![(0x100 / 4, 0xDEAD_BEEF)]);
+
+        let (failed, failed_mem) = run(Some(FaultKind::SlaveError));
+        let error = BusError::SlaveError(Address::new(0x100));
+        assert_eq!(failed.records[0].error, Some(error));
+        assert_eq!(failed.outcomes[0], TxnOutcome::Error(error));
+        assert_eq!(failed.fault.injected, 1);
+        assert!(failed_mem.is_empty(), "a failed write committed");
+
+        let (stalled, stalled_mem) = run(Some(FaultKind::Stall(7)));
+        assert_eq!(stalled.records, clean.records);
+        assert_eq!(stalled.outcomes, clean.outcomes);
+        assert_eq!(stalled.cycles, clean.cycles);
+        assert_eq!(stalled_mem, clean_mem);
     }
 
     #[test]

@@ -19,9 +19,9 @@
 //! single threshold compare ([`master_of_trace`]).
 
 use crate::arbiter::ArbitrationPolicy;
+use crate::prng::SplitMix64;
 use crate::sequences::{MasterOp, Scenario};
 use crate::txn::BurstLen;
-use hierbus_sim::SplitMix64;
 use std::sync::Arc;
 
 /// First transaction id of the DMA master. CPU ids count from 0; no

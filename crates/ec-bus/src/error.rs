@@ -8,9 +8,10 @@ use std::fmt;
 
 /// The ways a bus transaction can terminate with an error.
 ///
-/// Both data buses carry their own error indication; all models map these
-/// conditions onto [`BusStatus::Error`](crate::BusStatus::Error) and
-/// record the cause for diagnosis.
+/// Both data buses carry their own error indication; every model reports
+/// these conditions in the [`Completed`](crate::Completed) a master takes
+/// from the bus's finish queue — the paper's `error` state — and so
+/// records the cause for diagnosis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BusError {
     /// No slave decodes the address.

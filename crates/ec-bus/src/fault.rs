@@ -20,11 +20,11 @@
 //! * [`FaultCounters`] — the `fault.injected` / `fault.retried` /
 //!   `fault.aborted` observability counters.
 //!
-//! Plans are plain data; buses receive resolved [`FaultKind`]s through
-//! `CycleBus::inject` at issue time and never see the plan itself.
+//! Plans are plain data; buses receive resolved [`FaultKind`]s with the
+//! transaction, in `CycleBus::issue`, and never see the plan itself.
 
 use crate::error::BusError;
-use hierbus_sim::SplitMix64;
+use crate::prng::SplitMix64;
 use std::collections::BTreeMap;
 use std::fmt;
 
@@ -110,8 +110,8 @@ impl Default for FaultParams {
 /// A deterministic, replayable schedule of fault events.
 ///
 /// Keys are stimulus positions (op indices); the same plan handed to the
-/// RTL reference, the layer-1 bus and the layer-2 bus injects the same
-/// faults into the same transactions.
+/// RTL reference and the layer-1, layer-2 and layer-3 buses injects the
+/// same faults into the same transactions.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     faults: BTreeMap<usize, OpFault>,

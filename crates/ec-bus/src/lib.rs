@@ -18,8 +18,6 @@
 //!
 //! * [`Address`], [`AddressRange`] — 36-bit addressing.
 //! * [`DataWidth`], [`merge`] — access sizes and byte-lane merge patterns.
-//! * [`BusStatus`] — the four interface return states
-//!   (`Request`/`Wait`/`Ok`/`Error`) of the non-blocking master interface.
 //! * [`Transaction`], [`AccessKind`], [`BurstLen`] — transaction
 //!   descriptors.
 //! * [`OutstandingLimits`], [`OutstandingTracker`] — per-category
@@ -39,6 +37,8 @@
 //! * [`arbiter`], [`dma`] — the multi-master extension: the shared
 //!   request/grant arbitration kernel (fixed-priority and round-robin)
 //!   and the DMA engine's seeded descriptor programs.
+//! * [`prng`] — [`SplitMix64`], the seeded generator behind every random
+//!   stimulus.
 
 pub mod addr;
 pub mod arbiter;
@@ -50,11 +50,11 @@ pub mod hash;
 pub mod limits;
 pub mod map;
 pub mod merge;
+pub mod prng;
 pub mod record;
 pub mod replay;
 pub mod sequences;
 pub mod slave;
-pub mod status;
 pub mod txn;
 
 pub use addr::{Address, AddressRange};
@@ -69,11 +69,11 @@ pub use hash::{FastIdHasher, FastIdMap};
 pub use limits::{OutstandingLimits, OutstandingTracker, TxnCategory};
 pub use map::AddressMap;
 pub use merge::DataWidth;
+pub use prng::SplitMix64;
 pub use record::{Completed, MasterReport, TxnRecord};
 pub use replay::Replay;
 pub use sequences::{DataProfile, MasterOp, MixParams, Scenario};
 pub use slave::{AccessRights, SlaveConfig, SlaveId, WaitProfile};
-pub use status::BusStatus;
 pub use txn::{AccessKind, BurstLen, Transaction, TxnId};
 
 /// Width of the address bus in bits.

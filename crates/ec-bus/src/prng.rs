@@ -13,7 +13,7 @@
 /// A seeded SplitMix64 generator.
 ///
 /// ```
-/// use hierbus_sim::prng::SplitMix64;
+/// use hierbus_ec::SplitMix64;
 /// let mut a = SplitMix64::new(7);
 /// let mut b = SplitMix64::new(7);
 /// assert_eq!(a.next_u64(), b.next_u64());

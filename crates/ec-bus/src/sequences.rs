@@ -12,9 +12,9 @@
 
 use crate::addr::Address;
 use crate::merge::DataWidth;
+use crate::prng::SplitMix64;
 use crate::slave::WaitProfile;
 use crate::txn::{AccessKind, BurstLen};
-use hierbus_sim::SplitMix64;
 use std::fmt;
 
 /// One master-side stimulus: wait `idle_before` cycles after the previous

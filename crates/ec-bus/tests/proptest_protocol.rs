@@ -6,8 +6,8 @@
 //! every failure reproduces from its printed case index.
 
 use hierbus_ec::record::TxnRecord;
+use hierbus_ec::SplitMix64;
 use hierbus_ec::*;
-use hierbus_sim::SplitMix64;
 
 const CASES: u64 = 256;
 

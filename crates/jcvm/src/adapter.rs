@@ -215,7 +215,7 @@ impl<B: CycleBus, T: FnMut(&mut B)> BusStack<B, T> {
     fn do_txn(&mut self, txn: Transaction) -> Completed {
         let id = txn.id;
         self.txns += 1;
-        self.bus.issue(txn, self.cycle);
+        self.bus.issue(txn, None, self.cycle);
         loop {
             if self.bus.falling_edge(self.cycle) {
                 (self.tap)(&mut self.bus);

@@ -9,8 +9,8 @@ use hierbus_core::{
     access_class, Completed, CycleBus, HasSlaves, MemSlave, SlaveReply, Slots, TlmSlave,
 };
 use hierbus_ec::{
-    Address, AddressMap, BusError, BusStatus, FaultKind, Scenario, SignalClass, SignalFrame,
-    SlaveId, Transaction, TxnId,
+    Address, AddressMap, BusError, FaultKind, Scenario, SignalClass, SignalFrame, SlaveId,
+    Transaction,
 };
 use hierbus_obs::{Phase, TraceCollector};
 use std::collections::VecDeque;
@@ -265,8 +265,8 @@ impl RtlBus {
 
 impl CycleBus for RtlBus {
     /// Decodes the transaction, opens its request span and queues its
-    /// address phase.
-    fn issue(&mut self, txn: Transaction, cycle: u64) -> BusStatus {
+    /// address phase, carrying its injected fault.
+    fn issue(&mut self, txn: Transaction, fault: Option<FaultKind>, cycle: u64) {
         let (slave, addr_waits, error) = match self.map.decode(txn.addr, txn.kind) {
             Ok(id) => (Some(id), self.map.config(id).waits.address, None),
             Err(e) => (None, 0, Some(e)),
@@ -281,23 +281,13 @@ impl CycleBus for RtlBus {
         let idx = self.active.insert(ActiveTxn {
             txn,
             slave,
-            fault: None,
+            fault,
             addr_started: false,
             data_started: false,
             addr_done_cycle: None,
             data: Vec::new(),
         });
         self.addr_ch.push(idx, addr_waits, error);
-        BusStatus::Request
-    }
-
-    /// Sets the fault of the attempt just issued: its address phase is
-    /// still queued, so it is the last transaction on the address
-    /// channel.
-    fn inject(&mut self, id: TxnId, fault: FaultKind) {
-        let idx = self.addr_ch.last_queued().expect("inject follows issue");
-        debug_assert_eq!(self.active[idx].txn.id, id);
-        self.active[idx].fault = Some(fault);
     }
 
     fn obs_counter(&mut self, track: &'static str, cycle: u64, value: f64) {

@@ -56,11 +56,6 @@ impl AddressChannel {
         self.meta.push_back((addr_waits, error));
     }
 
-    /// The transaction pushed last, if its phase has not started yet.
-    pub(crate) fn last_queued(&self) -> Option<ActiveIdx> {
-        self.queue.back().copied()
-    }
-
     /// Advances one cycle.
     pub fn step(&mut self) -> AddrCycle {
         if self.current.is_none() {

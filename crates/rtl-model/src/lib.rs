@@ -73,6 +73,7 @@ pub mod bus;
 mod channels;
 pub mod glitch;
 pub mod power;
+pub mod signal;
 pub mod wires;
 
 pub use bus::RtlBus;

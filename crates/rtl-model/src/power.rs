@@ -16,9 +16,9 @@
 //! — "we abstracted all different transitions and use the average energy
 //! per transition for each signal" (§3.3).
 
+use crate::signal::VectorUpdate;
 use hierbus_ec::SignalClass;
-use hierbus_sim::signal::VectorUpdate;
-use hierbus_sim::SplitMix64;
+use hierbus_ec::SplitMix64;
 
 /// Whether a wire-group update happened at the final settle of a cycle or
 /// during combinational hazard activity.

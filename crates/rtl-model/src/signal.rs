@@ -12,6 +12,24 @@
 //! and then overwritten within the same cycle register as extra (glitch)
 //! transitions, exactly the activity a gate-level tool sees and a
 //! cycle-boundary TLM model cannot.
+//!
+//! # Example
+//!
+//! A combinational glitch: a bus settles through an intermediate value
+//! within one cycle, and both updates count as transitions.
+//!
+//! ```
+//! use hierbus_rtl::signal::Vector;
+//!
+//! let mut data = Vector::new(8);
+//! data.set(0x0F);
+//! assert_eq!(data.value(), 0x00); // a write is not visible until update
+//! let first = data.update();
+//! data.set(0xF0);
+//! let second = data.update();
+//! assert_eq!(data.value(), 0xF0);
+//! assert_eq!(first.toggles() + second.toggles(), 4 + 8);
+//! ```
 
 /// The per-bit outcome of one [`Vector::update`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -38,7 +56,7 @@ impl VectorUpdate {
 /// the bits it toggled.
 ///
 /// ```
-/// use hierbus_sim::Vector;
+/// use hierbus_rtl::signal::Vector;
 /// let mut addr = Vector::new(36);
 /// addr.set(0xF000_0000);
 /// let upd = addr.update();

@@ -1,7 +1,7 @@
 //! The explicit wire bundle of the bus interface.
 
+use crate::signal::Vector;
 use hierbus_ec::{SignalClass, SignalFrame};
-use hierbus_sim::Vector;
 
 /// Every wire of the interface, grouped as in
 /// [`SignalClass`]. Control bits are packed into small
@@ -132,8 +132,8 @@ impl Default for InterfaceWires {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::signal::VectorUpdate;
     use hierbus_ec::{AccessKind, BurstLen, DataWidth};
-    use hierbus_sim::signal::VectorUpdate;
 
     /// Applies all scheduled values, returning per-group transition
     /// masks indexed by [`SignalClass::index`].

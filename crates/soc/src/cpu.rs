@@ -160,6 +160,7 @@ impl MipsCore {
             self.next_id = id.next();
             bus.issue(
                 Transaction::fetch(id, crate::cache::ICache::line_base(self.pc), BurstLen::B4),
+                None,
                 cycle,
             );
             self.state = CpuState::FetchWait(id);
@@ -169,6 +170,7 @@ impl MipsCore {
         self.next_id = id.next();
         bus.issue(
             Transaction::fetch(id, Address::new(self.pc as u64), BurstLen::Single),
+            None,
             cycle,
         );
         self.state = CpuState::FetchWait(id);
@@ -189,7 +191,7 @@ impl MipsCore {
             Some(value) => Transaction::single_write(id, Address::new(addr as u64), width, value),
             None => Transaction::single_read(id, Address::new(addr as u64), width),
         };
-        bus.issue(txn, cycle);
+        bus.issue(txn, None, cycle);
         self.state = CpuState::MemWait(id, op);
     }
 

@@ -391,7 +391,7 @@ impl Instr {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hierbus_sim::SplitMix64;
+    use hierbus_ec::SplitMix64;
 
     #[test]
     fn nop_is_all_zero() {

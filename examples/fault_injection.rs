@@ -54,8 +54,16 @@ fn main() {
     let gate = run(gate_level, &plan);
     let l1 = run(Layer::L1, &plan);
     let l2 = run(Layer::L2 { correlation: false }, &plan);
+    // Layer 3 is untimed: the error reply still fails its attempt, the
+    // stall takes no time, and it has no energy model.
+    let l3 = run(Layer::L3, &plan);
 
-    for (name, run) in [("gate", &gate), ("layer1", &l1), ("layer2", &l2)] {
+    for (name, run) in [
+        ("gate", &gate),
+        ("layer1", &l1),
+        ("layer2", &l2),
+        ("layer3", &l3),
+    ] {
         println!(
             "{name:>6}: {:>3} cycles  {:>7.1} pJ  outcomes {:?}  retried {}",
             run.cycles,
@@ -70,8 +78,10 @@ fn main() {
     // The differential contract: identical outcomes and memory.
     assert_eq!(gate.outcomes, l1.outcomes);
     assert_eq!(l1.outcomes, l2.outcomes);
+    assert_eq!(l1.outcomes, l3.outcomes);
     assert_eq!(gate.memory, l1.memory);
     assert_eq!(l1.memory, l2.memory);
+    assert_eq!(l1.memory, l3.memory);
     assert_eq!(gate.cycles, l1.cycles, "layer 1 is cycle-exact");
 
     // Card tear: stop the clock mid-run. Unfinished ops abort, and all

@@ -1,7 +1,8 @@
 //! A miniature smart-card boot flow on the full platform: copy a data
 //! table from ROM to RAM, checksum it, configure a timer, and transmit
 //! the checksum over the UART — all as real MIPS code fetching over the
-//! bus, with a layer-1 energy estimate and a VCD waveform of interest.
+//! bus, with a layer-1 energy estimate and a Perfetto trace of every bus
+//! transaction.
 //!
 //! ```sh
 //! cargo run --example smartcard_boot
@@ -10,8 +11,6 @@
 use hierbus::core::Tlm1Bus;
 use hierbus::ec::Address;
 use hierbus::power::{CharacterizationDb, Layer1EnergyModel};
-use hierbus::sim::trace::TraceRecorder;
-use hierbus::sim::SimTime;
 use hierbus::soc::{CpuSystem, Platform, PlatformMap, Program, Reg};
 
 /// Table of words the boot code copies and checksums.
@@ -90,17 +89,8 @@ fn main() {
     let mut model = Layer1EnergyModel::new(CharacterizationDb::uniform());
     model.enable_trace();
 
-    // Record the address bus into a VCD while running.
-    let mut vcd = TraceRecorder::new("1ns");
-    let ch_addr = vcd.add_channel("a_addr", 36);
-    let ch_rdata = vcd.add_channel("r_data", 32);
-    let mut cycle = 0u64;
     let report = sys.run_until_halt(1_000_000, |bus: &mut Tlm1Bus| {
-        let f = bus.last_frame();
-        vcd.sample(SimTime::from_ticks(cycle), ch_addr, f.a_addr);
-        vcd.sample(SimTime::from_ticks(cycle), ch_rdata, f.r_data as u64);
-        model.on_frame(f);
-        cycle += 1;
+        model.on_frame(bus.last_frame());
     });
 
     assert!(
@@ -119,17 +109,6 @@ fn main() {
     );
     println!("  checksum 0x{expected:08x} verified");
     println!("  bus energy estimate: {:.0} pJ", model.total_energy());
-
-    let vcd_text = vcd.to_vcd();
-    println!(
-        "  VCD waveform: {} change points ({} bytes; pass --write-vcd to save boot.vcd)",
-        vcd.change_count(),
-        vcd_text.len()
-    );
-    if std::env::args().any(|a| a == "--write-vcd") {
-        std::fs::write("boot.vcd", vcd_text).expect("write boot.vcd");
-        println!("  wrote boot.vcd");
-    }
 
     // Peripheral cross-checks.
     let trace = model.trace().expect("trace enabled");

@@ -21,5 +21,10 @@ pub use hierbus_obs as obs;
 pub use hierbus_power as power;
 pub use hierbus_rtl as rtl;
 pub use hierbus_serve as serve;
-pub use hierbus_sim as sim;
 pub use hierbus_soc as soc;
+
+/// The seeded generator behind every random stimulus, re-exported at
+/// the path existing callers import it from.
+pub mod sim {
+    pub use hierbus_ec::SplitMix64;
+}

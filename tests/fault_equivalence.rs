@@ -6,12 +6,14 @@
 //!
 //! [`FaultPlan`]: hierbus::ec::FaultPlan
 
+use hierbus::core::TlmSystem;
 use hierbus::ec::sequences::{self, MasterOp, MixParams, Scenario};
 use hierbus::ec::{
     ArbitrationPolicy, BusError, DmaParams, DmaProgram, FaultKind, FaultPlan, MultiScenario,
     OpFault, RetryPolicy, TxnOutcome, WaitProfile,
 };
 use hierbus::harness::shared_db;
+use hierbus::power::run::{tlm2_bus, MAX_CYCLES};
 use hierbus::power::{Capture, CharacterizationDb, Layer, MasterFaults, Outcome, RunSpec, Session};
 use hierbus::sim::SplitMix64;
 
@@ -69,6 +71,16 @@ fn three_writes() -> Scenario {
     }
 }
 
+/// Layer 3, the untimed message bus, under the same plan.
+fn run_layer3(
+    scenario: &Scenario,
+    db: &CharacterizationDb,
+    plan: &FaultPlan,
+    policy: RetryPolicy,
+) -> Outcome {
+    faulted(Layer::L3, scenario, db, plan, policy)
+}
+
 fn all_layers(
     scenario: &Scenario,
     db: &CharacterizationDb,
@@ -96,6 +108,15 @@ fn assert_agreement(tag: &str, rtl: &Outcome, l1: &Outcome, l2: &Outcome) {
         l2.cycles,
         l1.cycles
     );
+}
+
+/// The untimed half of the contract: layer 3 takes no time, so only
+/// what does not depend on timing — final outcomes, fault counters and
+/// committed memory — must match layer 1.
+fn assert_l3_matches_layer1(tag: &str, l1: &Outcome, l3: &Outcome) {
+    assert_eq!(l1.outcomes, l3.outcomes, "{tag}: l1 vs l3 outcomes");
+    assert_eq!(l1.counters, l3.counters, "{tag}: l1 vs l3 counters");
+    assert_eq!(l1.memory, l3.memory, "{tag}: l1 vs l3 memory");
 }
 
 /// The layer-1 half of the contract, which holds for any plan and
@@ -159,6 +180,8 @@ fn transient_error_retries_to_success_at_every_layer() {
     let plan = FaultPlan::new().with_fault(1, OpFault::once(FaultKind::SlaveError));
     let (rtl, l1, l2) = all_layers(&scenario, &db, &plan, RetryPolicy::retries(3));
     assert_agreement("retry", &rtl, &l1, &l2);
+    let l3 = run_layer3(&scenario, &db, &plan, RetryPolicy::retries(3));
+    assert_l3_matches_layer1("retry", &l1, &l3);
     assert!(rtl.outcomes.iter().all(|o| o.is_ok()), "{:?}", rtl.outcomes);
     assert_eq!(rtl.counters.injected, 1);
     assert_eq!(rtl.counters.retried, 1);
@@ -180,6 +203,8 @@ fn exhausted_retries_surface_the_error_at_every_layer() {
     let plan = FaultPlan::new().with_fault(1, OpFault::always(FaultKind::SlaveError));
     let (rtl, l1, l2) = all_layers(&scenario, &db, &plan, RetryPolicy::retries(2));
     assert_agreement("exhausted", &rtl, &l1, &l2);
+    let l3 = run_layer3(&scenario, &db, &plan, RetryPolicy::retries(2));
+    assert_l3_matches_layer1("exhausted", &l1, &l3);
     assert!(matches!(
         rtl.outcomes[1],
         TxnOutcome::Error(BusError::SlaveError(_))
@@ -275,6 +300,8 @@ fn stall_fault_stretches_all_layers_identically() {
     let plan = FaultPlan::new().with_fault(2, OpFault::always(FaultKind::Stall(5)));
     let (rtl, l1, l2) = all_layers(&scenario, &db, &plan, RetryPolicy::NONE);
     assert_agreement("stall", &rtl, &l1, &l2);
+    let l3 = run_layer3(&scenario, &db, &plan, RetryPolicy::NONE);
+    assert_l3_matches_layer1("stall", &l1, &l3);
     assert!(rtl.outcomes.iter().all(|o| o.is_ok()));
     assert_eq!(rtl.cycles, clean.cycles + 5, "stall adds exactly 5 cycles");
     assert_eq!(rtl.counters.injected, 1);
@@ -295,13 +322,24 @@ fn layer2_tear_flush_is_independent_of_spec_order() {
         },
     );
     let dma = DmaProgram::seeded(0x7EA2 ^ 0xD31A, DmaParams::default());
-    let ms = MultiScenario::new("tear-order", cpu, &dma, ArbitrationPolicy::RoundRobin).into();
+    let multi = MultiScenario::new("tear-order", cpu, &dma, ArbitrationPolicy::RoundRobin);
+    let ms = multi.clone().into();
     let tear =
         |master, at| MasterFaults::new(master, FaultPlan::new().with_tear(at), RetryPolicy::NONE);
     let run = |faults| {
         let spec =
             RunSpec::new(Layer::L2 { correlation: false }, Capture::Full).with_faults(faults);
         Session::new(&db).run(&spec, &ms)
+    };
+    // The cycle the layer-2 system tears at, with `(master, tear)` plans
+    // set in the given order.
+    let torn_at = |tears: &[(usize, u64)]| {
+        let mut sys = TlmSystem::for_multi(tlm2_bus(&multi.cpu), &multi);
+        for &(master, at) in tears {
+            sys.set_master_faults(master, FaultPlan::new().with_tear(at), RetryPolicy::NONE);
+        }
+        sys.run(MAX_CYCLES, |_| {});
+        sys.torn_at()
     };
     let booked = |o: &Outcome| -> Vec<(u64, u64)> {
         o.bookings.iter().map(|&(c, e)| (c, e.to_bits())).collect()
@@ -311,6 +349,11 @@ fn layer2_tear_flush_is_independent_of_spec_order() {
         let late_first = run(vec![tear(1, t + 150), tear(0, t)]);
         let tag = format!("tear@{t}");
         assert!(early_first.torn, "{tag}: not torn");
+        assert_eq!(
+            torn_at(&[(1, t + 150), (0, t)]),
+            Some(t),
+            "{tag}: not torn at the earlier tear"
+        );
         assert!(
             early_first.bookings.iter().all(|&(c, _)| c <= t),
             "{tag}: a phase booked after the tear"
