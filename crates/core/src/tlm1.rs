@@ -15,8 +15,10 @@
 //!   next interface call picks them up.
 //!
 //! The bus process runs at the falling clock edge in four phases:
-//! `get_slave_state()`, `address_phase()` (a finite state machine),
-//! `read_phase()`, `write_phase()`. Because the phases execute
+//! `get_slave_state()`, `address_phase()` (a finite state machine), then
+//! the read and the write phase — one `data_phase()` routine, run for
+//! the read side and then the write side, since both data buses share
+//! one handshake, one wait-state rule and one error reply. Because the phases execute
 //! sequentially within one activation, a zero-wait single transfer moves
 //! from the request queue to the finish queue in a single cycle, exactly
 //! like the reference RTL.
@@ -63,6 +65,14 @@ struct Beat {
     waits_left: u32,
 }
 
+/// One data channel: transactions whose address phase completed, and
+/// the beat in progress.
+#[derive(Debug, Default)]
+struct DataSide {
+    queue: VecDeque<usize>,
+    beat: Option<Beat>,
+}
+
 /// The layer-1 bus. See the [module docs](self) for the architecture.
 pub struct Tlm1Bus {
     map: AddressMap,
@@ -74,10 +84,8 @@ pub struct Tlm1Bus {
     active: Slots<Active>,
     request_q: VecDeque<usize>,
     addr_fsm: AddrFsm,
-    read_q: VecDeque<usize>,
-    write_q: VecDeque<usize>,
-    read_beat: Option<Beat>,
-    write_beat: Option<Beat>,
+    read: DataSide,
+    write: DataSide,
     /// Completed transactions awaiting master pickup, as active slots
     /// in completion order.
     finish_q: VecDeque<usize>,
@@ -108,10 +116,8 @@ impl Tlm1Bus {
             active: Slots::default(),
             request_q: VecDeque::new(),
             addr_fsm: AddrFsm::Idle,
-            read_q: VecDeque::new(),
-            write_q: VecDeque::new(),
-            read_beat: None,
-            write_beat: None,
+            read: DataSide::default(),
+            write: DataSide::default(),
             finish_q: VecDeque::new(),
             discard_read_data: false,
             emit_frames: false,
@@ -164,22 +170,6 @@ impl Tlm1Bus {
     /// Exclusive access to a slave.
     pub fn slave_mut(&mut self, id: SlaveId) -> &mut dyn TlmSlave {
         self.slaves[id.0].as_mut()
-    }
-
-    /// Extra first-beat wait states injected into the transaction at
-    /// `idx`, if a stall fault is attached.
-    fn stall_waits(&self, idx: usize) -> u32 {
-        match self.active[idx].fault {
-            Some(FaultKind::Stall(n)) => n,
-            _ => 0,
-        }
-    }
-
-    /// True when a slave-error fault is attached to the transaction at
-    /// `idx`. The error fires on the first data beat, before the slave
-    /// is consulted — no data is ever committed.
-    fn fails_by_fault(&self, idx: usize) -> bool {
-        matches!(self.active[idx].fault, Some(FaultKind::SlaveError))
     }
 
     /// Phase 1 of the bus process: the address-phase FSM.
@@ -258,196 +248,108 @@ impl Tlm1Bus {
             }
             None => {
                 self.active[idx].addr_done = Some(cycle);
-                if self.active[idx].txn.kind.is_read() {
-                    self.read_q.push_back(idx);
+                let side = if self.active[idx].txn.kind.is_read() {
+                    &mut self.read
                 } else {
-                    self.write_q.push_back(idx);
-                }
+                    &mut self.write
+                };
+                side.queue.push_back(idx);
             }
         }
     }
 
-    /// Phase 2: the read phase.
-    fn read_phase(&mut self, cycle: u64, frame: &mut SignalFrame) {
-        if self.read_beat.is_none() {
-            if let Some(idx) = self.read_q.pop_front() {
-                let slave = self.active[idx].slave.expect("decoded");
-                let waits = self.map.config(slave).waits.read + self.stall_waits(idx);
-                let t = &self.active[idx].txn;
-                self.obs.begin(
-                    t.id.0,
-                    Phase::ReadData,
-                    cycle,
-                    t.addr.raw(),
-                    access_class(t.kind),
-                );
-                self.read_beat = Some(Beat {
-                    idx,
-                    beat: 0,
-                    waits_left: waits,
-                });
-            } else {
-                return;
-            }
-        }
-        let beat = self.read_beat.as_mut().expect("beat just ensured");
-        if beat.waits_left > 0 {
-            beat.waits_left -= 1;
-            return;
-        }
-        let idx = beat.idx;
-        let beat_no = beat.beat;
-        let (addr, slave, tag, width) = {
-            let a = &self.active[idx];
-            (
-                a.txn.beat_addr(beat_no),
-                a.slave.expect("decoded"),
-                a.txn.id.tag(),
-                a.txn.width,
-            )
-        };
-        let reply = if beat_no == 0 && self.fails_by_fault(idx) {
-            SlaveReply::Error
+    /// Phases 2 and 3: one cycle of the read or the write data channel.
+    /// Both data buses share one beat state machine: a beat's static
+    /// waits (plus an injected stall before beat 0) run down, then the
+    /// slave answers — `Wait` retries the beat next cycle, `Error` ends
+    /// the transaction, `Ok` drives the word and advances or finishes.
+    #[inline(always)]
+    fn data_phase(&mut self, is_read: bool, cycle: u64, frame: &mut SignalFrame) {
+        let (side, phase) = if is_read {
+            (&mut self.read, Phase::ReadData)
         } else {
-            self.slaves[slave.0].read_word(addr)
+            (&mut self.write, Phase::WriteData)
         };
-        match reply {
-            SlaveReply::Wait => (), // dynamic stall: retry next cycle
-            SlaveReply::Error => {
-                if self.emit_frames {
-                    frame.drive_read(self.frame.r_data, tag, true, true);
-                }
-                self.read_beat = None;
-                let a = &mut self.active[idx];
-                a.done = Some(cycle);
-                a.error = Some(BusError::SlaveError(addr));
-                self.finish_q.push_back(idx);
-                self.obs
-                    .end(self.active[idx].txn.id.0, Phase::ReadData, cycle, true);
-            }
-            SlaveReply::Ok(word) => {
-                if self.emit_frames {
-                    frame.drive_read(word, tag, true, false);
-                }
-                let a = &mut self.active[idx];
-                if !self.discard_read_data {
-                    a.read_data.push(width.extract(addr, word));
-                }
-                let last = beat_no + 1 == a.txn.beats();
-                if last {
-                    a.done = Some(cycle);
-                    let id = a.txn.id;
-                    self.finish_q.push_back(idx);
-                    self.read_beat = None;
-                    self.obs.end(id.0, Phase::ReadData, cycle, false);
-                } else {
-                    let waits = self.map.config(slave).waits.read;
-                    self.read_beat = Some(Beat {
-                        idx,
-                        beat: beat_no + 1,
-                        waits_left: waits,
-                    });
-                }
-            }
-        }
-    }
-
-    /// Phase 3: the write phase.
-    fn write_phase(&mut self, cycle: u64, frame: &mut SignalFrame) {
-        if self.write_beat.is_none() {
-            if let Some(idx) = self.write_q.pop_front() {
-                let slave = self.active[idx].slave.expect("decoded");
-                let waits = self.map.config(slave).waits.write + self.stall_waits(idx);
-                let t = &self.active[idx].txn;
-                self.obs.begin(
-                    t.id.0,
-                    Phase::WriteData,
-                    cycle,
-                    t.addr.raw(),
-                    access_class(t.kind),
-                );
-                self.write_beat = Some(Beat {
+        let beat = match &mut side.beat {
+            Some(beat) => beat,
+            none => {
+                let Some(idx) = side.queue.pop_front() else {
+                    return;
+                };
+                let a = &self.active[idx];
+                let t = &a.txn;
+                let waits = self.map.config(a.slave.expect("decoded")).waits;
+                let class = access_class(t.kind);
+                self.obs.begin(t.id.0, phase, cycle, t.addr.raw(), class);
+                none.insert(Beat {
                     idx,
                     beat: 0,
-                    waits_left: waits,
-                });
-            } else {
-                return;
+                    waits_left: waits.data_wait(t.kind) + FaultKind::stall_waits(a.fault),
+                })
             }
-        }
-        let beat = self.write_beat.as_mut().expect("beat just ensured");
+        };
         if beat.waits_left > 0 {
             beat.waits_left -= 1;
             return;
         }
-        let idx = beat.idx;
-        let beat_no = beat.beat;
-        let (addr, slave, tag, width, value) = {
-            let a = &self.active[idx];
-            (
-                a.txn.beat_addr(beat_no),
-                a.slave.expect("decoded"),
-                a.txn.id.tag(),
-                a.txn.width,
-                a.txn.data[beat_no as usize],
-            )
-        };
+        let a = &mut self.active[beat.idx];
+        let (slave, t) = (a.slave.expect("decoded"), &a.txn);
+        let (addr, tag, width) = (t.beat_addr(beat.beat), t.id.tag(), t.width);
         let ben = width.byte_enables(addr);
         // Non-enabled lanes of the write bus hold the previous bus value
         // (keeper behaviour), matching the RTL reference's wires.
-        let bus_word = width.insert(addr, self.frame.w_data, value);
-        let reply = if beat_no == 0 && self.fails_by_fault(idx) {
-            SlaveReply::Error
+        let bus_word = if is_read {
+            0
         } else {
-            self.slaves[slave.0].write_word(addr, bus_word, ben)
+            width.insert(addr, self.frame.w_data, t.data[beat.beat as usize])
         };
-        match reply {
-            SlaveReply::Wait => (),
-            SlaveReply::Error => {
-                if self.emit_frames {
-                    frame.drive_write(bus_word, ben, tag, true, true);
-                }
-                self.write_beat = None;
-                let a = &mut self.active[idx];
-                a.done = Some(cycle);
-                a.error = Some(BusError::SlaveError(addr));
-                self.finish_q.push_back(idx);
-                self.obs
-                    .end(self.active[idx].txn.id.0, Phase::WriteData, cycle, true);
-            }
-            SlaveReply::Ok(()) => {
-                if self.emit_frames {
-                    frame.drive_write(bus_word, ben, tag, true, false);
-                }
-                let a = &mut self.active[idx];
-                let last = beat_no + 1 == a.txn.beats();
-                if last {
-                    a.done = Some(cycle);
-                    let id = a.txn.id;
-                    self.finish_q.push_back(idx);
-                    self.write_beat = None;
-                    self.obs.end(id.0, Phase::WriteData, cycle, false);
-                } else {
-                    let waits = self.map.config(slave).waits.write;
-                    self.write_beat = Some(Beat {
-                        idx,
-                        beat: beat_no + 1,
-                        waits_left: waits,
-                    });
-                }
-            }
+        // An injected slave error fails beat 0 before the slave is
+        // called: no data is ever read or committed.
+        let reply = if beat.beat == 0 && FaultKind::fails_first_beat(a.fault) {
+            SlaveReply::Error
+        } else if is_read {
+            self.slaves[slave.0].read_word(addr)
+        } else {
+            self.slaves[slave.0]
+                .write_word(addr, bus_word, ben)
+                .map(|()| bus_word)
+        };
+        let (word, failed) = match reply {
+            SlaveReply::Wait => return, // dynamic stall: retry next cycle
+            // A failing read holds the read bus; a failing write still
+            // drives its payload.
+            SlaveReply::Error if is_read => (self.frame.r_data, true),
+            SlaveReply::Error => (bus_word, true),
+            SlaveReply::Ok(word) => (word, false),
+        };
+        if self.emit_frames && is_read {
+            frame.drive_read(word, tag, true, failed);
+        } else if self.emit_frames {
+            frame.drive_write(word, ben, tag, true, failed);
+        }
+        if is_read && !failed && !self.discard_read_data {
+            a.read_data.push(width.extract(addr, word));
+        }
+        if failed || beat.beat + 1 == a.txn.beats() {
+            a.done = Some(cycle);
+            a.error = failed.then_some(BusError::SlaveError(addr));
+            self.finish_q.push_back(beat.idx);
+            self.obs.end(a.txn.id.0, phase, cycle, failed);
+            side.beat = None;
+        } else {
+            beat.beat += 1;
+            beat.waits_left = self.map.config(slave).waits.data_wait(a.txn.kind);
         }
     }
 
     /// True when no transaction is queued or in progress: the bus
     /// process has nothing to do this cycle.
     fn is_idle(&self) -> bool {
+        let idle = |s: &DataSide| s.queue.is_empty() && s.beat.is_none();
         self.request_q.is_empty()
             && matches!(self.addr_fsm, AddrFsm::Idle)
-            && self.read_q.is_empty()
-            && self.write_q.is_empty()
-            && self.read_beat.is_none()
-            && self.write_beat.is_none()
+            && idle(&self.read)
+            && idle(&self.write)
     }
 }
 
@@ -460,7 +362,7 @@ impl CycleBus for Tlm1Bus {
             txn.addr.raw(),
             access_class(txn.kind),
         );
-        let read_beats = if txn.kind.is_read() && !self.discard_read_data {
+        let kept_words = if txn.kind.is_read() && !self.discard_read_data {
             txn.beats() as usize
         } else {
             0
@@ -471,7 +373,7 @@ impl CycleBus for Tlm1Bus {
             addr_done: None,
             done: None,
             error: None,
-            read_data: Vec::with_capacity(read_beats),
+            read_data: Vec::with_capacity(kept_words),
             fault,
         };
         let idx = self.active.insert(entry);
@@ -518,8 +420,8 @@ impl CycleBus for Tlm1Bus {
             SignalFrame::default()
         };
         self.address_phase(cycle, &mut frame);
-        self.read_phase(cycle, &mut frame);
-        self.write_phase(cycle, &mut frame);
+        self.data_phase(true, cycle, &mut frame);
+        self.data_phase(false, cycle, &mut frame);
         if self.emit_frames {
             self.frame = frame;
         }

@@ -323,7 +323,7 @@ impl Tlm2Bus {
     fn complete_data(&mut self, is_read: bool, idx: usize, cycle: u64) {
         let a = &self.active[idx];
         let (width, beats) = (a.txn.width, a.txn.beats());
-        let injected = matches!(a.fault, Some(FaultKind::SlaveError));
+        let injected = FaultKind::fails_first_beat(a.fault);
         let stop = if injected {
             // Injected slave error: fires before any data is committed
             // (the reference errors on the first beat), so memory state
@@ -463,11 +463,7 @@ impl Tlm2Bus {
             return;
         }
         let (kind, beats) = (a.txn.kind, a.txn.beats());
-        let stall = match a.fault {
-            Some(FaultKind::Stall(n)) => n,
-            _ => 0,
-        };
-        let total = beats * (1 + a.waits.data_wait(kind)) + stall;
+        let total = beats * (1 + a.waits.data_wait(kind)) + FaultKind::stall_waits(a.fault);
         let is_read = kind.is_read();
         let side = self.data_side(is_read);
         // A side that completed a phase this cycle is free for fusion

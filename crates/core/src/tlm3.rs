@@ -66,9 +66,7 @@ impl Tlm3Bus {
         let mut buf = [0u32; 8];
         let error = match self.map.decode(txn.addr, txn.kind) {
             Err(e) => Some(e),
-            Ok(_) if matches!(fault, Some(FaultKind::SlaveError)) => {
-                Some(BusError::SlaveError(txn.addr))
-            }
+            Ok(_) if FaultKind::fails_first_beat(fault) => Some(BusError::SlaveError(txn.addr)),
             Ok(slave) => {
                 let slave = self.slaves[slave.0].as_mut();
                 let mut from = 0;

@@ -42,6 +42,22 @@ pub enum FaultKind {
     Stall(u32),
 }
 
+impl FaultKind {
+    /// True when `fault` fails the first data beat before the slave is
+    /// called — the one first-beat error rule of every bus.
+    pub const fn fails_first_beat(fault: Option<FaultKind>) -> bool {
+        matches!(fault, Some(FaultKind::SlaveError))
+    }
+
+    /// The extra wait states `fault` inserts before the first data beat.
+    pub const fn stall_waits(fault: Option<FaultKind>) -> u32 {
+        match fault {
+            Some(FaultKind::Stall(n)) => n,
+            _ => 0,
+        }
+    }
+}
+
 impl fmt::Display for FaultKind {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

@@ -228,8 +228,8 @@ pub struct Outcome {
     pub stats: ArbiterStats,
     /// Full capture: committed `(word_offset, value)` pairs, sorted.
     pub memory: Vec<(u64, u32)>,
-    /// The run ended in a card tear.
-    pub torn: bool,
+    /// The cycle the card was torn at, if the run ended in a tear.
+    pub torn_at: Option<u64>,
     /// Full capture, reference and layer 1: per-cycle energy in pJ.
     pub trace: Vec<f64>,
     /// Full capture, layer 2: `(cycle, total pJ)` after each booked
@@ -473,7 +473,7 @@ fn run_tlm<B: CycleBus + HasSlaves>(
         records: report.records,
         outcomes: report.outcomes,
         counters: report.fault,
-        torn: sys.torn(),
+        torn_at: sys.torn_at(),
         ..Outcome::default()
     };
     if let Materialized::Multi(_) = stimulus {

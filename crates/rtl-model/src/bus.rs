@@ -182,18 +182,13 @@ impl RtlBus {
         self.obs.begin(id, Phase::Address, cycle, addr, class);
     }
 
-    /// Marks the data phase of `idx` as started on its channel.
-    fn obs_data_start(&mut self, idx: usize, cycle: u64) {
+    /// Marks data phase `phase` of `idx` as started on its channel.
+    fn obs_data_start(&mut self, idx: usize, phase: Phase, cycle: u64) {
         let a = &mut self.active[idx];
         if a.data_started {
             return;
         }
         a.data_started = true;
-        let phase = if a.txn.kind.is_read() {
-            Phase::ReadData
-        } else {
-            Phase::WriteData
-        };
         let (id, addr, class) = (a.txn.id.0, a.txn.addr.raw(), access_class(a.txn.kind));
         self.obs.begin(id, phase, cycle, addr, class);
     }
@@ -219,6 +214,80 @@ impl RtlBus {
             data: std::mem::take(&mut a.data),
         });
         self.active.release(idx);
+    }
+
+    /// One cycle of the read or the write data channel: a beat that
+    /// completes calls its slave and drives its data bus. A `Wait` reply
+    /// holds the beat (nothing is driven), an `Error` reply ends the
+    /// transaction, an `Ok` reply drives the word.
+    fn data_cycle(&mut self, is_read: bool, cycle: u64, frame: &mut SignalFrame) {
+        let (ch, phase) = if is_read {
+            (&mut self.read_ch, Phase::ReadData)
+        } else {
+            (&mut self.write_ch, Phase::WriteData)
+        };
+        let (idx, beat, last) = match ch.step() {
+            DataCycle::Idle => return,
+            DataCycle::Busy(idx) => return self.obs_data_start(idx, phase, cycle),
+            DataCycle::Beat { idx, beat, last } => (idx, beat, last),
+        };
+        self.obs_data_start(idx, phase, cycle);
+        let a = &mut self.active[idx];
+        let (addr, tag, width) = (a.txn.beat_addr(beat), a.txn.id.tag(), a.txn.width);
+        let ben = width.byte_enables(addr);
+        // Non-enabled write lanes hold the previous bus value (keeper
+        // behaviour), enabled lanes carry the datum.
+        let bus_word = if is_read {
+            0
+        } else {
+            let prev = self.wires.w_data.value() as u32;
+            width.insert(addr, prev, a.txn.data[beat as usize])
+        };
+        // An injected slave error fires on the first data beat, before
+        // the slave is consulted — no data is ever read or committed.
+        let reply = if beat == 0 && FaultKind::fails_first_beat(a.fault) {
+            SlaveReply::Error
+        } else if is_read {
+            self.slaves[a.slave.expect("decoded").0].read_word(addr)
+        } else {
+            let slave = &mut self.slaves[a.slave.expect("decoded").0];
+            slave.write_word(addr, bus_word, ben).map(|()| bus_word)
+        };
+        let ch = if is_read {
+            &mut self.read_ch
+        } else {
+            &mut self.write_ch
+        };
+        let (word, error) = match reply {
+            // The slave is busy: nothing is driven, and the beat runs
+            // again next cycle.
+            SlaveReply::Wait => return ch.hold(),
+            SlaveReply::Error => {
+                ch.cancel_current();
+                // The error response holds the previous read-bus value
+                // (matching the layer-1 adapter's frame); a write still
+                // drives its payload.
+                let shown = if is_read {
+                    self.wires.r_data.value() as u32
+                } else {
+                    bus_word
+                };
+                (shown, Some(BusError::SlaveError(addr)))
+            }
+            SlaveReply::Ok(word) => (word, None),
+        };
+        if is_read {
+            frame.drive_read(word, tag, true, error.is_some());
+        } else {
+            frame.drive_write(word, ben, tag, true, error.is_some());
+        }
+        if is_read && error.is_none() {
+            debug_assert_eq!(a.data.len(), beat as usize, "beats arrive in order");
+            a.data.push(width.extract(addr, word));
+        }
+        if last || error.is_some() {
+            self.end_data(idx, phase, cycle, error);
+        }
     }
 
     /// Drives the wires to `frame`, injecting hazards and feeding the
@@ -326,20 +395,18 @@ impl CycleBus for RtlBus {
                 a.addr_done_cycle = Some(cycle);
                 let t = &a.txn;
                 frame.drive_address(t.addr.raw(), t.kind, t.width, t.burst, true, false);
-                let wait = self
-                    .map
-                    .config(a.slave.expect("decoded"))
-                    .waits
-                    .data_wait(t.kind);
-                let stall = match a.fault {
-                    Some(FaultKind::Stall(n)) => n,
-                    _ => 0,
-                };
-                if t.kind.is_read() {
-                    self.read_ch.push(idx, t.beats(), wait, stall);
+                let waits = self.map.config(a.slave.expect("decoded")).waits;
+                let ch = if t.kind.is_read() {
+                    &mut self.read_ch
                 } else {
-                    self.write_ch.push(idx, t.beats(), wait, stall);
-                }
+                    &mut self.write_ch
+                };
+                ch.push(
+                    idx,
+                    t.beats(),
+                    waits.data_wait(t.kind),
+                    FaultKind::stall_waits(a.fault),
+                );
             }
             AddrCycle::Failed(idx, err) => {
                 self.obs_addr_start(idx, cycle);
@@ -351,82 +418,8 @@ impl CycleBus for RtlBus {
             }
         }
 
-        match self.read_ch.step() {
-            DataCycle::Idle => {}
-            DataCycle::Busy(idx) => self.obs_data_start(idx, cycle),
-            DataCycle::Beat { idx, beat, last } => {
-                self.obs_data_start(idx, cycle);
-                let a = &mut self.active[idx];
-                let (addr, tag) = (a.txn.beat_addr(beat), a.txn.id.tag());
-                // An injected slave error fires on the first data beat,
-                // before the slave is consulted — no data is ever read.
-                let reply = if beat == 0 && matches!(a.fault, Some(FaultKind::SlaveError)) {
-                    SlaveReply::Error
-                } else {
-                    self.slaves[a.slave.expect("decoded").0].read_word(addr)
-                };
-                match reply {
-                    // The slave is busy: nothing is driven, and the beat
-                    // runs again next cycle.
-                    SlaveReply::Wait => self.read_ch.hold(),
-                    SlaveReply::Error => {
-                        // The error response holds the previous read-bus
-                        // value (matching the layer-1 adapter's frame).
-                        let prev = self.wires.r_data.value() as u32;
-                        frame.drive_read(prev, tag, true, true);
-                        self.read_ch.cancel_current();
-                        let err = BusError::SlaveError(addr);
-                        self.end_data(idx, Phase::ReadData, cycle, Some(err));
-                    }
-                    SlaveReply::Ok(word) => {
-                        frame.drive_read(word, tag, true, false);
-                        debug_assert_eq!(a.data.len(), beat as usize, "beats arrive in order");
-                        a.data.push(a.txn.width.extract(addr, word));
-                        if last {
-                            self.end_data(idx, Phase::ReadData, cycle, None);
-                        }
-                    }
-                }
-            }
-        }
-
-        match self.write_ch.step() {
-            DataCycle::Idle => {}
-            DataCycle::Busy(idx) => self.obs_data_start(idx, cycle),
-            DataCycle::Beat { idx, beat, last } => {
-                self.obs_data_start(idx, cycle);
-                let a = &self.active[idx];
-                let (addr, tag) = (a.txn.beat_addr(beat), a.txn.id.tag());
-                // Non-enabled lanes hold the previous bus value (keeper
-                // behaviour), enabled lanes carry the datum.
-                let prev = self.wires.w_data.value() as u32;
-                let bus_word = a.txn.width.insert(addr, prev, a.txn.data[beat as usize]);
-                let ben = a.txn.width.byte_enables(addr);
-                // An injected slave error fires on the first data beat,
-                // before the slave commits — memory is never modified.
-                // The payload is still driven onto the bus.
-                let reply = if beat == 0 && matches!(a.fault, Some(FaultKind::SlaveError)) {
-                    SlaveReply::Error
-                } else {
-                    self.slaves[a.slave.expect("decoded").0].write_word(addr, bus_word, ben)
-                };
-                match reply {
-                    SlaveReply::Wait => self.write_ch.hold(),
-                    SlaveReply::Error => {
-                        frame.drive_write(bus_word, ben, tag, true, true);
-                        self.write_ch.cancel_current();
-                        let err = BusError::SlaveError(addr);
-                        self.end_data(idx, Phase::WriteData, cycle, Some(err));
-                    }
-                    SlaveReply::Ok(()) => {
-                        frame.drive_write(bus_word, ben, tag, true, false);
-                        if last {
-                            self.end_data(idx, Phase::WriteData, cycle, None);
-                        }
-                    }
-                }
-            }
-        }
+        self.data_cycle(true, cycle, &mut frame);
+        self.data_cycle(false, cycle, &mut frame);
 
         self.settle(&frame, cycle);
         true

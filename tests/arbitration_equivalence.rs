@@ -337,7 +337,7 @@ fn tear_under_contention_commits_identical_memory() {
     for policy in ArbitrationPolicy::ALL {
         let ms = tear_scenario(policy);
         let full = run_reference(&ms, &db, &[]);
-        assert!(!full.torn);
+        assert!(full.torn_at.is_none());
         for t in 0..=full.cycles + 2 {
             let faults = [MasterFaults {
                 master: 0,
@@ -348,7 +348,10 @@ fn tear_under_contention_commits_identical_memory() {
             let tag = format!("{}/tear@{t}", policy.name());
             assert_agreement(&tag, &rtl, &l1, &l2);
             if t < full.cycles {
-                assert!(rtl.torn && l1.torn && l2.torn, "{tag}: not torn");
+                assert!(
+                    rtl.torn_at.is_some() && l1.torn_at.is_some() && l2.torn_at.is_some(),
+                    "{tag}: not torn"
+                );
             }
         }
     }

@@ -364,7 +364,7 @@ fn faulted_bitloop_run(
         outcomes: report.outcomes,
         counters: report.fault,
         memory,
-        torn: sys.torn(),
+        torn_at: sys.torn_at(),
         ..Outcome::default()
     };
     (run, model.trace().unwrap_or(&[]).to_vec())
@@ -381,7 +381,7 @@ fn assert_fault_runs_agree(fast: &Outcome, reference: &Outcome, context: &str) {
     assert_eq!(fast.outcomes, reference.outcomes, "{context}: outcomes");
     assert_eq!(fast.counters, reference.counters, "{context}: counters");
     assert_eq!(fast.memory, reference.memory, "{context}: memory");
-    assert_eq!(fast.torn, reference.torn, "{context}: torn");
+    assert_eq!(fast.torn_at, reference.torn_at, "{context}: torn");
 }
 
 /// A short fixed scenario whose whole run a tear sweep can cover.
@@ -417,7 +417,7 @@ fn fault_free_fault_runs_match_reference_runs() {
             reference.energy_pj.to_bits(),
             "seed {seed:#x}: energy"
         );
-        assert!(!fast.torn, "seed {seed:#x}: clean run torn");
+        assert!(fast.torn_at.is_none(), "seed {seed:#x}: clean run torn");
     }
 }
 

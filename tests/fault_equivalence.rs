@@ -6,14 +6,12 @@
 //!
 //! [`FaultPlan`]: hierbus::ec::FaultPlan
 
-use hierbus::core::TlmSystem;
 use hierbus::ec::sequences::{self, MasterOp, MixParams, Scenario};
 use hierbus::ec::{
     ArbitrationPolicy, BusError, DmaParams, DmaProgram, FaultKind, FaultPlan, MultiScenario,
     OpFault, RetryPolicy, TxnOutcome, WaitProfile,
 };
 use hierbus::harness::shared_db;
-use hierbus::power::run::{tlm2_bus, MAX_CYCLES};
 use hierbus::power::{Capture, CharacterizationDb, Layer, MasterFaults, Outcome, RunSpec, Session};
 use hierbus::sim::SplitMix64;
 
@@ -135,21 +133,24 @@ fn tear_at_every_cycle_commits_identical_memory() {
     let db = shared_db();
     let scenario = three_writes();
     let full = run_reference(&scenario, &FaultPlan::new(), RetryPolicy::NONE);
-    assert!(!full.torn);
+    assert!(full.torn_at.is_none());
     // Sweep the tear over every cycle offset, past the natural end.
     for t in 0..=full.cycles + 2 {
         let plan = FaultPlan::new().with_tear(t);
         let (rtl, l1, l2) = all_layers(&scenario, &db, &plan, RetryPolicy::NONE);
         assert_agreement(&format!("tear@{t}"), &rtl, &l1, &l2);
         if t < full.cycles {
-            assert!(rtl.torn, "tear@{t}: reference not torn");
-            assert!(l1.torn && l2.torn, "tear@{t}: tlm not torn");
+            assert!(rtl.torn_at.is_some(), "tear@{t}: reference not torn");
+            assert!(
+                l1.torn_at.is_some() && l2.torn_at.is_some(),
+                "tear@{t}: tlm not torn"
+            );
         }
     }
     // Tear past completion changes nothing.
     let plan = FaultPlan::new().with_tear(full.cycles + 100);
     let late = run_reference(&scenario, &plan, RetryPolicy::NONE);
-    assert!(!late.torn);
+    assert!(late.torn_at.is_none());
     assert_eq!(late.memory, full.memory);
     assert_eq!(late.outcomes, full.outcomes);
 }
@@ -250,7 +251,7 @@ fn timeout_aborts_but_the_bus_drains_to_idle() {
     // finally completed (the master ignores it, the slave saw it) —
     // what matters is that all layers agree on that memory state,
     // which assert_agreement checked above.
-    assert!(!rtl.torn);
+    assert!(rtl.torn_at.is_none());
 
     // Seeded mixes under the same policy shape: stalls that may outlive
     // a 9-cycle timeout, once and always slave errors, two retries.
@@ -322,24 +323,13 @@ fn layer2_tear_flush_is_independent_of_spec_order() {
         },
     );
     let dma = DmaProgram::seeded(0x7EA2 ^ 0xD31A, DmaParams::default());
-    let multi = MultiScenario::new("tear-order", cpu, &dma, ArbitrationPolicy::RoundRobin);
-    let ms = multi.clone().into();
+    let ms = MultiScenario::new("tear-order", cpu, &dma, ArbitrationPolicy::RoundRobin).into();
     let tear =
         |master, at| MasterFaults::new(master, FaultPlan::new().with_tear(at), RetryPolicy::NONE);
     let run = |faults| {
         let spec =
             RunSpec::new(Layer::L2 { correlation: false }, Capture::Full).with_faults(faults);
         Session::new(&db).run(&spec, &ms)
-    };
-    // The cycle the layer-2 system tears at, with `(master, tear)` plans
-    // set in the given order.
-    let torn_at = |tears: &[(usize, u64)]| {
-        let mut sys = TlmSystem::for_multi(tlm2_bus(&multi.cpu), &multi);
-        for &(master, at) in tears {
-            sys.set_master_faults(master, FaultPlan::new().with_tear(at), RetryPolicy::NONE);
-        }
-        sys.run(MAX_CYCLES, |_| {});
-        sys.torn_at()
     };
     let booked = |o: &Outcome| -> Vec<(u64, u64)> {
         o.bookings.iter().map(|&(c, e)| (c, e.to_bits())).collect()
@@ -348,9 +338,9 @@ fn layer2_tear_flush_is_independent_of_spec_order() {
         let early_first = run(vec![tear(0, t), tear(1, t + 150)]);
         let late_first = run(vec![tear(1, t + 150), tear(0, t)]);
         let tag = format!("tear@{t}");
-        assert!(early_first.torn, "{tag}: not torn");
+        assert_eq!(early_first.torn_at, Some(t), "{tag}: not torn");
         assert_eq!(
-            torn_at(&[(1, t + 150), (0, t)]),
+            late_first.torn_at,
             Some(t),
             "{tag}: not torn at the earlier tear"
         );

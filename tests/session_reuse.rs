@@ -63,7 +63,7 @@ fn assert_same(a: &Outcome, b: &Outcome, context: &str) {
     assert_eq!(a.grants, b.grants, "{context}: grants");
     assert_eq!(a.stats, b.stats, "{context}: stats");
     assert_eq!(a.memory, b.memory, "{context}: memory");
-    assert_eq!(a.torn, b.torn, "{context}: torn");
+    assert_eq!(a.torn_at, b.torn_at, "{context}: torn");
     assert_eq!(bits(&a.trace), bits(&b.trace), "{context}: trace");
     let booked = |o: &Outcome| -> Vec<(u64, u64)> {
         o.bookings.iter().map(|&(c, e)| (c, e.to_bits())).collect()
@@ -126,7 +126,7 @@ fn one_session_across_layers_matches_fresh_sessions() {
         assert_same(&reused, &fresh, &format!("run {i} ({:?})", spec.layer));
     }
     // The sequence exercised what it claims: a tear and contention.
-    assert!(session.run(&sequence[3].0, &single).torn);
+    assert!(session.run(&sequence[3].0, &single).torn_at.is_some());
     let arbitrated = session.run(&sequence[4].0, &multi);
     assert_eq!(arbitrated.masters.len(), 2);
     assert!(arbitrated.stats.contended_cycles > 0);
